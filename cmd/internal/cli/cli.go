@@ -1,7 +1,7 @@
 // Package cli collects the flag handling shared by the lbchat commands so
 // -seed, -workers, -shards, -scale, -faults, -telemetry-out, -stream-trace,
-// -trace-file, -trace-url, -full-coreset-rebuild, and -legacy-due-scan parse
-// and behave identically everywhere.
+// -trace-file, -trace-url, and -full-coreset-rebuild parse and behave
+// identically everywhere.
 package cli
 
 import (
@@ -47,11 +47,6 @@ type Common struct {
 	// partition-tree refresh (DESIGN.md §14). Each arm is individually
 	// bit-identical at any -workers/-shards setting.
 	FullCoresetRebuild bool
-	// LegacyDueScan selects the original per-tick O(N) due-vehicle fleet
-	// scan (-legacy-due-scan) instead of the default calendar queue
-	// (DESIGN.md §15). Both arms produce byte-identical event streams; this
-	// is the A/B reference and benchmark-baseline arm.
-	LegacyDueScan bool
 	// StreamTrace drives engine runs from a bounded sliding-window trace
 	// source (-stream-trace) instead of holding the whole mobility trace
 	// resident. Results are bit-identical either way.
@@ -85,8 +80,6 @@ func Register(fs *flag.FlagSet) *Common {
 		"fault-injection profile: off, light, or heavy (burst loss, window truncation, churn, corruption)")
 	fs.BoolVar(&c.FullCoresetRebuild, "full-coreset-rebuild", false,
 		"rebuild coresets with a full Algorithm-1 pass instead of the incremental partition tree")
-	fs.BoolVar(&c.LegacyDueScan, "legacy-due-scan", false,
-		"find due training vehicles with the original per-tick fleet scan instead of the calendar queue; results are byte-identical")
 	fs.BoolVar(&c.StreamTrace, "stream-trace", false,
 		"stream the mobility trace through a bounded sliding window instead of holding it resident; results are bit-identical")
 	fs.StringVar(&c.TraceFile, "trace-file", "",
@@ -115,7 +108,6 @@ func (c *Common) Scale() (experiments.Scale, error) {
 	scale.Workers = c.Workers
 	scale.Shards = c.Shards
 	scale.FullCoresetRebuild = c.FullCoresetRebuild
-	scale.LegacyDueScan = c.LegacyDueScan
 	scale.StreamTrace = c.StreamTrace
 	tensor.SetWorkers(c.Workers)
 	return scale, nil

@@ -122,20 +122,6 @@ type Config struct {
 	// exists as the A/B reference for quality tests and the full-rebuild
 	// benchmark baseline.
 	DisableIncrementalCoreset bool
-	// LegacyDueScan forces trainTick's due-vehicle discovery down the
-	// original per-tick O(N) serial scan of the whole fleet instead of the
-	// due-time calendar queue (internal/sched.Calendar, DESIGN.md §15),
-	// which pops exactly the due vehicles in O(k). Results are byte-identical
-	// either way — both arms surface the same due sets in the same ascending
-	// vehicle order — so the flag exists as the A/B reference for determinism
-	// tests and the trainTick benchmark baseline, not as a tuning knob.
-	LegacyDueScan bool
-	// DisableSpatialIndex forces pair enumeration and contact scanning down
-	// the pre-index O(N²) loops (DESIGN.md §10). Results are bit-identical
-	// either way — the flag exists as the A/B reference for determinism
-	// tests and the brute-force benchmark baseline, not as a tuning knob.
-	// It takes precedence over Shards.
-	DisableSpatialIndex bool
 	// Shards partitions encounter scans into grid regions (internal/shard,
 	// DESIGN.md §11): each region enumerates its radio-range pairs locally
 	// (with halo copies of border vehicles) on the parallel pool, and the
@@ -294,13 +280,12 @@ type Engine struct {
 	// invTick is 1/TickSeconds, hoisted so dueTick multiplies instead of
 	// divides on every re-enqueue.
 	invTick float64
-	// calendar is the due-time calendar queue over vehicle ids (nil on the
-	// -legacy-due-scan arm): each vehicle is enqueued at the tick its
-	// nextTrain comes due and re-enqueued after every step, so discovering
-	// the tick's due set costs O(due), not O(fleet). Buckets are keyed
-	// never-late (see dueTick) and lazily re-checked at dequeue, so float
-	// drift between e.now and tickIndex can cost a harmless early pop but
-	// never a late one.
+	// calendar is the due-time calendar queue over vehicle ids: each vehicle
+	// is enqueued at the tick its nextTrain comes due and re-enqueued after
+	// every step, so discovering the tick's due set costs O(due), not
+	// O(fleet). Buckets are keyed never-late (see dueTick) and lazily
+	// re-checked at dequeue, so float drift between e.now and tickIndex can
+	// cost a harmless early pop but never a late one.
 	calendar *sched.Calendar
 	// dueIDs and popScratch are trainTick's reused id scratch: the tick's
 	// due set in ascending vehicle order, and the raw calendar pop feeding
@@ -342,9 +327,9 @@ type Engine struct {
 	freeScratch []int
 	openScratch [][2]int
 	matchTaken  []bool
-	// shardScan replaces spatialIdx for pair enumeration when Cfg.Shards > 1
-	// (and the brute-force flag is off); shardObs is the telemetry sink's
-	// optional per-shard statistics side channel.
+	// shardScan replaces spatialIdx for pair enumeration when Cfg.Shards > 1;
+	// shardObs is the telemetry sink's optional per-shard statistics side
+	// channel.
 	shardScan *shard.Scanner
 	shardObs  telemetry.ShardObserver
 	// grouper batches per-vehicle phase work (train steps, probe
@@ -398,19 +383,15 @@ func NewEngine(cfg Config, tr trace.Source, datasets []*dataset.Dataset, rm *rad
 		tel:   cfg.Telemetry,
 	}
 	e.spatialIdx = spatial.New(rm.Params.MaxRangeMeters)
-	if cfg.Shards > 1 && !cfg.DisableSpatialIndex {
-		e.shardScan = shard.NewScanner(cfg.Shards, cfg.Workers)
-	}
 	if cfg.Shards > 1 {
+		e.shardScan = shard.NewScanner(cfg.Shards, cfg.Workers)
 		e.grouper = shard.NewGrouper(cfg.Shards)
 	}
 	e.invTick = 1 / cfg.TickSeconds
 	e.stepFn = e.stepDue
 	e.stepObsFn = e.stepDueObserved
 	e.probeFn = e.probeOne
-	if !cfg.LegacyDueScan {
-		e.calendar = sched.NewCalendar(len(datasets))
-	}
+	e.calendar = sched.NewCalendar(len(datasets))
 	if w, ok := e.tel.(telemetry.WallObserver); ok {
 		e.wall = w
 	}
@@ -479,10 +460,8 @@ func NewEngine(cfg Config, tr trace.Source, datasets []*dataset.Dataset, rm *rad
 	for i := range e.allIDs {
 		e.allIDs[i] = int32(i)
 	}
-	if e.calendar != nil {
-		for _, v := range e.Vehicles {
-			e.calendar.Schedule(int32(v.ID), e.dueTick(v.nextTrain))
-		}
+	for _, v := range e.Vehicles {
+		e.calendar.Schedule(int32(v.ID), e.dueTick(v.nextTrain))
 	}
 	return e, nil
 }
@@ -578,50 +557,22 @@ func (e *Engine) Emit(ev telemetry.Event) {
 
 // scanContacts diffs the fleet's in-range pair set against the previous
 // tick and emits contact open/close events. It runs only with telemetry
-// enabled. The fast path enumerates in-range pairs via the spatial index
-// and merges them with the sorted open-contact set; every pair produces at
-// most one event and both sequences are (a, b)-ascending, so the merged
-// event stream is byte-identical to the full O(N²) diff the brute-force
-// path (Cfg.DisableSpatialIndex) still performs.
+// enabled. It enumerates in-range pairs via the spatial index and merges
+// them with the sorted open-contact set; every pair produces at most one
+// event and both sequences are (a, b)-ascending, so the merged event stream
+// is byte-identical to a full O(N²) pair-by-pair diff (the reference
+// oracle in oracle_test.go).
 func (e *Engine) scanContacts() {
 	if e.tel == nil {
 		return
 	}
 	maxRange := e.Radio.Params.MaxRangeMeters
-	if e.Cfg.DisableSpatialIndex {
-		for a := 0; a < len(e.Vehicles); a++ {
-			for b := a + 1; b < len(e.Vehicles); b++ {
-				key := [2]int{a, b}
-				openedAt, open := e.contactOpen[key]
-				in := e.Trace.Distance(a, b, e.now) <= maxRange
-				switch {
-				case in && !open:
-					e.contactOpen[key] = e.now
-					e.tel.Emit(telemetry.ContactOpen{Time: e.now, A: a, B: b})
-				case !in && open:
-					delete(e.contactOpen, key)
-					e.tel.Emit(telemetry.ContactClose{Time: e.now, A: a, B: b, Duration: e.now - openedAt})
-				}
-			}
-		}
-		return
-	}
 	// One contiguous row read covers every vehicle this tick; the copy into
 	// scratch keeps the slice valid across the window's next Advance.
 	pts := append(e.spatialPts[:0], e.Trace.RowAt(e.now)...)
 	e.spatialPts = pts
 	inRange := e.rangePairs(pts, maxRange)
-	open := e.openScratch[:0]
-	for key := range e.contactOpen {
-		open = append(open, key)
-	}
-	e.openScratch = open
-	sort.Slice(open, func(i, j int) bool {
-		if open[i][0] != open[j][0] {
-			return open[i][0] < open[j][0]
-		}
-		return open[i][1] < open[j][1]
-	})
+	open := e.sortedOpenContacts()
 	i, j := 0, 0
 	for i < len(inRange) || j < len(open) {
 		var cmp int
@@ -658,20 +609,32 @@ func (e *Engine) scanContacts() {
 	}
 }
 
+// sortedOpenContacts returns the open contact keys in (a, b)-ascending
+// order. The result aliases e.openScratch.
+func (e *Engine) sortedOpenContacts() [][2]int {
+	open := e.openScratch[:0]
+	for key := range e.contactOpen {
+		open = append(open, key)
+	}
+	e.openScratch = open
+	sort.Slice(open, func(i, j int) bool {
+		if open[i][0] != open[j][0] {
+			return open[i][0] < open[j][0]
+		}
+		return open[i][1] < open[j][1]
+	})
+	return open
+}
+
 // closeContacts flushes still-open contact windows at the end (or
 // cancellation) of a run, in pair-index order.
 func (e *Engine) closeContacts() {
-	if e.tel == nil || len(e.contactOpen) == 0 {
+	if e.tel == nil {
 		return
 	}
-	for a := 0; a < len(e.Vehicles); a++ {
-		for b := a + 1; b < len(e.Vehicles); b++ {
-			key := [2]int{a, b}
-			if openedAt, open := e.contactOpen[key]; open {
-				delete(e.contactOpen, key)
-				e.tel.Emit(telemetry.ContactClose{Time: e.now, A: a, B: b, Duration: e.now - openedAt})
-			}
-		}
+	for _, key := range e.sortedOpenContacts() {
+		e.tel.Emit(telemetry.ContactClose{Time: e.now, A: key[0], B: key[1], Duration: e.now - e.contactOpen[key]})
+		delete(e.contactOpen, key)
 	}
 }
 
@@ -712,7 +675,7 @@ const dueTickEps = 1e-7
 // dueTick maps a virtual due time onto the calendar's integer tick key:
 // the first tick whose now reaches at — the ceiling of the tick offset —
 // except within dueTickEps of an integer quotient, where float error could
-// over-round and fire a tick LATE (diverging from the legacy scan); there
+// over-round and fire a tick LATE (after nextTrain ≤ now first held); there
 // it conservatively floors instead. A conservative-early pop is always
 // safe: calendarDue re-checks nextTrain against now and re-enqueues.
 func (e *Engine) dueTick(at float64) int64 {
@@ -736,35 +699,14 @@ func (e *Engine) reDueTick(at float64) int64 {
 	return e.tickIndex + 1
 }
 
-// legacyDueScan is the original O(fleet) due discovery: a serial scan of
-// every vehicle per tick. It is the -legacy-due-scan A/B arm and the
-// benchmark baseline the calendar queue is gated against; nothing else may
-// iterate the fleet in a per-tick hot path (internal/repolint enforces it).
-func (e *Engine) legacyDueScan(due []int32) []int32 {
-	for _, v := range e.Vehicles {
-		if v.nextTrain <= e.now {
-			if e.faults != nil && e.faults.Away(v.ID) {
-				// Departed vehicles skip their due steps: the model stays
-				// frozen (and stale on rejoin) but the schedule advances so
-				// they do not burst-train on return.
-				for v.nextTrain <= e.now {
-					v.nextTrain += e.Cfg.TrainInterval
-				}
-				continue
-			}
-			due = append(due, int32(v.ID))
-		}
-	}
-	return due
-}
-
 // calendarDue discovers the tick's due set by popping the calendar queue:
 // O(1) on an idle tick, O(due) otherwise. Popped ids arrive in ascending
-// vehicle order — the legacy scan's order — and each is re-checked against
-// its float due time: a conservative-early pop goes back on the wheel, and
-// a departed vehicle's schedule advances past now (exactly the legacy arm's
-// bookkeeping) before it is re-enqueued for its post-absence step — churn
-// moves wheel entries forward, it never strands or leaks them.
+// vehicle order and each is re-checked against its float due time: a
+// conservative-early pop goes back on the wheel, and a departed vehicle
+// skips its due steps — the model stays frozen (and stale on rejoin) but
+// the schedule advances past now so it does not burst-train on return —
+// before it is re-enqueued for its post-absence step. Churn moves wheel
+// entries forward, it never strands or leaks them.
 func (e *Engine) calendarDue(due []int32) ([]int32, int) {
 	popped, buckets := e.calendar.PopDue(e.tickIndex, e.popScratch[:0])
 	e.popScratch = popped
@@ -868,16 +810,10 @@ func (e *Engine) stepDueObserved(i int) {
 // vehicles train concurrently; training order across vehicles never mattered
 // (no shared state), so the result is bit-identical to the serial loop.
 func (e *Engine) trainTick() {
-	due := e.dueIDs[:0]
-	var buckets int
-	if e.calendar != nil {
-		due, buckets = e.calendarDue(due)
-	} else {
-		due = e.legacyDueScan(due)
-	}
+	due, buckets := e.calendarDue(e.dueIDs[:0])
 	e.dueIDs = due
 	if len(due) == 0 {
-		if e.schedObs != nil && e.calendar != nil {
+		if e.schedObs != nil {
 			e.schedObs.ObserveSchedTick(telemetry.SchedTick{BucketsTouched: buckets})
 		}
 		return
@@ -896,17 +832,15 @@ func (e *Engine) trainTick() {
 		fn = e.stepObsFn
 	}
 	batches := e.dispatchPhase(due, fn)
-	if e.schedObs != nil && e.calendar != nil {
+	if e.schedObs != nil {
 		e.schedObs.ObserveSchedTick(telemetry.SchedTick{
 			DueDequeued: len(due), BucketsTouched: buckets, ShardBatches: batches,
 		})
 	}
-	if e.calendar != nil {
-		// Re-enqueue each stepped vehicle at its next due tick, serially —
-		// the wheel is single-writer scratch like every engine index.
-		for _, id := range due {
-			e.calendar.Schedule(id, e.reDueTick(e.Vehicles[id].nextTrain))
-		}
+	// Re-enqueue each stepped vehicle at its next due tick, serially — the
+	// wheel is single-writer scratch like every engine index.
+	for _, id := range due {
+		e.calendar.Schedule(id, e.reDueTick(e.Vehicles[id].nextTrain))
 	}
 	if !observe {
 		return

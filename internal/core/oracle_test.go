@@ -1,0 +1,243 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"slices"
+	"testing"
+
+	"lbchat/internal/telemetry"
+)
+
+// This file holds the engine's reference oracles: the pre-index O(N²) pair
+// and contact loops and the pre-calendar O(N) due scan, kept as pure
+// functions that never run in production. Each is asserted against the live
+// engine on every tick of a real run through tickHook.
+
+// tickHook wraps a protocol with per-tick reference checks. OnTick runs
+// after the tick's contact scan and local training, so the hook sees both
+// phases' results for the current tick before the protocol chats.
+type tickHook struct {
+	Protocol
+	setup func(e *Engine)
+	tick  func(e *Engine, now float64)
+}
+
+func (h tickHook) Setup(e *Engine) error {
+	if h.setup != nil {
+		h.setup(e)
+	}
+	return h.Protocol.Setup(e)
+}
+
+func (h tickHook) OnTick(e *Engine, now float64) {
+	h.tick(e, now)
+	h.Protocol.OnTick(e, now)
+}
+
+// bruteCandidatePairs is the pre-index CandidatePairs: every free-vehicle
+// pair in (A, B)-ascending order, confirmed by pairwise distance.
+func bruteCandidatePairs(e *Engine, score func(a, b int) float64) []CandidatePair {
+	var free []int
+	for _, v := range e.Vehicles {
+		if v.BusyUntil <= e.now && v.NextChatAt <= e.now && !e.VehicleAway(v.ID) {
+			free = append(free, v.ID)
+		}
+	}
+	var out []CandidatePair
+	for ai := 0; ai < len(free); ai++ {
+		for bi := ai + 1; bi < len(free); bi++ {
+			a, b := free[ai], free[bi]
+			if e.Distance(a, b) > e.Radio.Params.MaxRangeMeters {
+				continue
+			}
+			if last, ok := e.Vehicles[a].lastChat[b]; ok && e.now-last < e.Cfg.PairCooldown {
+				continue
+			}
+			if s := score(a, b); s > 0 {
+				out = append(out, CandidatePair{A: a, B: b, Score: s})
+			}
+		}
+	}
+	return out
+}
+
+// bruteContactDiff is the pre-index scanContacts: it visits every pair,
+// updates the caller-owned open set, and returns the tick's open/close
+// events in (a, b)-ascending order.
+func bruteContactDiff(e *Engine, open map[[2]int]float64) []telemetry.Event {
+	var out []telemetry.Event
+	for a := 0; a < len(e.Vehicles); a++ {
+		for b := a + 1; b < len(e.Vehicles); b++ {
+			key := [2]int{a, b}
+			openedAt, isOpen := open[key]
+			in := e.Distance(a, b) <= e.Radio.Params.MaxRangeMeters
+			switch {
+			case in && !isOpen:
+				open[key] = e.now
+				out = append(out, telemetry.ContactOpen{Time: e.now, A: a, B: b})
+			case !in && isOpen:
+				delete(open, key)
+				out = append(out, telemetry.ContactClose{Time: e.now, A: a, B: b, Duration: e.now - openedAt})
+			}
+		}
+	}
+	return out
+}
+
+// bruteCloseContacts is the pre-index closeContacts: every still-open pair
+// in pair-index order.
+func bruteCloseContacts(e *Engine, open map[[2]int]float64) []telemetry.Event {
+	var out []telemetry.Event
+	for a := 0; a < len(e.Vehicles); a++ {
+		for b := a + 1; b < len(e.Vehicles); b++ {
+			if openedAt, ok := open[[2]int{a, b}]; ok {
+				out = append(out, telemetry.ContactClose{Time: e.now, A: a, B: b, Duration: e.now - openedAt})
+			}
+		}
+	}
+	return out
+}
+
+// legacyDueScan is the pre-calendar due discovery as a pure function: the
+// vehicles whose nextTrain (as it stood before this tick's trainTick) has
+// come due and who are not departed, in ascending id order.
+func legacyDueScan(e *Engine, nextTrain []float64) []int32 {
+	var due []int32
+	for _, v := range e.Vehicles {
+		if nextTrain[v.ID] <= e.now && !e.VehicleAway(v.ID) {
+			due = append(due, int32(v.ID))
+		}
+	}
+	return due
+}
+
+// contactEvents filters a slice of events down to contact opens and closes.
+func contactEvents(events []telemetry.Event) []telemetry.Event {
+	var out []telemetry.Event
+	for _, ev := range events {
+		switch ev.(type) {
+		case telemetry.ContactOpen, telemetry.ContactClose:
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// TestPairScanMatchesBruteOracle asserts, on every tick of an LbChat run
+// and through both the single index (Shards 1) and the sharded scanner
+// (Shards 2), that the contact events the engine emitted equal the brute
+// pair-by-pair diff and that CandidatePairs equals the brute double loop —
+// same pairs, same order, same scores.
+func TestPairScanMatchesBruteOracle(t *testing.T) {
+	score := func(a, b int) float64 { return 1 + float64(a) + 0.01*float64(b) }
+	for _, shards := range []int{1, 2} {
+		mem := telemetry.NewMemorySink()
+		eng, _ := tinyEnvWith(t, 5, true, func(c *Config) {
+			c.Shards = shards
+			c.Telemetry = mem
+		})
+		open := map[[2]int]float64{}
+		seen, opens, closes, pairs := 0, 0, 0, 0
+		hook := tickHook{Protocol: NewLbChat(), tick: func(e *Engine, now float64) {
+			events := mem.Events()
+			got, want := contactEvents(events[seen:]), bruteContactDiff(e, open)
+			seen = len(events)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("shards=%d t=%g: contact events %v, brute oracle %v", shards, now, got, want)
+			}
+			for _, ev := range want {
+				if _, ok := ev.(telemetry.ContactOpen); ok {
+					opens++
+				} else {
+					closes++
+				}
+			}
+			gotPairs, wantPairs := e.CandidatePairs(score), bruteCandidatePairs(e, score)
+			if !reflect.DeepEqual(gotPairs, wantPairs) {
+				t.Fatalf("shards=%d t=%g: CandidatePairs %v, brute oracle %v", shards, now, gotPairs, wantPairs)
+			}
+			pairs += len(wantPairs)
+		}}
+		if err := eng.Run(hook, 300); err != nil {
+			t.Fatal(err)
+		}
+		if opens == 0 || closes == 0 || pairs == 0 {
+			t.Fatalf("shards=%d: run exercised %d opens, %d closes, %d candidate pairs; the oracle needs all three",
+				shards, opens, closes, pairs)
+		}
+		// The end-of-run flush closes what the oracle still holds open.
+		tail := contactEvents(mem.Events()[seen:])
+		if want := bruteCloseContacts(eng, open); !reflect.DeepEqual(tail, want) {
+			t.Fatalf("shards=%d: end-of-run closes %v, brute oracle %v", shards, tail, want)
+		}
+	}
+}
+
+// TestCancelClosesContactsInPairOrder cancels a run while several contact
+// windows are open: the flush must close each exactly once, stamped with the
+// stop time, in (a, b)-ascending order.
+func TestCancelClosesContactsInPairOrder(t *testing.T) {
+	mem := telemetry.NewMemorySink()
+	eng, _ := tinyEnvWith(t, 5, true, func(c *Config) { c.Telemetry = mem })
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	open := map[[2]int]float64{}
+	seen := 0
+	hook := tickHook{Protocol: NewLbChat(), tick: func(e *Engine, now float64) {
+		bruteContactDiff(e, open)
+		seen = mem.Len()
+		if len(open) >= 2 {
+			cancel()
+		}
+	}}
+	if err := eng.RunContext(ctx, hook, 300); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunContext = %v, want context.Canceled (never saw two open contacts?)", err)
+	}
+	// Chat events of the canceling tick follow the hook; only closes matter.
+	tail := contactEvents(mem.Events()[seen:])
+	want := bruteCloseContacts(eng, open)
+	if len(want) < 2 {
+		t.Fatalf("only %d contacts open at cancellation", len(want))
+	}
+	if !reflect.DeepEqual(tail, want) {
+		t.Fatalf("cancellation closes %v, want %v", tail, want)
+	}
+	if len(eng.contactOpen) != 0 {
+		t.Fatalf("%d contacts still tracked open after the flush", len(eng.contactOpen))
+	}
+}
+
+// dueOracle returns a tickHook that asserts, every tick, that trainTick's
+// calendar pop surfaced exactly legacyDueScan's vehicles in the same order
+// and left every vehicle's schedule in the future. It reports how many due
+// vehicles it checked and how many came due while departed.
+func dueOracle(t *testing.T, p Protocol) (hook tickHook, dueSeen, awayDue *int) {
+	t.Helper()
+	dueSeen, awayDue = new(int), new(int)
+	var nextTrain []float64
+	snapshot := func(e *Engine) {
+		nextTrain = nextTrain[:0]
+		for _, v := range e.Vehicles {
+			nextTrain = append(nextTrain, v.nextTrain)
+		}
+	}
+	hook = tickHook{Protocol: p, setup: snapshot, tick: func(e *Engine, now float64) {
+		want := legacyDueScan(e, nextTrain)
+		if !slices.Equal(e.dueIDs, want) {
+			t.Fatalf("t=%g: calendar surfaced due set %v, scan oracle %v", now, e.dueIDs, want)
+		}
+		*dueSeen += len(want)
+		for _, v := range e.Vehicles {
+			if nextTrain[v.ID] <= now && e.VehicleAway(v.ID) {
+				*awayDue++
+			}
+			if v.nextTrain <= now {
+				t.Fatalf("t=%g: vehicle %d still due at %g after trainTick", now, v.ID, v.nextTrain)
+			}
+		}
+		snapshot(e)
+	}}
+	return hook, dueSeen, awayDue
+}

@@ -38,27 +38,20 @@ func benchEngine(b *testing.B, n int) *Engine {
 	return eng
 }
 
-// BenchmarkCandidatePairs measures per-tick pair enumeration at scaled
-// fleet sizes: the spatial-index fast path against the pre-index O(N²)
-// double loop (DisableSpatialIndex). BENCH_*.json tracks both so
-// cmd/bench-compare catches regressions on either.
+// BenchmarkCandidatePairs measures per-tick pair enumeration through the
+// spatial index at scaled fleet sizes. BENCH_*.json tracks it so
+// cmd/bench-compare catches regressions.
 func BenchmarkCandidatePairs(b *testing.B) {
 	score := func(a, c int) float64 { return 1 }
 	for _, n := range []int{16, 64, 256} {
 		eng := benchEngine(b, n)
-		for _, path := range []struct {
-			name    string
-			disable bool
-		}{{"index", false}, {"brute", true}} {
-			b.Run(fmt.Sprintf("N=%d/%s", n, path.name), func(b *testing.B) {
-				eng.Cfg.DisableSpatialIndex = path.disable
-				b.ReportAllocs()
-				var pairs int
-				for i := 0; i < b.N; i++ {
-					pairs = len(eng.CandidatePairs(score))
-				}
-				b.ReportMetric(float64(pairs), "pairs")
-			})
-		}
+		b.Run(fmt.Sprintf("N=%d/index", n), func(b *testing.B) {
+			b.ReportAllocs()
+			var pairs int
+			for i := 0; i < b.N; i++ {
+				pairs = len(eng.CandidatePairs(score))
+			}
+			b.ReportMetric(float64(pairs), "pairs")
+		})
 	}
 }

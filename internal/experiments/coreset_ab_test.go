@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"lbchat/internal/core"
@@ -12,14 +13,15 @@ import (
 // out: with the incremental partition tree disabled, a full LbChat run must
 // still produce a byte-identical telemetry event stream and bit-identical
 // experiment metrics at every worker × shard combination. The two coreset
-// arms are distinct sampling processes — only within-arm determinism is
-// asserted; cross-arm quality is covered in internal/core.
+// arms are distinct sampling processes — within-arm determinism is asserted,
+// and that the arms' streams differ (the flag really switches the refresh
+// path); cross-arm quality is covered in internal/core.
 func TestFullRebuildABDeterminism(t *testing.T) {
-	runWith := func(workers, shards int) (*ProtocolRun, [][]byte) {
+	runWith := func(full bool, workers, shards int) (*ProtocolRun, [][]byte) {
 		mem := telemetry.NewMemorySink()
 		env := envWithSink(t, mem)
 		run, err := env.RunProtocol(ProtoLbChat, false, func(c *core.Config) {
-			c.DisableIncrementalCoreset = true
+			c.DisableIncrementalCoreset = full
 			c.Workers = workers
 			c.Shards = shards
 		})
@@ -37,13 +39,16 @@ func TestFullRebuildABDeterminism(t *testing.T) {
 		return run, lines
 	}
 
-	refRun, refStream := runWith(1, 1)
+	refRun, refStream := runWith(true, 1, 1)
 	if len(refStream) == 0 {
 		t.Fatal("full-rebuild reference run emitted no events")
 	}
+	if _, incStream := runWith(false, 1, 1); slices.EqualFunc(incStream, refStream, bytes.Equal) {
+		t.Fatal("full-rebuild arm emitted the incremental arm's stream; DisableIncrementalCoreset is not wired")
+	}
 	for _, combo := range [][2]int{{4, 2}, {8, 4}} {
 		workers, shards := combo[0], combo[1]
-		run, stream := runWith(workers, shards)
+		run, stream := runWith(true, workers, shards)
 		if len(stream) != len(refStream) {
 			t.Fatalf("workers=%d shards=%d: %d events, reference %d",
 				workers, shards, len(stream), len(refStream))

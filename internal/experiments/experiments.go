@@ -66,12 +66,6 @@ type Scale struct {
 	// two arms produce equal-quality summaries but are distinct sampling
 	// processes; each is individually bit-identical at any Workers/Shards.
 	FullCoresetRebuild bool
-	// LegacyDueScan disables the due-time calendar queue
-	// (core.Config.LegacyDueScan), selecting the original per-tick O(N)
-	// fleet scan for due training vehicles instead (DESIGN.md §15). Unlike
-	// the coreset arms, both scheduler arms are byte-identical — this is a
-	// reference arm for A/B validation and benchmark baselines only.
-	LegacyDueScan bool
 	// StreamTrace drives engine runs from a bounded sliding-window trace
 	// source instead of the resident columnar trace (DESIGN.md §12).
 	// Without a TracePath the recorded trace is spilled to a temporary
@@ -284,7 +278,6 @@ func BuildEnv(scale Scale) (*Env, error) {
 	cfg.Workers = scale.Workers
 	cfg.Shards = scale.Shards
 	cfg.DisableIncrementalCoreset = scale.FullCoresetRebuild
-	cfg.LegacyDueScan = scale.LegacyDueScan
 
 	rng := simrand.New(scale.Seed)
 	w, err := world.New(m, world.SpawnConfig{

@@ -90,14 +90,9 @@ func TestRunProtocolConfigOverride(t *testing.T) {
 }
 
 func TestEveryProtocolRuns(t *testing.T) {
-	env := getEnv(t)
-	names := append([]ProtocolName{}, BenchmarkProtocols...)
-	names = append(names, ProtoSCO, ProtoEqualComp, ProtoAvgAgg)
-	for _, name := range names {
-		run, err := env.RunProtocol(name, false, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	for _, name := range goldenProtocols {
+		// Shared with TestGoldenEventStreams, which pins what each run emits.
+		run, _ := goldenRun(t, name, false)
 		if run.Curve.Final() >= run.Curve.Points[0].Value {
 			t.Errorf("%s did not learn under loss", name)
 		}

@@ -74,11 +74,6 @@ type Spec struct {
 	// instead of the default incremental partition tree
 	// (Scale.FullCoresetRebuild). Ignored when Env is set.
 	FullCoresetRebuild bool
-	// LegacyDueScan selects the original per-tick O(N) due-vehicle fleet
-	// scan instead of the default calendar queue (Scale.LegacyDueScan).
-	// Both arms are byte-identical; this is the A/B reference arm.
-	// Ignored when Env is set.
-	LegacyDueScan bool
 	// StreamTrace drives engine runs from a bounded sliding-window trace
 	// source (Scale.StreamTrace); TracePath loads the mobility trace from
 	// an LBTC file (Scale.TracePath). Both are ignored when Env is set.
@@ -181,9 +176,6 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		}
 		if spec.FullCoresetRebuild {
 			scale.FullCoresetRebuild = true
-		}
-		if spec.LegacyDueScan {
-			scale.LegacyDueScan = true
 		}
 		if spec.StreamTrace {
 			scale.StreamTrace = true
@@ -381,17 +373,12 @@ func CommTable(runs []*ProtocolRun) *metrics.Table {
 			})
 		}
 	}
-	// Scheduler rows appear only when a run used the calendar queue, so
-	// legacy-due-scan reports render exactly as before the scheduler layer
-	// existed.
-	if anyCount(telemetry.MSchedDueDequeued) || anyCount(telemetry.MSchedBucketsTouched) {
-		row("sched due dequeued", func(r *ProtocolRun) float64 {
-			return float64(r.Comm.Reg.Counter(telemetry.MSchedDueDequeued))
-		})
-		row("sched buckets touched", func(r *ProtocolRun) float64 {
-			return float64(r.Comm.Reg.Counter(telemetry.MSchedBucketsTouched))
-		})
-	}
+	row("sched due dequeued", func(r *ProtocolRun) float64 {
+		return float64(r.Comm.Reg.Counter(telemetry.MSchedDueDequeued))
+	})
+	row("sched buckets touched", func(r *ProtocolRun) float64 {
+		return float64(r.Comm.Reg.Counter(telemetry.MSchedBucketsTouched))
+	})
 	if anyCount(telemetry.MSchedShardBatches) {
 		row("sched shard batches", func(r *ProtocolRun) float64 {
 			return float64(r.Comm.Reg.Counter(telemetry.MSchedShardBatches))

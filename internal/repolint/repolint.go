@@ -313,8 +313,7 @@ func checkCoresetBuilds(fset *token.FileSet, path string, file *ast.File, findin
 
 // hotPathFuncs are the engine's per-tick hot-path functions: the ones that
 // run every tick (or every probe) and therefore must scale with the due or
-// batched working set, never with fleet size. legacyDueScan is deliberately
-// absent — it IS the sanctioned O(fleet) reference arm.
+// batched working set, never with fleet size.
 var hotPathFuncs = map[string]bool{
 	"trainTick":     true,
 	"probeLossMean": true,
@@ -329,10 +328,9 @@ var hotPathFuncs = map[string]bool{
 // (hotPathFuncs). The calendar queue exists precisely so empty ticks cost
 // O(1) and due ticks cost O(due); a fleet-sized range in one of these
 // functions silently reverts the engine to the O(N)-per-tick regime the
-// scheduler replaced (DESIGN.md §15). The legacy reference arm
-// (legacyDueScan) and everything outside the hot set — construction,
-// end-of-run aggregation, the encounter scan's own spatial index — are
-// exempt.
+// scheduler replaced (DESIGN.md §15). Everything outside the hot set —
+// construction, end-of-run aggregation, the encounter scan's own spatial
+// index — is exempt, as are _test.go files (where the scan oracle lives).
 func HotPathFleetScans(root string) ([]string, error) {
 	var findings []string
 	fset := token.NewFileSet()

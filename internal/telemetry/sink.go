@@ -110,9 +110,8 @@ type SchedTick struct {
 
 // SchedObserver receives due-time scheduling statistics from the engine.
 // Like the other side channels it is a separate, optional interface — not an
-// Event — so scheduler internals can never leak into the deterministic event
-// stream: the calendar-queue and legacy-scan arms emit byte-identical events
-// even though only one of them has buckets to touch.
+// Event — so scheduler internals (how many buckets a pop touched, how a tick
+// was batched) can never leak into the deterministic event stream.
 type SchedObserver interface {
 	// ObserveSchedTick records one tick's scheduling work.
 	ObserveSchedTick(s SchedTick)

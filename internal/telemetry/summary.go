@@ -202,8 +202,7 @@ func (s *Summary) ObserveShardScan(scan ShardScan) {
 }
 
 // ObserveSchedTick implements SchedObserver: calendar-queue and batching
-// internals live only in these aggregates, never in the event stream, so
-// the calendar and legacy-due-scan arms emit byte-identical events.
+// internals live only in these aggregates, never in the event stream.
 func (s *Summary) ObserveSchedTick(t SchedTick) {
 	s.Reg.Inc(MSchedDueDequeued, int64(t.DueDequeued))
 	s.Reg.Inc(MSchedBucketsTouched, int64(t.BucketsTouched))

@@ -43,11 +43,11 @@ func BenchmarkWindowAdvance(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				cr, err := NewChunkReader(bytes.NewReader(raw))
+				src, err := NewBytesSource(raw)
 				if err != nil {
 					b.Fatal(err)
 				}
-				w := NewWindow(cr, ticks, WindowConfig{Prefetch: mode.prefetch})
+				w := NewWindowSource(src, WindowConfig{Prefetch: mode.prefetch})
 				for t := 0; t < ticks; t++ {
 					if err := w.Advance(t); err != nil {
 						b.Fatal(err)
@@ -75,13 +75,12 @@ func consumeRow(row []geom.Point) float64 {
 
 // BenchmarkWindowAdvanceLatency pages the window over a chunk source with
 // an injected 3ms per-fetch latency — a stand-in for a chunk server on a
-// degraded link — under three policies: no readahead (sync), the old fixed
-// one-chunk readahead (depth1), and the adaptive depth (adaptive). The
-// per-tick consumer work makes one chunk's worth of ticks cheaper than one
-// fetch, so depth-1 stalls at every seam while the adaptive pipeline keeps
-// enough fetches in flight to hide the latency; nolat/sync is the
-// zero-latency floor the adaptive variant is judged against (EXPERIMENTS.md
-// holds the measured table).
+// degraded link — with no readahead (sync) and with the adaptive depth
+// (adaptive). The per-tick consumer work makes one chunk's worth of ticks
+// cheaper than one fetch, so the adaptive pipeline has to keep several
+// fetches in flight to hide the latency; nolat/sync is the zero-latency
+// floor the adaptive variant is judged against (EXPERIMENTS.md holds the
+// measured table).
 func BenchmarkWindowAdvanceLatency(b *testing.B) {
 	const vehicles, ticks = 64, 32768
 	raw, _ := benchStream(b, vehicles, ticks)
@@ -92,7 +91,6 @@ func BenchmarkWindowAdvanceLatency(b *testing.B) {
 	}{
 		{"nolat/sync", 0, WindowConfig{}},
 		{"lat3ms/sync", 3 * time.Millisecond, WindowConfig{}},
-		{"lat3ms/depth1", 3 * time.Millisecond, WindowConfig{Prefetch: true, PrefetchBudget: 1}},
 		{"lat3ms/adaptive", 3 * time.Millisecond, WindowConfig{Prefetch: true}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
@@ -136,11 +134,11 @@ func BenchmarkWindowAdvanceLatency(b *testing.B) {
 func BenchmarkWindowRowAt(b *testing.B) {
 	const vehicles, ticks = 64, 1024
 	raw, tr := benchStream(b, vehicles, ticks)
-	cr, err := NewChunkReader(bytes.NewReader(raw))
+	chunks, err := NewBytesSource(raw)
 	if err != nil {
 		b.Fatal(err)
 	}
-	w := NewWindow(cr, ticks, WindowConfig{Behind: 1e9, Ahead: 1e9})
+	w := NewWindowSource(chunks, WindowConfig{Behind: 1e9, Ahead: 1e9})
 	defer w.Close()
 	if err := w.Advance(ticks - 1); err != nil {
 		b.Fatal(err)

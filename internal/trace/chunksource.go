@@ -13,15 +13,13 @@ import (
 )
 
 // ChunkSource serves LBTC chunks by index — the random-access seam behind
-// Window. The resident file source, in-memory buffers, the sequential
-// ChunkReader adapter, and the remote chunk client (internal/traceserve)
-// all implement it, so the window never knows whether a chunk came from a
-// local decode or crossed a network.
+// Window. The resident file source, in-memory buffers, and the remote chunk
+// client (internal/traceserve) all implement it, so the window never knows
+// whether a chunk came from a local decode or crossed a network.
 //
 // Implementations must be safe for concurrent ReadChunk calls: the
 // window's adaptive prefetcher keeps up to depth-k fetches in flight at
-// once. Sources that are inherently sequential serialize internally (see
-// NewSequentialSource).
+// once.
 type ChunkSource interface {
 	// DT returns the stream's tick interval in seconds.
 	DT() float64
@@ -223,74 +221,3 @@ func (s *IndexedChunkSource) Close() error {
 	}
 	return nil
 }
-
-// sequentialSource adapts a forward-only ChunkReader to the random-access
-// ChunkSource API. Chunks can only be served in stream order, so
-// out-of-order concurrent fetches (the prefetcher's) queue on a condition
-// variable until the stream reaches their index — concurrency degrades to
-// a pipeline, which is exactly what a one-pass reader can offer.
-type sequentialSource struct {
-	mu         sync.Mutex
-	cond       sync.Cond
-	cr         *ChunkReader
-	totalTicks int
-	next       int
-	err        error
-}
-
-// NewSequentialSource wraps a positioned ChunkReader (fresh from
-// NewChunkReader) as a ChunkSource over totalTicks ticks. The LBTC header
-// carries no total tick count, so the caller supplies it (see CountTicks).
-// The returned source does not own the reader's underlying stream.
-func NewSequentialSource(cr *ChunkReader, totalTicks int) ChunkSource {
-	if totalTicks < 0 {
-		totalTicks = 0
-	}
-	s := &sequentialSource{cr: cr, totalTicks: totalTicks}
-	s.cond.L = &s.mu
-	return s
-}
-
-func (s *sequentialSource) DT() float64      { return s.cr.DT() }
-func (s *sequentialSource) NumVehicles() int { return s.cr.NumVehicles() }
-func (s *sequentialSource) ChunkTicks() int  { return s.cr.ChunkTicks() }
-func (s *sequentialSource) NumTicks() int    { return s.totalTicks }
-
-// ReadChunk serves chunk idx once the stream reaches it. A decode failure
-// is sticky: it wakes every waiter and fails all later reads, matching the
-// window's poisoned-stream semantics.
-func (s *sequentialSource) ReadChunk(idx int, dst []geom.Point) (ChunkFetch, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.err == nil && s.next < idx {
-		s.cond.Wait()
-	}
-	if s.err != nil {
-		return ChunkFetch{}, s.err
-	}
-	if idx < s.next {
-		return ChunkFetch{}, fmt.Errorf("trace: sequential source cannot reread chunk %d (stream at chunk %d)", idx, s.next)
-	}
-	pts, ticks, err := s.cr.Next()
-	if err != nil {
-		if err == io.EOF {
-			err = fmt.Errorf("stream ended %d chunks early",
-				NumChunks(s.totalTicks, s.cr.ChunkTicks())-idx)
-		}
-		s.err = err
-		s.cond.Broadcast()
-		return ChunkFetch{}, err
-	}
-	s.next++
-	if cap(dst) < len(pts) {
-		dst = make([]geom.Point, len(pts))
-	}
-	dst = dst[:len(pts)]
-	copy(dst, pts)
-	s.cond.Broadcast()
-	return ChunkFetch{Pts: dst, Ticks: ticks}, nil
-}
-
-// Close implements ChunkSource; the reader's underlying stream is owned by
-// whoever opened it.
-func (s *sequentialSource) Close() error { return nil }

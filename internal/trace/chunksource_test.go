@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -82,72 +81,6 @@ func TestIndexedSourceMatchesResident(t *testing.T) {
 	}
 }
 
-// TestSequentialSourceConcurrent fires out-of-order concurrent reads at the
-// forward-only adapter; they must pipeline back into stream order and every
-// chunk must decode to the resident values.
-func TestSequentialSourceConcurrent(t *testing.T) {
-	const (
-		vehicles   = 2
-		ticks      = 60
-		chunkTicks = 8
-	)
-	tr := syntheticTrace(0.5, vehicles, ticks, chunkTicks)
-	cr, err := NewChunkReader(bytes.NewReader(encodeTrace(t, tr)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := NewSequentialSource(cr, ticks)
-	n := NumChunks(ticks, chunkTicks)
-	var wg sync.WaitGroup
-	for idx := n - 1; idx >= 0; idx-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cf, err := src.ReadChunk(idx, nil)
-			if err != nil {
-				t.Errorf("ReadChunk(%d): %v", idx, err)
-				return
-			}
-			first := idx * chunkTicks
-			for k := 0; k < cf.Ticks; k++ {
-				row := tr.Row(first + k)
-				for v := 0; v < vehicles; v++ {
-					if cf.Pts[k*vehicles+v] != row[v] {
-						t.Errorf("chunk %d tick %d vehicle %d differs", idx, first+k, v)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// TestSequentialSourceEndsEarly pins the early-EOF error when the claimed
-// tick total outruns the actual stream.
-func TestSequentialSourceEndsEarly(t *testing.T) {
-	const chunkTicks = 8
-	tr := syntheticTrace(0.5, 2, 16, chunkTicks)
-	cr, err := NewChunkReader(bytes.NewReader(encodeTrace(t, tr)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := NewSequentialSource(cr, 24) // one chunk more than the stream holds
-	for idx := 0; idx < 2; idx++ {
-		if _, err := src.ReadChunk(idx, nil); err != nil {
-			t.Fatalf("ReadChunk(%d): %v", idx, err)
-		}
-	}
-	_, err = src.ReadChunk(2, nil)
-	if err == nil || !strings.Contains(err.Error(), "ended 1 chunks early") {
-		t.Fatalf("reading past the stream end: %v", err)
-	}
-	// The failure is sticky.
-	if _, err2 := src.ReadChunk(3, nil); err2 == nil {
-		t.Fatal("sticky error did not surface on a later read")
-	}
-}
-
 // delaySource injects a fixed latency into every fetch — enough for the
 // adaptive depth to see expensive chunks without a real network.
 type delaySource struct {
@@ -176,7 +109,7 @@ func TestWindowAdaptiveOverDelayedSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &delaySource{ChunkSource: inner, delay: 2 * time.Millisecond}
-	w := NewWindowSource(src, WindowConfig{Behind: 2, Ahead: 5, Prefetch: true, PrefetchBudget: 4})
+	w := NewWindowSource(src, WindowConfig{Behind: 2, Ahead: 5, Prefetch: true})
 	defer w.Close()
 	for cursor := 0; cursor < ticks; cursor++ {
 		if err := w.Advance(cursor); err != nil {
@@ -197,33 +130,6 @@ func TestWindowAdaptiveOverDelayedSource(t *testing.T) {
 	}
 	if _, waitNs := w.FetchStats(); waitNs <= 0 {
 		t.Errorf("waitNs = %d; the first synchronous load alone should have blocked", waitNs)
-	}
-}
-
-// TestWindowPrefetchBudgetPinsDepth pins that PrefetchBudget=1 restores the
-// fixed one-chunk readahead regardless of observed latency.
-func TestWindowPrefetchBudgetPinsDepth(t *testing.T) {
-	tr := syntheticTrace(0.5, 2, 64, 8)
-	inner, err := NewBytesSource(encodeTrace(t, tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := &delaySource{ChunkSource: inner, delay: time.Millisecond}
-	w := NewWindowSource(src, WindowConfig{Behind: 2, Ahead: 5, Prefetch: true, PrefetchBudget: 1})
-	defer w.Close()
-	maxDepth := 0
-	w.SetChunkObserver(func(op ChunkOp) {
-		if op.Depth > maxDepth {
-			maxDepth = op.Depth
-		}
-	})
-	for cursor := 0; cursor < 64; cursor++ {
-		if err := w.Advance(cursor); err != nil {
-			t.Fatalf("Advance(%d): %v", cursor, err)
-		}
-	}
-	if maxDepth != 1 {
-		t.Fatalf("depth reached %d under PrefetchBudget=1", maxDepth)
 	}
 }
 

@@ -14,7 +14,7 @@
 // resident.
 //
 // Consumers address mobility through the Source interface, which Trace (the
-// resident store) and Window (a bounded sliding window over a ChunkReader)
+// resident store) and Window (a bounded sliding window over a ChunkSource)
 // both satisfy. A Window retains only the chunks covering [cursor−behind,
 // cursor+ahead], advanced by a monotone cursor, evicting behind and
 // optionally prefetching ahead; out-of-window reads panic with

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -19,11 +18,11 @@ const (
 	DefaultWindowAhead  = 150.0
 )
 
-// DefaultPrefetchBudget bounds the adaptive readahead: the window never
-// keeps more than this many chunk fetches in flight, no matter what the
-// observed fetch latency asks for. Chosen so a worst-case prefetch pipeline
-// stays a small multiple of the retained window itself.
-const DefaultPrefetchBudget = 8
+// prefetchBudget bounds the adaptive readahead: the window never keeps more
+// than this many chunk fetches in flight, no matter what the observed fetch
+// latency asks for. Chosen so a worst-case prefetch pipeline stays a small
+// multiple of the retained window itself.
+const prefetchBudget = 8
 
 // WindowConfig sizes a sliding window.
 type WindowConfig struct {
@@ -34,14 +33,11 @@ type WindowConfig struct {
 	// Prefetch reads chunks past the leading edge on background
 	// goroutines so a steady-state Advance rarely blocks on fetch or
 	// decode. The readahead depth adapts to the observed cursor rate and
-	// chunk fetch latency (see DESIGN.md §13), clamped by PrefetchBudget.
+	// chunk fetch latency (see DESIGN.md §13), clamped by a fixed budget.
 	// It never changes results or the telemetry event stream — chunk
 	// operations are reported through the side-channel observer only, and
 	// always from the Advance goroutine.
 	Prefetch bool
-	// PrefetchBudget caps the in-flight fetch count; 0 takes
-	// DefaultPrefetchBudget, 1 pins the fixed one-chunk readahead.
-	PrefetchBudget int
 }
 
 // ChunkOpKind classifies a window chunk operation.
@@ -160,7 +156,6 @@ type Window struct {
 	behindTicks int
 	aheadTicks  int
 	prefetch    bool
-	budget      int
 
 	advanced bool
 	cursor   int
@@ -175,7 +170,7 @@ type Window struct {
 
 	// Adaptive-depth state: the prefetch depth is re-derived every Advance
 	// from the observed cursor rate (ticks/s of wall time, stall time
-	// excluded) and chunk fetch latency, then clamped by the budget.
+	// excluded) and chunk fetch latency, then clamped by prefetchBudget.
 	depth       int
 	latEWMA     float64 // seconds per chunk fetch
 	rateEWMA    float64 // cursor ticks per wall second
@@ -200,9 +195,6 @@ func NewWindowSource(src ChunkSource, cfg WindowConfig) *Window {
 	if cfg.Ahead <= 0 {
 		cfg.Ahead = DefaultWindowAhead
 	}
-	if cfg.PrefetchBudget <= 0 {
-		cfg.PrefetchBudget = DefaultPrefetchBudget
-	}
 	w := &Window{
 		src:        src,
 		totalTicks: src.NumTicks(),
@@ -210,23 +202,12 @@ func NewWindowSource(src ChunkSource, cfg WindowConfig) *Window {
 		vehicles:   src.NumVehicles(),
 		chunkTicks: src.ChunkTicks(),
 		prefetch:   cfg.Prefetch,
-		budget:     cfg.PrefetchBudget,
 		depth:      1,
 		inflight:   make(map[int]chan fetchResult),
 	}
 	w.numChunks = NumChunks(w.totalTicks, w.chunkTicks)
 	w.Reserve(cfg.Behind, cfg.Ahead)
 	return w
-}
-
-// NewWindow wraps a positioned ChunkReader (fresh from NewChunkReader) in
-// a sliding window over totalTicks ticks. The LBTC header does not carry a
-// total tick count, so the caller supplies it — from the recorder that
-// produced the stream, or via CountTicks over a seekable file. Prefetches
-// against a sequential reader pipeline in stream order; random-access
-// sources (OpenFileSource, traceserve.Dial) fetch concurrently.
-func NewWindow(cr *ChunkReader, totalTicks int, cfg WindowConfig) *Window {
-	return NewWindowSource(NewSequentialSource(cr, totalTicks), cfg)
 }
 
 // DT returns the tick interval in seconds.
@@ -385,7 +366,7 @@ func (w *Window) observeLatency(d time.Duration) {
 // fetches to cover the chunks the cursor will cross during one fetch
 // latency (latency × rate / chunkTicks), plus one for the seam in
 // progress; bumped past the current depth whenever a load still blocked,
-// and clamped to [1, budget].
+// and clamped to [1, prefetchBudget].
 func (w *Window) updateDepth() {
 	target := 1
 	if w.latEWMA > 0 && w.rateEWMA > 0 {
@@ -411,8 +392,8 @@ func (w *Window) updateDepth() {
 		}
 	}
 	w.crossedSeam = false
-	if target > w.budget {
-		target = w.budget
+	if target > prefetchBudget {
+		target = prefetchBudget
 	}
 	if target < 1 {
 		target = 1
@@ -619,45 +600,6 @@ func (w *Window) Validate() error {
 		return fmt.Errorf("trace: %d ticks of %d vehicles", w.totalTicks, w.vehicles)
 	}
 	return nil
-}
-
-// CountTicks scans a seekable LBTC stream and returns its total tick
-// count, seeking over chunk bodies so the cost is header-sized reads per
-// chunk. The stream position is left after the end marker; callers reseek
-// before handing the stream to NewChunkReader.
-func CountTicks(rs io.ReadSeeker) (int, error) {
-	if _, err := rs.Seek(0, io.SeekStart); err != nil {
-		return 0, fmt.Errorf("trace: seeking stream start: %w", err)
-	}
-	head := make([]byte, streamHeaderLen)
-	if _, err := io.ReadFull(rs, head); err != nil {
-		return 0, fmt.Errorf("trace: reading stream header: %w", err)
-	}
-	_, vehicles, chunkTicks, err := decodeStreamHeader(head)
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	var lenBuf [4]byte
-	for chunk := 0; ; chunk++ {
-		if _, err := io.ReadFull(rs, lenBuf[:]); err != nil {
-			return 0, &ChunkError{Chunk: chunk, FirstTick: total,
-				Err: fmt.Errorf("reading chunk length: %w", err)}
-		}
-		n := int(binary.LittleEndian.Uint32(lenBuf[:]))
-		if n == 0 {
-			return total, nil
-		}
-		if n > chunkTicks {
-			return 0, &ChunkError{Chunk: chunk, FirstTick: total,
-				Err: fmt.Errorf("chunk of %d ticks exceeds capacity %d", n, chunkTicks)}
-		}
-		if _, err := rs.Seek(int64(n)*int64(vehicles)*16, io.SeekCurrent); err != nil {
-			return 0, &ChunkError{Chunk: chunk, FirstTick: total,
-				Err: fmt.Errorf("seeking over chunk body: %w", err)}
-		}
-		total += n
-	}
 }
 
 // OpenWindowFile opens an LBTC trace file as a bounded sliding window over

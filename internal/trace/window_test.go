@@ -11,18 +11,14 @@ import (
 )
 
 // windowOver encodes tr and reopens it as a sliding window with the given
-// config, returning the window alongside the resident reference.
+// config.
 func windowOver(t *testing.T, tr *Trace, cfg WindowConfig) *Window {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	cr, err := NewChunkReader(bytes.NewReader(buf.Bytes()))
+	src, err := NewBytesSource(encodeTrace(t, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewWindow(cr, tr.NumTicks(), cfg)
+	return NewWindowSource(src, cfg)
 }
 
 // syntheticTrace builds a deterministic trace with distinct per-(tick,
@@ -254,81 +250,106 @@ func TestWindowCursorMonotone(t *testing.T) {
 	}
 }
 
-// TestWindowCorruptionPositioned is the mid-stream corruption fix: decode
-// failures surfacing through Advance must carry the chunk index and first
-// tick, not just the bare decode error.
+// shrinkingReader is an io.ReaderAt whose backing bytes can be swapped after
+// a source has indexed them — a trace file truncated under an open run.
+type shrinkingReader struct{ b []byte }
+
+func (r *shrinkingReader) ReadAt(p []byte, off int64) (int, error) {
+	return bytes.NewReader(r.b).ReadAt(p, off)
+}
+
+// claimedTicks advertises more ticks than its stream holds — a source whose
+// metadata outruns its chunks.
+type claimedTicks struct {
+	ChunkSource
+	ticks int
+}
+
+func (c claimedTicks) NumTicks() int { return c.ticks }
+
+// TestWindowCorruptionPositioned is the mid-stream corruption fix: whether
+// the index scan at open or a chunk fetch during Advance hits the damage,
+// the failure must carry the chunk index and first tick, not just the bare
+// decode error — and a failure under Advance poisons the window.
 func TestWindowCorruptionPositioned(t *testing.T) {
 	const (
 		vehicles   = 2
 		chunkTicks = 4
 		ticks      = 16 // 4 full chunks
 	)
-	tr := syntheticTrace(1.0, vehicles, ticks, chunkTicks)
-	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	good := encodeTrace(t, syntheticTrace(1.0, vehicles, ticks, chunkTicks))
 	chunkBytes := 4 + chunkTicks*vehicles*16
 	headerLen := streamHeaderLen
 
 	cases := []struct {
 		name      string
-		corrupt   func([]byte) []byte
+		open      func(b []byte) (ChunkSource, error)
 		wantChunk int
+		atOpen    bool
 	}{
 		{
 			name: "oversized chunk length mid-stream",
-			corrupt: func(b []byte) []byte {
-				// Chunk 2's length field claims more ticks than capacity.
-				off := headerLen + 2*chunkBytes
-				b[off] = 0xff
-				return b
+			open: func(b []byte) (ChunkSource, error) {
+				// Chunk 2's length field claims more ticks than capacity:
+				// the index scan refuses the stream.
+				b[headerLen+2*chunkBytes] = 0xff
+				return NewBytesSource(b)
 			},
 			wantChunk: 2,
+			atOpen:    true,
 		},
 		{
 			name: "stream truncated inside chunk body",
-			corrupt: func(b []byte) []byte {
-				return b[:headerLen+2*chunkBytes+10]
+			open: func(b []byte) (ChunkSource, error) {
+				r := &shrinkingReader{b: b}
+				src, err := NewIndexedSource(r)
+				r.b = b[:headerLen+2*chunkBytes+10]
+				return src, err
 			},
 			wantChunk: 2,
 		},
 		{
 			name: "end marker where chunks remain",
-			corrupt: func(b []byte) []byte {
-				// Replace chunk 3's length with the end-of-stream marker.
+			open: func(b []byte) (ChunkSource, error) {
+				// Replace chunk 3's length with the end-of-stream marker: the
+				// stream indexes as three chunks while the source still
+				// advertises four.
 				off := headerLen + 3*chunkBytes
 				b[off], b[off+1], b[off+2], b[off+3] = 0, 0, 0, 0
-				return b[:off+4]
+				src, err := NewBytesSource(b[:off+4])
+				return claimedTicks{src, ticks}, err
 			},
 			wantChunk: 3,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bad := tc.corrupt(append([]byte(nil), good...))
-			cr, err := NewChunkReader(bytes.NewReader(bad))
-			if err != nil {
-				t.Fatalf("header should still parse: %v", err)
+			src, failure := tc.open(append([]byte(nil), good...))
+			var w *Window
+			if !tc.atOpen {
+				if failure != nil {
+					t.Fatalf("stream should still index: %v", failure)
+				}
+				w = NewWindowSource(src, WindowConfig{Behind: 2, Ahead: 2})
+				for cursor := 0; cursor < ticks && failure == nil; cursor++ {
+					failure = w.Advance(cursor)
+				}
 			}
-			w := NewWindow(cr, ticks, WindowConfig{Behind: 2, Ahead: 2})
-			var advErr error
-			for cursor := 0; cursor < ticks && advErr == nil; cursor++ {
-				advErr = w.Advance(cursor)
-			}
-			if advErr == nil {
-				t.Fatal("corrupt stream advanced cleanly")
+			if failure == nil {
+				t.Fatal("corrupt stream read cleanly")
 			}
 			var ce *ChunkError
-			if !errors.As(advErr, &ce) {
-				t.Fatalf("error %v is not a *ChunkError", advErr)
+			if !errors.As(failure, &ce) {
+				t.Fatalf("error %v is not a *ChunkError", failure)
 			}
 			if ce.Chunk != tc.wantChunk {
-				t.Fatalf("error names chunk %d, want %d: %v", ce.Chunk, tc.wantChunk, advErr)
+				t.Fatalf("error names chunk %d, want %d: %v", ce.Chunk, tc.wantChunk, failure)
 			}
 			if ce.FirstTick != tc.wantChunk*chunkTicks {
 				t.Fatalf("error names first tick %d, want %d", ce.FirstTick, tc.wantChunk*chunkTicks)
+			}
+			if w == nil {
+				return
 			}
 			// The window is poisoned: further lookups fail loudly through
 			// Window.At with the same positioned error.
@@ -341,34 +362,6 @@ func TestWindowCorruptionPositioned(t *testing.T) {
 			}()
 			w.At(0, 0)
 		})
-	}
-}
-
-// TestCountTicks pins the header-only pre-scan against traces of assorted
-// shapes, including empty and partial-tail streams.
-func TestCountTicks(t *testing.T) {
-	for _, ticks := range []int{0, 1, 4, 9, 70} {
-		tr := syntheticTrace(0.5, 3, ticks, 4)
-		var buf bytes.Buffer
-		if err := tr.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := CountTicks(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("ticks=%d: %v", ticks, err)
-		}
-		if got != ticks {
-			t.Fatalf("CountTicks = %d, want %d", got, ticks)
-		}
-	}
-	// Truncation is an error, not a short count.
-	tr := syntheticTrace(0.5, 3, 12, 4)
-	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CountTicks(bytes.NewReader(buf.Bytes()[:buf.Len()-6])); err == nil {
-		t.Fatal("truncated stream counted cleanly")
 	}
 }
 

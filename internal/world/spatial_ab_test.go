@@ -1,92 +1,236 @@
 package world
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"lbchat/internal/bev"
+	"lbchat/internal/dataset"
+	"lbchat/internal/geom"
 	"lbchat/internal/simrand"
 )
 
-// twinWorlds builds two identically seeded worlds, one on the spatial-index
-// fast path and one on the brute-force reference path.
-func twinWorlds(t *testing.T, spawn SpawnConfig) (indexed, brute *World) {
+// This file holds the world's reference oracles: the pre-index O(N) entity
+// scans behind every proximity query, kept as pure functions that never run
+// in production, and the tests that hold the indexed queries to them.
+
+// seededWorld spawns a world on the default map from a fixed seed: two calls
+// with the same population yield identical twins, so one can be driven
+// through production code and the other through a reference oracle.
+func seededWorld(t *testing.T, spawn SpawnConfig) *World {
 	t.Helper()
 	m, err := NewMap(DefaultConfig())
 	if err != nil {
 		t.Fatalf("NewMap: %v", err)
 	}
-	build := func(disable bool) *World {
-		w, err := New(m, spawn, simrand.New(99))
-		if err != nil {
-			t.Fatalf("world.New: %v", err)
-		}
-		w.DisableSpatialIndex = disable
-		return w
+	w, err := New(m, spawn, simrand.New(99))
+	if err != nil {
+		t.Fatalf("world.New: %v", err)
 	}
-	return build(false), build(true)
+	return w
 }
 
-// TestStepSpatialIndexBitIdentical is the world half of the PR's A/B
-// acceptance criterion: stepping with the spatial index enabled must yield
-// bit-identical trajectories — every car's arc position and speed, every
-// pedestrian's position — to the pre-index brute-force scans, tick after
-// tick, including the in-step mixed old/new-position query states.
+// routedCars returns every routed car in index order (experts, then
+// background).
+func routedCars(w *World) []*Vehicle {
+	return append(append([]*Vehicle(nil), w.Experts...), w.Background...)
+}
+
+// bruteVehicleAhead is the pre-index nearestVehicleAhead.
+func bruteVehicleAhead(w *World, v *Vehicle) float64 {
+	frame := v.Frame()
+	best := math.Inf(1)
+	consider := func(p geom.Point) {
+		if d := aheadDistance(frame, p, followGap+10, 3.0); d < best {
+			best = d
+		}
+	}
+	for _, o := range routedCars(w) {
+		if o.ID != v.ID {
+			consider(o.Pos())
+		}
+	}
+	for _, a := range w.FreeAgents {
+		consider(a.Pos)
+	}
+	return best
+}
+
+// brutePedestrianAhead is the pre-index nearestPedestrianAhead.
+func brutePedestrianAhead(w *World, v *Vehicle) float64 {
+	frame := v.Frame()
+	best := math.Inf(1)
+	for _, p := range w.Pedestrians {
+		if d := aheadDistance(frame, p.Pos, pedSlowGap+6, 2.5); d < best {
+			best = d
+		}
+	}
+	return best
+}
+
+// bruteIntersectionOccupied is the pre-index intersectionOccupied.
+func bruteIntersectionOccupied(w *World, v *Vehicle, node geom.Point) bool {
+	frame := v.Frame()
+	occupied := func(p geom.Point) bool {
+		return p.Dist(node) <= intersectionR && frame.ToLocal(p).X > 2
+	}
+	for _, o := range routedCars(w) {
+		if o.ID != v.ID && occupied(o.Pos()) {
+			return true
+		}
+	}
+	for _, a := range w.FreeAgents {
+		if occupied(a.Pos) {
+			return true
+		}
+	}
+	return false
+}
+
+// bruteAnyCarNear is the pre-index anyCarNear.
+func bruteAnyCarNear(w *World, pos geom.Point, r float64) bool {
+	for _, v := range routedCars(w) {
+		if v.V > 0.5 && pos.Dist(v.Pos()) < r {
+			return true
+		}
+	}
+	for _, a := range w.FreeAgents {
+		if a.V > 0.5 && pos.Dist(a.Pos) < r {
+			return true
+		}
+	}
+	return false
+}
+
+// bruteCollisionAt is the pre-index CollisionAt.
+func bruteCollisionAt(w *World, pos geom.Point, excludeID int) bool {
+	for _, v := range routedCars(w) {
+		if v.ID != excludeID && pos.Dist(v.Pos()) < 2*vehicleRadius {
+			return true
+		}
+	}
+	for _, p := range w.Pedestrians {
+		if pos.Dist(p.Pos) < vehicleRadius+pedRadius {
+			return true
+		}
+	}
+	return false
+}
+
+// checkNearSuperset holds a culled position list to its contract: it keeps
+// every position of all that lies within r of center and adds nothing that
+// is not in all (order is the index's, not the entity lists').
+func checkNearSuperset(t *testing.T, label string, near, all []geom.Point, center geom.Point, r float64) {
+	t.Helper()
+	kept := map[geom.Point]int{}
+	for _, p := range near {
+		kept[p]++
+	}
+	for _, p := range all {
+		switch {
+		case kept[p] > 0:
+			kept[p]--
+		case p.Dist(center) <= r:
+			t.Fatalf("%s: position %v within %g of %v was culled", label, p, r, center)
+		}
+	}
+	for p, n := range kept {
+		if n > 0 {
+			t.Fatalf("%s: culled list holds %v, which the full scan does not", label, p)
+		}
+	}
+}
+
+// TestStepSpatialIndexBitIdentical steps a populated world and, after every
+// Step, holds each indexed proximity query to its brute entity scan on the
+// stepped state — for every car's driving cone, caution cone, next
+// intersection and body, every walker's yield check, and the BEV culling
+// lists. The in-step mixed old/new-position states the queries also run
+// under are pinned by TestGoldenWorldTrajectory: a query that answered
+// differently mid-step would move a trajectory.
 func TestStepSpatialIndexBitIdentical(t *testing.T) {
-	wi, wb := twinWorlds(t, SpawnConfig{Experts: 6, BackgroundCars: 14, Pedestrians: 60})
+	w := seededWorld(t, SpawnConfig{Experts: 6, BackgroundCars: 14, Pedestrians: 60})
+	cull := bev.DefaultConfig()
 	for tick := 0; tick < 400; tick++ {
-		wi.Step(0.5)
-		wb.Step(0.5)
-		for i := range wi.Experts {
-			a, b := wi.Experts[i], wb.Experts[i]
-			if a.S != b.S || a.V != b.V {
-				t.Fatalf("tick %d: expert %d diverged: (S=%v V=%v) vs brute (S=%v V=%v)", tick, i, a.S, a.V, b.S, b.V)
+		w.Step(0.5)
+		for _, v := range routedCars(w) {
+			if got, want := w.nearestVehicleAhead(v), bruteVehicleAhead(w, v); got != want {
+				t.Fatalf("tick %d car %d: nearestVehicleAhead = %v, brute %v", tick, v.ID, got, want)
+			}
+			if got, want := w.nearestPedestrianAhead(v), brutePedestrianAhead(w, v); got != want {
+				t.Fatalf("tick %d car %d: nearestPedestrianAhead = %v, brute %v", tick, v.ID, got, want)
+			}
+			if arc, ok := v.Route.NextInteriorNode(v.S, yieldLookahead); ok {
+				node := v.Route.PosAt(arc)
+				if got, want := w.intersectionOccupied(v, node), bruteIntersectionOccupied(w, v, node); got != want {
+					t.Fatalf("tick %d car %d: intersectionOccupied = %v, brute %v", tick, v.ID, got, want)
+				}
+			}
+			pos := v.Pos()
+			if got, want := w.CollisionAt(pos, v.ID), bruteCollisionAt(w, pos, v.ID); got != want {
+				t.Fatalf("tick %d car %d: CollisionAt = %v, brute %v", tick, v.ID, got, want)
+			}
+			checkNearSuperset(t, "VehiclePositionsNearSeenBy",
+				w.VehiclePositionsNearSeenBy(pos, cull.VehicleCullRadius(), v.ID, nil),
+				w.VehiclePositionsSeenBy(v.ID, nil), pos, cull.VehicleCullRadius())
+			checkNearSuperset(t, "PedestrianPositionsNear",
+				w.PedestrianPositionsNear(pos, cull.PedestrianCullRadius()),
+				w.PedestrianPositions(), pos, cull.PedestrianCullRadius())
+		}
+		for _, p := range w.Pedestrians {
+			if got, want := w.anyCarNear(p.Pos, yieldDistance), bruteAnyCarNear(w, p.Pos, yieldDistance); got != want {
+				t.Fatalf("tick %d pedestrian %d: anyCarNear = %v, brute %v", tick, p.ID, got, want)
 			}
 		}
-		for i := range wi.Background {
-			a, b := wi.Background[i], wb.Background[i]
-			if a.S != b.S || a.V != b.V {
-				t.Fatalf("tick %d: background %d diverged: (S=%v V=%v) vs brute (S=%v V=%v)", tick, i, a.S, a.V, b.S, b.V)
-			}
-		}
-		for i := range wi.Pedestrians {
-			a, b := wi.Pedestrians[i], wb.Pedestrians[i]
-			if a.Pos != b.Pos {
-				t.Fatalf("tick %d: pedestrian %d diverged: %v vs brute %v", tick, i, a.Pos, b.Pos)
-			}
-		}
+	}
+}
+
+// bruteCollectFrame is the pre-index CollectFrame: the same perturbed pose
+// and targets, rasterized from the full entity lists instead of the
+// index-culled ones.
+func bruteCollectFrame(w *World, v *Vehicle, ras *bev.Rasterizer, numWaypoints int) dataset.Sample {
+	base := v.Frame()
+	lat := v.rng.Uniform(-maxLateralPerturb, maxLateralPerturb)
+	dh := v.rng.Uniform(-maxHeadingPerturb, maxHeadingPerturb)
+	right := geom.Pt(1, 0).Rotate(base.Heading - math.Pi/2)
+	frame := geom.Frame{
+		Origin:  base.Origin.Add(right.Scale(lat)),
+		Heading: geom.WrapAngle(base.Heading + dh),
+	}
+	speed := v.desiredSpeed(w)
+	targets := make([]float64, 0, 2*numWaypoints)
+	for i := 1; i <= numWaypoints; i++ {
+		wp := v.Route.PosAt(v.S + speed*FrameHorizonStep*float64(i))
+		x, y := ras.Config().NormalizeWaypoint(frame.ToLocal(wp))
+		targets = append(targets, x, y)
+	}
+	return dataset.Sample{
+		BEV:     ras.Rasterize(frame, w.VehiclePositionsSeenBy(v.ID, nil), w.PedestrianPositions()),
+		Command: v.Command(),
+		Speed:   geom.Clamp(v.V/SpeedNorm, 0, 1),
+		NavDist: NavDistAt(v.Route, v.S),
+		RedDist: RedDistInput(w.Map, v.Route, v.S, w.Time),
+		Targets: targets,
 	}
 }
 
 // TestCollectDatasetSpatialIndexBitIdentical drives the full collection
-// pipeline — stepping, index-culled BEV rasterization, waypoint targets —
-// on both paths and requires byte-identical samples.
+// pipeline on one world and the brute full-scan collection on its twin:
+// index-culled BEV rasterization must yield byte-identical samples.
 func TestCollectDatasetSpatialIndexBitIdentical(t *testing.T) {
-	wi, wb := twinWorlds(t, SpawnConfig{Experts: 4, BackgroundCars: 10, Pedestrians: 40})
+	spawn := SpawnConfig{Experts: 4, BackgroundCars: 10, Pedestrians: 40}
+	wi, wb := seededWorld(t, spawn), seededWorld(t, spawn)
 	ras := bev.NewRasterizer(bev.DefaultConfig(), wi.Map)
-	di := CollectDataset(wi, ras, 4, 120, 0.5)
-	db := CollectDataset(wb, ras, 4, 120, 0.5)
-	for v := range di {
-		si, sb := di[v].Items(), db[v].Items()
-		if len(si) != len(sb) {
-			t.Fatalf("vehicle %d: %d samples vs brute %d", v, len(si), len(sb))
-		}
-		for k := range si {
-			a, b := si[k].Sample, sb[k].Sample
-			if len(a.BEV) != len(b.BEV) {
-				t.Fatalf("vehicle %d sample %d: BEV sizes differ", v, k)
-			}
-			for c := range a.BEV {
-				if a.BEV[c] != b.BEV[c] {
-					t.Fatalf("vehicle %d sample %d: BEV cell %d = %d, brute %d", v, k, c, a.BEV[c], b.BEV[c])
-				}
-			}
-			if a.Command != b.Command || a.Speed != b.Speed || a.NavDist != b.NavDist || a.RedDist != b.RedDist {
-				t.Fatalf("vehicle %d sample %d: scalar inputs diverged: %+v vs %+v", v, k, a, b)
-			}
-			for c := range a.Targets {
-				if a.Targets[c] != b.Targets[c] {
-					t.Fatalf("vehicle %d sample %d: target %d = %v, brute %v", v, k, c, a.Targets[c], b.Targets[c])
-				}
+	const ticks = 120
+	di := CollectDataset(wi, ras, 4, ticks, 0.5)
+	for tick := 0; tick < ticks; tick++ {
+		wb.Step(0.5)
+		for v, expert := range wb.Experts {
+			got, want := di[v].Items()[tick].Sample, bruteCollectFrame(wb, expert, ras, 4)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("tick %d vehicle %d: collected sample differs from the full-scan reference:\n%+v\n%+v",
+					tick, v, got, want)
 			}
 		}
 	}
@@ -94,27 +238,26 @@ func TestCollectDatasetSpatialIndexBitIdentical(t *testing.T) {
 
 // TestWorldQueriesAfterExternalTeleport pins the InvalidateIndex contract:
 // positions mutated outside Step must be visible to queries after an
-// invalidation, matching the brute-force path.
+// invalidation, matching the brute scans.
 func TestWorldQueriesAfterExternalTeleport(t *testing.T) {
-	wi, wb := twinWorlds(t, SpawnConfig{Experts: 4, BackgroundCars: 10, Pedestrians: 20})
-	wi.Step(0.5) // build + use the index once
-	wb.Step(0.5)
-	for _, w := range []*World{wi, wb} {
-		for _, bg := range w.Background {
-			bg.S += 60
-			if bg.S > bg.Route.Length() {
-				bg.S = bg.Route.Length()
-			}
+	w := seededWorld(t, SpawnConfig{Experts: 4, BackgroundCars: 10, Pedestrians: 20})
+	w.Step(0.5) // build + use the index once
+	for _, bg := range w.Background {
+		bg.S += 60
+		if bg.S > bg.Route.Length() {
+			bg.S = bg.Route.Length()
 		}
-		w.InvalidateIndex()
 	}
-	probe := wi.Experts[0].Pos()
-	for r := 1.0; r <= 4096; r *= 4 {
-		if got, want := wi.CollisionAt(probe, wi.Experts[0].ID), wb.CollisionAt(probe, wb.Experts[0].ID); got != want {
-			t.Fatalf("CollisionAt after teleport: index %v, brute %v", got, want)
+	w.InvalidateIndex()
+	for _, v := range routedCars(w) {
+		probe := v.Pos()
+		if got, want := w.CollisionAt(probe, v.ID), bruteCollisionAt(w, probe, v.ID); got != want {
+			t.Fatalf("CollisionAt(car %d) after teleport: index %v, brute %v", v.ID, got, want)
 		}
-		if got, want := wi.anyCarNear(probe, r), wb.anyCarNear(probe, r); got != want {
-			t.Fatalf("anyCarNear(r=%g) after teleport: index %v, brute %v", r, got, want)
+		for r := 1.0; r <= 4096; r *= 4 {
+			if got, want := w.anyCarNear(probe, r), bruteAnyCarNear(w, probe, r); got != want {
+				t.Fatalf("anyCarNear(car %d, r=%g) after teleport: index %v, brute %v", v.ID, r, got, want)
+			}
 		}
 	}
 }

@@ -43,19 +43,13 @@ type World struct {
 	// Time is the current simulation time in seconds.
 	Time float64
 
-	// DisableSpatialIndex forces every proximity query down the pre-index
-	// O(N) entity scans (DESIGN.md §10). Query results are identical either
-	// way — the flag is the A/B reference for determinism tests and the
-	// brute-force benchmark baseline.
-	DisableSpatialIndex bool
-
 	// vehIndex holds routed cars (Experts then Background, parallel to
 	// idxVehicles); pedIndex holds pedestrians. Both are rebuilt at the top
 	// of every Step and updated entity-by-entity as the step advances, so
-	// mid-step queries see exactly the mixed old/new positions the
-	// sequential brute-force scans saw. Free agents move outside Step and
-	// are deliberately NOT indexed: every query scans them linearly (there
-	// are at most a handful).
+	// mid-step queries see exactly the mixed old/new positions a sequential
+	// scan of the entities would. Free agents move outside Step and are
+	// deliberately NOT indexed: every query scans them linearly (there are
+	// at most a handful).
 	vehIndex    *spatial.Index
 	pedIndex    *spatial.Index
 	idxVehicles []*Vehicle
@@ -115,9 +109,6 @@ func New(m *Map, spawn SpawnConfig, rng *simrand.Rand) (*World, error) {
 	return w, nil
 }
 
-// useIndex reports whether queries should go through the spatial indices.
-func (w *World) useIndex() bool { return !w.DisableSpatialIndex }
-
 // InvalidateIndex discards the spatial indices so the next query rebuilds
 // them. Call it after mutating entity positions outside Step (e.g. teleport
 // adjustments at spawn time); Step itself always rebuilds.
@@ -159,38 +150,25 @@ func (w *World) rebuildIndexes() {
 	w.indexBuilt = true
 }
 
-// Step advances every entity by dt seconds. With the spatial index enabled
-// the indices are rebuilt from the pre-step state and then updated entity by
-// entity as each one moves, so the in-step proximity queries (which run
-// while part of the fleet has moved and part has not) see exactly the same
-// mixed state as the sequential brute-force scans — trajectories are
-// bit-identical on both paths.
+// Step advances every entity by dt seconds. The spatial indices are rebuilt
+// from the pre-step state and then updated entity by entity as each one
+// moves, so the in-step proximity queries (which run while part of the fleet
+// has moved and part has not) see exactly the same mixed state as a
+// sequential scan of the entities would.
 func (w *World) Step(dt float64) {
-	if w.useIndex() {
-		w.rebuildIndexes()
-		for i, v := range w.Experts {
-			v.Step(w, dt)
-			w.vehIndex.Update(i, v.Pos())
-		}
-		off := len(w.Experts)
-		for i, v := range w.Background {
-			v.Step(w, dt)
-			w.vehIndex.Update(off+i, v.Pos())
-		}
-		for i, p := range w.Pedestrians {
-			p.Step(w, dt)
-			w.pedIndex.Update(i, p.Pos)
-		}
-	} else {
-		for _, v := range w.Experts {
-			v.Step(w, dt)
-		}
-		for _, v := range w.Background {
-			v.Step(w, dt)
-		}
-		for _, p := range w.Pedestrians {
-			p.Step(w, dt)
-		}
+	w.rebuildIndexes()
+	for i, v := range w.Experts {
+		v.Step(w, dt)
+		w.vehIndex.Update(i, v.Pos())
+	}
+	off := len(w.Experts)
+	for i, v := range w.Background {
+		v.Step(w, dt)
+		w.vehIndex.Update(off+i, v.Pos())
+	}
+	for i, p := range w.Pedestrians {
+		p.Step(w, dt)
+		w.pedIndex.Update(i, p.Pos)
 	}
 	w.Time += dt
 }
@@ -231,9 +209,6 @@ func (w *World) VehiclePositionsSeenBy(excludeID int, excludeAgent *FreeAgent) [
 // entity, so a superset changes nothing. Exclusion semantics match
 // VehiclePositionsSeenBy.
 func (w *World) VehiclePositionsNearSeenBy(center geom.Point, r float64, excludeID int, excludeAgent *FreeAgent) []geom.Point {
-	if !w.useIndex() {
-		return w.VehiclePositionsSeenBy(excludeID, excludeAgent)
-	}
 	w.ensureIndexes()
 	out := make([]geom.Point, 0, 16)
 	w.vehIndex.ForCandidates(center, r, func(i int, p geom.Point) bool {
@@ -263,9 +238,6 @@ func (w *World) PedestrianPositions() []geom.Point {
 // within radius r of center — a superset at grid-cell granularity, like
 // VehiclePositionsNearSeenBy.
 func (w *World) PedestrianPositionsNear(center geom.Point, r float64) []geom.Point {
-	if !w.useIndex() {
-		return w.PedestrianPositions()
-	}
 	w.ensureIndexes()
 	out := make([]geom.Point, 0, 16)
 	w.pedIndex.ForCandidates(center, r, func(_ int, p geom.Point) bool {
@@ -300,28 +272,15 @@ func (w *World) nearestVehicleAhead(v *Vehicle) float64 {
 			best = d
 		}
 	}
-	if w.useIndex() {
-		w.ensureIndexes()
-		// Everything in the cone lies within its circumradius of the ego.
-		bound := math.Hypot(maxDist, corridor)
-		w.vehIndex.ForCandidates(frame.Origin, bound, func(i int, p geom.Point) bool {
-			if w.idxVehicles[i].ID != v.ID {
-				consider(p)
-			}
-			return true
-		})
-	} else {
-		for _, o := range w.Experts {
-			if o.ID != v.ID {
-				consider(o.Pos())
-			}
+	w.ensureIndexes()
+	// Everything in the cone lies within its circumradius of the ego.
+	bound := math.Hypot(maxDist, corridor)
+	w.vehIndex.ForCandidates(frame.Origin, bound, func(i int, p geom.Point) bool {
+		if w.idxVehicles[i].ID != v.ID {
+			consider(p)
 		}
-		for _, o := range w.Background {
-			if o.ID != v.ID {
-				consider(o.Pos())
-			}
-		}
-	}
+		return true
+	})
 	for _, a := range w.FreeAgents {
 		consider(a.Pos)
 	}
@@ -334,22 +293,14 @@ func (w *World) nearestPedestrianAhead(v *Vehicle) float64 {
 	frame := v.Frame()
 	const maxDist, corridor = pedSlowGap + 6, 2.5
 	best := math.Inf(1)
-	if w.useIndex() {
-		w.ensureIndexes()
-		bound := math.Hypot(maxDist, corridor)
-		w.pedIndex.ForCandidates(frame.Origin, bound, func(_ int, p geom.Point) bool {
-			if d := aheadDistance(frame, p, maxDist, corridor); d < best {
-				best = d
-			}
-			return true
-		})
-		return best
-	}
-	for _, p := range w.Pedestrians {
-		if d := aheadDistance(frame, p.Pos, maxDist, corridor); d < best {
+	w.ensureIndexes()
+	bound := math.Hypot(maxDist, corridor)
+	w.pedIndex.ForCandidates(frame.Origin, bound, func(_ int, p geom.Point) bool {
+		if d := aheadDistance(frame, p, maxDist, corridor); d < best {
 			best = d
 		}
-	}
+		return true
+	})
 	return best
 }
 
@@ -364,30 +315,17 @@ func (w *World) intersectionOccupied(v *Vehicle, node geom.Point) bool {
 		}
 		return frame.ToLocal(p).X > 2
 	}
-	if w.useIndex() {
-		w.ensureIndexes()
-		found := false
-		w.vehIndex.ForCandidates(node, intersectionR, func(i int, p geom.Point) bool {
-			if w.idxVehicles[i].ID != v.ID && occupied(p) {
-				found = true
-				return false
-			}
-			return true
-		})
-		if found {
-			return true
+	w.ensureIndexes()
+	found := false
+	w.vehIndex.ForCandidates(node, intersectionR, func(i int, p geom.Point) bool {
+		if w.idxVehicles[i].ID != v.ID && occupied(p) {
+			found = true
+			return false
 		}
-	} else {
-		for _, o := range w.Experts {
-			if o.ID != v.ID && occupied(o.Pos()) {
-				return true
-			}
-		}
-		for _, o := range w.Background {
-			if o.ID != v.ID && occupied(o.Pos()) {
-				return true
-			}
-		}
+		return true
+	})
+	if found {
+		return true
 	}
 	for _, a := range w.FreeAgents {
 		if occupied(a.Pos) {
@@ -400,30 +338,17 @@ func (w *World) intersectionOccupied(v *Vehicle, node geom.Point) bool {
 // anyCarNear reports whether any car (expert, background, or free agent)
 // is within r of pos and moving.
 func (w *World) anyCarNear(pos geom.Point, r float64) bool {
-	if w.useIndex() {
-		w.ensureIndexes()
-		found := false
-		w.vehIndex.ForCandidates(pos, r, func(i int, p geom.Point) bool {
-			if w.idxVehicles[i].V > 0.5 && pos.Dist(p) < r {
-				found = true
-				return false
-			}
-			return true
-		})
-		if found {
-			return true
+	w.ensureIndexes()
+	found := false
+	w.vehIndex.ForCandidates(pos, r, func(i int, p geom.Point) bool {
+		if w.idxVehicles[i].V > 0.5 && pos.Dist(p) < r {
+			found = true
+			return false
 		}
-	} else {
-		for _, v := range w.Experts {
-			if v.V > 0.5 && pos.Dist(v.Pos()) < r {
-				return true
-			}
-		}
-		for _, v := range w.Background {
-			if v.V > 0.5 && pos.Dist(v.Pos()) < r {
-				return true
-			}
-		}
+		return true
+	})
+	if found {
+		return true
 	}
 	for _, a := range w.FreeAgents {
 		if a.V > 0.5 && pos.Dist(a.Pos) < r {
@@ -440,42 +365,24 @@ func (w *World) anyCarNear(pos geom.Point, r float64) bool {
 func (w *World) CollisionAt(pos geom.Point, excludeID int) bool {
 	const carGap = 2 * vehicleRadius
 	const pedGap = vehicleRadius + pedRadius
-	if w.useIndex() {
-		w.ensureIndexes()
-		hit := false
-		w.vehIndex.ForCandidates(pos, carGap, func(i int, p geom.Point) bool {
-			if w.idxVehicles[i].ID != excludeID && pos.Dist(p) < carGap {
-				hit = true
-				return false
-			}
-			return true
-		})
-		if hit {
-			return true
+	w.ensureIndexes()
+	hit := false
+	w.vehIndex.ForCandidates(pos, carGap, func(i int, p geom.Point) bool {
+		if w.idxVehicles[i].ID != excludeID && pos.Dist(p) < carGap {
+			hit = true
+			return false
 		}
-		w.pedIndex.ForCandidates(pos, pedGap, func(_ int, p geom.Point) bool {
-			if pos.Dist(p) < pedGap {
-				hit = true
-				return false
-			}
-			return true
-		})
-		return hit
+		return true
+	})
+	if hit {
+		return true
 	}
-	for _, v := range w.Experts {
-		if v.ID != excludeID && pos.Dist(v.Pos()) < carGap {
-			return true
+	w.pedIndex.ForCandidates(pos, pedGap, func(_ int, p geom.Point) bool {
+		if pos.Dist(p) < pedGap {
+			hit = true
+			return false
 		}
-	}
-	for _, v := range w.Background {
-		if v.ID != excludeID && pos.Dist(v.Pos()) < carGap {
-			return true
-		}
-	}
-	for _, p := range w.Pedestrians {
-		if pos.Dist(p.Pos) < pedGap {
-			return true
-		}
-	}
-	return false
+		return true
+	})
+	return hit
 }
