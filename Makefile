@@ -18,13 +18,18 @@ BENCH_FILTER := BenchmarkCandidatePairs|BenchmarkWorldTick|BenchmarkBEV|Benchmar
 BENCH_HOT := CandidatePairs,WorldTick,ShardScan,EnsureCoreset,AbsorbCoreset,WindowRowAt,TrainTick
 BENCH_PKGS := ./internal/core/ ./internal/world/ ./internal/shard/ ./internal/trace/
 
-.PHONY: build vet lint test race bench bench-json bench-compare bench-pprof scale-smoke telemetry-smoke trace-smoke doccheck ci
+.PHONY: build vet fmt lint test race bench bench-json bench-compare bench-pprof scale-smoke telemetry-smoke trace-smoke doccheck ci
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# gofmt -l names the files it would rewrite; any name is a failure.
+fmt:
+	@out="$$(gofmt -l cmd internal examples benchmarks *.go)"; \
+	test -z "$$out" || { echo "fmt: gofmt would rewrite:"; echo "$$out"; exit 1; }
 
 # Fetching the pinned staticcheck needs the module proxy; offline boxes
 # (this repo carries no vendored deps) degrade to a warning so make ci
@@ -138,4 +143,4 @@ doccheck:
 		fi; \
 	done; exit $$fail
 
-ci: build vet doccheck lint test race telemetry-smoke trace-smoke
+ci: build vet fmt doccheck lint test race telemetry-smoke trace-smoke

@@ -3,7 +3,6 @@ package compress
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Bytes-per-entry constants for compressed payload sizing.
@@ -77,59 +76,14 @@ func PsiForK(numParams, k int) float64 {
 }
 
 // TopK sparsifies a dense parameter vector to its k largest-magnitude
-// entries. k is clamped to [0, len(flat)].
+// entries. k is clamped to [0, len(flat)]. The cut is the k-th largest
+// magnitude, found by O(n) selection (select.go): entries strictly above it
+// are kept, then ties at it in index order until k entries are taken. NaN
+// ranks below every magnitude and is never kept unless k = len(flat).
 func TopK(flat []float64, k int) *Sparse {
-	n := len(flat)
-	if k < 0 {
-		k = 0
-	}
-	if k > n {
-		k = n
-	}
-	s := &Sparse{Len: n}
-	if k == 0 {
-		return s
-	}
-	if k == n {
-		s.Indices = make([]int, n)
-		s.Values = make([]float64, n)
-		for i, v := range flat {
-			s.Indices[i] = i
-			s.Values[i] = v
-		}
-		return s
-	}
-	// Select the k largest magnitudes via a threshold found by sorting a
-	// copy of magnitudes. O(n log n) but n is the parameter count and this
-	// runs once per exchange, not per training step.
-	mags := make([]float64, n)
-	for i, v := range flat {
-		mags[i] = math.Abs(v)
-	}
-	sorted := append([]float64(nil), mags...)
-	sort.Float64s(sorted)
-	threshold := sorted[n-k]
-	// First pass: everything strictly above threshold.
-	s.Indices = make([]int, 0, k)
-	s.Values = make([]float64, 0, k)
-	for i, v := range flat {
-		if mags[i] > threshold {
-			s.Indices = append(s.Indices, i)
-			s.Values = append(s.Values, v)
-		}
-	}
-	// Second pass: fill remaining slots with ties at the threshold.
-	for i, v := range flat {
-		if len(s.Indices) >= k {
-			break
-		}
-		if mags[i] == threshold {
-			s.Indices = append(s.Indices, i)
-			s.Values = append(s.Values, v)
-		}
-	}
-	sortPairs(s)
-	return s
+	var sel selection
+	sel.load(flat)
+	return sel.sparse(flat, k)
 }
 
 // Compress sparsifies flat to the level ψ (relative payload size).
@@ -160,20 +114,4 @@ func (s *Sparse) ApplyAsUpdate(base []float64) ([]float64, error) {
 		out[idx] = s.Values[i]
 	}
 	return out, nil
-}
-
-func sortPairs(s *Sparse) {
-	type pair struct {
-		i int
-		v float64
-	}
-	ps := make([]pair, len(s.Indices))
-	for j := range s.Indices {
-		ps[j] = pair{s.Indices[j], s.Values[j]}
-	}
-	sort.Slice(ps, func(a, b int) bool { return ps[a].i < ps[b].i })
-	for j, p := range ps {
-		s.Indices[j] = p.i
-		s.Values[j] = p.v
-	}
 }

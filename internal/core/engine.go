@@ -272,6 +272,13 @@ type Engine struct {
 	now        float64
 	nextRecord float64
 	initFlat   []float64
+	// plans are the delta plans of a chat's two models: filled from each
+	// side's parameters when the chat starts compressing, they serve every
+	// ψ sample of its φ fit and the transfer that follows. Chats run one
+	// after another inside OnTick and vehicles do not train there, so two
+	// plans reused across chats are enough; the exported Compress* wrappers
+	// borrow the first.
+	plans [2]compress.DeltaPlan
 
 	// tickIndex counts completed engine ticks; it is the integer key of the
 	// due-time calendar (e.now accumulates float rounding, tickIndex never
@@ -1019,29 +1026,7 @@ func (e *Engine) CompressReconstruct(flat []float64, psi float64) []float64 {
 	if psi <= 0 {
 		return nil
 	}
-	if e.Cfg.CompressionScheme == SchemeQuantize {
-		delta := make([]float64, len(flat))
-		for i, v := range flat {
-			delta[i] = v - e.initFlat[i]
-		}
-		bits := int(psi*32 + 0.5)
-		if bits < 1 {
-			bits = 1
-		}
-		if bits > compress.MaxQuantBits {
-			bits = compress.MaxQuantBits
-		}
-		q, err := compress.Quantize(delta, bits, e.rng)
-		if err != nil {
-			return nil
-		}
-		out := append([]float64(nil), e.initFlat...)
-		for i, dv := range q.Dense() {
-			out[i] += dv
-		}
-		return out
-	}
-	return e.ReconstructDelta(e.CompressDelta(flat, psi))
+	return e.reconstructPlan(e.fillPlan(0, flat), psi)
 }
 
 // CompressDelta top-k sparsifies a model's DELTA from the fleet's shared
@@ -1051,15 +1036,7 @@ func (e *Engine) CompressReconstruct(flat []float64, psi float64) []float64 {
 // delta coordinates degrades the model far more gracefully than zeroing raw
 // weights [22].
 func (e *Engine) CompressDelta(flat []float64, psi float64) *compress.Sparse {
-	delta := make([]float64, len(flat))
-	for i, v := range flat {
-		delta[i] = v - e.initFlat[i]
-	}
-	keep := psi
-	if c := e.Cfg.CompressionConcentration; c > 0 && c != 1 && psi > 0 && psi < 1 {
-		keep = math.Pow(psi, c)
-	}
-	return compress.TopK(delta, int(keep*float64(len(delta))))
+	return e.fillPlan(0, flat).TopK(e.keepCount(psi))
 }
 
 // ReconstructDelta materializes a model from a sparsified delta:
@@ -1068,6 +1045,50 @@ func (e *Engine) ReconstructDelta(sp *compress.Sparse) []float64 {
 	out := append([]float64(nil), e.initFlat...)
 	for i, idx := range sp.Indices {
 		out[idx] += sp.Values[i]
+	}
+	return out
+}
+
+// fillPlan loads one of the engine's two delta plans with a model's delta
+// from the shared initialization — the one place flat − initFlat is
+// computed. The plan is valid until the same side is filled again.
+func (e *Engine) fillPlan(side int, flat []float64) *compress.DeltaPlan {
+	p := &e.plans[side]
+	p.Fill(flat, e.initFlat)
+	return p
+}
+
+// keepCount is the number of delta coordinates the stand-in model keeps at
+// byte-fraction ψ (Config.CompressionConcentration).
+func (e *Engine) keepCount(psi float64) int {
+	keep := psi
+	if c := e.Cfg.CompressionConcentration; c > 0 && c != 1 && psi > 0 && psi < 1 {
+		keep = math.Pow(psi, c)
+	}
+	return int(keep * float64(len(e.initFlat)))
+}
+
+// reconstructPlan returns, in a vector the caller owns, what a receiver
+// materializes from the planned model compressed to ψ > 0 under the
+// configured scheme.
+func (e *Engine) reconstructPlan(p *compress.DeltaPlan, psi float64) []float64 {
+	out := make([]float64, len(e.initFlat))
+	if e.Cfg.CompressionScheme != SchemeQuantize {
+		return p.ReconstructInto(out, e.keepCount(psi))
+	}
+	bits := int(psi*32 + 0.5)
+	if bits < 1 {
+		bits = 1
+	}
+	if bits > compress.MaxQuantBits {
+		bits = compress.MaxQuantBits
+	}
+	q, err := compress.Quantize(p.Delta(), bits, e.rng)
+	if err != nil {
+		return nil
+	}
+	for i, dv := range q.Dense() {
+		out[i] = e.initFlat[i] + dv
 	}
 	return out
 }

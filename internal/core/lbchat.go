@@ -5,6 +5,7 @@ import (
 	"log"
 	"math"
 
+	"lbchat/internal/compress"
 	"lbchat/internal/coreset"
 	"lbchat/internal/dataset"
 	"lbchat/internal/model"
@@ -298,6 +299,11 @@ func (l *LbChat) chat(e *Engine, a, b int) {
 	lossAonB := va.Policy.Loss(evalB)
 	lossBonA := vb.Policy.Loss(evalA)
 
+	// One delta plan per model serves every ψ sample of its φ fit and the
+	// transfer that follows: neither vehicle trains before the chat returns.
+	planA := e.fillPlan(0, va.Policy.Flat())
+	planB := e.fillPlan(1, vb.Policy.Flat())
+
 	remaining := window - elapsed
 	modelBytes := e.ModelWireBytes()
 	minBW := math.Min(va.Bandwidth, vb.Bandwidth)
@@ -311,8 +317,8 @@ func (l *LbChat) chat(e *Engine, a, b int) {
 		psiB = psiA
 	} else {
 		// Line 13: optimize compression ratios with Eq. (7).
-		phiA := l.fitPhi(e, va, evalA)
-		phiB := l.fitPhi(e, vb, evalB)
+		phiA := l.fitPhi(e, va, planA, evalA)
+		phiB := l.fitPhi(e, vb, planB, evalB)
 		sol := optimize.Solve(optimize.Problem{
 			PhiSelf:         phiA,
 			PhiPeer:         phiB,
@@ -339,10 +345,10 @@ func (l *LbChat) chat(e *Engine, a, b int) {
 	}
 
 	// Line 14: exchange compressed models (A's model travels to B first).
-	sentA, okA, tA := l.sendModel(e, va, vb, psiA, remaining)
+	sentA, okA, tA := l.sendModel(e, planA, va, vb, psiA, remaining)
 	elapsed += tA
 	remaining -= tA
-	sentB, okB, tB := l.sendModel(e, vb, va, psiB, remaining)
+	sentB, okB, tB := l.sendModel(e, planB, vb, va, psiB, remaining)
 	elapsed += tB
 
 	doneAt := e.Now() + elapsed
@@ -425,11 +431,12 @@ func (l *LbChat) adaptCoresetSize(e *Engine, v *Vehicle, contact float64) {
 	v.CoresetSizeOverride = size
 }
 
-// fitPhi samples the vehicle's own model at the configured ψ levels,
-// evaluates each compressed variant on the vehicle's coreset subset, and
-// fits the Akima φ curve (§III-C).
-func (l *LbChat) fitPhi(e *Engine, v *Vehicle, evalItems []dataset.Weighted) *optimize.PhiCurve {
-	flat := v.Policy.Flat()
+// fitPhi samples the vehicle's own model, planned in plan, at the configured
+// ψ levels, evaluates each compressed variant on the vehicle's coreset
+// subset, and fits the Akima φ curve (§III-C). Every sub-unit level is cut
+// from the one plan into its reused buffer, so the fit allocates nothing per
+// sample.
+func (l *LbChat) fitPhi(e *Engine, v *Vehicle, plan *compress.DeltaPlan, evalItems []dataset.Weighted) *optimize.PhiCurve {
 	samples := e.Cfg.PsiSamples
 	psis := make([]float64, 0, len(samples))
 	losses := make([]float64, 0, len(samples))
@@ -438,8 +445,7 @@ func (l *LbChat) fitPhi(e *Engine, v *Vehicle, evalItems []dataset.Weighted) *op
 		if psi >= 1 {
 			loss = v.Policy.Loss(evalItems)
 		} else {
-			sp := e.CompressDelta(flat, psi)
-			if err := l.scratch.SetFlat(e.ReconstructDelta(sp)); err != nil {
+			if err := l.scratch.SetFlat(plan.Reconstruct(e.keepCount(psi))); err != nil {
 				continue
 			}
 			loss = l.scratch.Loss(evalItems)
@@ -454,15 +460,15 @@ func (l *LbChat) fitPhi(e *Engine, v *Vehicle, evalItems []dataset.Weighted) *op
 	return curve
 }
 
-// sendModel compresses the sender's model at ψ and simulates its transfer,
-// returning the receiver-side reconstruction. ψ = 0 means "do not send" (no
-// attempt is counted). The receiver's receive-rate counter records the
-// outcome.
-func (l *LbChat) sendModel(e *Engine, from, to *Vehicle, psi, deadline float64) ([]float64, bool, float64) {
+// sendModel compresses the sender's model, planned in plan, at ψ and
+// simulates its transfer, returning the receiver-side reconstruction. ψ = 0
+// means "do not send" (no attempt is counted). The receiver's receive-rate
+// counter records the outcome.
+func (l *LbChat) sendModel(e *Engine, plan *compress.DeltaPlan, from, to *Vehicle, psi, deadline float64) ([]float64, bool, float64) {
 	if psi <= 0 {
 		return nil, false, 0
 	}
-	rec := e.CompressReconstruct(from.Policy.Flat(), psi)
+	rec := e.reconstructPlan(plan, psi)
 	bytes := e.CompressedModelBytes(psi)
 	e.Emit(telemetry.CompressionChosen{Time: e.Now(), From: from.ID, To: to.ID, Psi: psi, Bytes: bytes})
 	res := e.SimulateTransfer(bytes, from.ID, to.ID, deadline)

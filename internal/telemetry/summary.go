@@ -87,11 +87,11 @@ func KnownMetrics() []string {
 // Fixed bucket edges for the Summary histograms. Fixed across runs so
 // per-protocol summaries are directly comparable.
 var (
-	psiEdges     = []float64{0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1}
-	elapsedEdges = []float64{1, 2, 5, 10, 15, 20}
-	bytesEdges   = []float64{1e4, 1e5, 1e6, 5e6, 1e7, 5e7}
-	contactEdges = []float64{5, 15, 30, 60, 120, 300}
-	wPeerEdges   = []float64{0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9}
+	psiEdges      = []float64{0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1}
+	elapsedEdges  = []float64{1, 2, 5, 10, 15, 20}
+	bytesEdges    = []float64{1e4, 1e5, 1e6, 5e6, 1e7, 5e7}
+	contactEdges  = []float64{5, 15, 30, 60, 120, 300}
+	wPeerEdges    = []float64{0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9}
 	trainNsEdges  = []float64{1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
 	localsEdges   = []float64{16, 64, 256, 1024, 4096, 16384}
 	residentEdges = []float64{1, 2, 3, 4, 6, 8, 16}
