@@ -10,7 +10,7 @@ STATICCHECK_VERSION ?= 2025.1
 # cmd/bench-compare diffs a candidate file against the committed
 # $(BENCH_BASELINE) and fails on >15% ns/op regressions for the hot paths,
 # then prints the per-benchmark trend across the history file.
-BENCH_BASELINE ?= BENCH_PR15.json
+BENCH_BASELINE ?= BENCH_PR17.json
 BENCH_JSON ?= $(BENCH_BASELINE)
 BENCH_HISTORY ?= BENCH_HISTORY.jsonl
 BENCH_LABEL ?= local
@@ -66,11 +66,16 @@ bench-compare:
 	$(GO) run ./cmd/bench-compare -hot '$(BENCH_HOT)' -history $(BENCH_HISTORY) \
 		$(BENCH_BASELINE) $(BENCH_JSON)
 
-# CPU profiles of the scan hot paths, for flame-graph inspection and CI
-# artifacts. Profiles land in bench-profiles/ next to their test binaries
-# (go test needs -o when profiling, so the binary is kept alongside).
+# CPU profiles of the scan hot paths and of the world in traffic (the
+# fixed-work BenchmarkWorldTick/paper: a fresh 6 + 50 + 250 world stepped
+# 2000 times per op, so two profiles cover the same work), for flame-graph
+# inspection and CI artifacts. Profiles land in bench-profiles/ next to
+# their test binaries (go test needs -o when profiling, so the binary is
+# kept alongside).
 bench-pprof:
 	mkdir -p bench-profiles
+	$(GO) test -run '^$$' -bench 'BenchmarkWorldTick/paper' -benchtime 10x -benchmem \
+		-cpuprofile bench-profiles/world.cpu.pprof -o bench-profiles/world.test ./internal/world/
 	$(GO) test -run '^$$' -bench 'BenchmarkShardScan' -benchmem \
 		-cpuprofile bench-profiles/shard.cpu.pprof -o bench-profiles/shard.test ./internal/shard/
 	$(GO) test -run '^$$' -bench 'BenchmarkCandidatePairs' -benchmem \

@@ -65,6 +65,8 @@ func (r *Rasterizer) Rasterize(frame geom.Frame, vehicles, pedestrians []geom.Po
 	plane := cfg.Height * cfg.Width
 	cell := cfg.CellSize()
 	halfWidth := float64(cfg.Width) / 2 * cell
+	// One rotation per direction per frame, not one per cell and entity.
+	toWorld, toLocal := frame.World(), frame.Local()
 
 	// Road channel: sample each cell center.
 	for row := 0; row < cfg.Height; row++ {
@@ -72,7 +74,7 @@ func (r *Rasterizer) Rasterize(frame geom.Frame, vehicles, pedestrians []geom.Po
 		fwd := cfg.Range - (float64(row)+0.5)*cell
 		for col := 0; col < cfg.Width; col++ {
 			lat := -halfWidth + (float64(col)+0.5)*cell
-			world := frame.ToWorld(geom.Pt(fwd, lat))
+			world := toWorld.ToWorld(geom.Pt(fwd, lat))
 			if r.roads.IsRoad(world) {
 				out[ChannelRoad*plane+row*cfg.Width+col] = 1
 			}
@@ -82,7 +84,7 @@ func (r *Rasterizer) Rasterize(frame geom.Frame, vehicles, pedestrians []geom.Po
 	// Entities paint their physical footprint (a disc), not a single point:
 	// a car two cells long must look like one.
 	mark := func(channel int, p geom.Point, radius float64) {
-		local := frame.ToLocal(p)
+		local := toLocal.ToLocal(p)
 		if local.X < -radius || local.X >= cfg.Range+radius {
 			return
 		}

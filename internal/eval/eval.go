@@ -240,14 +240,25 @@ func (ev *Evaluator) RunTrialWithAgent(policy Driver, cond Condition, route *wor
 	return ev.RunTrialReport(policy, cond, route, seed, agent).Outcome
 }
 
-// RunTrialReport is RunTrialWithAgent with termination diagnostics.
-func (ev *Evaluator) RunTrialReport(policy Driver, cond Condition, route *world.Route, seed uint64, agent *world.FreeAgent) TrialReport {
-	rng := simrand.New(seed)
-	w, err := world.New(ev.Suite.Map, trafficFor(cond, ev.NormalTraffic), rng)
+// trial is the live state of one closed-loop run: a private world with the
+// condition's traffic, the testing agent in it, and the control stack that
+// drives the agent along the route.
+type trial struct {
+	ev     *Evaluator
+	w      *world.World
+	ras    *bev.Rasterizer
+	ctrl   *controller
+	policy Driver
+	route  *world.Route
+	agent  *world.FreeAgent
+}
+
+// newTrial spawns the trial's world from seed and places agent in it.
+func (ev *Evaluator) newTrial(policy Driver, cond Condition, route *world.Route, seed uint64, agent *world.FreeAgent) (*trial, error) {
+	w, err := world.New(ev.Suite.Map, trafficFor(cond, ev.NormalTraffic), simrand.New(seed))
 	if err != nil {
-		return TrialReport{Outcome: OutcomeTimeout, RouteLength: route.Length()}
+		return nil, err
 	}
-	ras := bev.NewRasterizer(ev.BEV, ev.Suite.Map)
 	w.FreeAgents = append(w.FreeAgents, agent)
 	// Clean spawn, as in the CARLA benchmark: background cars parked on top
 	// of the agent's start would deadlock the trial before it begins.
@@ -262,27 +273,49 @@ func (ev *Evaluator) RunTrialReport(policy Driver, cond Condition, route *world.
 	// Positions were teleported outside Step; drop any spatial index built
 	// over the pre-adjustment state.
 	w.InvalidateIndex()
+	return &trial{
+		ev: ev, w: w, ras: bev.NewRasterizer(ev.BEV, ev.Suite.Map), ctrl: newController(ev.BEV),
+		policy: policy, route: route, agent: agent,
+	}, nil
+}
+
+// controlStep runs one control period — perceive, act, advance the rest of
+// the world — and returns what the judge needs: the frame the agent
+// perceived from and its route projection before it acted. Apart from the
+// BEV tensor (and whatever the driver allocates) a steady-state step
+// allocates nothing.
+func (tr *trial) controlStep() (frame geom.Frame, arc, lateral float64) {
+	ev, w, agent, route := tr.ev, tr.w, tr.agent, tr.route
+	// Perceive.
+	frame = agent.Frame()
+	bevT := tr.ras.Rasterize(frame,
+		w.VehiclePositionsNearSeenBy(frame.Origin, ev.BEV.VehicleCullRadius(), -1, agent),
+		w.PedestrianPositionsNear(frame.Origin, ev.BEV.PedestrianCullRadius()))
+	arc, lateral = routeProgress(route, agent.Pos)
+	cmd := route.CommandAt(arc)
+	// Act.
+	pred := tr.policy.Predict(bevT, agent.V/world.SpeedNorm, world.NavDistAt(route, arc),
+		world.RedDistInput(ev.Suite.Map, route, arc, w.Time), cmd)
+	tr.ctrl.step(agent, pred, bevT, ev.DT)
+	// Advance the rest of the world.
+	w.Step(ev.DT)
+	return frame, arc, lateral
+}
+
+// RunTrialReport is RunTrialWithAgent with termination diagnostics.
+func (ev *Evaluator) RunTrialReport(policy Driver, cond Condition, route *world.Route, seed uint64, agent *world.FreeAgent) TrialReport {
+	tr, err := ev.newTrial(policy, cond, route, seed, agent)
+	if err != nil {
+		return TrialReport{Outcome: OutcomeTimeout, RouteLength: route.Length()}
+	}
 
 	// Budget: generous time at a conservative average speed.
 	timeLimit := route.Length()/2.5 + 60
-	ctrl := newController(ev.BEV)
 
 	var lastArc float64
 	for t := 0.0; t < timeLimit; t += ev.DT {
-		// Perceive.
-		frame := agent.Frame()
-		bevT := ras.Rasterize(frame,
-			w.VehiclePositionsNearSeenBy(frame.Origin, ev.BEV.VehicleCullRadius(), -1, agent),
-			w.PedestrianPositionsNear(frame.Origin, ev.BEV.PedestrianCullRadius()))
-		arc, lateral := routeProgress(route, agent.Pos)
+		frame, arc, lateral := tr.controlStep()
 		lastArc = arc
-		cmd := route.CommandAt(arc)
-		// Act.
-		pred := policy.Predict(bevT, agent.V/world.SpeedNorm, world.NavDistAt(route, arc),
-			world.RedDistInput(ev.Suite.Map, route, arc, w.Time), cmd)
-		ctrl.step(agent, pred, bevT, ev.DT)
-		// Advance the rest of the world.
-		w.Step(ev.DT)
 		// Judge.
 		// Destination reached: the agent is on the final on-route stretch
 		// just before the terminal node. (Requiring proximity to the node
@@ -298,8 +331,8 @@ func (ev *Evaluator) RunTrialReport(policy Driver, cond Condition, route *world.
 			return report(OutcomeSuccess, "")
 		}
 		if t > ev.GraceSeconds {
-			if w.CollisionAt(agent.Pos, -1) {
-				return report(OutcomeCollision, classifyHitDetailed(w, frame, agent.Pos))
+			if tr.w.CollisionAt(agent.Pos, -1) {
+				return report(OutcomeCollision, classifyHitDetailed(tr.w, frame, agent.Pos))
 			}
 			// The paper's criterion is reaching the destination in time
 			// without collision; brushing a corner is not failure. Leaving
@@ -379,19 +412,22 @@ func classifyHitDetailed(w *world.World, frame geom.Frame, pos geom.Point) strin
 func routeProgress(route *world.Route, pos geom.Point) (arc, lateral float64) {
 	// Project onto the route's lane polyline via dense sampling: routes are
 	// a few hundred meters, so a 5 m scan plus local refinement is plenty.
-	best := math.Inf(1)
+	// geom.Nearest screens on squared distance, so only samples that can
+	// improve on the best pay for a Hypot.
+	best := geom.NewNearest(pos)
 	bestArc := 0.0
 	for s := 0.0; s <= route.Length(); s += 5 {
-		if d := route.PosAt(s).Dist(pos); d < best {
-			best, bestArc = d, s
+		if best.Closer(route.PosAt(s)) {
+			bestArc = s
 		}
 	}
+	// The upper bound follows bestArc: an improving sample extends the scan.
 	for s := math.Max(0, bestArc-5); s <= math.Min(route.Length(), bestArc+5); s += 0.5 {
-		if d := route.PosAt(s).Dist(pos); d < best {
-			best, bestArc = d, s
+		if best.Closer(route.PosAt(s)) {
+			bestArc = s
 		}
 	}
-	return bestArc, best
+	return bestArc, best.Dist
 }
 
 // SuccessRate runs trials trials of the condition (cycling through its
@@ -448,6 +484,8 @@ type controller struct {
 	// prevYawRate smooths steering across frames (the model's per-frame
 	// waypoint jitter would otherwise wobble the car).
 	prevYawRate float64
+	// wps is step's decoded-waypoint buffer, reused across control periods.
+	wps []geom.Point
 }
 
 func newController(b bev.Config) *controller {
@@ -467,10 +505,11 @@ const (
 // step applies one control period.
 func (c *controller) step(agent *world.FreeAgent, pred []float64, bevT []uint8, dt float64) {
 	// Decode waypoints into ego-frame meters.
-	wps := make([]geom.Point, 0, len(pred)/2)
+	wps := c.wps[:0]
 	for i := 0; i+1 < len(pred); i += 2 {
 		wps = append(wps, c.bev.DenormalizeWaypoint(pred[i], pred[i+1]))
 	}
+	c.wps = wps
 	if len(wps) == 0 {
 		return
 	}

@@ -1,9 +1,12 @@
 package eval
 
 import (
+	"math"
 	"testing"
 
 	"lbchat/internal/dataset"
+	"lbchat/internal/geom"
+	"lbchat/internal/simrand"
 	"lbchat/internal/world"
 )
 
@@ -160,5 +163,81 @@ func TestTrialReportFields(t *testing.T) {
 	}
 	if rep.HitKind != "" {
 		t.Errorf("timeout with hit kind %q", rep.HitKind)
+	}
+}
+
+// unscreenedRouteProgress is routeProgress as it was before the
+// squared-distance screen — a Hypot per sample — kept as the oracle the
+// screened scan must reproduce bit for bit, including the refinement loop
+// whose upper bound follows the improving arc.
+func unscreenedRouteProgress(route *world.Route, pos geom.Point) (arc, lateral float64) {
+	best := math.Inf(1)
+	bestArc := 0.0
+	for s := 0.0; s <= route.Length(); s += 5 {
+		if d := route.PosAt(s).Dist(pos); d < best {
+			best, bestArc = d, s
+		}
+	}
+	for s := math.Max(0, bestArc-5); s <= math.Min(route.Length(), bestArc+5); s += 0.5 {
+		if d := route.PosAt(s).Dist(pos); d < best {
+			best, bestArc = d, s
+		}
+	}
+	return bestArc, best
+}
+
+func TestRouteProgressMatchesUnscreenedScan(t *testing.T) {
+	s := testSuite(t)
+	rng := simrand.New(3)
+	for _, cond := range []Condition{CondStraight, CondOneTurn, CondNaviEmpty} {
+		for _, route := range s.Routes[cond] {
+			for q := 0; q < 300; q++ {
+				// On the lane, beside it, and well off the route.
+				pos := route.PosAt(rng.Uniform(-10, route.Length()+10))
+				switch q % 3 {
+				case 1:
+					pos = pos.Add(geom.Pt(rng.Uniform(-6, 6), rng.Uniform(-6, 6)))
+				case 2:
+					pos = pos.Add(geom.Pt(rng.Uniform(-300, 300), rng.Uniform(-300, 300)))
+				}
+				gotArc, gotLat := routeProgress(route, pos)
+				wantArc, wantLat := unscreenedRouteProgress(route, pos)
+				if math.Float64bits(gotArc) != math.Float64bits(wantArc) || math.Float64bits(gotLat) != math.Float64bits(wantLat) {
+					t.Fatalf("%v: routeProgress(%v) = (%v, %v), unscreened scan (%v, %v)", cond, pos, gotArc, gotLat, wantArc, wantLat)
+				}
+			}
+		}
+	}
+}
+
+// fixedDriver answers every Predict with the same preallocated waypoints: a
+// steady cruise straight ahead.
+type fixedDriver struct{ wps []float64 }
+
+func (d fixedDriver) Predict([]uint8, float64, float64, float64, dataset.Command) []float64 {
+	return d.wps
+}
+
+// TestControlStepAllocations pins the per-step garbage of a closed-loop
+// trial in dense traffic: the BEV tensor, which a dataset may retain, is the
+// one allocation of a control period — the culled entity lists, the decoded
+// waypoints and the world step reuse their buffers. The measured window
+// ends before any background car can run its route low (cars spawn in the
+// first half of a ≥ 600 m route), so no route extension falls into it.
+func TestControlStepAllocations(t *testing.T) {
+	s := testSuite(t)
+	ev := NewEvaluator(s)
+	route := s.Routes[CondNaviDense][1]
+	agent := &world.FreeAgent{Pos: route.PosAt(12), Heading: route.HeadingAt(12)}
+	drv := fixedDriver{wps: []float64{0.13, 0, 0.26, 0, 0.39, 0, 0.52, 0, 0.65, 0}}
+	tr, err := ev.newTrial(drv, CondNaviDense, route, 301, agent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for warm := 0; warm < 5; warm++ { // index build, buffer growth
+		tr.controlStep()
+	}
+	if got := testing.AllocsPerRun(40, func() { tr.controlStep() }); got > 1 {
+		t.Errorf("one control step allocates %v objects, want only the BEV tensor", got)
 	}
 }

@@ -44,9 +44,24 @@ func (p Point) Unit() Point {
 }
 
 // Rotate returns p rotated by theta radians counterclockwise.
-func (p Point) Rotate(theta float64) Point {
+func (p Point) Rotate(theta float64) Point { return NewRotation(theta).Apply(p) }
+
+// Rotation is a rotation by a fixed angle with its sine and cosine computed
+// once, for rotating many points by the same angle: Apply(p) is p.Rotate
+// (theta) — the same Sincos, the same multiply-adds, the same bits.
+type Rotation struct {
+	sin, cos float64
+}
+
+// NewRotation returns the counterclockwise rotation by theta radians.
+func NewRotation(theta float64) Rotation {
 	s, c := math.Sincos(theta)
-	return Point{c*p.X - s*p.Y, s*p.X + c*p.Y}
+	return Rotation{sin: s, cos: c}
+}
+
+// Apply returns p rotated.
+func (r Rotation) Apply(p Point) Point {
+	return Point{r.cos*p.X - r.sin*p.Y, r.sin*p.X + r.cos*p.Y}
 }
 
 // Lerp linearly interpolates between p and q: t=0 yields p, t=1 yields q.
@@ -120,3 +135,36 @@ func (f Frame) ToLocal(world Point) Point {
 func (f Frame) ToWorld(local Point) Point {
 	return local.Rotate(f.Heading).Add(f.Origin)
 }
+
+// LocalFrame is the world→ego half of a Frame with its rotation computed
+// once. Code that transforms many points through one frame — a cone query
+// over its candidates, a rasterizer over its entities — builds it once
+// instead of paying a Sincos per point; the results are Frame.ToLocal's bit
+// for bit: both rotate through Rotation.Apply with the same Sincos.
+type LocalFrame struct {
+	origin Point
+	rot    Rotation
+}
+
+// Local returns f's world→ego transform.
+func (f Frame) Local() LocalFrame {
+	return LocalFrame{origin: f.Origin, rot: NewRotation(-f.Heading)}
+}
+
+// ToLocal transforms a world-frame point into the ego frame.
+func (l LocalFrame) ToLocal(world Point) Point { return l.rot.Apply(world.Sub(l.origin)) }
+
+// WorldFrame is the ego→world half of a Frame with its rotation computed
+// once; see LocalFrame.
+type WorldFrame struct {
+	origin Point
+	rot    Rotation
+}
+
+// World returns f's ego→world transform.
+func (f Frame) World() WorldFrame {
+	return WorldFrame{origin: f.Origin, rot: NewRotation(f.Heading)}
+}
+
+// ToWorld transforms an ego-frame point back into world coordinates.
+func (w WorldFrame) ToWorld(local Point) Point { return w.rot.Apply(local).Add(w.origin) }

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -164,5 +165,39 @@ func TestFrameAheadIsPositiveX(t *testing.T) {
 	local = f.ToLocal(Pt(-3, 0))
 	if !near(local.X, 0) || !near(local.Y, 3) {
 		t.Errorf("left point maps to %v, want (0,3)", local)
+	}
+}
+
+// TestFrameTransformsMatchPerPointSincos pins the hoisted rotation to the
+// formula it replaced: transforming through a frame computes Sincos(∓Heading)
+// and one fixed sequence of multiply-adds, whether the rotation is built per
+// point (Frame.ToLocal/ToWorld) or once (Frame.Local/World) — same bits.
+func TestFrameTransformsMatchPerPointSincos(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 2000; trial++ {
+		f := Frame{
+			Origin:  Pt(rng.Float64()*2000-1000, rng.Float64()*2000-1000),
+			Heading: rng.Float64()*4*math.Pi - 2*math.Pi,
+		}
+		p := Pt(rng.Float64()*2000-1000, rng.Float64()*2000-1000)
+
+		s, c := math.Sincos(-f.Heading)
+		d := Point{p.X - f.Origin.X, p.Y - f.Origin.Y}
+		wantLocal := Point{c*d.X - s*d.Y, s*d.X + c*d.Y}
+		if got := f.ToLocal(p); got != wantLocal {
+			t.Fatalf("Frame.ToLocal(%v) in %+v = %v, want %v", p, f, got, wantLocal)
+		}
+		if got := f.Local().ToLocal(p); got != wantLocal {
+			t.Fatalf("LocalFrame.ToLocal(%v) in %+v = %v, want %v", p, f, got, wantLocal)
+		}
+
+		s, c = math.Sincos(f.Heading)
+		wantWorld := Point{c*p.X - s*p.Y + f.Origin.X, s*p.X + c*p.Y + f.Origin.Y}
+		if got := f.ToWorld(p); got != wantWorld {
+			t.Fatalf("Frame.ToWorld(%v) in %+v = %v, want %v", p, f, got, wantWorld)
+		}
+		if got := f.World().ToWorld(p); got != wantWorld {
+			t.Fatalf("WorldFrame.ToWorld(%v) in %+v = %v, want %v", p, f, got, wantWorld)
+		}
 	}
 }

@@ -102,17 +102,54 @@ func (pl *Polyline) Project(p Point) (arc, dist float64) {
 	if n == 1 {
 		return 0, pl.pts[0].Dist(p)
 	}
-	bestDist := math.Inf(1)
+	best := NewNearest(p)
 	bestArc := 0.0
 	for i := 0; i < n-1; i++ {
 		seg := Segment{A: pl.pts[i], B: pl.pts[i+1]}
 		q, t := seg.ClosestPoint(p)
-		if d := q.Dist(p); d < bestDist {
-			bestDist = d
+		if best.Closer(q) {
 			bestArc = pl.cumLen[i] + t*seg.Length()
 		}
 	}
-	return bestArc, bestDist
+	return bestArc, best.Dist
+}
+
+// Nearest is the running minimum of a nearest-point scan: the distance from
+// a fixed point to the closest candidate offered so far.
+type Nearest struct {
+	// Dist is the distance to the closest candidate, +Inf before the first.
+	Dist float64
+
+	to     Point
+	screen float64 // Dist² with a relative margin
+}
+
+// NewNearest starts a scan for the candidate nearest to p.
+func NewNearest(p Point) Nearest {
+	return Nearest{Dist: math.Inf(1), to: p, screen: math.Inf(1)}
+}
+
+// Closer reports whether q is strictly closer than every candidate before
+// it — exactly `q.Dist(p) < Dist` — and records it if so. A candidate whose
+// squared distance exceeds Dist² by a relative margin is rejected without
+// paying for the Hypot inside Dist: the margin (1e-9) is many orders of
+// magnitude above the rounding error of the three-operation square
+// (≈ 3 ulp), of Dist² (1 ulp) and math.Hypot's 1-ulp bound combined, so
+// the screen only ever rejects what the exact comparison would — a scan's
+// result is the unscreened scan's bit for bit, first-minimum tie-breaking
+// included. A NaN square is never above the bound and falls through to the
+// exact comparison.
+func (n *Nearest) Closer(q Point) bool {
+	dx, dy := q.X-n.to.X, q.Y-n.to.Y
+	if dx*dx+dy*dy > n.screen {
+		return false
+	}
+	d := math.Hypot(dx, dy) // q.Dist(n.to)
+	if d < n.Dist {
+		n.Dist, n.screen = d, d*d*(1+1e-9)
+		return true
+	}
+	return false
 }
 
 // Resample returns points spaced ds apart along the polyline, always

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -117,6 +118,56 @@ func TestProjectConsistentWithAt(t *testing.T) {
 		}
 		if math.Abs(arc-s) > 1e-6 {
 			t.Fatalf("on-line point at s=%v projects to arc %v", s, arc)
+		}
+	}
+}
+
+// unscreenedProject is Project as it was before the squared-distance
+// screen: a Hypot per segment. It is the oracle the screened scan must
+// reproduce bit for bit, first-minimum tie-breaking included.
+func unscreenedProject(pl *Polyline, p Point) (arc, dist float64) {
+	bestDist := math.Inf(1)
+	bestArc := 0.0
+	for i := 0; i < len(pl.pts)-1; i++ {
+		seg := Segment{A: pl.pts[i], B: pl.pts[i+1]}
+		q, t := seg.ClosestPoint(p)
+		if d := q.Dist(p); d < bestDist {
+			bestDist = d
+			bestArc = pl.cumLen[i] + t*seg.Length()
+		}
+	}
+	return bestArc, bestDist
+}
+
+// TestProjectMatchesUnscreenedScan projects points on, near and far from
+// random walks that revisit themselves — exact ties between visits are what
+// a route looping through a corner twice produces — and points with
+// non-finite coordinates.
+func TestProjectMatchesUnscreenedScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		// A lattice walk: segments overlap and cross, so many segments are
+		// equidistant from a query.
+		pts := []Point{Pt(0, 0)}
+		for len(pts) < 2+rng.Intn(60) {
+			last := pts[len(pts)-1]
+			step := []Point{Pt(10, 0), Pt(-10, 0), Pt(0, 10), Pt(0, -10)}[rng.Intn(4)]
+			pts = append(pts, last.Add(step))
+		}
+		pl := NewPolyline(pts)
+		queries := []Point{Pt(math.NaN(), 0), Pt(math.Inf(1), 3), Pt(1e200, -1e200)}
+		for q := 0; q < 40; q++ {
+			on := pl.At(rng.Float64() * pl.Length())
+			queries = append(queries, on,
+				on.Add(Pt(rng.Float64()*8-4, rng.Float64()*8-4)),
+				Pt(rng.Float64()*400-200, rng.Float64()*400-200))
+		}
+		for _, p := range queries {
+			gotArc, gotDist := pl.Project(p)
+			wantArc, wantDist := unscreenedProject(pl, p)
+			if math.Float64bits(gotArc) != math.Float64bits(wantArc) || math.Float64bits(gotDist) != math.Float64bits(wantDist) {
+				t.Fatalf("trial %d: Project(%v) = (%v, %v), unscreened scan (%v, %v)", trial, p, gotArc, gotDist, wantArc, wantDist)
+			}
 		}
 	}
 }

@@ -6,10 +6,13 @@
 //
 // The index buckets points into square cells of a fixed size chosen from
 // the dominant query radius (radio range for the engine, the driving-cone
-// bound for the world). A query for radius r visits only the cells
-// overlapping the query disc's bounding box — clamped to the occupied
-// extent, so a radius larger than the whole map degrades to a full scan,
-// never to an empty-cell sweep.
+// bound for the world), held in one dense array over the occupied cell box.
+// A query for radius r visits only the cells overlapping the query disc's
+// bounding box — clamped to that box, so a radius larger than the whole map
+// degrades to a full scan, never to an empty-cell sweep. Whatever the
+// coordinates, the array holds at most 8·n + 1024 buckets: an extent too
+// wide for that is indexed at a coarser effective cell size, which widens
+// the candidate sets but not the results.
 //
 // Determinism is part of the contract, not an accident: Neighbors and
 // Pairs return candidates in canonical ID-ascending order, and every

@@ -7,27 +7,33 @@ import (
 	"lbchat/internal/geom"
 )
 
-// cellKey addresses one grid cell by its integer coordinates.
-type cellKey struct {
-	cx, cy int32
-}
-
 // Index is a uniform-grid spatial index over a set of 2D points. Points are
 // identified by their index in the slice passed to Rebuild; Update moves a
 // single point without a full rebuild, which is how the world keeps the
 // index exact while entities move one at a time inside a tick.
 //
+// Buckets live in one dense row-major array over the occupied cell box, so
+// a query is slice arithmetic, not hashing; each bucket is a doubly linked
+// list threaded through per-point arrays, so Update is an unlink and a push
+// and never allocates. The box is laid out by Rebuild and re-laid out by an
+// Update that leaves it; see layout for how its size stays bounded whatever
+// the coordinates.
+//
 // The zero value is not usable; construct with New.
 type Index struct {
-	cell  float64
-	pts   []geom.Point
-	cells map[cellKey][]int32
-	keys  []cellKey // keys[i] is the cell currently holding point i
+	cell float64 // configured cell size
+	eff  float64 // effective cell size of the current layout: cell × 2^k
+	pts  []geom.Point
 
-	// Occupied cell extent, maintained so queries with huge radii clamp
-	// to the populated area instead of sweeping empty cells.
-	minCx, maxCx int32
-	minCy, maxCy int32
+	// The occupied cell box: cols × rows buckets, row-major, whose first
+	// bucket is cell (minCx, minCy). Cell coordinates are kept as float64 —
+	// exact integers of magnitude ≤ maxCellCoord — so that clamping happens
+	// before any integer conversion.
+	minCx, minCy float64
+	cols, rows   int
+	heads        []int32 // per bucket: its first point, -1 when empty
+	next, prev   []int32 // per point: its neighbors in its bucket's list, -1 at the ends
+	slots        []int32 // per point: the bucket holding it
 
 	scratch []int32
 }
@@ -40,7 +46,7 @@ func New(cellSize float64) *Index {
 	if !(cellSize > 0) || math.IsInf(cellSize, 1) {
 		cellSize = 1
 	}
-	return &Index{cell: cellSize, cells: make(map[cellKey][]int32)}
+	return &Index{cell: cellSize, eff: cellSize}
 }
 
 // CellSize returns the configured cell size in meters.
@@ -52,84 +58,181 @@ func (ix *Index) Len() int { return len(ix.pts) }
 // At returns indexed point i.
 func (ix *Index) At(i int) geom.Point { return ix.pts[i] }
 
-func (ix *Index) keyFor(p geom.Point) cellKey {
-	return cellKey{
-		cx: int32(math.Floor(p.X / ix.cell)),
-		cy: int32(math.Floor(p.Y / ix.cell)),
+// maxCellCoord bounds cell coordinates so that they, their differences and
+// their integer conversions are exact whatever the input.
+const maxCellCoord = 1 << 50
+
+// cellCoord returns the cell coordinate of x at cell size eff, clamped to
+// ±maxCellCoord. It is non-decreasing in x, which is all a range query
+// needs: a point whose coordinate lies in [lo, hi] has its cell coordinate
+// in [cellCoord(lo), cellCoord(hi)]. NaN (a NaN coordinate, or ±Inf at an
+// infinite cell size) stays NaN.
+func cellCoord(x, eff float64) float64 {
+	c := math.Floor(x / eff)
+	if c > maxCellCoord {
+		return maxCellCoord
 	}
+	if c < -maxCellCoord {
+		return -maxCellCoord
+	}
+	return c
+}
+
+// axisOffset returns the offset of x's cell from the box origin on one
+// axis, or -1 when the cell lies outside the n cells the box spans. A NaN
+// coordinate is within range of nothing, so it is parked at offset 0.
+func axisOffset(x, eff, minC float64, n int) int {
+	o := cellCoord(x, eff) - minC
+	if o >= 0 && o < float64(n) {
+		return int(o)
+	}
+	if o != o {
+		return 0
+	}
+	return -1
+}
+
+// axisRange returns the cell offsets [o0, o1] covering [lo, hi] on one
+// axis, clamped to the n cells of the occupied box — in float64, before the
+// integer conversion, so a huge or infinite bound clamps instead of
+// overflowing. A NaN bound counts as unbounded. ok is false when the range
+// misses the box.
+func axisRange(lo, hi, eff, minC float64, n int) (o0, o1 int, ok bool) {
+	c0 := cellCoord(lo, eff) - minC
+	c1 := cellCoord(hi, eff) - minC
+	last := float64(n - 1)
+	if !(c0 > 0) {
+		c0 = 0
+	}
+	if !(c1 < last) {
+		c1 = last
+	}
+	return int(c0), int(c1), c0 <= c1
+}
+
+// cellBox returns the bucket offsets [x0, x1] × [y0, y1] overlapping the
+// bounding box of the disc (p, r); ok is false when there are none.
+func (ix *Index) cellBox(p geom.Point, r float64) (x0, x1, y0, y1 int, ok bool) {
+	x0, x1, okX := axisRange(p.X-r, p.X+r, ix.eff, ix.minCx, ix.cols)
+	y0, y1, okY := axisRange(p.Y-r, p.Y+r, ix.eff, ix.minCy, ix.rows)
+	return x0, x1, y0, y1, okX && okY
 }
 
 // Rebuild re-indexes the given points, copying them into the index (the
-// caller's slice is not retained). Buckets and the point copy are reused
-// across rebuilds, so a steady-state rebuild allocates nothing.
+// caller's slice is not retained). The bucket array, the list links and the
+// point copy are reused across rebuilds, so a steady-state rebuild
+// allocates nothing.
 func (ix *Index) Rebuild(pts []geom.Point) {
 	ix.pts = append(ix.pts[:0], pts...)
-	if cap(ix.keys) < len(pts) {
-		ix.keys = make([]cellKey, len(pts))
-	}
-	ix.keys = ix.keys[:len(pts)]
-	for k, bucket := range ix.cells {
-		ix.cells[k] = bucket[:0]
-	}
-	ix.minCx, ix.maxCx = math.MaxInt32, math.MinInt32
-	ix.minCy, ix.maxCy = math.MaxInt32, math.MinInt32
-	for i, p := range pts {
-		k := ix.keyFor(p)
-		ix.keys[i] = k
-		ix.cells[k] = append(ix.cells[k], int32(i))
-		ix.growExtent(k)
-	}
+	ix.layout()
 }
 
-func (ix *Index) growExtent(k cellKey) {
-	if k.cx < ix.minCx {
-		ix.minCx = k.cx
-	}
-	if k.cx > ix.maxCx {
-		ix.maxCx = k.cx
-	}
-	if k.cy < ix.minCy {
-		ix.minCy = k.cy
-	}
-	if k.cy > ix.maxCy {
-		ix.maxCy = k.cy
-	}
-}
-
-// Update moves point i to p, relocating it across cells when needed. The
-// occupied extent only grows between rebuilds — queries stay correct, at
-// worst visiting a few extra empty cells until the next Rebuild.
-func (ix *Index) Update(i int, p geom.Point) {
-	ix.pts[i] = p
-	oldKey, newKey := ix.keys[i], ix.keyFor(p)
-	if oldKey == newKey {
-		return
-	}
-	bucket := ix.cells[oldKey]
-	for bi, id := range bucket {
-		if id == int32(i) {
-			bucket[bi] = bucket[len(bucket)-1]
-			ix.cells[oldKey] = bucket[:len(bucket)-1]
-			break
+// layout sizes the bucket array to the box the current points occupy and
+// files every point. Memory stays bounded for any extent: the effective
+// cell size doubles until the box holds at most 8·n + 1024 buckets. A
+// coarser cell only widens the candidate superset a query enumerates, and
+// every query applies its exact predicate to the candidates.
+func (ix *Index) layout() {
+	n := len(ix.pts)
+	minX, maxX := math.Inf(1), math.Inf(-1)
+	minY, maxY := math.Inf(1), math.Inf(-1)
+	for _, p := range ix.pts { // comparisons, not math.Min: they skip NaN
+		if p.X < minX {
+			minX = p.X
+		}
+		if p.X > maxX {
+			maxX = p.X
+		}
+		if p.Y < minY {
+			minY = p.Y
+		}
+		if p.Y > maxY {
+			maxY = p.Y
 		}
 	}
-	ix.keys[i] = newKey
-	ix.cells[newKey] = append(ix.cells[newKey], int32(i))
-	ix.growExtent(newKey)
+	// Empty or all-NaN axes collapse to the single cell at the origin.
+	if !(minX <= maxX) {
+		minX, maxX = 0, 0
+	}
+	if !(minY <= maxY) {
+		minY, maxY = 0, 0
+	}
+	budget := float64(8*n + 1024)
+	span := func(lo, hi, eff float64) (minC, cells float64) {
+		minC, maxC := cellCoord(lo, eff), cellCoord(hi, eff)
+		if minC != minC || maxC != maxC { // ±Inf at an infinite cell size
+			return 0, 1
+		}
+		return minC, maxC - minC + 1
+	}
+	// Terminates: at eff = +Inf every coordinate is 0 or NaN, one cell.
+	ix.eff = ix.cell
+	var cols, rows float64
+	for {
+		ix.minCx, cols = span(minX, maxX, ix.eff)
+		ix.minCy, rows = span(minY, maxY, ix.eff)
+		if cols*rows <= budget {
+			break
+		}
+		ix.eff *= 2
+	}
+	ix.cols, ix.rows = int(cols), int(rows)
+
+	need := ix.cols * ix.rows
+	if cap(ix.heads) < need {
+		ix.heads = make([]int32, need)
+	}
+	ix.heads = ix.heads[:need]
+	for b := range ix.heads {
+		ix.heads[b] = -1
+	}
+	if cap(ix.slots) < n {
+		ix.next, ix.prev, ix.slots = make([]int32, n), make([]int32, n), make([]int32, n)
+	}
+	ix.next, ix.prev, ix.slots = ix.next[:n], ix.prev[:n], ix.slots[:n]
+	for i, p := range ix.pts {
+		// Every point is inside the box by construction.
+		ix.push(int32(i), int32(axisOffset(p.Y, ix.eff, ix.minCy, ix.rows)*ix.cols+axisOffset(p.X, ix.eff, ix.minCx, ix.cols)))
+	}
 }
 
-// clampedCellRange returns the cell-coordinate range covering [lo, hi],
-// clamped to the occupied extent on the given axis.
-func clampedCellRange(lo, hi float64, cell float64, minC, maxC int32) (int32, int32) {
-	c0 := int32(math.Floor(lo / cell))
-	c1 := int32(math.Floor(hi / cell))
-	if c0 < minC {
-		c0 = minC
+// push files point i at the front of bucket slot.
+func (ix *Index) push(i, slot int32) {
+	head := ix.heads[slot]
+	ix.next[i], ix.prev[i], ix.slots[i] = head, -1, slot
+	if head >= 0 {
+		ix.prev[head] = i
 	}
-	if c1 > maxC {
-		c1 = maxC
+	ix.heads[slot] = i
+}
+
+// Update moves point i to p, relocating it across buckets when needed. A
+// move that leaves the occupied box lays the index out again over the
+// points' current extent; a move inside it keeps the box, which can thus be
+// wider than the extent — queries stay correct, at worst visiting a few
+// extra empty cells until the next layout.
+func (ix *Index) Update(i int, p geom.Point) {
+	ix.pts[i] = p
+	ox := axisOffset(p.X, ix.eff, ix.minCx, ix.cols)
+	oy := axisOffset(p.Y, ix.eff, ix.minCy, ix.rows)
+	if ox < 0 || oy < 0 {
+		ix.layout()
+		return
 	}
-	return c0, c1
+	slot := int32(oy*ix.cols + ox)
+	if slot == ix.slots[i] {
+		return
+	}
+	before, after := ix.prev[i], ix.next[i]
+	if before >= 0 {
+		ix.next[before] = after
+	} else {
+		ix.heads[ix.slots[i]] = after
+	}
+	if after >= 0 {
+		ix.prev[after] = before
+	}
+	ix.push(int32(i), slot)
 }
 
 // ForCandidates calls fn for every indexed point in the cells overlapping
@@ -144,11 +247,13 @@ func (ix *Index) ForCandidates(p geom.Point, r float64, fn func(i int, q geom.Po
 	if len(ix.pts) == 0 || r < 0 {
 		return
 	}
-	cx0, cx1 := clampedCellRange(p.X-r, p.X+r, ix.cell, ix.minCx, ix.maxCx)
-	cy0, cy1 := clampedCellRange(p.Y-r, p.Y+r, ix.cell, ix.minCy, ix.maxCy)
-	for cy := cy0; cy <= cy1; cy++ {
-		for cx := cx0; cx <= cx1; cx++ {
-			for _, id := range ix.cells[cellKey{cx, cy}] {
+	x0, x1, y0, y1, ok := ix.cellBox(p, r)
+	if !ok {
+		return
+	}
+	for y := y0; y <= y1; y++ {
+		for _, head := range ix.heads[y*ix.cols+x0 : y*ix.cols+x1+1] {
+			for id := head; id >= 0; id = ix.next[id] {
 				if !fn(int(id), ix.pts[id]) {
 					return
 				}
@@ -220,11 +325,13 @@ func (ix *Index) Pairs(dst []Pair, r float64) []Pair {
 	rr := r * r
 	for a, p := range ix.pts {
 		ix.scratch = ix.scratch[:0]
-		cx0, cx1 := clampedCellRange(p.X-r, p.X+r, ix.cell, ix.minCx, ix.maxCx)
-		cy0, cy1 := clampedCellRange(p.Y-r, p.Y+r, ix.cell, ix.minCy, ix.maxCy)
-		for cy := cy0; cy <= cy1; cy++ {
-			for cx := cx0; cx <= cx1; cx++ {
-				for _, id := range ix.cells[cellKey{cx, cy}] {
+		x0, x1, y0, y1, ok := ix.cellBox(p, r)
+		if !ok {
+			continue
+		}
+		for y := y0; y <= y1; y++ {
+			for _, head := range ix.heads[y*ix.cols+x0 : y*ix.cols+x1+1] {
+				for id := head; id >= 0; id = ix.next[id] {
 					if int(id) > a && withinBall(p, ix.pts[id], r, rr) {
 						ix.scratch = append(ix.scratch, id)
 					}

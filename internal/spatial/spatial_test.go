@@ -96,29 +96,107 @@ func TestIndexMatchesBruteForceRandomized(t *testing.T) {
 	}
 }
 
+// checkBucketBudget holds the index to its memory bound: at most 8·n + 1024
+// buckets, whatever extent the points span.
+func checkBucketBudget(t *testing.T, ix *Index) {
+	t.Helper()
+	if got, limit := len(ix.heads), 8*ix.Len()+1024; got > limit {
+		t.Fatalf("%d buckets for %d points (eff cell %g), budget %d", got, ix.Len(), ix.eff, limit)
+	}
+}
+
 // TestIndexUpdateMatchesRebuild moves points one at a time (the world's
 // in-tick pattern) and checks that incremental updates answer queries
-// exactly like a fresh rebuild at every step.
+// exactly like a fresh rebuild and like the brute-force scans at every
+// step: small moves inside the occupied cell box, long walks that leave it
+// (each forcing a re-layout), and two clusters 1e7 m apart at a 1 m cell,
+// where only a coarser effective cell keeps the bucket array bounded.
 func TestIndexUpdateMatchesRebuild(t *testing.T) {
-	rng := simrand.New(7)
-	pts := randomScene(rng, 80)
-	ix := New(25)
-	ix.Rebuild(pts)
-	fresh := New(25)
-	for step := 0; step < 200; step++ {
-		i := rng.Intn(len(pts))
-		pts[i] = pts[i].Add(geom.Pt(rng.Uniform(-40, 40), rng.Uniform(-40, 40)))
-		ix.Update(i, pts[i])
-		fresh.Rebuild(pts)
-		r := rng.Uniform(0, 120)
-		p := pts[rng.Intn(len(pts))]
-		got := ix.Neighbors(nil, p, r)
-		want := fresh.Neighbors(nil, p, r)
-		if !equalInts(got, want) {
-			t.Fatalf("step %d: updated index Neighbors = %v, rebuilt = %v", step, got, want)
+	farApart := func(rng *simrand.Rand, n int) []geom.Point {
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Pt(rng.Uniform(-30, 30), rng.Uniform(-30, 30))
+			if i%2 == 1 {
+				pts[i] = pts[i].Add(geom.Pt(1e7, -1e7))
+			}
 		}
-		if gp, wp := ix.Pairs(nil, r), fresh.Pairs(nil, r); !equalPairs(gp, wp) {
-			t.Fatalf("step %d: updated index Pairs = %v, rebuilt = %v", step, gp, wp)
+		return pts
+	}
+	cases := []struct {
+		name  string
+		cell  float64
+		scene func(*simrand.Rand, int) []geom.Point
+		move  float64 // per-step displacement bound
+		maxR  float64
+	}{
+		{"moves inside the box", 25, randomScene, 40, 120},
+		{"walks leaving the box", 25, randomScene, 3000, 120},
+		{"two clusters 1e7 m apart", 1, farApart, 15, 40},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := simrand.New(7)
+			pts := tc.scene(rng, 80)
+			ix := New(tc.cell)
+			ix.Rebuild(pts)
+			checkBucketBudget(t, ix)
+			fresh := New(tc.cell)
+			for step := 0; step < 200; step++ {
+				i := rng.Intn(len(pts))
+				pts[i] = pts[i].Add(geom.Pt(rng.Uniform(-tc.move, tc.move), rng.Uniform(-tc.move, tc.move)))
+				ix.Update(i, pts[i])
+				checkBucketBudget(t, ix)
+				fresh.Rebuild(pts)
+				r := rng.Uniform(0, tc.maxR)
+				p := pts[rng.Intn(len(pts))]
+				got, want := ix.Neighbors(nil, p, r), bruteNeighbors(pts, p, r)
+				if !equalInts(got, want) {
+					t.Fatalf("step %d: updated index Neighbors = %v, brute = %v", step, got, want)
+				}
+				if rebuilt := fresh.Neighbors(nil, p, r); !equalInts(rebuilt, want) {
+					t.Fatalf("step %d: rebuilt index Neighbors = %v, brute = %v", step, rebuilt, want)
+				}
+				gp, wp := ix.Pairs(nil, r), brutePairs(pts, r)
+				if !equalPairs(gp, wp) {
+					t.Fatalf("step %d: updated index Pairs = %v, brute = %v", step, gp, wp)
+				}
+				if rp := fresh.Pairs(nil, r); !equalPairs(rp, wp) {
+					t.Fatalf("step %d: rebuilt index Pairs = %v, brute = %v", step, rp, wp)
+				}
+			}
+		})
+	}
+}
+
+// TestIndexHostileCoordinates feeds the index coordinates no simulation
+// produces but a corrupt trace could: it must neither panic nor allocate
+// beyond its bucket budget, and must still agree with the brute scans.
+func TestIndexHostileCoordinates(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	pts := []geom.Point{
+		geom.Pt(0, 0), geom.Pt(3, 4), geom.Pt(1e300, -1e300), geom.Pt(-1e300, 5),
+		geom.Pt(inf, 0), geom.Pt(-inf, inf), geom.Pt(nan, 1), geom.Pt(2, nan), geom.Pt(1e18, 1e18),
+	}
+	ix := New(1)
+	ix.Rebuild(pts)
+	checkBucketBudget(t, ix)
+	for _, r := range []float64{0, 5, 1e18, 1e300, inf} {
+		if got, want := ix.Pairs(nil, r), brutePairs(pts, r); !equalPairs(got, want) {
+			t.Errorf("Pairs(%g) = %v, brute = %v", r, got, want)
+		}
+		for _, q := range pts {
+			if got, want := ix.Neighbors(nil, q, r), bruteNeighbors(pts, q, r); !equalInts(got, want) {
+				t.Errorf("Neighbors(%v, %g) = %v, brute = %v", q, r, got, want)
+			}
+		}
+	}
+	// Moving a point onto and off a hostile coordinate keeps the index whole.
+	for _, p := range []geom.Point{geom.Pt(nan, nan), geom.Pt(-inf, 2), geom.Pt(1, 1)} {
+		pts[1] = p
+		ix.Update(1, p)
+		checkBucketBudget(t, ix)
+		if got, want := ix.Neighbors(nil, geom.Pt(0, 0), 6), bruteNeighbors(pts, geom.Pt(0, 0), 6); !equalInts(got, want) {
+			t.Errorf("after Update(1, %v): Neighbors = %v, brute = %v", p, got, want)
 		}
 	}
 }
@@ -180,6 +258,29 @@ func TestIndexEdgeCases(t *testing.T) {
 			pts:  []geom.Point{geom.Pt(-300, -200), geom.Pt(0, 0), geom.Pt(450, 500), geom.Pt(12, -7)},
 			q:    geom.Pt(20, 30),
 			r:    1e9,
+		},
+		{
+			// A radius of ≥ 2³¹ cells used to overflow the int32 cell
+			// conversion before clamping and return nothing.
+			name: "radius of 1e10 cells",
+			cell: 10,
+			pts:  []geom.Point{geom.Pt(0, 0), geom.Pt(35, -20)},
+			q:    geom.Pt(0, 0),
+			r:    1e11,
+		},
+		{
+			name: "radius whose square overflows",
+			cell: 10,
+			pts:  []geom.Point{geom.Pt(0, 0), geom.Pt(35, -20)},
+			q:    geom.Pt(0, 0),
+			r:    1e300,
+		},
+		{
+			name: "infinite radius",
+			cell: 10,
+			pts:  []geom.Point{geom.Pt(0, 0), geom.Pt(35, -20), geom.Pt(-1e6, 3)},
+			q:    geom.Pt(0, 0),
+			r:    math.Inf(1),
 		},
 		{
 			name: "negative coordinates",

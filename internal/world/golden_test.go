@@ -31,9 +31,12 @@ func hashFloats(h hash.Hash, vals ...float64) {
 
 // TestGoldenWorldTrajectory pins the world's behaviour across commits: the
 // hash of every car's (S, V) and every pedestrian's position over 400 ticks,
-// and of every sample a 120-tick CollectDataset produces, must match the
-// committed goldens. A change that is meant to move trajectories or frames
-// re-baselines explicitly with `go test ./internal/world -run Golden -update`.
+// of every sample a 120-tick CollectDataset produces, and of every 50th tick
+// of a 6000-tick run at the paper's traffic population (6 + 50 + 250 — long
+// enough for dozens of route extensions and revisited corners, which the
+// 400-tick run never reaches) must match the committed goldens. A change
+// that is meant to move trajectories or frames re-baselines explicitly with
+// `go test ./internal/world -run Golden -update`.
 func TestGoldenWorldTrajectory(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("goldens are recorded on amd64; fused multiply-add changes float bits elsewhere")
@@ -50,18 +53,34 @@ func TestGoldenWorldTrajectory(t *testing.T) {
 		return w
 	}
 
+	hashState := func(h hash.Hash, w *World) {
+		for _, v := range w.Experts {
+			hashFloats(h, v.S, v.V)
+		}
+		for _, v := range w.Background {
+			hashFloats(h, v.S, v.V)
+		}
+		for _, p := range w.Pedestrians {
+			hashFloats(h, p.Pos.X, p.Pos.Y)
+		}
+	}
+
 	traj := sha256.New()
 	w := spawn(SpawnConfig{Experts: 6, BackgroundCars: 14, Pedestrians: 60})
 	for tick := 0; tick < 400; tick++ {
 		w.Step(0.5)
-		for _, v := range w.Experts {
-			hashFloats(traj, v.S, v.V)
-		}
-		for _, v := range w.Background {
-			hashFloats(traj, v.S, v.V)
-		}
-		for _, p := range w.Pedestrians {
-			hashFloats(traj, p.Pos.X, p.Pos.Y)
+		hashState(traj, w)
+	}
+
+	long := sha256.New()
+	w = spawn(SpawnConfig{Experts: 6, BackgroundCars: 50, Pedestrians: 250})
+	for tick := 1; tick <= 6000; tick++ {
+		w.Step(0.5)
+		if tick%50 == 0 {
+			hashState(long, w)
+			for _, v := range w.Experts {
+				hashFloats(long, v.Route.Length(), float64(len(v.Route.Nodes())))
+			}
 		}
 	}
 
@@ -79,6 +98,7 @@ func TestGoldenWorldTrajectory(t *testing.T) {
 
 	got := map[string]string{
 		"trajectory": hex.EncodeToString(traj.Sum(nil)),
+		"long":       hex.EncodeToString(long.Sum(nil)),
 		"dataset":    hex.EncodeToString(data.Sum(nil)),
 	}
 	if *update {

@@ -225,6 +225,16 @@ func (r *Route) NumTurns() int {
 // RandomWalkRoute generates a roaming route of approximately the given
 // length starting at node start, avoiding immediate U-turns when possible.
 func RandomWalkRoute(m *Map, start NodeID, minLength float64, rng *simrand.Rand) (*Route, error) {
+	nodes, err := randomWalkNodes(m, start, minLength, rng)
+	if err != nil {
+		return nil, err
+	}
+	return NewRoute(m, nodes)
+}
+
+// randomWalkNodes draws RandomWalkRoute's node path: at least two nodes,
+// beginning at start, at least minLength meters of edges.
+func randomWalkNodes(m *Map, start NodeID, minLength float64, rng *simrand.Rand) ([]NodeID, error) {
 	nodes := []NodeID{start}
 	cur := start
 	prev := NodeID(-1)
@@ -253,19 +263,19 @@ func RandomWalkRoute(m *Map, start NodeID, minLength float64, rng *simrand.Rand)
 			return nil, fmt.Errorf("world: random walk failed to reach length %g", minLength)
 		}
 	}
-	return NewRoute(m, nodes)
+	return nodes, nil
 }
 
 // ExtendRandom appends a random continuation of at least extra meters to the
 // route, avoiding an immediate U-turn when possible. The route's arc
 // parameterization is preserved (existing arc lengths remain valid).
 func (r *Route) ExtendRandom(m *Map, extra float64, rng *simrand.Rand) error {
-	tail, err := RandomWalkRoute(m, r.nodes[len(r.nodes)-1], extra, rng)
+	tail, err := randomWalkNodes(m, r.nodes[len(r.nodes)-1], extra, rng)
 	if err != nil {
 		return err
 	}
 	// Drop tail's first node (it duplicates our last) and rebuild.
-	joined := append(append([]NodeID(nil), r.nodes...), tail.nodes[1:]...)
+	joined := append(append([]NodeID(nil), r.nodes...), tail[1:]...)
 	nr, err := NewRoute(m, joined)
 	if err != nil {
 		return err

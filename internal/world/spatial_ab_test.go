@@ -37,12 +37,26 @@ func routedCars(w *World) []*Vehicle {
 	return append(append([]*Vehicle(nil), w.Experts...), w.Background...)
 }
 
+// bruteAheadDistance is the pre-index aheadDistance: it transforms through
+// geom.Frame, a Sincos per point, where production hoists the rotation out
+// of the candidate loop.
+func bruteAheadDistance(frame geom.Frame, p geom.Point, maxDist, corridor float64) float64 {
+	local := frame.ToLocal(p)
+	if local.X <= 0 || local.X > maxDist {
+		return math.Inf(1)
+	}
+	if math.Abs(local.Y) > corridor {
+		return math.Inf(1)
+	}
+	return local.X
+}
+
 // bruteVehicleAhead is the pre-index nearestVehicleAhead.
 func bruteVehicleAhead(w *World, v *Vehicle) float64 {
 	frame := v.Frame()
 	best := math.Inf(1)
 	consider := func(p geom.Point) {
-		if d := aheadDistance(frame, p, followGap+10, 3.0); d < best {
+		if d := bruteAheadDistance(frame, p, followGap+10, 3.0); d < best {
 			best = d
 		}
 	}
@@ -62,7 +76,7 @@ func brutePedestrianAhead(w *World, v *Vehicle) float64 {
 	frame := v.Frame()
 	best := math.Inf(1)
 	for _, p := range w.Pedestrians {
-		if d := aheadDistance(frame, p.Pos, pedSlowGap+6, 2.5); d < best {
+		if d := bruteAheadDistance(frame, p.Pos, pedSlowGap+6, 2.5); d < best {
 			best = d
 		}
 	}
@@ -236,28 +250,131 @@ func TestCollectDatasetSpatialIndexBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWorldQueriesAfterExternalTeleport pins the InvalidateIndex contract:
-// positions mutated outside Step must be visible to queries after an
-// invalidation, matching the brute scans.
-func TestWorldQueriesAfterExternalTeleport(t *testing.T) {
-	w := seededWorld(t, SpawnConfig{Experts: 4, BackgroundCars: 10, Pedestrians: 20})
-	w.Step(0.5) // build + use the index once
-	for _, bg := range w.Background {
-		bg.S += 60
-		if bg.S > bg.Route.Length() {
-			bg.S = bg.Route.Length()
+// checkIndexedPositions fails unless every indexed point is its entity's
+// current position.
+func checkIndexedPositions(t *testing.T, w *World, when string) {
+	t.Helper()
+	if got, want := len(w.idxVehicles), len(w.Experts)+len(w.Background); got != want || w.vehIndex.Len() != want {
+		t.Fatalf("%s: vehicle index holds %d/%d cars, world has %d", when, got, w.vehIndex.Len(), want)
+	}
+	for i, v := range w.idxVehicles {
+		if got, want := w.vehIndex.At(i), v.Pos(); got != want {
+			t.Fatalf("%s: car %d indexed at %v, is at %v", when, v.ID, got, want)
 		}
 	}
-	w.InvalidateIndex()
-	for _, v := range routedCars(w) {
-		probe := v.Pos()
-		if got, want := w.CollisionAt(probe, v.ID), bruteCollisionAt(w, probe, v.ID); got != want {
-			t.Fatalf("CollisionAt(car %d) after teleport: index %v, brute %v", v.ID, got, want)
+	if got, want := w.pedIndex.Len(), len(w.Pedestrians); got != want {
+		t.Fatalf("%s: pedestrian index holds %d walkers, world has %d", when, got, want)
+	}
+	for i, p := range w.Pedestrians {
+		if got := w.pedIndex.At(i); got != p.Pos {
+			t.Fatalf("%s: pedestrian %d indexed at %v, is at %v", when, p.ID, got, p.Pos)
 		}
-		for r := 1.0; r <= 4096; r *= 4 {
-			if got, want := w.anyCarNear(probe, r), bruteAnyCarNear(w, probe, r); got != want {
-				t.Fatalf("anyCarNear(car %d, r=%g) after teleport: index %v, brute %v", v.ID, r, got, want)
+	}
+}
+
+// queryAnswers evaluates the five indexed query kinds for every car and
+// walker of w, in a fixed order.
+func queryAnswers(w *World) []float64 {
+	flag := func(b bool) float64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	var out []float64
+	for _, v := range routedCars(w) {
+		out = append(out, w.nearestVehicleAhead(v), w.nearestPedestrianAhead(v))
+		if arc, ok := v.Route.NextInteriorNode(v.S, yieldLookahead); ok {
+			out = append(out, flag(w.intersectionOccupied(v, v.Route.PosAt(arc))))
+		}
+		out = append(out, flag(w.CollisionAt(v.Pos(), v.ID)))
+	}
+	for _, p := range w.Pedestrians {
+		out = append(out, flag(w.anyCarNear(p.Pos, yieldDistance)))
+	}
+	return out
+}
+
+// TestStepKeepsIndexCurrent pins what lets Step skip its rebuild: after
+// every step each indexed point is its entity's position, and the indices
+// Step has only ever updated answer all five query kinds exactly like
+// freshly rebuilt ones.
+func TestStepKeepsIndexCurrent(t *testing.T) {
+	w := seededWorld(t, SpawnConfig{Experts: 6, BackgroundCars: 14, Pedestrians: 60})
+	for tick := 0; tick < 300; tick++ {
+		w.Step(0.5)
+		checkIndexedPositions(t, w, "after step")
+		kept := queryAnswers(w)
+		keptVeh, keptPed := w.vehIndex, w.pedIndex
+		w.vehIndex, w.pedIndex = nil, nil
+		w.rebuildIndexes() // fresh indices over the same positions
+		rebuilt := queryAnswers(w)
+		w.vehIndex, w.pedIndex = keptVeh, keptPed
+		if !reflect.DeepEqual(kept, rebuilt) {
+			t.Fatalf("tick %d: kept-current indices answer differently from rebuilt ones", tick)
+		}
+	}
+}
+
+// TestWorldQueriesAfterExternalTeleport pins the InvalidateIndex contract:
+// positions mutated outside Step must be visible to queries after an
+// invalidation, matching the brute scans — and to a Step taken after it,
+// which rebuilds instead of trusting the indices it left current.
+func TestWorldQueriesAfterExternalTeleport(t *testing.T) {
+	spawn := SpawnConfig{Experts: 4, BackgroundCars: 10, Pedestrians: 20}
+	teleport := func(w *World) {
+		for _, bg := range w.Background {
+			bg.S = math.Min(bg.S+60, bg.Route.Length())
+		}
+		w.InvalidateIndex()
+	}
+	w := seededWorld(t, spawn)
+	w.Step(0.5) // build + use the index once
+	check := func(when string) {
+		for _, v := range routedCars(w) {
+			probe := v.Pos()
+			if got, want := w.CollisionAt(probe, v.ID), bruteCollisionAt(w, probe, v.ID); got != want {
+				t.Fatalf("CollisionAt(car %d) %s: index %v, brute %v", v.ID, when, got, want)
+			}
+			if got, want := w.nearestVehicleAhead(v), bruteVehicleAhead(w, v); got != want {
+				t.Fatalf("nearestVehicleAhead(car %d) %s: index %v, brute %v", v.ID, when, got, want)
+			}
+			for r := 1.0; r <= 4096; r *= 4 {
+				if got, want := w.anyCarNear(probe, r), bruteAnyCarNear(w, probe, r); got != want {
+					t.Fatalf("anyCarNear(car %d, r=%g) %s: index %v, brute %v", v.ID, r, when, got, want)
+				}
 			}
 		}
 	}
+	teleport(w)
+	check("after teleport")
+	// Teleport again and step with no query in between: Step itself must
+	// honor the invalidation. A twin whose indices a query has already
+	// rebuilt shows what the step should do; were Step to trust the indices
+	// it left current, its in-step queries would see the pre-teleport
+	// positions and the twins would part.
+	twin := seededWorld(t, spawn)
+	twin.Step(0.5)
+	teleport(twin)
+	for round := 0; round < 20; round++ {
+		teleport(w)
+		teleport(twin)
+		twin.anyCarNear(geom.Pt(0, 0), 1) // rebuilds the twin's indices
+		w.Step(0.5)
+		twin.Step(0.5)
+		checkIndexedPositions(t, w, "after teleport + Step")
+		for i, v := range routedCars(w) {
+			if o := routedCars(twin)[i]; v.S != o.S || v.V != o.V {
+				t.Fatalf("round %d car %d: (S, V) = (%v, %v) stepping straight after the teleport, (%v, %v) with the indices rebuilt first",
+					round, v.ID, v.S, v.V, o.S, o.V)
+			}
+		}
+		for i, p := range w.Pedestrians {
+			if o := twin.Pedestrians[i]; p.Pos != o.Pos {
+				t.Fatalf("round %d pedestrian %d: at %v stepping straight after the teleport, %v with the indices rebuilt first",
+					round, p.ID, p.Pos, o.Pos)
+			}
+		}
+	}
+	check("after teleport + Step")
 }

@@ -44,17 +44,22 @@ type World struct {
 	Time float64
 
 	// vehIndex holds routed cars (Experts then Background, parallel to
-	// idxVehicles); pedIndex holds pedestrians. Both are rebuilt at the top
-	// of every Step and updated entity-by-entity as the step advances, so
-	// mid-step queries see exactly the mixed old/new positions a sequential
-	// scan of the entities would. Free agents move outside Step and are
-	// deliberately NOT indexed: every query scans them linearly (there are
-	// at most a handful).
+	// idxVehicles); pedIndex holds pedestrians. Step updates them
+	// entity-by-entity as it advances, so mid-step queries see exactly the
+	// mixed old/new positions a sequential scan of the entities would, and
+	// every step ends with both indices current; they are rebuilt only
+	// after InvalidateIndex or a population change (ensureIndexes). Free
+	// agents move outside Step and are deliberately NOT indexed: every
+	// query scans them linearly (there are at most a handful).
 	vehIndex    *spatial.Index
 	pedIndex    *spatial.Index
 	idxVehicles []*Vehicle
 	ptsScratch  []geom.Point
 	indexBuilt  bool
+
+	// Result buffers of VehiclePositionsNearSeenBy / PedestrianPositionsNear.
+	nearVehicles    []geom.Point
+	nearPedestrians []geom.Point
 }
 
 // SpawnConfig sets the population of a world.
@@ -109,13 +114,16 @@ func New(m *Map, spawn SpawnConfig, rng *simrand.Rand) (*World, error) {
 	return w, nil
 }
 
-// InvalidateIndex discards the spatial indices so the next query rebuilds
-// them. Call it after mutating entity positions outside Step (e.g. teleport
-// adjustments at spawn time); Step itself always rebuilds.
+// InvalidateIndex discards the spatial indices so the next query or Step
+// rebuilds them. Call it after mutating entity positions outside Step (e.g.
+// teleport adjustments at spawn time) or replacing an entity in place: Step
+// keeps the indices current for the moves it makes itself and does not
+// re-read positions it did not change.
 func (w *World) InvalidateIndex() { w.indexBuilt = false }
 
-// ensureIndexes lazily (re)builds the indices before a query. Population
-// growth (entities appended since the last build) also triggers a rebuild.
+// ensureIndexes lazily (re)builds the indices before a query or a step. A
+// population change (entities appended or removed since the last build)
+// also triggers a rebuild.
 func (w *World) ensureIndexes() {
 	if w.indexBuilt &&
 		len(w.idxVehicles) == len(w.Experts)+len(w.Background) &&
@@ -150,13 +158,14 @@ func (w *World) rebuildIndexes() {
 	w.indexBuilt = true
 }
 
-// Step advances every entity by dt seconds. The spatial indices are rebuilt
-// from the pre-step state and then updated entity by entity as each one
-// moves, so the in-step proximity queries (which run while part of the fleet
-// has moved and part has not) see exactly the same mixed state as a
-// sequential scan of the entities would.
+// Step advances every entity by dt seconds. The spatial indices — current
+// on entry, or rebuilt here after an invalidation or population change —
+// are updated entity by entity as each one moves, so the in-step proximity
+// queries (which run while part of the fleet has moved and part has not)
+// see exactly the same mixed state as a sequential scan of the entities
+// would, and the next step finds them current again.
 func (w *World) Step(dt float64) {
-	w.rebuildIndexes()
+	w.ensureIndexes()
 	for i, v := range w.Experts {
 		v.Step(w, dt)
 		w.vehIndex.Update(i, v.Pos())
@@ -207,10 +216,11 @@ func (w *World) VehiclePositionsSeenBy(excludeID int, excludeAgent *FreeAgent) [
 // disc (grid-cell granularity; free agents are always included). It is the
 // BEV culling fast path: callers apply their own exact window test per
 // entity, so a superset changes nothing. Exclusion semantics match
-// VehiclePositionsSeenBy.
+// VehiclePositionsSeenBy. The result aliases a buffer the world reuses: it
+// is valid until the next VehiclePositionsNearSeenBy call on this world.
 func (w *World) VehiclePositionsNearSeenBy(center geom.Point, r float64, excludeID int, excludeAgent *FreeAgent) []geom.Point {
 	w.ensureIndexes()
-	out := make([]geom.Point, 0, 16)
+	out := w.nearVehicles[:0]
 	w.vehIndex.ForCandidates(center, r, func(i int, p geom.Point) bool {
 		if w.idxVehicles[i].ID != excludeID {
 			out = append(out, p)
@@ -222,6 +232,7 @@ func (w *World) VehiclePositionsNearSeenBy(center geom.Point, r float64, exclude
 			out = append(out, a.Pos)
 		}
 	}
+	w.nearVehicles = out
 	return out
 }
 
@@ -236,21 +247,25 @@ func (w *World) PedestrianPositions() []geom.Point {
 
 // PedestrianPositionsNear returns the positions of pedestrians that may lie
 // within radius r of center — a superset at grid-cell granularity, like
-// VehiclePositionsNearSeenBy.
+// VehiclePositionsNearSeenBy, and like it valid until the next
+// PedestrianPositionsNear call on this world (the two use separate buffers,
+// so one result of each can be held at once).
 func (w *World) PedestrianPositionsNear(center geom.Point, r float64) []geom.Point {
 	w.ensureIndexes()
-	out := make([]geom.Point, 0, 16)
+	out := w.nearPedestrians[:0]
 	w.pedIndex.ForCandidates(center, r, func(_ int, p geom.Point) bool {
 		out = append(out, p)
 		return true
 	})
+	w.nearPedestrians = out
 	return out
 }
 
 // aheadDistance returns the forward distance to point p within a driving
 // cone of the frame (ahead up to maxDist, lateral half-width corridor), or
-// +Inf when p is outside the cone.
-func aheadDistance(frame geom.Frame, p geom.Point, maxDist, corridor float64) float64 {
+// +Inf when p is outside the cone. It takes the frame's precomputed form:
+// a cone query builds it once, not once per candidate.
+func aheadDistance(frame geom.LocalFrame, p geom.Point, maxDist, corridor float64) float64 {
 	local := frame.ToLocal(p)
 	if local.X <= 0 || local.X > maxDist {
 		return math.Inf(1)
@@ -264,7 +279,8 @@ func aheadDistance(frame geom.Frame, p geom.Point, maxDist, corridor float64) fl
 // nearestVehicleAhead returns the gap to the closest car in v's driving
 // cone (excluding v itself).
 func (w *World) nearestVehicleAhead(v *Vehicle) float64 {
-	frame := v.Frame()
+	ego := v.Frame()
+	frame := ego.Local()
 	const maxDist, corridor = followGap + 10, 3.0
 	best := math.Inf(1)
 	consider := func(p geom.Point) {
@@ -275,7 +291,7 @@ func (w *World) nearestVehicleAhead(v *Vehicle) float64 {
 	w.ensureIndexes()
 	// Everything in the cone lies within its circumradius of the ego.
 	bound := math.Hypot(maxDist, corridor)
-	w.vehIndex.ForCandidates(frame.Origin, bound, func(i int, p geom.Point) bool {
+	w.vehIndex.ForCandidates(ego.Origin, bound, func(i int, p geom.Point) bool {
 		if w.idxVehicles[i].ID != v.ID {
 			consider(p)
 		}
@@ -290,12 +306,13 @@ func (w *World) nearestVehicleAhead(v *Vehicle) float64 {
 // nearestPedestrianAhead returns the gap to the closest pedestrian in v's
 // caution cone.
 func (w *World) nearestPedestrianAhead(v *Vehicle) float64 {
-	frame := v.Frame()
+	ego := v.Frame()
+	frame := ego.Local()
 	const maxDist, corridor = pedSlowGap + 6, 2.5
 	best := math.Inf(1)
 	w.ensureIndexes()
 	bound := math.Hypot(maxDist, corridor)
-	w.pedIndex.ForCandidates(frame.Origin, bound, func(_ int, p geom.Point) bool {
+	w.pedIndex.ForCandidates(ego.Origin, bound, func(_ int, p geom.Point) bool {
 		if d := aheadDistance(frame, p, maxDist, corridor); d < best {
 			best = d
 		}
@@ -308,7 +325,7 @@ func (w *World) nearestPedestrianAhead(v *Vehicle) float64 {
 // conflict disc around an intersection ahead of v (cars behind v are
 // ignored — they are followers, not crossing traffic).
 func (w *World) intersectionOccupied(v *Vehicle, node geom.Point) bool {
-	frame := v.Frame()
+	frame := v.Frame().Local()
 	occupied := func(p geom.Point) bool {
 		if p.Dist(node) > intersectionR {
 			return false
