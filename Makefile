@@ -66,10 +66,12 @@ bench-compare:
 	$(GO) run ./cmd/bench-compare -hot '$(BENCH_HOT)' -history $(BENCH_HISTORY) \
 		$(BENCH_BASELINE) $(BENCH_JSON)
 
-# CPU profiles of the scan hot paths and of the world in traffic (the
+# CPU profiles of the scan hot paths, of the world in traffic (the
 # fixed-work BenchmarkWorldTick/paper: a fresh 6 + 50 + 250 world stepped
-# 2000 times per op, so two profiles cover the same work), for flame-graph
-# inspection and CI artifacts. Profiles land in bench-profiles/ next to
+# 2000 times per op, so two profiles cover the same work) and of the train
+# step (internal/model's BenchmarkTrainStep on bench-shaped sparse batches,
+# 5000 steps whatever the box's speed), for flame-graph inspection and CI
+# artifacts. Profiles land in bench-profiles/ next to
 # their test binaries (go test needs -o when profiling, so the binary is
 # kept alongside).
 bench-pprof:
@@ -80,6 +82,8 @@ bench-pprof:
 		-cpuprofile bench-profiles/shard.cpu.pprof -o bench-profiles/shard.test ./internal/shard/
 	$(GO) test -run '^$$' -bench 'BenchmarkCandidatePairs' -benchmem \
 		-cpuprofile bench-profiles/core.cpu.pprof -o bench-profiles/core.test ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkTrainStep' -benchtime 5000x -benchmem \
+		-cpuprofile bench-profiles/train.cpu.pprof -o bench-profiles/train.test ./internal/model/
 
 # A 2048-vehicle sharded scan under the race detector: exercises the
 # halo-exchange and per-shard scratch paths at scale without datasets.

@@ -84,13 +84,36 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Policy is the branched driving model. It is not safe for concurrent use.
+// evalChunk is the most rows a forward-only evaluation pushes through the
+// network at once. Rows of a forward pass are independent, so walking a large
+// item list in chunks is bit-identical to one large batch, and it bounds the
+// scratch a policy (and its layers) retains at max(train batch, evalChunk)
+// rows whatever the caller passes.
+const evalChunk = 64
+
+// Policy is the branched driving model. It is not safe for concurrent use:
+// every call works in scratch the policy holds (below), which stays valid
+// only until the policy's next call. Slices a method returns are fresh.
 type Policy struct {
 	cfg    Config
 	trunk  *nn.Sequential
 	heads  [dataset.NumCommands]*nn.Dense
 	opt    *nn.Adam
 	params nn.ParamSet
+
+	// Batch scratch, filled by buildBatch (and by Predict for its one row).
+	x, y    *tensor.Dense
+	cmds    []dataset.Command
+	weights []float64
+	// Forward scratch: the scattered predictions, the sample indices and
+	// gathered trunk rows of each head. headIn is per head because each
+	// head caches its input until TrainStep's backward pass.
+	preds  *tensor.Dense
+	byCmd  [dataset.NumCommands][]int
+	headIn [dataset.NumCommands]*tensor.Dense
+	// TrainStep scratch.
+	perSample                  []float64
+	grad, headGrad, hiddenGrad *tensor.Dense
 }
 
 // New builds a policy with deterministic initialization from seed. All
@@ -167,53 +190,66 @@ func (p *Policy) Clone() *Policy {
 	return cp
 }
 
-// forward runs the batch through trunk and heads, returning per-sample
-// predictions shaped (batch, 2K). byCmd groups sample indices per head so
-// backward can route gradients.
-func (p *Policy) forward(x *tensor.Dense, cmds []dataset.Command) (*tensor.Dense, [dataset.NumCommands][]int) {
-	batch := x.Shape()[0]
-	hidden := p.trunk.Forward(x)
-	var byCmd [dataset.NumCommands][]int
-	for i, c := range cmds {
-		byCmd[c.Index()] = append(byCmd[c.Index()], i)
+// forward runs the batch in p.x, p.cmds through trunk and heads, returning
+// per-sample predictions shaped (batch, 2K) in policy scratch. It leaves the
+// sample indices of each head in p.byCmd so backward can route gradients.
+func (p *Policy) forward() *tensor.Dense {
+	hidden := p.trunk.Forward(p.x)
+	for h := range p.byCmd {
+		p.byCmd[h] = p.byCmd[h][:0]
 	}
-	preds := tensor.New(batch, p.cfg.TargetSize())
-	for h, idxs := range byCmd {
+	for i, c := range p.cmds {
+		p.byCmd[c.Index()] = append(p.byCmd[c.Index()], i)
+	}
+	// Every row belongs to exactly one head, so every row is overwritten.
+	p.preds = tensor.Reuse2D(p.preds, len(p.cmds), p.cfg.TargetSize())
+	for h, idxs := range p.byCmd {
 		if len(idxs) == 0 {
 			continue
 		}
-		sub := gatherRows(hidden, idxs)
-		out := p.heads[h].Forward(sub)
-		scatterRows(preds, out, idxs)
+		p.headIn[h] = gatherRows(p.headIn[h], hidden, idxs)
+		scatterRows(p.preds, p.heads[h].Forward(p.headIn[h]), idxs)
 	}
-	return preds, byCmd
+	return p.preds
 }
 
 // Predict returns the policy's waypoint prediction for one BEV + normalized
 // ego speed + normalized distance-to-maneuver + command. It implements
 // eval.Driver.
 func (p *Policy) Predict(bev []uint8, speed, navDist, redDist float64, cmd dataset.Command) []float64 {
-	flat := make([]float64, p.cfg.InputSize())
-	for i, v := range bev {
-		flat[i] = float64(v)
-	}
-	flat[len(flat)-3] = speed
-	flat[len(flat)-2] = navDist
-	flat[len(flat)-1] = redDist
-	x := tensor.FromSlice(flat, 1, p.cfg.InputSize())
-	preds, _ := p.forward(x, []dataset.Command{cmd})
+	p.x = tensor.Reuse2D(p.x, 1, p.cfg.InputSize())
+	fillInputRow(p.x.Data(), bev, speed, navDist, redDist)
+	p.cmds = append(p.cmds[:0], cmd)
+	preds := p.forward()
 	out := make([]float64, p.cfg.TargetSize())
 	copy(out, preds.Data())
 	return out
 }
 
-func gatherRows(src *tensor.Dense, idxs []int) *tensor.Dense {
-	cols := src.Shape()[1]
-	out := tensor.New(len(idxs), cols)
-	for r, i := range idxs {
-		copy(out.Data()[r*cols:(r+1)*cols], src.Data()[i*cols:(i+1)*cols])
+// fillInputRow writes one network input row: the BEV cells as floats, zero
+// padding up to the scalars should the BEV be short, then the three scalars.
+func fillInputRow(row []float64, bev []uint8, speed, navDist, redDist float64) {
+	for j, v := range bev {
+		row[j] = float64(v)
 	}
-	return out
+	in := len(row)
+	if len(bev) < in-3 {
+		clear(row[len(bev) : in-3])
+	}
+	row[in-3] = speed
+	row[in-2] = navDist
+	row[in-1] = redDist
+}
+
+// gatherRows copies rows idxs of src into dst (reused when it is large
+// enough, see tensor.Reuse2D) and returns it.
+func gatherRows(dst, src *tensor.Dense, idxs []int) *tensor.Dense {
+	cols := src.Shape()[1]
+	dst = tensor.Reuse2D(dst, len(idxs), cols)
+	for r, i := range idxs {
+		copy(dst.Data()[r*cols:(r+1)*cols], src.Data()[i*cols:(i+1)*cols])
+	}
+	return dst
 }
 
 func scatterRows(dst, src *tensor.Dense, idxs []int) {
@@ -223,51 +259,61 @@ func scatterRows(dst, src *tensor.Dense, idxs []int) {
 	}
 }
 
-func buildBatch(cfg Config, items []dataset.Weighted) (*tensor.Dense, *tensor.Dense, []dataset.Command, []float64) {
+// buildBatch fills the policy's batch scratch (p.x, p.y, p.cmds, p.weights)
+// from items.
+func (p *Policy) buildBatch(items []dataset.Weighted) {
 	batch := len(items)
-	in := cfg.InputSize()
-	x := tensor.New(batch, in)
-	y := tensor.New(batch, cfg.TargetSize())
-	cmds := make([]dataset.Command, batch)
-	weights := make([]float64, batch)
+	in, tgt := p.cfg.InputSize(), p.cfg.TargetSize()
+	p.x = tensor.Reuse2D(p.x, batch, in)
+	p.y = tensor.Reuse2D(p.y, batch, tgt)
+	p.cmds, p.weights = p.cmds[:0], p.weights[:0]
 	for i, it := range items {
-		row := x.Data()[i*in : (i+1)*in]
-		for j, v := range it.Sample.BEV {
-			row[j] = float64(v)
-		}
-		row[in-3] = it.Sample.Speed
-		row[in-2] = it.Sample.NavDist
-		row[in-1] = it.Sample.RedDist
-		copy(y.Data()[i*cfg.TargetSize():(i+1)*cfg.TargetSize()], it.Sample.Targets)
-		cmds[i] = it.Sample.Command
-		weights[i] = it.Weight
+		fillInputRow(p.x.Data()[i*in:(i+1)*in], it.Sample.BEV, it.Sample.Speed, it.Sample.NavDist, it.Sample.RedDist)
+		ty := p.y.Data()[i*tgt : (i+1)*tgt]
+		clear(ty[copy(ty, it.Sample.Targets):])
+		p.cmds = append(p.cmds, it.Sample.Command)
+		p.weights = append(p.weights, it.Weight)
 	}
-	return x, y, cmds, weights
 }
 
-// TrainStep performs one optimizer step on the weighted batch and returns
-// the Eq. (6) training loss before the update.
-func (p *Policy) TrainStep(items []dataset.Weighted) float64 {
-	if len(items) == 0 {
-		return 0
-	}
-	x, y, cmds, weights := buildBatch(p.cfg, items)
-	preds, byCmd := p.forward(x, cmds)
-
-	batch := len(items)
+// meanSquaredErrors writes each row's mean squared error between p.preds
+// and p.y into out.
+func (p *Policy) meanSquaredErrors(out []float64) {
 	tgt := p.cfg.TargetSize()
-	perSample := make([]float64, batch)
-	var totalW float64
-	for i := 0; i < batch; i++ {
+	for i := range out {
 		var acc float64
-		pr := preds.Data()[i*tgt : (i+1)*tgt]
-		ty := y.Data()[i*tgt : (i+1)*tgt]
+		pr := p.preds.Data()[i*tgt : (i+1)*tgt]
+		ty := p.y.Data()[i*tgt : (i+1)*tgt]
 		for j := range pr {
 			dv := pr[j] - ty[j]
 			acc += dv * dv
 		}
-		perSample[i] = acc / float64(tgt)
-		totalW += weights[i]
+		out[i] = acc / float64(tgt)
+	}
+}
+
+// TrainStep performs one optimizer step on the weighted batch and returns
+// the Eq. (6) training loss: the risk and σ terms are those of the forward
+// pass, i.e. before the update, but the λ1·‖x‖ term is read after it (moving
+// it would move every train_step event's loss; ROADMAP item 6).
+func (p *Policy) TrainStep(items []dataset.Weighted) float64 {
+	if len(items) == 0 {
+		return 0
+	}
+	p.buildBatch(items)
+	preds := p.forward()
+	y, cmds, weights := p.y, p.cmds, p.weights
+
+	batch := len(items)
+	tgt := p.cfg.TargetSize()
+	if cap(p.perSample) < batch {
+		p.perSample = make([]float64, batch)
+	}
+	perSample := p.perSample[:batch]
+	p.meanSquaredErrors(perSample)
+	var totalW float64
+	for _, w := range weights {
+		totalW += w
 	}
 	if totalW <= 0 {
 		return 0
@@ -280,37 +326,36 @@ func (p *Policy) TrainStep(items []dataset.Weighted) float64 {
 	cmdMult := commandMultipliers(perSample, weights, cmds, p.cfg.EntropyPenalty)
 
 	// dLoss/dPred with per-sample weights folded in.
-	grad := tensor.New(batch, tgt)
+	p.grad = tensor.Reuse2D(p.grad, batch, tgt)
 	for i := 0; i < batch; i++ {
 		w := weights[i] / totalW * cmdMult[cmds[i].Index()]
 		pr := preds.Data()[i*tgt : (i+1)*tgt]
 		ty := y.Data()[i*tgt : (i+1)*tgt]
-		g := grad.Data()[i*tgt : (i+1)*tgt]
+		g := p.grad.Data()[i*tgt : (i+1)*tgt]
 		for j := range pr {
 			g[j] = 2 * w * (pr[j] - ty[j]) / float64(tgt)
 		}
 	}
 
 	p.params.ZeroGrad()
-	hiddenGrad := tensor.New(batch, p.cfg.Hidden)
-	for h, idxs := range byCmd {
+	// As for preds: every row of hiddenGrad is overwritten.
+	p.hiddenGrad = tensor.Reuse2D(p.hiddenGrad, batch, p.cfg.Hidden)
+	for h, idxs := range p.byCmd {
 		if len(idxs) == 0 {
 			continue
 		}
-		sub := gatherRows(grad, idxs)
-		dHidden := p.heads[h].Backward(sub)
-		scatterRows(hiddenGrad, dHidden, idxs)
+		p.headGrad = gatherRows(p.headGrad, p.grad, idxs)
+		scatterRows(p.hiddenGrad, p.heads[h].Backward(p.headGrad), idxs)
 	}
-	p.trunk.Backward(hiddenGrad)
+	// Nothing is upstream of the trunk's first layer: its input gradient —
+	// by far the widest product of the step — has no reader.
+	p.trunk.BackwardParams(p.hiddenGrad)
 	// λ1 term: L2 structural risk enters as weight decay on the gradient.
+	decay := 0.0
 	if p.cfg.L2Penalty > 0 {
-		for _, prm := range p.params {
-			prm.Grad.AxpyInPlace(2*p.cfg.L2Penalty, prm.Value)
-		}
+		decay = 2 * p.cfg.L2Penalty
 	}
-	if p.cfg.GradClip > 0 {
-		nn.ClipGradNorm(p.params, p.cfg.GradClip)
-	}
+	nn.DecayClipGradNorm(p.params, decay, p.cfg.GradClip)
 	p.opt.Step(p.params)
 
 	return p.lossFromPerSample(perSample, weights, cmds)
@@ -318,24 +363,17 @@ func (p *Policy) TrainStep(items []dataset.Weighted) float64 {
 
 // PerSampleLosses evaluates the unpenalized per-sample losses f(x; d) for
 // each item, without touching gradients. Used by coreset layering and value
-// assessment.
+// assessment. The items go through the network evalChunk rows at a time.
 func (p *Policy) PerSampleLosses(items []dataset.Weighted) []float64 {
 	if len(items) == 0 {
 		return nil
 	}
-	x, y, cmds, _ := buildBatch(p.cfg, items)
-	preds, _ := p.forward(x, cmds)
-	tgt := p.cfg.TargetSize()
 	out := make([]float64, len(items))
-	for i := range items {
-		var acc float64
-		pr := preds.Data()[i*tgt : (i+1)*tgt]
-		ty := y.Data()[i*tgt : (i+1)*tgt]
-		for j := range pr {
-			dv := pr[j] - ty[j]
-			acc += dv * dv
-		}
-		out[i] = acc / float64(tgt)
+	for lo := 0; lo < len(items); lo += evalChunk {
+		hi := min(lo+evalChunk, len(items))
+		p.buildBatch(items[lo:hi])
+		p.forward()
+		p.meanSquaredErrors(out[lo:hi])
 	}
 	return out
 }

@@ -22,7 +22,7 @@ type Conv2D struct {
 	cols []*tensor.Dense // cached im2col matrices per sample (reused)
 	// Scratch tensors reused across steps (fully overwritten or explicitly
 	// zeroed per call).
-	out, y, dx, g, dW, dCols, dImg *tensor.Dense
+	out, y, dx, g, dCols, dImg *tensor.Dense
 }
 
 var _ Layer = (*Conv2D)(nil)
@@ -82,36 +82,50 @@ func (c *Conv2D) Forward(x *tensor.Dense) *tensor.Dense {
 	return out
 }
 
+// gradMatrix reassembles sample s of the CHW-flattened grad as a
+// (spatial, outC) matrix in scratch.
+func (c *Conv2D) gradMatrix(grad *tensor.Dense, s int) *tensor.Dense {
+	spatial := c.OutH * c.OutW
+	gd := grad.Data()[s*c.OutSize() : (s+1)*c.OutSize()]
+	c.g = tensor.Reuse2D(c.g, spatial, c.OutC)
+	gdM := c.g.Data()
+	for ch := 0; ch < c.OutC; ch++ {
+		for pos := 0; pos < spatial; pos++ {
+			gdM[pos*c.OutC+ch] = gd[ch*spatial+pos]
+		}
+	}
+	return c.g
+}
+
+// BackwardParams implements Layer.
+func (c *Conv2D) BackwardParams(grad *tensor.Dense) {
+	batch := grad.Shape()[0]
+	spatial := c.OutH * c.OutW
+	bg := c.B.Grad.Data()
+	for s := 0; s < batch; s++ {
+		gd := grad.Data()[s*c.OutSize() : (s+1)*c.OutSize()]
+		for ch := 0; ch < c.OutC; ch++ {
+			for _, gv := range gd[ch*spatial : (ch+1)*spatial] {
+				bg[ch] += gv
+			}
+		}
+		// dW += gᵀ · cols → (outC, inC*k*k)
+		tensor.AddMatMulTransA(c.W.Grad, c.gradMatrix(grad, s), c.cols[s])
+	}
+}
+
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Dense) *tensor.Dense {
+	c.BackwardParams(grad)
 	batch := grad.Shape()[0]
 	c.dx = tensor.Reuse2D(c.dx, batch, c.InSize())
 	dx := c.dx
 	spatial := c.OutH * c.OutW
-	wg := c.W.Grad
-	bg := c.B.Grad.Data()
 	for s := 0; s < batch; s++ {
-		gd := grad.Data()[s*c.OutSize() : (s+1)*c.OutSize()]
-		// Reassemble grad as (spatial, outC).
-		c.g = tensor.Reuse2D(c.g, spatial, c.OutC)
-		g := c.g
-		gdM := g.Data()
-		for ch := 0; ch < c.OutC; ch++ {
-			for pos := 0; pos < spatial; pos++ {
-				gdM[pos*c.OutC+ch] = gd[ch*spatial+pos]
-				bg[ch] += gd[ch*spatial+pos]
-			}
-		}
-		// dW += gᵀ · cols → (outC, inC*k*k)
-		c.dW = tensor.Reuse2D(c.dW, c.OutC, c.InC*c.Kernel*c.Kernel)
-		dW := c.dW
-		tensor.MatMulTransAInto(dW, g, c.cols[s])
-		wg.AddInPlace(dW)
 		// dCols = g · W → (spatial, inC*k*k), then scatter back to image.
 		c.dCols = tensor.Reuse2D(c.dCols, spatial, c.InC*c.Kernel*c.Kernel)
-		dCols := c.dCols
-		tensor.MatMulInto(dCols, g, c.W.Value)
-		c.dImg = tensor.Col2ImInto(c.dImg, dCols, c.InC, c.InH, c.InW, c.Kernel, c.Stride, c.Pad)
+		tensor.MatMulInto(c.dCols, c.gradMatrix(grad, s), c.W.Value)
+		c.dImg = tensor.Col2ImInto(c.dImg, c.dCols, c.InC, c.InH, c.InW, c.Kernel, c.Stride, c.Pad)
 		copy(dx.Data()[s*c.InSize():(s+1)*c.InSize()], c.dImg.Data())
 	}
 	return dx

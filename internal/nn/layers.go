@@ -21,8 +21,15 @@ type Layer interface {
 	// Forward computes the layer output for a batch of inputs.
 	Forward(x *tensor.Dense) *tensor.Dense
 	// Backward receives dLoss/dOutput and returns dLoss/dInput, accumulating
-	// parameter gradients along the way.
+	// (+=, never overwriting) parameter gradients into each Param.Grad along
+	// the way.
 	Backward(grad *tensor.Dense) *tensor.Dense
+	// BackwardParams is Backward for the layer nothing feeds: it leaves
+	// every Param.Grad holding exactly the bits Backward would, and neither
+	// computes nor touches the input gradient. A network's first layer takes
+	// this call — its input gradient is the widest product of the backward
+	// pass and has no reader.
+	BackwardParams(grad *tensor.Dense)
 	// Params returns the layer's trainable parameters (possibly empty).
 	Params() ParamSet
 }
@@ -34,11 +41,10 @@ type Dense struct {
 
 	x *tensor.Dense // cached input
 	// Scratch tensors reused across steps to keep the training hot path
-	// allocation-free: the forward output, the weight-gradient accumulator,
-	// and the input gradient. Reuse is safe because each is fully
-	// overwritten per call and consumed before the next Forward/Backward
-	// on this layer.
-	out, wGrad, dx *tensor.Dense
+	// allocation-free: the forward output and the input gradient. Reuse is
+	// safe because each is fully overwritten per call and consumed before
+	// the next Forward/Backward on this layer.
+	out, dx *tensor.Dense
 }
 
 var _ Layer = (*Dense)(nil)
@@ -77,14 +83,11 @@ func (d *Dense) Forward(x *tensor.Dense) *tensor.Dense {
 	return out
 }
 
-// Backward implements Layer.
-func (d *Dense) Backward(grad *tensor.Dense) *tensor.Dense {
+// BackwardParams implements Layer.
+func (d *Dense) BackwardParams(grad *tensor.Dense) {
 	batch := grad.Shape()[0]
 	// dW += xᵀ·grad
-	d.wGrad = tensor.Reuse2D(d.wGrad, d.In, d.Out)
-	wGrad := d.wGrad
-	tensor.MatMulTransAInto(wGrad, d.x, grad)
-	d.W.Grad.AddInPlace(wGrad)
+	tensor.AddMatMulTransA(d.W.Grad, d.x, grad)
 	// db += column sums of grad
 	bg := d.B.Grad.Data()
 	gd := grad.Data()
@@ -94,11 +97,15 @@ func (d *Dense) Backward(grad *tensor.Dense) *tensor.Dense {
 			bg[j] += gv
 		}
 	}
+}
+
+// Backward implements Layer.
+func (d *Dense) Backward(grad *tensor.Dense) *tensor.Dense {
+	d.BackwardParams(grad)
 	// dx = grad·Wᵀ
-	d.dx = tensor.Reuse2D(d.dx, batch, d.In)
-	dx := d.dx
-	tensor.MatMulTransBInto(dx, grad, d.W.Value)
-	return dx
+	d.dx = tensor.Reuse2D(d.dx, grad.Shape()[0], d.In)
+	tensor.MatMulTransBInto(d.dx, grad, d.W.Value)
+	return d.dx
 }
 
 // Params implements Layer.
@@ -155,6 +162,9 @@ func (r *ReLU) Backward(grad *tensor.Dense) *tensor.Dense {
 	return out
 }
 
+// BackwardParams implements Layer: a ReLU has no parameters.
+func (r *ReLU) BackwardParams(*tensor.Dense) {}
+
 // Params implements Layer.
 func (r *ReLU) Params() ParamSet { return nil }
 
@@ -193,6 +203,9 @@ func (t *Tanh) Backward(grad *tensor.Dense) *tensor.Dense {
 	return out
 }
 
+// BackwardParams implements Layer: a Tanh has no parameters.
+func (t *Tanh) BackwardParams(*tensor.Dense) {}
+
 // Params implements Layer.
 func (t *Tanh) Params() ParamSet { return nil }
 
@@ -222,6 +235,19 @@ func (s *Sequential) Backward(grad *tensor.Dense) *tensor.Dense {
 		grad = s.Layers[i].Backward(grad)
 	}
 	return grad
+}
+
+// BackwardParams implements Layer: the gradient flows back through every
+// layer but the first as in Backward, and the first — whose input is the
+// network's input — accumulates its parameter gradients only.
+func (s *Sequential) BackwardParams(grad *tensor.Dense) {
+	if len(s.Layers) == 0 {
+		return
+	}
+	for i := len(s.Layers) - 1; i >= 1; i-- {
+		grad = s.Layers[i].Backward(grad)
+	}
+	s.Layers[0].BackwardParams(grad)
 }
 
 // Params implements Layer.

@@ -216,7 +216,7 @@ func TestClipGradNorm(t *testing.T) {
 	p := NewParam("w", 2)
 	p.Grad.Data()[0] = 3
 	p.Grad.Data()[1] = 4
-	norm := ClipGradNorm(ParamSet{p}, 1)
+	norm := DecayClipGradNorm(ParamSet{p}, 0, 1)
 	if norm != 5 {
 		t.Errorf("pre-clip norm = %v", norm)
 	}
@@ -228,9 +228,55 @@ func TestClipGradNorm(t *testing.T) {
 		t.Errorf("post-clip norm = %v", math.Sqrt(acc))
 	}
 	// Below the bound: untouched.
-	ClipGradNorm(ParamSet{p}, 10)
+	DecayClipGradNorm(ParamSet{p}, 0, 10)
 	if math.Abs(math.Sqrt(acc)-1) > 1e-9 {
 		t.Error("clip modified in-bound gradient")
+	}
+}
+
+// TestDecayClipGradNormMatchesSeparatePasses: the fused pass leaves the bits
+// of AxpyInPlace, then a sum of squares, then ScaleInPlace; decay 0 leaves a
+// −0 gradient alone and maxNorm 0 never rescales.
+func TestDecayClipGradNormMatchesSeparatePasses(t *testing.T) {
+	build := func() ParamSet {
+		rng := simrand.New(12)
+		ps := ParamSet{NewParam("w", 4, 3), NewParam("b", 3)}
+		for _, p := range ps {
+			for i := range p.Value.Data() {
+				p.Value.Data()[i] = rng.Normal(0, 1)
+				p.Grad.Data()[i] = rng.Normal(0, 2)
+			}
+		}
+		ps[1].Grad.Data()[0] = math.Copysign(0, -1)
+		return ps
+	}
+	for _, c := range []struct{ decay, maxNorm float64 }{{2e-4, 5}, {2e-4, 0.5}, {2e-4, 0}, {0, 0.5}, {0, 0}} {
+		got, want := build(), build()
+		norm := DecayClipGradNorm(got, c.decay, c.maxNorm)
+		var acc float64
+		for _, p := range want {
+			if c.decay != 0 {
+				p.Grad.AxpyInPlace(c.decay, p.Value)
+			}
+			for _, g := range p.Grad.Data() {
+				acc += g * g
+			}
+		}
+		if wantNorm := math.Sqrt(acc); norm != wantNorm {
+			t.Errorf("%+v: norm %v, separate passes %v", c, norm, wantNorm)
+		}
+		if c.maxNorm > 0 && norm > c.maxNorm {
+			for _, p := range want {
+				p.Grad.ScaleInPlace(c.maxNorm / norm)
+			}
+		}
+		for pi := range want {
+			for i, w := range want[pi].Grad.Data() {
+				if g := got[pi].Grad.Data()[i]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Errorf("%+v: %s.Grad[%d] = %v, separate passes %v", c, want[pi].Name, i, g, w)
+				}
+			}
+		}
 	}
 }
 

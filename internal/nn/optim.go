@@ -1,6 +1,9 @@
 package nn
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Optimizer applies accumulated gradients to a parameter set.
 type Optimizer interface {
@@ -58,8 +61,9 @@ type Adam struct {
 	WeightDecay           float64
 
 	t int
-	m map[*Param][]float64
-	v map[*Param][]float64
+	// m and v hold the first and second moments of parameter i of the
+	// ParamSet the first Step was given, at index i.
+	m, v [][]float64
 }
 
 var _ Optimizer = (*Adam)(nil)
@@ -70,26 +74,33 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step implements Optimizer.
+// Step implements Optimizer. The first call binds the optimizer to params:
+// its moments are kept by position, so every later call must pass a set of
+// the same shape in the same order (the same set, in practice) and panics
+// otherwise.
 func (o *Adam) Step(params ParamSet) {
 	if o.m == nil {
-		o.m = make(map[*Param][]float64, len(params))
-		o.v = make(map[*Param][]float64, len(params))
+		o.m = make([][]float64, len(params))
+		o.v = make([][]float64, len(params))
+		for i, p := range params {
+			o.m[i] = make([]float64, p.Value.Size())
+			o.v[i] = make([]float64, p.Value.Size())
+		}
+	}
+	if len(params) != len(o.m) {
+		panic(fmt.Sprintf("nn: Adam is bound to a set of %d parameters, Step got %d", len(o.m), len(params)))
 	}
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
-	for _, p := range params {
+	for pi, p := range params {
 		vd := p.Value.Data()
-		gd := p.Grad.Data()
-		m := o.m[p]
-		v := o.v[p]
-		if m == nil {
-			m = make([]float64, len(vd))
-			v = make([]float64, len(vd))
-			o.m[p] = m
-			o.v[p] = v
+		if len(vd) != len(o.m[pi]) {
+			panic(fmt.Sprintf("nn: Adam is bound to %d elements at parameter %d (%s), Step got %d",
+				len(o.m[pi]), pi, p.Name, len(vd)))
 		}
+		// One length for all four slices: the loop carries no bounds checks.
+		gd, m, v := p.Grad.Data()[:len(vd)], o.m[pi][:len(vd)], o.v[pi][:len(vd)]
 		for i := range vd {
 			g := gd[i] + o.WeightDecay*vd[i]
 			m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
@@ -101,17 +112,31 @@ func (o *Adam) Step(params ParamSet) {
 	}
 }
 
-// ClipGradNorm rescales all gradients so their joint L2 norm is at most
-// maxNorm, returning the pre-clip norm.
-func ClipGradNorm(params ParamSet, maxNorm float64) float64 {
+// DecayClipGradNorm adds decay·value to every gradient (decay == 0 adds
+// nothing, not even a signed zero) and then rescales all gradients so their
+// joint L2 norm is at most maxNorm (maxNorm <= 0 never rescales), returning
+// the norm before rescaling. The decay and the norm share one pass, in the
+// parameter and index order of a separate AxpyInPlace followed by a separate
+// sum of squares, so the bits are theirs.
+func DecayClipGradNorm(params ParamSet, decay, maxNorm float64) float64 {
 	var acc float64
 	for _, p := range params {
-		for _, g := range p.Grad.Data() {
+		gd := p.Grad.Data()
+		if decay == 0 {
+			for _, g := range gd {
+				acc += g * g
+			}
+			continue
+		}
+		vd := p.Value.Data()[:len(gd)]
+		for i, v := range vd {
+			g := gd[i] + decay*v
+			gd[i] = g
 			acc += g * g
 		}
 	}
 	norm := math.Sqrt(acc)
-	if norm > maxNorm && norm > 0 {
+	if maxNorm > 0 && norm > maxNorm {
 		scale := maxNorm / norm
 		for _, p := range params {
 			p.Grad.ScaleInPlace(scale)

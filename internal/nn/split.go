@@ -47,16 +47,28 @@ func (s *SplitTail) Forward(x *tensor.Dense) *tensor.Dense {
 	return out
 }
 
+// innerGradOf copies the columns of grad that belong to the inner layer's
+// output into scratch.
+func (s *SplitTail) innerGradOf(grad *tensor.Dense) *tensor.Dense {
+	batch, outCols := grad.Shape()[0], grad.Shape()[1]
+	innerCols := outCols - s.Tail
+	s.innerGrad = tensor.Reuse2D(s.innerGrad, batch, innerCols)
+	for b := 0; b < batch; b++ {
+		copy(s.innerGrad.Data()[b*innerCols:(b+1)*innerCols], grad.Data()[b*outCols:b*outCols+innerCols])
+	}
+	return s.innerGrad
+}
+
+// BackwardParams implements Layer.
+func (s *SplitTail) BackwardParams(grad *tensor.Dense) {
+	s.Inner.BackwardParams(s.innerGradOf(grad))
+}
+
 // Backward implements Layer.
 func (s *SplitTail) Backward(grad *tensor.Dense) *tensor.Dense {
 	batch, outCols := grad.Shape()[0], grad.Shape()[1]
 	innerCols := outCols - s.Tail
-	s.innerGrad = tensor.Reuse2D(s.innerGrad, batch, innerCols)
-	innerGrad := s.innerGrad
-	for b := 0; b < batch; b++ {
-		copy(innerGrad.Data()[b*innerCols:(b+1)*innerCols], grad.Data()[b*outCols:b*outCols+innerCols])
-	}
-	dHead := s.Inner.Backward(innerGrad)
+	dHead := s.Inner.Backward(s.innerGradOf(grad))
 	headCols := dHead.Shape()[1]
 	inCols := headCols + s.Tail
 	s.dx = tensor.Reuse2D(s.dx, batch, inCols)

@@ -6,5 +6,8 @@
 // and break them for the rest of the scope, and (2) function parameters
 // typed with the concrete trace.Trace or trace.Window outside the trace
 // package — consumers must accept trace.Source so resident and streamed
-// mobility sources stay interchangeable (DESIGN.md §12).
+// mobility sources stay interchangeable (DESIGN.md §12). Narrower checks
+// guard single decisions: DirectCoresetBuilds, HotPathFleetScans, and
+// DiscardedInputGradient (a bare x.Backward(...) statement outside
+// internal/nn computes an input gradient nobody reads).
 package repolint

@@ -391,6 +391,68 @@ func checkHotPathScans(fset *token.FileSet, path string, file *ast.File, finding
 	}
 }
 
+// DiscardedInputGradient parses every non-test .go file under root outside
+// internal/nn and returns one "path:line:col: ..." finding per expression
+// statement that is a bare x.Backward(...) call. Layer.Backward returns
+// dLoss/dInput; a caller that drops it made the layer compute a gradient
+// nobody reads — for a network's first layer the widest product of the whole
+// backward pass — and wants Layer.BackwardParams instead (DESIGN.md §16.2).
+// The check is syntactic: it keys on the method name, not the receiver's
+// type. internal/nn itself (containers chain Backward calls) and _test.go
+// files are exempt.
+func DiscardedInputGradient(root string) ([]string, error) {
+	var findings []string
+	fset := token.NewFileSet()
+	nnPkgDir := filepath.Join("internal", "nn")
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if name == "testdata" || strings.HasPrefix(name, ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		rel, relErr := filepath.Rel(root, path)
+		if relErr != nil {
+			rel = path
+		}
+		if strings.HasPrefix(rel, nnPkgDir+string(filepath.Separator)) {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return fmt.Errorf("parsing %s: %w", path, err)
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			stmt, ok := n.(*ast.ExprStmt)
+			if !ok {
+				return true
+			}
+			call, ok := stmt.X.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Backward" {
+				return true
+			}
+			pos := fset.Position(call.Pos())
+			findings = append(findings, fmt.Sprintf(
+				"%s:%d:%d: Backward's input gradient is discarded; call BackwardParams so it is not computed",
+				rel, pos.Line, pos.Column))
+			return true
+		})
+		return nil
+	})
+	return findings, err
+}
+
 // ModuleRoot walks upward from dir to the enclosing go.mod directory.
 func ModuleRoot(dir string) (string, error) {
 	dir, err := filepath.Abs(dir)

@@ -307,6 +307,68 @@ func (e *engine) trainTick() {
 	}
 }
 
+// TestNoDiscardedInputGradient is the repository-wide assertion: outside
+// internal/nn and tests, nobody calls Backward only to drop the input
+// gradient it returns.
+func TestNoDiscardedInputGradient(t *testing.T) {
+	root, err := ModuleRoot(".")
+	if err != nil {
+		t.Fatalf("ModuleRoot: %v", err)
+	}
+	findings, err := DiscardedInputGradient(root)
+	if err != nil {
+		t.Fatalf("DiscardedInputGradient: %v", err)
+	}
+	for _, f := range findings {
+		t.Error(f)
+	}
+}
+
+// TestDetectsDiscardedInputGradient pins down the statement form the checker
+// must catch — the one Policy.TrainStep had — and the uses it must allow, as
+// well as the internal/nn and _test.go exemptions.
+func TestDetectsDiscardedInputGradient(t *testing.T) {
+	src := `package model
+
+func train(trunk, head layer, g *tensor) {
+	trunk.Backward(g)                // dropped: flagged
+	p.trunk.Backward(hiddenGrad)     // dropped through a field: flagged
+	dHidden := head.Backward(g)      // kept: allowed
+	scatter(head.Backward(g))        // consumed: allowed
+	_ = dHidden
+	trunk.BackwardParams(g)          // the replacement: allowed
+	go trunk.Backward(g)             // not an expression statement: allowed
+}
+`
+	dir := t.TempDir()
+	write := func(rel string) {
+		t.Helper()
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(filepath.Join("internal", "model", "x.go"))
+	write(filepath.Join("internal", "model", "x_test.go"))
+	write(filepath.Join("internal", "nn", "x.go"))
+	findings, err := DiscardedInputGradient(dir)
+	if err != nil {
+		t.Fatalf("DiscardedInputGradient: %v", err)
+	}
+	if len(findings) != 2 {
+		t.Fatalf("got %d findings, want 2:\n%s", len(findings), strings.Join(findings, "\n"))
+	}
+	for i, line := range []string{":4:", ":5:"} {
+		want := filepath.Join("internal", "model", "x.go") + line
+		if !strings.HasPrefix(findings[i], want) {
+			t.Errorf("finding %d = %q, want prefix %q", i, findings[i], want)
+		}
+	}
+}
+
 // TestDetectsShadowingForms pins down the declaration sites the checker
 // must catch, and the ones it must deliberately ignore.
 func TestDetectsShadowingForms(t *testing.T) {

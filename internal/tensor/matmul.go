@@ -62,58 +62,154 @@ func MatMulInto(dst, a, b *Dense) {
 	matMulRows(cd, ad, bd, 0, m, k, n)
 }
 
+// The three GEMM loops below are blocked without moving a bit: every output
+// element still receives exactly the products the one-accumulator loops gave
+// it, in ascending order of the reduction index, through one accumulator.
+// Blocking only changes how many of those products are applied per load and
+// store of the element (axpy4), which output row is resident while they are
+// (MatMulTransAInto), or how many independent elements advance side by side
+// (matMulTransBRows). Splitting the reduction index across accumulators
+// would be faster still and is NOT order-preserving; see DESIGN.md §16.1.
+
 // matMulRows computes rows [lo, hi) of C = A·B.
 func matMulRows(cd, ad, bd []float64, lo, hi, k, n int) {
-	for i := lo * n; i < hi*n; i++ {
-		cd[i] = 0
-	}
-	// ikj loop order: streams through b and c rows sequentially.
 	for i := lo; i < hi; i++ {
-		arow := ad[i*k : (i+1)*k]
 		crow := cd[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := bd[p*n : (p+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
+		clear(crow)
+		gatherAxpy(crow, ad, i*k, 1, k, bd)
+	}
+}
+
+// gatherChunk is how many coefficients gatherAxpy screens for zeros at a
+// time; it sizes a stack buffer that is cleared on every call, so it is small.
+const gatherChunk = 64
+
+// gatherAxpy adds Σ_p a_p·B[p,:] to c for p = 0..k-1 ascending, where
+// a_p = ad[off+p·stride] and B is k×len(c). Coefficients equal to zero are
+// skipped — the BEV input is ≈ 80 % zeros — so a NaN or Inf in a row of B
+// opposite a zero coefficient never enters the sum. The non-zero
+// coefficients are applied four at a time, in order.
+//
+// Zeros are screened a chunk at a time into a list of the reduction indices
+// that survive, written unconditionally and kept by advancing the count, so
+// the screen has no data-dependent branch to mispredict; up to three
+// survivors wait at the head of the list for the next chunk to complete
+// their group of four.
+func gatherAxpy(c, ad []float64, off, stride, k int, bd []float64) {
+	n := len(c)
+	var nz [gatherChunk + 3]int
+	cnt := 0
+	for lo := 0; lo < k; lo += gatherChunk {
+		for p := lo; p < min(lo+gatherChunk, k); p++ {
+			nz[cnt] = p
+			if ad[off+p*stride] != 0 {
+				cnt++
 			}
 		}
+		q := 0
+		for ; q+4 <= cnt; q += 4 {
+			p0, p1, p2, p3 := nz[q], nz[q+1], nz[q+2], nz[q+3]
+			axpy4(c, bd[p0*n:p0*n+n], bd[p1*n:p1*n+n], bd[p2*n:p2*n+n], bd[p3*n:p3*n+n],
+				ad[off+p0*stride], ad[off+p1*stride], ad[off+p2*stride], ad[off+p3*stride])
+		}
+		cnt = copy(nz[:], nz[q:cnt])
+	}
+	switch cnt {
+	case 3:
+		p0, p1, p2 := nz[0], nz[1], nz[2]
+		axpy3(c, bd[p0*n:p0*n+n], bd[p1*n:p1*n+n], bd[p2*n:p2*n+n],
+			ad[off+p0*stride], ad[off+p1*stride], ad[off+p2*stride])
+	case 2:
+		p0, p1 := nz[0], nz[1]
+		axpy2(c, bd[p0*n:p0*n+n], bd[p1*n:p1*n+n], ad[off+p0*stride], ad[off+p1*stride])
+	case 1:
+		p0 := nz[0]
+		axpy1(c, bd[p0*n:p0*n+n], ad[off+p0*stride])
+	}
+}
+
+// axpy4 applies four rank-one terms to c in one pass, in argument order:
+// one load and one store of each c[j] per four multiply-adds, the same sum
+// four axpy1 calls would leave.
+func axpy4(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
+	b0, b1, b2, b3 = b0[:len(c)], b1[:len(c)], b2[:len(c)], b3[:len(c)]
+	for j := range c {
+		c[j] = (((c[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j]
+	}
+}
+
+// axpy3, axpy2 and axpy1 are axpy4 for the last one to three terms of a row.
+func axpy3(c, b0, b1, b2 []float64, a0, a1, a2 float64) {
+	b0, b1, b2 = b0[:len(c)], b1[:len(c)], b2[:len(c)]
+	for j := range c {
+		c[j] = ((c[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]
+	}
+}
+
+func axpy2(c, b0, b1 []float64, a0, a1 float64) {
+	b0, b1 = b0[:len(c)], b1[:len(c)]
+	for j := range c {
+		c[j] = (c[j] + a0*b0[j]) + a1*b1[j]
+	}
+}
+
+func axpy1(c, b []float64, a float64) {
+	b = b[:len(c)]
+	for j := range c {
+		c[j] += a * b[j]
 	}
 }
 
 // MatMulTransAInto computes dst = Aᵀ·B where A is k×m and B is k×n;
-// dst must be m×n. Used for weight gradients.
+// dst must be m×n.
 //
-// This kernel stays serial: its outer loop runs over the shared reduction
-// dimension k, with every iteration accumulating into the whole of dst, so a
-// row split would either race or have to reorder the floating-point
-// accumulation and break bit-determinism.
+// Row i of dst is Σ_p A[p,i]·B[p,:]: the rows are independent and each is
+// finished — p ascending, as ever — while it sits in L1. The kernel stays
+// serial only because no caller's product reaches matMulParallelFlops.
 func MatMulTransAInto(dst, a, b *Dense) {
-	k, m := mustMatrix(a)
+	k, m, n := mustTransA(a, b)
+	for i := 0; i < m; i++ {
+		crow := dst.data[i*n : (i+1)*n]
+		clear(crow)
+		gatherAxpy(crow, a.data, i, m, k, b.data)
+	}
+}
+
+// addRowBuf is the widest product row AddMatMulTransA finishes on the stack;
+// every layer of the policy is narrower.
+const addRowBuf = 256
+
+// AddMatMulTransA computes dst += Aᵀ·B where A is k×m and B is k×n; dst must
+// be m×n. This is how layers accumulate weight gradients. Each row of the
+// product is finished in a row-sized buffer and then added, so dst holds
+// exactly the bits MatMulTransAInto into scratch followed by AddInPlace
+// would leave — including −0 + +0 = +0 where a product row is all zeros —
+// without the scratch matrix or the second pass over it.
+func AddMatMulTransA(dst, a, b *Dense) {
+	k, m, n := mustTransA(a, b)
+	var stack [addRowBuf]float64
+	buf := stack[:]
+	if n > len(buf) {
+		buf = make([]float64, n)
+	}
+	buf = buf[:n]
+	for i := 0; i < m; i++ {
+		clear(buf)
+		gatherAxpy(buf, a.data, i, m, k, b.data)
+		drow := dst.data[i*n : (i+1)*n]
+		for j, v := range buf {
+			drow[j] += v
+		}
+	}
+}
+
+func mustTransA(a, b *Dense) (k, m, n int) {
+	k, m = mustMatrix(a)
 	k2, n := mustMatrix(b)
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: matmulTransA inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
-	cd := dst.data
-	for i := range cd {
-		cd[i] = 0
-	}
-	for p := 0; p < k; p++ {
-		arow := a.data[p*m : (p+1)*m]
-		brow := b.data[p*n : (p+1)*n]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			crow := cd[i*n : (i+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
+	return k, m, n
 }
 
 // MatMulTransBInto computes dst = A·Bᵀ where A is m×k and B is n×k;
@@ -135,13 +231,31 @@ func MatMulTransBInto(dst, a, b *Dense) {
 	matMulTransBRows(cd, ad, bd, 0, m, k, n)
 }
 
-// matMulTransBRows computes rows [lo, hi) of C = A·Bᵀ.
+// matMulTransBRows computes rows [lo, hi) of C = A·Bᵀ, four output columns
+// at a time: each column keeps its own single accumulator over ascending p,
+// so the four dot products are the ones the one-column loop computes, run as
+// four independent dependency chains.
 func matMulTransBRows(cd, ad, bd []float64, lo, hi, k, n int) {
 	for i := lo; i < hi; i++ {
 		arow := ad[i*k : (i+1)*k]
 		crow := cd[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := bd[j*k : (j+1)*k]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := bd[j*k : (j+1)*k][:len(arow)]
+			b1 := bd[(j+1)*k : (j+2)*k][:len(arow)]
+			b2 := bd[(j+2)*k : (j+3)*k][:len(arow)]
+			b3 := bd[(j+3)*k : (j+4)*k][:len(arow)]
+			var s0, s1, s2, s3 float64
+			for p, av := range arow {
+				s0 += av * b0[p]
+				s1 += av * b1[p]
+				s2 += av * b2[p]
+				s3 += av * b3[p]
+			}
+			crow[j], crow[j+1], crow[j+2], crow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			brow := bd[j*k : (j+1)*k][:len(arow)]
 			var acc float64
 			for p, av := range arow {
 				acc += av * brow[p]
