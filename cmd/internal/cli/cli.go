@@ -8,7 +8,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -113,70 +112,36 @@ func (c *Common) Scale() (experiments.Scale, error) {
 	return scale, nil
 }
 
-// OpenTrace opens an LBTC mobility-trace file as an engine-ready source:
-// fully resident when stream is false, or a bounded sliding window that
-// pages chunks on demand when stream is true. The returned closer releases
-// the file handle and must be closed after the run (it is never nil).
-func OpenTrace(path string, stream bool) (trace.Source, io.Closer, error) {
-	if stream {
-		src, closer, err := trace.OpenWindowFile(path, trace.WindowConfig{Prefetch: true})
-		if err != nil {
-			return nil, nil, fmt.Errorf("opening trace window %s: %w", path, err)
-		}
-		return src, closer, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("opening trace: %w", err)
-	}
-	defer f.Close()
-	tr, err := trace.ReadTrace(f)
-	if err != nil {
-		return nil, nil, fmt.Errorf("reading trace %s: %w", path, err)
-	}
-	return tr, nopCloser{}, nil
-}
-
-type nopCloser struct{}
-
-func (nopCloser) Close() error { return nil }
-
-// ApplyTrace resolves -trace-file or -trace-url onto the scale. A file is
-// opened through OpenTrace (resident or windowed per -stream-trace) and
-// installed as the scale's trace source; a URL is dialed once for its
-// stream metadata and recorded as Scale.TraceURL for the experiment layer
-// to page through (remote traces always stream). Either way the scale's
-// vehicle count is taken from the trace — overriding any -vehicles
-// setting, which only sizes recorded traces. The returned closer must be
-// closed after the run; without either flag it is a no-op and the scale is
-// untouched.
-func (c *Common) ApplyTrace(scale *experiments.Scale) (io.Closer, error) {
-	if c.TraceFile != "" && c.TraceURL != "" {
-		return nil, fmt.Errorf("-trace-file and -trace-url are mutually exclusive")
-	}
-	if c.TraceURL != "" {
+// ApplyTrace resolves -trace-file or -trace-url onto the scale. Either
+// source is probed once for its stream metadata — a file through its LBTC
+// header and chunk index, a URL by dialing the chunk server — and recorded
+// as Scale.TracePath or Scale.TraceURL for the experiment layer to open
+// (a file resident or windowed per -stream-trace; remote traces always
+// stream). The scale's vehicle count is taken from the trace — overriding
+// any -vehicles setting, which only sizes recorded traces. Without either
+// flag the scale is untouched.
+func (c *Common) ApplyTrace(scale *experiments.Scale) error {
+	switch {
+	case c.TraceFile != "" && c.TraceURL != "":
+		return fmt.Errorf("-trace-file and -trace-url are mutually exclusive")
+	case c.TraceURL != "":
 		probe, err := traceserve.Dial(c.TraceURL, traceserve.ClientConfig{})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		probe.Close()
 		scale.TraceURL = c.TraceURL
-		scale.Vehicles = probe.NumVehicles()
-		scale.TraceTicks = probe.NumTicks()
-		return nopCloser{}, nil
+		scale.Vehicles, scale.TraceTicks = probe.NumVehicles(), probe.NumTicks()
+	case c.TraceFile != "":
+		probe, err := trace.OpenFileSource(c.TraceFile)
+		if err != nil {
+			return err
+		}
+		probe.Close()
+		scale.TracePath = c.TraceFile
+		scale.Vehicles, scale.TraceTicks = probe.NumVehicles(), probe.NumTicks()
 	}
-	if c.TraceFile == "" {
-		return nopCloser{}, nil
-	}
-	src, closer, err := OpenTrace(c.TraceFile, c.StreamTrace)
-	if err != nil {
-		return nil, err
-	}
-	scale.TraceSource = src
-	scale.TracePath = c.TraceFile
-	scale.Vehicles = src.NumVehicles()
-	scale.TraceTicks = src.NumTicks()
-	return closer, nil
+	return nil
 }
 
 // flagSet reports whether the named flag was given explicitly.

@@ -1,12 +1,17 @@
 package cli
 
 import (
+	"bytes"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"lbchat/internal/experiments"
 	"lbchat/internal/tensor"
+	"lbchat/internal/trace"
 )
 
 // parse registers the shared flags on a fresh flag set and parses args.
@@ -55,8 +60,43 @@ func TestFlagsReachScale(t *testing.T) {
 	}
 }
 
+// writeTrace records a small LBTC stream and returns its bytes.
+func writeTrace(t *testing.T, vehicles, ticks int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	cw := trace.NewChunkWriter(&buf, 0.5, vehicles, 4)
+	for i := 0; i < ticks; i++ {
+		cw.AppendRow()
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestApplyTraceFile pins -trace-file resolution: the file is probed for
+// its fleet size and length and handed to the experiment layer by path.
+func TestApplyTraceFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ok.lbtc")
+	if err := os.WriteFile(path, writeTrace(t, 3, 10), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := parse("-trace-file", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale := experiments.TestScale()
+	if err := c.ApplyTrace(&scale); err != nil {
+		t.Fatal(err)
+	}
+	if scale.TracePath != path || scale.Vehicles != 3 || scale.TraceTicks != 10 {
+		t.Errorf("scale after ApplyTrace: path %q, %d vehicles, %d ticks", scale.TracePath, scale.Vehicles, scale.TraceTicks)
+	}
+}
+
 // TestFlagErrors pins the rejections: an unknown scale, both trace sources
-// at once, and the retired -legacy-due-scan flag.
+// at once, a trace file that is missing, truncated or corrupt (each named
+// in the error), and the retired -legacy-due-scan flag.
 func TestFlagErrors(t *testing.T) {
 	c, err := parse("-scale", "galactic")
 	if err != nil {
@@ -66,13 +106,35 @@ func TestFlagErrors(t *testing.T) {
 		t.Error("unknown -scale accepted")
 	}
 
-	c, err = parse("-trace-file", "a.lbtc", "-trace-url", "http://127.0.0.1:1")
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	good := writeTrace(t, 3, 10)
+	corrupt := append([]byte("XXXX"), good[4:]...)
+	files := map[string][]byte{"truncated.lbtc": good[:len(good)-9], "corrupt.lbtc": corrupt}
+	for name, raw := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	scale := experiments.TestScale()
-	if _, err := c.ApplyTrace(&scale); err == nil {
-		t.Error("-trace-file together with -trace-url accepted")
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string // substring the error must carry
+	}{
+		{"both sources", []string{"-trace-file", "a.lbtc", "-trace-url", "http://127.0.0.1:1"}, "mutually exclusive"},
+		{"missing file", []string{"-trace-file", filepath.Join(dir, "missing.lbtc")}, "missing.lbtc"},
+		{"truncated file", []string{"-trace-file", filepath.Join(dir, "truncated.lbtc")}, "truncated.lbtc"},
+		{"corrupt file", []string{"-trace-file", filepath.Join(dir, "corrupt.lbtc")}, "corrupt.lbtc"},
+	} {
+		c, err := parse(tc.args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scale := experiments.TestScale()
+		if err := c.ApplyTrace(&scale); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
 	}
 
 	if _, err := parse("-legacy-due-scan"); err == nil {

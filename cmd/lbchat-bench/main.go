@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"lbchat/cmd/internal/cli"
-	"lbchat/internal/benchjson"
 	"lbchat/internal/experiments"
 	"lbchat/internal/metrics"
 	"lbchat/internal/tensor"
@@ -50,8 +49,6 @@ var errCanceled = fmt.Errorf("canceled: partial results above")
 func run() error {
 	expFlag := flag.String("exp", "all", "comma-separated experiments: fig2a,fig2b,recvrate,tab2,tab3,tab4,tab5,tab6,tab7,fig3,all; extensions: routeshare,methods,adaptive,hetero,quant,faultsweep; scale workload: fleetscan")
 	speedupFlag := flag.Bool("speedup", false, "measure the -workers speedup vs the serial baseline on one LbChat run, then exit")
-	speedupHistory := flag.String("speedup-history", "", "append the -speedup wall times as one labelled JSONL line to this benchmark history file")
-	speedupLabel := flag.String("speedup-label", "local-speedup", "run label recorded in the -speedup-history entry")
 	vehiclesFlag := flag.Int("vehicles", 0, "fleet size for -exp fleetscan (0 = 2048)")
 	durationFlag := flag.Float64("duration", 0, "virtual seconds for -exp fleetscan (0 = 60)")
 	common := cli.Register(flag.CommandLine)
@@ -61,11 +58,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	traceCloser, err := common.ApplyTrace(&scale)
-	if err != nil {
+	if err := common.ApplyTrace(&scale); err != nil {
 		return err
 	}
-	defer traceCloser.Close()
 	sink, err := common.OpenSink()
 	if err != nil {
 		return err
@@ -109,7 +104,7 @@ func run() error {
 	fmt.Printf("-- environment built in %s\n", time.Since(buildStart).Round(time.Millisecond))
 
 	if *speedupFlag {
-		return measureSpeedup(env, common.Workers, *speedupHistory, *speedupLabel)
+		return measureSpeedup(env, common.Workers)
 	}
 
 	// timed runs one experiment and reports its wall-clock, so scale and
@@ -329,11 +324,8 @@ func timedFleetScan(ctx context.Context, vehicles int, duration float64, common 
 
 // measureSpeedup trains one LbChat fleet serially and again at the
 // configured worker count, verifies the two runs agree bit for bit, and
-// reports the wall-clock ratio. With a history path the two wall times are
-// also appended as one labelled benchmark-history line (the same JSONL
-// bench-compare -history reads), so CI runners with real cores can extend
-// the speedup trend the single-core dev box cannot measure.
-func measureSpeedup(env *experiments.Env, workers int, historyPath, label string) error {
+// reports the wall-clock ratio.
+func measureSpeedup(env *experiments.Env, workers int) error {
 	runOnce := func(w int) (*experiments.ProtocolRun, time.Duration, error) {
 		tensor.SetWorkers(w)
 		e := *env
@@ -366,17 +358,5 @@ func measureSpeedup(env *experiments.Env, workers int, historyPath, label string
 			serialRun.Curve.Final(), parRun.Curve.Final())
 	}
 	fmt.Println("determinism check: serial and parallel runs agree")
-	if historyPath != "" {
-		entry := benchjson.File{
-			"SpeedupLbChatRun/workers=1": {NsOp: float64(serialTime.Nanoseconds())},
-			fmt.Sprintf("SpeedupLbChatRun/workers=%s", cli.WorkersLabel(workers)): {
-				NsOp: float64(parTime.Nanoseconds()),
-			},
-		}
-		if err := benchjson.AppendHistory(historyPath, label, entry); err != nil {
-			return fmt.Errorf("appending speedup history: %w", err)
-		}
-		fmt.Printf("appended %q to %s\n", label, historyPath)
-	}
 	return nil
 }

@@ -48,11 +48,9 @@ func run() error {
 	scale.Vehicles = *vehicles
 	scale.TrainDuration = *duration
 	scale.EvalTrials = *trials
-	traceCloser, err := common.ApplyTrace(&scale)
-	if err != nil {
+	if err := common.ApplyTrace(&scale); err != nil {
 		return err
 	}
-	defer traceCloser.Close()
 
 	ctx, stop := cli.SignalContext()
 	defer stop()

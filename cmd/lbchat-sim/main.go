@@ -55,11 +55,9 @@ func run() error {
 	if *traceTicks > 0 {
 		scale.TraceTicks = *traceTicks
 	}
-	traceCloser, err := common.ApplyTrace(&scale)
-	if err != nil {
+	if err := common.ApplyTrace(&scale); err != nil {
 		return err
 	}
-	defer traceCloser.Close()
 
 	sink, err := common.OpenSink()
 	if err != nil {

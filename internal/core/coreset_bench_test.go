@@ -76,8 +76,9 @@ func benchCoresetEngine(b *testing.B, datasetLen int, mutate func(*Config)) *Eng
 // the steady state of a vehicle that absorbed one peer coreset since its
 // last refresh. Only the dirty tail leaf is rescored (LeafSample=80) and
 // only its root path re-merged; at N=4096 that is 1 of 16 leaves (6.25%
-// dirty), which is where the tree's ≥3x advantage over the full rebuild is
-// gated (ROADMAP: bench-compare hot list).
+// dirty), which is where the tree's ≥3x advantage over the full rebuild
+// shows; the benchmarks/perf ledger re-times the refresh as
+// core.ensure_coreset_{cold,warm}_us.
 func BenchmarkEnsureCoreset(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
 		b.Run(fmt.Sprintf("N=%d/full", n), func(b *testing.B) {

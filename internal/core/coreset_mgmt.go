@@ -76,7 +76,7 @@ func (e *Engine) EnsureCoreset(v *Vehicle) (*coreset.Coreset, error) {
 // vehicle's partition tree, rebuilds the dirty leaves with the current
 // policy's losses, and re-merges only the invalidated tree paths. The
 // emitted CoresetRebuilt event matches the full arm's; the leaf/merge stats
-// flow through the CoresetObserver side channel only, so the event stream
+// flow through the telemetry.Observer side channel only, so the event stream
 // stays identical in shape across arms and worker/shard counts.
 func (e *Engine) refreshCoresetTree(v *Vehicle, size int) (*coreset.Coreset, error) {
 	if v.Tree == nil {
@@ -93,13 +93,10 @@ func (e *Engine) refreshCoresetTree(v *Vehicle, size int) (*coreset.Coreset, err
 	v.Core = cs
 	v.CoreBuiltAt = e.now
 	e.Emit(telemetry.CoresetRebuilt{Time: e.now, Vehicle: v.ID, Size: cs.Len()})
-	if e.coresetObs != nil {
-		e.coresetObs.ObserveCoresetRefresh(telemetry.CoresetRefresh{
-			Vehicle:       v.ID,
-			LeavesRebuilt: stats.LeavesRebuilt,
-			LeavesCached:  stats.LeavesCached,
-			TreeMerges:    stats.TreeMerges,
-		})
+	if e.obs != nil {
+		e.obs.Observe(telemetry.MCoresetLeavesRebuilt, float64(stats.LeavesRebuilt))
+		e.obs.Observe(telemetry.MCoresetLeavesCached, float64(stats.LeavesCached))
+		e.obs.Observe(telemetry.MCoresetTreeMerges, float64(stats.TreeMerges))
 	}
 	return cs, nil
 }

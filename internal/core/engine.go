@@ -129,12 +129,6 @@ type Config struct {
 	// keeps today's single-index path; any value produces bit-identical
 	// results — sharding changes only how the scan is scheduled.
 	Shards int
-	// TraceWindowBehind is the trailing slack (s) a bounded sliding-window
-	// trace source retains behind the engine cursor (DESIGN.md §12). The
-	// engine reserves its own leading span (ContactHorizon + TimeBudget)
-	// automatically; this knob only affects memory, never results, and 0
-	// takes the trace package default. Ignored for resident traces.
-	TraceWindowBehind float64
 	// Model configures the policy architecture.
 	Model model.Config
 }
@@ -309,10 +303,13 @@ type Engine struct {
 	stepObsFn func(i int)
 	probeFn   func(i int)
 
-	// tel and wall cache the configured telemetry sink and its optional
-	// wall-clock side channel; both nil when telemetry is disabled.
-	tel  telemetry.Sink
-	wall telemetry.WallObserver
+	// tel caches the configured telemetry sink and obs its optional side
+	// channel (telemetry.Observer): wall time, shard, calendar, leaf-cache
+	// and chunk statistics go to obs by metric name, never into the event
+	// stream. Both nil when telemetry is disabled; obs nil whenever the sink
+	// only records events.
+	tel telemetry.Sink
+	obs telemetry.Observer
 	// stepScratch carries per-vehicle training outcomes out of the parallel
 	// phase so events are emitted serially in vehicle-index order.
 	stepScratch []stepOutcome
@@ -334,24 +331,14 @@ type Engine struct {
 	freeScratch []int
 	openScratch [][2]int
 	matchTaken  []bool
-	// shardScan replaces spatialIdx for pair enumeration when Cfg.Shards > 1;
-	// shardObs is the telemetry sink's optional per-shard statistics side
-	// channel.
+	// shardScan replaces spatialIdx for pair enumeration when Cfg.Shards > 1.
 	shardScan *shard.Scanner
-	shardObs  telemetry.ShardObserver
 	// grouper batches per-vehicle phase work (train steps, probe
 	// evaluations) by owning grid region when Cfg.Shards > 1, using the same
-	// region geometry as shardScan; schedObs is the sink's optional
-	// scheduling-statistics side channel, and lossScratch the reused
-	// per-vehicle loss buffer probe evaluation reduces from in id order.
+	// region geometry as shardScan; lossScratch is the reused per-vehicle
+	// loss buffer probe evaluation reduces from in id order.
 	grouper     *shard.Grouper
-	schedObs    telemetry.SchedObserver
 	lossScratch []float64
-	// coresetObs is the telemetry sink's optional incremental-refresh side
-	// channel: leaf rebuild/cache and tree-merge counts flow through it,
-	// never the event stream, so both coreset arms emit identical event
-	// kinds.
-	coresetObs telemetry.CoresetObserver
 }
 
 // stepOutcome is one vehicle's training work within one tick.
@@ -399,18 +386,7 @@ func NewEngine(cfg Config, tr trace.Source, datasets []*dataset.Dataset, rm *rad
 	e.stepObsFn = e.stepDueObserved
 	e.probeFn = e.probeOne
 	e.calendar = sched.NewCalendar(len(datasets))
-	if w, ok := e.tel.(telemetry.WallObserver); ok {
-		e.wall = w
-	}
-	if o, ok := e.tel.(telemetry.ShardObserver); ok {
-		e.shardObs = o
-	}
-	if o, ok := e.tel.(telemetry.CoresetObserver); ok {
-		e.coresetObs = o
-	}
-	if o, ok := e.tel.(telemetry.SchedObserver); ok {
-		e.schedObs = o
-	}
+	e.obs, _ = e.tel.(telemetry.Observer)
 	if e.tel != nil {
 		e.contactOpen = make(map[[2]int]float64)
 	}
@@ -418,20 +394,11 @@ func NewEngine(cfg Config, tr trace.Source, datasets []*dataset.Dataset, rm *rad
 		// The engine's deepest lookahead past the cursor: a contact scan
 		// reaches ContactHorizon ahead and an in-flight transfer samples
 		// distances up to its deadline (≤ TimeBudget) past its start, with
-		// one tick of slack for the snap-to-tick clamp.
-		w.Reserve(cfg.TraceWindowBehind, cfg.ContactHorizon+cfg.TimeBudget+cfg.TickSeconds)
-		if obs, ok := e.tel.(telemetry.TraceObserver); ok {
-			w.SetChunkObserver(func(op trace.ChunkOp) {
-				obs.ObserveTraceChunk(telemetry.TraceChunk{
-					Op:       op.Kind.String(),
-					Chunk:    op.Chunk,
-					Ticks:    op.Ticks,
-					Resident: op.Resident,
-					Depth:    op.Depth,
-					Retries:  op.Retries,
-					WaitNs:   op.WaitNs,
-				})
-			})
+		// one tick of slack for the snap-to-tick clamp. The trailing span
+		// keeps the window's own default.
+		w.Reserve(0, cfg.ContactHorizon+cfg.TimeBudget+cfg.TickSeconds)
+		if e.obs != nil {
+			w.SetChunkObserver(e.observeChunk)
 		}
 		if err := w.Advance(0); err != nil {
 			return nil, fmt.Errorf("core: loading initial trace window: %w", err)
@@ -657,13 +624,12 @@ func (e *Engine) workers() int { return parallel.Resolve(e.Cfg.Workers) }
 func (e *Engine) rangePairs(pts []geom.Point, r float64) []spatial.Pair {
 	if e.shardScan != nil {
 		e.pairScratch = e.shardScan.Scan(e.pairScratch[:0], pts, r)
-		if e.shardObs != nil {
-			stats := e.shardScan.Stats()
-			for i, st := range stats {
-				e.shardObs.ObserveShardScan(telemetry.ShardScan{
-					Shard: i, Shards: len(stats),
-					Locals: st.Locals, Guests: st.Guests, Pairs: st.Pairs,
-				})
+		if e.obs != nil {
+			for _, st := range e.shardScan.Stats() {
+				e.obs.Observe(telemetry.MShardScans, 1)
+				e.obs.Observe(telemetry.MShardPairs, float64(st.Pairs))
+				e.obs.Observe(telemetry.MShardGuests, float64(st.Guests))
+				e.obs.Observe(telemetry.MShardLocals, float64(st.Locals))
 			}
 		}
 		return e.pairScratch
@@ -789,13 +755,13 @@ func (e *Engine) stepDue(i int) {
 }
 
 // stepDueObserved is stepDue recording the vehicle's outcome (and wall
-// time, when a wall observer is attached) into index-addressed stepScratch
-// for trainTick's serial emission pass.
+// time, when the sink observes) into index-addressed stepScratch for
+// trainTick's serial emission pass.
 func (e *Engine) stepDueObserved(i int) {
 	v := e.Vehicles[e.dueIDs[i]]
 	var out stepOutcome
 	var start time.Time
-	if e.wall != nil {
+	if e.obs != nil {
 		start = time.Now()
 	}
 	for v.nextTrain <= e.now {
@@ -806,7 +772,7 @@ func (e *Engine) stepDueObserved(i int) {
 		}
 		v.nextTrain += e.Cfg.TrainInterval
 	}
-	if e.wall != nil {
+	if e.obs != nil {
 		out.wallNs = time.Since(start).Nanoseconds()
 	}
 	e.stepScratch[i] = out
@@ -820,9 +786,7 @@ func (e *Engine) trainTick() {
 	due, buckets := e.calendarDue(e.dueIDs[:0])
 	e.dueIDs = due
 	if len(due) == 0 {
-		if e.schedObs != nil {
-			e.schedObs.ObserveSchedTick(telemetry.SchedTick{BucketsTouched: buckets})
-		}
+		e.observeSched(0, buckets, 0)
 		return
 	}
 	// With telemetry on, the parallel phase records each vehicle's outcome
@@ -830,26 +794,21 @@ func (e *Engine) trainTick() {
 	// vehicle-index order so the stream is identical at every worker count.
 	// The two phase bodies are pre-bound methods (stepFn/stepObsFn), not
 	// per-tick closures, so a quiet tick allocates nothing.
-	observe := e.tel != nil || e.wall != nil
 	fn := e.stepFn
-	if observe {
+	if e.tel != nil {
 		if cap(e.stepScratch) < len(due) {
 			e.stepScratch = make([]stepOutcome, len(due))
 		}
 		fn = e.stepObsFn
 	}
 	batches := e.dispatchPhase(due, fn)
-	if e.schedObs != nil {
-		e.schedObs.ObserveSchedTick(telemetry.SchedTick{
-			DueDequeued: len(due), BucketsTouched: buckets, ShardBatches: batches,
-		})
-	}
+	e.observeSched(len(due), buckets, batches)
 	// Re-enqueue each stepped vehicle at its next due tick, serially — the
 	// wheel is single-writer scratch like every engine index.
 	for _, id := range due {
 		e.calendar.Schedule(id, e.reDueTick(e.Vehicles[id].nextTrain))
 	}
-	if !observe {
+	if e.tel == nil {
 		return
 	}
 	for i, id := range due {
@@ -857,13 +816,45 @@ func (e *Engine) trainTick() {
 		if out.steps == 0 {
 			continue
 		}
-		if e.tel != nil {
-			e.tel.Emit(telemetry.TrainStep{Time: e.now, Vehicle: e.Vehicles[id].ID, Steps: out.steps, Loss: out.loss})
-		}
-		if e.wall != nil {
-			e.wall.ObserveTrainWall(out.wallNs)
+		e.tel.Emit(telemetry.TrainStep{Time: e.now, Vehicle: e.Vehicles[id].ID, Steps: out.steps, Loss: out.loss})
+		if e.obs != nil {
+			e.obs.Observe(telemetry.MTrainWallNs, float64(out.wallNs))
 		}
 	}
+}
+
+// observeSched reports one dispatch's calendar and batching work — due
+// vehicles popped, wheel buckets examined, shard-major batches run — to the
+// side channel; a quiet tick still reports its (zero) counts.
+func (e *Engine) observeSched(due, buckets, batches int) {
+	if e.obs == nil {
+		return
+	}
+	e.obs.Observe(telemetry.MSchedDueDequeued, float64(due))
+	e.obs.Observe(telemetry.MSchedBucketsTouched, float64(buckets))
+	e.obs.Observe(telemetry.MSchedShardBatches, float64(batches))
+}
+
+// observeChunk is the trace window's chunk callback: loads, evicts and
+// prefetch issues with the retained chunk count after each, and a remote
+// source's retries and blocking fetch waits when there were any.
+func (e *Engine) observeChunk(op trace.ChunkOp) {
+	switch op.Kind {
+	case trace.OpLoad:
+		e.obs.Observe(telemetry.MTraceLoads, 1)
+		if op.Retries > 0 {
+			e.obs.Observe(telemetry.MTraceFetchRetries, float64(op.Retries))
+		}
+		if op.WaitNs > 0 {
+			e.obs.Observe(telemetry.MTraceFetchWaitNs, float64(op.WaitNs))
+		}
+	case trace.OpEvict:
+		e.obs.Observe(telemetry.MTraceEvicts, 1)
+	case trace.OpPrefetch:
+		e.obs.Observe(telemetry.MTracePrefetches, 1)
+		e.obs.Observe(telemetry.MTracePrefetchDepth, float64(op.Depth))
+	}
+	e.obs.Observe(telemetry.MTraceResident, float64(op.Resident))
 }
 
 // probeLossMean evaluates every vehicle on the probe set (in parallel — the
@@ -878,8 +869,8 @@ func (e *Engine) probeLossMean() float64 {
 	}
 	losses := e.lossScratch[:n]
 	batches := e.dispatchPhase(e.allIDs, e.probeFn)
-	if e.schedObs != nil && batches > 0 {
-		e.schedObs.ObserveSchedTick(telemetry.SchedTick{ShardBatches: batches})
+	if batches > 0 {
+		e.observeSched(0, 0, batches)
 	}
 	var sum float64
 	for _, l := range losses {

@@ -39,8 +39,8 @@ func benchEngine(b *testing.B, n int) *Engine {
 }
 
 // BenchmarkCandidatePairs measures per-tick pair enumeration through the
-// spatial index at scaled fleet sizes. BENCH_*.json tracks it so
-// cmd/bench-compare catches regressions.
+// spatial index at scaled fleet sizes; the benchmarks/perf ledger re-times
+// it as core.candidate_pairs_us.
 func BenchmarkCandidatePairs(b *testing.B) {
 	score := func(a, c int) float64 { return 1 }
 	for _, n := range []int{16, 64, 256} {

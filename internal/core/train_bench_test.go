@@ -56,8 +56,8 @@ func benchTrainEngine(b *testing.B, n int, trainInterval float64) *Engine {
 // calendar queue at scaled fleet sizes, at a sparse (1% due) and a dense
 // (100% due) tick mix. The sparse arm is the headline number — empty and
 // lightly-due ticks are the common case, and the wheel makes them O(due)
-// instead of O(fleet). BENCH_*.json tracks both so cmd/bench-compare catches
-// regressions on either.
+// instead of O(fleet). The benchmarks/perf ledger re-times the wheel as
+// sched.calendar_cycle_ns beside fleet-scan's core.tick_ms_p50.
 func BenchmarkTrainTick(b *testing.B) {
 	for _, n := range []int{1024, 10240} {
 		for _, due := range []struct {

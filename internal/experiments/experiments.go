@@ -76,17 +76,11 @@ type Scale struct {
 	// (e.g. a worldgen -trace-out recording) instead of recording one from
 	// the world. The file's vehicle count must match Vehicles.
 	TracePath string
-	// TraceSource, when non-nil, is a pre-opened mobility source supplied
-	// by the caller (cli.OpenTrace); it overrides recording and TracePath
-	// loading. Streamed runs still reopen fresh windows from TracePath,
-	// since a window's cursor only moves forward.
-	TraceSource trace.Source
 	// TraceURL, when set, pages the mobility trace from a remote chunk
 	// server (cmd/trace-serve) at this base URL instead of a local file.
 	// Remote traces always stream — each run gets a fresh window over a
-	// shared retrying client — and take precedence over TraceSource and
-	// TracePath. Results are bit-identical to the resident and
-	// local-streamed paths.
+	// shared retrying client — and take precedence over TracePath. Results
+	// are bit-identical to the resident and local-streamed paths.
 	TraceURL string
 }
 
@@ -192,77 +186,67 @@ func envWindowConfig() trace.WindowConfig {
 	return trace.WindowConfig{Prefetch: true}
 }
 
-// buildTrace resolves the scale's mobility-trace source: a remote chunk
-// server, a caller-supplied source, an LBTC file, or a recording from the
-// world (resident, or spilled to a temporary stream when the scale
-// streams). It returns the env fields it populates.
-func buildTrace(scale Scale, w *world.World) (src trace.Source, streamPath string, owns bool, closer io.Closer, remote *traceserve.Client, err error) {
-	switch {
-	case scale.TraceURL != "":
-		remote, err = traceserve.Dial(scale.TraceURL, traceserve.ClientConfig{})
+// buildTrace resolves the scale's mobility-trace source into env: a remote
+// chunk server, an LBTC file, or a recording from the world (resident, or
+// spilled to a temporary stream when the scale streams). On error the
+// caller closes env, which releases whatever was opened before the failure.
+func buildTrace(env *Env, w *world.World) error {
+	scale := env.Scale
+	if scale.TraceURL != "" {
+		remote, err := traceserve.Dial(scale.TraceURL, traceserve.ClientConfig{})
 		if err != nil {
-			return nil, "", false, nil, nil, fmt.Errorf("experiments: dialing trace server: %w", err)
+			return fmt.Errorf("experiments: dialing trace server: %w", err)
 		}
 		win := trace.NewWindowSource(remote, envWindowConfig())
 		// The window's own Close drains its prefetches; the shared client
 		// is released by Env.Close after every window is done.
-		src, closer = win, win
-	case scale.TraceSource != nil:
-		src = scale.TraceSource
-		if scale.StreamTrace {
-			streamPath = scale.TracePath
+		env.remote, env.Trace, env.traceCloser = remote, win, win
+		return nil
+	}
+	if scale.TracePath != "" && !scale.StreamTrace {
+		f, err := os.Open(scale.TracePath)
+		if err != nil {
+			return fmt.Errorf("experiments: opening trace: %w", err)
 		}
-	case scale.TracePath != "":
-		if scale.StreamTrace {
-			var win *trace.Window
-			win, closer, err = trace.OpenWindowFile(scale.TracePath, envWindowConfig())
-			if err != nil {
-				return nil, "", false, nil, nil, fmt.Errorf("experiments: opening trace window: %w", err)
-			}
-			src, streamPath = win, scale.TracePath
-		} else {
-			f, ferr := os.Open(scale.TracePath)
-			if ferr != nil {
-				return nil, "", false, nil, nil, fmt.Errorf("experiments: opening trace: %w", ferr)
-			}
-			tr, rerr := trace.ReadTrace(f)
-			f.Close()
-			if rerr != nil {
-				return nil, "", false, nil, nil, fmt.Errorf("experiments: reading trace %s: %w", scale.TracePath, rerr)
-			}
-			src = tr
+		defer f.Close()
+		tr, err := trace.ReadTrace(f)
+		if err != nil {
+			return fmt.Errorf("experiments: reading trace %s: %w", scale.TracePath, err)
 		}
-	case scale.StreamTrace:
+		env.Trace = tr
+		return nil
+	}
+	if !scale.StreamTrace {
+		env.Trace = trace.Record(w, scale.TraceTicks, 0.5)
+		return nil
+	}
+	env.streamPath = scale.TracePath
+	if env.streamPath == "" {
 		// Record through a ChunkWriter straight to a temporary spill so
 		// the full trace is never resident, then open a window over it.
-		f, ferr := os.CreateTemp("", "lbchat-trace-*.lbtc")
-		if ferr != nil {
-			return nil, "", false, nil, nil, fmt.Errorf("experiments: creating trace spill: %w", ferr)
-		}
-		streamPath, owns = f.Name(), true
-		cw := trace.NewChunkWriter(f, 0.5, len(w.Experts), trace.DefaultChunkTicks)
-		recErr := trace.RecordStream(w, scale.TraceTicks, 0.5, cw)
-		if cerr := cw.Close(); recErr == nil {
-			recErr = cerr
-		}
-		if cerr := f.Close(); recErr == nil {
-			recErr = cerr
-		}
-		if recErr != nil {
-			os.Remove(streamPath)
-			return nil, "", false, nil, nil, fmt.Errorf("experiments: spilling trace: %w", recErr)
-		}
-		var win *trace.Window
-		win, closer, err = trace.OpenWindowFile(streamPath, envWindowConfig())
+		f, err := os.CreateTemp("", "lbchat-trace-*.lbtc")
 		if err != nil {
-			os.Remove(streamPath)
-			return nil, "", false, nil, nil, fmt.Errorf("experiments: reopening trace spill: %w", err)
+			return fmt.Errorf("experiments: creating trace spill: %w", err)
 		}
-		src = win
-	default:
-		src = trace.Record(w, scale.TraceTicks, 0.5)
+		env.streamPath, env.ownsStream = f.Name(), true
+		cw := trace.NewChunkWriter(f, 0.5, len(w.Experts), trace.DefaultChunkTicks)
+		err = trace.RecordStream(w, scale.TraceTicks, 0.5, cw)
+		if cerr := cw.Close(); err == nil {
+			err = cerr
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("experiments: spilling trace: %w", err)
+		}
 	}
-	return src, streamPath, owns, closer, remote, nil
+	win, closer, err := trace.OpenWindowFile(env.streamPath, envWindowConfig())
+	if err != nil {
+		return fmt.Errorf("experiments: opening trace window: %w", err)
+	}
+	env.Trace, env.traceCloser = win, closer
+	return nil
 }
 
 // BuildEnv constructs the workload: generate the map, spawn the fleet,
@@ -295,19 +279,15 @@ func BuildEnv(scale Scale) (*Env, error) {
 	// drive encounters; we keep stepping the same world. RecordStream spills
 	// the identical positions when the scale streams, so streamed and
 	// resident envs see the same trajectories bit for bit.
-	tr, streamPath, owns, closer, remote, err := buildTrace(scale, w)
-	if err != nil {
+	env := &Env{Scale: scale, Map: m, Cfg: cfg, datasets: datasets}
+	if err := buildTrace(env, w); err != nil {
+		env.Close()
 		return nil, err
 	}
-	env := &Env{
-		Scale: scale, Map: m, Trace: tr, Cfg: cfg, datasets: datasets,
-		streamPath: streamPath, ownsStream: owns, traceCloser: closer,
-		remote: remote,
-	}
-	if tr.NumVehicles() != scale.Vehicles {
+	if n := env.Trace.NumVehicles(); n != scale.Vehicles {
 		env.Close()
 		return nil, fmt.Errorf("experiments: trace has %d vehicles, scale %s wants %d",
-			tr.NumVehicles(), scale.Name, scale.Vehicles)
+			n, scale.Name, scale.Vehicles)
 	}
 	probe, err := eval.ProbeSet(m, bev.DefaultConfig(), cfg.Model.NumWaypoints, scale.ProbeFrames, scale.Seed+1000)
 	if err != nil {

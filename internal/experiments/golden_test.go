@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -9,8 +10,11 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
+	"lbchat/internal/core"
 	"lbchat/internal/telemetry"
 )
 
@@ -120,5 +124,54 @@ func TestGoldenEventStreams(t *testing.T) {
 		if want[key] != sum {
 			t.Errorf("%s hash = %s, golden %s", key, sum, want[key])
 		}
+	}
+}
+
+const goldenSummaryPath = "testdata/golden_summary.csv"
+
+// clockFedMetrics are the Summary rows the wall clock feeds — per-vehicle
+// train time, and the prefetch pipeline whose depth adapts to measured fetch
+// latency — so they differ run to run and stay out of the golden.
+var clockFedMetrics = []string{
+	telemetry.MTrainWallNs, telemetry.MTracePrefetches, telemetry.MTracePrefetchDepth,
+	telemetry.MTraceResident, telemetry.MTraceFetchWaitNs,
+}
+
+// TestGoldenSummaryRegistry pins the aggregate side of a run across commits:
+// the Summary registry of one lossy LbChat run at Shards=2 over a streamed
+// trace — every event-fed counter and histogram plus the shard, sched,
+// coreset-tree and chunk load/evict side-channel rows — must render the
+// committed CSV once the clock-fed rows are dropped. TestGoldenEventStreams
+// cannot see this half: side-channel values never reach the event stream.
+func TestGoldenSummaryRegistry(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("goldens are recorded on amd64; fused multiply-add changes float bits elsewhere")
+	}
+	run, err := getStreamedEnv(t).RunProtocol(ProtoLbChat, false, func(c *core.Config) { c.Shards = 2 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv bytes.Buffer
+	if err := run.Comm.Reg.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	for _, row := range bytes.SplitAfter(csv.Bytes(), []byte{'\n'}) {
+		if f := strings.SplitN(string(row), ",", 3); len(f) < 2 || !slices.Contains(clockFedMetrics, f[1]) {
+			got = append(got, row...)
+		}
+	}
+	if *update {
+		if err := os.WriteFile(goldenSummaryPath, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenSummaryPath)
+	if err != nil {
+		t.Fatalf("reading golden (record it with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("summary registry moved:\ngot:\n%s\ngolden:\n%s", got, want)
 	}
 }

@@ -57,10 +57,8 @@ type Spec struct {
 	// experiments (protocol, fig2, fig3, methods, adaptive, hetero, quant).
 	// The tables fix their own regimes.
 	Lossless bool
-	// ScaleName resolves via ScaleByName ("" = bench). Ignored when Scale
-	// or Env is set.
-	ScaleName string
-	// Scale overrides ScaleName with an explicit scale.
+	// Scale is the scale to build the environment at (nil = BenchScale).
+	// Ignored when Env is set.
 	Scale *Scale
 	// Seed, Vehicles, Duration, Workers and Shards, when non-zero, override
 	// the resolved scale's fields (Workers=1 forces the serial paths;
@@ -70,15 +68,6 @@ type Spec struct {
 	Duration float64
 	Workers  int
 	Shards   int
-	// FullCoresetRebuild selects the full Algorithm-1 coreset rebuild arm
-	// instead of the default incremental partition tree
-	// (Scale.FullCoresetRebuild). Ignored when Env is set.
-	FullCoresetRebuild bool
-	// StreamTrace drives engine runs from a bounded sliding-window trace
-	// source (Scale.StreamTrace); TracePath loads the mobility trace from
-	// an LBTC file (Scale.TracePath). Both are ignored when Env is set.
-	StreamTrace bool
-	TracePath   string
 	// Telemetry, when non-nil, receives every run's full event stream in
 	// deterministic order (see Env.Telemetry). The caller owns Close.
 	Telemetry telemetry.Sink
@@ -119,13 +108,13 @@ type Result struct {
 	Env *Env
 }
 
-// ScaleByName resolves the named experiment scale: "test", "bench" (also
-// ""), or "full".
+// ScaleByName resolves the named experiment scale: "test", "bench", or
+// "full".
 func ScaleByName(name string) (Scale, error) {
 	switch name {
 	case "test":
 		return TestScale(), nil
-	case "bench", "":
+	case "bench":
 		return BenchScale(), nil
 	case "full":
 		return FullScale(), nil
@@ -150,14 +139,9 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	}
 	env := spec.Env
 	if env == nil {
-		var scale Scale
+		scale := BenchScale()
 		if spec.Scale != nil {
 			scale = *spec.Scale
-		} else {
-			var err error
-			if scale, err = ScaleByName(spec.ScaleName); err != nil {
-				return nil, err
-			}
 		}
 		if spec.Seed != 0 {
 			scale.Seed = spec.Seed
@@ -173,15 +157,6 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		}
 		if spec.Shards != 0 {
 			scale.Shards = spec.Shards
-		}
-		if spec.FullCoresetRebuild {
-			scale.FullCoresetRebuild = true
-		}
-		if spec.StreamTrace {
-			scale.StreamTrace = true
-		}
-		if spec.TracePath != "" {
-			scale.TracePath = spec.TracePath
 		}
 		var err error
 		if env, err = BuildEnv(scale); err != nil {

@@ -222,7 +222,7 @@ func TestCommTableFromRun(t *testing.T) {
 func TestScaleByName(t *testing.T) {
 	for name, vehicles := range map[string]int{
 		"test": TestScale().Vehicles, "bench": BenchScale().Vehicles,
-		"": BenchScale().Vehicles, "full": FullScale().Vehicles,
+		"full": FullScale().Vehicles,
 	} {
 		s, err := ScaleByName(name)
 		if err != nil {
@@ -232,8 +232,10 @@ func TestScaleByName(t *testing.T) {
 			t.Errorf("ScaleByName(%q).Vehicles = %d, want %d", name, s.Vehicles, vehicles)
 		}
 	}
-	if _, err := ScaleByName("galactic"); err == nil {
-		t.Error("unknown scale accepted")
+	for _, name := range []string{"galactic", ""} {
+		if _, err := ScaleByName(name); err == nil {
+			t.Errorf("unknown scale %q accepted", name)
+		}
 	}
 }
 

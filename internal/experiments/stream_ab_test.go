@@ -50,9 +50,9 @@ func getStreamedEnv(t *testing.T) *Env {
 // byte-identical telemetry event stream and bit-identical experiment metrics
 // (loss curve, receive stats, final parameters) as the resident-trace run, at
 // every shard count × worker count combination. Chunk loads/evicts/prefetches
-// flow through the TraceObserver side channel, never the event stream, so the
-// streams must match even though one run pages chunks and the other holds the
-// whole trace.
+// flow through the telemetry.Observer side channel, never the event stream, so
+// the streams must match even though one run pages chunks and the other holds
+// the whole trace.
 func TestStreamABDeterminism(t *testing.T) {
 	runWith := func(env *Env, shards, workers int) (*ProtocolRun, [][]byte) {
 		mem := telemetry.NewMemorySink()
@@ -112,21 +112,20 @@ func TestStreamABDeterminism(t *testing.T) {
 		{"streamed", streamed},
 		{"remote", &remoteEnv},
 	} {
-		for _, shards := range []int{1, 2, 4} {
-			for _, workers := range []int{1, 4, 8} {
-				run, stream := runWith(arm.env, shards, workers)
-				if len(stream) != len(refStream) {
-					t.Fatalf("%s shards=%d workers=%d: %d events, resident reference %d",
-						arm.name, shards, workers, len(stream), len(refStream))
-				}
-				for i := range stream {
-					if !bytes.Equal(stream[i], refStream[i]) {
-						t.Fatalf("%s shards=%d workers=%d: event %d differs:\n%s: %s\nresident: %s",
-							arm.name, shards, workers, i, arm.name, stream[i], refStream[i])
-					}
-				}
-				sameRun(t, arm.name+" vs resident", run, refRun)
+		for _, cell := range abCells() {
+			shards, workers := cell[0], cell[1]
+			run, stream := runWith(arm.env, shards, workers)
+			if len(stream) != len(refStream) {
+				t.Fatalf("%s shards=%d workers=%d: %d events, resident reference %d",
+					arm.name, shards, workers, len(stream), len(refStream))
 			}
+			for i := range stream {
+				if !bytes.Equal(stream[i], refStream[i]) {
+					t.Fatalf("%s shards=%d workers=%d: event %d differs:\n%s: %s\nresident: %s",
+						arm.name, shards, workers, i, arm.name, stream[i], refStream[i])
+				}
+			}
+			sameRun(t, arm.name+" vs resident", run, refRun)
 		}
 	}
 }

@@ -7,7 +7,8 @@
 // typed with the concrete trace.Trace or trace.Window outside the trace
 // package — consumers must accept trace.Source so resident and streamed
 // mobility sources stay interchangeable (DESIGN.md §12). Narrower checks
-// guard single decisions: DirectCoresetBuilds, HotPathFleetScans, and
+// guard single decisions: DirectCoresetBuilds, HotPathFleetScans,
 // DiscardedInputGradient (a bare x.Backward(...) statement outside
-// internal/nn computes an input gradient nobody reads).
+// internal/nn computes an input gradient nobody reads), and UnlistedMetrics
+// (every telemetry M* name must be in KnownMetrics()).
 package repolint

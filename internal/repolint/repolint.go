@@ -453,6 +453,58 @@ func DiscardedInputGradient(root string) ([]string, error) {
 	return findings, err
 }
 
+// UnlistedMetrics parses root's internal/telemetry/summary.go and returns
+// one "path:line:col: ..." finding per package-level M* constant (M, then an
+// upper-case letter) that KnownMetrics() does not return. The constants and
+// the list are maintained by hand, and cmd/telemetry-lint -summary — which
+// validates CSV dumps against the list — only notices a missing name when a
+// run happens to emit it. The check is syntactic: a constant counts as
+// listed when its identifier appears anywhere in KnownMetrics' body.
+func UnlistedMetrics(root string) ([]string, error) {
+	rel := filepath.Join("internal", "telemetry", "summary.go")
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, filepath.Join(root, rel), nil, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, fmt.Errorf("parsing %s: %w", rel, err)
+	}
+	listed := map[string]bool{}
+	var metrics []*ast.Ident
+	for _, decl := range file.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.Name == "KnownMetrics" && d.Body != nil {
+				ast.Inspect(d.Body, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						listed[id.Name] = true
+					}
+					return true
+				})
+			}
+		case *ast.GenDecl:
+			if d.Tok != token.CONST {
+				continue
+			}
+			for _, spec := range d.Specs {
+				for _, name := range spec.(*ast.ValueSpec).Names {
+					if n := name.Name; len(n) > 1 && n[0] == 'M' && 'A' <= n[1] && n[1] <= 'Z' {
+						metrics = append(metrics, name)
+					}
+				}
+			}
+		}
+	}
+	var findings []string
+	for _, name := range metrics {
+		if !listed[name.Name] {
+			pos := fset.Position(name.Pos())
+			findings = append(findings, fmt.Sprintf(
+				"%s:%d:%d: metric constant %s is not returned by KnownMetrics(); telemetry-lint -summary would reject a run that emits it",
+				rel, pos.Line, pos.Column, name.Name))
+		}
+	}
+	return findings, nil
+}
+
 // ModuleRoot walks upward from dir to the enclosing go.mod directory.
 func ModuleRoot(dir string) (string, error) {
 	dir, err := filepath.Abs(dir)

@@ -425,3 +425,59 @@ func (o ok) close() {}         // method name: must NOT be flagged
 		}
 	}
 }
+
+// TestNoUnlistedMetrics is the repository-wide assertion: every M* metric
+// constant of internal/telemetry is returned by KnownMetrics().
+func TestNoUnlistedMetrics(t *testing.T) {
+	root, err := ModuleRoot(".")
+	if err != nil {
+		t.Fatalf("ModuleRoot: %v", err)
+	}
+	findings, err := UnlistedMetrics(root)
+	if err != nil {
+		t.Fatalf("UnlistedMetrics: %v", err)
+	}
+	for _, f := range findings {
+		t.Error(f)
+	}
+}
+
+// TestDetectsUnlistedMetrics pins down what the checker must catch — a
+// constant added to either const block without a KnownMetrics entry — and
+// what it must leave alone.
+func TestDetectsUnlistedMetrics(t *testing.T) {
+	src := `package telemetry
+
+const (
+	MListed  = "a.listed"
+	MMissing = "a.missing" // flagged
+)
+
+const MLate = "b.late" // a second block: flagged
+
+const Magic = 7 // not M + upper case: not a metric name
+
+var MVar = "not a constant"
+
+func KnownMetrics() []string {
+	return []string{MListed}
+}
+
+func other() []string { return []string{MMissing, MLate} } // listing elsewhere does not count
+`
+	dir := t.TempDir()
+	telDir := filepath.Join(dir, "internal", "telemetry")
+	if err := os.MkdirAll(telDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(telDir, "summary.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	findings, err := UnlistedMetrics(dir)
+	if err != nil {
+		t.Fatalf("UnlistedMetrics: %v", err)
+	}
+	if len(findings) != 2 || !strings.Contains(findings[0], "MMissing") || !strings.Contains(findings[1], "MLate") {
+		t.Fatalf("want findings for MMissing and MLate, got %d:\n%s", len(findings), strings.Join(findings, "\n"))
+	}
+}

@@ -13,10 +13,12 @@
 //  2. Events carry VIRTUAL time (engine seconds / tick indices), never wall
 //     clock, and are emitted in deterministic order (parallel phases buffer
 //     per-vehicle results and emit in vehicle-index order). The event stream
-//     of a run is therefore bit-identical at every worker count. Wall-clock
-//     measurements exist only as histogram aggregates behind the separate
-//     WallObserver interface, which the JSONL sink deliberately does not
-//     implement.
+//     of a run is therefore bit-identical at every worker count, shard
+//     count and trace source. Whatever depends on how the run was executed
+//     — wall time, shard topology, chunk traffic, leaf caching, calendar
+//     work — goes through the one optional Observer interface as a named
+//     scalar and exists only as a Summary counter or histogram; the JSONL
+//     and memory sinks deliberately do not implement it.
 //  3. Telemetry never consumes simulation randomness and never feeds values
 //     back into the simulation.
 //

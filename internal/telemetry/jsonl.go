@@ -97,8 +97,8 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 }
 
 // JSONL streams events to a writer, one envelope-tagged JSON object per
-// line. It deliberately does NOT implement WallObserver: its output stays a
-// pure function of the simulation, bit-identical at every worker count.
+// line. It deliberately does NOT implement Observer: its output stays a pure
+// function of the simulation, bit-identical at every worker count.
 type JSONL struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -101,7 +103,6 @@ func TestSummaryAggregation(t *testing.T) {
 	s.Emit(Aggregation{Time: 11, Vehicle: 1, WSelf: 0.4, WPeer: 0.6})
 	s.Emit(TrainStep{Time: 12, Vehicle: 0, Steps: 2, Loss: 0.5})
 	s.Emit(LossRecorded{Time: 60, Loss: 0.42})
-	s.ObserveTrainWall(5_000_000)
 
 	if s.Protocol != "LbChat" || !s.Lossless {
 		t.Errorf("run identity: %q lossless=%v", s.Protocol, s.Lossless)
@@ -129,9 +130,6 @@ func TestSummaryAggregation(t *testing.T) {
 	if s.FinalLoss != 0.42 {
 		t.Errorf("final loss = %v", s.FinalLoss)
 	}
-	if h := s.Reg.Hist(MTrainWallNs); h == nil || h.N != 1 {
-		t.Error("wall histogram not recorded")
-	}
 	if h := s.Reg.Hist(MChatPsi); h == nil || h.N != 1 {
 		t.Error("psi histogram not recorded")
 	}
@@ -149,15 +147,6 @@ func TestMemorySinkAndTee(t *testing.T) {
 	if _, _, aborted := s.Chats(); aborted != 1 {
 		t.Error("summary member did not aggregate")
 	}
-	// Wall observations route only to WallObserver members.
-	if w, ok := tee.(WallObserver); !ok {
-		t.Fatal("tee with a Summary member must expose WallObserver")
-	} else {
-		w.ObserveTrainWall(1000)
-	}
-	if h := s.Reg.Hist(MTrainWallNs); h == nil || h.N != 1 {
-		t.Error("wall observation not forwarded")
-	}
 
 	dst := NewMemorySink()
 	a.Drain(dst)
@@ -174,5 +163,85 @@ func TestMemorySinkAndTee(t *testing.T) {
 	}
 	if got := Tee(nil, nil); got != nil {
 		t.Error("empty tee must be nil")
+	}
+}
+
+// TestObserverSideChannel pins the one side channel: through a Tee of all
+// three shipped sinks every side-channel metric lands in the Summary counter
+// or histogram bucket its name selects, the two event sinks see nothing, a
+// Tee without an observing member is not an Observer, and observing a name
+// already seen allocates nothing.
+func TestObserverSideChannel(t *testing.T) {
+	cases := []struct {
+		name   string
+		value  float64
+		bucket int // histogram bucket the value lands in; -1 for a counter
+	}{
+		{MCoresetLeavesRebuilt, 3, -1},
+		{MCoresetLeavesCached, 0, -1},
+		{MCoresetTreeMerges, 2, -1},
+		{MTrainWallNs, 5e6, 3},
+		{MShardScans, 1, -1},
+		{MShardPairs, 12, -1},
+		{MShardGuests, 0, -1},
+		{MShardLocals, 64, 2},
+		{MSchedDueDequeued, 0, -1},
+		{MSchedBucketsTouched, 7, -1},
+		{MSchedShardBatches, 0, -1},
+		{MTraceLoads, 1, -1},
+		{MTraceEvicts, 1, -1},
+		{MTracePrefetches, 1, -1},
+		{MTraceResident, 5, 4},
+		{MTraceFetchRetries, 2, -1},
+		{MTraceFetchWaitNs, 1.5e6, -1},
+		{MTracePrefetchDepth, 0, 0},
+	}
+	sum, mem := NewSummary(), NewMemorySink()
+	var stream bytes.Buffer
+	jsonl := NewJSONL(&stream)
+	obs, ok := Tee(sum, mem, jsonl).(Observer)
+	if !ok {
+		t.Fatal("a Tee with a Summary member must be an Observer")
+	}
+	known := KnownMetrics()
+	hists := 0
+	for _, c := range cases {
+		if !slices.Contains(known, c.name) {
+			t.Errorf("%s is not in KnownMetrics", c.name)
+		}
+		obs.Observe(c.name, c.value)
+		obs.Observe(c.name, c.value)
+		h := sum.Reg.Hist(c.name)
+		if c.bucket < 0 {
+			if got := sum.Reg.Counter(c.name); got != 2*int64(c.value) || h != nil {
+				t.Errorf("%s: counter %d (histogram %v), want counter %d", c.name, got, h != nil, 2*int64(c.value))
+			}
+			continue
+		}
+		hists++
+		if h == nil || h.N != 2 || h.Counts[c.bucket] != 2 || h.Sum != 2*c.value {
+			t.Errorf("%s: histogram %+v, want both values in bucket %d", c.name, h, c.bucket)
+		}
+		if slices.Contains(sum.Reg.CounterNames(), c.name) {
+			t.Errorf("%s: histogram metric also counted", c.name)
+		}
+	}
+	if hists != len(sideChannelEdges) {
+		t.Errorf("table covers %d histogram metrics, sideChannelEdges has %d", hists, len(sideChannelEdges))
+	}
+	if err := jsonl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if mem.Len() != 0 || stream.Len() != 0 {
+		t.Errorf("side channel reached the event sinks: %d events buffered, %d bytes streamed", mem.Len(), stream.Len())
+	}
+	if _, ok := Tee(mem, NewMemorySink()).(Observer); ok {
+		t.Error("a Tee of event-only sinks must not be an Observer")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		obs.Observe(MSchedDueDequeued, 1)
+		obs.Observe(MTrainWallNs, 1e6)
+	}); n != 0 {
+		t.Errorf("Observe on seen names allocates %v per run", n)
 	}
 }

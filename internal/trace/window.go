@@ -52,19 +52,6 @@ const (
 	OpPrefetch
 )
 
-// String names the operation for telemetry labels.
-func (k ChunkOpKind) String() string {
-	switch k {
-	case OpLoad:
-		return "load"
-	case OpEvict:
-		return "evict"
-	case OpPrefetch:
-		return "prefetch"
-	}
-	return fmt.Sprintf("ChunkOpKind(%d)", uint8(k))
-}
-
 // ChunkOp describes one window chunk operation for the side-channel
 // observer: which chunk, how many ticks it covers, how many chunks the
 // window retains after the operation, and — for loads and prefetch issues —
