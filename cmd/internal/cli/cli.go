@@ -1,7 +1,6 @@
 // Package cli collects the flag handling shared by the lbchat commands so
-// -seed, -workers, -shards, -scale, -faults, -telemetry-out, -stream-trace,
-// -trace-file, -trace-url, and -full-coreset-rebuild parse and behave
-// identically everywhere.
+// -seed, -workers, -shards, -scale, -faults, -telemetry-out, -trace-file and
+// -trace-url parse and behave identically everywhere.
 package cli
 
 import (
@@ -41,22 +40,15 @@ type Common struct {
 	// FaultsName names the fault-injection profile (-faults): off, light,
 	// heavy (internal/faults). Resolve it with Faults.
 	FaultsName string
-	// FullCoresetRebuild selects the original full Algorithm-1 coreset
-	// rebuild (-full-coreset-rebuild) instead of the default incremental
-	// partition-tree refresh (DESIGN.md §14). Each arm is individually
-	// bit-identical at any -workers/-shards setting.
-	FullCoresetRebuild bool
-	// StreamTrace drives engine runs from a bounded sliding-window trace
-	// source (-stream-trace) instead of holding the whole mobility trace
-	// resident. Results are bit-identical either way.
-	StreamTrace bool
-	// TraceFile loads the mobility trace from this LBTC file (-trace-file,
+	// TraceFile takes the mobility trace from this LBTC file (-trace-file,
 	// e.g. a worldgen -trace-out recording) instead of recording one; the
-	// vehicle count is taken from the file. Resolve it with ApplyTrace.
+	// vehicle count is taken from the file, and the file's decoded size
+	// decides whether it is held resident or paged through a sliding window
+	// (results are bit-identical either way). Resolve it with ApplyTrace.
 	TraceFile string
 	// TraceURL pages the mobility trace from a remote chunk server
 	// (-trace-url, see cmd/trace-serve) instead of a local file. Remote
-	// traces always stream through a sliding window; mutually exclusive
+	// traces always page through a sliding window; mutually exclusive
 	// with -trace-file. Resolve it with ApplyTrace.
 	TraceURL string
 
@@ -77,14 +69,10 @@ func Register(fs *flag.FlagSet) *Common {
 		"write the run's telemetry event stream as JSONL to this file")
 	fs.StringVar(&c.FaultsName, "faults", "off",
 		"fault-injection profile: off, light, or heavy (burst loss, window truncation, churn, corruption)")
-	fs.BoolVar(&c.FullCoresetRebuild, "full-coreset-rebuild", false,
-		"rebuild coresets with a full Algorithm-1 pass instead of the incremental partition tree")
-	fs.BoolVar(&c.StreamTrace, "stream-trace", false,
-		"stream the mobility trace through a bounded sliding window instead of holding it resident; results are bit-identical")
 	fs.StringVar(&c.TraceFile, "trace-file", "",
-		"load the mobility trace from this LBTC file (see worldgen -trace-out) instead of recording one")
+		"take the mobility trace from this LBTC file (see worldgen -trace-out) instead of recording one; large files are paged through a bounded window")
 	fs.StringVar(&c.TraceURL, "trace-url", "",
-		"page the mobility trace from a trace-serve chunk server at this base URL (always streamed; excludes -trace-file)")
+		"page the mobility trace from a trace-serve chunk server at this base URL (always windowed; excludes -trace-file)")
 	return c
 }
 
@@ -106,8 +94,6 @@ func (c *Common) Scale() (experiments.Scale, error) {
 	}
 	scale.Workers = c.Workers
 	scale.Shards = c.Shards
-	scale.FullCoresetRebuild = c.FullCoresetRebuild
-	scale.StreamTrace = c.StreamTrace
 	tensor.SetWorkers(c.Workers)
 	return scale, nil
 }
@@ -116,8 +102,8 @@ func (c *Common) Scale() (experiments.Scale, error) {
 // source is probed once for its stream metadata — a file through its LBTC
 // header and chunk index, a URL by dialing the chunk server — and recorded
 // as Scale.TracePath or Scale.TraceURL for the experiment layer to open
-// (a file resident or windowed per -stream-trace; remote traces always
-// stream). The scale's vehicle count is taken from the trace — overriding
+// (a file resident or windowed by its size; remote traces always
+// window). The scale's vehicle count is taken from the trace — overriding
 // any -vehicles setting, which only sizes recorded traces. Without either
 // flag the scale is untouched.
 func (c *Common) ApplyTrace(scale *experiments.Scale) error {

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"io"
 	"os"
@@ -38,8 +39,6 @@ func TestFlagsReachScale(t *testing.T) {
 		{"seed", []string{"-seed", "42"}, func(s *experiments.Scale) { *s = bench; s.Seed = 42 }},
 		{"workers", []string{"-workers", "3"}, func(s *experiments.Scale) { *s = bench; s.Workers = 3 }},
 		{"shards", []string{"-shards", "4"}, func(s *experiments.Scale) { *s = bench; s.Shards = 4 }},
-		{"stream-trace", []string{"-stream-trace"}, func(s *experiments.Scale) { *s = bench; s.StreamTrace = true }},
-		{"full-coreset-rebuild", []string{"-full-coreset-rebuild"}, func(s *experiments.Scale) { *s = bench; s.FullCoresetRebuild = true }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -95,8 +94,8 @@ func TestApplyTraceFile(t *testing.T) {
 }
 
 // TestFlagErrors pins the rejections: an unknown scale, both trace sources
-// at once, a trace file that is missing, truncated or corrupt (each named
-// in the error), and the retired -legacy-due-scan flag.
+// at once, a trace file that is missing, truncated, corrupt or hostile (each
+// named in the error), and the retired arm flags.
 func TestFlagErrors(t *testing.T) {
 	c, err := parse("-scale", "galactic")
 	if err != nil {
@@ -109,7 +108,14 @@ func TestFlagErrors(t *testing.T) {
 	dir := t.TempDir()
 	good := writeTrace(t, 3, 10)
 	corrupt := append([]byte("XXXX"), good[4:]...)
-	files := map[string][]byte{"truncated.lbtc": good[:len(good)-9], "corrupt.lbtc": corrupt}
+	// 2^30 vehicles × 2^30 ticks per chunk, one chunk claiming 2^30 ticks,
+	// end marker: 32 bytes whose body size wraps int64 to zero.
+	hostile := append([]byte(nil), good[:16]...)
+	for i := 0; i < 3; i++ {
+		hostile = binary.LittleEndian.AppendUint32(hostile, 1<<30)
+	}
+	hostile = binary.LittleEndian.AppendUint32(hostile, 0)
+	files := map[string][]byte{"truncated.lbtc": good[:len(good)-9], "corrupt.lbtc": corrupt, "hostile.lbtc": hostile}
 	for name, raw := range files {
 		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
 			t.Fatal(err)
@@ -124,6 +130,7 @@ func TestFlagErrors(t *testing.T) {
 		{"missing file", []string{"-trace-file", filepath.Join(dir, "missing.lbtc")}, "missing.lbtc"},
 		{"truncated file", []string{"-trace-file", filepath.Join(dir, "truncated.lbtc")}, "truncated.lbtc"},
 		{"corrupt file", []string{"-trace-file", filepath.Join(dir, "corrupt.lbtc")}, "corrupt.lbtc"},
+		{"hostile header", []string{"-trace-file", filepath.Join(dir, "hostile.lbtc")}, "hostile.lbtc"},
 	} {
 		c, err := parse(tc.args...)
 		if err != nil {
@@ -137,7 +144,9 @@ func TestFlagErrors(t *testing.T) {
 		}
 	}
 
-	if _, err := parse("-legacy-due-scan"); err == nil {
-		t.Error("-legacy-due-scan still parses; the flag was deleted with the scan arm")
+	for _, flag := range []string{"-legacy-due-scan", "-full-coreset-rebuild", "-stream-trace"} {
+		if _, err := parse(flag); err == nil {
+			t.Errorf("%s still parses; the flag was deleted with its arm", flag)
+		}
 	}
 }

@@ -10,8 +10,8 @@
 //	worldgen -trace 3600 -trace-out t.lbtc  # save the recording as an LBTC stream
 //
 // A saved LBTC trace feeds the lbchat commands' -trace-file flag, so one
-// recording can drive many runs (streamed through a bounded window with
-// -stream-trace, or loaded resident).
+// recording can drive many runs (loaded resident, or paged through a bounded
+// window when it is large).
 package main
 
 import (

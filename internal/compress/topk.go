@@ -86,11 +86,6 @@ func TopK(flat []float64, k int) *Sparse {
 	return sel.sparse(flat, k)
 }
 
-// Compress sparsifies flat to the level ψ (relative payload size).
-func Compress(flat []float64, psi float64) *Sparse {
-	return TopK(flat, KForPsi(len(flat), psi))
-}
-
 // Dense reconstructs the dense vector, zero-filling dropped parameters —
 // the standard biased top-k decompression.
 func (s *Sparse) Dense() []float64 {

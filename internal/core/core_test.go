@@ -100,8 +100,8 @@ func tinyEnv(t *testing.T, vehicles int, lossless bool) (*Engine, Config) {
 	return tinyEnvWith(t, vehicles, lossless, nil)
 }
 
-// tinyEnvWith is tinyEnv with a config hook, for tests that flip engine
-// arms (e.g. DisableIncrementalCoreset) before construction.
+// tinyEnvWith is tinyEnv with a config hook, for tests that adjust the
+// engine config (a telemetry sink, fault profiles) before construction.
 func tinyEnvWith(t *testing.T, vehicles int, lossless bool, mutate func(*Config)) (*Engine, Config) {
 	t.Helper()
 	m, err := world.NewMap(world.DefaultConfig())

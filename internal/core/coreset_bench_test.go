@@ -43,14 +43,10 @@ func synthDataset(rng *simrand.Rand, cfg Config, n int) *dataset.Dataset {
 }
 
 // benchCoresetEngine builds a two-vehicle engine whose vehicles each hold a
-// synthetic local dataset of datasetLen frames; mutate adjusts the config
-// before construction (nil for defaults).
-func benchCoresetEngine(b *testing.B, datasetLen int, mutate func(*Config)) *Engine {
+// synthetic local dataset of datasetLen frames.
+func benchCoresetEngine(b *testing.B, datasetLen int) *Engine {
 	b.Helper()
 	cfg := DefaultConfig()
-	if mutate != nil {
-		mutate(&cfg)
-	}
 	rng := simrand.New(uint64(datasetLen))
 	datasets := []*dataset.Dataset{
 		synthDataset(rng.Derive("v0"), cfg, datasetLen),
@@ -64,11 +60,11 @@ func benchCoresetEngine(b *testing.B, datasetLen int, mutate func(*Config)) *Eng
 	return eng
 }
 
-// BenchmarkEnsureCoreset compares the two refresh arms at local-dataset
-// sizes from a fresh vehicle up to the expanded datasets absorbed from many
-// peers.
+// BenchmarkEnsureCoreset compares the production refresh with its oracle at
+// local-dataset sizes from a fresh vehicle up to the expanded datasets
+// absorbed from many peers.
 //
-// full: the original Algorithm-1 rebuild — per-sample loss scoring,
+// full: fullRebuildCoreset, the Algorithm-1 rebuild — per-sample loss scoring,
 // layering, per-layer sampling over the whole dataset (capped at
 // LayeringSample=384 scored samples above that size).
 //
@@ -82,20 +78,18 @@ func benchCoresetEngine(b *testing.B, datasetLen int, mutate func(*Config)) *Eng
 func BenchmarkEnsureCoreset(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
 		b.Run(fmt.Sprintf("N=%d/full", n), func(b *testing.B) {
-			eng := benchCoresetEngine(b, n, func(c *Config) { c.DisableIncrementalCoreset = true })
+			eng := benchCoresetEngine(b, n)
 			v := eng.Vehicles[0]
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				v.Core = nil
-				v.CoreBuiltAt = math.Inf(-1)
-				if _, err := eng.EnsureCoreset(v); err != nil {
+				if _, err := fullRebuildCoreset(eng, v); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("N=%d/incremental", n), func(b *testing.B) {
-			eng := benchCoresetEngine(b, n, nil)
+			eng := benchCoresetEngine(b, n)
 			v := eng.Vehicles[0]
 			if _, err := eng.EnsureCoreset(v); err != nil {
 				b.Fatal(err)
@@ -119,7 +113,7 @@ func BenchmarkEnsureCoreset(b *testing.B) {
 // at growing local-dataset sizes.
 func BenchmarkAbsorbCoreset(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
-		eng := benchCoresetEngine(b, n, nil)
+		eng := benchCoresetEngine(b, n)
 		v := eng.Vehicles[0]
 		baseCore, err := eng.EnsureCoreset(v)
 		if err != nil {

@@ -8,24 +8,20 @@ import (
 	"lbchat/internal/telemetry"
 )
 
-// EnsureCoreset returns the vehicle's current coreset, (re)building it when
-// it is missing or stale (older than CoresetRefresh). Between rebuilds the
+// EnsureCoreset returns the vehicle's current coreset, refreshing it when
+// it is missing or stale (older than CoresetRefresh). Between refreshes the
 // coreset is maintained by the cheap merge-and-reduce path, matching
 // §III-D's two-speed updating.
 //
-// The default refresh is incremental (DESIGN.md §14): a merge-and-reduce
-// partition tree over the vehicle's append-only dataset rebuilds only the
-// leaves dirtied since the last refresh (absorbed peer frames, salvages)
-// and re-merges their root paths, so refresh cost scales with the data
-// added rather than the dataset size. Config.DisableIncrementalCoreset
-// selects the original arm instead: one full Algorithm-1 rebuild over a
-// LayeringSample-bounded subsample of the whole dataset.
-//
-// Construction guard (full arm): layering scores every sample with the
-// current model; on large expanded datasets we layer a uniformly drawn
-// subsample of LayeringSample items and scale coreset weights so they still
-// represent the full dataset's total weight. The incremental arm bounds
-// scoring per leaf instead (TreeConfig.LeafSample).
+// The refresh is incremental (DESIGN.md §16): a merge-and-reduce partition
+// tree over the vehicle's append-only dataset rebuilds only the leaves
+// dirtied since the last refresh (absorbed peer frames, salvages) with the
+// current policy's losses and re-merges their root paths, so refresh cost
+// scales with the data added rather than the dataset size. Scoring is
+// bounded per leaf. The leaf/merge stats flow through the
+// telemetry.Observer side channel only, so the event stream has the same
+// shape at every worker and shard count. The full Algorithm-1 rebuild the
+// tree's summaries are judged against lives in oracle_test.go.
 func (e *Engine) EnsureCoreset(v *Vehicle) (*coreset.Coreset, error) {
 	if v.Core != nil && e.now-v.CoreBuiltAt < e.Cfg.CoresetRefresh {
 		return v.Core, nil
@@ -37,54 +33,8 @@ func (e *Engine) EnsureCoreset(v *Vehicle) (*coreset.Coreset, error) {
 	if v.CoresetSizeOverride > 0 {
 		size = v.CoresetSizeOverride
 	}
-	if !e.Cfg.DisableIncrementalCoreset {
-		return e.refreshCoresetTree(v, size)
-	}
-	base := v.Data
-	if limit := e.Cfg.LayeringSample; limit > 0 && base.Len() > limit {
-		perm := v.rng.Perm(base.Len())[:limit]
-		base = v.Data.Subset(perm)
-	}
-	losses := v.Policy.PerSampleLosses(base.Items())
-	method := e.Cfg.CoresetMethod
-	if method == 0 {
-		method = coreset.MethodLayered
-	}
-	cs, err := coreset.BuildWith(method, base, losses, size, v.rng.Derive("coreset"))
-	if err != nil {
-		return nil, fmt.Errorf("core: building coreset for vehicle %d: %w", v.ID, err)
-	}
-	// Rescale so the coreset represents the FULL dataset's weight, not just
-	// the layered subsample's.
-	if subTotal := base.TotalWeight(); subTotal > 0 {
-		scale := v.Data.TotalWeight() / subTotal
-		if scale != 1 {
-			scaled := dataset.New(cs.Len())
-			for _, it := range cs.Items() {
-				scaled.Add(it.Sample, it.Weight*scale)
-			}
-			cs = coreset.FromDataset(scaled)
-		}
-	}
-	v.Core = cs
-	v.CoreBuiltAt = e.now
-	e.Emit(telemetry.CoresetRebuilt{Time: e.now, Vehicle: v.ID, Size: cs.Len()})
-	return cs, nil
-}
-
-// refreshCoresetTree is the incremental refresh arm: it lazily creates the
-// vehicle's partition tree, rebuilds the dirty leaves with the current
-// policy's losses, and re-merges only the invalidated tree paths. The
-// emitted CoresetRebuilt event matches the full arm's; the leaf/merge stats
-// flow through the telemetry.Observer side channel only, so the event stream
-// stays identical in shape across arms and worker/shard counts.
-func (e *Engine) refreshCoresetTree(v *Vehicle, size int) (*coreset.Coreset, error) {
 	if v.Tree == nil {
-		method := e.Cfg.CoresetMethod
-		if method == 0 {
-			method = coreset.MethodLayered
-		}
-		v.Tree = coreset.NewTree(coreset.TreeConfig{Method: method})
+		v.Tree = coreset.NewTree(e.Cfg.CoresetMethod)
 	}
 	cs, stats, err := v.Tree.Refresh(v.Data, size, v.Policy.PerSampleLosses, v.rng.Derive("coreset-tree"))
 	if err != nil {

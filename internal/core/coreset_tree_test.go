@@ -43,17 +43,6 @@ func TestIncrementalRefreshBuildsAndCachesTree(t *testing.T) {
 	}
 }
 
-func TestFullRebuildArmSkipsTree(t *testing.T) {
-	eng, _ := tinyEnvWith(t, 2, true, func(c *Config) { c.DisableIncrementalCoreset = true })
-	v := eng.Vehicles[0]
-	if _, err := eng.EnsureCoreset(v); err != nil {
-		t.Fatal(err)
-	}
-	if v.Tree != nil {
-		t.Fatal("full-rebuild arm built a partition tree")
-	}
-}
-
 func TestAbsorbEmptyPeerCoreset(t *testing.T) {
 	eng, _ := tinyEnv(t, 2, true)
 	v := eng.Vehicles[0]
@@ -99,7 +88,7 @@ func TestAbsorbMarksAppendedLeavesDirty(t *testing.T) {
 	}
 	// Exactly the leaves overlapping the appended range [before, len) are
 	// dirty; sealed leaves before it keep their caches.
-	ls := va.Tree.Config().LeafSize
+	const ls = coreset.LeafSize
 	wantDirty := (va.Data.Len()+ls-1)/ls - before/ls
 	if got := va.Tree.DirtyLeaves(); got != wantDirty {
 		t.Fatalf("dirty leaves after absorb = %d, want %d", got, wantDirty)
@@ -154,21 +143,30 @@ func TestAbsorbPartialSalvageExtendsTree(t *testing.T) {
 }
 
 func TestCoresetArmsEquivalentQuality(t *testing.T) {
-	// The incremental and full-rebuild arms are distinct sampling processes,
-	// so they produce different coresets — but equal-quality ones: both
-	// carry the dataset's exact total weight and both estimate the policy
-	// loss proxy to comparable relative error (DESIGN.md §14).
+	// The tree refresh and the full Algorithm-1 rebuild (fullRebuildCoreset,
+	// the oracle) are distinct sampling processes, so they produce different
+	// coresets — but equal-quality ones: both carry the dataset's exact
+	// total weight and both estimate the policy loss proxy to comparable
+	// relative error (DESIGN.md §16).
 	inc, _ := tinyEnv(t, 2, true)
-	full, _ := tinyEnvWith(t, 2, true, func(c *Config) { c.DisableIncrementalCoreset = true })
+	full, _ := tinyEnv(t, 2, true)
 	for i := range inc.Vehicles {
 		vi, vf := inc.Vehicles[i], full.Vehicles[i]
+		// The production refresh draws only from derived streams: the
+		// vehicle's main stream must be where an untouched twin's is.
 		csI, err := inc.EnsureCoreset(vi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		csF, err := full.EnsureCoreset(vf)
+		if got, want := vi.rng.Float64(), vf.rng.Float64(); got != want {
+			t.Errorf("vehicle %d: EnsureCoreset advanced the vehicle's main stream", i)
+		}
+		csF, err := fullRebuildCoreset(full, vf)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if vf.Tree != nil {
+			t.Errorf("vehicle %d: the full-rebuild oracle built a partition tree", i)
 		}
 		if math.Abs(csI.TotalWeight()-csF.TotalWeight()) > 1e-6*csF.TotalWeight() {
 			t.Errorf("vehicle %d: arm weight totals diverge: %v vs %v",

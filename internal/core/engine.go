@@ -50,8 +50,9 @@ type Config struct {
 	// coreset from scratch with Algorithm 1; between rebuilds the cheap
 	// merge-and-reduce path maintains it.
 	CoresetRefresh float64
-	// LayeringSample bounds how many local samples are scored to layer the
-	// dataset during coreset construction (computation guard).
+	// LayeringSample is how many samples a full Algorithm-1 rebuild scores:
+	// read by the test oracle, and by benchmarks/perf/kernels.go to size its
+	// model.per_sample_losses_us row. Production scoring is bounded per leaf.
 	LayeringSample int
 	// EvalSubset bounds how many coreset samples value assessments use.
 	EvalSubset int
@@ -111,19 +112,8 @@ type Config struct {
 	// injector is built, no extra randomness is drawn, and runs behave
 	// exactly as without the layer.
 	Faults faults.Config
-	// DisableIncrementalCoreset forces EnsureCoreset down the original full
-	// Algorithm-1 rebuild — rescoring a LayeringSample-bounded subsample of
-	// the whole dataset every CoresetRefresh interval — instead of the
-	// merge-and-reduce partition tree that rebuilds only dirty leaves
-	// (DESIGN.md §14). The two arms produce equal-weight, comparable-quality
-	// summaries but not identical ones (they score different sample pools),
-	// so the flag selects an arm rather than a bit-identical fast path; each
-	// arm is individually deterministic at every worker and shard count. It
-	// exists as the A/B reference for quality tests and the full-rebuild
-	// benchmark baseline.
-	DisableIncrementalCoreset bool
 	// Shards partitions encounter scans into grid regions (internal/shard,
-	// DESIGN.md §11): each region enumerates its radio-range pairs locally
+	// DESIGN.md §13): each region enumerates its radio-range pairs locally
 	// (with halo copies of border vehicles) on the parallel pool, and the
 	// per-region outputs merge back into the canonical (A, B) order. 0 or 1
 	// keeps today's single-index path; any value produces bit-identical
@@ -200,10 +190,8 @@ type Vehicle struct {
 	// Core is the current coreset C_i (nil until first built).
 	Core *coreset.Coreset
 	// Tree is the vehicle's merge-and-reduce partition tree over Data,
-	// lazily created by the incremental EnsureCoreset path (nil until the
-	// first incremental refresh, and always nil when
-	// Config.DisableIncrementalCoreset is set). Absorbs extend it so
-	// appended ranges mark their covering leaves dirty.
+	// created by the first EnsureCoreset refresh (nil until then). Absorbs
+	// extend it so appended ranges mark their covering leaves dirty.
 	Tree *coreset.Tree
 	// CoreBuiltAt is when the coreset was last rebuilt via Algorithm 1.
 	CoreBuiltAt float64
@@ -893,14 +881,6 @@ func (e *Engine) recordLoss() {
 	if e.tel != nil {
 		e.tel.Emit(telemetry.LossRecorded{Time: e.now, Loss: loss})
 	}
-}
-
-// AvgProbeLoss returns the fleet's current mean loss on the probe set.
-func (e *Engine) AvgProbeLoss() float64 {
-	if len(e.Probe) == 0 {
-		return math.NaN()
-	}
-	return e.probeLossMean()
 }
 
 // Distance returns the current distance between two vehicles.

@@ -3,16 +3,19 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
 
+	"lbchat/internal/coreset"
+	"lbchat/internal/dataset"
 	"lbchat/internal/telemetry"
 )
 
 // This file holds the engine's reference oracles: the pre-index O(N²) pair
-// and contact loops and the pre-calendar O(N) due scan, kept as pure
-// functions that never run in production. Each is asserted against the live
+// and contact loops, the pre-calendar O(N) due scan and the full Algorithm-1
+// coreset rebuild, kept as functions that never run in production. Each is asserted against the live
 // engine on every tick of a real run through tickHook.
 
 // tickHook wraps a protocol with per-tick reference checks. OnTick runs
@@ -240,4 +243,48 @@ func dueOracle(t *testing.T, p Protocol) (hook tickHook, dueSeen, awayDue *int) 
 		snapshot(e)
 	}}
 	return hook, dueSeen, awayDue
+}
+
+// fullRebuildCoreset is the pre-tree EnsureCoreset refresh, the quality
+// reference the partition tree's summaries are judged against: one full
+// Algorithm-1 rebuild over the whole dataset. Layering scores every sample
+// with the current model, so on large expanded datasets it layers a
+// uniformly drawn subsample of LayeringSample items and scales the coreset's
+// weights so they still represent the full dataset's total weight. It never
+// touches v.Tree.
+func fullRebuildCoreset(e *Engine, v *Vehicle) (*coreset.Coreset, error) {
+	size := e.Cfg.CoresetSize
+	if v.CoresetSizeOverride > 0 {
+		size = v.CoresetSizeOverride
+	}
+	base := v.Data
+	if limit := e.Cfg.LayeringSample; limit > 0 && base.Len() > limit {
+		perm := v.rng.Perm(base.Len())[:limit]
+		base = v.Data.Subset(perm)
+	}
+	losses := v.Policy.PerSampleLosses(base.Items())
+	method := e.Cfg.CoresetMethod
+	if method == 0 {
+		method = coreset.MethodLayered
+	}
+	cs, err := coreset.BuildWith(method, base, losses, size, v.rng.Derive("coreset"))
+	if err != nil {
+		return nil, fmt.Errorf("core: building coreset for vehicle %d: %w", v.ID, err)
+	}
+	// Rescale so the coreset represents the FULL dataset's weight, not just
+	// the layered subsample's.
+	if subTotal := base.TotalWeight(); subTotal > 0 {
+		scale := v.Data.TotalWeight() / subTotal
+		if scale != 1 {
+			scaled := dataset.New(cs.Len())
+			for _, it := range cs.Items() {
+				scaled.Add(it.Sample, it.Weight*scale)
+			}
+			cs = coreset.FromDataset(scaled)
+		}
+	}
+	v.Core = cs
+	v.CoreBuiltAt = e.now
+	e.Emit(telemetry.CoresetRebuilt{Time: e.now, Vehicle: v.ID, Size: cs.Len()})
+	return cs, nil
 }

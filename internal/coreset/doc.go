@@ -8,4 +8,10 @@
 // weighted loss approximates the full dataset's weighted loss for models
 // near the current one — cheap enough to ship over a vehicular link
 // (~0.6 MB for 150 frames) yet informative enough to price a peer's model.
+//
+// Tree is how the engine refreshes one: a merge-and-reduce partition tree
+// whose fixed 256-sample leaves cache their Algorithm-1 summaries, so a
+// refresh rescans only the leaves dirtied since the last one (DESIGN.md §16).
+// Nothing outside this package calls Build or BuildWith (internal/repolint);
+// the full rebuild over a whole dataset is internal/core's test oracle.
 package coreset

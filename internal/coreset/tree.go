@@ -19,53 +19,22 @@ import (
 // leaf builds rescale to their leaf's total weight, Merge unions weights
 // unchanged, and Reduce rescales survivors to the pre-reduce total.
 
-// TreeConfig parameterizes a merge-and-reduce partition tree. The zero value
-// of any field takes its default.
-type TreeConfig struct {
-	// LeafSize is the number of consecutive dataset samples per leaf
-	// (default 256). The tail leaf is partial until it fills and is
-	// re-dirtied as it grows.
-	LeafSize int
-	// LeafSample bounds how many of a leaf's samples are scored to build its
-	// coreset (default 80) — the per-leaf analogue of Config.LayeringSample:
-	// the pool is drawn uniformly and the built coreset is rescaled to the
-	// leaf's full weight. Scoring dominates refresh cost (one model forward
-	// per pooled sample), so this knob directly sets the incremental arm's
-	// advantage over the full rebuild's LayeringSample-sized pool.
-	LeafSample int
-	// LeafTarget is the per-leaf coreset budget (default 64). It is capped
-	// by the refresh budget, and must stay below LeafSample for the
-	// loss-aware construction to engage (a pool at or under the target is
-	// its own coreset).
-	LeafTarget int
-	// Method selects the leaf construction algorithm (default MethodLayered,
-	// Algorithm 1).
-	Method Method
-}
-
-// Tree defaults.
+// Tree shape, fixed: every refresh measurement and golden was taken at
+// these values.
 const (
-	DefaultLeafSize   = 256
-	DefaultLeafSample = 80
-	DefaultLeafTarget = 64
+	// LeafSize is the number of consecutive dataset samples per leaf. The
+	// tail leaf is partial until it fills and is re-dirtied as it grows.
+	LeafSize = 256
+	// LeafSample bounds how many of a leaf's samples are scored to build its
+	// coreset: the pool is drawn uniformly and the built coreset is rescaled
+	// to the leaf's full weight. Scoring dominates refresh cost (one model
+	// forward per pooled sample).
+	LeafSample = 80
+	// LeafTarget is the per-leaf coreset budget. It is capped by the refresh
+	// budget, and must stay below LeafSample for the loss-aware construction
+	// to engage (a pool at or under the target is its own coreset).
+	LeafTarget = 64
 )
-
-// withDefaults resolves zero fields.
-func (c TreeConfig) withDefaults() TreeConfig {
-	if c.LeafSize <= 0 {
-		c.LeafSize = DefaultLeafSize
-	}
-	if c.LeafSample <= 0 {
-		c.LeafSample = DefaultLeafSample
-	}
-	if c.LeafTarget <= 0 {
-		c.LeafTarget = DefaultLeafTarget
-	}
-	if c.Method == 0 {
-		c.Method = MethodLayered
-	}
-	return c
-}
 
 // LossScorer evaluates per-sample losses for leaf construction; the engine
 // passes the vehicle's current policy (Policy.PerSampleLosses). It is called
@@ -98,7 +67,7 @@ type treeLeaf struct {
 // Extend is called with the new length. Tree is not concurrency-safe; like
 // the vehicle state it summarizes, it is owned by one goroutine at a time.
 type Tree struct {
-	cfg    TreeConfig
+	method Method
 	n      int
 	budget int
 	leaves []treeLeaf
@@ -111,14 +80,15 @@ type Tree struct {
 	changed []bool
 }
 
-// NewTree returns an empty tree; Extend (or the first Refresh) covers the
-// dataset.
-func NewTree(cfg TreeConfig) *Tree {
-	return &Tree{cfg: cfg.withDefaults()}
+// NewTree returns an empty tree whose leaves are built with the given
+// method (zero selects MethodLayered, Algorithm 1); Extend (or the first
+// Refresh) covers the dataset.
+func NewTree(method Method) *Tree {
+	if method == 0 {
+		method = MethodLayered
+	}
+	return &Tree{method: method}
 }
-
-// Config returns the tree's resolved configuration.
-func (t *Tree) Config() TreeConfig { return t.cfg }
 
 // Len returns the dataset length the tree currently covers.
 func (t *Tree) Len() int { return t.n }
@@ -150,12 +120,11 @@ func (t *Tree) Extend(n int) {
 	if n == t.n {
 		return
 	}
-	ls := t.cfg.LeafSize
 	old := t.leaves
-	leaves := make([]treeLeaf, (n+ls-1)/ls)
+	leaves := make([]treeLeaf, (n+LeafSize-1)/LeafSize)
 	for i := range leaves {
-		lo := i * ls
-		hi := lo + ls
+		lo := i * LeafSize
+		hi := lo + LeafSize
 		if hi > n {
 			hi = n
 		}
@@ -279,7 +248,7 @@ func (t *Tree) Refresh(d *dataset.Dataset, budget int, score LossScorer, rng *si
 func (t *Tree) buildLeaf(d *dataset.Dataset, idx, budget int, score LossScorer, rng *simrand.Rand) (*Coreset, error) {
 	lf := t.leaves[idx]
 	leafLen := lf.hi - lf.lo
-	target := t.cfg.LeafTarget
+	target := LeafTarget
 	if budget < target {
 		target = budget
 	}
@@ -299,9 +268,9 @@ func (t *Tree) buildLeaf(d *dataset.Dataset, idx, budget int, score LossScorer, 
 		indices[i] = lf.lo + i
 		leafTotal += d.At(lf.lo + i).Weight
 	}
-	if leafLen > t.cfg.LeafSample {
-		perm := lrng.Perm(leafLen)[:t.cfg.LeafSample]
-		pool := make([]int, t.cfg.LeafSample)
+	if leafLen > LeafSample {
+		perm := lrng.Perm(leafLen)[:LeafSample]
+		pool := make([]int, LeafSample)
 		for i, p := range perm {
 			pool[i] = lf.lo + p
 		}
@@ -309,13 +278,12 @@ func (t *Tree) buildLeaf(d *dataset.Dataset, idx, budget int, score LossScorer, 
 	}
 	base := d.Subset(indices)
 	losses := score(base.Items())
-	cs, err := BuildWith(t.cfg.Method, base, losses, target, lrng.Derive("build"))
+	cs, err := BuildWith(t.method, base, losses, target, lrng.Derive("build"))
 	if err != nil {
 		return nil, fmt.Errorf("coreset: building leaf %d [%d,%d): %w", idx, lf.lo, lf.hi, err)
 	}
 	// Rescale so the leaf coreset represents the LEAF's weight, not just the
-	// scored pool's — the per-leaf analogue of EnsureCoreset's
-	// LayeringSample rescale.
+	// scored pool's.
 	if poolTotal := base.TotalWeight(); poolTotal > 0 {
 		if scale := leafTotal / poolTotal; scale != 1 {
 			scaled := dataset.New(cs.Len())

@@ -38,7 +38,7 @@ func sameCoreset(t *testing.T, a, b *Coreset) {
 }
 
 func TestTreeExtendPartition(t *testing.T) {
-	tr := NewTree(TreeConfig{})
+	tr := NewTree(0)
 	tr.Extend(600)
 	if got, want := tr.NumLeaves(), 3; got != want {
 		t.Fatalf("NumLeaves = %d, want %d", got, want)
@@ -71,7 +71,7 @@ func TestTreeExtendPartition(t *testing.T) {
 
 func TestTreeRefreshStatsAndCaching(t *testing.T) {
 	d, _ := syntheticDataset(1024, unitWeights)
-	tr := NewTree(TreeConfig{})
+	tr := NewTree(0)
 	cs, stats, err := tr.Refresh(d, 150, treeScorer, treeRNG())
 	if err != nil {
 		t.Fatalf("Refresh: %v", err)
@@ -101,7 +101,7 @@ func TestTreeRefreshStatsAndCaching(t *testing.T) {
 
 func TestTreeRefreshRebuildsOnlyAppendedLeaves(t *testing.T) {
 	d, _ := syntheticDataset(1024, unitWeights)
-	tr := NewTree(TreeConfig{})
+	tr := NewTree(0)
 	if _, _, err := tr.Refresh(d, 150, treeScorer, treeRNG()); err != nil {
 		t.Fatalf("Refresh: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestTreeRefreshMatchesColdRebuild(t *testing.T) {
 	// identical coresets, because all randomness flows through derived
 	// streams keyed by leaf/node position.
 	d, _ := syntheticDataset(600, unitWeights)
-	warm := NewTree(TreeConfig{})
+	warm := NewTree(0)
 	if _, _, err := warm.Refresh(d, 150, treeScorer, treeRNG()); err != nil {
 		t.Fatalf("warm Refresh: %v", err)
 	}
@@ -146,7 +146,7 @@ func TestTreeRefreshMatchesColdRebuild(t *testing.T) {
 		t.Fatalf("warm refresh used no cache: %+v", warmStats)
 	}
 
-	cold := NewTree(TreeConfig{})
+	cold := NewTree(0)
 	coldCS, coldStats, err := cold.Refresh(d, 150, treeScorer, treeRNG())
 	if err != nil {
 		t.Fatalf("cold Refresh: %v", err)
@@ -159,7 +159,7 @@ func TestTreeRefreshMatchesColdRebuild(t *testing.T) {
 
 func TestTreeInvalidate(t *testing.T) {
 	d, _ := syntheticDataset(1024, unitWeights)
-	tr := NewTree(TreeConfig{})
+	tr := NewTree(0)
 	if _, _, err := tr.Refresh(d, 150, treeScorer, treeRNG()); err != nil {
 		t.Fatalf("Refresh: %v", err)
 	}
@@ -184,7 +184,7 @@ func TestTreeInvalidate(t *testing.T) {
 
 func TestTreeBudgetChangeInvalidatesAll(t *testing.T) {
 	d, _ := syntheticDataset(1024, unitWeights)
-	tr := NewTree(TreeConfig{})
+	tr := NewTree(0)
 	if _, _, err := tr.Refresh(d, 150, treeScorer, treeRNG()); err != nil {
 		t.Fatalf("Refresh: %v", err)
 	}
@@ -200,7 +200,7 @@ func TestTreeBudgetChangeInvalidatesAll(t *testing.T) {
 func TestTreeRefreshPreservesTotalWeight(t *testing.T) {
 	for _, n := range []int{100, 256, 600, 1024, 2500} {
 		d, _ := syntheticDataset(n, func(i int) float64 { return 1 + float64(i%5) })
-		tr := NewTree(TreeConfig{})
+		tr := NewTree(0)
 		cs, _, err := tr.Refresh(d, 150, treeScorer, treeRNG())
 		if err != nil {
 			t.Fatalf("n=%d: Refresh: %v", n, err)
@@ -213,7 +213,7 @@ func TestTreeRefreshPreservesTotalWeight(t *testing.T) {
 
 func TestTreeRefreshErrors(t *testing.T) {
 	d, _ := syntheticDataset(100, unitWeights)
-	tr := NewTree(TreeConfig{})
+	tr := NewTree(0)
 	if _, _, err := tr.Refresh(d, 0, treeScorer, treeRNG()); err == nil {
 		t.Fatal("Refresh with zero budget should fail")
 	}
@@ -225,18 +225,13 @@ func TestTreeRefreshErrors(t *testing.T) {
 	}
 }
 
+// TestTreeConfigDefaults: a zero method selects Algorithm 1, an explicit one
+// is kept.
 func TestTreeConfigDefaults(t *testing.T) {
-	cfg := NewTree(TreeConfig{}).Config()
-	if cfg.LeafSize != DefaultLeafSize || cfg.LeafSample != DefaultLeafSample ||
-		cfg.LeafTarget != DefaultLeafTarget || cfg.Method != MethodLayered {
-		t.Fatalf("zero TreeConfig resolved to %+v", cfg)
+	if got := NewTree(0).method; got != MethodLayered {
+		t.Fatalf("zero method resolved to %v, want MethodLayered", got)
 	}
-	if cfg.LeafTarget >= cfg.LeafSample {
-		t.Fatalf("LeafTarget %d must stay below LeafSample %d for loss-aware leaf builds",
-			cfg.LeafTarget, cfg.LeafSample)
-	}
-	custom := NewTree(TreeConfig{LeafSize: 64, LeafSample: 48, LeafTarget: 32, Method: MethodUniform}).Config()
-	if custom.LeafSize != 64 || custom.LeafSample != 48 || custom.LeafTarget != 32 || custom.Method != MethodUniform {
-		t.Fatalf("explicit TreeConfig mangled: %+v", custom)
+	if got := NewTree(MethodUniform).method; got != MethodUniform {
+		t.Fatalf("explicit method resolved to %v, want MethodUniform", got)
 	}
 }

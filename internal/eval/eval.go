@@ -3,12 +3,10 @@ package eval
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"lbchat/internal/bev"
 	"lbchat/internal/dataset"
 	"lbchat/internal/geom"
-	"lbchat/internal/parallel"
 	"lbchat/internal/simrand"
 	"lbchat/internal/world"
 )
@@ -77,11 +75,6 @@ type SuiteConfig struct {
 	RoutesPerCondition int
 	// Seed drives route selection.
 	Seed uint64
-}
-
-// DefaultSuiteConfig returns the experiment default.
-func DefaultSuiteConfig() SuiteConfig {
-	return SuiteConfig{RoutesPerCondition: 12, Seed: 99}
 }
 
 // BuildSuite samples benchmark routes from the map: straight runs (no
@@ -189,9 +182,6 @@ type Evaluator struct {
 	// GraceSeconds ignores collisions immediately after spawn, before the
 	// agent has had a chance to act (spawn-overlap artifacts).
 	GraceSeconds float64
-	// Workers bounds trial-level parallelism in SuccessRateParallel. 0 means
-	// one worker per available CPU; 1 forces the serial path.
-	Workers int
 }
 
 // NewEvaluator returns an evaluator with the experiment defaults: the
@@ -445,34 +435,6 @@ func (ev *Evaluator) SuccessRate(policy Driver, cond Condition, trials int, seed
 		}
 	}
 	return 100 * float64(success) / float64(trials)
-}
-
-// SuccessRateParallel is SuccessRate with trials fanned out across
-// ev.Workers. Drivers cache forward activations and are not safe for
-// concurrent use, so newDriver must return a fresh Driver per call (e.g.
-// model.Policy.Clone — identical parameters, so identical predictions); it
-// is invoked once per worker chunk. Every trial keeps the exact seed the
-// serial loop would give it, each trial builds its own private world, and
-// the success count is an integer — addition order cannot change it — so the
-// returned rate is bit-identical to SuccessRate at any worker count.
-func (ev *Evaluator) SuccessRateParallel(newDriver func() Driver, cond Condition, trials int, seed uint64) float64 {
-	routes := ev.Suite.Routes[cond]
-	if len(routes) == 0 || trials <= 0 {
-		return math.NaN()
-	}
-	var success atomic.Int64
-	parallel.Chunks(parallel.Resolve(ev.Workers), trials, func(lo, hi int) {
-		drv := newDriver()
-		n := 0
-		for i := lo; i < hi; i++ {
-			route := routes[i%len(routes)]
-			if ev.RunTrial(drv, cond, route, seed+uint64(i)*7919) == OutcomeSuccess {
-				n++
-			}
-		}
-		success.Add(int64(n))
-	})
-	return 100 * float64(success.Load()) / float64(trials)
 }
 
 // controller converts predicted waypoints into free-agent motion: steer

@@ -63,10 +63,7 @@ func TestParallelRunDeterminism(t *testing.T) {
 // per-condition float averages reduced in sample order).
 func TestParallelEvalDeterminism(t *testing.T) {
 	env := getEnv(t)
-	run, err := env.RunProtocol(ProtoLbChat, true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run, _ := goldenRun(t, ProtoLbChat, true)
 
 	withWorkers := func(workers int) map[eval.Condition]float64 {
 		e2 := *env

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 
 	"lbchat/internal/baselines"
@@ -60,27 +59,18 @@ type Scale struct {
 	// (core.Config.Shards); 0 or 1 keeps the single-index path. Output is
 	// bit-identical at any setting.
 	Shards int
-	// FullCoresetRebuild disables the incremental partition-tree coreset
-	// refresh (core.Config.DisableIncrementalCoreset), selecting the
-	// original full Algorithm-1 rebuild arm instead (DESIGN.md §14). The
-	// two arms produce equal-quality summaries but are distinct sampling
-	// processes; each is individually bit-identical at any Workers/Shards.
-	FullCoresetRebuild bool
-	// StreamTrace drives engine runs from a bounded sliding-window trace
-	// source instead of the resident columnar trace (DESIGN.md §12).
-	// Without a TracePath the recorded trace is spilled to a temporary
-	// LBTC file (removed by Env.Close); results are bit-identical either
-	// way — streaming only bounds the trace working set.
-	StreamTrace bool
-	// TracePath, when set, loads the mobility trace from this LBTC file
+	// TracePath, when set, takes the mobility trace from this LBTC file
 	// (e.g. a worldgen -trace-out recording) instead of recording one from
-	// the world. The file's vehicle count must match Vehicles.
+	// the world. The file's vehicle count must match Vehicles. Whether a
+	// recorded or file trace is held resident or paged through a bounded
+	// window follows from its decoded size (residentTraceBudget); results
+	// are bit-identical either way.
 	TracePath string
 	// TraceURL, when set, pages the mobility trace from a remote chunk
 	// server (cmd/trace-serve) at this base URL instead of a local file.
-	// Remote traces always stream — each run gets a fresh window over a
-	// shared retrying client — and take precedence over TracePath. Results
-	// are bit-identical to the resident and local-streamed paths.
+	// Remote traces are always windowed — each run gets a fresh window over
+	// a shared retrying client — and take precedence over TracePath. Results
+	// are bit-identical to the resident and local-windowed paths.
 	TraceURL string
 }
 
@@ -127,10 +117,10 @@ func FullScale() Scale {
 type Env struct {
 	Scale Scale
 	Map   *world.Map
-	// Trace is the env-level mobility source — resident, or a metadata
-	// window over the backing stream when the scale streams. Streamed
-	// protocol runs do not share it: each run opens a fresh window over
-	// streamPath (a window's cursor only moves forward).
+	// Trace is the env-level mobility source: the resident trace every run
+	// shares, or — when the trace is windowed — a window over chunks that
+	// only answers for the stream's shape. Windowed runs do not share it:
+	// each opens its own window (a window's cursor only moves forward).
 	Trace    trace.Source
 	Probe    []dataset.Weighted
 	Suite    *eval.Suite
@@ -144,91 +134,91 @@ type Env struct {
 	// aggregate summaries (ProtocolRun.Comm) are collected regardless.
 	Telemetry telemetry.Sink
 
-	// streamPath is the LBTC file per-run windows reopen; empty for
-	// resident envs. ownsStream marks a temporary spill Close removes, and
-	// traceCloser owns the env-level window's file handle.
-	streamPath  string
-	ownsStream  bool
-	traceCloser io.Closer
-	// remote is the shared chunk-server client remote envs page through;
-	// per-run windows all fetch via it (the client is concurrency-safe and
-	// its LRU is shared). Close releases it after the env-level window.
-	remote *traceserve.Client
+	// chunks is the one chunk source every windowed run pages through — an
+	// indexed LBTC file or a chunk-server client, both safe for concurrent
+	// ReadChunk — and nil when Trace is resident. spill names the temporary
+	// LBTC file behind chunks when the env recorded it; Close removes it.
+	chunks trace.ChunkSource
+	spill  string
 }
 
-// Close releases the env's trace resources: the env-level window's file
-// handle and, for spilled recordings, the temporary LBTC file. Safe to
-// call on resident envs and idempotent.
+// Close releases the env's trace resources: the chunk source and, for
+// spilled recordings, the temporary LBTC file. Safe to call on resident envs
+// and idempotent.
 func (e *Env) Close() error {
 	var first error
-	if e.traceCloser != nil {
-		first = e.traceCloser.Close()
-		e.traceCloser = nil
+	if e.chunks != nil {
+		first = e.chunks.Close()
+		e.chunks = nil
 	}
-	if e.ownsStream && e.streamPath != "" {
-		if err := os.Remove(e.streamPath); err != nil && first == nil {
+	if e.spill != "" {
+		if err := os.Remove(e.spill); err != nil && first == nil {
 			first = err
 		}
-		e.ownsStream = false
-	}
-	if e.remote != nil {
-		if err := e.remote.Close(); err != nil && first == nil {
-			first = err
-		}
-		e.remote = nil
+		e.spill = ""
 	}
 	return first
 }
 
-// envWindowConfig is how env-owned windows are opened: default spans (the
-// engine reserves its own lookahead) with background prefetch on.
-func envWindowConfig() trace.WindowConfig {
-	return trace.WindowConfig{Prefetch: true}
+// residentTraceBudget is the decoded size (ticks × vehicles × 16 B) up to
+// which a recorded or file trace is held resident; above it the trace is
+// recorded to a spill and every run windows the chunk source. TestScale is
+// 0.1 MB, bench 2.7 MB, full 14.7 MB; EXPERIMENTS.md's 400 000-tick trace
+// (51 MB live, −53 % peak RSS for +9 % wall when windowed) is the side that
+// windows. A variable only so tests can reach the windowed side at TestScale.
+var residentTraceBudget int64 = 32 << 20
+
+// fitsResident reports whether a trace of the given shape stays under
+// residentTraceBudget.
+func fitsResident(ticks, vehicles int) bool {
+	return int64(ticks)*int64(vehicles)*16 <= residentTraceBudget
 }
 
-// buildTrace resolves the scale's mobility-trace source into env: a remote
-// chunk server, an LBTC file, or a recording from the world (resident, or
-// spilled to a temporary stream when the scale streams). On error the
-// caller closes env, which releases whatever was opened before the failure.
+// envWindow is how env-owned windows are opened: default spans (the engine
+// reserves its own lookahead) with background prefetch on.
+var envWindow = trace.WindowConfig{Prefetch: true}
+
+// buildTrace resolves the scale's mobility trace into env: at most one
+// chunk source (a dialed chunk server | an LBTC file | none, for a trace
+// recorded from the world), held resident when its decoded size fits
+// residentTraceBudget and windowed otherwise; a chunk server always windows.
+// On error the caller closes env, which releases whatever was opened before
+// the failure.
 func buildTrace(env *Env, w *world.World) error {
 	scale := env.Scale
-	if scale.TraceURL != "" {
+	switch {
+	case scale.TraceURL != "":
 		remote, err := traceserve.Dial(scale.TraceURL, traceserve.ClientConfig{})
 		if err != nil {
 			return fmt.Errorf("experiments: dialing trace server: %w", err)
 		}
-		win := trace.NewWindowSource(remote, envWindowConfig())
-		// The window's own Close drains its prefetches; the shared client
-		// is released by Env.Close after every window is done.
-		env.remote, env.Trace, env.traceCloser = remote, win, win
-		return nil
-	}
-	if scale.TracePath != "" && !scale.StreamTrace {
-		f, err := os.Open(scale.TracePath)
+		env.chunks = remote
+	case scale.TracePath != "":
+		file, err := trace.OpenFileSource(scale.TracePath)
 		if err != nil {
 			return fmt.Errorf("experiments: opening trace: %w", err)
 		}
-		defer f.Close()
-		tr, err := trace.ReadTrace(f)
-		if err != nil {
-			return fmt.Errorf("experiments: reading trace %s: %w", scale.TracePath, err)
+		if fitsResident(file.NumTicks(), file.NumVehicles()) {
+			tr, err := trace.Load(file)
+			file.Close()
+			if err != nil {
+				return fmt.Errorf("experiments: reading trace %s: %w", scale.TracePath, err)
+			}
+			env.Trace = tr
+			return nil
 		}
-		env.Trace = tr
-		return nil
-	}
-	if !scale.StreamTrace {
+		env.chunks = file
+	case fitsResident(scale.TraceTicks, len(w.Experts)):
 		env.Trace = trace.Record(w, scale.TraceTicks, 0.5)
 		return nil
-	}
-	env.streamPath = scale.TracePath
-	if env.streamPath == "" {
-		// Record through a ChunkWriter straight to a temporary spill so
-		// the full trace is never resident, then open a window over it.
+	default:
+		// Record through a ChunkWriter straight to a temporary spill so the
+		// full trace is never resident.
 		f, err := os.CreateTemp("", "lbchat-trace-*.lbtc")
 		if err != nil {
 			return fmt.Errorf("experiments: creating trace spill: %w", err)
 		}
-		env.streamPath, env.ownsStream = f.Name(), true
+		env.spill = f.Name()
 		cw := trace.NewChunkWriter(f, 0.5, len(w.Experts), trace.DefaultChunkTicks)
 		err = trace.RecordStream(w, scale.TraceTicks, 0.5, cw)
 		if cerr := cw.Close(); err == nil {
@@ -240,12 +230,13 @@ func buildTrace(env *Env, w *world.World) error {
 		if err != nil {
 			return fmt.Errorf("experiments: spilling trace: %w", err)
 		}
+		spill, err := trace.OpenFileSource(env.spill)
+		if err != nil {
+			return fmt.Errorf("experiments: opening trace spill: %w", err)
+		}
+		env.chunks = spill
 	}
-	win, closer, err := trace.OpenWindowFile(env.streamPath, envWindowConfig())
-	if err != nil {
-		return fmt.Errorf("experiments: opening trace window: %w", err)
-	}
-	env.Trace, env.traceCloser = win, closer
+	env.Trace = trace.NewWindowSource(env.chunks, envWindow)
 	return nil
 }
 
@@ -261,7 +252,6 @@ func BuildEnv(scale Scale) (*Env, error) {
 	cfg.Seed = scale.Seed
 	cfg.Workers = scale.Workers
 	cfg.Shards = scale.Shards
-	cfg.DisableIncrementalCoreset = scale.FullCoresetRebuild
 
 	rng := simrand.New(scale.Seed)
 	w, err := world.New(m, world.SpawnConfig{
@@ -277,8 +267,8 @@ func BuildEnv(scale Scale) (*Env, error) {
 
 	// The paper records additional mobility (beyond the collection hour) to
 	// drive encounters; we keep stepping the same world. RecordStream spills
-	// the identical positions when the scale streams, so streamed and
-	// resident envs see the same trajectories bit for bit.
+	// the identical positions when the trace is over the resident budget, so
+	// windowed and resident envs see the same trajectories bit for bit.
 	env := &Env{Scale: scale, Map: m, Cfg: cfg, datasets: datasets}
 	if err := buildTrace(env, w); err != nil {
 		env.Close()
@@ -448,12 +438,14 @@ func (e *Env) runProtocol(ctx context.Context, name ProtocolName, lossless bool,
 		sink = telemetry.Tee(sum, buf)
 	}
 	cfg.Telemetry = sink
-	src, srcCloser, err := e.openRunTrace()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: trace for %s: %w", name, err)
-	}
-	if srcCloser != nil {
-		defer srcCloser.Close()
+	src := e.Trace
+	if e.chunks != nil {
+		// A window's cursor is forward-only, so each run (concurrent harness
+		// runs included) windows the shared chunk source for itself; Close
+		// drains its prefetches before the source can go away.
+		win := trace.NewWindowSource(e.chunks, envWindow)
+		defer win.Close()
+		src = win
 	}
 	sink.Emit(telemetry.RunStarted{Protocol: string(name), Lossless: lossless})
 	eng, err := core.NewEngine(cfg, src, e.FreshDatasets(), radio.NewModel(lossless), e.Probe)
@@ -480,29 +472,6 @@ func (e *Env) runProtocol(ctx context.Context, name ProtocolName, lossless bool,
 		run.Fleet = append(run.Fleet, v.Policy)
 	}
 	return run, nil
-}
-
-// openRunTrace returns the mobility source for one protocol run. Resident
-// envs share Env.Trace (and return a nil closer); streamed envs open a
-// fresh window over the backing stream — or over the shared remote client
-// — because a window's cursor is forward-only and concurrent harness runs
-// each need their own.
-func (e *Env) openRunTrace() (trace.Source, io.Closer, error) {
-	if e.remote != nil {
-		win := trace.NewWindowSource(e.remote, envWindowConfig())
-		return win, win, nil
-	}
-	if e.streamPath != "" {
-		win, closer, err := trace.OpenWindowFile(e.streamPath, envWindowConfig())
-		if err != nil {
-			return nil, nil, err
-		}
-		return win, closer, nil
-	}
-	if _, windowed := e.Trace.(trace.Windowed); windowed {
-		return nil, nil, fmt.Errorf("experiments: windowed env trace has no backing stream to reopen")
-	}
-	return e.Trace, nil, nil
 }
 
 // flushRuns drains buffered per-run event streams into the Env's user

@@ -62,10 +62,7 @@ func TestUnknownProtocolRejected(t *testing.T) {
 
 func TestRunProtocolLbChat(t *testing.T) {
 	env := getEnv(t)
-	run, err := env.RunProtocol(ProtoLbChat, true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run, _ := goldenRun(t, ProtoLbChat, true)
 	if run.Name != ProtoLbChat || !run.Lossless {
 		t.Errorf("run metadata: %+v", run)
 	}
@@ -101,10 +98,7 @@ func TestEveryProtocolRuns(t *testing.T) {
 
 func TestEvalFleetAndTable(t *testing.T) {
 	env := getEnv(t)
-	run, err := env.RunProtocol(ProtoLbChat, true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run, _ := goldenRun(t, ProtoLbChat, true)
 	rates := env.EvalFleet(run.Fleet)
 	for _, cond := range eval.Conditions {
 		r, ok := rates[cond]
@@ -194,11 +188,7 @@ func TestScalePresets(t *testing.T) {
 }
 
 func TestRenderHelpers(t *testing.T) {
-	env := getEnv(t)
-	run, err := env.RunProtocol(ProtoLbChat, true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run, _ := goldenRun(t, ProtoLbChat, true)
 	curves := RenderCurves([]*ProtocolRun{run})
 	if !strings.Contains(curves, "LbChat") {
 		t.Error("curve render missing protocol name")

@@ -108,10 +108,7 @@ func TestSpecFaultsReachesSummary(t *testing.T) {
 		t.Errorf("CommTable faults-injected row = %v", got)
 	}
 
-	clean, err := getEnv(t).RunProtocol(ProtoLbChat, true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean, _ := goldenRun(t, ProtoLbChat, true)
 	cleanTbl := CommTable([]*ProtocolRun{clean}).Render()
 	for _, row := range []string{"faults injected", "chats resumed", "partial salvages"} {
 		if strings.Contains(cleanTbl, row) {

@@ -50,17 +50,6 @@ func (e *Env) SuccessRates(runs []*ProtocolRun) map[ProtocolName]map[eval.Condit
 	return out
 }
 
-// Table2 reproduces Table II (driving success rate, W/O wireless loss):
-// train all five protocols lossless and evaluate their fleets.
-func (e *Env) Table2() (*metrics.Table, []*ProtocolRun, error) {
-	return e.benchmarkTable(context.Background(), true)
-}
-
-// Table3 reproduces Table III (driving success rate, W wireless loss).
-func (e *Env) Table3() (*metrics.Table, []*ProtocolRun, error) {
-	return e.benchmarkTable(context.Background(), false)
-}
-
 // benchmarkTable trains the five-protocol lineup in the given regime and
 // evaluates the fleets (Tables II/III). A canceled training phase returns
 // the partial runs with a nil table.

@@ -18,6 +18,22 @@ func envWithSink(t *testing.T, sink telemetry.Sink) *Env {
 	return &e
 }
 
+// encodedLines returns the sink's events as JSONL lines, the form the A/B
+// tests compare byte for byte. It reports a failed encode with t.Error, so
+// it is safe off the test goroutine.
+func encodedLines(t *testing.T, mem *telemetry.MemorySink) [][]byte {
+	t.Helper()
+	lines := make([][]byte, 0, mem.Len())
+	for _, ev := range mem.Events() {
+		line, err := telemetry.Encode(ev)
+		if err != nil {
+			t.Errorf("encoding %s: %v", ev.Kind(), err)
+		}
+		lines = append(lines, line)
+	}
+	return lines
+}
+
 // sameRun asserts two protocol runs agree bit for bit: loss curve, receive
 // stats, and every vehicle's final parameter vector.
 func sameRun(t *testing.T, label string, a, b *ProtocolRun) {
@@ -48,25 +64,16 @@ func sameRun(t *testing.T, label string, a, b *ProtocolRun) {
 
 // TestTelemetryDoesNotPerturbRun is the acceptance criterion: attaching a
 // full event-stream sink must leave the run's loss curve, receive stats,
-// and final parameters bit-identical to a plain run.
+// and final parameters bit-identical to a plain run. The sinked side is the
+// memoised golden run, whose hash TestGoldenEventStreams checks against a
+// non-empty stream.
 func TestTelemetryDoesNotPerturbRun(t *testing.T) {
-	env := getEnv(t)
-	plain, err := env.RunProtocol(ProtoLbChat, false, nil)
+	plain, err := getEnv(t).RunProtocol(ProtoLbChat, false, nil)
 	if err != nil {
 		t.Fatalf("plain run: %v", err)
 	}
-	mem := telemetry.NewMemorySink()
-	res, err := Run(context.Background(), Spec{
-		Experiment: ExpProtocol, Protocol: ProtoLbChat,
-		Env: envWithSink(t, mem),
-	})
-	if err != nil {
-		t.Fatalf("telemetry run: %v", err)
-	}
-	sameRun(t, "telemetry on vs off", plain, res.Runs[0])
-	if mem.Len() == 0 {
-		t.Fatal("sink received no events")
-	}
+	sinked, _ := goldenRun(t, ProtoLbChat, false)
+	sameRun(t, "telemetry on vs off", plain, sinked)
 }
 
 // TestEventStreamDeterministicAcrossWorkers runs the concurrent Fig. 3
@@ -123,10 +130,7 @@ func TestRunCancellationReturnsPartialResult(t *testing.T) {
 	if run.Comm == nil {
 		t.Fatal("canceled run dropped its telemetry summary")
 	}
-	full, err := getEnv(t).RunProtocol(ProtoLbChat, true, nil)
-	if err != nil {
-		t.Fatalf("full run: %v", err)
-	}
+	full, _ := goldenRun(t, ProtoLbChat, true)
 	if len(run.Curve.Points) >= len(full.Curve.Points) {
 		t.Errorf("canceled run recorded %d curve points, full run %d — expected an early stop",
 			len(run.Curve.Points), len(full.Curve.Points))
@@ -200,11 +204,7 @@ func TestRunJSONLEndToEnd(t *testing.T) {
 // TestCommTableFromRun checks the Fig. 6-style report against the summary
 // it renders.
 func TestCommTableFromRun(t *testing.T) {
-	env := getEnv(t)
-	run, err := env.RunProtocol(ProtoLbChat, true, nil)
-	if err != nil {
-		t.Fatalf("RunProtocol: %v", err)
-	}
+	run, _ := goldenRun(t, ProtoLbChat, true)
 	tbl := CommTable([]*ProtocolRun{run, nil})
 	_, done, _ := run.Comm.Chats()
 	if got := tbl.Value("chats completed", "LbChat"); got != float64(done) {

@@ -26,15 +26,7 @@ func TestShardABDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
 		}
-		lines := make([][]byte, 0, mem.Len())
-		for _, ev := range mem.Events() {
-			line, err := telemetry.Encode(ev)
-			if err != nil {
-				t.Fatalf("encoding %s: %v", ev.Kind(), err)
-			}
-			lines = append(lines, line)
-		}
-		return run, lines
+		return run, encodedLines(t, mem)
 	}
 
 	refRun, refStream := runWith(1, 1)

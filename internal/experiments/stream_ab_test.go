@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http/httptest"
 	"os"
+	"sync"
 	"testing"
 
 	"lbchat/internal/core"
@@ -34,15 +35,23 @@ var streamedEnv *Env
 func getStreamedEnv(t *testing.T) *Env {
 	t.Helper()
 	if streamedEnv == nil {
-		scale := TestScale()
-		scale.StreamTrace = true
-		env, err := BuildEnv(scale)
-		if err != nil {
-			t.Fatalf("BuildEnv(streamed): %v", err)
-		}
-		streamedEnv = env
+		streamedEnv = buildEnvWithBudget(t, TestScale(), 0)
 	}
 	return streamedEnv
+}
+
+// buildEnvWithBudget builds an env with residentTraceBudget set to budget
+// for the duration of BuildEnv: the way tests choose the side of the
+// residency decision that production reads off the trace's size.
+func buildEnvWithBudget(t *testing.T, scale Scale, budget int64) *Env {
+	t.Helper()
+	defer func(old int64) { residentTraceBudget = old }(residentTraceBudget)
+	residentTraceBudget = budget
+	env, err := BuildEnv(scale)
+	if err != nil {
+		t.Fatalf("BuildEnv(budget %d): %v", budget, err)
+	}
+	return env
 }
 
 // TestStreamABDeterminism is the streaming-trace acceptance criterion: a full
@@ -65,15 +74,7 @@ func TestStreamABDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
 		}
-		lines := make([][]byte, 0, mem.Len())
-		for _, ev := range mem.Events() {
-			line, err := telemetry.Encode(ev)
-			if err != nil {
-				t.Fatalf("encoding %s: %v", ev.Kind(), err)
-			}
-			lines = append(lines, line)
-		}
-		return run, lines
+		return run, encodedLines(t, mem)
 	}
 
 	refRun, refStream := runWith(getEnv(t), 1, 1)
@@ -85,12 +86,7 @@ func TestStreamABDeterminism(t *testing.T) {
 	// Third arm: the same spilled LBTC stream, but paged over localhost
 	// through a trace-serve chunk server — the remote runs must match the
 	// resident reference byte for byte too.
-	fileSrc, err := trace.OpenFileSource(streamed.streamPath)
-	if err != nil {
-		t.Fatalf("indexing spill: %v", err)
-	}
-	defer fileSrc.Close()
-	srv, err := traceserve.NewServer(fileSrc, traceserve.ServerConfig{})
+	srv, err := traceserve.NewServer(streamed.chunks.(*trace.IndexedChunkSource), traceserve.ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +98,7 @@ func TestStreamABDeterminism(t *testing.T) {
 	}
 	defer client.Close()
 	remoteEnv := *streamed
-	remoteEnv.remote = client
-	remoteEnv.streamPath, remoteEnv.ownsStream, remoteEnv.traceCloser = "", false, nil
+	remoteEnv.chunks, remoteEnv.spill = client, ""
 
 	for _, arm := range []struct {
 		name string
@@ -147,11 +142,77 @@ func TestStreamTraceSummaryCounters(t *testing.T) {
 	if got := tbl.Value("trace chunk loads", "LbChat"); got != float64(loads) {
 		t.Errorf("trace chunk loads row = %v, want %d", got, loads)
 	}
-	resident, err := getEnv(t).RunProtocol(ProtoLbChat, true, nil)
-	if err != nil {
-		t.Fatalf("resident run: %v", err)
-	}
+	resident, _ := goldenRun(t, ProtoLbChat, true)
 	if n := resident.Comm.Reg.Counter(telemetry.MTraceLoads); n != 0 {
 		t.Errorf("resident run counted %d chunk loads, want 0", n)
+	}
+}
+
+// TestTraceResidencyBySize pins the one residency decision: the same scale
+// built with the budget at the trace's decoded size holds it resident, one
+// byte under records it to a spill and windows it — same shape either way —
+// the spill goes with Close, and two runs windowing the shared chunk source
+// at once each reproduce the resident run byte for byte.
+func TestTraceResidencyBySize(t *testing.T) {
+	scale := TestScale()
+	scale.TrainDuration = 120 // three runs below; the decision is made at build time
+	size := int64(scale.TraceTicks) * int64(scale.Vehicles) * 16
+
+	resident := buildEnvWithBudget(t, scale, size)
+	defer resident.Close()
+	if _, ok := resident.Trace.(*trace.Trace); !ok || resident.chunks != nil || resident.spill != "" {
+		t.Fatalf("at the budget: Trace is %T, chunks %v, spill %q; want a resident trace and no source",
+			resident.Trace, resident.chunks, resident.spill)
+	}
+	windowed := buildEnvWithBudget(t, scale, size-1)
+	defer windowed.Close()
+	if _, ok := windowed.Trace.(*trace.Window); !ok || windowed.chunks == nil {
+		t.Fatalf("over the budget: Trace is %T, chunks %v; want a window over a chunk source",
+			windowed.Trace, windowed.chunks)
+	}
+	if _, err := os.Stat(windowed.spill); err != nil {
+		t.Fatalf("over the budget: no spill file: %v", err)
+	}
+	if r, w := resident.Trace, windowed.Trace; r.NumTicks() != w.NumTicks() || r.NumVehicles() != w.NumVehicles() {
+		t.Errorf("resident trace is %d ticks × %d vehicles, windowed %d × %d",
+			r.NumTicks(), r.NumVehicles(), w.NumTicks(), w.NumVehicles())
+	}
+
+	stream := func(env *Env) []byte {
+		mem := telemetry.NewMemorySink()
+		e := *env
+		e.Telemetry = mem
+		if _, err := e.RunProtocol(ProtoLbChat, false, nil); err != nil {
+			t.Error(err)
+			return nil
+		}
+		return bytes.Join(encodedLines(t, mem), []byte{'\n'})
+	}
+	var wg sync.WaitGroup
+	concurrent := make([][]byte, 2)
+	for i := range concurrent {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			concurrent[i] = stream(windowed)
+		}()
+	}
+	want := stream(resident)
+	wg.Wait()
+	if len(want) == 0 {
+		t.Fatal("resident run emitted no events")
+	}
+	for i, got := range concurrent {
+		if !bytes.Equal(got, want) {
+			t.Errorf("concurrent windowed run %d differs from the resident run (%d vs %d bytes)", i, len(got), len(want))
+		}
+	}
+
+	spill := windowed.spill
+	if err := windowed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(spill); !os.IsNotExist(err) {
+		t.Errorf("Close left the spill %s behind (stat: %v)", spill, err)
 	}
 }

@@ -394,11 +394,6 @@ func (p *Policy) Loss(items []dataset.Weighted) float64 {
 	return p.lossFromPerSample(perSample, weights, cmds)
 }
 
-// LossOnDataset evaluates Eq. (6) over a whole dataset.
-func (p *Policy) LossOnDataset(d *dataset.Dataset) float64 {
-	return p.Loss(d.Items())
-}
-
 func (p *Policy) lossFromPerSample(perSample, weights []float64, cmds []dataset.Command) float64 {
 	var risk, totalW float64
 	for i, l := range perSample {

@@ -49,15 +49,6 @@ func (ps ParamSet) Flatten() []float64 {
 	return out
 }
 
-// FlattenGrad copies all gradients into a single flat vector.
-func (ps ParamSet) FlattenGrad() []float64 {
-	out := make([]float64, 0, ps.NumElements())
-	for _, p := range ps {
-		out = append(out, p.Grad.Data()...)
-	}
-	return out
-}
-
 // LoadFlat copies a flat vector back into the parameter values. The vector
 // length must equal NumElements.
 func (ps ParamSet) LoadFlat(flat []float64) error {

@@ -227,18 +227,16 @@ func checkTraceParams(fset *token.FileSet, path string, file *ast.File, findings
 
 // DirectCoresetBuilds parses every .go file under root and returns one
 // "path:line:col: ..." finding per call to coreset.Build or
-// coreset.BuildWith outside the construction layer. Coresets must be built
+// coreset.BuildWith outside the coreset package. Coresets must be built
 // through the engine's EnsureCoreset (internal/core/coreset_mgmt.go), which
-// routes every refresh through the partition tree or the full-rebuild arm —
-// a direct Build call bypasses the incremental cache, the A/B arm flag, and
-// the telemetry side channel. Exempt: the coreset package itself, the
-// engine's coreset_mgmt.go, test files, and the examples tree (pedagogical
-// standalone programs).
+// routes every refresh through the partition tree — a direct Build call
+// bypasses the incremental cache and the telemetry side channel. Exempt:
+// the coreset package itself, test files, and the examples tree
+// (pedagogical standalone programs).
 func DirectCoresetBuilds(root string) ([]string, error) {
 	var findings []string
 	fset := token.NewFileSet()
 	coresetPkgDir := filepath.Join("internal", "coreset")
-	mgmtFile := filepath.Join("internal", "core", "coreset_mgmt.go")
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -257,7 +255,7 @@ func DirectCoresetBuilds(root string) ([]string, error) {
 		if relErr != nil {
 			rel = path
 		}
-		if strings.HasPrefix(rel, coresetPkgDir+string(filepath.Separator)) || rel == mgmtFile {
+		if strings.HasPrefix(rel, coresetPkgDir+string(filepath.Separator)) {
 			return nil
 		}
 		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
@@ -328,7 +326,7 @@ var hotPathFuncs = map[string]bool{
 // (hotPathFuncs). The calendar queue exists precisely so empty ticks cost
 // O(1) and due ticks cost O(due); a fleet-sized range in one of these
 // functions silently reverts the engine to the O(N)-per-tick regime the
-// scheduler replaced (DESIGN.md §15). Everything outside the hot set —
+// scheduler replaced (DESIGN.md §14). Everything outside the hot set —
 // construction, end-of-run aggregation, the encounter scan's own spatial
 // index — is exempt, as are _test.go files (where the scan oracle lives).
 func HotPathFleetScans(root string) ([]string, error) {
@@ -396,7 +394,7 @@ func checkHotPathScans(fset *token.FileSet, path string, file *ast.File, finding
 // statement that is a bare x.Backward(...) call. Layer.Backward returns
 // dLoss/dInput; a caller that drops it made the layer compute a gradient
 // nobody reads — for a network's first layer the widest product of the whole
-// backward pass — and wants Layer.BackwardParams instead (DESIGN.md §16.2).
+// backward pass — and wants Layer.BackwardParams instead (DESIGN.md §15).
 // The check is syntactic: it keys on the method name, not the receiver's
 // type. internal/nn itself (containers chain Backward calls) and _test.go
 // files are exempt.

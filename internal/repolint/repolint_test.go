@@ -114,9 +114,9 @@ func f(t *Trace) {} // unrelated local type named Trace
 }
 
 // TestNoDirectCoresetBuilds is the repository-wide assertion: outside the
-// coreset package and the engine's construction layer, no non-test code may
-// call coreset.Build/BuildWith directly — coresets flow through
-// Engine.EnsureCoreset so the partition tree and the A/B arm flag apply.
+// coreset package no non-test code may call coreset.Build/BuildWith
+// directly — coresets flow through Engine.EnsureCoreset so the partition
+// tree applies.
 func TestNoDirectCoresetBuilds(t *testing.T) {
 	root, err := ModuleRoot(".")
 	if err != nil {
@@ -142,7 +142,7 @@ func bad1() { cs.Build(nil, nil, 10, nil) }                   // direct Build
 func bad2() { cs.BuildWith(cs.MethodLayered, nil, nil, 10, nil) } // direct BuildWith
 func ok1() { cs.FromDataset(nil) }                            // wrapping: allowed
 func ok2() { cs.MergeReduce(nil, nil, 10, nil) }              // maintenance: allowed
-func ok3() { cs.NewTree(cs.TreeConfig{}) }                    // tree: allowed
+func ok3() { cs.NewTree(cs.MethodLayered) }                   // tree: allowed
 `
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "x.go"), []byte(src), 0o644); err != nil {
@@ -162,9 +162,9 @@ func ok3() { cs.NewTree(cs.TreeConfig{}) }                    // tree: allowed
 	}
 }
 
-// TestDirectCoresetBuildsExemptions: the coreset package itself, the
-// engine's coreset_mgmt.go, test files, the examples tree, and files that
-// never import the package produce no findings.
+// TestDirectCoresetBuildsExemptions: the coreset package itself, test
+// files, the examples tree, and files that never import the package produce
+// no findings; the engine's coreset_mgmt.go is checked like any other file.
 func TestDirectCoresetBuildsExemptions(t *testing.T) {
 	dir := t.TempDir()
 	write := func(rel, src string) {
@@ -182,7 +182,6 @@ func TestDirectCoresetBuildsExemptions(t *testing.T) {
 func f() { cs.Build(nil, nil, 10, nil) }
 `
 	write(filepath.Join("internal", "coreset", "x.go"), "package coreset\n\n"+call)
-	write(filepath.Join("internal", "core", "coreset_mgmt.go"), "package core\n\n"+call)
 	write(filepath.Join("internal", "core", "x_test.go"), "package core\n\n"+call)
 	write(filepath.Join("examples", "demo", "main.go"), "package main\n\n"+call)
 	write("y.go", `package p
@@ -199,6 +198,10 @@ func g() { var c coreset; c.Build() } // unrelated local type: allowed
 	}
 	if len(findings) != 0 {
 		t.Errorf("unexpected findings:\n%s", strings.Join(findings, "\n"))
+	}
+	write(filepath.Join("internal", "core", "coreset_mgmt.go"), "package core\n\n"+call)
+	if findings, err = DirectCoresetBuilds(dir); err != nil || len(findings) != 1 {
+		t.Errorf("coreset_mgmt.go calling Build: %d findings (err %v), want 1", len(findings), err)
 	}
 }
 

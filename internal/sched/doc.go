@@ -8,7 +8,7 @@
 // merge take effect only when the payload would actually have landed.
 //
 // Calendar is the tick-indexed due-time queue behind the engine's training
-// scheduler (DESIGN.md §15): a power-of-two ring of buckets keyed by
+// scheduler (DESIGN.md §14): a power-of-two ring of buckets keyed by
 // (dueTick, vehicleID) with lazy deletion, so an empty tick costs O(1) and a
 // tick with k due vehicles costs O(k) — replacing the per-tick O(fleet) scan,
 // which survives only as the test oracle in internal/core/oracle_test.go.

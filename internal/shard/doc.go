@@ -20,7 +20,7 @@
 // by owning region and dispatched as one parallel task per region, with
 // outputs written to index-addressed scratch and reduced in canonical
 // vehicle order so results stay bit-identical at any worker or shard count
-// (DESIGN.md §15).
+// (DESIGN.md §14).
 //
 // Fleet is the synthetic random-waypoint workload used by the fleetscan
 // scale experiment: per-vehicle derived RNG streams keep its kinematics

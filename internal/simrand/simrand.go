@@ -55,9 +55,6 @@ func (r *Rand) Float64() float64 { return r.rng.Float64() }
 // math/rand semantics.
 func (r *Rand) Intn(n int) int { return r.rng.Intn(n) }
 
-// Int63 returns a non-negative uniform int64.
-func (r *Rand) Int63() int64 { return r.rng.Int63() }
-
 // NormFloat64 returns a standard normal sample.
 func (r *Rand) NormFloat64() float64 { return r.rng.NormFloat64() }
 
@@ -93,9 +90,6 @@ func (r *Rand) Exponential(rate float64) float64 {
 
 // Perm returns a random permutation of [0, n).
 func (r *Rand) Perm(n int) []int { return r.rng.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.rng.Shuffle(n, swap) }
 
 // WeightedIndex samples an index proportionally to weights. Non-positive
 // weights are treated as zero. It returns -1 when all weights are

@@ -50,14 +50,6 @@ func (h *Histogram) Observe(v float64) {
 	h.N++
 }
 
-// Mean returns the mean of the observed values (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.N)
-}
-
 // Registry aggregates named counters and histograms. Snapshots iterate in
 // sorted name order, never map order, so rendered output is deterministic.
 // The zero value is not ready; use NewRegistry.

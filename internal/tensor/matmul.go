@@ -69,7 +69,7 @@ func MatMulInto(dst, a, b *Dense) {
 // store of the element (axpy4), which output row is resident while they are
 // (MatMulTransAInto), or how many independent elements advance side by side
 // (matMulTransBRows). Splitting the reduction index across accumulators
-// would be faster still and is NOT order-preserving; see DESIGN.md §16.1.
+// would be faster still and is NOT order-preserving; see DESIGN.md §15.
 
 // matMulRows computes rows [lo, hi) of C = A·B.
 func matMulRows(cd, ad, bd []float64, lo, hi, k, n int) {

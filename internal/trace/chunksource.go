@@ -58,6 +58,25 @@ func NumChunks(totalTicks, chunkTicks int) int {
 	return (totalTicks + chunkTicks - 1) / chunkTicks
 }
 
+// ticksInChunk returns the tick count of chunk idx in a stream of the given
+// shape (the tail chunk may be short).
+func ticksInChunk(idx, totalTicks, chunkTicks int) int {
+	if rem := totalTicks - idx*chunkTicks; rem < chunkTicks {
+		return rem
+	}
+	return chunkTicks
+}
+
+// checkChunk verifies a fetched chunk has the shape its place in the stream
+// implies, whatever the source claimed.
+func checkChunk(ticks int, pts []geom.Point, wantTicks, vehicles int) error {
+	if ticks != wantTicks || len(pts) != wantTicks*vehicles {
+		return fmt.Errorf("chunk holds %d ticks in %d positions, expected %d ticks of %d vehicles",
+			ticks, len(pts), wantTicks, vehicles)
+	}
+	return nil
+}
+
 // DecodePoints decodes an LBTC chunk body (little-endian float64 x/y
 // pairs) into dst, growing it as needed. The body length must be a
 // multiple of 16.
@@ -100,10 +119,15 @@ type IndexedChunkSource struct {
 	scratch    sync.Pool // *[]byte raw-chunk buffers for concurrent decodes
 }
 
-// NewIndexedSource scans the LBTC stream in r (header plus chunk length
-// fields, seeking over bodies) and returns a random-access source over it.
-// The source does not own r; see OpenFileSource for the owning variant.
-func NewIndexedSource(r io.ReaderAt) (*IndexedChunkSource, error) {
+// NewIndexedSource scans the size-byte LBTC stream in r (header plus chunk
+// length fields, seeking over bodies) and returns a random-access source
+// over it. Every length is checked against size before anything is sized by
+// it, so no header can make the index, a raw chunk or a decoded chunk larger
+// than the stream: a chunk whose body would run past the bytes that are
+// there (leaving room for the end marker) is a *ChunkError naming it. The
+// source does not own r; see OpenFileSource for the owning variant.
+func NewIndexedSource(r io.ReaderAt, size int64) (*IndexedChunkSource, error) {
+	r = io.NewSectionReader(r, 0, size) // no read, now or later, leaves [0, size)
 	head := make([]byte, streamHeaderLen)
 	if _, err := r.ReadAt(head, 0); err != nil {
 		return nil, fmt.Errorf("trace: reading stream header: %w", err)
@@ -116,24 +140,38 @@ func NewIndexedSource(r io.ReaderAt) (*IndexedChunkSource, error) {
 		r: r, dt: dt, vehicles: vehicles, chunkTicks: chunkTicks,
 	}
 	off := int64(streamHeaderLen)
+	short := false // a chunk below capacity was seen: it must be the last
 	var lenBuf [4]byte
-	for chunk := 0; ; chunk++ {
+	chunk := 0
+	fail := func(err error) (*IndexedChunkSource, error) {
+		return nil, &ChunkError{Chunk: chunk, FirstTick: s.totalTicks, Err: err}
+	}
+	for ; ; chunk++ {
 		if _, err := r.ReadAt(lenBuf[:], off); err != nil {
-			return nil, &ChunkError{Chunk: chunk, FirstTick: s.totalTicks,
-				Err: fmt.Errorf("reading chunk length: %w", err)}
+			return fail(fmt.Errorf("reading chunk length: %w", err))
 		}
 		n := int(binary.LittleEndian.Uint32(lenBuf[:]))
 		if n == 0 {
 			return s, nil
 		}
 		if n > chunkTicks {
-			return nil, &ChunkError{Chunk: chunk, FirstTick: s.totalTicks,
-				Err: fmt.Errorf("chunk of %d ticks exceeds capacity %d", n, chunkTicks)}
+			return fail(fmt.Errorf("chunk length %d ticks exceeds capacity %d", n, chunkTicks))
 		}
-		body := int64(n) * int64(vehicles) * 16
+		if short {
+			return fail(fmt.Errorf("chunk follows one shorter than capacity %d", chunkTicks))
+		}
+		if vehicles == 0 {
+			return fail(fmt.Errorf("chunk length %d ticks in a stream of 0 vehicles", n))
+		}
+		// Dividing instead of multiplying: n·vehicles·16 can overflow int64.
+		if room := (size - 4) - (off + 4); int64(n) > room/(int64(vehicles)*16) {
+			return fail(fmt.Errorf("chunk length %d ticks × %d vehicles × 16 B runs past the %d-byte stream",
+				n, vehicles, size))
+		}
 		s.index = append(s.index, chunkIndexEntry{off: off + 4, ticks: n})
 		s.totalTicks += n
-		off += 4 + body
+		short = n < chunkTicks
+		off += 4 + int64(n)*int64(vehicles)*16
 	}
 }
 
@@ -144,7 +182,12 @@ func OpenFileSource(path string) (*IndexedChunkSource, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: opening %s: %w", path, err)
 	}
-	s, err := NewIndexedSource(f)
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("trace: opening %s: %w", path, err)
+	}
+	s, err := NewIndexedSource(f, st.Size())
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("trace: indexing %s: %w", path, err)
@@ -156,7 +199,29 @@ func OpenFileSource(path string) (*IndexedChunkSource, error) {
 // NewBytesSource wraps an in-memory LBTC stream as a random-access chunk
 // source.
 func NewBytesSource(raw []byte) (*IndexedChunkSource, error) {
-	return NewIndexedSource(bytes.NewReader(raw))
+	return NewIndexedSource(bytes.NewReader(raw), int64(len(raw)))
+}
+
+// Load materializes a chunk source as a resident trace: every chunk, read
+// in order. A file, a byte slice and a chunk server all load this way, so
+// the sources' one decoder is the only one. The trace adopts the decoded
+// chunks as they are — its tail chunk has no spare capacity, so a loaded
+// trace is for reading, not for AppendRow.
+func Load(src ChunkSource) (*Trace, error) {
+	tr := NewChunked(src.DT(), src.NumVehicles(), src.ChunkTicks())
+	total := src.NumTicks()
+	for idx, n := 0, NumChunks(total, tr.chunkTicks); idx < n; idx++ {
+		cf, err := src.ReadChunk(idx, nil)
+		if err == nil {
+			err = checkChunk(cf.Ticks, cf.Pts, ticksInChunk(idx, total, tr.chunkTicks), tr.vehicles)
+		}
+		if err != nil {
+			return nil, &ChunkError{Chunk: idx, FirstTick: tr.ticks, Err: err}
+		}
+		tr.chunks = append(tr.chunks, cf.Pts)
+		tr.ticks += cf.Ticks
+	}
+	return tr, nil
 }
 
 // DT returns the stream's tick interval in seconds.

@@ -9,9 +9,15 @@
 // Storage is columnar and chunked: positions live in flat []geom.Point
 // backing arrays of fixed tick capacity, laid out row-major [tick][vehicle],
 // so appending a tick allocates nothing in steady state and a whole tick is
-// one contiguous Row. ChunkWriter/ChunkReader stream the same chunks through
-// io.Writer/io.Reader (format "LBTC"), so 10k-vehicle recordings need not be
-// resident.
+// one contiguous Row. ChunkWriter streams the same chunks to an io.Writer
+// (format "LBTC"), so 10k-vehicle recordings need not be resident.
+//
+// LBTC bytes are read one way: IndexedChunkSource scans the header and the
+// chunk length fields once — checking each against the stream's size, so no
+// header can size anything beyond the bytes that are there — and serves
+// chunks by index through DecodePoints. A resident Trace is Load of a chunk
+// source, a bounded one is a Window over it; the remote client
+// (internal/traceserve) is a third ChunkSource with the same decoder.
 //
 // Consumers address mobility through the Source interface, which Trace (the
 // resident store) and Window (a bounded sliding window over a ChunkSource)

@@ -142,23 +142,11 @@ func (cw *ChunkWriter) Close() error {
 	return cw.err
 }
 
-// ChunkReader streams trace chunks from an io.Reader. Next returns each
-// chunk's rows without retaining previous chunks, so a consumer's working
-// set is one chunk regardless of trace length.
-type ChunkReader struct {
-	r          *bufio.Reader
-	dt         float64
-	vehicles   int
-	chunkTicks int
-	buf        []geom.Point
-	scratch    []byte
-	done       bool
-}
-
 // streamHeaderLen is the encoded size of the LBTC header.
 const streamHeaderLen = len(streamMagic) + 4 + 8 + 4 + 4
 
-// decodeStreamHeader parses and validates an encoded LBTC header.
+// decodeStreamHeader parses and validates an encoded LBTC header of
+// streamHeaderLen bytes.
 func decodeStreamHeader(head []byte) (dt float64, vehicles, chunkTicks int, err error) {
 	if string(head[:4]) != streamMagic {
 		return 0, 0, 0, fmt.Errorf("trace: bad stream magic %q", head[:4])
@@ -179,68 +167,6 @@ func decodeStreamHeader(head []byte) (dt float64, vehicles, chunkTicks int, err 
 	return dt, vehicles, chunkTicks, nil
 }
 
-// NewChunkReader parses the stream header and returns a reader positioned
-// at the first chunk.
-func NewChunkReader(r io.Reader) (*ChunkReader, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, streamHeaderLen)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("trace: reading stream header: %w", err)
-	}
-	dt, vehicles, chunkTicks, err := decodeStreamHeader(head)
-	if err != nil {
-		return nil, err
-	}
-	return &ChunkReader{r: br, dt: dt, vehicles: vehicles, chunkTicks: chunkTicks}, nil
-}
-
-// DT returns the stream's tick interval.
-func (cr *ChunkReader) DT() float64 { return cr.dt }
-
-// NumVehicles returns the stream's vehicle count.
-func (cr *ChunkReader) NumVehicles() int { return cr.vehicles }
-
-// ChunkTicks returns the stream's chunk capacity in ticks.
-func (cr *ChunkReader) ChunkTicks() int { return cr.chunkTicks }
-
-// Next returns the next chunk's positions (row-major, ticksInChunk ×
-// vehicles) and its tick count, or io.EOF after the end-of-stream marker.
-// The returned slice is reused by the following Next call.
-func (cr *ChunkReader) Next() ([]geom.Point, int, error) {
-	if cr.done {
-		return nil, 0, io.EOF
-	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(cr.r, lenBuf[:]); err != nil {
-		return nil, 0, fmt.Errorf("trace: reading chunk length: %w", err)
-	}
-	ticksInChunk := int(binary.LittleEndian.Uint32(lenBuf[:]))
-	if ticksInChunk == 0 {
-		cr.done = true
-		return nil, 0, io.EOF
-	}
-	if ticksInChunk > cr.chunkTicks {
-		return nil, 0, fmt.Errorf("trace: chunk of %d ticks exceeds capacity %d", ticksInChunk, cr.chunkTicks)
-	}
-	n := ticksInChunk * cr.vehicles
-	if cap(cr.scratch) < n*16 {
-		cr.scratch = make([]byte, n*16)
-	}
-	raw := cr.scratch[:n*16]
-	if _, err := io.ReadFull(cr.r, raw); err != nil {
-		return nil, 0, fmt.Errorf("trace: reading chunk body: %w", err)
-	}
-	if cap(cr.buf) < n {
-		cr.buf = make([]geom.Point, n)
-	}
-	pts := cr.buf[:n]
-	for i := range pts {
-		pts[i].X = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*16:]))
-		pts[i].Y = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*16+8:]))
-	}
-	return pts, ticksInChunk, nil
-}
-
 // Encode streams the trace through a ChunkWriter onto w, preserving the
 // trace's chunk capacity.
 func (tr *Trace) Encode(w io.Writer) error {
@@ -249,25 +175,4 @@ func (tr *Trace) Encode(w io.Writer) error {
 		copy(cw.AppendRow(), tr.Row(t))
 	}
 	return cw.Close()
-}
-
-// ReadTrace materializes a streamed trace back into memory.
-func ReadTrace(r io.Reader) (*Trace, error) {
-	cr, err := NewChunkReader(r)
-	if err != nil {
-		return nil, err
-	}
-	tr := NewChunked(cr.DT(), cr.NumVehicles(), cr.ChunkTicks())
-	for {
-		pts, ticksInChunk, err := cr.Next()
-		if err == io.EOF {
-			return tr, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		for t := 0; t < ticksInChunk; t++ {
-			copy(tr.AppendRow(), pts[t*cr.NumVehicles():(t+1)*cr.NumVehicles()])
-		}
-	}
 }

@@ -21,7 +21,7 @@ const DefaultChunkTicks = 256
 // positions are one contiguous subslice (Row), which is what the engine's
 // encounter scans iterate.
 //
-// Construct with New, FromRows, Record, or ReadTrace; the zero value is an
+// Construct with New, FromRows, Record, or Load; the zero value is an
 // empty trace with an invalid tick interval.
 //
 // Trace is the trivial whole-trace Source implementation: every tick is

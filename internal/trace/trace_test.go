@@ -206,13 +206,23 @@ func TestAppendRowDoesNotAllocatePerTick(t *testing.T) {
 	}
 }
 
+// loadBytes materializes an encoded LBTC stream the way a file is: index,
+// then Load.
+func loadBytes(raw []byte) (*Trace, error) {
+	src, err := NewBytesSource(raw)
+	if err != nil {
+		return nil, err
+	}
+	return Load(src)
+}
+
 func TestStreamRoundTrip(t *testing.T) {
 	tr := record(t, 5, 70)
 	var buf bytes.Buffer
 	if err := tr.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTrace(&buf)
+	got, err := loadBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +255,7 @@ func TestStreamRoundTripChunkBoundary(t *testing.T) {
 		if err := tr.Encode(&buf); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadTrace(&buf)
+		got, err := loadBytes(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,21 +305,21 @@ func TestStreamRejectsCorruption(t *testing.T) {
 
 	bad := append([]byte(nil), good...)
 	bad[0] = 'X'
-	if _, err := ReadTrace(bytes.NewReader(bad)); err == nil {
+	if _, err := loadBytes(bad); err == nil {
 		t.Error("bad magic accepted")
 	}
 
 	bad = append([]byte(nil), good...)
 	bad[4] = 99 // version
-	if _, err := ReadTrace(bytes.NewReader(bad)); err == nil {
+	if _, err := loadBytes(bad); err == nil {
 		t.Error("bad version accepted")
 	}
 
-	if _, err := ReadTrace(bytes.NewReader(good[:len(good)-6])); err == nil {
+	if _, err := loadBytes(good[:len(good)-6]); err == nil {
 		t.Error("truncated stream accepted")
 	}
 
-	if _, err := ReadTrace(bytes.NewReader(good[:8])); err == nil {
+	if _, err := loadBytes(good[:8]); err == nil {
 		t.Error("truncated header accepted")
 	}
 }

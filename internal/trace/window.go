@@ -33,7 +33,7 @@ type WindowConfig struct {
 	// Prefetch reads chunks past the leading edge on background
 	// goroutines so a steady-state Advance rarely blocks on fetch or
 	// decode. The readahead depth adapts to the observed cursor rate and
-	// chunk fetch latency (see DESIGN.md §13), clamped by a fixed budget.
+	// chunk fetch latency (see DESIGN.md §12), clamped by a fixed budget.
 	// It never changes results or the telemetry event stream — chunk
 	// operations are reported through the side-channel observer only, and
 	// always from the Advance goroutine.
@@ -412,9 +412,8 @@ func (w *Window) loadNext() error {
 	if res.err != nil {
 		return &ChunkError{Chunk: idx, FirstTick: idx * w.chunkTicks, Err: res.err}
 	}
-	if want := w.ticksIn(idx); res.ticks != want {
-		return &ChunkError{Chunk: idx, FirstTick: idx * w.chunkTicks,
-			Err: fmt.Errorf("chunk holds %d ticks, expected %d", res.ticks, want)}
+	if err := checkChunk(res.ticks, res.pts, w.ticksIn(idx), w.vehicles); err != nil {
+		return &ChunkError{Chunk: idx, FirstTick: idx * w.chunkTicks, Err: err}
 	}
 	w.observeLatency(res.latency)
 	w.retries += res.retries
@@ -496,10 +495,7 @@ func (w *Window) grabBuf(idx int) []geom.Point {
 // ticksIn returns the tick count of chunk idx (the tail chunk may be
 // short).
 func (w *Window) ticksIn(idx int) int {
-	if rem := w.totalTicks - idx*w.chunkTicks; rem < w.chunkTicks {
-		return rem
-	}
-	return w.chunkTicks
+	return ticksInChunk(idx, w.totalTicks, w.chunkTicks)
 }
 
 func (w *Window) emit(op ChunkOp) {

@@ -302,7 +302,7 @@ func TestWindowCorruptionPositioned(t *testing.T) {
 			name: "stream truncated inside chunk body",
 			open: func(b []byte) (ChunkSource, error) {
 				r := &shrinkingReader{b: b}
-				src, err := NewIndexedSource(r)
+				src, err := NewIndexedSource(r, int64(len(b)))
 				r.b = b[:headerLen+2*chunkBytes+10]
 				return src, err
 			},
@@ -333,6 +333,11 @@ func TestWindowCorruptionPositioned(t *testing.T) {
 				w = NewWindowSource(src, WindowConfig{Behind: 2, Ahead: 2})
 				for cursor := 0; cursor < ticks && failure == nil; cursor++ {
 					failure = w.Advance(cursor)
+				}
+				// A resident Load of the same source stops at the same chunk.
+				var le *ChunkError
+				if _, err := Load(src); !errors.As(err, &le) || le.Chunk != tc.wantChunk {
+					t.Errorf("Load: error %v, want a *ChunkError at chunk %d", err, tc.wantChunk)
 				}
 			}
 			if failure == nil {

@@ -49,6 +49,11 @@ const (
 	DefaultCacheChunks = 8
 )
 
+// maxChunkBytes caps the chunk body a server's metadata may announce: the
+// window sizes its buffers by it before a single body byte is verified. The
+// default 256-tick chunk of a 10 000-vehicle fleet is 40 MB.
+const maxChunkBytes = 1 << 30
+
 // Client is a trace.ChunkSource over a chunk server: every ReadChunk is a
 // bounded-retry HTTP fetch with checksum verification and an LRU of
 // decoded chunks. It is safe for concurrent use — the window's adaptive
@@ -69,30 +74,6 @@ type cacheEntry struct {
 	idx   int
 	pts   []geom.Point
 	ticks int
-}
-
-// OpenWindow dials a chunk server and wraps the client in a sliding
-// window — the remote counterpart of trace.OpenWindowFile. The returned
-// closer drains the window's prefetches and releases the client's
-// connections.
-func OpenWindow(baseURL string, wcfg trace.WindowConfig, ccfg ClientConfig) (*trace.Window, io.Closer, error) {
-	c, err := Dial(baseURL, ccfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	w := trace.NewWindowSource(c, wcfg)
-	return w, &windowCloser{w: w, c: c}, nil
-}
-
-// windowCloser drains a window before releasing its client.
-type windowCloser struct {
-	w *trace.Window
-	c *Client
-}
-
-func (wc *windowCloser) Close() error {
-	wc.w.Close()
-	return wc.c.Close()
 }
 
 // Dial fetches the server's stream metadata and returns a ready chunk
@@ -136,6 +117,14 @@ func Dial(baseURL string, cfg ClientConfig) (*Client, error) {
 		m.NumChunks != trace.NumChunks(m.TotalTicks, m.ChunkTicks) {
 		return nil, fmt.Errorf("traceserve: inconsistent meta %+v", m)
 	}
+	if m.Vehicles == 0 && m.TotalTicks > 0 {
+		return nil, fmt.Errorf("traceserve: meta claims %d ticks of 0 vehicles", m.TotalTicks)
+	}
+	// Dividing instead of multiplying: ChunkTicks × Vehicles × 16 can overflow.
+	if m.Vehicles > 0 && m.ChunkTicks > maxChunkBytes/16/m.Vehicles {
+		return nil, fmt.Errorf("traceserve: meta claims chunks of %d ticks × %d vehicles, over the %d MB per-chunk cap",
+			m.ChunkTicks, m.Vehicles, maxChunkBytes>>20)
+	}
 	return c, nil
 }
 
@@ -163,7 +152,7 @@ func (c *Client) ReadChunk(idx int, dst []geom.Point) (trace.ChunkFetch, error) 
 	if pts, ticks, ok := c.cacheGet(idx, dst); ok {
 		return trace.ChunkFetch{Pts: pts, Ticks: ticks}, nil
 	}
-	body, retries, err := c.fetchChunk(idx)
+	body, retries, err := c.fetch("/v1/chunk/"+strconv.Itoa(idx), idx)
 	if err != nil {
 		return trace.ChunkFetch{Retries: retries}, err
 	}
@@ -227,17 +216,10 @@ func (c *Client) cachePut(idx int, pts []geom.Point, ticks int) {
 	}
 }
 
-// fetchChunk fetches and verifies chunk idx's body, retrying with
-// exponential backoff. It returns the body and how many retries were
-// spent (also on failure, for the telemetry counters).
-func (c *Client) fetchChunk(idx int) ([]byte, int, error) {
-	body, retries, err := c.fetch("/v1/chunk/"+strconv.Itoa(idx), idx)
-	return body, retries, err
-}
-
 // fetch GETs one path with the retry/backoff/timeout policy. chunkIdx ≥ 0
 // enables chunk-response verification (tick header, length, checksum);
-// -1 marks a metadata fetch.
+// -1 marks a metadata fetch. It returns the body and how many retries were
+// spent (also on failure, for the telemetry counters).
 func (c *Client) fetch(path string, chunkIdx int) ([]byte, int, error) {
 	var lastErr error
 	backoff := c.cfg.Backoff

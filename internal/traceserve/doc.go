@@ -19,7 +19,9 @@
 // X-Lbtc-Ticks (the chunk's tick count; the tail chunk may be short), and
 // X-Lbtc-Crc32 (IEEE CRC-32 of the body, hex). The client verifies all
 // three, so truncated or corrupted responses are detected before a single
-// decoded point reaches the window.
+// decoded point reaches the window. The metadata cannot be checksummed, so
+// Dial bounds it instead: no ticks of zero vehicles, no chunk over a fixed
+// byte cap.
 //
 // # Determinism
 //
@@ -31,7 +33,7 @@
 // channel into the trace.chunk_* summary counters, never the telemetry
 // event stream — a remote-served run's event stream is byte-identical to
 // the local-streamed and resident runs' (TestStreamABDeterminism, make
-// remote-stream-smoke).
+// trace-smoke).
 //
 // # Fault injection
 //

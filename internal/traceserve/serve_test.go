@@ -367,6 +367,29 @@ func TestWindowPoisonedByBadServer(t *testing.T) {
 	w.Row(0)
 }
 
+// TestDialRejectsHostileMeta: metadata is the one thing the client cannot
+// checksum, and the window sizes its buffers by it — so a meta that would
+// divide by zero vehicles, overflow a chunk's byte size or announce chunks
+// over the per-chunk cap is refused at Dial, before any chunk is asked for.
+func TestDialRejectsHostileMeta(t *testing.T) {
+	for name, meta := range map[string]string{
+		"ticks of zero vehicles": `{"dt":0.5,"vehicles":0,"chunk_ticks":8,"total_ticks":32,"num_chunks":4}`,
+		"chunk size overflows":   `{"dt":0.5,"vehicles":4611686018427387904,"chunk_ticks":4611686018427387904,"total_ticks":1,"num_chunks":1}`,
+		"chunk over the cap":     `{"dt":0.5,"vehicles":1048576,"chunk_ticks":1024,"total_ticks":1,"num_chunks":1}`,
+		"chunk count disagrees":  `{"dt":0.5,"vehicles":2,"chunk_ticks":8,"total_ticks":32,"num_chunks":5}`,
+	} {
+		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprint(w, meta)
+		}))
+		c, err := traceserve.Dial(hs.URL, traceserve.ClientConfig{Retries: -1})
+		if err == nil {
+			c.Close()
+			t.Errorf("%s: Dial accepted %s", name, meta)
+		}
+		hs.Close()
+	}
+}
+
 // TestServerRejectsBadRequests pins the HTTP error paths.
 func TestServerRejectsBadRequests(t *testing.T) {
 	_, raw := buildTrace(t, 2, 32, 8)

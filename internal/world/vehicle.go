@@ -141,18 +141,3 @@ func (v *Vehicle) Step(w *World, dt float64) {
 		v.S = v.Route.Length()
 	}
 }
-
-// PlannedWaypoints returns the next k expert waypoints in the EGO frame,
-// spaced horizonStep seconds apart at the currently planned speed. A stopped
-// expert therefore emits waypoints collapsed at the origin — which is exactly
-// the behaviour the model must imitate to learn braking.
-func (v *Vehicle) PlannedWaypoints(w *World, k int, horizonStep float64) []geom.Point {
-	frame := v.Frame()
-	speed := v.desiredSpeed(w)
-	out := make([]geom.Point, 0, k)
-	for i := 1; i <= k; i++ {
-		s := v.S + speed*horizonStep*float64(i)
-		out = append(out, frame.ToLocal(v.Route.PosAt(s)))
-	}
-	return out
-}

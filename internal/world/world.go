@@ -73,12 +73,6 @@ type SpawnConfig struct {
 	Pedestrians int
 }
 
-// DefaultSpawnConfig mirrors the paper's population: 32 experts, 50
-// background cars, 250 pedestrians.
-func DefaultSpawnConfig() SpawnConfig {
-	return SpawnConfig{Experts: 32, BackgroundCars: 50, Pedestrians: 250}
-}
-
 // New creates a world on the given map and spawns its population
 // deterministically from rng.
 func New(m *Map, spawn SpawnConfig, rng *simrand.Rand) (*World, error) {
