@@ -3,7 +3,7 @@ GO ?= go
 # staticcheck is pinned so lint results are reproducible; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: build vet fmt lint test race bench bench-pprof scale-smoke telemetry-smoke trace-smoke doccheck ci
+.PHONY: build vet fmt lint test race bench bench-pprof telemetry-smoke trace-smoke doccheck ci
 
 build:
 	$(GO) build ./...
@@ -34,14 +34,13 @@ test:
 # harness fan-out, chunked matmul).
 # The experiments package runs several full co-simulations; under the race
 # detector that exceeds go test's default 10-minute per-package budget
-# (measured at PR 20 on a 2-core box, three runs: 9 m 32 s – 10 m 52 s for
-# the package, 12 m 20 s / 13 m 25 s / 15 m 33 s for the whole target, the
+# (measured at PR 21 on a 2-core box, three runs: 7 m 53 s – 8 m 45 s for
+# the package, 13 m 15 s / 11 m 48 s / 11 m 37 s for the whole target, the
 # slowest with a cold race build cache; the timeout is the slowest + 25 %).
-# The shard/stream A/B
-# grids run only their diagonal under -race (abCells), and tests that only
-# need "a default LbChat run" share goldenRun's memoised ones.
+# Tests that only need "a default LbChat run" share goldenRun's memoised
+# ones.
 race:
-	$(GO) test -race -timeout 20m ./...
+	$(GO) test -race -timeout 17m ./...
 
 # go test -bench is the development tool; the perf gate is benchmarks/perf
 # (bash benchmarks/run.sh -pair / -compare, see benchmarks/README.md), whose
@@ -61,17 +60,10 @@ bench-pprof:
 	mkdir -p bench-profiles
 	$(GO) test -run '^$$' -bench 'BenchmarkWorldTick/paper' -benchtime 10x -benchmem \
 		-cpuprofile bench-profiles/world.cpu.pprof -o bench-profiles/world.test ./internal/world/
-	$(GO) test -run '^$$' -bench 'BenchmarkShardScan' -benchmem \
-		-cpuprofile bench-profiles/shard.cpu.pprof -o bench-profiles/shard.test ./internal/shard/
 	$(GO) test -run '^$$' -bench 'BenchmarkCandidatePairs' -benchmem \
 		-cpuprofile bench-profiles/core.cpu.pprof -o bench-profiles/core.test ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkTrainStep' -benchtime 5000x -benchmem \
 		-cpuprofile bench-profiles/train.cpu.pprof -o bench-profiles/train.test ./internal/model/
-
-# A 2048-vehicle sharded scan under the race detector: exercises the
-# halo-exchange and per-shard scratch paths at scale without datasets.
-scale-smoke:
-	$(GO) run -race ./cmd/lbchat-bench -exp fleetscan -vehicles 2048 -duration 10 -shards 4
 
 # End-to-end check of the telemetry pipeline: a tiny sim writes its event
 # stream as JSONL plus its aggregated summary CSV, and telemetry-lint fails

@@ -12,6 +12,7 @@
 package lbchat_test
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -58,6 +59,16 @@ func getBenchEnv(b *testing.B) *experiments.Env {
 	return benchEnv
 }
 
+// runExp runs one experiment against the shared environment.
+func runExp(b *testing.B, env *experiments.Env, experiment string, lossless bool) *experiments.Result {
+	b.Helper()
+	res, err := experiments.Run(context.Background(), experiments.Spec{Experiment: experiment, Lossless: lossless, Env: env})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // reportRates attaches per-condition success rates as benchmark metrics.
 func reportRates(b *testing.B, prefix string, rates map[eval.Condition]float64) {
 	b.Helper()
@@ -91,10 +102,7 @@ func metricName(c eval.Condition) string {
 func BenchmarkFig2a(b *testing.B) {
 	env := getBenchEnv(b)
 	for i := 0; i < b.N; i++ {
-		runs, err := env.Fig2(true)
-		if err != nil {
-			b.Fatal(err)
-		}
+		runs := runExp(b, env, experiments.ExpFig2, true).Runs
 		for _, r := range runs {
 			b.ReportMetric(1000*r.Curve.Final(), string(r.Name)+"_mloss")
 		}
@@ -106,10 +114,7 @@ func BenchmarkFig2a(b *testing.B) {
 func BenchmarkFig2b(b *testing.B) {
 	env := getBenchEnv(b)
 	for i := 0; i < b.N; i++ {
-		runs, err := env.Fig2(false)
-		if err != nil {
-			b.Fatal(err)
-		}
+		runs := runExp(b, env, experiments.ExpFig2, false).Runs
 		for _, r := range runs {
 			b.ReportMetric(1000*r.Curve.Final(), string(r.Name)+"_mloss")
 		}
@@ -121,10 +126,7 @@ func BenchmarkFig2b(b *testing.B) {
 func BenchmarkReceiveRates(b *testing.B) {
 	env := getBenchEnv(b)
 	for i := 0; i < b.N; i++ {
-		runs, err := env.Fig2(false)
-		if err != nil {
-			b.Fatal(err)
-		}
+		runs := runExp(b, env, experiments.ExpFig2, false).Runs
 		for name, rate := range experiments.ReceiveRates(runs) {
 			if !math.IsNaN(rate) {
 				b.ReportMetric(rate, string(name)+"_recv_%")
@@ -138,10 +140,7 @@ func BenchmarkReceiveRates(b *testing.B) {
 func BenchmarkTable2(b *testing.B) {
 	env := getBenchEnv(b)
 	for i := 0; i < b.N; i++ {
-		runs, err := env.Fig2(true)
-		if err != nil {
-			b.Fatal(err)
-		}
+		runs := runExp(b, env, experiments.ExpFig2, true).Runs
 		rates := env.SuccessRates(runs)
 		tbl := env.SuccessTable("Table II", experiments.BenchmarkProtocols, rates)
 		_ = tbl
@@ -154,10 +153,7 @@ func BenchmarkTable2(b *testing.B) {
 func BenchmarkTable3(b *testing.B) {
 	env := getBenchEnv(b)
 	for i := 0; i < b.N; i++ {
-		runs, err := env.Fig2(false)
-		if err != nil {
-			b.Fatal(err)
-		}
+		runs := runExp(b, env, experiments.ExpFig2, false).Runs
 		rates := env.SuccessRates(runs)
 		reportRates(b, "lbchat_", rates[experiments.ProtoLbChat])
 	}
@@ -168,10 +164,7 @@ func BenchmarkTable3(b *testing.B) {
 func BenchmarkTable4(b *testing.B) {
 	env := getBenchEnv(b)
 	for i := 0; i < b.N; i++ {
-		tbl, err := env.Table4()
-		if err != nil {
-			b.Fatal(err)
-		}
+		tbl := runExp(b, env, experiments.ExpTable4, false).Table
 		b.ReportMetric(tbl.Value("Navi. (Dense)", "1500 (W/O)"), "dense_1500_wo_%")
 		b.ReportMetric(tbl.Value("Navi. (Dense)", "15 (W/O)"), "dense_15_wo_%")
 	}
@@ -182,10 +175,7 @@ func BenchmarkTable4(b *testing.B) {
 func BenchmarkTable5(b *testing.B) {
 	env := getBenchEnv(b)
 	for i := 0; i < b.N; i++ {
-		tbl, err := env.Table5()
-		if err != nil {
-			b.Fatal(err)
-		}
+		tbl := runExp(b, env, experiments.ExpTable5, false).Table
 		b.ReportMetric(tbl.Value("Navi. (Dense)", "W/O wireless loss"), "dense_wo_%")
 		b.ReportMetric(tbl.Value("Navi. (Dense)", "W wireless loss"), "dense_w_%")
 	}
@@ -196,10 +186,7 @@ func BenchmarkTable5(b *testing.B) {
 func BenchmarkTable6(b *testing.B) {
 	env := getBenchEnv(b)
 	for i := 0; i < b.N; i++ {
-		tbl, err := env.Table6()
-		if err != nil {
-			b.Fatal(err)
-		}
+		tbl := runExp(b, env, experiments.ExpTable6, false).Table
 		b.ReportMetric(tbl.Value("Navi. (Dense)", "W/O wireless loss"), "dense_wo_%")
 		b.ReportMetric(tbl.Value("Navi. (Dense)", "W wireless loss"), "dense_w_%")
 	}
@@ -209,10 +196,7 @@ func BenchmarkTable6(b *testing.B) {
 func BenchmarkTable7(b *testing.B) {
 	env := getBenchEnv(b)
 	for i := 0; i < b.N; i++ {
-		tbl, err := env.Table7()
-		if err != nil {
-			b.Fatal(err)
-		}
+		tbl := runExp(b, env, experiments.ExpTable7, false).Table
 		b.ReportMetric(tbl.Value("Navi. (Dense)", "W/O wireless loss"), "dense_wo_%")
 		b.ReportMetric(tbl.Value("Navi. (Dense)", "W wireless loss"), "dense_w_%")
 	}
@@ -223,10 +207,8 @@ func BenchmarkTable7(b *testing.B) {
 func BenchmarkFig3(b *testing.B) {
 	env := getBenchEnv(b)
 	for i := 0; i < b.N; i++ {
-		lb, sco, ratio, err := env.Fig3(true)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runExp(b, env, experiments.ExpFig3, true)
+		lb, sco, ratio := res.Runs[0], res.Runs[1], res.Ratio
 		b.ReportMetric(1000*lb.Curve.Final(), "lbchat_mloss")
 		b.ReportMetric(1000*sco.Curve.Final(), "sco_mloss")
 		if !math.IsNaN(ratio) {
@@ -282,10 +264,7 @@ func BenchmarkLbChatWorkersAuto(b *testing.B) { benchmarkLbChatRun(b, 0) }
 func BenchmarkRouteSharingAblation(b *testing.B) {
 	env := getBenchEnv(b)
 	for i := 0; i < b.N; i++ {
-		tbl, err := env.RouteSharingStudy()
-		if err != nil {
-			b.Fatal(err)
-		}
+		tbl := runExp(b, env, experiments.ExpRouteShare, false).Table
 		b.ReportMetric(tbl.Value("model receive rate (%)", "LbChat"), "with_prio_recv_%")
 		b.ReportMetric(tbl.Value("model receive rate (%)", "LbChat-NoPrio"), "no_prio_recv_%")
 	}
@@ -296,10 +275,7 @@ func BenchmarkRouteSharingAblation(b *testing.B) {
 func BenchmarkCoresetMethods(b *testing.B) {
 	env := getBenchEnv(b)
 	for i := 0; i < b.N; i++ {
-		tbl, err := env.CoresetMethodStudy(true)
-		if err != nil {
-			b.Fatal(err)
-		}
+		tbl := runExp(b, env, experiments.ExpMethods, true).Table
 		for _, m := range []string{"layered", "sensitivity", "clustering", "uniform"} {
 			b.ReportMetric(tbl.Value("final probe loss (x1000)", m), m+"_mloss")
 		}
@@ -311,10 +287,7 @@ func BenchmarkCoresetMethods(b *testing.B) {
 func BenchmarkAdaptiveCoreset(b *testing.B) {
 	env := getBenchEnv(b)
 	for i := 0; i < b.N; i++ {
-		tbl, err := env.AdaptiveCoresetStudy(true)
-		if err != nil {
-			b.Fatal(err)
-		}
+		tbl := runExp(b, env, experiments.ExpAdaptive, true).Table
 		b.ReportMetric(tbl.Value("final probe loss (x1000)", "fixed |C|"), "fixed_mloss")
 		b.ReportMetric(tbl.Value("final probe loss (x1000)", "adaptive |C|"), "adaptive_mloss")
 	}

@@ -1,5 +1,5 @@
 // Package cli collects the flag handling shared by the lbchat commands so
-// -seed, -workers, -shards, -scale, -faults, -telemetry-out, -trace-file and
+// -seed, -workers, -scale, -faults, -telemetry-out, -trace-file and
 // -trace-url parse and behave identically everywhere.
 package cli
 
@@ -28,10 +28,6 @@ type Common struct {
 	// Workers bounds parallelism at every level (-workers); 0 = one per
 	// CPU, 1 = serial. Results are bit-identical at any setting.
 	Workers int
-	// Shards partitions engine encounter scans into grid regions (-shards);
-	// 0 or 1 keeps the single-index path. Results are bit-identical at any
-	// setting.
-	Shards int
 	// ScaleName names the experiment scale (-scale): test, bench, full.
 	ScaleName string
 	// TelemetryOut is the JSONL event-stream output path (-telemetry-out);
@@ -62,8 +58,6 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.Uint64Var(&c.Seed, "seed", 7, "root random seed (default: the scale's own seed)")
 	fs.IntVar(&c.Workers, "workers", 0,
 		"parallel workers at every level (0 = one per CPU, 1 = serial); results are bit-identical at any setting")
-	fs.IntVar(&c.Shards, "shards", 0,
-		"grid-region shards for encounter scans (0 or 1 = single index); results are bit-identical at any setting")
 	fs.StringVar(&c.ScaleName, "scale", "bench", "experiment scale: test, bench, or full")
 	fs.StringVar(&c.TelemetryOut, "telemetry-out", "",
 		"write the run's telemetry event stream as JSONL to this file")
@@ -93,7 +87,6 @@ func (c *Common) Scale() (experiments.Scale, error) {
 		scale.Seed = c.Seed
 	}
 	scale.Workers = c.Workers
-	scale.Shards = c.Shards
 	tensor.SetWorkers(c.Workers)
 	return scale, nil
 }

@@ -38,7 +38,6 @@ func TestFlagsReachScale(t *testing.T) {
 		{"scale", []string{"-scale", "test"}, func(s *experiments.Scale) { *s = test }},
 		{"seed", []string{"-seed", "42"}, func(s *experiments.Scale) { *s = bench; s.Seed = 42 }},
 		{"workers", []string{"-workers", "3"}, func(s *experiments.Scale) { *s = bench; s.Workers = 3 }},
-		{"shards", []string{"-shards", "4"}, func(s *experiments.Scale) { *s = bench; s.Shards = 4 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -144,9 +143,9 @@ func TestFlagErrors(t *testing.T) {
 		}
 	}
 
-	for _, flag := range []string{"-legacy-due-scan", "-full-coreset-rebuild", "-stream-trace"} {
-		if _, err := parse(flag); err == nil {
-			t.Errorf("%s still parses; the flag was deleted with its arm", flag)
+	for _, args := range [][]string{{"-legacy-due-scan"}, {"-full-coreset-rebuild"}, {"-stream-trace"}, {"-shards", "4"}} {
+		if _, err := parse(args...); err == nil {
+			t.Errorf("%v still parses; the flag was deleted with its arm", args)
 		}
 	}
 }

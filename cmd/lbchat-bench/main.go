@@ -10,15 +10,13 @@
 //	lbchat-bench -exp fig2a,tab2 -scale full -workers 8
 //	lbchat-bench -exp fig2b -telemetry-out events.jsonl
 //	lbchat-bench -exp faultsweep -scale test
-//	lbchat-bench -speedup -workers 4
 //
 // Experiments: fig2a fig2b recvrate tab2 tab3 tab4 tab5 tab6 tab7 fig3 all,
 // plus the extension studies and the faultsweep robustness grid (which
 // manages its own fault settings; -faults applies a profile to the others).
 // Scales: test (seconds), bench (minutes), full (paper scale: 32 vehicles).
-// Every experiment reports its wall-clock time; -speedup additionally
-// calibrates the configured worker count against the serial baseline on one
-// LbChat training run. Results are bit-identical at every -workers setting.
+// Every experiment reports its wall-clock time. Results are bit-identical
+// at every -workers setting.
 // SIGINT cancels at the next engine tick and reports partial results.
 package main
 
@@ -33,7 +31,6 @@ import (
 	"lbchat/cmd/internal/cli"
 	"lbchat/internal/experiments"
 	"lbchat/internal/metrics"
-	"lbchat/internal/tensor"
 )
 
 func main() {
@@ -48,7 +45,6 @@ var errCanceled = fmt.Errorf("canceled: partial results above")
 
 func run() error {
 	expFlag := flag.String("exp", "all", "comma-separated experiments: fig2a,fig2b,recvrate,tab2,tab3,tab4,tab5,tab6,tab7,fig3,all; extensions: routeshare,methods,adaptive,hetero,quant,faultsweep; scale workload: fleetscan")
-	speedupFlag := flag.Bool("speedup", false, "measure the -workers speedup vs the serial baseline on one LbChat run, then exit")
 	vehiclesFlag := flag.Int("vehicles", 0, "fleet size for -exp fleetscan (0 = 2048)")
 	durationFlag := flag.Float64("duration", 0, "virtual seconds for -exp fleetscan (0 = 60)")
 	common := cli.Register(flag.CommandLine)
@@ -102,10 +98,6 @@ func run() error {
 	defer env.Close()
 	env.Cfg.Faults = fcfg
 	fmt.Printf("-- environment built in %s\n", time.Since(buildStart).Round(time.Millisecond))
-
-	if *speedupFlag {
-		return measureSpeedup(env, common.Workers)
-	}
 
 	// timed runs one experiment and reports its wall-clock, so scale and
 	// worker-count choices can be compared run to run.
@@ -300,15 +292,13 @@ func run() error {
 // timedFleetScan runs the fleetscan scale workload at the flagged size and
 // prints its wall-clock/peak-heap table.
 func timedFleetScan(ctx context.Context, vehicles int, duration float64, common *cli.Common) error {
-	fmt.Printf("\n=== Fleet scan scale workload (shards=%d, workers=%s) ===\n",
-		common.Shards, cli.WorkersLabel(common.Workers))
+	fmt.Printf("\n=== Fleet scan scale workload (workers=%s) ===\n", cli.WorkersLabel(common.Workers))
 	start := time.Now()
 	res, err := experiments.Run(ctx, experiments.Spec{
 		Experiment: experiments.ExpFleetScan,
 		Vehicles:   vehicles,
 		Duration:   duration,
 		Workers:    common.Workers,
-		Shards:     common.Shards,
 		Seed:       common.Seed,
 	})
 	if err != nil {
@@ -319,44 +309,5 @@ func timedFleetScan(ctx context.Context, vehicles int, duration float64, common 
 	if res.Canceled {
 		return errCanceled
 	}
-	return nil
-}
-
-// measureSpeedup trains one LbChat fleet serially and again at the
-// configured worker count, verifies the two runs agree bit for bit, and
-// reports the wall-clock ratio.
-func measureSpeedup(env *experiments.Env, workers int) error {
-	runOnce := func(w int) (*experiments.ProtocolRun, time.Duration, error) {
-		tensor.SetWorkers(w)
-		e := *env
-		e.Scale.Workers = w
-		start := time.Now()
-		res, err := experiments.Run(context.Background(), experiments.Spec{
-			Experiment: experiments.ExpProtocol,
-			Protocol:   experiments.ProtoLbChat,
-			Env:        &e,
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		return res.Runs[0], time.Since(start), nil
-	}
-	fmt.Println("\n== Speedup calibration: one LbChat run (W wireless loss) ==")
-	serialRun, serialTime, err := runOnce(1)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("workers=1: %s\n", serialTime.Round(time.Millisecond))
-	parRun, parTime, err := runOnce(workers)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("workers=%s: %s\n", cli.WorkersLabel(workers), parTime.Round(time.Millisecond))
-	fmt.Printf("speedup: %.2fx\n", serialTime.Seconds()/parTime.Seconds())
-	if serialRun.Curve.Final() != parRun.Curve.Final() || serialRun.Recv != parRun.Recv {
-		return fmt.Errorf("determinism violation: serial and parallel runs disagree (final loss %v vs %v)",
-			serialRun.Curve.Final(), parRun.Curve.Final())
-	}
-	fmt.Println("determinism check: serial and parallel runs agree")
 	return nil
 }

@@ -32,7 +32,7 @@ func main() {
 
 func run() error {
 	protocol := flag.String("protocol", "LbChat",
-		"protocol: LbChat, ProxSkip, RSU-L, DFL-DDS, DP, SCO, LbChat-EqualComp, LbChat-AvgAgg")
+		fmt.Sprintf("protocol, one of %v", experiments.Protocols))
 	vehicles := flag.Int("vehicles", 8, "expert fleet size")
 	duration := flag.Float64("duration", 1800, "virtual training duration (s)")
 	trials := flag.Int("trials", 16, "driving trials per condition")

@@ -90,9 +90,3 @@ func (q *Quantized) WireSize() int {
 	const header = 12 + 16 // magic+count+bits, two float64 bounds
 	return header + (len(q.Codes)*q.Bits+7)/8
 }
-
-// QuantPsi returns the effective ψ (relative payload size) of a bit width,
-// against the float32 wire baseline.
-func QuantPsi(bits int) float64 {
-	return float64(bits) / 32
-}

@@ -1,9 +1,6 @@
 package compress
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Bytes-per-entry constants for compressed payload sizing.
 const (
@@ -61,18 +58,6 @@ func KForPsi(numParams int, psi float64) int {
 		k = 1
 	}
 	return k
-}
-
-// PsiForK returns the effective ψ (relative payload size) of keeping k
-// parameters out of numParams.
-func PsiForK(numParams, k int) float64 {
-	if numParams == 0 || k <= 0 {
-		return 0
-	}
-	if k >= numParams {
-		return 1
-	}
-	return math.Min(1, float64(k*(indexBytes+valueBytes))/float64(numParams*valueBytes))
 }
 
 // TopK sparsifies a dense parameter vector to its k largest-magnitude

@@ -50,7 +50,7 @@ func TestGreedyMatchDisjointAndOrdered(t *testing.T) {
 		{A: 2, B: 3, Score: 0.8},
 		{A: 0, B: 3, Score: 0.7},
 	}
-	got := GreedyMatch(pairs)
+	got := new(Engine).GreedyMatch(pairs)
 	// Highest score (1,2) first; then (0,3) — (2,3) and (0,1) conflict.
 	if len(got) != 2 {
 		t.Fatalf("matched %d pairs: %v", len(got), got)
@@ -68,8 +68,9 @@ func TestGreedyMatchDeterministicTies(t *testing.T) {
 		{A: 2, B: 3, Score: 1},
 		{A: 0, B: 1, Score: 1},
 	}
-	a := GreedyMatch(pairs)
-	b := GreedyMatch([]CandidatePair{pairs[1], pairs[0]})
+	eng := new(Engine)
+	a := eng.GreedyMatch(pairs)
+	b := eng.GreedyMatch([]CandidatePair{pairs[1], pairs[0]})
 	if len(a) != 2 || len(b) != 2 || a[0] != b[0] {
 		t.Errorf("tie-breaking not deterministic: %v vs %v", a, b)
 	}
@@ -176,7 +177,7 @@ func TestEnsureCoresetBuildsAndCaches(t *testing.T) {
 	if math.Abs(cs.TotalWeight()-v.Data.TotalWeight()) > 1e-6*v.Data.TotalWeight() {
 		t.Errorf("coreset weight %v, dataset weight %v", cs.TotalWeight(), v.Data.TotalWeight())
 	}
-	// Cached until CoresetRefresh elapses.
+	// Cached until coresetRefresh elapses.
 	again, err := eng.EnsureCoreset(v)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +225,7 @@ func TestCompressDeltaReconstruct(t *testing.T) {
 	}
 	flat := v.Policy.Flat()
 	full := eng.CompressDelta(flat, 1)
-	rec := eng.ReconstructDelta(full)
+	rec := scatterOnInit(eng, full)
 	for i := range flat {
 		if math.Abs(rec[i]-flat[i]) > 1e-12 {
 			t.Fatal("ψ=1 reconstruction differs from original")
@@ -232,7 +233,7 @@ func TestCompressDeltaReconstruct(t *testing.T) {
 	}
 	// Moderate compression keeps the model closer to the original than the
 	// shared initialization is.
-	half := eng.ReconstructDelta(eng.CompressDelta(flat, 0.5))
+	half := scatterOnInit(eng, eng.CompressDelta(flat, 0.5))
 	var dHalf, dInit float64
 	for i := range flat {
 		dHalf += (half[i] - flat[i]) * (half[i] - flat[i])
@@ -254,7 +255,7 @@ func TestPayloadSizes(t *testing.T) {
 	if eng.CompressedModelBytes(0) != 0 || eng.CompressedModelBytes(2) != cfg.PaperModelBytes {
 		t.Error("compressed-bytes clamping broken")
 	}
-	if got := eng.CoresetWireBytes(150); got != 150*cfg.PaperFrameBytes {
+	if got := eng.CoresetWireBytes(150); got != 150*paperFrameBytes {
 		t.Errorf("coreset wire bytes = %d", got)
 	}
 }

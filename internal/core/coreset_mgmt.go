@@ -9,7 +9,7 @@ import (
 )
 
 // EnsureCoreset returns the vehicle's current coreset, refreshing it when
-// it is missing or stale (older than CoresetRefresh). Between refreshes the
+// it is missing or stale (older than coresetRefresh). Between refreshes the
 // coreset is maintained by the cheap merge-and-reduce path, matching
 // §III-D's two-speed updating.
 //
@@ -20,10 +20,10 @@ import (
 // scales with the data added rather than the dataset size. Scoring is
 // bounded per leaf. The leaf/merge stats flow through the
 // telemetry.Observer side channel only, so the event stream has the same
-// shape at every worker and shard count. The full Algorithm-1 rebuild the
+// shape at every worker count. The full Algorithm-1 rebuild the
 // tree's summaries are judged against lives in oracle_test.go.
 func (e *Engine) EnsureCoreset(v *Vehicle) (*coreset.Coreset, error) {
-	if v.Core != nil && e.now-v.CoreBuiltAt < e.Cfg.CoresetRefresh {
+	if v.Core != nil && e.now-v.CoreBuiltAt < coresetRefresh {
 		return v.Core, nil
 	}
 	if v.Data.Len() == 0 {

@@ -17,7 +17,6 @@ import (
 	"lbchat/internal/parallel"
 	"lbchat/internal/radio"
 	"lbchat/internal/sched"
-	"lbchat/internal/shard"
 	"lbchat/internal/simrand"
 	"lbchat/internal/spatial"
 	"lbchat/internal/telemetry"
@@ -46,10 +45,6 @@ type Config struct {
 	// sampling by default; §V notes sensitivity- and clustering-based
 	// alternatives plug in unchanged).
 	CoresetMethod coreset.Method
-	// CoresetRefresh is the minimum age (s) before a vehicle rebuilds its
-	// coreset from scratch with Algorithm 1; between rebuilds the cheap
-	// merge-and-reduce path maintains it.
-	CoresetRefresh float64
 	// LayeringSample is how many samples a full Algorithm-1 rebuild scores:
 	// read by the test oracle, and by benchmarks/perf/kernels.go to size its
 	// model.per_sample_losses_us row. Production scoring is bounded per leaf.
@@ -74,9 +69,6 @@ type Config struct {
 	// takes ≈13.4 s at 31 Mbps, comparable to T_B, which is the whole
 	// tension LbChat's compression optimization resolves.
 	PaperModelBytes int
-	// PaperFrameBytes is the over-the-air size of one coreset frame (the
-	// paper's 150-frame coreset is ≈0.6 MB ⇒ 4 kB per frame).
-	PaperFrameBytes int
 	// CompressionScheme selects how model payloads are compressed for the
 	// air: top-k delta sparsification [22] (default) or unbiased stochastic
 	// quantization — the alternative §III-C notes can be applied unchanged.
@@ -112,16 +104,19 @@ type Config struct {
 	// injector is built, no extra randomness is drawn, and runs behave
 	// exactly as without the layer.
 	Faults faults.Config
-	// Shards partitions encounter scans into grid regions (internal/shard,
-	// DESIGN.md §13): each region enumerates its radio-range pairs locally
-	// (with halo copies of border vehicles) on the parallel pool, and the
-	// per-region outputs merge back into the canonical (A, B) order. 0 or 1
-	// keeps today's single-index path; any value produces bit-identical
-	// results — sharding changes only how the scan is scheduled.
-	Shards int
 	// Model configures the policy architecture.
 	Model model.Config
 }
+
+const (
+	// coresetRefresh is the minimum age (s) before a vehicle refreshes its
+	// coreset through its partition tree; between refreshes the cheap
+	// merge-and-reduce path maintains it (§III-D's two-speed updating).
+	coresetRefresh = 120
+	// paperFrameBytes is the over-the-air size of one coreset frame (the
+	// paper's 150-frame coreset is ≈0.6 MB ⇒ 4 kB per frame).
+	paperFrameBytes = 4_000
+)
 
 // DefaultConfig returns the experiment defaults (paper values where the
 // paper gives them).
@@ -136,7 +131,6 @@ func DefaultConfig() Config {
 		ContactHorizon:  120,
 		CoresetSize:     150,
 		CoresetMethod:   coreset.MethodLayered,
-		CoresetRefresh:  120,
 		LayeringSample:  384,
 		EvalSubset:      64,
 		PsiSamples:      []float64{0.05, 0.2, 0.5, 1.0},
@@ -146,7 +140,6 @@ func DefaultConfig() Config {
 		BandwidthMinBps: 20e6,
 		BandwidthMaxBps: 31e6,
 		PaperModelBytes: 52_000_000,
-		PaperFrameBytes: 4_000,
 
 		CompressionConcentration: 1.0 / 3,
 		Model:                    model.DefaultConfig(),
@@ -168,10 +161,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: non-positive coreset size %d", c.CoresetSize)
 	case c.BandwidthMinBps <= 0 || c.BandwidthMaxBps < c.BandwidthMinBps:
 		return fmt.Errorf("core: invalid bandwidth range [%g, %g]", c.BandwidthMinBps, c.BandwidthMaxBps)
-	case c.PaperModelBytes <= 0 || c.PaperFrameBytes <= 0:
-		return fmt.Errorf("core: non-positive paper payload sizes (%d, %d)", c.PaperModelBytes, c.PaperFrameBytes)
-	case c.Shards < 0:
-		return fmt.Errorf("core: negative shard count %d", c.Shards)
+	case c.PaperModelBytes <= 0:
+		return fmt.Errorf("core: non-positive paper model size %d", c.PaperModelBytes)
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
@@ -281,9 +272,6 @@ type Engine struct {
 	// it. Ids, not pointers, so the scratch pins no departed vehicles.
 	dueIDs     []int32
 	popScratch []int32
-	// allIDs is the static identity id list [0, n), the whole-fleet working
-	// set probe evaluation dispatches over.
-	allIDs []int32
 	// stepFn, stepObsFn, and probeFn are the per-vehicle phase bodies
 	// (stepDue, stepDueObserved, probeOne) bound once at construction, so
 	// dispatching a tick's phases allocates no closures.
@@ -292,7 +280,7 @@ type Engine struct {
 	probeFn   func(i int)
 
 	// tel caches the configured telemetry sink and obs its optional side
-	// channel (telemetry.Observer): wall time, shard, calendar, leaf-cache
+	// channel (telemetry.Observer): wall time, calendar, leaf-cache
 	// and chunk statistics go to obs by metric name, never into the event
 	// stream. Both nil when telemetry is disabled; obs nil whenever the sink
 	// only records events.
@@ -319,13 +307,8 @@ type Engine struct {
 	freeScratch []int
 	openScratch [][2]int
 	matchTaken  []bool
-	// shardScan replaces spatialIdx for pair enumeration when Cfg.Shards > 1.
-	shardScan *shard.Scanner
-	// grouper batches per-vehicle phase work (train steps, probe
-	// evaluations) by owning grid region when Cfg.Shards > 1, using the same
-	// region geometry as shardScan; lossScratch is the reused per-vehicle
-	// loss buffer probe evaluation reduces from in id order.
-	grouper     *shard.Grouper
+	// lossScratch is the reused per-vehicle loss buffer probe evaluation
+	// reduces from in id order.
 	lossScratch []float64
 }
 
@@ -365,10 +348,6 @@ func NewEngine(cfg Config, tr trace.Source, datasets []*dataset.Dataset, rm *rad
 		tel:   cfg.Telemetry,
 	}
 	e.spatialIdx = spatial.New(rm.Params.MaxRangeMeters)
-	if cfg.Shards > 1 {
-		e.shardScan = shard.NewScanner(cfg.Shards, cfg.Workers)
-		e.grouper = shard.NewGrouper(cfg.Shards)
-	}
 	e.invTick = 1 / cfg.TickSeconds
 	e.stepFn = e.stepDue
 	e.stepObsFn = e.stepDueObserved
@@ -417,10 +396,6 @@ func NewEngine(cfg Config, tr trace.Source, datasets []*dataset.Dataset, rm *rad
 			// Stagger training so vehicles do not all step on the same tick.
 			nextTrain: vr.Uniform(0, cfg.TrainInterval),
 		})
-	}
-	e.allIDs = make([]int32, len(e.Vehicles))
-	for i := range e.allIDs {
-		e.allIDs[i] = int32(i)
 	}
 	for _, v := range e.Vehicles {
 		e.calendar.Schedule(int32(v.ID), e.dueTick(v.nextTrain))
@@ -604,24 +579,8 @@ func (e *Engine) closeContacts() {
 func (e *Engine) workers() int { return parallel.Resolve(e.Cfg.Workers) }
 
 // rangePairs enumerates the pairs of pts within distance r of each other in
-// canonical ascending (A, B) order, through the sharded scanner when
-// Cfg.Shards > 1 and the single spatial index otherwise. Both paths produce
-// the identical pair sequence (the sharded merge restores canonical order
-// and applies the same in-range predicate), so callers are oblivious to the
-// topology. The result aliases e.pairScratch.
+// canonical ascending (A, B) order. The result aliases e.pairScratch.
 func (e *Engine) rangePairs(pts []geom.Point, r float64) []spatial.Pair {
-	if e.shardScan != nil {
-		e.pairScratch = e.shardScan.Scan(e.pairScratch[:0], pts, r)
-		if e.obs != nil {
-			for _, st := range e.shardScan.Stats() {
-				e.obs.Observe(telemetry.MShardScans, 1)
-				e.obs.Observe(telemetry.MShardPairs, float64(st.Pairs))
-				e.obs.Observe(telemetry.MShardGuests, float64(st.Guests))
-				e.obs.Observe(telemetry.MShardLocals, float64(st.Locals))
-			}
-		}
-		return e.pairScratch
-	}
 	e.spatialIdx.Rebuild(pts)
 	e.pairScratch = e.spatialIdx.Pairs(e.pairScratch[:0], r)
 	return e.pairScratch
@@ -671,25 +630,13 @@ func (e *Engine) reDueTick(at float64) int64 {
 func (e *Engine) calendarDue(due []int32) ([]int32, int) {
 	popped, buckets := e.calendar.PopDue(e.tickIndex, e.popScratch[:0])
 	e.popScratch = popped
-	if e.faults == nil {
-		// Fault-free fast path: every on-time pop is due.
-		for _, id := range popped {
-			v := e.Vehicles[id]
-			if v.nextTrain > e.now {
-				e.calendar.Schedule(id, e.reDueTick(v.nextTrain))
-				continue
-			}
-			due = append(due, id)
-		}
-		return due, buckets
-	}
 	for _, id := range popped {
 		v := e.Vehicles[id]
 		if v.nextTrain > e.now {
 			e.calendar.Schedule(id, e.reDueTick(v.nextTrain))
 			continue
 		}
-		if e.faults.Away(v.ID) {
+		if e.VehicleAway(v.ID) {
 			for v.nextTrain <= e.now {
 				v.nextTrain += e.Cfg.TrainInterval
 			}
@@ -699,35 +646,6 @@ func (e *Engine) calendarDue(due []int32) ([]int32, int) {
 		due = append(due, id)
 	}
 	return due, buckets
-}
-
-// dispatchPhase runs fn(i) for every position i in ids — a per-vehicle
-// phase where each index touches only its own vehicle's state and writes
-// results to index-addressed scratch. Sharded engines dispatch it as
-// shard-major batches: ids grouped by owning grid region (the encounter
-// scan's ownership), one parallel task per occupied region, so a batch's
-// vehicles are spatially colocated — the layout a future multi-process
-// shard split needs. Unsharded engines fan out per vehicle. Grouping only
-// reorders execution; outputs reduce in canonical id order either way, so
-// results are bit-identical at any workers × shards. Returns the number of
-// shard batches dispatched (0 when unsharded).
-func (e *Engine) dispatchPhase(ids []int32, fn func(i int)) int {
-	if e.grouper == nil || len(ids) <= 1 {
-		parallel.ForEach(e.workers(), len(ids), fn)
-		return 0
-	}
-	// One contiguous row read covers every vehicle this tick; the copy into
-	// scratch keeps the slice valid across the window's next Advance.
-	pts := append(e.spatialPts[:0], e.Trace.RowAt(e.now)...)
-	e.spatialPts = pts
-	e.grouper.Group(ids, pts)
-	batches := e.grouper.Batches()
-	parallel.ForEach(e.workers(), batches, func(b int) {
-		for _, pos := range e.grouper.Batch(b) {
-			fn(int(pos))
-		}
-	})
-	return batches
 }
 
 // stepDue runs vehicle dueIDs[i]'s pending local-SGD steps — the
@@ -774,7 +692,7 @@ func (e *Engine) trainTick() {
 	due, buckets := e.calendarDue(e.dueIDs[:0])
 	e.dueIDs = due
 	if len(due) == 0 {
-		e.observeSched(0, buckets, 0)
+		e.observeSched(0, buckets)
 		return
 	}
 	// With telemetry on, the parallel phase records each vehicle's outcome
@@ -789,8 +707,8 @@ func (e *Engine) trainTick() {
 		}
 		fn = e.stepObsFn
 	}
-	batches := e.dispatchPhase(due, fn)
-	e.observeSched(len(due), buckets, batches)
+	parallel.ForEach(e.workers(), len(due), fn)
+	e.observeSched(len(due), buckets)
 	// Re-enqueue each stepped vehicle at its next due tick, serially — the
 	// wheel is single-writer scratch like every engine index.
 	for _, id := range due {
@@ -811,16 +729,15 @@ func (e *Engine) trainTick() {
 	}
 }
 
-// observeSched reports one dispatch's calendar and batching work — due
-// vehicles popped, wheel buckets examined, shard-major batches run — to the
-// side channel; a quiet tick still reports its (zero) counts.
-func (e *Engine) observeSched(due, buckets, batches int) {
+// observeSched reports one tick's calendar work — due vehicles popped,
+// wheel buckets examined — to the side channel; a quiet tick still reports
+// its (zero) counts.
+func (e *Engine) observeSched(due, buckets int) {
 	if e.obs == nil {
 		return
 	}
 	e.obs.Observe(telemetry.MSchedDueDequeued, float64(due))
 	e.obs.Observe(telemetry.MSchedBucketsTouched, float64(buckets))
-	e.obs.Observe(telemetry.MSchedShardBatches, float64(batches))
 }
 
 // observeChunk is the trace window's chunk callback: loads, evicts and
@@ -846,20 +763,17 @@ func (e *Engine) observeChunk(op trace.ChunkOp) {
 }
 
 // probeLossMean evaluates every vehicle on the probe set (in parallel — the
-// probe is read-only and each policy is private, dispatched shard-major on
-// sharded engines) and reduces the losses from the engine-held scratch in
-// vehicle-index order, so the float sum is bit-identical at any worker and
-// shard count and steady-state probes allocate nothing.
+// probe is read-only and each policy is private) and reduces the losses from
+// the engine-held scratch in vehicle-index order, so the float sum is
+// bit-identical at any worker count and steady-state probes allocate
+// nothing.
 func (e *Engine) probeLossMean() float64 {
 	n := len(e.Vehicles)
 	if cap(e.lossScratch) < n {
 		e.lossScratch = make([]float64, n)
 	}
 	losses := e.lossScratch[:n]
-	batches := e.dispatchPhase(e.allIDs, e.probeFn)
-	if batches > 0 {
-		e.observeSched(0, 0, batches)
-	}
+	parallel.ForEach(e.workers(), n, e.probeFn)
 	var sum float64
 	for _, l := range losses {
 		sum += l
@@ -973,7 +887,7 @@ func (e *Engine) CompressedModelBytes(psi float64) int {
 // CoresetWireBytes returns the over-the-air size of a coreset: frames × the
 // paper's per-frame size.
 func (e *Engine) CoresetWireBytes(frames int) int {
-	return frames * e.Cfg.PaperFrameBytes
+	return frames * paperFrameBytes
 }
 
 // CompressionScheme identifies a model-payload compression method.
@@ -1008,16 +922,6 @@ func (e *Engine) CompressReconstruct(flat []float64, psi float64) []float64 {
 // weights [22].
 func (e *Engine) CompressDelta(flat []float64, psi float64) *compress.Sparse {
 	return e.fillPlan(0, flat).TopK(e.keepCount(psi))
-}
-
-// ReconstructDelta materializes a model from a sparsified delta:
-// x̂ = x_init + sparse(Δ).
-func (e *Engine) ReconstructDelta(sp *compress.Sparse) []float64 {
-	out := append([]float64(nil), e.initFlat...)
-	for i, idx := range sp.Indices {
-		out[idx] += sp.Values[i]
-	}
-	return out
 }
 
 // fillPlan loads one of the engine's two delta plans with a model's delta

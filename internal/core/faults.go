@@ -12,9 +12,6 @@ import (
 // off) plus the salvage and retry primitives the resilient chat path in
 // lbchat.go builds on. See DESIGN.md §9.
 
-// FaultsEnabled reports whether this run injects faults.
-func (e *Engine) FaultsEnabled() bool { return e.faults != nil }
-
 // VehicleAway reports whether churn currently has the vehicle out of the
 // communication system (always false with faults off).
 func (e *Engine) VehicleAway(id int) bool {

@@ -389,7 +389,7 @@ func (l *LbChat) sendCoreset(e *Engine, cs *coreset.Coreset, from, to int, deadl
 	frames := cs.Len()
 	full := res.Completed
 	if !full {
-		frames = res.BytesDelivered / e.Cfg.PaperFrameBytes
+		frames = res.BytesDelivered / paperFrameBytes
 		if frames > cs.Len() {
 			frames = cs.Len()
 		}
@@ -421,7 +421,7 @@ func (l *LbChat) adaptCoresetSize(e *Engine, v *Vehicle, contact float64) {
 		v.ContactEMA = (1-contactEMAAlpha)*v.ContactEMA + contactEMAAlpha*contact
 	}
 	budgetBytes := adaptiveCoresetShare * v.ContactEMA * v.Bandwidth / 8
-	size := int(budgetBytes / float64(e.Cfg.PaperFrameBytes))
+	size := int(budgetBytes / paperFrameBytes)
 	if size < adaptiveCoresetMin {
 		size = adaptiveCoresetMin
 	}

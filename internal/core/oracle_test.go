@@ -128,53 +128,46 @@ func contactEvents(events []telemetry.Event) []telemetry.Event {
 	return out
 }
 
-// TestPairScanMatchesBruteOracle asserts, on every tick of an LbChat run
-// and through both the single index (Shards 1) and the sharded scanner
-// (Shards 2), that the contact events the engine emitted equal the brute
-// pair-by-pair diff and that CandidatePairs equals the brute double loop —
-// same pairs, same order, same scores.
+// TestPairScanMatchesBruteOracle asserts, on every tick of an LbChat run,
+// that the contact events the engine emitted equal the brute pair-by-pair
+// diff and that CandidatePairs equals the brute double loop — same pairs,
+// same order, same scores.
 func TestPairScanMatchesBruteOracle(t *testing.T) {
 	score := func(a, b int) float64 { return 1 + float64(a) + 0.01*float64(b) }
-	for _, shards := range []int{1, 2} {
-		mem := telemetry.NewMemorySink()
-		eng, _ := tinyEnvWith(t, 5, true, func(c *Config) {
-			c.Shards = shards
-			c.Telemetry = mem
-		})
-		open := map[[2]int]float64{}
-		seen, opens, closes, pairs := 0, 0, 0, 0
-		hook := tickHook{Protocol: NewLbChat(), tick: func(e *Engine, now float64) {
-			events := mem.Events()
-			got, want := contactEvents(events[seen:]), bruteContactDiff(e, open)
-			seen = len(events)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d t=%g: contact events %v, brute oracle %v", shards, now, got, want)
-			}
-			for _, ev := range want {
-				if _, ok := ev.(telemetry.ContactOpen); ok {
-					opens++
-				} else {
-					closes++
-				}
-			}
-			gotPairs, wantPairs := e.CandidatePairs(score), bruteCandidatePairs(e, score)
-			if !reflect.DeepEqual(gotPairs, wantPairs) {
-				t.Fatalf("shards=%d t=%g: CandidatePairs %v, brute oracle %v", shards, now, gotPairs, wantPairs)
-			}
-			pairs += len(wantPairs)
-		}}
-		if err := eng.Run(hook, 300); err != nil {
-			t.Fatal(err)
+	mem := telemetry.NewMemorySink()
+	eng, _ := tinyEnvWith(t, 5, true, func(c *Config) { c.Telemetry = mem })
+	open := map[[2]int]float64{}
+	seen, opens, closes, pairs := 0, 0, 0, 0
+	hook := tickHook{Protocol: NewLbChat(), tick: func(e *Engine, now float64) {
+		events := mem.Events()
+		got, want := contactEvents(events[seen:]), bruteContactDiff(e, open)
+		seen = len(events)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("t=%g: contact events %v, brute oracle %v", now, got, want)
 		}
-		if opens == 0 || closes == 0 || pairs == 0 {
-			t.Fatalf("shards=%d: run exercised %d opens, %d closes, %d candidate pairs; the oracle needs all three",
-				shards, opens, closes, pairs)
+		for _, ev := range want {
+			if _, ok := ev.(telemetry.ContactOpen); ok {
+				opens++
+			} else {
+				closes++
+			}
 		}
-		// The end-of-run flush closes what the oracle still holds open.
-		tail := contactEvents(mem.Events()[seen:])
-		if want := bruteCloseContacts(eng, open); !reflect.DeepEqual(tail, want) {
-			t.Fatalf("shards=%d: end-of-run closes %v, brute oracle %v", shards, tail, want)
+		gotPairs, wantPairs := e.CandidatePairs(score), bruteCandidatePairs(e, score)
+		if !reflect.DeepEqual(gotPairs, wantPairs) {
+			t.Fatalf("t=%g: CandidatePairs %v, brute oracle %v", now, gotPairs, wantPairs)
 		}
+		pairs += len(wantPairs)
+	}}
+	if err := eng.Run(hook, 300); err != nil {
+		t.Fatal(err)
+	}
+	if opens == 0 || closes == 0 || pairs == 0 {
+		t.Fatalf("run exercised %d opens, %d closes, %d candidate pairs; the oracle needs all three", opens, closes, pairs)
+	}
+	// The end-of-run flush closes what the oracle still holds open.
+	tail := contactEvents(mem.Events()[seen:])
+	if want := bruteCloseContacts(eng, open); !reflect.DeepEqual(tail, want) {
+		t.Fatalf("end-of-run closes %v, brute oracle %v", tail, want)
 	}
 }
 

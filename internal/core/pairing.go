@@ -57,29 +57,9 @@ func (e *Engine) CandidatePairs(score func(a, b int) float64) []CandidatePair {
 // order — each vehicle chats with at most one peer at a time, and every
 // vehicle prefers its highest-scoring available neighbor, which realizes the
 // Eq. (5) exchange-sequence determination across the fleet. Ties break by
-// (A, B) for determinism.
-//
-// The standalone function allocates its taken-set per call; protocols on a
-// live engine should prefer (*Engine).GreedyMatch, which reuses an
-// ID-indexed scratch slice across ticks.
-func GreedyMatch(pairs []CandidatePair) []CandidatePair {
-	out, _ := greedyMatch(pairs, nil)
-	return out
-}
-
-// GreedyMatch is the engine-scoped variant of the package-level function:
-// identical selection, but the vehicle-taken set is a reusable []bool keyed
-// by vehicle ID instead of a per-tick map allocation.
+// (A, B) for determinism. The vehicle-taken set is engine-held scratch
+// keyed by vehicle ID, reused across ticks.
 func (e *Engine) GreedyMatch(pairs []CandidatePair) []CandidatePair {
-	out, taken := greedyMatch(pairs, e.matchTaken)
-	e.matchTaken = taken
-	return out
-}
-
-// greedyMatch implements the selection over a caller-provided taken scratch
-// ([]bool indexed by vehicle ID, grown as needed), returning the possibly
-// regrown scratch for reuse.
-func greedyMatch(pairs []CandidatePair, taken []bool) ([]CandidatePair, []bool) {
 	sorted := append([]CandidatePair(nil), pairs...)
 	sort.Slice(sorted, func(i, j int) bool {
 		if sorted[i].Score != sorted[j].Score {
@@ -99,10 +79,10 @@ func greedyMatch(pairs []CandidatePair, taken []bool) ([]CandidatePair, []bool) 
 			maxID = p.B
 		}
 	}
-	if cap(taken) < maxID+1 {
-		taken = make([]bool, maxID+1)
+	if cap(e.matchTaken) < maxID+1 {
+		e.matchTaken = make([]bool, maxID+1)
 	}
-	taken = taken[:maxID+1]
+	taken := e.matchTaken[:maxID+1]
 	for i := range taken {
 		taken[i] = false
 	}
@@ -115,7 +95,7 @@ func greedyMatch(pairs []CandidatePair, taken []bool) ([]CandidatePair, []bool) 
 		taken[p.B] = true
 		out = append(out, p)
 	}
-	return out, taken
+	return out
 }
 
 // MarkChatted stamps the pair's cooldown bookkeeping.

@@ -237,9 +237,6 @@ func TestFaultedEngineRunsAndLearns(t *testing.T) {
 	eng.Cfg.Telemetry = sink
 	eng.tel = sink
 	eng.contactOpen = make(map[[2]int]float64)
-	if !eng.FaultsEnabled() {
-		t.Fatal("faults config did not enable the injector")
-	}
 	if err := eng.Run(NewLbChat(), 300); err != nil {
 		t.Fatal(err)
 	}

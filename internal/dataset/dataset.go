@@ -172,25 +172,6 @@ func (d *Dataset) SampleBatch(k int, rng *simrand.Rand) []Weighted {
 	return out
 }
 
-// CommandHistogram returns the weighted share of each command in the
-// dataset, indexed by Command.Index().
-func (d *Dataset) CommandHistogram() [NumCommands]float64 {
-	var hist [NumCommands]float64
-	var total float64
-	for _, it := range d.items {
-		if it.Sample.Command.Valid() {
-			hist[it.Sample.Command.Index()] += it.Weight
-			total += it.Weight
-		}
-	}
-	if total > 0 {
-		for i := range hist {
-			hist[i] /= total
-		}
-	}
-	return hist
-}
-
 // WireSize returns the approximate transmission size of the whole dataset in
 // bytes, including a 4-byte weight per sample.
 func (d *Dataset) WireSize() int {

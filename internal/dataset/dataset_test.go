@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"math"
 	"testing"
 
 	"lbchat/internal/simrand"
@@ -119,26 +118,6 @@ func TestSampleBatchEmpty(t *testing.T) {
 	d := New(0)
 	if got := d.SampleBatch(5, simrand.New(1)); got != nil {
 		t.Errorf("empty dataset batch = %v", got)
-	}
-}
-
-func TestCommandHistogram(t *testing.T) {
-	d := New(0)
-	d.Add(sample(CmdFollow, 0), 3)
-	d.Add(sample(CmdLeft, 0), 1)
-	h := d.CommandHistogram()
-	if math.Abs(h[CmdFollow.Index()]-0.75) > 1e-12 {
-		t.Errorf("follow share = %v", h[CmdFollow.Index()])
-	}
-	if math.Abs(h[CmdLeft.Index()]-0.25) > 1e-12 {
-		t.Errorf("left share = %v", h[CmdLeft.Index()])
-	}
-	var total float64
-	for _, v := range h {
-		total += v
-	}
-	if math.Abs(total-1) > 1e-12 {
-		t.Errorf("histogram sums to %v", total)
 	}
 }
 

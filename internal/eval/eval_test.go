@@ -121,31 +121,6 @@ func TestTrialDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunStatsAggregates(t *testing.T) {
-	s := testSuite(t)
-	ev := NewEvaluator(s)
-	stats := ev.RunStats(stoppedDriver{}, CondStraight, 4, 5)
-	if stats.Trials != 4 {
-		t.Fatalf("trials = %d", stats.Trials)
-	}
-	if stats.Timeouts != 4 {
-		t.Errorf("stopped driver should always time out: %+v", stats)
-	}
-	if stats.SuccessRate() != 0 {
-		t.Errorf("success rate = %v", stats.SuccessRate())
-	}
-	if stats.MeanProgress > 0.2 {
-		t.Errorf("stopped driver progressed %v", stats.MeanProgress)
-	}
-	if stats.String() == "" {
-		t.Error("empty summary")
-	}
-	empty := ev.RunStats(stoppedDriver{}, CondStraight, 0, 5)
-	if empty.Trials != 0 {
-		t.Error("zero-trials stats non-empty")
-	}
-}
-
 func TestTrialReportFields(t *testing.T) {
 	s := testSuite(t)
 	ev := NewEvaluator(s)

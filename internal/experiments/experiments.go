@@ -55,10 +55,6 @@ type Scale struct {
 	// fleet-evaluation rollouts. 0 means one worker per available CPU; 1
 	// forces the fully serial paths. Output is bit-identical at any setting.
 	Workers int
-	// Shards partitions engine encounter scans into grid regions
-	// (core.Config.Shards); 0 or 1 keeps the single-index path. Output is
-	// bit-identical at any setting.
-	Shards int
 	// TracePath, when set, takes the mobility trace from this LBTC file
 	// (e.g. a worldgen -trace-out recording) instead of recording one from
 	// the world. The file's vehicle count must match Vehicles. Whether a
@@ -251,7 +247,6 @@ func BuildEnv(scale Scale) (*Env, error) {
 	cfg := core.DefaultConfig()
 	cfg.Seed = scale.Seed
 	cfg.Workers = scale.Workers
-	cfg.Shards = scale.Shards
 
 	rng := simrand.New(scale.Seed)
 	w, err := world.New(m, world.SpawnConfig{
@@ -347,6 +342,14 @@ const (
 // column order.
 var BenchmarkProtocols = []ProtocolName{ProtoProxSkip, ProtoRSUL, ProtoDFLDDS, ProtoDP, ProtoLbChat}
 
+// Protocols lists every name newProtocol accepts: the paper's lineup, then
+// the ablations and extension variants. The -protocol help strings and the
+// unknown-name error are printed from it.
+var Protocols = []ProtocolName{
+	ProtoLbChat, ProtoProxSkip, ProtoRSUL, ProtoDFLDDS, ProtoDP, ProtoSCO,
+	ProtoEqualComp, ProtoAvgAgg, ProtoNoPrio, ProtoAdaptive, ProtoNoResume,
+}
+
 // newProtocol constructs a protocol instance by name.
 func (e *Env) newProtocol(name ProtocolName) (core.Protocol, error) {
 	switch name {
@@ -373,7 +376,7 @@ func (e *Env) newProtocol(name ProtocolName) (core.Protocol, error) {
 	case ProtoDP:
 		return baselines.NewDP(), nil
 	default:
-		return nil, fmt.Errorf("experiments: unknown protocol %q", name)
+		return nil, fmt.Errorf("experiments: unknown protocol %q (known: %v)", name, Protocols)
 	}
 }
 
@@ -403,10 +406,7 @@ type ProtocolRun struct {
 
 // RunProtocol trains the fleet under one protocol and wireless regime.
 // cfgMut, when non-nil, adjusts the engine config (coreset-size sweeps).
-//
-// Deprecated: new callers should use the package-level Run with
-// Spec{Experiment: ExpProtocol}; this wrapper remains for incremental
-// migration and is equivalent to a background-context run.
+// It is Run with Spec{Experiment: ExpProtocol} on a background context.
 func (e *Env) RunProtocol(name ProtocolName, lossless bool, cfgMut func(*core.Config)) (*ProtocolRun, error) {
 	run, err := e.runProtocol(context.Background(), name, lossless, cfgMut)
 	if err != nil {

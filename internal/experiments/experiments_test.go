@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -55,8 +56,19 @@ func TestBuildEnvShape(t *testing.T) {
 
 func TestUnknownProtocolRejected(t *testing.T) {
 	env := getEnv(t)
-	if _, err := env.RunProtocol("Nonsense", true, nil); err == nil {
-		t.Error("unknown protocol accepted")
+	_, err := env.RunProtocol("Nonsense", true, nil)
+	if err == nil {
+		t.Fatal("unknown protocol accepted")
+	}
+	// Every name the -protocol help lists resolves, and the rejection names
+	// them all.
+	for _, name := range Protocols {
+		if _, perr := env.newProtocol(name); perr != nil {
+			t.Errorf("listed protocol %s does not resolve: %v", name, perr)
+		}
+		if !strings.Contains(err.Error(), string(name)) {
+			t.Errorf("error %q does not name %s", err, name)
+		}
 	}
 }
 
@@ -134,30 +146,30 @@ func TestConvergenceRatio(t *testing.T) {
 	}
 }
 
-func TestExtensionStudiesRun(t *testing.T) {
-	env := getEnv(t)
-	tbl, err := env.RouteSharingStudy()
+// studyTable runs one extension study against the shared environment and
+// returns its table.
+func studyTable(t *testing.T, experiment string, lossless bool) *metrics.Table {
+	t.Helper()
+	res, err := Run(context.Background(), Spec{Experiment: experiment, Lossless: lossless, Env: getEnv(t)})
 	if err != nil {
-		t.Fatalf("RouteSharingStudy: %v", err)
+		t.Fatalf("%s: %v", experiment, err)
 	}
+	return res.Table
+}
+
+func TestExtensionStudiesRun(t *testing.T) {
+	tbl := studyTable(t, ExpRouteShare, false)
 	if math.IsNaN(tbl.Value("final probe loss (x1000)", "LbChat")) {
 		t.Error("route-sharing table missing LbChat loss")
 	}
-	tbl, err = env.AdaptiveCoresetStudy(true)
-	if err != nil {
-		t.Fatalf("AdaptiveCoresetStudy: %v", err)
-	}
+	tbl = studyTable(t, ExpAdaptive, true)
 	if math.IsNaN(tbl.Value("final probe loss (x1000)", "adaptive |C|")) {
 		t.Error("adaptive table missing value")
 	}
 }
 
 func TestCoresetMethodStudyRuns(t *testing.T) {
-	env := getEnv(t)
-	tbl, err := env.CoresetMethodStudy(true)
-	if err != nil {
-		t.Fatalf("CoresetMethodStudy: %v", err)
-	}
+	tbl := studyTable(t, ExpMethods, true)
 	for _, col := range []string{"layered", "sensitivity", "clustering", "uniform"} {
 		if math.IsNaN(tbl.Value("final probe loss (x1000)", col)) {
 			t.Errorf("missing method column %q", col)
@@ -166,11 +178,7 @@ func TestCoresetMethodStudyRuns(t *testing.T) {
 }
 
 func TestHeterogeneityStudyRuns(t *testing.T) {
-	env := getEnv(t)
-	tbl, err := env.HeterogeneityStudy(true)
-	if err != nil {
-		t.Fatalf("HeterogeneityStudy: %v", err)
-	}
+	tbl := studyTable(t, ExpHetero, true)
 	if math.IsNaN(tbl.Value("final probe loss (x1000)", "5-31 Mbps")) {
 		t.Error("heterogeneity table missing value")
 	}
@@ -200,11 +208,7 @@ func TestRenderHelpers(t *testing.T) {
 }
 
 func TestCompressionSchemeStudyRuns(t *testing.T) {
-	env := getEnv(t)
-	tbl, err := env.CompressionSchemeStudy(true)
-	if err != nil {
-		t.Fatalf("CompressionSchemeStudy: %v", err)
-	}
+	tbl := studyTable(t, ExpQuant, true)
 	if math.IsNaN(tbl.Value("final probe loss (x1000)", "quantization")) {
 		t.Error("quantization column missing")
 	}

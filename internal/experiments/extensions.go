@@ -37,16 +37,11 @@ func (e *Env) runConcurrent(ctx context.Context, specs ...runSpec) ([]*ProtocolR
 	return runs, nil
 }
 
-// RouteSharingStudy isolates the Eq. (5) neighbor prioritization by running
+// routeSharingStudy isolates the Eq. (5) neighbor prioritization by running
 // LbChat with and without it under wireless loss. The paper credits
 // route-sharing for LbChat's 87% receiving rate (vs ~51–60% for the
 // benchmarks); the ablation shows how much of that margin the priority
 // score carries.
-func (e *Env) RouteSharingStudy() (*metrics.Table, error) {
-	tbl, _, err := e.routeSharingStudy(context.Background())
-	return tbl, err
-}
-
 func (e *Env) routeSharingStudy(ctx context.Context) (*metrics.Table, []*ProtocolRun, error) {
 	runs, err := e.runConcurrent(ctx,
 		runSpec{name: ProtoLbChat},
@@ -67,14 +62,9 @@ func (e *Env) routeSharingStudy(ctx context.Context) (*metrics.Table, []*Protoco
 	return tbl, runs, nil
 }
 
-// CoresetMethodStudy reruns LbChat with each §V coreset-construction
+// coresetMethodStudy reruns LbChat with each §V coreset-construction
 // alternative, reporting the final probe loss per method. All methods share
 // the identical workload, radio, and budget |C|.
-func (e *Env) CoresetMethodStudy(lossless bool) (*metrics.Table, error) {
-	tbl, _, err := e.coresetMethodStudy(context.Background(), lossless)
-	return tbl, err
-}
-
 func (e *Env) coresetMethodStudy(ctx context.Context, lossless bool) (*metrics.Table, []*ProtocolRun, error) {
 	methods := []coreset.Method{
 		coreset.MethodLayered,
@@ -109,14 +99,9 @@ func (e *Env) coresetMethodStudy(ctx context.Context, lossless bool) (*metrics.T
 	return tbl, runs, nil
 }
 
-// AdaptiveCoresetStudy compares the fixed default coreset budget against
+// adaptiveCoresetStudy compares the fixed default coreset budget against
 // the adaptive per-vehicle sizing (the paper's future work: "Adaptive
 // tuning the size of coreset will be our future work").
-func (e *Env) AdaptiveCoresetStudy(lossless bool) (*metrics.Table, error) {
-	tbl, _, err := e.adaptiveCoresetStudy(context.Background(), lossless)
-	return tbl, err
-}
-
 func (e *Env) adaptiveCoresetStudy(ctx context.Context, lossless bool) (*metrics.Table, []*ProtocolRun, error) {
 	runs, err := e.runConcurrent(ctx,
 		runSpec{name: ProtoLbChat, lossless: lossless},
@@ -135,16 +120,11 @@ func (e *Env) adaptiveCoresetStudy(ctx context.Context, lossless bool) (*metrics
 	return tbl, runs, nil
 }
 
-// HeterogeneityStudy explores the heterogeneous communication capabilities
+// heterogeneityStudy explores the heterogeneous communication capabilities
 // the paper's footnote 1 defers to future work: the fleet's bandwidths are
 // spread over a wide range instead of the near-homogeneous default, and the
 // Eq. (5)/Eq. (7) machinery — which already negotiates min{B_i, B_j} — is
 // measured under the imbalance.
-func (e *Env) HeterogeneityStudy(lossless bool) (*metrics.Table, error) {
-	tbl, _, err := e.heterogeneityStudy(context.Background(), lossless)
-	return tbl, err
-}
-
 func (e *Env) heterogeneityStudy(ctx context.Context, lossless bool) (*metrics.Table, []*ProtocolRun, error) {
 	runs, err := e.runConcurrent(ctx,
 		runSpec{name: ProtoLbChat, lossless: lossless},
@@ -167,15 +147,10 @@ func (e *Env) heterogeneityStudy(ctx context.Context, lossless bool) (*metrics.T
 	return tbl, runs, nil
 }
 
-// CompressionSchemeStudy compares the paper's default top-k delta
+// compressionSchemeStudy compares the paper's default top-k delta
 // sparsification against unbiased stochastic quantization (§III-C: "other
 // biased/unbiased model compression methods can also be applied, such as
 // quantization") inside full LbChat runs.
-func (e *Env) CompressionSchemeStudy(lossless bool) (*metrics.Table, error) {
-	tbl, _, err := e.compressionSchemeStudy(context.Background(), lossless)
-	return tbl, err
-}
-
 func (e *Env) compressionSchemeStudy(ctx context.Context, lossless bool) (*metrics.Table, []*ProtocolRun, error) {
 	runs, err := e.runConcurrent(ctx,
 		runSpec{name: ProtoLbChat, lossless: lossless},

@@ -10,17 +10,13 @@ import (
 	"lbchat/internal/metrics"
 )
 
-// Fig2 reproduces Figure 2: training loss vs time for LbChat and the four
+// fig2 reproduces Figure 2: training loss vs time for LbChat and the four
 // benchmarks. lossless=true is Fig. 2(a) ("W/O wireless loss"),
 // lossless=false is Fig. 2(b) ("W wireless loss").
 //
 // The five protocol runs are fully independent — each gets its own engine,
 // fresh dataset clones, and seed-derived random streams — so they execute
 // concurrently; results come back in protocol order either way.
-func (e *Env) Fig2(lossless bool) ([]*ProtocolRun, error) {
-	return e.fig2(context.Background(), lossless)
-}
-
 func (e *Env) fig2(ctx context.Context, lossless bool) ([]*ProtocolRun, error) {
 	specs := make([]runSpec, len(BenchmarkProtocols))
 	for i, name := range BenchmarkProtocols {
@@ -69,14 +65,9 @@ func (e *Env) benchmarkTable(ctx context.Context, lossless bool) (*metrics.Table
 	return e.SuccessTable(title, BenchmarkProtocols, rates), runs, nil
 }
 
-// Table4 reproduces Table IV: LbChat with coreset sizes 10× and 1/10 the
+// table4 reproduces Table IV: LbChat with coreset sizes 10× and 1/10 the
 // default, in both wireless regimes. Columns follow the paper: 1500 (W/O),
 // 15 (W/O), 1500 (W), 15 (W).
-func (e *Env) Table4() (*metrics.Table, error) {
-	tbl, _, err := e.table4(context.Background())
-	return tbl, err
-}
-
 func (e *Env) table4(ctx context.Context) (*metrics.Table, []*ProtocolRun, error) {
 	type variant struct {
 		label    string
@@ -122,7 +113,10 @@ func (e *Env) table4(ctx context.Context) (*metrics.Table, []*ProtocolRun, error
 }
 
 // ablationTable runs one LbChat variant in both wireless regimes (the two
-// regimes are independent runs and execute concurrently).
+// regimes are independent runs and execute concurrently): Table V is the
+// equal-compression ablation (Eq. (7) masked), Table VI the
+// average-aggregation ablation (Eq. (8) masked), Table VII SCO, sharing
+// coresets only.
 func (e *Env) ablationTable(ctx context.Context, title string, name ProtocolName) (*metrics.Table, []*ProtocolRun, error) {
 	runs, err := e.runConcurrent(ctx,
 		runSpec{name: name, lossless: true},
@@ -142,34 +136,10 @@ func (e *Env) ablationTable(ctx context.Context, title string, name ProtocolName
 	return tbl, runs, nil
 }
 
-// Table5 reproduces Table V: the equal-compression ablation (Eq. (7)
-// masked).
-func (e *Env) Table5() (*metrics.Table, error) {
-	tbl, _, err := e.ablationTable(context.Background(), "Table V: driving success rate with equal comp. ratio (%)", ProtoEqualComp)
-	return tbl, err
-}
-
-// Table6 reproduces Table VI: the average-aggregation ablation (Eq. (8)
-// masked).
-func (e *Env) Table6() (*metrics.Table, error) {
-	tbl, _, err := e.ablationTable(context.Background(), "Table VI: driving success rate with avg. aggregation (%)", ProtoAvgAgg)
-	return tbl, err
-}
-
-// Table7 reproduces Table VII: SCO, sharing coresets only.
-func (e *Env) Table7() (*metrics.Table, error) {
-	tbl, _, err := e.ablationTable(context.Background(), "Table VII: driving success rate with sharing coreset only (%)", ProtoSCO)
-	return tbl, err
-}
-
-// Fig3 reproduces Figure 3: LbChat vs SCO loss curves, plus the
+// fig3 reproduces Figure 3: LbChat vs SCO loss curves, plus the
 // convergence-time ratio the paper highlights (SCO takes 1.5–1.8× longer).
 // The threshold is the loss both curves eventually reach, placed at 10%
 // above the slower curve's best.
-func (e *Env) Fig3(lossless bool) (lbchat, sco *ProtocolRun, ratio float64, err error) {
-	return e.fig3(context.Background(), lossless)
-}
-
 func (e *Env) fig3(ctx context.Context, lossless bool) (lbchat, sco *ProtocolRun, ratio float64, err error) {
 	runs, err := e.runConcurrent(ctx,
 		runSpec{name: ProtoLbChat, lossless: lossless},

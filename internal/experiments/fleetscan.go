@@ -22,20 +22,14 @@ const fleetScanDensityCell = 250.0
 
 // runFleetScan executes the fleetscan scale workload: a synthetic
 // random-waypoint fleet is ticked for the spec duration while every tick's
-// radio-range pairs are enumerated and its positions recorded. Unsharded
-// (Shards <= 1) the trace is held resident and scanned through the single
-// spatial index — today's engine path; sharded, positions stream through a
-// ChunkWriter and pairs come from the region-sharded scanner, the
-// configuration that keeps 10k-vehicle fleets inside memory. The result
-// table reports wall-clock, per-tick rate, peak heap, and pair throughput.
+// radio-range pairs are enumerated through the spatial index — the engine's
+// scan — and its positions stream through a ChunkWriter, so a 10k-vehicle
+// trace never sits in memory. The result table reports wall-clock, per-tick
+// rate, peak heap, and pair throughput.
 func runFleetScan(ctx context.Context, spec Spec) (*Result, error) {
 	n := spec.Vehicles
 	if n <= 0 {
 		n = 2048
-	}
-	shards := spec.Shards
-	if shards < 1 {
-		shards = 1
 	}
 	dur := spec.Duration
 	if dur <= 0 {
@@ -54,19 +48,8 @@ func runFleetScan(ctx context.Context, spec Spec) (*Result, error) {
 	side := fleetScanDensityCell * math.Sqrt(float64(n))
 	fleet := shard.NewFleet(seed, n, side)
 
-	var (
-		scanner  *shard.Scanner
-		ix       *spatial.Index
-		resident *trace.Trace
-		cw       *trace.ChunkWriter
-	)
-	if shards > 1 {
-		scanner = shard.NewScanner(shards, spec.Workers)
-		cw = trace.NewChunkWriter(io.Discard, dt, n, trace.DefaultChunkTicks)
-	} else {
-		ix = spatial.New(maxRange)
-		resident = trace.New(dt, n)
-	}
+	ix := spatial.New(maxRange)
+	cw := trace.NewChunkWriter(io.Discard, dt, n, trace.DefaultChunkTicks)
 
 	var pairs []spatial.Pair
 	totalPairs := 0
@@ -79,14 +62,9 @@ func runFleetScan(ctx context.Context, spec Spec) (*Result, error) {
 		}
 		fleet.Tick(dt, spec.Workers)
 		pts := fleet.Positions()
-		if shards > 1 {
-			copy(cw.AppendRow(), pts)
-			pairs = scanner.Scan(pairs[:0], pts, maxRange)
-		} else {
-			copy(resident.AppendRow(), pts)
-			ix.Rebuild(pts)
-			pairs = ix.Pairs(pairs[:0], maxRange)
-		}
+		copy(cw.AppendRow(), pts)
+		ix.Rebuild(pts)
+		pairs = ix.Pairs(pairs[:0], maxRange)
 		totalPairs += len(pairs)
 		done++
 		if t%16 == 15 {
@@ -96,10 +74,8 @@ func runFleetScan(ctx context.Context, spec Spec) (*Result, error) {
 		}
 	}
 	wall := time.Since(start)
-	if cw != nil {
-		if err := cw.Close(); err != nil {
-			return nil, err
-		}
+	if err := cw.Close(); err != nil {
+		return nil, err
 	}
 	if h := heapInUse(); h > peakHeap {
 		peakHeap = h
@@ -108,7 +84,6 @@ func runFleetScan(ctx context.Context, spec Spec) (*Result, error) {
 	tbl := metrics.NewTable("Fleet scan scale workload", "value")
 	tbl.AddRow("vehicles", float64(n))
 	tbl.AddRow("ticks", float64(done))
-	tbl.AddRow("shards", float64(shards))
 	tbl.AddRow("wall ms", float64(wall.Milliseconds()))
 	if wall > 0 {
 		tbl.AddRow("ticks per s", float64(done)/wall.Seconds())

@@ -14,7 +14,6 @@ import (
 	"strings"
 	"testing"
 
-	"lbchat/internal/core"
 	"lbchat/internal/telemetry"
 )
 
@@ -138,16 +137,16 @@ var clockFedMetrics = []string{
 }
 
 // TestGoldenSummaryRegistry pins the aggregate side of a run across commits:
-// the Summary registry of one lossy LbChat run at Shards=2 over a streamed
-// trace — every event-fed counter and histogram plus the shard, sched,
-// coreset-tree and chunk load/evict side-channel rows — must render the
+// the Summary registry of one lossy LbChat run over a streamed trace — every
+// event-fed counter and histogram plus the sched, coreset-tree and chunk
+// load/evict side-channel rows — must render the
 // committed CSV once the clock-fed rows are dropped. TestGoldenEventStreams
 // cannot see this half: side-channel values never reach the event stream.
 func TestGoldenSummaryRegistry(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("goldens are recorded on amd64; fused multiply-add changes float bits elsewhere")
 	}
-	run, err := getStreamedEnv(t).RunProtocol(ProtoLbChat, false, func(c *core.Config) { c.Shards = 2 })
+	run, err := getStreamedEnv(t).RunProtocol(ProtoLbChat, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,9 +39,9 @@ const (
 	ExpFaultSweep = "faultsweep"
 	// ExpFleetScan is the scale workload: a synthetic random-waypoint fleet
 	// (internal/shard.Fleet) ticked and pair-scanned for Spec.Duration
-	// virtual seconds, streaming its trace instead of holding it resident
-	// when sharded. It skips the full environment build, so fleets of 10k+
-	// vehicles measure the scan/trace machinery, not dataset collection.
+	// virtual seconds, its positions streamed through a trace.ChunkWriter.
+	// It skips the full environment build, so fleets of 10k+ vehicles
+	// measure the scan/trace machinery, not dataset collection.
 	ExpFleetScan = "fleetscan"
 )
 
@@ -60,14 +60,12 @@ type Spec struct {
 	// Scale is the scale to build the environment at (nil = BenchScale).
 	// Ignored when Env is set.
 	Scale *Scale
-	// Seed, Vehicles, Duration, Workers and Shards, when non-zero, override
-	// the resolved scale's fields (Workers=1 forces the serial paths;
-	// Shards=1 forces the single-index scan).
+	// Seed, Vehicles, Duration and Workers, when non-zero, override the
+	// resolved scale's fields (Workers=1 forces the serial paths).
 	Seed     uint64
 	Vehicles int
 	Duration float64
 	Workers  int
-	Shards   int
 	// Telemetry, when non-nil, receives every run's full event stream in
 	// deterministic order (see Env.Telemetry). The caller owns Close.
 	Telemetry telemetry.Sink
@@ -154,9 +152,6 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		}
 		if spec.Workers != 0 {
 			scale.Workers = spec.Workers
-		}
-		if spec.Shards != 0 {
-			scale.Shards = spec.Shards
 		}
 		var err error
 		if env, err = BuildEnv(scale); err != nil {
@@ -302,18 +297,7 @@ func CommTable(runs []*ProtocolRun) *metrics.Table {
 			return float64(r.Comm.Reg.Counter(telemetry.MSalvages))
 		})
 	}
-	// Shard rows appear only for sharded runs, so single-index reports
-	// render exactly as before the shard layer existed.
-	if anyCount(telemetry.MShardScans) {
-		row("shard scans", func(r *ProtocolRun) float64 {
-			return float64(r.Comm.Reg.Counter(telemetry.MShardScans))
-		})
-		row("shard halo guests", func(r *ProtocolRun) float64 {
-			return float64(r.Comm.Reg.Counter(telemetry.MShardGuests))
-		})
-	}
-	// Incremental-coreset rows appear only when a run refreshed through the
-	// partition tree, so full-rebuild reports render exactly as before.
+	// Coreset-tree rows appear only when a run refreshed a coreset.
 	if anyCount(telemetry.MCoresetLeavesRebuilt) || anyCount(telemetry.MCoresetLeavesCached) {
 		row("coreset leaves rebuilt", func(r *ProtocolRun) float64 {
 			return float64(r.Comm.Reg.Counter(telemetry.MCoresetLeavesRebuilt))
@@ -354,11 +338,6 @@ func CommTable(runs []*ProtocolRun) *metrics.Table {
 	row("sched buckets touched", func(r *ProtocolRun) float64 {
 		return float64(r.Comm.Reg.Counter(telemetry.MSchedBucketsTouched))
 	})
-	if anyCount(telemetry.MSchedShardBatches) {
-		row("sched shard batches", func(r *ProtocolRun) float64 {
-			return float64(r.Comm.Reg.Counter(telemetry.MSchedShardBatches))
-		})
-	}
 	row("final probe loss (x1000)", func(r *ProtocolRun) float64 {
 		return 1000 * r.Curve.Final()
 	})

@@ -22,9 +22,6 @@ func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 // Dot returns the dot product of p and q.
 func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 
-// Cross returns the z-component of the 3D cross product of p and q.
-func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
-
 // Norm returns the Euclidean length of p.
 func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 

@@ -26,9 +26,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Dot(q); got != 3-8 {
 		t.Errorf("Dot = %v", got)
 	}
-	if got := p.Cross(q); got != -6-4 {
-		t.Errorf("Cross = %v", got)
-	}
 	if got := p.Norm(); got != 5 {
 		t.Errorf("Norm = %v", got)
 	}

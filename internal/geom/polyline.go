@@ -151,26 +151,3 @@ func (n *Nearest) Closer(q Point) bool {
 	}
 	return false
 }
-
-// Resample returns points spaced ds apart along the polyline, always
-// including the final point.
-func (pl *Polyline) Resample(ds float64) []Point {
-	if pl.Len() == 0 || ds <= 0 {
-		return nil
-	}
-	total := pl.Length()
-	out := make([]Point, 0, int(total/ds)+2)
-	for s := 0.0; s < total; s += ds {
-		out = append(out, pl.At(s))
-	}
-	out = append(out, pl.At(total))
-	return out
-}
-
-// Concat returns a new polyline consisting of pl followed by other.
-func (pl *Polyline) Concat(other *Polyline) *Polyline {
-	pts := make([]Point, 0, len(pl.pts)+other.Len())
-	pts = append(pts, pl.pts...)
-	pts = append(pts, other.pts...)
-	return NewPolyline(pts)
-}

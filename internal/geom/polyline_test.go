@@ -87,27 +87,6 @@ func TestProjectSinglePoint(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	pl := line(Pt(0, 0), Pt(10, 0))
-	pts := pl.Resample(2.5)
-	if len(pts) != 5 {
-		t.Fatalf("resampled %d points, want 5", len(pts))
-	}
-	last := pts[len(pts)-1]
-	if !near(last.X, 10) {
-		t.Errorf("final resample point = %v", last)
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := line(Pt(0, 0), Pt(5, 0))
-	b := line(Pt(5, 0), Pt(5, 5))
-	c := a.Concat(b)
-	if !near(c.Length(), 10) {
-		t.Errorf("concat length = %v", c.Length())
-	}
-}
-
 func TestProjectConsistentWithAt(t *testing.T) {
 	// Projecting a point ON the polyline must return (≈arc, ≈0).
 	pl := line(Pt(0, 0), Pt(20, 0), Pt(20, 15), Pt(0, 15))

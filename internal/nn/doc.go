@@ -1,5 +1,5 @@
 // Package nn is a small, from-scratch neural-network library: dense and
-// convolutional layers with full backpropagation, SGD and Adam optimizers,
+// convolutional layers with full backpropagation, the Adam optimizer,
 // and a flat parameter-vector view used by the compression, aggregation, and
 // serialization layers of LbChat.
 //

@@ -5,56 +5,6 @@ import (
 	"math"
 )
 
-// Optimizer applies accumulated gradients to a parameter set.
-type Optimizer interface {
-	// Step applies one update using the parameters' current gradients.
-	Step(params ParamSet)
-}
-
-// SGD is stochastic gradient descent with optional momentum and weight decay.
-type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-
-	velocity map[*Param][]float64
-}
-
-var _ Optimizer = (*SGD)(nil)
-
-// NewSGD creates an SGD optimizer.
-func NewSGD(lr, momentum, weightDecay float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay}
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step(params ParamSet) {
-	if o.velocity == nil && o.Momentum != 0 {
-		o.velocity = make(map[*Param][]float64, len(params))
-	}
-	for _, p := range params {
-		vd := p.Value.Data()
-		gd := p.Grad.Data()
-		if o.Momentum == 0 {
-			for i := range vd {
-				g := gd[i] + o.WeightDecay*vd[i]
-				vd[i] -= o.LR * g
-			}
-			continue
-		}
-		vel := o.velocity[p]
-		if vel == nil {
-			vel = make([]float64, len(vd))
-			o.velocity[p] = vel
-		}
-		for i := range vd {
-			g := gd[i] + o.WeightDecay*vd[i]
-			vel[i] = o.Momentum*vel[i] + g
-			vd[i] -= o.LR * vel[i]
-		}
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba, 2015).
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
@@ -66,18 +16,16 @@ type Adam struct {
 	m, v [][]float64
 }
 
-var _ Optimizer = (*Adam)(nil)
-
 // NewAdam creates an Adam optimizer with the standard default moments
 // (β1 = 0.9, β2 = 0.999, ε = 1e-8).
 func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step implements Optimizer. The first call binds the optimizer to params:
-// its moments are kept by position, so every later call must pass a set of
-// the same shape in the same order (the same set, in practice) and panics
-// otherwise.
+// Step applies one update using the parameters' current gradients. The
+// first call binds the optimizer to params: its moments are kept by
+// position, so every later call must pass a set of the same shape in the
+// same order (the same set, in practice) and panics otherwise.
 func (o *Adam) Step(params ParamSet) {
 	if o.m == nil {
 		o.m = make([][]float64, len(params))
@@ -116,8 +64,8 @@ func (o *Adam) Step(params ParamSet) {
 // nothing, not even a signed zero) and then rescales all gradients so their
 // joint L2 norm is at most maxNorm (maxNorm <= 0 never rescales), returning
 // the norm before rescaling. The decay and the norm share one pass, in the
-// parameter and index order of a separate AxpyInPlace followed by a separate
-// sum of squares, so the bits are theirs.
+// parameter and index order of a separate axpy followed by a separate sum of
+// squares, so the bits are theirs.
 func DecayClipGradNorm(params ParamSet, decay, maxNorm float64) float64 {
 	var acc float64
 	for _, p := range params {

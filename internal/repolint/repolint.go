@@ -310,14 +310,13 @@ func checkCoresetBuilds(fset *token.FileSet, path string, file *ast.File, findin
 }
 
 // hotPathFuncs are the engine's per-tick hot-path functions: the ones that
-// run every tick (or every probe) and therefore must scale with the due or
-// batched working set, never with fleet size.
+// run every tick (or every probe) and therefore must scale with the due
+// working set, never with fleet size.
 var hotPathFuncs = map[string]bool{
 	"trainTick":     true,
 	"probeLossMean": true,
 	"recordLoss":    true,
 	"calendarDue":   true,
-	"dispatchPhase": true,
 }
 
 // HotPathFleetScans parses every non-test .go file under root's
@@ -382,7 +381,7 @@ func checkHotPathScans(fset *token.FileSet, path string, file *ast.File, finding
 			}
 			pos := fset.Position(rng.Pos())
 			*findings = append(*findings, fmt.Sprintf(
-				"%s:%d:%d: fleet-sized range over Vehicles in per-tick hot path %s; use the calendar queue's due set or the shard batcher instead",
+				"%s:%d:%d: fleet-sized range over Vehicles in per-tick hot path %s; use the calendar queue's due set instead",
 				path, pos.Line, pos.Column, fn.Name.Name))
 			return true
 		})

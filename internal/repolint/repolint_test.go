@@ -207,9 +207,8 @@ func g() { var c coreset; c.Build() } // unrelated local type: allowed
 
 // TestNoHotPathFleetScans is the repository-wide assertion: the engine's
 // per-tick hot-path functions (trainTick, probeLossMean, recordLoss,
-// calendarDue, dispatchPhase) may not range over the full Vehicles slice —
-// due work comes from the calendar queue and batched work from the shard
-// grouper, so empty ticks stay O(1).
+// calendarDue) may not range over the full Vehicles slice — due work comes
+// from the calendar queue, so empty ticks stay O(1).
 func TestNoHotPathFleetScans(t *testing.T) {
 	root, err := ModuleRoot(".")
 	if err != nil {

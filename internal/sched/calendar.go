@@ -50,15 +50,6 @@ func NewCalendar(n int) *Calendar {
 // Len returns the number of scheduled ids.
 func (c *Calendar) Len() int { return c.scheduled }
 
-// Scheduled returns an id's pending due tick; ok is false when the id has
-// none.
-func (c *Calendar) Scheduled(id int32) (tick int64, ok bool) {
-	if t := c.due[id]; t != unscheduled {
-		return t, true
-	}
-	return 0, false
-}
-
 // Schedule sets an id's due tick, replacing any pending one. Ticks in the
 // past (before the next PopDue tick) are clamped to the present, so the id
 // fires on the very next pop rather than being lost behind the cursor.

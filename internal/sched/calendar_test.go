@@ -43,8 +43,8 @@ func TestCalendarRescheduleReplaces(t *testing.T) {
 	if !slices.Equal(out, []int32{1}) {
 		t.Fatalf("popped %v, want [1]", out)
 	}
-	if tick, ok := c.Scheduled(1); ok {
-		t.Fatalf("id 1 still scheduled at %d after pop", tick)
+	if c.Len() != 0 {
+		t.Fatalf("%d ids still scheduled after the pop", c.Len())
 	}
 }
 

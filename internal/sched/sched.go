@@ -58,15 +58,6 @@ func (q *Queue) Schedule(t float64, fire func()) *Event {
 // Len returns the number of pending events.
 func (q *Queue) Len() int { return len(q.heap) }
 
-// NextTime returns the time of the earliest pending event; ok is false when
-// the queue is empty.
-func (q *Queue) NextTime() (t float64, ok bool) {
-	if len(q.heap) == 0 {
-		return 0, false
-	}
-	return q.heap[0].Time, true
-}
-
 // RunUntil fires every event scheduled at or before t, in (time, insertion)
 // order. Events scheduled during execution are fired too if they fall within
 // the bound.

@@ -60,18 +60,6 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	}
 }
 
-func TestNextTime(t *testing.T) {
-	var q Queue
-	if _, ok := q.NextTime(); ok {
-		t.Error("empty queue reported a next time")
-	}
-	q.Schedule(7, func() {})
-	q.Schedule(3, func() {})
-	if nt, ok := q.NextTime(); !ok || nt != 3 {
-		t.Errorf("NextTime = %v, %v", nt, ok)
-	}
-}
-
 func TestQueueDrainsCompletely(t *testing.T) {
 	f := func(times []float64) bool {
 		var q Queue

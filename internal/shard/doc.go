@@ -1,6 +1,17 @@
-// Package shard partitions a fleet into grid regions so encounter scans and
-// vehicle ticks stay local to a region, the scale-out step the paper's
-// 10k-vehicle regime needs.
+// Package shard holds the synthetic fleet of the scale workloads and a
+// grid-region pair scanner that no engine path uses any more.
+//
+// Fleet is the synthetic random-waypoint workload used by the fleetscan
+// scale experiment and the fleet-scan benchmark workload: per-vehicle
+// derived RNG streams keep its kinematics bit-identical at any worker
+// count.
+//
+// Scanner was the engine's sharded encounter scan until that option left
+// core.Config (EXPERIMENTS.md "Scale — fleet scan": it lost to the single
+// spatial.Index on every measured pairing). It stays, with its tests and
+// BenchmarkShardScan, only because the frozen benchmarks/perf harness times
+// NewScanner(4, 1).Scan for its shard.scan_us row; the next benchmark PR
+// drops that row and scanner.go with it (ROADMAP item 10).
 //
 // The Scanner splits the occupied bounding box into an Sx×Sy region grid,
 // assigns each vehicle to the region holding its position, and halo-exports
@@ -11,18 +22,7 @@
 // see the partner. Per-shard outputs are packed as uint64 keys and merged
 // with one global sort, reproducing internal/spatial's canonical ascending
 // (A, B) order bit for bit; the in-range predicate is the exact
-// spatial.WithinBall screen, so the pair set is bit-identical too. Shards
+// spatial.WithinBall screen, so the pair set is bit-identical too. Regions
 // run on the internal/parallel pool and results are independent of both the
 // worker count and the shard count.
-//
-// Grouper reuses the Scanner's region geometry to batch per-vehicle work
-// (train steps, probe evaluations) shard-major: vehicle indices are bucketed
-// by owning region and dispatched as one parallel task per region, with
-// outputs written to index-addressed scratch and reduced in canonical
-// vehicle order so results stay bit-identical at any worker or shard count
-// (DESIGN.md §14).
-//
-// Fleet is the synthetic random-waypoint workload used by the fleetscan
-// scale experiment: per-vehicle derived RNG streams keep its kinematics
-// bit-identical at any worker count.
 package shard

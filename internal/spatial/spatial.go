@@ -277,7 +277,7 @@ func withinBall(p, q geom.Point, r, rr float64) bool {
 
 // WithinBall reports whether q lies in the closed ball (p, r); rr must be
 // r*r. It is the exported form of the screened predicate, shared with
-// internal/shard so sharded scans apply the bit-identical in-range test.
+// internal/shard so its scanner applies the bit-identical in-range test.
 func WithinBall(p, q geom.Point, r, rr float64) bool {
 	dx, dy := q.X-p.X, q.Y-p.Y
 	sq := dx*dx + dy*dy

@@ -14,12 +14,12 @@ type Sink interface {
 }
 
 // Observer is the one side channel beside the event stream: named scalar
-// measurements that depend on how a run was executed (wall time, shard
-// topology, chunk traffic, leaf caching, calendar work) rather than on what
-// it computed. It is a separate, optional interface — not an Event — so none
-// of that can leak into the deterministic stream: sinks that record events
-// (JSONL, MemorySink) do not implement it, while Summary folds the
-// observations into its registry only.
+// measurements that depend on how a run was executed (wall time, chunk
+// traffic, leaf caching, calendar work) rather than on what it computed. It
+// is a separate, optional interface — not an Event — so none of that can leak
+// into the deterministic stream: sinks that record events (JSONL, MemorySink)
+// do not implement it, while Summary folds the observations into its
+// registry only.
 type Observer interface {
 	// Observe records one measurement under a canonical metric name (the M*
 	// constants).

@@ -1,7 +1,8 @@
 package telemetry
 
 // Canonical metric names aggregated by Summary. They are shared with the
-// CSV output, so they are append-only like the event kinds.
+// CSV output, so they are never renamed or reused; a name leaves with its
+// only emitter, listed in CHANGES.md.
 const (
 	MChatInitiated = "chat.initiated"
 	MChatCompleted = "chat.completed"
@@ -37,14 +38,8 @@ const (
 	MTrainSteps  = "train.steps"
 	MTrainWallNs = "train.wall_ns"
 
-	MShardScans  = "shard.scans"
-	MShardPairs  = "shard.pairs"
-	MShardGuests = "shard.guests"
-	MShardLocals = "shard.locals"
-
 	MSchedDueDequeued    = "sched.due_dequeued"
 	MSchedBucketsTouched = "sched.buckets_touched"
-	MSchedShardBatches   = "sched.shard_batches"
 
 	MTraceLoads         = "trace.chunk_loads"
 	MTraceEvicts        = "trace.chunk_evicts"
@@ -76,8 +71,7 @@ func KnownMetrics() []string {
 		MCoresetLeavesRebuilt, MCoresetLeavesCached, MCoresetTreeMerges,
 		MContactsOpened, MContactDuration,
 		MTrainSteps, MTrainWallNs,
-		MShardScans, MShardPairs, MShardGuests, MShardLocals,
-		MSchedDueDequeued, MSchedBucketsTouched, MSchedShardBatches,
+		MSchedDueDequeued, MSchedBucketsTouched,
 		MTraceLoads, MTraceEvicts, MTracePrefetches, MTraceResident,
 		MTraceFetchRetries, MTraceFetchWaitNs, MTracePrefetchDepth,
 		MFaultsInjected, MChatResumed, MResumeSavedB, MSalvages, MSalvageFrames,
@@ -98,7 +92,6 @@ var (
 // are distributions; Summary.Observe counts every other name.
 var sideChannelEdges = map[string][]float64{
 	MTrainWallNs:        {1e4, 1e5, 1e6, 1e7, 1e8, 1e9},
-	MShardLocals:        {16, 64, 256, 1024, 4096, 16384},
 	MTraceResident:      {1, 2, 3, 4, 6, 8, 16},
 	MTracePrefetchDepth: {1, 2, 3, 4, 6, 8, 16},
 }

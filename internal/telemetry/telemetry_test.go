@@ -181,13 +181,8 @@ func TestObserverSideChannel(t *testing.T) {
 		{MCoresetLeavesCached, 0, -1},
 		{MCoresetTreeMerges, 2, -1},
 		{MTrainWallNs, 5e6, 3},
-		{MShardScans, 1, -1},
-		{MShardPairs, 12, -1},
-		{MShardGuests, 0, -1},
-		{MShardLocals, 64, 2},
 		{MSchedDueDequeued, 0, -1},
 		{MSchedBucketsTouched, 7, -1},
-		{MSchedShardBatches, 0, -1},
 		{MTraceLoads, 1, -1},
 		{MTraceEvicts, 1, -1},
 		{MTracePrefetches, 1, -1},

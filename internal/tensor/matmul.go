@@ -30,20 +30,8 @@ func Workers() int { return parallel.Resolve(int(workerCount.Load())) }
 // the per-vehicle parallel loop, which already owns the cores at that scale.
 const matMulParallelFlops = 1 << 20
 
-// MatMul computes C = A·B for 2D tensors A (m×k) and B (k×n), writing into a
-// newly allocated m×n tensor.
-func MatMul(a, b *Dense) *Dense {
-	m, k := mustMatrix(a)
-	k2, n := mustMatrix(b)
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: matmul inner dimension mismatch %v x %v", a.shape, b.shape))
-	}
-	c := New(m, n)
-	MatMulInto(c, a, b)
-	return c
-}
-
-// MatMulInto computes dst = A·B, reusing dst's storage. dst must be m×n.
+// MatMulInto computes dst = A·B for 2D tensors A (m×k) and B (k×n), reusing
+// dst's storage. dst must be m×n.
 //
 // Above matMulParallelFlops the row range is split into contiguous chunks,
 // one per worker. Each output row is produced by exactly the same arithmetic
@@ -51,7 +39,10 @@ func MatMul(a, b *Dense) *Dense {
 // at any worker count.
 func MatMulInto(dst, a, b *Dense) {
 	m, k := mustMatrix(a)
-	_, n := mustMatrix(b)
+	k2, n := mustMatrix(b)
+	if k != k2 {
+		panic(fmt.Sprintf("tensor: matmul inner dimension mismatch %v x %v", a.shape, b.shape))
+	}
 	ad, bd, cd := a.data, b.data, dst.data
 	if w := Workers(); w > 1 && m > 1 && m*k*n >= matMulParallelFlops {
 		parallel.Chunks(w, m, func(lo, hi int) {
@@ -182,8 +173,8 @@ const addRowBuf = 256
 // AddMatMulTransA computes dst += Aᵀ·B where A is k×m and B is k×n; dst must
 // be m×n. This is how layers accumulate weight gradients. Each row of the
 // product is finished in a row-sized buffer and then added, so dst holds
-// exactly the bits MatMulTransAInto into scratch followed by AddInPlace
-// would leave — including −0 + +0 = +0 where a product row is all zeros —
+// exactly the bits MatMulTransAInto into scratch followed by an elementwise
+// add would leave — including −0 + +0 = +0 where a product row is all zeros —
 // without the scratch matrix or the second pass over it.
 func AddMatMulTransA(dst, a, b *Dense) {
 	k, m, n := mustTransA(a, b)

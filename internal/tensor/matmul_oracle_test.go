@@ -71,11 +71,13 @@ func oracleTransB(cd, ad, bd []float64, lo, hi, k, n int) {
 }
 
 // oracleTransAThenAdd is what Dense.Backward and Conv2D.Backward did before
-// AddMatMulTransA: the product into scratch, then AddInPlace.
+// AddMatMulTransA: the product into scratch, then an elementwise add.
 func oracleTransAThenAdd(dst, a, b *Dense) {
 	scratch := New(dst.shape...)
 	oracleTransA(scratch, a, b)
-	dst.AddInPlace(scratch)
+	for i, v := range scratch.data {
+		dst.data[i] += v
+	}
 }
 
 // kernelCase is one (A, B) pair in both layouts the kernels read.

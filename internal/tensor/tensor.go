@@ -97,11 +97,6 @@ func ReuseLike(t *Dense, ref *Dense) *Dense {
 	return t
 }
 
-// Reshape returns a view of the same data with a new shape of equal volume.
-func (t *Dense) Reshape(shape ...int) *Dense {
-	return FromSlice(t.data, shape...)
-}
-
 // At returns the element at the given multi-index.
 func (t *Dense) At(idx ...int) float64 {
 	return t.data[t.offset(idx)]
@@ -140,34 +135,10 @@ func (t *Dense) Fill(v float64) {
 	}
 }
 
-// AddInPlace adds other elementwise into t. Shapes must have equal volume.
-func (t *Dense) AddInPlace(other *Dense) {
-	assertSameSize(t, other)
-	for i, v := range other.data {
-		t.data[i] += v
-	}
-}
-
-// SubInPlace subtracts other elementwise from t.
-func (t *Dense) SubInPlace(other *Dense) {
-	assertSameSize(t, other)
-	for i, v := range other.data {
-		t.data[i] -= v
-	}
-}
-
 // ScaleInPlace multiplies every element by s.
 func (t *Dense) ScaleInPlace(s float64) {
 	for i := range t.data {
 		t.data[i] *= s
-	}
-}
-
-// AxpyInPlace computes t += alpha * other.
-func (t *Dense) AxpyInPlace(alpha float64, other *Dense) {
-	assertSameSize(t, other)
-	for i, v := range other.data {
-		t.data[i] += alpha * v
 	}
 }
 
@@ -188,26 +159,6 @@ func (t *Dense) L2Norm() float64 {
 		acc += v * v
 	}
 	return math.Sqrt(acc)
-}
-
-// SumAbs returns the L1 norm of the flattened tensor.
-func (t *Dense) SumAbs() float64 {
-	var acc float64
-	for _, v := range t.data {
-		acc += math.Abs(v)
-	}
-	return acc
-}
-
-// MaxAbs returns the maximum absolute element, or 0 for an empty tensor.
-func (t *Dense) MaxAbs() float64 {
-	var m float64
-	for _, v := range t.data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // Equal reports whether two tensors have identical shapes and elementwise

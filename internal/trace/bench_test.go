@@ -111,8 +111,8 @@ func BenchmarkWindowAdvanceLatency(b *testing.B) {
 						b.Fatal(err)
 					}
 					sum += consumeRow(w.Row(t))
-					// The engine's tick is full of scheduling points (shard
-					// barriers, worker channels); an unbroken busy loop would
+					// The engine's tick is full of scheduling points (worker
+					// channels); an unbroken busy loop would
 					// starve the prefetch goroutines' timers on a single-core
 					// box and measure the scheduler, not the readahead policy.
 					// Yielding every few ticks is enough for ms-scale timers.
