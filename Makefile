@@ -36,7 +36,9 @@ test:
 # detector that exceeds go test's default 10-minute per-package budget
 # (measured at PR 21 on a 2-core box, three runs: 7 m 53 s – 8 m 45 s for
 # the package, 13 m 15 s / 11 m 48 s / 11 m 37 s for the whole target, the
-# slowest with a cold race build cache; the timeout is the slowest + 25 %).
+# slowest with a cold race build cache; the timeout is the slowest + 25 %.
+# PR 23, same box, warm cache: 7 m 49 s – 8 m 56 s, 11 m 27 s / 11 m 05 s /
+# 11 m 39 s — no new co-simulation, timeout unchanged).
 # Tests that only need "a default LbChat run" share goldenRun's memoised
 # ones.
 race:
@@ -44,7 +46,9 @@ race:
 
 # go test -bench is the development tool; the perf gate is benchmarks/perf
 # (bash benchmarks/run.sh -pair / -compare, see benchmarks/README.md), whose
-# ledger re-times every kernel these micro-benchmarks cover.
+# ledger re-times every kernel these micro-benchmarks cover. The root
+# package's BenchmarkExperiment/<name> regenerates one catalogue entry
+# (lbchat-bench -exp <name>) and reports its table cells as metrics.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 

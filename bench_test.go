@@ -1,6 +1,7 @@
 // Package lbchat's root benchmark suite regenerates every table and figure
-// of the paper's evaluation (§IV). Each benchmark runs one experiment at
-// BenchScale-derived sizing and reports the headline quantities as custom
+// of the paper's evaluation (§IV) and every extension study:
+// BenchmarkExperiment/<token> runs one experiments.Catalogue entry at
+// BenchScale-derived sizing and reports the cells of its table as custom
 // metrics alongside the usual ns/op:
 //
 //	go test -bench=. -benchmem
@@ -14,17 +15,17 @@ package lbchat_test
 import (
 	"context"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"lbchat/internal/core"
-	"lbchat/internal/eval"
 	"lbchat/internal/experiments"
 	"lbchat/internal/simrand"
 )
 
-// benchScale trims the default bench scale so the full suite (10 table and
-// figure regenerations, each training multiple fleets) completes on a single
+// benchScale trims the default bench scale so the full suite (every
+// catalogue entry, most training multiple fleets) completes on a single
 // CPU core in reasonable time. Scale up via cmd/lbchat-bench. Workers stays
 // at the auto default, so on a multi-core host the harnesses fan their
 // independent protocol runs, vehicle ticks, and evaluation rollouts across
@@ -59,161 +60,30 @@ func getBenchEnv(b *testing.B) *experiments.Env {
 	return benchEnv
 }
 
-// runExp runs one experiment against the shared environment.
-func runExp(b *testing.B, env *experiments.Env, experiment string, lossless bool) *experiments.Result {
-	b.Helper()
-	res, err := experiments.Run(context.Background(), experiments.Spec{Experiment: experiment, Lossless: lossless, Env: env})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res
-}
-
-// reportRates attaches per-condition success rates as benchmark metrics.
-func reportRates(b *testing.B, prefix string, rates map[eval.Condition]float64) {
-	b.Helper()
-	for _, cond := range eval.Conditions {
-		if r, ok := rates[cond]; ok && !math.IsNaN(r) {
-			b.ReportMetric(r, prefix+metricName(cond)+"_%")
-		}
-	}
-}
-
-func metricName(c eval.Condition) string {
-	switch c {
-	case eval.CondStraight:
-		return "straight"
-	case eval.CondOneTurn:
-		return "one_turn"
-	case eval.CondNaviEmpty:
-		return "navi_empty"
-	case eval.CondNaviNormal:
-		return "navi_normal"
-	case eval.CondNaviDense:
-		return "navi_dense"
-	default:
-		return "unknown"
-	}
-}
-
-// BenchmarkFig2a regenerates Figure 2(a): training-loss curves for all five
-// protocols without wireless loss. Reported metrics are each protocol's
-// final probe loss (×1000 for readability).
-func BenchmarkFig2a(b *testing.B) {
-	env := getBenchEnv(b)
-	for i := 0; i < b.N; i++ {
-		runs := runExp(b, env, experiments.ExpFig2, true).Runs
-		for _, r := range runs {
-			b.ReportMetric(1000*r.Curve.Final(), string(r.Name)+"_mloss")
-		}
-	}
-}
-
-// BenchmarkFig2b regenerates Figure 2(b): the same lineup under the
-// distance-based wireless loss model.
-func BenchmarkFig2b(b *testing.B) {
-	env := getBenchEnv(b)
-	for i := 0; i < b.N; i++ {
-		runs := runExp(b, env, experiments.ExpFig2, false).Runs
-		for _, r := range runs {
-			b.ReportMetric(1000*r.Curve.Final(), string(r.Name)+"_mloss")
-		}
-	}
-}
-
-// BenchmarkReceiveRates regenerates the §IV-C successful model-receiving
-// rate comparison (paper: LbChat 87% vs 51–60% for the benchmarks).
-func BenchmarkReceiveRates(b *testing.B) {
-	env := getBenchEnv(b)
-	for i := 0; i < b.N; i++ {
-		runs := runExp(b, env, experiments.ExpFig2, false).Runs
-		for name, rate := range experiments.ReceiveRates(runs) {
-			if !math.IsNaN(rate) {
-				b.ReportMetric(rate, string(name)+"_recv_%")
+// BenchmarkExperiment regenerates every catalogue entry — one sub-benchmark
+// per -exp token, e.g. -bench 'Experiment/tab4$' — and reports each cell of
+// the entry's table as a custom metric named row/column (driving success
+// rates for the tables, final probe losses for the figures, the Fig. 3
+// slowdown, the studies' scalars).
+func BenchmarkExperiment(b *testing.B) {
+	for _, x := range experiments.Catalogue {
+		b.Run(x.Name, func(b *testing.B) {
+			spec := experiments.Spec{Experiment: x.Name, Env: getBenchEnv(b)}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := experiments.Run(context.Background(), spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, row := range res.Table.Rows() {
+					for _, col := range res.Table.Columns {
+						if v := res.Table.Value(row, col); !math.IsNaN(v) {
+							b.ReportMetric(v, strings.Join(strings.Fields(row+"/"+col), "_"))
+						}
+					}
+				}
 			}
-		}
-	}
-}
-
-// BenchmarkTable2 regenerates Table II: driving success rate per protocol
-// without wireless loss. LbChat's per-condition rates are reported.
-func BenchmarkTable2(b *testing.B) {
-	env := getBenchEnv(b)
-	for i := 0; i < b.N; i++ {
-		runs := runExp(b, env, experiments.ExpFig2, true).Runs
-		rates := env.SuccessRates(runs)
-		tbl := env.SuccessTable("Table II", experiments.BenchmarkProtocols, rates)
-		_ = tbl
-		reportRates(b, "lbchat_", rates[experiments.ProtoLbChat])
-	}
-}
-
-// BenchmarkTable3 regenerates Table III: driving success rates under
-// wireless loss.
-func BenchmarkTable3(b *testing.B) {
-	env := getBenchEnv(b)
-	for i := 0; i < b.N; i++ {
-		runs := runExp(b, env, experiments.ExpFig2, false).Runs
-		rates := env.SuccessRates(runs)
-		reportRates(b, "lbchat_", rates[experiments.ProtoLbChat])
-	}
-}
-
-// BenchmarkTable4 regenerates Table IV: the coreset-size sweep (10× and
-// 1/10 the default |C|, both wireless regimes).
-func BenchmarkTable4(b *testing.B) {
-	env := getBenchEnv(b)
-	for i := 0; i < b.N; i++ {
-		tbl := runExp(b, env, experiments.ExpTable4, false).Table
-		b.ReportMetric(tbl.Value("Navi. (Dense)", "1500 (W/O)"), "dense_1500_wo_%")
-		b.ReportMetric(tbl.Value("Navi. (Dense)", "15 (W/O)"), "dense_15_wo_%")
-	}
-}
-
-// BenchmarkTable5 regenerates Table V: the equal-compression ablation
-// (Eq. (7) masked).
-func BenchmarkTable5(b *testing.B) {
-	env := getBenchEnv(b)
-	for i := 0; i < b.N; i++ {
-		tbl := runExp(b, env, experiments.ExpTable5, false).Table
-		b.ReportMetric(tbl.Value("Navi. (Dense)", "W/O wireless loss"), "dense_wo_%")
-		b.ReportMetric(tbl.Value("Navi. (Dense)", "W wireless loss"), "dense_w_%")
-	}
-}
-
-// BenchmarkTable6 regenerates Table VI: the average-aggregation ablation
-// (Eq. (8) masked).
-func BenchmarkTable6(b *testing.B) {
-	env := getBenchEnv(b)
-	for i := 0; i < b.N; i++ {
-		tbl := runExp(b, env, experiments.ExpTable6, false).Table
-		b.ReportMetric(tbl.Value("Navi. (Dense)", "W/O wireless loss"), "dense_wo_%")
-		b.ReportMetric(tbl.Value("Navi. (Dense)", "W wireless loss"), "dense_w_%")
-	}
-}
-
-// BenchmarkTable7 regenerates Table VII: SCO, sharing coresets only.
-func BenchmarkTable7(b *testing.B) {
-	env := getBenchEnv(b)
-	for i := 0; i < b.N; i++ {
-		tbl := runExp(b, env, experiments.ExpTable7, false).Table
-		b.ReportMetric(tbl.Value("Navi. (Dense)", "W/O wireless loss"), "dense_wo_%")
-		b.ReportMetric(tbl.Value("Navi. (Dense)", "W wireless loss"), "dense_w_%")
-	}
-}
-
-// BenchmarkFig3 regenerates Figure 3: LbChat vs SCO loss curves and the
-// convergence-time ratio (paper: SCO needs 1.5–1.8× longer).
-func BenchmarkFig3(b *testing.B) {
-	env := getBenchEnv(b)
-	for i := 0; i < b.N; i++ {
-		res := runExp(b, env, experiments.ExpFig3, true)
-		lb, sco, ratio := res.Runs[0], res.Runs[1], res.Ratio
-		b.ReportMetric(1000*lb.Curve.Final(), "lbchat_mloss")
-		b.ReportMetric(1000*sco.Curve.Final(), "sco_mloss")
-		if !math.IsNaN(ratio) {
-			b.ReportMetric(ratio, "sco_slowdown_x")
-		}
+		})
 	}
 }
 
@@ -258,37 +128,3 @@ func BenchmarkLbChatWorkers1(b *testing.B) { benchmarkLbChatRun(b, 1) }
 
 // BenchmarkLbChatWorkersAuto runs with one worker per available CPU.
 func BenchmarkLbChatWorkersAuto(b *testing.B) { benchmarkLbChatRun(b, 0) }
-
-// BenchmarkRouteSharingAblation isolates the Eq. (5) prioritization: LbChat
-// with and without route-sharing neighbor selection under wireless loss.
-func BenchmarkRouteSharingAblation(b *testing.B) {
-	env := getBenchEnv(b)
-	for i := 0; i < b.N; i++ {
-		tbl := runExp(b, env, experiments.ExpRouteShare, false).Table
-		b.ReportMetric(tbl.Value("model receive rate (%)", "LbChat"), "with_prio_recv_%")
-		b.ReportMetric(tbl.Value("model receive rate (%)", "LbChat-NoPrio"), "no_prio_recv_%")
-	}
-}
-
-// BenchmarkCoresetMethods compares the §V coreset-construction alternatives
-// inside full LbChat runs.
-func BenchmarkCoresetMethods(b *testing.B) {
-	env := getBenchEnv(b)
-	for i := 0; i < b.N; i++ {
-		tbl := runExp(b, env, experiments.ExpMethods, true).Table
-		for _, m := range []string{"layered", "sensitivity", "clustering", "uniform"} {
-			b.ReportMetric(tbl.Value("final probe loss (x1000)", m), m+"_mloss")
-		}
-	}
-}
-
-// BenchmarkAdaptiveCoreset measures the future-work adaptive coreset sizing
-// against the fixed default budget.
-func BenchmarkAdaptiveCoreset(b *testing.B) {
-	env := getBenchEnv(b)
-	for i := 0; i < b.N; i++ {
-		tbl := runExp(b, env, experiments.ExpAdaptive, true).Table
-		b.ReportMetric(tbl.Value("final probe loss (x1000)", "fixed |C|"), "fixed_mloss")
-		b.ReportMetric(tbl.Value("final probe loss (x1000)", "adaptive |C|"), "adaptive_mloss")
-	}
-}

@@ -338,46 +338,48 @@ const (
 	ProtoNoResume  ProtocolName = "LbChat-NoResume"
 )
 
-// BenchmarkProtocols lists the Fig. 2 / Tables II–III lineup in the paper's
-// column order.
-var BenchmarkProtocols = []ProtocolName{ProtoProxSkip, ProtoRSUL, ProtoDFLDDS, ProtoDP, ProtoLbChat}
+// protocolTable lists every runnable protocol and how to construct it: the
+// paper's lineup, then the ablations and extension variants. It is the one
+// spelling of that list; an arm of the Catalogue resolves through it.
+var protocolTable = []struct {
+	Name ProtocolName
+	New  func(*Env) core.Protocol
+}{
+	{ProtoLbChat, func(*Env) core.Protocol { return core.NewLbChat() }},
+	{ProtoProxSkip, func(*Env) core.Protocol { return baselines.NewProxSkip() }},
+	{ProtoRSUL, func(e *Env) core.Protocol { return baselines.NewRSUL(e.RSUPositions()) }},
+	{ProtoDFLDDS, func(*Env) core.Protocol { return baselines.NewDFLDDS() }},
+	{ProtoDP, func(*Env) core.Protocol { return baselines.NewDP() }},
+	{ProtoSCO, func(*Env) core.Protocol { return core.NewSCO() }},
+	{ProtoEqualComp, lbchatVariant(ProtoEqualComp, core.Variant{EqualCompression: true})},
+	{ProtoAvgAgg, lbchatVariant(ProtoAvgAgg, core.Variant{AverageAggregation: true})},
+	{ProtoNoPrio, lbchatVariant(ProtoNoPrio, core.Variant{NoPrioritization: true})},
+	{ProtoAdaptive, lbchatVariant(ProtoAdaptive, core.Variant{AdaptiveCoresetSize: true})},
+	{ProtoNoResume, lbchatVariant(ProtoNoResume, core.Variant{NoResumption: true})},
+}
 
-// Protocols lists every name newProtocol accepts: the paper's lineup, then
-// the ablations and extension variants. The -protocol help strings and the
-// unknown-name error are printed from it.
-var Protocols = []ProtocolName{
-	ProtoLbChat, ProtoProxSkip, ProtoRSUL, ProtoDFLDDS, ProtoDP, ProtoSCO,
-	ProtoEqualComp, ProtoAvgAgg, ProtoNoPrio, ProtoAdaptive, ProtoNoResume,
+// Protocols lists the names newProtocol accepts, in table order. The
+// -protocol help strings and the unknown-name error are printed from it.
+var Protocols = func() []ProtocolName {
+	names := make([]ProtocolName, len(protocolTable))
+	for i, p := range protocolTable {
+		names[i] = p.Name
+	}
+	return names
+}()
+
+func lbchatVariant(name ProtocolName, v core.Variant) func(*Env) core.Protocol {
+	return func(*Env) core.Protocol { return core.NewLbChatVariant(string(name), v) }
 }
 
 // newProtocol constructs a protocol instance by name.
 func (e *Env) newProtocol(name ProtocolName) (core.Protocol, error) {
-	switch name {
-	case ProtoLbChat:
-		return core.NewLbChat(), nil
-	case ProtoSCO:
-		return core.NewSCO(), nil
-	case ProtoEqualComp:
-		return core.NewLbChatVariant(string(name), core.Variant{EqualCompression: true}), nil
-	case ProtoAvgAgg:
-		return core.NewLbChatVariant(string(name), core.Variant{AverageAggregation: true}), nil
-	case ProtoNoPrio:
-		return core.NewLbChatVariant(string(name), core.Variant{NoPrioritization: true}), nil
-	case ProtoAdaptive:
-		return core.NewLbChatVariant(string(name), core.Variant{AdaptiveCoresetSize: true}), nil
-	case ProtoNoResume:
-		return core.NewLbChatVariant(string(name), core.Variant{NoResumption: true}), nil
-	case ProtoProxSkip:
-		return baselines.NewProxSkip(), nil
-	case ProtoRSUL:
-		return baselines.NewRSUL(e.RSUPositions()), nil
-	case ProtoDFLDDS:
-		return baselines.NewDFLDDS(), nil
-	case ProtoDP:
-		return baselines.NewDP(), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown protocol %q (known: %v)", name, Protocols)
+	for _, p := range protocolTable {
+		if p.Name == name {
+			return p.New(e), nil
+		}
 	}
+	return nil, fmt.Errorf("experiments: unknown protocol %q (known: %v)", name, Protocols)
 }
 
 // ProtocolRun is one protocol training run's outputs.
@@ -547,22 +549,4 @@ func (e *Env) EvalFleet(fleet []*model.Policy) map[eval.Condition]float64 {
 		out[cond] = sum / float64(sample)
 	}
 	return out
-}
-
-// SuccessTable renders per-protocol driving success rates as a paper-style
-// table with one column per protocol, in the given order.
-func (e *Env) SuccessTable(title string, order []ProtocolName, rates map[ProtocolName]map[eval.Condition]float64) *metrics.Table {
-	cols := make([]string, len(order))
-	for i, n := range order {
-		cols[i] = string(n)
-	}
-	tbl := metrics.NewTable(title, cols...)
-	for _, cond := range eval.Conditions {
-		vals := make([]float64, len(order))
-		for i, n := range order {
-			vals[i] = rates[n][cond]
-		}
-		tbl.AddRow(cond.String(), vals...)
-	}
-	return tbl
 }

@@ -121,7 +121,7 @@ func TestEvalFleetAndTable(t *testing.T) {
 			t.Errorf("%v rate = %v", cond, r)
 		}
 	}
-	tbl := env.SuccessTable("T", []ProtocolName{ProtoLbChat},
+	tbl := oracleSuccessTable("T", []ProtocolName{ProtoLbChat},
 		map[ProtocolName]map[eval.Condition]float64{ProtoLbChat: rates})
 	out := tbl.Render()
 	if !strings.Contains(out, "Straight") || !strings.Contains(out, "LbChat") {
@@ -146,30 +146,37 @@ func TestConvergenceRatio(t *testing.T) {
 	}
 }
 
-// studyTable runs one extension study against the shared environment and
-// returns its table.
-func studyTable(t *testing.T, experiment string, lossless bool) *metrics.Table {
+// entryResults memoises catalogue entries run through Run on the shared
+// environment, so the parity oracle reads the same runs the study tests
+// trained.
+var entryResults = map[string]*Result{}
+
+func entryResult(t *testing.T, name string) *Result {
 	t.Helper()
-	res, err := Run(context.Background(), Spec{Experiment: experiment, Lossless: lossless, Env: getEnv(t)})
-	if err != nil {
-		t.Fatalf("%s: %v", experiment, err)
+	if res, ok := entryResults[name]; ok {
+		return res
 	}
-	return res.Table
+	res, err := Run(context.Background(), Spec{Experiment: name, Env: getEnv(t)})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	entryResults[name] = res
+	return res
 }
 
 func TestExtensionStudiesRun(t *testing.T) {
-	tbl := studyTable(t, ExpRouteShare, false)
+	tbl := entryResult(t, "routeshare").Table
 	if math.IsNaN(tbl.Value("final probe loss (x1000)", "LbChat")) {
 		t.Error("route-sharing table missing LbChat loss")
 	}
-	tbl = studyTable(t, ExpAdaptive, true)
+	tbl = entryResult(t, "adaptive").Table
 	if math.IsNaN(tbl.Value("final probe loss (x1000)", "adaptive |C|")) {
 		t.Error("adaptive table missing value")
 	}
 }
 
 func TestCoresetMethodStudyRuns(t *testing.T) {
-	tbl := studyTable(t, ExpMethods, true)
+	tbl := entryResult(t, "methods").Table
 	for _, col := range []string{"layered", "sensitivity", "clustering", "uniform"} {
 		if math.IsNaN(tbl.Value("final probe loss (x1000)", col)) {
 			t.Errorf("missing method column %q", col)
@@ -178,7 +185,7 @@ func TestCoresetMethodStudyRuns(t *testing.T) {
 }
 
 func TestHeterogeneityStudyRuns(t *testing.T) {
-	tbl := studyTable(t, ExpHetero, true)
+	tbl := entryResult(t, "hetero").Table
 	if math.IsNaN(tbl.Value("final probe loss (x1000)", "5-31 Mbps")) {
 		t.Error("heterogeneity table missing value")
 	}
@@ -197,18 +204,18 @@ func TestScalePresets(t *testing.T) {
 
 func TestRenderHelpers(t *testing.T) {
 	run, _ := goldenRun(t, ProtoLbChat, true)
-	curves := RenderCurves([]*ProtocolRun{run})
-	if !strings.Contains(curves, "LbChat") {
+	x := &Experiment{Caption: "Rates", Arms: []Arm{{Label: "LbChat"}}}
+	if _, curves := reportCurves(nil, x, []*ProtocolRun{run}); !strings.Contains(curves, "LbChat") {
 		t.Error("curve render missing protocol name")
 	}
-	rates := RenderReceiveRates(map[ProtocolName]float64{ProtoLbChat: 87.5, ProtoDP: 51})
-	if !strings.Contains(rates, "LbChat") || !strings.Contains(rates, "87.5") {
+	got := &ProtocolRun{Recv: metrics.ReceiveStats{Attempts: 8, Successes: 7}}
+	if _, rates := reportReceiveRates(nil, x, []*ProtocolRun{got}); !strings.Contains(rates, "LbChat") || !strings.Contains(rates, "87.5") {
 		t.Errorf("rate render:\n%s", rates)
 	}
 }
 
 func TestCompressionSchemeStudyRuns(t *testing.T) {
-	tbl := studyTable(t, ExpQuant, true)
+	tbl := entryResult(t, "quant").Table
 	if math.IsNaN(tbl.Value("final probe loss (x1000)", "quantization")) {
 		t.Error("quantization column missing")
 	}

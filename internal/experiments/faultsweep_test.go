@@ -6,31 +6,54 @@ import (
 	"strings"
 	"testing"
 
+	"lbchat/internal/core"
 	"lbchat/internal/faults"
 	"lbchat/internal/telemetry"
 )
 
+// TestFaultSweepGridShape reads the grid back from the faultsweep entry's
+// arms: 5 fault settings × {LbChat, LbChat-NoResume}, row-major, every arm
+// in the lossy regime.
 func TestFaultSweepGridShape(t *testing.T) {
-	cells := FaultSweepGrid()
-	if len(cells) != 5 {
-		t.Fatalf("grid has %d cells, want 5", len(cells))
+	x, err := Lookup("faultsweep")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cells[0].Cfg.Enabled() {
+	if len(x.Arms) != 10 {
+		t.Fatalf("faultsweep has %d arms, want 5 cells x 2 protocols", len(x.Arms))
+	}
+	var cells []faults.Config
+	for i, a := range x.Arms {
+		if want := []ProtocolName{ProtoLbChat, ProtoNoResume}[i%2]; a.Protocol != want || a.Lossless {
+			t.Errorf("arm %d is %s lossless=%v, want lossy %s", i, a.Protocol, a.Lossless, want)
+		}
+		if a.Label != x.Arms[i-i%2].Label {
+			t.Errorf("arm %d label %q differs from its cell's %q", i, a.Label, x.Arms[i-i%2].Label)
+		}
+		var cfg core.Config
+		a.Config(&cfg)
+		if i%2 == 0 {
+			cells = append(cells, cfg.Faults)
+		} else if cfg.Faults != cells[i/2] {
+			t.Errorf("cell %q: the two protocols run under different faults", a.Label)
+		}
+	}
+	if cells[0].Enabled() {
 		t.Error("first cell must be the fault-free baseline")
 	}
-	for i, cell := range cells[1:] {
-		if !cell.Cfg.Enabled() {
-			t.Errorf("cell %d (%s) has faults disabled", i+1, cell.Label)
+	for i, cfg := range cells[1:] {
+		if !cfg.Enabled() {
+			t.Errorf("cell %d (%s) has faults disabled", i+1, x.Arms[2*(i+1)].Label)
 		}
-		if err := cell.Cfg.Validate(); err != nil {
-			t.Errorf("cell %q invalid: %v", cell.Label, err)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("cell %q invalid: %v", x.Arms[2*(i+1)].Label, err)
 		}
 	}
 	// The burst-only cells must really have churn off.
-	if cells[1].Cfg.ChurnPerHour != 0 || cells[2].Cfg.ChurnPerHour != 0 {
+	if cells[1].ChurnPerHour != 0 || cells[2].ChurnPerHour != 0 {
 		t.Error("burst-only cells still churn")
 	}
-	if cells[3].Cfg.ChurnPerHour == 0 || cells[4].Cfg.ChurnPerHour == 0 {
+	if cells[3].ChurnPerHour == 0 || cells[4].ChurnPerHour == 0 {
 		t.Error("churn cells have churn disabled")
 	}
 }

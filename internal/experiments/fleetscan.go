@@ -26,7 +26,7 @@ const fleetScanDensityCell = 250.0
 // scan — and its positions stream through a ChunkWriter, so a 10k-vehicle
 // trace never sits in memory. The result table reports wall-clock, per-tick
 // rate, peak heap, and pair throughput.
-func runFleetScan(ctx context.Context, spec Spec) (*Result, error) {
+func runFleetScan(ctx context.Context, x *Experiment, spec Spec) (*Result, error) {
 	n := spec.Vehicles
 	if n <= 0 {
 		n = 2048
@@ -81,7 +81,7 @@ func runFleetScan(ctx context.Context, spec Spec) (*Result, error) {
 		peakHeap = h
 	}
 
-	tbl := metrics.NewTable("Fleet scan scale workload", "value")
+	tbl := metrics.NewTable(x.Caption, "value")
 	tbl.AddRow("vehicles", float64(n))
 	tbl.AddRow("ticks", float64(done))
 	tbl.AddRow("wall ms", float64(wall.Milliseconds()))
@@ -93,9 +93,9 @@ func runFleetScan(ctx context.Context, spec Spec) (*Result, error) {
 		tbl.AddRow("pairs per tick", float64(totalPairs)/float64(done))
 	}
 	return &Result{
-		Experiment: ExpFleetScan,
-		Table:      tbl,
-		Canceled:   ctx.Err() != nil,
+		Table:    tbl,
+		Text:     tbl.Render(),
+		Canceled: ctx.Err() != nil,
 	}, nil
 }
 

@@ -23,8 +23,7 @@ const goldenStreamsPath = "testdata/golden_streams.json"
 
 // goldenProtocols is the lineup whose runs are pinned: the Fig. 2 protocols
 // plus the three ablation variants.
-var goldenProtocols = append(append([]ProtocolName{}, BenchmarkProtocols...),
-	ProtoSCO, ProtoEqualComp, ProtoAvgAgg)
+var goldenProtocols = append(slices.Clone(paperLineup), ProtoSCO, ProtoEqualComp, ProtoAvgAgg)
 
 // hashedRun is one memoised TestScale run with the hash of everything it
 // produced.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lbchat/internal/telemetry"
@@ -84,7 +85,7 @@ func TestEventStreamDeterministicAcrossWorkers(t *testing.T) {
 		mem := telemetry.NewMemorySink()
 		env := envWithSink(t, mem)
 		env.Scale.Workers = workers
-		res, err := Run(context.Background(), Spec{Experiment: ExpFig3, Lossless: true, Env: env})
+		res, err := Run(context.Background(), Spec{Experiment: "fig3", Env: env})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -142,7 +143,7 @@ func TestRunCancellationReturnsPartialResult(t *testing.T) {
 func TestRunCanceledTableExperiment(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Run(ctx, Spec{Experiment: ExpTable7, Env: getEnv(t)})
+	res, err := Run(ctx, Spec{Experiment: "tab7", Env: getEnv(t)})
 	if err != nil {
 		t.Fatalf("canceled table run returned error: %v", err)
 	}
@@ -240,7 +241,13 @@ func TestScaleByName(t *testing.T) {
 }
 
 func TestRunRejectsUnknownExperiment(t *testing.T) {
-	if _, err := Run(context.Background(), Spec{Experiment: "tab99", Env: getEnv(t)}); err == nil {
-		t.Error("unknown experiment accepted")
+	_, err := Run(context.Background(), Spec{Experiment: "tab99", Env: getEnv(t)})
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	for _, x := range Catalogue {
+		if !strings.Contains(err.Error(), x.Name) {
+			t.Errorf("error %q does not name %s", err, x.Name)
+		}
 	}
 }

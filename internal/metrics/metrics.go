@@ -117,6 +117,15 @@ func (t *Table) AddRow(label string, values ...float64) {
 	t.rows = append(t.rows, tableRow{label: label, values: values})
 }
 
+// Rows returns the row labels in table order.
+func (t *Table) Rows() []string {
+	labels := make([]string, len(t.rows))
+	for i, r := range t.rows {
+		labels[i] = r.label
+	}
+	return labels
+}
+
 // Value returns the cell at (rowLabel, column), or NaN if absent.
 func (t *Table) Value(rowLabel, column string) float64 {
 	col := -1
