@@ -3,7 +3,7 @@ GO ?= go
 # staticcheck is pinned so lint results are reproducible; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: build vet fmt lint test race bench bench-pprof telemetry-smoke trace-smoke doccheck ci
+.PHONY: build vet fmt lint test test-purego cross race bench bench-pprof telemetry-smoke trace-smoke doccheck ci
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,19 @@ lint:
 
 test:
 	$(GO) test ./...
+
+# The other two builds of internal/tensor's elementwise kernels (DESIGN.md
+# §15). purego runs the generic Go loops where the default amd64 build runs
+# the AVX2 assembly: that TestGoldenTrainTrajectory passes under both is the
+# end-to-end proof the two paths agree bit for bit. cross checks that the
+# generic files are all a non-amd64 build needs; it compiles and vets only, so
+# it needs no arm64 machine (and no network).
+test-purego:
+	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/model
+
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/nn
 
 # The simulator runs parallel by default; the race detector is part of
 # tier-1 verification for the concurrent paths (engine ticks, experiment
@@ -128,4 +141,4 @@ doccheck:
 		fi; \
 	done; exit $$fail
 
-ci: build vet fmt doccheck lint test race telemetry-smoke trace-smoke
+ci: build vet fmt doccheck lint test test-purego cross race telemetry-smoke trace-smoke

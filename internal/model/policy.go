@@ -295,7 +295,7 @@ func (p *Policy) meanSquaredErrors(out []float64) {
 // TrainStep performs one optimizer step on the weighted batch and returns
 // the Eq. (6) training loss: the risk and σ terms are those of the forward
 // pass, i.e. before the update, but the λ1·‖x‖ term is read after it (moving
-// it would move every train_step event's loss; ROADMAP item 6).
+// it would move every train_step event's loss; ROADMAP item 2(b)).
 func (p *Policy) TrainStep(items []dataset.Weighted) float64 {
 	if len(items) == 0 {
 		return 0

@@ -137,7 +137,9 @@ func (o *mapAdam) Step(params ParamSet) {
 
 func adamTestParams() ParamSet {
 	rng := simrand.New(8)
-	ps := ParamSet{NewParam("w", 6, 5), NewParam("b", 5), NewParam("u", 3, 3)}
+	// Lengths 30, 5, 9, 1 and 3: whole vectors of the packed update plus every
+	// tail length, and parameters that are all tail.
+	ps := ParamSet{NewParam("w", 6, 5), NewParam("b", 5), NewParam("u", 3, 3), NewParam("s", 1), NewParam("t", 3)}
 	for _, p := range ps {
 		for i := range p.Value.Data() {
 			p.Value.Data()[i] = rng.Normal(0, 1)
@@ -147,8 +149,10 @@ func adamTestParams() ParamSet {
 }
 
 // TestAdamPositionalMatchesMapOracle: 50 steps of the positional Adam leave
-// the value bits the map-keyed one leaves (with and without weight decay),
-// and a Step with a differently shaped set panics naming both lengths.
+// the value bits the map-keyed one leaves (with and without weight decay;
+// without it the first step's gradients are so small that every second
+// moment is denormal), and a Step with a differently shaped set panics naming
+// both lengths.
 func TestAdamPositionalMatchesMapOracle(t *testing.T) {
 	for _, decay := range []float64{0, 0.01} {
 		got, want := adamTestParams(), adamTestParams()
@@ -163,11 +167,23 @@ func TestAdamPositionalMatchesMapOracle(t *testing.T) {
 					if rng.Bernoulli(0.2) {
 						g = math.Copysign(0, -1)
 					}
+					if step == 0 {
+						g = math.Copysign(1e-160, g)
+					}
 					got[pi].Grad.Data()[i], want[pi].Grad.Data()[i] = g, g
 				}
 			}
 			adam.Step(got)
 			oracle.Step(want)
+			if step == 0 && decay == 0 {
+				for pi := range adam.v {
+					for i, v := range adam.v[pi] {
+						if v <= 0 || v >= 0x1p-1022 {
+							t.Fatalf("%s: second moment [%d] = %v after the first step, want a denormal", got[pi].Name, i, v)
+						}
+					}
+				}
+			}
 		}
 		for pi := range want {
 			for i, w := range want[pi].Value.Data() {
@@ -192,7 +208,7 @@ func TestAdamPositionalMatchesMapOracle(t *testing.T) {
 		adam.Step(adamTestParams())
 		adam.Step(params)
 	}
-	mustPanic("shorter set", adamTestParams()[:2], "3 parameters", "got 2")
+	mustPanic("shorter set", adamTestParams()[:2], "5 parameters", "got 2")
 	reshaped := adamTestParams()
 	reshaped[1] = NewParam("b", 4)
 	mustPanic("reshaped parameter", reshaped, "5 elements", "got 4")

@@ -3,6 +3,8 @@ package nn
 import (
 	"fmt"
 	"math"
+
+	"lbchat/internal/tensor"
 )
 
 // Adam implements the Adam optimizer (Kingma & Ba, 2015).
@@ -39,24 +41,21 @@ func (o *Adam) Step(params ParamSet) {
 		panic(fmt.Sprintf("nn: Adam is bound to a set of %d parameters, Step got %d", len(o.m), len(params)))
 	}
 	o.t++
-	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
-	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	coef := tensor.AdamCoef{
+		Decay: o.WeightDecay,
+		Beta1: o.Beta1, OneMinusBeta1: 1 - o.Beta1,
+		Beta2: o.Beta2, OneMinusBeta2: 1 - o.Beta2,
+		BiasCorr1: 1 - math.Pow(o.Beta1, float64(o.t)),
+		BiasCorr2: 1 - math.Pow(o.Beta2, float64(o.t)),
+		LR:        o.LR, Eps: o.Eps,
+	}
 	for pi, p := range params {
 		vd := p.Value.Data()
 		if len(vd) != len(o.m[pi]) {
 			panic(fmt.Sprintf("nn: Adam is bound to %d elements at parameter %d (%s), Step got %d",
 				len(o.m[pi]), pi, p.Name, len(vd)))
 		}
-		// One length for all four slices: the loop carries no bounds checks.
-		gd, m, v := p.Grad.Data()[:len(vd)], o.m[pi][:len(vd)], o.v[pi][:len(vd)]
-		for i := range vd {
-			g := gd[i] + o.WeightDecay*vd[i]
-			m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
-			v[i] = o.Beta2*v[i] + (1-o.Beta2)*g*g
-			mHat := m[i] / bc1
-			vHat := v[i] / bc2
-			vd[i] -= o.LR * mHat / (math.Sqrt(vHat) + o.Eps)
-		}
+		tensor.AdamUpdate(vd, p.Grad.Data(), o.m[pi], o.v[pi], &coef)
 	}
 }
 

@@ -9,6 +9,8 @@
 // mobility sources stay interchangeable (DESIGN.md §12). Narrower checks
 // guard single decisions: DirectCoresetBuilds, HotPathFleetScans,
 // DiscardedInputGradient (a bare x.Backward(...) statement outside
-// internal/nn computes an input gradient nobody reads), and UnlistedMetrics
-// (every telemetry M* name must be in KnownMetrics()).
+// internal/nn computes an input gradient nobody reads), UnlistedMetrics
+// (every telemetry M* name must be in KnownMetrics()), and FusedMultiplyAdd
+// (no assembly file may fuse a multiply into an add, and every amd64 kernel
+// has its generic Go loop beside it — DESIGN.md §15).
 package repolint

@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 )
 
@@ -500,6 +501,101 @@ func UnlistedMetrics(root string) ([]string, error) {
 		}
 	}
 	return findings, nil
+}
+
+// fusedMnemonic matches the x86 fused multiply-add family with any form and
+// type suffix (VFMADD231PD, VFNMSUB132SD, VFMADDSUB213PS, ...).
+var fusedMnemonic = regexp.MustCompile(`\bVFN?M(ADD|SUB)[0-9A-Z]*\b`)
+
+// asmText matches the symbol a Go assembly TEXT directive defines.
+var asmText = regexp.MustCompile(`^\s*TEXT\s+·(\w+)`)
+
+// asmWithoutOracle lists the assembly routines that need no generic
+// counterpart because they do no arithmetic: the feature-detection stubs
+// behind tensor's useAVX2.
+var asmWithoutOracle = map[string]bool{"cpuid": true, "xgetbv": true}
+
+// FusedMultiplyAdd reads every .s file under root and returns one
+// "path:line: ..." finding per fused multiply-add instruction (comments are
+// not searched) and, in a *_amd64.s, per TEXT symbol that has no oracle: for
+// ·nameAVX2 (or ·name) a func nameGeneric in a *_generic.go of the same
+// directory, unless the symbol is in asmWithoutOracle. A fused multiply-add
+// rounds once where the Go loops round twice, so one such instruction moves
+// the float bits every golden pins (DESIGN.md §15); and a kernel without its
+// generic loop has nothing to be tested against and nothing to run where the
+// assembly does not.
+func FusedMultiplyAdd(root string) ([]string, error) {
+	var findings []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if name == "testdata" || strings.HasPrefix(name, ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".s") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, relErr := filepath.Rel(root, path)
+		if relErr != nil {
+			rel = path
+		}
+		var generics map[string]bool
+		if strings.HasSuffix(path, "_amd64.s") {
+			if generics, err = genericFuncs(filepath.Dir(path)); err != nil {
+				return err
+			}
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			code, _, _ := strings.Cut(line, "//")
+			if m := fusedMnemonic.FindString(code); m != "" {
+				findings = append(findings, fmt.Sprintf(
+					"%s:%d: fused multiply-add %s rounds once where the generic loop rounds twice; use separate multiply and add",
+					rel, i+1, m))
+			}
+			if m := asmText.FindStringSubmatch(code); m != nil && generics != nil {
+				want := strings.TrimSuffix(m[1], "AVX2") + "Generic"
+				if !generics[want] && !asmWithoutOracle[m[1]] {
+					findings = append(findings, fmt.Sprintf(
+						"%s:%d: assembly routine %s has no func %s in a _generic.go beside it",
+						rel, i+1, m[1], want))
+				}
+			}
+		}
+		return nil
+	})
+	return findings, err
+}
+
+// genericFuncs returns the names of the plain functions declared in dir's
+// *_generic.go files.
+func genericFuncs(dir string) (map[string]bool, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "*_generic.go"))
+	if err != nil {
+		return nil, err
+	}
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, fmt.Errorf("parsing %s: %w", path, err)
+		}
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				names[fn.Name.Name] = true
+			}
+		}
+	}
+	return names, nil
 }
 
 // ModuleRoot walks upward from dir to the enclosing go.mod directory.

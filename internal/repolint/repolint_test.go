@@ -483,3 +483,64 @@ func other() []string { return []string{MMissing, MLate} } // listing elsewhere 
 		t.Fatalf("want findings for MMissing and MLate, got %d:\n%s", len(findings), strings.Join(findings, "\n"))
 	}
 }
+
+// TestNoFusedMultiplyAdd is the repository-wide assertion: no assembly file
+// fuses a multiply into an add, and every amd64 kernel has its generic loop.
+func TestNoFusedMultiplyAdd(t *testing.T) {
+	root, err := ModuleRoot(".")
+	if err != nil {
+		t.Fatalf("ModuleRoot: %v", err)
+	}
+	findings, err := FusedMultiplyAdd(root)
+	if err != nil {
+		t.Fatalf("FusedMultiplyAdd: %v", err)
+	}
+	for _, f := range findings {
+		t.Error(f)
+	}
+}
+
+// TestDetectsFusedMultiplyAdd pins down both halves of the rule: the
+// mnemonics flagged in any .s file (and the comment that is not), and the
+// TEXT symbols of a _amd64.s that must have a generic counterpart.
+func TestDetectsFusedMultiplyAdd(t *testing.T) {
+	dir := t.TempDir()
+	write := func(rel, src string) {
+		t.Helper()
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(filepath.Join("internal", "tensor", "k_amd64.s"), `TEXT ·madAVX2(SB), NOSPLIT, $0-32
+	VFMADD231PD Y1, Y2, Y3  // flagged
+	VMULPD      Y1, Y2, Y3  // not flagged, nor is naming VFMADD231PD here
+	VFNMSUB132SD X1, X2, X3 // flagged
+	RET
+TEXT ·orphanAVX2(SB), NOSPLIT, $0-8 // flagged: no orphanGeneric
+	RET
+TEXT ·cpuid(SB), NOSPLIT, $0-24 // allowed without an oracle
+	RET
+`)
+	write(filepath.Join("internal", "tensor", "k_generic.go"), "package tensor\n\nfunc madGeneric() {}\n")
+	write(filepath.Join("internal", "tensor", "other.go"), "package tensor\n\nfunc orphanGeneric() {} // not a _generic.go\n")
+	write(filepath.Join("internal", "nn", "k_arm64.s"), "TEXT ·anything(SB), NOSPLIT, $0-8\n\tVFMSUB213SD X1, X2, X3\n")
+	findings, err := FusedMultiplyAdd(dir)
+	if err != nil {
+		t.Fatalf("FusedMultiplyAdd: %v", err)
+	}
+	amd64, arm64 := filepath.Join("internal", "tensor", "k_amd64.s"), filepath.Join("internal", "nn", "k_arm64.s")
+	want := []string{arm64 + ":2: fused multiply-add VFMSUB213SD", amd64 + ":2: fused multiply-add VFMADD231PD",
+		amd64 + ":4: fused multiply-add VFNMSUB132SD", amd64 + ":6: assembly routine orphanAVX2 has no func orphanGeneric"}
+	if len(findings) != len(want) {
+		t.Fatalf("got %d findings, want %d:\n%s", len(findings), len(want), strings.Join(findings, "\n"))
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(findings[i], w) {
+			t.Errorf("finding %d = %q, want prefix %q", i, findings[i], w)
+		}
+	}
+}

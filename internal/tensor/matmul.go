@@ -119,38 +119,6 @@ func gatherAxpy(c, ad []float64, off, stride, k int, bd []float64) {
 	}
 }
 
-// axpy4 applies four rank-one terms to c in one pass, in argument order:
-// one load and one store of each c[j] per four multiply-adds, the same sum
-// four axpy1 calls would leave.
-func axpy4(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
-	b0, b1, b2, b3 = b0[:len(c)], b1[:len(c)], b2[:len(c)], b3[:len(c)]
-	for j := range c {
-		c[j] = (((c[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j]
-	}
-}
-
-// axpy3, axpy2 and axpy1 are axpy4 for the last one to three terms of a row.
-func axpy3(c, b0, b1, b2 []float64, a0, a1, a2 float64) {
-	b0, b1, b2 = b0[:len(c)], b1[:len(c)], b2[:len(c)]
-	for j := range c {
-		c[j] = ((c[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]
-	}
-}
-
-func axpy2(c, b0, b1 []float64, a0, a1 float64) {
-	b0, b1 = b0[:len(c)], b1[:len(c)]
-	for j := range c {
-		c[j] = (c[j] + a0*b0[j]) + a1*b1[j]
-	}
-}
-
-func axpy1(c, b []float64, a float64) {
-	b = b[:len(c)]
-	for j := range c {
-		c[j] += a * b[j]
-	}
-}
-
 // MatMulTransAInto computes dst = Aᵀ·B where A is k×m and B is k×n;
 // dst must be m×n.
 //
@@ -187,10 +155,7 @@ func AddMatMulTransA(dst, a, b *Dense) {
 	for i := 0; i < m; i++ {
 		clear(buf)
 		gatherAxpy(buf, a.data, i, m, k, b.data)
-		drow := dst.data[i*n : (i+1)*n]
-		for j, v := range buf {
-			drow[j] += v
-		}
+		addRow(dst.data[i*n:(i+1)*n], buf)
 	}
 }
 

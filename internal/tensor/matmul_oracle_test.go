@@ -162,14 +162,17 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 }
 
 // TestKernelsMatchOracleBits compares every kernel with its seed loop nest,
-// bit for bit, over sizes that hit every tail length of the 4-wide blocks,
-// over A sparsities from dense to all-zero, and with NaN/Inf placed where
-// the zero skip must (B opposite zeros of A) and must not (A itself) hide
-// them.
+// bit for bit, over sizes that hit every tail length of the 4-wide blocks and
+// of the 4-lane packed kernels beside zero, one and two whole vectors (a
+// tensor has no zero dimension: n = 0 and operands at chosen offsets from a
+// 32-byte boundary are TestPackedKernelsMatchGenericBits', though the odd
+// widths here already start successive rows of B at every offset), over A
+// sparsities from dense to all-zero, and with NaN/Inf placed where the zero
+// skip must (B opposite zeros of A) and must not (A itself) hide them.
 func TestKernelsMatchOracleBits(t *testing.T) {
 	SetWorkers(1)
 	defer SetWorkers(0)
-	sizes := []int{1, 2, 3, 4, 5, 7, 16, 63, 64, 65, 771}
+	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 63, 64, 65, 771}
 	rng := simrand.New(17)
 	sweep := func(m, k, n int) {
 		for _, zeros := range []float64{0, 0.5, 0.8, 1} {

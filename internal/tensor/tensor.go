@@ -136,11 +136,7 @@ func (t *Dense) Fill(v float64) {
 }
 
 // ScaleInPlace multiplies every element by s.
-func (t *Dense) ScaleInPlace(s float64) {
-	for i := range t.data {
-		t.data[i] *= s
-	}
-}
+func (t *Dense) ScaleInPlace(s float64) { scale(t.data, s) }
 
 // Dot returns the inner product of t and other viewed as flat vectors.
 func (t *Dense) Dot(other *Dense) float64 {
