@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"lbchat/internal/compress"
@@ -289,27 +288,36 @@ type Engine struct {
 	// stepScratch carries per-vehicle training outcomes out of the parallel
 	// phase so events are emitted serially in vehicle-index order.
 	stepScratch []stepOutcome
-	// contactOpen tracks open contact windows (key {a,b}, a < b → open
-	// time) for contact open/close telemetry; nil when telemetry is off.
-	contactOpen map[[2]int]float64
+	// open is the open contact windows, (A, B)-ascending, each with the
+	// time it opened: the previous scanContacts merge's output, which is
+	// exactly the pairs that were in range then. openNext is the spare
+	// buffer the next merge writes before the two swap, so a steady tick
+	// allocates nothing. Both stay empty when telemetry is off.
+	open, openNext []openContact
 	// faults is the run's fault injector; nil when Cfg.Faults is the zero
 	// value, in which case every fault hook is a no-op.
 	faults *faults.Injector
 
 	// spatialIdx accelerates radio-range queries (candidate pairs, contact
-	// scans); its cell size is the radio range. The pts/pair/free/open
-	// slices are reused scratch for the per-tick rebuild and enumeration,
-	// and matchTaken is GreedyMatch's reusable vehicle-taken set. All of
-	// them are touched only from the serial section of a tick.
+	// scans); its cell size is the radio range. The pts/pair/free slices
+	// are reused scratch for the per-tick rebuild and enumeration, and
+	// matchTaken is GreedyMatch's reusable vehicle-taken set. All of them
+	// are touched only from the serial section of a tick.
 	spatialIdx  *spatial.Index
 	spatialPts  []geom.Point
 	pairScratch []spatial.Pair
 	freeScratch []int
-	openScratch [][2]int
 	matchTaken  []bool
 	// lossScratch is the reused per-vehicle loss buffer probe evaluation
 	// reduces from in id order.
 	lossScratch []float64
+}
+
+// openContact is one open contact window: the vehicle pair (A < B) and the
+// time it opened.
+type openContact struct {
+	A, B int
+	At   float64
 }
 
 // stepOutcome is one vehicle's training work within one tick.
@@ -354,9 +362,6 @@ func NewEngine(cfg Config, tr trace.Source, datasets []*dataset.Dataset, rm *rad
 	e.probeFn = e.probeOne
 	e.calendar = sched.NewCalendar(len(datasets))
 	e.obs, _ = e.tel.(telemetry.Observer)
-	if e.tel != nil {
-		e.contactOpen = make(map[[2]int]float64)
-	}
 	if w, ok := tr.(trace.Windowed); ok {
 		// The engine's deepest lookahead past the cursor: a contact scan
 		// reaches ContactHorizon ahead and an in-flight transfer samples
@@ -495,10 +500,13 @@ func (e *Engine) Emit(ev telemetry.Event) {
 // scanContacts diffs the fleet's in-range pair set against the previous
 // tick and emits contact open/close events. It runs only with telemetry
 // enabled. It enumerates in-range pairs via the spatial index and merges
-// them with the sorted open-contact set; every pair produces at most one
-// event and both sequences are (a, b)-ascending, so the merged event stream
-// is byte-identical to a full O(N²) pair-by-pair diff (the reference
-// oracle in oracle_test.go).
+// them with the open-contact list; every pair produces at most one event
+// and both sequences are (a, b)-ascending, so the merged event stream is
+// byte-identical to a full O(N²) pair-by-pair diff (the reference oracle in
+// oracle_test.go). The merge writes every pair still in range — continuing
+// ones with their open time, new ones at now — in order into the spare
+// buffer, which then becomes the open list: no map, no sort, and no
+// allocation once both buffers have grown.
 func (e *Engine) scanContacts() {
 	if e.tel == nil {
 		return
@@ -509,70 +517,49 @@ func (e *Engine) scanContacts() {
 	pts := append(e.spatialPts[:0], e.Trace.RowAt(e.now)...)
 	e.spatialPts = pts
 	inRange := e.rangePairs(pts, maxRange)
-	open := e.sortedOpenContacts()
+	open, next := e.open, e.openNext[:0]
 	i, j := 0, 0
 	for i < len(inRange) || j < len(open) {
 		var cmp int
 		switch {
-		case i >= len(inRange):
+		case i == len(inRange):
 			cmp = 1
-		case j >= len(open):
+		case j == len(open):
 			cmp = -1
+		case inRange[i].A != open[j].A:
+			cmp = inRange[i].A - open[j].A
 		default:
-			in, op := inRange[i], open[j]
-			switch {
-			case in.A != op[0]:
-				cmp = in.A - op[0]
-			default:
-				cmp = in.B - op[1]
-			}
+			cmp = inRange[i].B - open[j].B
 		}
 		switch {
 		case cmp < 0: // newly in range
-			key := [2]int{inRange[i].A, inRange[i].B}
-			e.contactOpen[key] = e.now
-			e.tel.Emit(telemetry.ContactOpen{Time: e.now, A: key[0], B: key[1]})
+			p := inRange[i]
+			next = append(next, openContact{A: p.A, B: p.B, At: e.now})
+			e.tel.Emit(telemetry.ContactOpen{Time: e.now, A: p.A, B: p.B})
 			i++
 		case cmp > 0: // left range
-			key := open[j]
-			openedAt := e.contactOpen[key]
-			delete(e.contactOpen, key)
-			e.tel.Emit(telemetry.ContactClose{Time: e.now, A: key[0], B: key[1], Duration: e.now - openedAt})
+			c := open[j]
+			e.tel.Emit(telemetry.ContactClose{Time: e.now, A: c.A, B: c.B, Duration: e.now - c.At})
 			j++
 		default: // still in contact
+			next = append(next, open[j])
 			i++
 			j++
 		}
 	}
-}
-
-// sortedOpenContacts returns the open contact keys in (a, b)-ascending
-// order. The result aliases e.openScratch.
-func (e *Engine) sortedOpenContacts() [][2]int {
-	open := e.openScratch[:0]
-	for key := range e.contactOpen {
-		open = append(open, key)
-	}
-	e.openScratch = open
-	sort.Slice(open, func(i, j int) bool {
-		if open[i][0] != open[j][0] {
-			return open[i][0] < open[j][0]
-		}
-		return open[i][1] < open[j][1]
-	})
-	return open
+	e.open, e.openNext = next, open
 }
 
 // closeContacts flushes still-open contact windows at the end (or
-// cancellation) of a run, in pair-index order.
+// cancellation) of a run: a walk of the open list, so in pair-index order.
 func (e *Engine) closeContacts() {
 	if e.tel == nil {
 		return
 	}
-	for _, key := range e.sortedOpenContacts() {
-		e.tel.Emit(telemetry.ContactClose{Time: e.now, A: key[0], B: key[1], Duration: e.now - e.contactOpen[key]})
-		delete(e.contactOpen, key)
+	for _, c := range e.open {
+		e.tel.Emit(telemetry.ContactClose{Time: e.now, A: c.A, B: c.B, Duration: e.now - c.At})
 	}
+	e.open = e.open[:0]
 }
 
 // workers resolves the engine's per-tick parallelism.

@@ -128,46 +128,103 @@ func contactEvents(events []telemetry.Event) []telemetry.Event {
 	return out
 }
 
-// TestPairScanMatchesBruteOracle asserts, on every tick of an LbChat run,
-// that the contact events the engine emitted equal the brute pair-by-pair
-// diff and that CandidatePairs equals the brute double loop — same pairs,
-// same order, same scores.
+// scanOnly is fleet-scan's protocol: pair up in-range vehicles by proximity
+// and stamp their cooldowns, nothing else.
+type scanOnly struct{}
+
+func (scanOnly) Name() string        { return "scan-only" }
+func (scanOnly) Setup(*Engine) error { return nil }
+
+func (scanOnly) OnTick(e *Engine, now float64) {
+	pairs := e.CandidatePairs(func(a, b int) float64 { return 1 / (1 + e.Distance(a, b)) })
+	for _, p := range e.GreedyMatch(pairs) {
+		e.MarkChatted(p.A, p.B, now+15)
+	}
+}
+
+// TestPairScanMatchesBruteOracle asserts, on every tick of a run, that the
+// contact events the engine emitted equal the brute pair-by-pair diff and
+// that CandidatePairs equals the brute double loop — same pairs, same
+// order, same scores — and that the end-of-run flush closes exactly what
+// the oracle still holds open. The LbChat row is a small fleet on the world
+// trace; the fleet row is fleet-scan in miniature, where over ten thousand
+// contacts open and close and over a thousand are still open at the flush.
 func TestPairScanMatchesBruteOracle(t *testing.T) {
+	cases := []struct {
+		name     string
+		env      func(t *testing.T, sink telemetry.Sink) *Engine
+		proto    Protocol
+		minOpens int // contacts the run must open (and close) at least
+		minFlush int // contacts the end-of-run flush must close at least
+	}{
+		{"lbchat/5 vehicles", func(t *testing.T, sink telemetry.Sink) *Engine {
+			eng, _ := tinyEnvWith(t, 5, true, func(c *Config) { c.Telemetry = sink })
+			return eng
+		}, NewLbChat(), 1, 0},
+		{"scan-only/256-vehicle fleet", func(t *testing.T, sink telemetry.Sink) *Engine {
+			return fleetEngine(t, 256, 601, 0.5, sink)
+		}, scanOnly{}, 5000, 1000},
+	}
 	score := func(a, b int) float64 { return 1 + float64(a) + 0.01*float64(b) }
-	mem := telemetry.NewMemorySink()
-	eng, _ := tinyEnvWith(t, 5, true, func(c *Config) { c.Telemetry = mem })
-	open := map[[2]int]float64{}
-	seen, opens, closes, pairs := 0, 0, 0, 0
-	hook := tickHook{Protocol: NewLbChat(), tick: func(e *Engine, now float64) {
-		events := mem.Events()
-		got, want := contactEvents(events[seen:]), bruteContactDiff(e, open)
-		seen = len(events)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("t=%g: contact events %v, brute oracle %v", now, got, want)
-		}
-		for _, ev := range want {
-			if _, ok := ev.(telemetry.ContactOpen); ok {
-				opens++
-			} else {
-				closes++
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := telemetry.NewMemorySink()
+			eng := tc.env(t, mem)
+			open := map[[2]int]float64{}
+			seen, opens, closes, pairs := 0, 0, 0, 0
+			hook := tickHook{Protocol: tc.proto, tick: func(e *Engine, now float64) {
+				events := mem.Events()
+				got, want := contactEvents(events[seen:]), bruteContactDiff(e, open)
+				seen = len(events)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("t=%g: contact events %v, brute oracle %v", now, got, want)
+				}
+				for _, ev := range want {
+					if _, ok := ev.(telemetry.ContactOpen); ok {
+						opens++
+					} else {
+						closes++
+					}
+				}
+				gotPairs, wantPairs := e.CandidatePairs(score), bruteCandidatePairs(e, score)
+				if !reflect.DeepEqual(gotPairs, wantPairs) {
+					t.Fatalf("t=%g: CandidatePairs %v, brute oracle %v", now, gotPairs, wantPairs)
+				}
+				pairs += len(wantPairs)
+			}}
+			if err := eng.Run(hook, 300); err != nil {
+				t.Fatal(err)
 			}
-		}
-		gotPairs, wantPairs := e.CandidatePairs(score), bruteCandidatePairs(e, score)
-		if !reflect.DeepEqual(gotPairs, wantPairs) {
-			t.Fatalf("t=%g: CandidatePairs %v, brute oracle %v", now, gotPairs, wantPairs)
-		}
-		pairs += len(wantPairs)
-	}}
-	if err := eng.Run(hook, 300); err != nil {
-		t.Fatal(err)
+			if opens < tc.minOpens || closes < tc.minOpens || pairs == 0 {
+				t.Fatalf("run exercised %d opens, %d closes, %d candidate pairs; the oracle needs %d opens and closes and some pairs",
+					opens, closes, pairs, tc.minOpens)
+			}
+			// The end-of-run flush closes what the oracle still holds open.
+			tail := contactEvents(mem.Events()[seen:])
+			want := bruteCloseContacts(eng, open)
+			if !reflect.DeepEqual(tail, want) {
+				t.Fatalf("end-of-run closes %v, brute oracle %v", tail, want)
+			}
+			if len(want) < tc.minFlush {
+				t.Fatalf("%d contacts open at the end-of-run flush, the row needs %d", len(want), tc.minFlush)
+			}
+		})
 	}
-	if opens == 0 || closes == 0 || pairs == 0 {
-		t.Fatalf("run exercised %d opens, %d closes, %d candidate pairs; the oracle needs all three", opens, closes, pairs)
+}
+
+// TestScanContactsSteadyStateAllocations pins the open-contact list's
+// point: once the buffers have grown, a tick's contact scan allocates
+// nothing. The trace is static, so after the first tick every pair is a
+// continuing contact and no event is emitted either.
+func TestScanContactsSteadyStateAllocations(t *testing.T) {
+	eng := benchEngine(t, 256)
+	eng.tel = &countingSink{}
+	eng.scanContacts()
+	if len(eng.open) == 0 {
+		t.Fatal("no contact opened on the first tick")
 	}
-	// The end-of-run flush closes what the oracle still holds open.
-	tail := contactEvents(mem.Events()[seen:])
-	if want := bruteCloseContacts(eng, open); !reflect.DeepEqual(tail, want) {
-		t.Fatalf("end-of-run closes %v, brute oracle %v", tail, want)
+	if allocs := testing.AllocsPerRun(20, eng.scanContacts); allocs != 0 {
+		t.Fatalf("steady-state scanContacts allocated %v times per tick, want 0", allocs)
 	}
 }
 
@@ -200,8 +257,8 @@ func TestCancelClosesContactsInPairOrder(t *testing.T) {
 	if !reflect.DeepEqual(tail, want) {
 		t.Fatalf("cancellation closes %v, want %v", tail, want)
 	}
-	if len(eng.contactOpen) != 0 {
-		t.Fatalf("%d contacts still tracked open after the flush", len(eng.contactOpen))
+	if len(eng.open) != 0 {
+		t.Fatalf("%d contacts still tracked open after the flush", len(eng.open))
 	}
 }
 

@@ -35,7 +35,6 @@ func salvageScenario(t *testing.T) (*Engine, *LbChat, *telemetry.MemorySink, flo
 	sink := telemetry.NewMemorySink()
 	eng.Cfg.Telemetry = sink
 	eng.tel = sink
-	eng.contactOpen = make(map[[2]int]float64)
 	l := NewLbChat()
 	if err := l.Setup(eng); err != nil {
 		t.Fatal(err)
@@ -236,7 +235,6 @@ func TestFaultedEngineRunsAndLearns(t *testing.T) {
 	sink := telemetry.NewMemorySink()
 	eng.Cfg.Telemetry = sink
 	eng.tel = sink
-	eng.contactOpen = make(map[[2]int]float64)
 	if err := eng.Run(NewLbChat(), 300); err != nil {
 		t.Fatal(err)
 	}

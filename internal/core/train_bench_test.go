@@ -20,7 +20,6 @@ import (
 // case).
 func benchTrainEngine(b *testing.B, n int, trainInterval float64) *Engine {
 	b.Helper()
-	const densityCell = 250.0
 	side := densityCell * math.Sqrt(float64(n))
 	rng := simrand.New(uint64(n))
 	snap := make([]geom.Point, n)

@@ -34,6 +34,12 @@ type Index struct {
 	heads        []int32 // per bucket: its first point, -1 when empty
 	next, prev   []int32 // per point: its neighbors in its bucket's list, -1 at the ends
 	slots        []int32 // per point: the bucket holding it
+	// descending records that every bucket list runs in descending point
+	// order: layout files ascending points at the heads, so it holds after
+	// every layout, and an Update that moves a point across buckets clears
+	// it. While it holds, Pairs stops walking a bucket at its first point
+	// not above the query's.
+	descending bool
 
 	scratch []int32
 }
@@ -194,6 +200,7 @@ func (ix *Index) layout() {
 		// Every point is inside the box by construction.
 		ix.push(int32(i), int32(axisOffset(p.Y, ix.eff, ix.minCy, ix.rows)*ix.cols+axisOffset(p.X, ix.eff, ix.minCx, ix.cols)))
 	}
+	ix.descending = true
 }
 
 // push files point i at the front of bucket slot.
@@ -233,6 +240,7 @@ func (ix *Index) Update(i int, p geom.Point) {
 		ix.prev[after] = before
 	}
 	ix.push(int32(i), slot)
+	ix.descending = false
 }
 
 // ForCandidates calls fn for every indexed point in the cells overlapping
@@ -317,7 +325,10 @@ type Pair struct {
 // each other (closed ball), in canonical ascending (A, B) order — exactly
 // the enumeration order of the classic `for a { for b > a }` brute-force
 // double loop, so replacing that loop with Pairs preserves downstream
-// iteration order bit for bit.
+// iteration order bit for bit. While the bucket lists are in descending
+// order (after any Rebuild, until an Update moves a point across buckets),
+// each bucket walk stops at its first point not above a instead of
+// filtering the rest.
 func (ix *Index) Pairs(dst []Pair, r float64) []Pair {
 	if len(ix.pts) == 0 || r < 0 {
 		return dst
@@ -332,7 +343,13 @@ func (ix *Index) Pairs(dst []Pair, r float64) []Pair {
 		for y := y0; y <= y1; y++ {
 			for _, head := range ix.heads[y*ix.cols+x0 : y*ix.cols+x1+1] {
 				for id := head; id >= 0; id = ix.next[id] {
-					if int(id) > a && withinBall(p, ix.pts[id], r, rr) {
+					if int(id) <= a {
+						if ix.descending {
+							break
+						}
+						continue
+					}
+					if withinBall(p, ix.pts[id], r, rr) {
 						ix.scratch = append(ix.scratch, id)
 					}
 				}

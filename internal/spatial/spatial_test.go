@@ -105,12 +105,31 @@ func checkBucketBudget(t *testing.T, ix *Index) {
 	}
 }
 
+// checkBucketsDescending holds a freshly laid-out index to the invariant
+// Pairs' early exit rests on: the descending bit is set and every bucket
+// list runs in strictly descending point order.
+func checkBucketsDescending(t *testing.T, ix *Index) {
+	t.Helper()
+	if !ix.descending {
+		t.Fatal("layout left the descending bit clear")
+	}
+	for b, head := range ix.heads {
+		for id := head; id >= 0 && ix.next[id] >= 0; id = ix.next[id] {
+			if ix.next[id] >= id {
+				t.Fatalf("bucket %d lists point %d before %d", b, id, ix.next[id])
+			}
+		}
+	}
+}
+
 // TestIndexUpdateMatchesRebuild moves points one at a time (the world's
 // in-tick pattern) and checks that incremental updates answer queries
 // exactly like a fresh rebuild and like the brute-force scans at every
 // step: small moves inside the occupied cell box, long walks that leave it
 // (each forcing a re-layout), and two clusters 1e7 m apart at a 1 m cell,
-// where only a coarser effective cell keeps the bucket array bounded.
+// where only a coarser effective cell keeps the bucket array bounded. The
+// updated index's Pairs pins the descending bit: an Update that files a
+// low point ahead of higher ones must turn Pairs' early exit off.
 func TestIndexUpdateMatchesRebuild(t *testing.T) {
 	farApart := func(rng *simrand.Rand, n int) []geom.Point {
 		pts := make([]geom.Point, n)
@@ -147,6 +166,7 @@ func TestIndexUpdateMatchesRebuild(t *testing.T) {
 				ix.Update(i, pts[i])
 				checkBucketBudget(t, ix)
 				fresh.Rebuild(pts)
+				checkBucketsDescending(t, fresh)
 				r := rng.Uniform(0, tc.maxR)
 				p := pts[rng.Intn(len(pts))]
 				got, want := ix.Neighbors(nil, p, r), bruteNeighbors(pts, p, r)

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sync"
 
 	"lbchat/internal/geom"
 )
@@ -104,10 +103,17 @@ type chunkIndexEntry struct {
 	ticks int
 }
 
+// blockBytes bounds the encoded bytes a chunk read or write stages at once
+// (4096 points): bodies move between the stream and the decoded chunk in
+// blocks this size, so no chunk-sized byte buffer ever sits beside the
+// chunk itself.
+const blockBytes = 64 << 10
+
 // IndexedChunkSource is a random-access ChunkSource over a seekable LBTC
 // stream (io.ReaderAt): the constructor scans the chunk headers once to
-// build an offset index, and every ReadChunk is then one positioned read
-// plus a decode — no shared cursor, so concurrent fetches never contend.
+// build an offset index, and every ReadChunk is then positioned reads of at
+// most blockBytes, each decoded straight into the caller's chunk — no
+// shared cursor and no shared buffer, so concurrent fetches never contend.
 type IndexedChunkSource struct {
 	r          io.ReaderAt
 	dt         float64
@@ -116,7 +122,6 @@ type IndexedChunkSource struct {
 	totalTicks int
 	index      []chunkIndexEntry
 	closer     io.Closer
-	scratch    sync.Pool // *[]byte raw-chunk buffers for concurrent decodes
 }
 
 // NewIndexedSource scans the size-byte LBTC stream in r (header plus chunk
@@ -239,14 +244,23 @@ func (s *IndexedChunkSource) NumTicks() int { return s.totalTicks }
 // NumChunks returns the stream's chunk count.
 func (s *IndexedChunkSource) NumChunks() int { return len(s.index) }
 
+// entry returns chunk idx's index entry, or an error naming the stream's
+// chunk count when idx is outside it.
+func (s *IndexedChunkSource) entry(idx int) (chunkIndexEntry, error) {
+	if idx < 0 || idx >= len(s.index) {
+		return chunkIndexEntry{}, fmt.Errorf("trace: chunk %d outside stream of %d chunks", idx, len(s.index))
+	}
+	return s.index[idx], nil
+}
+
 // ReadRawChunk reads chunk idx's encoded body into dst (grown as needed)
 // and returns it alongside the chunk's tick count. This is the zero-decode
 // path the chunk server uses to put bodies straight on the wire.
 func (s *IndexedChunkSource) ReadRawChunk(idx int, dst []byte) ([]byte, int, error) {
-	if idx < 0 || idx >= len(s.index) {
-		return nil, 0, fmt.Errorf("trace: chunk %d outside stream of %d chunks", idx, len(s.index))
+	e, err := s.entry(idx)
+	if err != nil {
+		return nil, 0, err
 	}
-	e := s.index[idx]
 	n := e.ticks * s.vehicles * 16
 	if cap(dst) < n {
 		dst = make([]byte, n)
@@ -258,23 +272,34 @@ func (s *IndexedChunkSource) ReadRawChunk(idx int, dst []byte) ([]byte, int, err
 	return dst, e.ticks, nil
 }
 
-// ReadChunk implements ChunkSource: one positioned read plus a decode,
-// safe for concurrent use.
+// ReadChunk implements ChunkSource, safe for concurrent use: positioned
+// reads of at most blockBytes, each decoded by DecodePoints straight into
+// its sub-slice of dst, so the one chunk-sized buffer is dst itself. Every
+// length was checked against the stream when it was indexed; a short read
+// is an error.
 func (s *IndexedChunkSource) ReadChunk(idx int, dst []geom.Point) (ChunkFetch, error) {
-	var raw []byte
-	if p, ok := s.scratch.Get().(*[]byte); ok {
-		raw = *p
-	}
-	raw, ticks, err := s.ReadRawChunk(idx, raw)
+	e, err := s.entry(idx)
 	if err != nil {
 		return ChunkFetch{}, err
 	}
-	pts, err := DecodePoints(raw, dst)
-	s.scratch.Put(&raw)
-	if err != nil {
-		return ChunkFetch{}, err
+	n := e.ticks * s.vehicles
+	if cap(dst) < n {
+		dst = make([]geom.Point, n)
 	}
-	return ChunkFetch{Pts: pts, Ticks: ticks}, nil
+	dst = dst[:n]
+	block := make([]byte, min(n*16, blockBytes))
+	for at := 0; at < n; {
+		m := min(n-at, blockBytes/16)
+		raw := block[:m*16]
+		if _, err := s.r.ReadAt(raw, e.off+int64(at)*16); err != nil {
+			return ChunkFetch{}, fmt.Errorf("trace: reading chunk %d body: %w", idx, err)
+		}
+		if _, err := DecodePoints(raw, dst[at:at+m]); err != nil {
+			return ChunkFetch{}, err
+		}
+		at += m
+	}
+	return ChunkFetch{Pts: dst, Ticks: e.ticks}, nil
 }
 
 // Close releases the backing file handle when the source owns one.

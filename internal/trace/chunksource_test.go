@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -224,6 +228,121 @@ func TestWindowSourceErrorPoisons(t *testing.T) {
 		}
 	}()
 	w.Row(0)
+}
+
+// TestReadChunkMatchesRawDecode pins the block decoder to the one-shot
+// decode of the raw body, at and around the block size: bodies of 1, 4095,
+// 4096 and 4097 points, each as a full chunk and as a tail chunk, read into
+// a nil, a short, a sized and an oversized dst.
+func TestReadChunkMatchesRawDecode(t *testing.T) {
+	for _, body := range []int{1, 4095, 4096, 4097} {
+		// One vehicle, so a chunk of k ticks is a body of k points.
+		for _, layout := range []struct {
+			name              string
+			chunkTicks, ticks int
+			idx               int // the chunk whose body holds body points
+		}{
+			{"full", body, body + 1, 0},
+			{"tail", body + 1, 2*body + 1, 1},
+		} {
+			t.Run(fmt.Sprintf("%d/%s", body, layout.name), func(t *testing.T) {
+				src, err := NewBytesSource(encodeTrace(t, syntheticTrace(0.5, 1, layout.ticks, layout.chunkTicks)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for idx := 0; idx < src.NumChunks(); idx++ {
+					raw, ticks, err := src.ReadRawChunk(idx, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := DecodePoints(raw, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if idx == layout.idx && len(want) != body {
+						t.Fatalf("chunk %d holds %d points, the layout wants %d", idx, len(want), body)
+					}
+					oversized := make([]geom.Point, len(want)+7)
+					for i := range oversized {
+						oversized[i] = geom.Pt(-1, -1)
+					}
+					for _, dst := range []struct {
+						name string
+						pts  []geom.Point
+					}{
+						{"nil", nil},
+						{"short", make([]geom.Point, len(want)/2)},
+						{"sized", make([]geom.Point, len(want))},
+						{"oversized", oversized},
+					} {
+						cf, err := src.ReadChunk(idx, dst.pts)
+						if err != nil {
+							t.Fatalf("chunk %d, %s dst: %v", idx, dst.name, err)
+						}
+						if cf.Ticks != ticks || !slices.Equal(cf.Pts, want) {
+							t.Fatalf("chunk %d, %s dst: %d ticks %v, raw decode %d ticks %v", idx, dst.name, cf.Ticks, cf.Pts, ticks, want)
+						}
+						if cap(dst.pts) >= len(want) && &cf.Pts[0] != &dst.pts[0] {
+							t.Fatalf("chunk %d, %s dst: decoded outside the caller's buffer", idx, dst.name)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// totalAlloc returns the bytes the process allocated while fn ran.
+func totalAlloc(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestChunkIOScratchIsBounded writes and reads back one 16 MiB chunk: the
+// writer's flush and a read into a sized dst may each stage one block of
+// encoded bytes, never the chunk's encoding.
+func TestChunkIOScratchIsBounded(t *testing.T) {
+	const vehicles, chunkTicks, limit = 4096, 256, 128 << 10
+	path := filepath.Join(t.TempDir(), "big.lbtc")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cw := NewChunkWriter(f, 0.5, vehicles, chunkTicks)
+	for tick := 0; tick < chunkTicks; tick++ {
+		row := cw.AppendRow()
+		for v := range row {
+			row[v] = geom.Pt(float64(tick), float64(v))
+		}
+	}
+	if got := totalAlloc(func() { err = cw.Close() }); got >= limit {
+		t.Errorf("flushing a %d-point chunk allocated %d bytes, want < %d", vehicles*chunkTicks, got, limit)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	src, err := OpenFileSource(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	dst := make([]geom.Point, vehicles*chunkTicks)
+	var cf ChunkFetch
+	if got := totalAlloc(func() { cf, err = src.ReadChunk(0, dst) }); got >= limit {
+		t.Errorf("reading a %d-byte chunk into a sized dst allocated %d bytes, want < %d", 16*len(dst), got, limit)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := cf.Pts[len(cf.Pts)-1]; cf.Ticks != chunkTicks || last != geom.Pt(chunkTicks-1, vehicles-1) {
+		t.Fatalf("read back %d ticks ending at %v", cf.Ticks, last)
+	}
 }
 
 // TestDecodePointsBadLength pins the partial-point error.

@@ -15,9 +15,11 @@
 // LBTC bytes are read one way: IndexedChunkSource scans the header and the
 // chunk length fields once — checking each against the stream's size, so no
 // header can size anything beyond the bytes that are there — and serves
-// chunks by index through DecodePoints. A resident Trace is Load of a chunk
-// source, a bounded one is a Window over it; the remote client
-// (internal/traceserve) is a third ChunkSource with the same decoder.
+// chunks by index, reading each body in 64 KB blocks that DecodePoints
+// decodes straight into the caller's chunk. ChunkWriter encodes in the same
+// blocks, so neither side holds a chunk-sized byte buffer. A resident Trace
+// is Load of a chunk source, a bounded one is a Window over it; the remote
+// client (internal/traceserve) is a third ChunkSource with the same decoder.
 //
 // Consumers address mobility through the Source interface, which Trace (the
 // resident store) and Window (a bounded sliding window over a ChunkSource)

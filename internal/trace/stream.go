@@ -28,8 +28,9 @@ const (
 // ChunkWriter streams trace chunks to an io.Writer so a recording can be
 // spilled incrementally instead of held resident. Rows are appended with
 // AppendRow (same contract as Trace.AppendRow); full chunks are flushed as
-// they complete, and Close flushes the tail chunk plus the end-of-stream
-// marker.
+// they complete, encoded blockBytes at a time through the buffered writer,
+// and Close flushes the tail chunk plus the end-of-stream marker. The
+// writer's footprint is one chunk of points and one block.
 type ChunkWriter struct {
 	w          *bufio.Writer
 	dt         float64
@@ -114,11 +115,24 @@ func (cw *ChunkWriter) flushChunk() {
 		return
 	}
 	cw.scratch = binary.LittleEndian.AppendUint32(cw.scratch[:0], uint32(ticksInChunk))
-	for _, p := range cw.buf {
-		cw.scratch = binary.LittleEndian.AppendUint64(cw.scratch, math.Float64bits(p.X))
-		cw.scratch = binary.LittleEndian.AppendUint64(cw.scratch, math.Float64bits(p.Y))
+	if _, cw.err = cw.w.Write(cw.scratch); cw.err != nil {
+		return
 	}
-	_, cw.err = cw.w.Write(cw.scratch)
+	// The body goes out in blocks of at most blockBytes, so the writer holds
+	// one chunk of points and never its encoding.
+	if need := min(len(cw.buf)*16, blockBytes); cap(cw.scratch) < need {
+		cw.scratch = make([]byte, 0, need)
+	}
+	for at := 0; at < len(cw.buf); at += blockBytes / 16 {
+		cw.scratch = cw.scratch[:0]
+		for _, p := range cw.buf[at:min(at+blockBytes/16, len(cw.buf))] {
+			cw.scratch = binary.LittleEndian.AppendUint64(cw.scratch, math.Float64bits(p.X))
+			cw.scratch = binary.LittleEndian.AppendUint64(cw.scratch, math.Float64bits(p.Y))
+		}
+		if _, cw.err = cw.w.Write(cw.scratch); cw.err != nil {
+			return
+		}
+	}
 	cw.buf = cw.buf[:0]
 }
 
