@@ -48,7 +48,8 @@ type Common struct {
 	// with -trace-file. Resolve it with ApplyTrace.
 	TraceURL string
 
-	fs *flag.FlagSet
+	fs   *flag.FlagSet
+	sink telemetry.Sink // the open -telemetry-out sink; nil once closed
 }
 
 // Register installs the shared flags on fs and returns the struct they
@@ -104,7 +105,7 @@ func (c *Common) ApplyTrace(scale *experiments.Scale) error {
 	case c.TraceFile != "" && c.TraceURL != "":
 		return fmt.Errorf("-trace-file and -trace-url are mutually exclusive")
 	case c.TraceURL != "":
-		probe, err := traceserve.Dial(c.TraceURL, traceserve.ClientConfig{})
+		probe, err := traceserve.Dial(c.TraceURL)
 		if err != nil {
 			return err
 		}
@@ -135,7 +136,10 @@ func (c *Common) flagSet(name string) bool {
 }
 
 // OpenSink opens the -telemetry-out JSONL sink, or returns nil when the
-// flag is unset. The caller must Close a non-nil sink to flush it.
+// flag is unset. Creating the file truncates it, so a command resolves every
+// other flag first — a bad one must fail before a previous recording is
+// lost — and defers CloseSink right after, so an error return still flushes
+// and closes the stream.
 func (c *Common) OpenSink() (telemetry.Sink, error) {
 	if c.TelemetryOut == "" {
 		return nil, nil
@@ -144,16 +148,19 @@ func (c *Common) OpenSink() (telemetry.Sink, error) {
 	if err != nil {
 		return nil, fmt.Errorf("opening -telemetry-out: %w", err)
 	}
-	return telemetry.NewJSONL(f), nil
+	c.sink = telemetry.NewJSONL(f)
+	return c.sink, nil
 }
 
-// CloseSink closes a sink from OpenSink and reports where the stream went.
-// Safe on nil sinks and best-effort: errors are returned for the caller to
-// surface.
-func (c *Common) CloseSink(sink telemetry.Sink) error {
-	if sink == nil {
+// CloseSink closes the sink OpenSink opened and reports where the stream
+// went. Without an open sink — none was asked for, or it is already closed —
+// it does nothing, so the deferred call after an explicit one is a no-op.
+func (c *Common) CloseSink() error {
+	if c.sink == nil {
 		return nil
 	}
+	sink := c.sink
+	c.sink = nil
 	if err := sink.Close(); err != nil {
 		return fmt.Errorf("closing -telemetry-out: %w", err)
 	}

@@ -36,7 +36,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(flag.CommandLine, os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "lbchat-bench: %v\n", err)
 		os.Exit(1)
 	}
@@ -81,13 +81,15 @@ func selection(exp string) ([]*experiments.Experiment, error) {
 // trains reports whether an entry trains arms, and so needs the environment.
 func trains(x *experiments.Experiment) bool { return x.Name != experiments.ExpFleetScan }
 
-func run() error {
+func run(fs *flag.FlagSet, args []string) error {
 	_, names := selectable()
-	expFlag := flag.String("exp", "all", "comma-separated experiments (all = the paper's tables and figures): "+names)
-	vehiclesFlag := flag.Int("vehicles", 0, fmt.Sprintf("fleet size for -exp %s (0 = 2048)", experiments.ExpFleetScan))
-	durationFlag := flag.Float64("duration", 0, fmt.Sprintf("virtual seconds for -exp %s (0 = 60)", experiments.ExpFleetScan))
-	common := cli.Register(flag.CommandLine)
-	flag.Parse()
+	expFlag := fs.String("exp", "all", "comma-separated experiments (all = the paper's tables and figures): "+names)
+	vehiclesFlag := fs.Int("vehicles", 0, fmt.Sprintf("fleet size for -exp %s (0 = 2048)", experiments.ExpFleetScan))
+	durationFlag := fs.Float64("duration", 0, fmt.Sprintf("virtual seconds for -exp %s (0 = 60)", experiments.ExpFleetScan))
+	common := cli.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	sel, err := selection(*expFlag)
 	if err != nil {
@@ -101,14 +103,15 @@ func run() error {
 	if err := common.ApplyTrace(&scale); err != nil {
 		return err
 	}
-	sink, err := common.OpenSink()
-	if err != nil {
-		return err
-	}
 	fcfg, err := common.Faults()
 	if err != nil {
 		return err
 	}
+	sink, err := common.OpenSink()
+	if err != nil {
+		return err
+	}
+	defer common.CloseSink()
 	ctx, stop := cli.SignalContext()
 	defer stop()
 
@@ -172,5 +175,5 @@ func run() error {
 			return fmt.Errorf("canceled: partial results above")
 		}
 	}
-	return common.CloseSink(sink)
+	return common.CloseSink()
 }

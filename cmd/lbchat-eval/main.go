@@ -24,22 +24,24 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(flag.CommandLine, os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "lbchat-eval: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	protocol := flag.String("protocol", "LbChat",
+func run(fs *flag.FlagSet, args []string) error {
+	protocol := fs.String("protocol", "LbChat",
 		fmt.Sprintf("protocol, one of %v", experiments.Protocols))
-	vehicles := flag.Int("vehicles", 8, "expert fleet size")
-	duration := flag.Float64("duration", 1800, "virtual training duration (s)")
-	trials := flag.Int("trials", 16, "driving trials per condition")
-	lossy := flag.Bool("wireless-loss", false, "enable the distance-based wireless loss model")
-	loadDir := flag.String("load-fleet", "", "skip training: load model blobs saved by lbchat-sim -save-fleet")
-	common := cli.Register(flag.CommandLine)
-	flag.Parse()
+	vehicles := fs.Int("vehicles", 8, "expert fleet size")
+	duration := fs.Float64("duration", 1800, "virtual training duration (s)")
+	trials := fs.Int("trials", 16, "driving trials per condition")
+	lossy := fs.Bool("wireless-loss", false, "enable the distance-based wireless loss model")
+	loadDir := fs.String("load-fleet", "", "skip training: load model blobs saved by lbchat-sim -save-fleet")
+	common := cli.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	scale, err := common.Scale()
 	if err != nil {
@@ -49,6 +51,10 @@ func run() error {
 	scale.TrainDuration = *duration
 	scale.EvalTrials = *trials
 	if err := common.ApplyTrace(&scale); err != nil {
+		return err
+	}
+	fcfg, err := common.Faults()
+	if err != nil {
 		return err
 	}
 
@@ -91,10 +97,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fcfg, err := common.Faults()
-		if err != nil {
-			return err
-		}
+		defer common.CloseSink()
 		fmt.Printf("Training fleet under %s (%.0fs virtual, wireless loss: %v)...\n",
 			*protocol, *duration, *lossy)
 		res, err := experiments.Run(ctx, experiments.Spec{
@@ -114,7 +117,7 @@ func run() error {
 		}
 		fmt.Printf("Final probe loss: %.4f\n", run.Curve.Final())
 		fmt.Print(experiments.CommTable(res.Runs).Render())
-		if err := common.CloseSink(sink); err != nil {
+		if err := common.CloseSink(); err != nil {
 			return err
 		}
 		fleet = run.Fleet

@@ -25,26 +25,28 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(flag.CommandLine, os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "lbchat-sim: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	protocol := flag.String("protocol", "LbChat",
+func run(fs *flag.FlagSet, args []string) error {
+	protocol := fs.String("protocol", "LbChat",
 		fmt.Sprintf("protocol, one of %v", experiments.Protocols))
-	vehicles := flag.Int("vehicles", 8, "expert fleet size")
-	duration := flag.Float64("duration", 1800, "virtual training duration (s)")
-	traceTicks := flag.Int("trace-ticks", 0, "mobility-trace length in 0.5s ticks (0 = the scale's default)")
-	lossy := flag.Bool("wireless-loss", false, "enable the distance-based wireless loss model")
-	logChats := flag.Bool("log-chats", false, "trace every pairwise chat decision to stderr")
-	saveDir := flag.String("save-fleet", "", "directory to write the trained fleet's model blobs into")
-	jsonPath := flag.String("json", "", "write the loss curve and transfer stats as JSON to this file")
-	summaryOut := flag.String("summary-out", "",
+	vehicles := fs.Int("vehicles", 8, "expert fleet size")
+	duration := fs.Float64("duration", 1800, "virtual training duration (s)")
+	traceTicks := fs.Int("trace-ticks", 0, "mobility-trace length in 0.5s ticks (0 = the scale's default)")
+	lossy := fs.Bool("wireless-loss", false, "enable the distance-based wireless loss model")
+	logChats := fs.Bool("log-chats", false, "trace every pairwise chat decision to stderr")
+	saveDir := fs.String("save-fleet", "", "directory to write the trained fleet's model blobs into")
+	jsonPath := fs.String("json", "", "write the loss curve and transfer stats as JSON to this file")
+	summaryOut := fs.String("summary-out", "",
 		"write the run's aggregated telemetry counters and histograms as CSV to this file (see telemetry-lint -summary)")
-	common := cli.Register(flag.CommandLine)
-	flag.Parse()
+	common := cli.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	scale, err := common.Scale()
 	if err != nil {
@@ -58,15 +60,16 @@ func run() error {
 	if err := common.ApplyTrace(&scale); err != nil {
 		return err
 	}
+	fcfg, err := common.Faults()
+	if err != nil {
+		return err
+	}
 
 	sink, err := common.OpenSink()
 	if err != nil {
 		return err
 	}
-	fcfg, err := common.Faults()
-	if err != nil {
-		return err
-	}
+	defer common.CloseSink()
 	ctx, stop := cli.SignalContext()
 	defer stop()
 
@@ -104,7 +107,7 @@ func run() error {
 	}
 	fmt.Println("\nCommunication efficiency:")
 	fmt.Print(experiments.CommTable(res.Runs).Render())
-	if err := common.CloseSink(sink); err != nil {
+	if err := common.CloseSink(); err != nil {
 		return err
 	}
 	if *summaryOut != "" {

@@ -15,18 +15,18 @@ import (
 // split. Per §IV-B it runs under LbChat's communication constraints, with a
 // per-encounter compression ratio sized to fit the contact duration.
 type DP struct {
-	// ValidationFraction is the share of local data held out for scoring
-	// received models.
-	ValidationFraction float64
-
 	valSets [][]dataset.Weighted
 	scratch *model.Policy
 }
 
+// validationFraction is the share of local data held out for scoring
+// received models.
+const validationFraction = 0.1
+
 var _ core.Protocol = (*DP)(nil)
 
 // NewDP returns the gossip baseline with a 10% validation split.
-func NewDP() *DP { return &DP{ValidationFraction: 0.1} }
+func NewDP() *DP { return &DP{} }
 
 // Name implements core.Protocol.
 func (p *DP) Name() string { return "DP" }
@@ -36,7 +36,7 @@ func (p *DP) Setup(e *core.Engine) error {
 	p.valSets = make([][]dataset.Weighted, len(e.Vehicles))
 	for i, v := range e.Vehicles {
 		n := v.Data.Len()
-		k := int(p.ValidationFraction * float64(n))
+		k := int(validationFraction * float64(n))
 		if k < 8 {
 			k = minInt(8, n)
 		}

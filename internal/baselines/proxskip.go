@@ -8,36 +8,31 @@ import (
 
 // ProxSkip is the central-server federated-learning baseline [28]. Vehicles
 // run local steps continuously (the engine's training loop) and, at each
-// round boundary, communicate with the server only with probability
-// SyncProb — ProxSkip's hallmark communication skipping. The backend is
-// idealistically unconstrained (§IV-B): transfers are instantaneous and
-// unlimited in bandwidth. Under the lossy regime, each up/downlink suffers
-// a wireless loss uniformly sampled from the distance-loss lookup table
-// (§IV-C), exactly as the paper evaluates it.
+// round boundary (every T_B seconds), communicate with the server only
+// with probability syncProb — ProxSkip's hallmark communication skipping.
+// The backend is idealistically unconstrained (§IV-B): transfers are
+// instantaneous and unlimited in bandwidth. Under the lossy regime, each
+// up/downlink suffers a wireless loss uniformly sampled from the
+// distance-loss lookup table (§IV-C), exactly as the paper evaluates it.
 type ProxSkip struct {
-	// SyncProb is the per-round probability of a global synchronization.
-	SyncProb float64
-	// RoundInterval is the round length in seconds (defaults to T_B).
-	RoundInterval float64
-
 	nextRound float64
 	rng       *simrand.Rand
 }
 
+// syncProb is the per-round probability of a global synchronization.
+const syncProb = 0.5
+
 var _ core.Protocol = (*ProxSkip)(nil)
 
 // NewProxSkip returns the baseline with the standard skip probability.
-func NewProxSkip() *ProxSkip { return &ProxSkip{SyncProb: 0.5} }
+func NewProxSkip() *ProxSkip { return &ProxSkip{} }
 
 // Name implements core.Protocol.
 func (p *ProxSkip) Name() string { return "ProxSkip" }
 
 // Setup implements core.Protocol.
 func (p *ProxSkip) Setup(e *core.Engine) error {
-	if p.RoundInterval <= 0 {
-		p.RoundInterval = e.Cfg.TimeBudget
-	}
-	p.nextRound = p.RoundInterval
+	p.nextRound = e.Cfg.TimeBudget
 	p.rng = e.RNG().Derive("proxskip")
 	return nil
 }
@@ -47,8 +42,8 @@ func (p *ProxSkip) OnTick(e *core.Engine, now float64) {
 	if now < p.nextRound {
 		return
 	}
-	p.nextRound += p.RoundInterval
-	if !p.rng.Bernoulli(p.SyncProb) {
+	p.nextRound += e.Cfg.TimeBudget
+	if !p.rng.Bernoulli(syncProb) {
 		return // skip this round's communication: local steps continue
 	}
 	p.globalSync(e)

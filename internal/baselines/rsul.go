@@ -17,11 +17,6 @@ import (
 type RSUL struct {
 	// Positions are the RSU deployment sites (road crosses, per [29]).
 	Positions []geom.Point
-	// BackboneInterval is how often RSU models average over the backend (s).
-	BackboneInterval float64
-	// VehicleCooldown is the minimum interval between one vehicle's RSU
-	// exchanges (s).
-	VehicleCooldown float64
 
 	rsuModels    [][]float64
 	rsuSeen      []int
@@ -29,16 +24,18 @@ type RSUL struct {
 	lastVisit    []float64
 }
 
+// RSU-L timing: RSU models average over the backend every
+// backboneInterval seconds, and one vehicle exchanges with an RSU at most
+// once per vehicleCooldown seconds.
+const (
+	backboneInterval = 120
+	vehicleCooldown  = 45
+)
+
 var _ core.Protocol = (*RSUL)(nil)
 
 // NewRSUL deploys RSUs at the given intersection positions.
-func NewRSUL(positions []geom.Point) *RSUL {
-	return &RSUL{
-		Positions:        positions,
-		BackboneInterval: 120,
-		VehicleCooldown:  45,
-	}
-}
+func NewRSUL(positions []geom.Point) *RSUL { return &RSUL{Positions: positions} }
 
 // Name implements core.Protocol.
 func (p *RSUL) Name() string { return "RSU-L" }
@@ -61,7 +58,7 @@ func (p *RSUL) Setup(e *core.Engine) error {
 	for i := range p.lastVisit {
 		p.lastVisit[i] = math.Inf(-1)
 	}
-	p.nextBackbone = p.BackboneInterval
+	p.nextBackbone = backboneInterval
 	return nil
 }
 
@@ -69,10 +66,10 @@ func (p *RSUL) Setup(e *core.Engine) error {
 func (p *RSUL) OnTick(e *core.Engine, now float64) {
 	if now >= p.nextBackbone {
 		p.backboneSync()
-		p.nextBackbone += p.BackboneInterval
+		p.nextBackbone += backboneInterval
 	}
 	for _, v := range e.Vehicles {
-		if v.BusyUntil > now || now-p.lastVisit[v.ID] < p.VehicleCooldown {
+		if v.BusyUntil > now || now-p.lastVisit[v.ID] < vehicleCooldown {
 			continue
 		}
 		rsu, dist := p.nearestRSU(e, v.ID)

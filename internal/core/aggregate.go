@@ -12,20 +12,16 @@ import (
 //
 // As printed, Eq. (8) weights each model by its OWN loss, which would favor
 // the worse model and contradicts the surrounding text ("assigns larger
-// weights to better-performing models"). The default here implements the
-// stated intent — each model is weighted by the OTHER model's normalized
-// loss — and the literal printed form remains available for comparison via
-// literal=true. See DESIGN.md §4.
-func AggregationWeights(lossSelf, lossPeer float64, literal bool) (wSelf, wPeer float64) {
+// weights to better-performing models"). This implements the stated intent:
+// each model is weighted by the OTHER model's normalized loss. See DESIGN.md
+// §4.
+func AggregationWeights(lossSelf, lossPeer float64) (wSelf, wPeer float64) {
 	if lossSelf < 0 || lossPeer < 0 {
 		lossSelf, lossPeer = clampNonNeg(lossSelf), clampNonNeg(lossPeer)
 	}
 	total := lossSelf + lossPeer
 	if total <= 0 {
 		return 0.5, 0.5
-	}
-	if literal {
-		return lossSelf / total, lossPeer / total
 	}
 	return lossPeer / total, lossSelf / total
 }

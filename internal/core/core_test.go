@@ -16,7 +16,7 @@ import (
 func TestAggregationWeights(t *testing.T) {
 	// Corrected semantics: the better (lower-loss) model gets the larger
 	// weight.
-	wSelf, wPeer := AggregationWeights(0.1, 0.3, false)
+	wSelf, wPeer := AggregationWeights(0.1, 0.3)
 	if wSelf <= wPeer {
 		t.Errorf("better self model under-weighted: %v vs %v", wSelf, wPeer)
 	}
@@ -26,18 +26,13 @@ func TestAggregationWeights(t *testing.T) {
 	if math.Abs(wSelf-0.75) > 1e-12 {
 		t.Errorf("wSelf = %v, want 0.75", wSelf)
 	}
-	// Literal printed form: weights proportional to OWN losses.
-	wSelf, wPeer = AggregationWeights(0.1, 0.3, true)
-	if wSelf >= wPeer {
-		t.Errorf("literal form should weight the worse model more: %v vs %v", wSelf, wPeer)
-	}
 	// Degenerate zero losses fall back to plain averaging.
-	wSelf, wPeer = AggregationWeights(0, 0, false)
+	wSelf, wPeer = AggregationWeights(0, 0)
 	if wSelf != 0.5 || wPeer != 0.5 {
 		t.Errorf("zero-loss weights = %v, %v", wSelf, wPeer)
 	}
 	// Negative inputs are clamped, not propagated.
-	wSelf, wPeer = AggregationWeights(-1, 0.5, false)
+	wSelf, wPeer = AggregationWeights(-1, 0.5)
 	if wSelf < 0 || wSelf > 1 || wPeer < 0 || wPeer > 1 {
 		t.Errorf("negative-loss weights escaped [0,1]: %v, %v", wSelf, wPeer)
 	}
@@ -85,8 +80,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.BatchSize = 0 },
 		func(c *Config) { c.TimeBudget = -1 },
 		func(c *Config) { c.CoresetSize = 0 },
-		func(c *Config) { c.BandwidthMaxBps = 1 },
-		func(c *Config) { c.PaperModelBytes = 0 },
+		func(c *Config) { c.BandwidthMinBps = 0 },
 	} {
 		cfg := DefaultConfig()
 		mut(&cfg)
@@ -159,6 +153,14 @@ func TestEngineRejectsMismatchedInputs(t *testing.T) {
 	short := []*dataset.Dataset{eng.Vehicles[0].Data}
 	if _, err := NewEngine(cfg, eng.Trace, short, eng.Radio, eng.Probe); err == nil {
 		t.Error("dataset/trace count mismatch accepted")
+	}
+	var all []*dataset.Dataset
+	for _, v := range eng.Vehicles {
+		all = append(all, v.Data)
+	}
+	cfg.BandwidthMinBps = eng.Radio.Params.MaxBandwidthBps + 1
+	if _, err := NewEngine(cfg, eng.Trace, all, eng.Radio, eng.Probe); err == nil {
+		t.Error("minimum bandwidth above the radio's peak accepted")
 	}
 }
 
@@ -245,14 +247,14 @@ func TestCompressDeltaReconstruct(t *testing.T) {
 }
 
 func TestPayloadSizes(t *testing.T) {
-	eng, cfg := tinyEnv(t, 2, true)
-	if eng.ModelWireBytes() != cfg.PaperModelBytes {
+	eng, _ := tinyEnv(t, 2, true)
+	if eng.ModelWireBytes() != 52_000_000 {
 		t.Errorf("model wire bytes = %d", eng.ModelWireBytes())
 	}
-	if got := eng.CompressedModelBytes(0.5); got != cfg.PaperModelBytes/2 {
+	if got := eng.CompressedModelBytes(0.5); got != 26_000_000 {
 		t.Errorf("half-compressed bytes = %d", got)
 	}
-	if eng.CompressedModelBytes(0) != 0 || eng.CompressedModelBytes(2) != cfg.PaperModelBytes {
+	if eng.CompressedModelBytes(0) != 0 || eng.CompressedModelBytes(2) != 52_000_000 {
 		t.Error("compressed-bytes clamping broken")
 	}
 	if got := eng.CoresetWireBytes(150); got != 150*paperFrameBytes {
@@ -308,8 +310,6 @@ func TestVariantsRun(t *testing.T) {
 	for _, v := range []Variant{
 		{EqualCompression: true},
 		{AverageAggregation: true},
-		{LiteralEq8: true},
-		{NoDataExpansion: true},
 	} {
 		eng, _ := tinyEnv(t, 3, true)
 		proto := NewLbChatVariant("variant", v)

@@ -25,15 +25,15 @@ func trainedPair(t *testing.T) (*Engine, *Vehicle, *Vehicle) {
 // the engine did before it had a plan: a fresh delta, the one-shot
 // compress.TopK (itself pinned to the sort oracle in its package), and a
 // scatter-add onto a copy of the initialization. The kept count is the
-// Config.CompressionConcentration mapping written out independently.
+// ψ^(1/3) calibration written out independently.
 func referenceReconstruction(e *Engine, flat []float64, psi float64) []float64 {
 	delta := make([]float64, len(flat))
 	for i, v := range flat {
 		delta[i] = v - e.initFlat[i]
 	}
 	keep := psi
-	if c := e.Cfg.CompressionConcentration; c > 0 && c != 1 && psi > 0 && psi < 1 {
-		keep = math.Pow(psi, c)
+	if psi > 0 && psi < 1 {
+		keep = math.Pow(psi, 1.0/3)
 	}
 	return scatterOnInit(e, compress.TopK(delta, int(keep*float64(len(delta)))))
 }
@@ -63,31 +63,30 @@ func bitEqual(a, b []float64) bool {
 func TestDeltaPlanMatchesCompressDelta(t *testing.T) {
 	eng, va, vb := trainedPair(t)
 	flatA, flatB := va.Policy.Flat(), vb.Policy.Flat()
-	levels := append([]float64{0, 1}, eng.Cfg.PsiSamples...)
-	for _, c := range []float64{0, 1, 1.0 / 3} {
-		eng.Cfg.CompressionConcentration = c
-		for _, psi := range levels {
-			wantA := referenceReconstruction(eng, flatA, psi)
-			wantB := referenceReconstruction(eng, flatB, psi)
-			if psi > 0 && psi < 1 && bitEqual(wantA, wantB) {
-				t.Fatalf("c=%v ψ=%v: the two models reconstruct alike; the leak check below is vacuous", c, psi)
-			}
-			if got := scatterOnInit(eng, eng.CompressDelta(flatA, psi)); !bitEqual(got, wantA) {
-				t.Errorf("c=%v ψ=%v: CompressDelta scattered on the init differs from the reference", c, psi)
-			}
-			if got := eng.CompressReconstruct(flatA, psi); psi > 0 && !bitEqual(got, wantA) {
-				t.Errorf("c=%v ψ=%v: CompressReconstruct differs from the reference", c, psi)
-			}
-			// One plan, filled for A, cut, then refilled for B: B's cut must
-			// carry nothing of A's.
-			plan := eng.fillPlan(1, flatA)
-			if got := plan.Reconstruct(eng.keepCount(psi)); !bitEqual(got, wantA) {
-				t.Errorf("c=%v ψ=%v: plan reconstruction differs from the reference", c, psi)
-			}
-			plan = eng.fillPlan(1, flatB)
-			if got := plan.Reconstruct(eng.keepCount(psi)); !bitEqual(got, wantB) {
-				t.Errorf("c=%v ψ=%v: refilled plan reconstruction differs from the second model's reference", c, psi)
-			}
+	// The φ-fit levels, the two ends, and a sweep from a tenth of the
+	// coordinates kept (ψ = 0.001) to nearly all of them.
+	levels := append([]float64{0, 1, 0.001, 0.01, 0.3, 0.7, 0.99}, eng.Cfg.PsiSamples...)
+	for _, psi := range levels {
+		wantA := referenceReconstruction(eng, flatA, psi)
+		wantB := referenceReconstruction(eng, flatB, psi)
+		if psi > 0 && psi < 1 && bitEqual(wantA, wantB) {
+			t.Fatalf("ψ=%v: the two models reconstruct alike; the leak check below is vacuous", psi)
+		}
+		if got := scatterOnInit(eng, eng.CompressDelta(flatA, psi)); !bitEqual(got, wantA) {
+			t.Errorf("ψ=%v: CompressDelta scattered on the init differs from the reference", psi)
+		}
+		if got := eng.CompressReconstruct(flatA, psi); psi > 0 && !bitEqual(got, wantA) {
+			t.Errorf("ψ=%v: CompressReconstruct differs from the reference", psi)
+		}
+		// One plan, filled for A, cut, then refilled for B: B's cut must
+		// carry nothing of A's.
+		plan := eng.fillPlan(1, flatA)
+		if got := plan.Reconstruct(eng.keepCount(psi)); !bitEqual(got, wantA) {
+			t.Errorf("ψ=%v: plan reconstruction differs from the reference", psi)
+		}
+		plan = eng.fillPlan(1, flatB)
+		if got := plan.Reconstruct(eng.keepCount(psi)); !bitEqual(got, wantB) {
+			t.Errorf("ψ=%v: refilled plan reconstruction differs from the second model's reference", psi)
 		}
 	}
 }

@@ -28,8 +28,6 @@ type Config struct {
 	Seed uint64
 	// TickSeconds is the engine step (s).
 	TickSeconds float64
-	// TrainInterval is the virtual time between local training steps (s).
-	TrainInterval float64
 	// BatchSize is the per-step training batch.
 	BatchSize int
 	// RecordInterval is the loss-curve sampling period (s).
@@ -59,28 +57,14 @@ type Config struct {
 	ChatCooldown float64
 	// PairCooldown is the minimum re-chat interval for one vehicle pair (s).
 	PairCooldown float64
-	// BandwidthMinBps and BandwidthMaxBps bound per-vehicle available
-	// bandwidth, sampled uniformly per vehicle.
-	BandwidthMinBps, BandwidthMaxBps float64
-	// PaperModelBytes is the over-the-air size of one uncompressed model.
-	// The simulation trains compact stand-in networks, but the radio layer
-	// must see the PAPER's payload economics — a 52 MB imitation model
-	// takes ≈13.4 s at 31 Mbps, comparable to T_B, which is the whole
-	// tension LbChat's compression optimization resolves.
-	PaperModelBytes int
+	// BandwidthMinBps is the low end of per-vehicle available bandwidth,
+	// sampled uniformly per vehicle up to the radio's peak
+	// (radio.Params.MaxBandwidthBps, §IV-A's 31 Mbps).
+	BandwidthMinBps float64
 	// CompressionScheme selects how model payloads are compressed for the
 	// air: top-k delta sparsification [22] (default) or unbiased stochastic
 	// quantization — the alternative §III-C notes can be applied unchanged.
 	CompressionScheme CompressionScheme
-	// CompressionConcentration calibrates the stand-in model's top-k
-	// degradation to a large net's. Big over-parameterized models tolerate
-	// top-k sparsification gracefully (updates concentrate in few large
-	// coordinates [20][22]); a compact dense stand-in does not. When a
-	// payload is compressed to byte-fraction ψ, the stand-in keeps
-	// ψ^CompressionConcentration of its delta coordinates, reproducing the
-	// gentle loss-vs-ψ curve the paper's 52 MB model would show. 1 disables
-	// the calibration.
-	CompressionConcentration float64
 	// LogChats prints per-chat decision traces (value assessments, fitted φ
 	// samples, Eq. (7) solutions) to standard error — a debugging aid.
 	LogChats bool
@@ -112,9 +96,26 @@ const (
 	// coreset through its partition tree; between refreshes the cheap
 	// merge-and-reduce path maintains it (§III-D's two-speed updating).
 	coresetRefresh = 120
+	// trainInterval is the virtual time between one vehicle's local training
+	// steps (s).
+	trainInterval = 2
 	// paperFrameBytes is the over-the-air size of one coreset frame (the
 	// paper's 150-frame coreset is ≈0.6 MB ⇒ 4 kB per frame).
 	paperFrameBytes = 4_000
+	// paperModelBytes is the over-the-air size of one uncompressed model.
+	// The simulation trains compact stand-in networks, but the radio layer
+	// must see the PAPER's payload economics — a 52 MB imitation model
+	// takes ≈13.4 s at 31 Mbps, comparable to T_B, which is the whole
+	// tension LbChat's compression optimization resolves.
+	paperModelBytes = 52_000_000
+	// compressionConcentration calibrates the stand-in model's top-k
+	// degradation to a large net's. Big over-parameterized models tolerate
+	// top-k sparsification gracefully (updates concentrate in few large
+	// coordinates [20][22]); a compact dense stand-in does not. When a
+	// payload is compressed to byte-fraction ψ, the stand-in keeps
+	// ψ^compressionConcentration of its delta coordinates, reproducing the
+	// gentle loss-vs-ψ curve the paper's 52 MB model would show.
+	compressionConcentration = 1.0 / 3
 )
 
 // DefaultConfig returns the experiment defaults (paper values where the
@@ -123,7 +124,6 @@ func DefaultConfig() Config {
 	return Config{
 		Seed:            1,
 		TickSeconds:     1,
-		TrainInterval:   2,
 		BatchSize:       16,
 		RecordInterval:  60,
 		TimeBudget:      15,
@@ -137,11 +137,7 @@ func DefaultConfig() Config {
 		ChatCooldown:    75,
 		PairCooldown:    150,
 		BandwidthMinBps: 20e6,
-		BandwidthMaxBps: 31e6,
-		PaperModelBytes: 52_000_000,
-
-		CompressionConcentration: 1.0 / 3,
-		Model:                    model.DefaultConfig(),
+		Model:           model.DefaultConfig(),
 	}
 }
 
@@ -150,18 +146,14 @@ func (c Config) Validate() error {
 	switch {
 	case c.TickSeconds <= 0:
 		return fmt.Errorf("core: non-positive tick %g", c.TickSeconds)
-	case c.TrainInterval <= 0:
-		return fmt.Errorf("core: non-positive train interval %g", c.TrainInterval)
 	case c.BatchSize <= 0:
 		return fmt.Errorf("core: non-positive batch size %d", c.BatchSize)
 	case c.TimeBudget <= 0:
 		return fmt.Errorf("core: non-positive time budget %g", c.TimeBudget)
 	case c.CoresetSize <= 0:
 		return fmt.Errorf("core: non-positive coreset size %d", c.CoresetSize)
-	case c.BandwidthMinBps <= 0 || c.BandwidthMaxBps < c.BandwidthMinBps:
-		return fmt.Errorf("core: invalid bandwidth range [%g, %g]", c.BandwidthMinBps, c.BandwidthMaxBps)
-	case c.PaperModelBytes <= 0:
-		return fmt.Errorf("core: non-positive paper model size %d", c.PaperModelBytes)
+	case c.BandwidthMinBps <= 0:
+		return fmt.Errorf("core: non-positive minimum bandwidth %g", c.BandwidthMinBps)
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
@@ -340,6 +332,10 @@ func NewEngine(cfg Config, tr trace.Source, datasets []*dataset.Dataset, rm *rad
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	maxBps := rm.Params.MaxBandwidthBps
+	if cfg.BandwidthMinBps > maxBps {
+		return nil, fmt.Errorf("core: minimum bandwidth %g above the radio's peak %g", cfg.BandwidthMinBps, maxBps)
+	}
 	if tr.NumVehicles() != len(datasets) {
 		return nil, fmt.Errorf("core: trace has %d vehicles, got %d datasets", tr.NumVehicles(), len(datasets))
 	}
@@ -394,12 +390,12 @@ func NewEngine(cfg Config, tr trace.Source, datasets []*dataset.Dataset, rm *rad
 			ID:          i,
 			Policy:      pol,
 			Data:        d,
-			Bandwidth:   vr.Uniform(cfg.BandwidthMinBps, cfg.BandwidthMaxBps),
+			Bandwidth:   vr.Uniform(cfg.BandwidthMinBps, maxBps),
 			LocalWeight: 1,
 			lastChat:    make(map[int]float64),
 			rng:         vr,
 			// Stagger training so vehicles do not all step on the same tick.
-			nextTrain: vr.Uniform(0, cfg.TrainInterval),
+			nextTrain: vr.Uniform(0, trainInterval),
 		})
 	}
 	for _, v := range e.Vehicles {
@@ -625,7 +621,7 @@ func (e *Engine) calendarDue(due []int32) ([]int32, int) {
 		}
 		if e.VehicleAway(v.ID) {
 			for v.nextTrain <= e.now {
-				v.nextTrain += e.Cfg.TrainInterval
+				v.nextTrain += trainInterval
 			}
 			e.calendar.Schedule(id, e.reDueTick(v.nextTrain))
 			continue
@@ -643,7 +639,7 @@ func (e *Engine) stepDue(i int) {
 		if batch := v.Data.SampleBatch(e.Cfg.BatchSize, v.rng); len(batch) > 0 {
 			v.Policy.TrainStep(batch)
 		}
-		v.nextTrain += e.Cfg.TrainInterval
+		v.nextTrain += trainInterval
 	}
 }
 
@@ -663,7 +659,7 @@ func (e *Engine) stepDueObserved(i int) {
 			out.loss = v.Policy.TrainStep(batch)
 			out.steps++
 		}
-		v.nextTrain += e.Cfg.TrainInterval
+		v.nextTrain += trainInterval
 	}
 	if e.obs != nil {
 		out.wallNs = time.Since(start).Nanoseconds()
@@ -795,11 +791,6 @@ func (e *Engine) Contact(a, b int) float64 {
 	return e.Trace.ContactDuration(a, b, e.now, e.Radio.Params.MaxRangeMeters, e.Cfg.ContactHorizon)
 }
 
-// Neighbors returns vehicle IDs currently within radio range of v.
-func (e *Engine) Neighbors(v int) []int {
-	return e.Trace.Neighbors(v, e.now, e.Radio.Params.MaxRangeMeters)
-}
-
 // FleetReceiveStats aggregates the model-receive counters across vehicles.
 func (e *Engine) FleetReceiveStats() metrics.ReceiveStats {
 	var s metrics.ReceiveStats
@@ -857,7 +848,7 @@ func (e *Engine) RNG() *simrand.Rand { return e.rng }
 
 // ModelWireBytes returns the over-the-air size of one uncompressed model
 // (the paper-scale S of the compression ratio φ = S/S_c).
-func (e *Engine) ModelWireBytes() int { return e.Cfg.PaperModelBytes }
+func (e *Engine) ModelWireBytes() int { return paperModelBytes }
 
 // CompressedModelBytes returns the over-the-air size of a model compressed
 // to level ψ.
@@ -868,7 +859,7 @@ func (e *Engine) CompressedModelBytes(psi float64) int {
 	if psi > 1 {
 		psi = 1
 	}
-	return int(psi * float64(e.Cfg.PaperModelBytes))
+	return int(psi * paperModelBytes)
 }
 
 // CoresetWireBytes returns the over-the-air size of a coreset: frames × the
@@ -921,11 +912,11 @@ func (e *Engine) fillPlan(side int, flat []float64) *compress.DeltaPlan {
 }
 
 // keepCount is the number of delta coordinates the stand-in model keeps at
-// byte-fraction ψ (Config.CompressionConcentration).
+// byte-fraction ψ: ψ^compressionConcentration of them below ψ = 1.
 func (e *Engine) keepCount(psi float64) int {
 	keep := psi
-	if c := e.Cfg.CompressionConcentration; c > 0 && c != 1 && psi > 0 && psi < 1 {
-		keep = math.Pow(psi, c)
+	if psi > 0 && psi < 1 {
+		keep = math.Pow(psi, compressionConcentration)
 	}
 	return int(keep * float64(len(e.initFlat)))
 }

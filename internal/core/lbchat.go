@@ -25,12 +25,6 @@ type Variant struct {
 	// AverageAggregation masks the Eq. (8) weights and merges with plain
 	// averaging (Table VI).
 	AverageAggregation bool
-	// LiteralEq8 uses the printed (own-loss) Eq. (8) weights instead of the
-	// corrected intent; see DESIGN.md §4.
-	LiteralEq8 bool
-	// NoDataExpansion skips absorbing peer coresets into the local dataset
-	// (extra ablation isolating the value-assessment contribution).
-	NoDataExpansion bool
 	// NoPrioritization masks the Eq. (5) route-sharing neighbor
 	// prioritization: encounters pair up at random like the gossip
 	// baselines, isolating what the priority score contributes.
@@ -252,13 +246,11 @@ func (l *LbChat) chat(e *Engine, a, b int) {
 		// (one-sided salvage) — and the broken session is recorded so a
 		// re-encounter can resume it.
 		doneAt := e.Now() + elapsed
-		if !l.Variant.NoDataExpansion {
-			if core := legAB.core; core != nil && !legAB.resumed {
-				e.Events.Schedule(doneAt, func() { _ = e.AbsorbCoreset(vb, core) })
-			}
-			if core := legBA.core; core != nil && !legBA.resumed {
-				e.Events.Schedule(doneAt, func() { _ = e.AbsorbCoreset(va, core) })
-			}
+		if core := legAB.core; core != nil && !legAB.resumed {
+			e.Events.Schedule(doneAt, func() { _ = e.AbsorbCoreset(vb, core) })
+		}
+		if core := legBA.core; core != nil && !legBA.resumed {
+			e.Events.Schedule(doneAt, func() { _ = e.AbsorbCoreset(va, core) })
 		}
 		if !l.Variant.NoResumption {
 			l.sessions[key] = &chatSession{brokenAt: e.Now(), toB: legAB, toA: legBA}
@@ -366,7 +358,7 @@ func (l *LbChat) chat(e *Engine, a, b int) {
 			if peerFlat != nil {
 				l.mergeInto(e, recv, peerFlat, senderCore)
 			}
-			if absorb && !l.Variant.NoDataExpansion {
+			if absorb {
 				_ = e.AbsorbCoreset(recv, senderCore)
 			}
 		})
@@ -489,7 +481,7 @@ func (l *LbChat) mergeInto(e *Engine, v *Vehicle, peerFlat []float64, senderCore
 			return
 		}
 		lossPeer := l.scratch.Loss(joint)
-		wSelf, wPeer = AggregationWeights(lossSelf, lossPeer, l.Variant.LiteralEq8)
+		wSelf, wPeer = AggregationWeights(lossSelf, lossPeer)
 	}
 	e.Emit(telemetry.Aggregation{Time: e.Now(), Vehicle: v.ID, WSelf: wSelf, WPeer: wPeer})
 	// Length mismatches are impossible (identical architectures); ignore

@@ -14,11 +14,11 @@ import (
 
 // benchTrainEngine builds an engine over a synthetic static trace of n
 // vehicles with empty datasets (so trainTick's cost is pure scheduling, not
-// SGD), a 1-second tick, and the given train interval: interval 100 makes
-// ~1% of the fleet due per tick (the sparse steady state a real run sits
-// in), interval 1 makes the whole fleet due every tick (the dense worst
-// case).
-func benchTrainEngine(b *testing.B, n int, trainInterval float64) *Engine {
+// SGD) and the given tick against the fixed 2 s train interval: a 0.02 s
+// tick makes ~1% of the fleet due per tick (the sparse steady state a real
+// run sits in), a 2 s tick makes the whole fleet due every tick (the dense
+// worst case).
+func benchTrainEngine(b *testing.B, n int, tick float64) *Engine {
 	b.Helper()
 	side := densityCell * math.Sqrt(float64(n))
 	rng := simrand.New(uint64(n))
@@ -32,8 +32,7 @@ func benchTrainEngine(b *testing.B, n int, trainInterval float64) *Engine {
 		datasets[i] = dataset.New(0)
 	}
 	cfg := DefaultConfig()
-	cfg.TickSeconds = 1
-	cfg.TrainInterval = trainInterval
+	cfg.TickSeconds = tick
 	// Tiny policies: the benchmark measures scheduling, and 10k full-size
 	// models would make setup (and its GC shadow in the timed region) the
 	// dominant cost.
@@ -60,11 +59,11 @@ func benchTrainEngine(b *testing.B, n int, trainInterval float64) *Engine {
 func BenchmarkTrainTick(b *testing.B) {
 	for _, n := range []int{1024, 10240} {
 		for _, due := range []struct {
-			name     string
-			interval float64
-		}{{"sparse", 100}, {"dense", 1}} {
+			name string
+			tick float64
+		}{{"sparse", 0.02}, {"dense", 2}} {
 			b.Run(fmt.Sprintf("N=%d/due=%s/calendar", n, due.name), func(b *testing.B) {
-				eng := benchTrainEngine(b, n, due.interval)
+				eng := benchTrainEngine(b, n, due.tick)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

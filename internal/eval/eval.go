@@ -171,28 +171,25 @@ type Driver interface {
 // Evaluator runs closed-loop driving trials.
 type Evaluator struct {
 	Suite *Suite
-	// BEV is the rasterizer config; it must match the policy's input.
-	BEV bev.Config
 	// NormalTraffic is the population scaled per condition.
 	NormalTraffic world.SpawnConfig
 	// DT is the control period (s). Data collection runs at the paper's
 	// 2 fps, but the driving controller runs at 10 Hz like CARLA agents —
 	// closed-loop stability needs a far faster loop than data logging.
 	DT float64
-	// GraceSeconds ignores collisions immediately after spawn, before the
-	// agent has had a chance to act (spawn-overlap artifacts).
-	GraceSeconds float64
 }
+
+// graceSeconds ignores collisions immediately after spawn, before the agent
+// has had a chance to act (spawn-overlap artifacts).
+const graceSeconds = 3
 
 // NewEvaluator returns an evaluator with the experiment defaults: the
 // paper's traffic population and 2 fps control.
 func NewEvaluator(s *Suite) *Evaluator {
 	return &Evaluator{
 		Suite:         s,
-		BEV:           bev.DefaultConfig(),
 		NormalTraffic: world.SpawnConfig{BackgroundCars: 50, Pedestrians: 250},
 		DT:            0.2,
-		GraceSeconds:  3,
 	}
 }
 
@@ -263,8 +260,10 @@ func (ev *Evaluator) newTrial(policy Driver, cond Condition, route *world.Route,
 	// Positions were teleported outside Step; drop any spatial index built
 	// over the pre-adjustment state.
 	w.InvalidateIndex()
+	// The rasterizer's geometry is the policy input's (model.DefaultConfig).
+	cfg := bev.DefaultConfig()
 	return &trial{
-		ev: ev, w: w, ras: bev.NewRasterizer(ev.BEV, ev.Suite.Map), ctrl: newController(ev.BEV),
+		ev: ev, w: w, ras: bev.NewRasterizer(cfg, ev.Suite.Map), ctrl: newController(cfg),
 		policy: policy, route: route, agent: agent,
 	}, nil
 }
@@ -278,9 +277,10 @@ func (tr *trial) controlStep() (frame geom.Frame, arc, lateral float64) {
 	ev, w, agent, route := tr.ev, tr.w, tr.agent, tr.route
 	// Perceive.
 	frame = agent.Frame()
+	cfg := tr.ras.Config()
 	bevT := tr.ras.Rasterize(frame,
-		w.VehiclePositionsNearSeenBy(frame.Origin, ev.BEV.VehicleCullRadius(), -1, agent),
-		w.PedestrianPositionsNear(frame.Origin, ev.BEV.PedestrianCullRadius()))
+		w.VehiclePositionsNearSeenBy(frame.Origin, cfg.VehicleCullRadius(), -1, agent),
+		w.PedestrianPositionsNear(frame.Origin, cfg.PedestrianCullRadius()))
 	arc, lateral = routeProgress(route, agent.Pos)
 	cmd := route.CommandAt(arc)
 	// Act.
@@ -320,7 +320,7 @@ func (ev *Evaluator) RunTrialReport(policy Driver, cond Condition, route *world.
 		if arc > route.Length()-18 && lateral < 6 {
 			return report(OutcomeSuccess, "")
 		}
-		if t > ev.GraceSeconds {
+		if t > graceSeconds {
 			if tr.w.CollisionAt(agent.Pos, -1) {
 				return report(OutcomeCollision, classifyHitDetailed(tr.w, frame, agent.Pos))
 			}

@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"testing"
 
+	"lbchat/internal/bev"
 	"lbchat/internal/dataset"
 	"lbchat/internal/eval"
 	"lbchat/internal/world"
@@ -83,7 +84,7 @@ func TestGoldenEvalTrials(t *testing.T) {
 		s0 := math.Min(12, route.Length()/4)
 		agent := &world.FreeAgent{Pos: route.PosAt(s0), Heading: route.HeadingAt(s0)}
 		drv := &hashingDriver{
-			oracleDriver: &oracleDriver{route: route, agent: agent, bev: ev.BEV, speed: 7},
+			oracleDriver: &oracleDriver{route: route, agent: agent, bev: bev.DefaultConfig(), speed: 7},
 			h:            sha256.New(),
 		}
 		rep := ev.RunTrialReport(drv, tr.cond, route, uint64(300+tr.route), agent)

@@ -56,7 +56,7 @@ func TestOracleDriverSucceeds(t *testing.T) {
 	ev := eval.NewEvaluator(suite)
 	for _, cond := range []eval.Condition{eval.CondStraight, eval.CondOneTurn, eval.CondNaviEmpty} {
 		for ri, route := range suite.Routes[cond] {
-			oracle := &oracleDriver{route: route, bev: ev.BEV, speed: 7}
+			oracle := &oracleDriver{route: route, bev: bev.DefaultConfig(), speed: 7}
 			// RunTrial needs the agent pointer before it exists; replicate
 			// its wiring through a tiny shim: the evaluator exposes the
 			// agent via the driver's first Predict call. Instead, run the

@@ -184,7 +184,7 @@ func buildTrace(env *Env, w *world.World) error {
 	scale := env.Scale
 	switch {
 	case scale.TraceURL != "":
-		remote, err := traceserve.Dial(scale.TraceURL, traceserve.ClientConfig{})
+		remote, err := traceserve.Dial(scale.TraceURL)
 		if err != nil {
 			return fmt.Errorf("experiments: dialing trace server: %w", err)
 		}

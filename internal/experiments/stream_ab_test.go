@@ -89,7 +89,7 @@ func TestStreamABDeterminism(t *testing.T) {
 	}
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
-	client, err := traceserve.Dial(hs.URL, traceserve.ClientConfig{})
+	client, err := traceserve.Dial(hs.URL)
 	if err != nil {
 		t.Fatalf("dialing chunk server: %v", err)
 	}

@@ -33,9 +33,10 @@ type Config struct {
 	L2Penalty float64
 	// EntropyPenalty is λ2 of Eq. (6) (command-balance penalty).
 	EntropyPenalty float64
-	// GradClip bounds the gradient L2 norm per step (0 disables clipping).
-	GradClip float64
 }
+
+// gradClip bounds the gradient L2 norm of every training step.
+const gradClip = 5
 
 // DefaultConfig returns the configuration used throughout the experiments:
 // a compact trunk sized so that the co-simulation can train tens of replicas
@@ -53,7 +54,6 @@ func DefaultConfig() Config {
 		LR:             1e-3,
 		L2Penalty:      1e-4,
 		EntropyPenalty: 0.6,
-		GradClip:       5,
 	}
 }
 
@@ -355,7 +355,7 @@ func (p *Policy) TrainStep(items []dataset.Weighted) float64 {
 	if p.cfg.L2Penalty > 0 {
 		decay = 2 * p.cfg.L2Penalty
 	}
-	nn.DecayClipGradNorm(p.params, decay, p.cfg.GradClip)
+	nn.DecayClipGradNorm(p.params, decay, gradClip)
 	p.opt.Step(p.params)
 
 	return p.lossFromPerSample(perSample, weights, cmds)

@@ -10,7 +10,9 @@
 // guard single decisions: DirectCoresetBuilds, HotPathFleetScans,
 // DiscardedInputGradient (a bare x.Backward(...) statement outside
 // internal/nn computes an input gradient nobody reads), UnlistedMetrics
-// (every telemetry M* name must be in KnownMetrics()), and FusedMultiplyAdd
+// (every telemetry M* name must be in KnownMetrics()), FusedMultiplyAdd
 // (no assembly file may fuse a multiply into an add, and every amd64 kernel
-// has its generic Go loop beside it — DESIGN.md §15).
+// has its generic Go loop beside it — DESIGN.md §15). One more lives in the
+// tests alone: every backticked <pkg>.<Name> in DESIGN.md, README.md and
+// EXPERIMENTS.md must name something internal/<pkg> still declares.
 package repolint

@@ -1,8 +1,13 @@
 package repolint
 
 import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -481,6 +486,206 @@ func other() []string { return []string{MMissing, MLate} } // listing elsewhere 
 	}
 	if len(findings) != 2 || !strings.Contains(findings[0], "MMissing") || !strings.Contains(findings[1], "MLate") {
 		t.Fatalf("want findings for MMissing and MLate, got %d:\n%s", len(findings), strings.Join(findings, "\n"))
+	}
+}
+
+// codeSpan matches one inline code span of a markdown line; docRef a
+// <pkg>.<Name> or <pkg>.<Type>.<Member> reference in it: a lower-case
+// package name, then one or two exported identifiers.
+var (
+	codeSpan = regexp.MustCompile("`[^`]+`")
+	docRef   = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
+)
+
+// deadDocRefs returns one "doc:line: ..." finding per reference in an inline
+// code span of the given markdown files (fenced blocks are not read) whose
+// package is a directory of root's internal/ but whose name no Go file there
+// declares — test files included, since the docs cite their oracles.
+// <pkg>.<Name> may be any top-level name, method or field of the package;
+// <pkg>.<Type>.<Member> must be a method or field of Type.
+func deadDocRefs(root string, docs ...string) ([]string, error) {
+	pkgs := map[string]map[string]map[string]bool{}
+	var findings []string
+	for _, doc := range docs {
+		src, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			return nil, err
+		}
+		fenced := false
+		for i, line := range strings.Split(string(src), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+			}
+			if fenced {
+				continue
+			}
+			for _, span := range codeSpan.FindAllString(line, -1) {
+				for _, m := range docRef.FindAllStringSubmatch(span, -1) {
+					names, ok := pkgs[m[1]]
+					if !ok {
+						if names, err = declaredNames(filepath.Join(root, "internal", m[1])); err != nil {
+							return nil, err
+						}
+						pkgs[m[1]] = names
+					}
+					if names != nil && !declares(names, m[2], m[3]) {
+						findings = append(findings, fmt.Sprintf("%s:%d: %s names nothing internal/%s declares", doc, i+1, m[0], m[1]))
+					}
+				}
+			}
+		}
+	}
+	return findings, nil
+}
+
+// declares reports whether a package's names hold name — or, with member
+// set, name's member.
+func declares(names map[string]map[string]bool, name, member string) bool {
+	if member != "" {
+		return names[name][member]
+	}
+	for _, scope := range names {
+		if scope[name] {
+			return true
+		}
+	}
+	return false
+}
+
+// declaredNames parses dir's Go files and returns its top-level names under
+// the key "" and each type's methods and fields (embedded ones by their type
+// name) under the type's name; nil when dir holds no Go file.
+func declaredNames(dir string) (map[string]map[string]bool, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(paths) == 0 {
+		return nil, err
+	}
+	names := map[string]map[string]bool{}
+	add := func(scope string, id *ast.Ident) {
+		if names[scope] == nil {
+			names[scope] = map[string]bool{}
+		}
+		names[scope][id.Name] = true
+	}
+	// ident is the type name behind a receiver or an embedded field.
+	ident := func(e ast.Expr) *ast.Ident {
+		if star, ok := e.(*ast.StarExpr); ok {
+			e = star.X
+		}
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			return sel.Sel
+		}
+		id, _ := e.(*ast.Ident)
+		return id
+	}
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, fmt.Errorf("parsing %s: %w", path, err)
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch d := n.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					add("", d.Name)
+				} else if recv := ident(d.Recv.List[0].Type); recv != nil {
+					add(recv.Name, d.Name)
+				}
+				return false
+			case *ast.ValueSpec:
+				for _, id := range d.Names {
+					add("", id)
+				}
+			case *ast.TypeSpec:
+				add("", d.Name)
+				var fields *ast.FieldList
+				switch t := d.Type.(type) {
+				case *ast.StructType:
+					fields = t.Fields
+				case *ast.InterfaceType:
+					fields = t.Methods
+				default:
+					return false
+				}
+				for _, f := range fields.List {
+					if len(f.Names) == 0 {
+						if id := ident(f.Type); id != nil {
+							add(d.Name.Name, id)
+						}
+					}
+					for _, id := range f.Names {
+						add(d.Name.Name, id)
+					}
+				}
+				return false
+			}
+			return true
+		})
+	}
+	return names, nil
+}
+
+// TestDocsNameLiveIdentifiers is the repository-wide assertion: every
+// backticked <pkg>.<Name>[.<Member>] in the three top-level docs names
+// something internal/<pkg> declares today, so no doc goes on describing a
+// deleted field or option.
+func TestDocsNameLiveIdentifiers(t *testing.T) {
+	root, err := ModuleRoot(".")
+	if err != nil {
+		t.Fatalf("ModuleRoot: %v", err)
+	}
+	findings, err := deadDocRefs(root, "DESIGN.md", "README.md", "EXPERIMENTS.md")
+	if err != nil {
+		t.Fatalf("deadDocRefs: %v", err)
+	}
+	for _, f := range findings {
+		t.Error(f)
+	}
+}
+
+// TestDetectsDeadDocRefs pins down the references the checker must catch,
+// and the ones it must leave alone.
+func TestDetectsDeadDocRefs(t *testing.T) {
+	dir := t.TempDir()
+	write := func(rel, src string) {
+		t.Helper()
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(filepath.Join("internal", "core", "x.go"), `package core
+
+type Config struct{ Workers int }
+
+func (c *Config) Validate() error { return nil }
+
+const Limit = 3
+
+type Source interface{ Advance(int) error }
+`)
+	write(filepath.Join("internal", "core", "x_test.go"), "package core\n\nfunc TestOracle() {}\n")
+	write("DOC.md", "`core.Config`, `core.Config.Workers`, `core.Validate`, `core.Limit`, `core.Source.Advance`,\n"+
+		"`core.TestOracle`, `e.Cfg.Gone` (no package), `cli.Gone` (not internal/), `core.chunk_loads`\n"+
+		"`core.Config.Shards` and `core.Limit.Max` are dead; plain-text core.Gone is not in a span\n"+
+		"```\n`core.Config.InCode`\n```\n"+
+		"a span `f(core.Missing)` is read\n")
+	findings, err := deadDocRefs(dir, "DOC.md")
+	if err != nil {
+		t.Fatalf("deadDocRefs: %v", err)
+	}
+	want := []string{"DOC.md:3: core.Config.Shards", "DOC.md:3: core.Limit.Max", "DOC.md:7: core.Missing"}
+	if len(findings) != len(want) {
+		t.Fatalf("got %d findings, want %d:\n%s", len(findings), len(want), strings.Join(findings, "\n"))
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(findings[i], w) {
+			t.Errorf("finding %d = %q, want prefix %q", i, findings[i], w)
+		}
 	}
 }
 

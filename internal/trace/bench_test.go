@@ -138,8 +138,9 @@ func BenchmarkWindowRowAt(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w := NewWindowSource(chunks, WindowConfig{Behind: 1e9, Ahead: 1e9})
+	w := NewWindowSource(chunks, WindowConfig{})
 	defer w.Close()
+	w.Reserve(1e9, 1e9)
 	if err := w.Advance(ticks - 1); err != nil {
 		b.Fatal(err)
 	}

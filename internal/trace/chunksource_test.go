@@ -113,7 +113,7 @@ func TestWindowAdaptiveOverDelayedSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &delaySource{ChunkSource: inner, delay: 2 * time.Millisecond}
-	w := NewWindowSource(src, WindowConfig{Behind: 2, Ahead: 5, Prefetch: true})
+	w := narrow(NewWindowSource(src, WindowConfig{Prefetch: true}), 2, 5)
 	defer w.Close()
 	for cursor := 0; cursor < ticks; cursor++ {
 		if err := w.Advance(cursor); err != nil {
@@ -159,7 +159,7 @@ func TestWindowSurfacesFetchRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWindowSource(&retrySource{ChunkSource: inner, retries: 2}, WindowConfig{Behind: 2, Ahead: 5})
+	w := narrow(NewWindowSource(&retrySource{ChunkSource: inner, retries: 2}, WindowConfig{}), 2, 5)
 	defer w.Close()
 	var opRetries int
 	w.SetChunkObserver(func(op ChunkOp) {
@@ -204,7 +204,7 @@ func TestWindowSourceErrorPoisons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWindowSource(&failSource{ChunkSource: inner, failIdx: 3}, WindowConfig{Behind: 2, Ahead: 2})
+	w := narrow(NewWindowSource(&failSource{ChunkSource: inner, failIdx: 3}, WindowConfig{}), 2, 2)
 	defer w.Close()
 	var advErr error
 	for cursor := 0; cursor < 64; cursor++ {

@@ -1,7 +1,6 @@
 // Package trace records and replays vehicle mobility: position snapshots at
-// a fixed frame rate, encounter detection within radio range, and
-// contact-duration estimation from shared future routes — the "assistive
-// information" of Eq. (5).
+// a fixed frame rate and contact-duration estimation from shared future
+// routes — the "assistive information" of Eq. (5).
 //
 // The paper runs its CARLA world for 120 hours and records expert positions
 // at 2 fps; we generate traces the same way from internal/world.
@@ -24,9 +23,9 @@
 // Consumers address mobility through the Source interface, which Trace (the
 // resident store) and Window (a bounded sliding window over a ChunkSource)
 // both satisfy. A Window retains only the chunks covering [cursor−behind,
-// cursor+ahead], advanced by a monotone cursor, evicting behind and
-// optionally prefetching ahead; out-of-window reads panic with
-// *WindowViolation and decode failures surface as position-annotated
-// *ChunkError. Both implementations share the clamping and derived-query
+// cursor+ahead] — 30 s and 150 s unless a consumer's Reserve widens them —
+// advanced by a monotone cursor, evicting behind and optionally prefetching
+// ahead; out-of-window reads panic with *WindowViolation and decode failures
+// surface as position-annotated *ChunkError. Both implementations share the clamping and derived-query
 // code, so streamed and resident replays are bit-identical (DESIGN.md §12).
 package trace

@@ -44,8 +44,6 @@ type Source interface {
 	At(v int, t float64) geom.Point
 	// Distance returns the distance between vehicles a and b at time t.
 	Distance(a, b int, t float64) float64
-	// Neighbors returns the vehicles within commRange of v at time t.
-	Neighbors(v int, t float64, commRange float64) []int
 	// ContactDuration estimates how long a and b remain within commRange
 	// from time t, capped at horizon seconds. It reads up to horizon
 	// seconds ahead of t, which bounds the window span a consumer must
@@ -80,24 +78,10 @@ var (
 	_ Windowed = (*Window)(nil)
 )
 
-// sourceNeighbors and sourceContactDuration are the shared derived-query
-// implementations. Trace and Window both delegate here so the float
-// operations and iteration order are literally the same code — the A/B
-// byte-identical telemetry guarantee rests on that.
-
-func sourceNeighbors(s Source, v int, t, commRange float64) []int {
-	var out []int
-	for o := 0; o < s.NumVehicles(); o++ {
-		if o == v {
-			continue
-		}
-		if s.Distance(v, o, t) <= commRange {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
+// sourceContactDuration is the shared derived-query implementation. Trace
+// and Window both delegate here so the float operations and iteration order
+// are literally the same code — the A/B byte-identical telemetry guarantee
+// rests on that.
 func sourceContactDuration(s Source, a, b int, t, commRange, horizon float64) float64 {
 	if s.Distance(a, b, t) > commRange {
 		return 0

@@ -198,11 +198,6 @@ func (tr *Trace) Distance(a, b int, t float64) float64 {
 	return row[a].Dist(row[b])
 }
 
-// Neighbors returns the vehicles within commRange of vehicle v at time t.
-func (tr *Trace) Neighbors(v int, t float64, commRange float64) []int {
-	return sourceNeighbors(tr, v, t, commRange)
-}
-
 // ContactDuration estimates how long vehicles a and b will remain within
 // commRange starting from time t, by replaying their shared future routes
 // (the paper's vehicles exchange their next-few-minutes routes from the

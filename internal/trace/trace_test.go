@@ -80,25 +80,6 @@ func TestDistanceSymmetric(t *testing.T) {
 	}
 }
 
-func TestNeighborsWithinRange(t *testing.T) {
-	tr := record(t, 5, 10)
-	for _, n := range tr.Neighbors(0, 2, 300) {
-		if n == 0 {
-			t.Fatal("vehicle is its own neighbor")
-		}
-		if tr.Distance(0, n, 2) > 300 {
-			t.Fatalf("neighbor %d out of range", n)
-		}
-	}
-	// With an enormous range, everyone is a neighbor.
-	if got := len(tr.Neighbors(0, 2, 1e9)); got != 4 {
-		t.Errorf("universal range found %d neighbors", got)
-	}
-	if got := len(tr.Neighbors(0, 2, 0.001)); got != 0 {
-		t.Errorf("zero range found %d neighbors", got)
-	}
-}
-
 func TestContactDuration(t *testing.T) {
 	tr := record(t, 4, 400)
 	// Out-of-range pairs have zero contact.

@@ -14,8 +14,8 @@ import (
 // transfer time budget) via Reserve; the defaults only need to cover
 // consumers that never call Reserve.
 const (
-	DefaultWindowBehind = 30.0
-	DefaultWindowAhead  = 150.0
+	windowBehind = 30.0
+	windowAhead  = 150.0
 )
 
 // prefetchBudget bounds the adaptive readahead: the window never keeps more
@@ -24,12 +24,10 @@ const (
 // multiple of the retained window itself.
 const prefetchBudget = 8
 
-// WindowConfig sizes a sliding window.
+// WindowConfig configures a sliding window. Its retained span starts at
+// the package defaults (30 s behind the cursor, 150 s ahead); consumers
+// widen it to their lookahead with Reserve.
 type WindowConfig struct {
-	// Behind and Ahead are the retained span around the cursor in
-	// seconds. Non-positive values take the package defaults.
-	Behind float64
-	Ahead  float64
 	// Prefetch reads chunks past the leading edge on background
 	// goroutines so a steady-state Advance rarely blocks on fetch or
 	// decode. The readahead depth adapts to the observed cursor rate and
@@ -120,8 +118,8 @@ type fetchResult struct {
 const ewmaAlpha = 0.3
 
 // Window is a bounded sliding-window Source over a ChunkSource: it keeps
-// only the chunks covering [cursor−Behind, cursor+Ahead], evicting behind
-// the cursor and loading (or prefetching) ahead, so a full co-simulation's
+// only the chunks covering the retained span around the cursor, evicting
+// behind it and loading (or prefetching) ahead, so a full co-simulation's
 // trace working set is O(window) chunks regardless of trace length — and
 // regardless of whether chunks come from a local file or a remote chunk
 // server (internal/traceserve).
@@ -176,12 +174,6 @@ type Window struct {
 // NewWindowSource wraps a random-access ChunkSource in a sliding window.
 // The source's total tick count sizes the window's chunk arithmetic.
 func NewWindowSource(src ChunkSource, cfg WindowConfig) *Window {
-	if cfg.Behind <= 0 {
-		cfg.Behind = DefaultWindowBehind
-	}
-	if cfg.Ahead <= 0 {
-		cfg.Ahead = DefaultWindowAhead
-	}
 	w := &Window{
 		src:        src,
 		totalTicks: src.NumTicks(),
@@ -193,7 +185,7 @@ func NewWindowSource(src ChunkSource, cfg WindowConfig) *Window {
 		inflight:   make(map[int]chan fetchResult),
 	}
 	w.numChunks = NumChunks(w.totalTicks, w.chunkTicks)
-	w.Reserve(cfg.Behind, cfg.Ahead)
+	w.Reserve(windowBehind, windowAhead)
 	return w
 }
 
@@ -556,11 +548,6 @@ func (w *Window) Distance(a, b int, t float64) float64 {
 	}
 	row := w.Row(clampTick(t, w.dt, w.totalTicks))
 	return row[a].Dist(row[b])
-}
-
-// Neighbors returns the vehicles within commRange of vehicle v at time t.
-func (w *Window) Neighbors(v int, t float64, commRange float64) []int {
-	return sourceNeighbors(w, v, t, commRange)
 }
 
 // ContactDuration estimates how long vehicles a and b remain within

@@ -17,36 +17,16 @@ import (
 	"lbchat/internal/trace"
 )
 
-// ClientConfig parameterizes a chunk client. The zero value takes every
-// default.
-type ClientConfig struct {
-	// Timeout bounds each individual request (connect through body read);
-	// 0 takes DefaultTimeout.
-	Timeout time.Duration
-	// Retries is how many times a failed fetch is retried before the
-	// window is poisoned; negative disables retries, 0 takes
-	// DefaultRetries.
-	Retries int
-	// Backoff is the delay before the first retry, doubling per attempt;
-	// 0 takes DefaultBackoff.
-	Backoff time.Duration
-	// CacheChunks is the decoded-chunk LRU capacity; negative disables
-	// caching, 0 takes DefaultCacheChunks.
-	CacheChunks int
-	// HTTPClient overrides the transport (tests); nil builds one with the
-	// configured timeout.
-	HTTPClient *http.Client
-}
-
-// Client defaults: a localhost or rack-local chunk server answers in
+// Client fetch policy: a localhost or rack-local chunk server answers in
 // microseconds to low milliseconds, so a 5s timeout only trips on real
 // faults; three retries with doubling backoff ride out transient drops
-// without stalling a poisoned stream for long.
+// without stalling a poisoned stream for long. lruChunks decoded chunks are
+// kept for re-reads.
 const (
-	DefaultTimeout     = 5 * time.Second
-	DefaultRetries     = 3
-	DefaultBackoff     = 50 * time.Millisecond
-	DefaultCacheChunks = 8
+	fetchTimeout = 5 * time.Second
+	fetchRetries = 3
+	fetchBackoff = 50 * time.Millisecond
+	lruChunks    = 8
 )
 
 // maxChunkBytes caps the chunk body a server's metadata may announce: the
@@ -60,9 +40,13 @@ const maxChunkBytes = 1 << 30
 // prefetcher keeps several fetches in flight at once.
 type Client struct {
 	base string
-	cfg  ClientConfig
 	hc   *http.Client
 	meta Meta
+	// The fetch policy: set from the constants above at Dial (tests shrink
+	// them). retries counts re-attempts after the first; cacheChunks 0
+	// disables the LRU.
+	timeout, backoff     time.Duration
+	retries, cacheChunks int
 
 	mu    sync.Mutex
 	cache map[int]*list.Element // chunk idx → lru element
@@ -78,32 +62,16 @@ type cacheEntry struct {
 
 // Dial fetches the server's stream metadata and returns a ready chunk
 // source. The base URL is the server root (e.g. "http://10.0.0.7:9347").
-func Dial(baseURL string, cfg ClientConfig) (*Client, error) {
-	if cfg.Timeout == 0 {
-		cfg.Timeout = DefaultTimeout
-	}
-	if cfg.Retries == 0 {
-		cfg.Retries = DefaultRetries
-	} else if cfg.Retries < 0 {
-		cfg.Retries = 0
-	}
-	if cfg.Backoff == 0 {
-		cfg.Backoff = DefaultBackoff
-	}
-	if cfg.CacheChunks == 0 {
-		cfg.CacheChunks = DefaultCacheChunks
-	} else if cfg.CacheChunks < 0 {
-		cfg.CacheChunks = 0
-	}
+func Dial(baseURL string) (*Client, error) {
 	c := &Client{
-		base:  strings.TrimRight(baseURL, "/"),
-		cfg:   cfg,
-		hc:    cfg.HTTPClient,
-		cache: make(map[int]*list.Element),
-		lru:   list.New(),
-	}
-	if c.hc == nil {
-		c.hc = &http.Client{}
+		base:        strings.TrimRight(baseURL, "/"),
+		hc:          &http.Client{},
+		timeout:     fetchTimeout,
+		backoff:     fetchBackoff,
+		retries:     fetchRetries,
+		cacheChunks: lruChunks,
+		cache:       make(map[int]*list.Element),
+		lru:         list.New(),
 	}
 	raw, _, err := c.fetch("/v1/meta", -1)
 	if err != nil {
@@ -174,7 +142,7 @@ func (c *Client) Close() error {
 
 // cacheGet copies a cached chunk into dst and bumps its recency.
 func (c *Client) cacheGet(idx int, dst []geom.Point) ([]geom.Point, int, bool) {
-	if c.cfg.CacheChunks == 0 {
+	if c.cacheChunks == 0 {
 		return nil, 0, false
 	}
 	c.mu.Lock()
@@ -196,7 +164,7 @@ func (c *Client) cacheGet(idx int, dst []geom.Point) ([]geom.Point, int, bool) {
 // cachePut stores its own copy of a decoded chunk, evicting the least
 // recently used entry past capacity.
 func (c *Client) cachePut(idx int, pts []geom.Point, ticks int) {
-	if c.cfg.CacheChunks == 0 {
+	if c.cacheChunks == 0 {
 		return
 	}
 	cp := make([]geom.Point, len(pts))
@@ -209,7 +177,7 @@ func (c *Client) cachePut(idx int, pts []geom.Point, ticks int) {
 		return
 	}
 	c.cache[idx] = c.lru.PushFront(cacheEntry{idx: idx, pts: cp, ticks: ticks})
-	for c.lru.Len() > c.cfg.CacheChunks {
+	for c.lru.Len() > c.cacheChunks {
 		old := c.lru.Back()
 		c.lru.Remove(old)
 		delete(c.cache, old.Value.(cacheEntry).idx)
@@ -222,7 +190,7 @@ func (c *Client) cachePut(idx int, pts []geom.Point, ticks int) {
 // spent (also on failure, for the telemetry counters).
 func (c *Client) fetch(path string, chunkIdx int) ([]byte, int, error) {
 	var lastErr error
-	backoff := c.cfg.Backoff
+	backoff := c.backoff
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			time.Sleep(backoff)
@@ -233,7 +201,7 @@ func (c *Client) fetch(path string, chunkIdx int) ([]byte, int, error) {
 			return body, attempt, nil
 		}
 		lastErr = err
-		if attempt == c.cfg.Retries {
+		if attempt == c.retries {
 			return nil, attempt, fmt.Errorf("%d attempt(s) failed: %w", attempt+1, lastErr)
 		}
 	}
@@ -242,7 +210,7 @@ func (c *Client) fetch(path string, chunkIdx int) ([]byte, int, error) {
 // fetchOnce performs one bounded request and, for chunk responses,
 // verifies the tick header, body length, and CRC-32.
 func (c *Client) fetchOnce(path string, chunkIdx int) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {

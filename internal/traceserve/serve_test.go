@@ -17,10 +17,15 @@ import (
 	"lbchat/internal/traceserve"
 )
 
+// traceDT is the test traces' tick: coarse enough that a window's default
+// spans (30 s behind, 150 s ahead of the cursor) cover a few 8-tick chunks of
+// a 96-tick trace, not all of it.
+const traceDT = 10
+
 // buildTrace returns a deterministic resident trace plus its LBTC bytes.
 func buildTrace(t *testing.T, vehicles, ticks, chunkTicks int) (*trace.Trace, []byte) {
 	t.Helper()
-	tr := trace.NewChunked(0.5, vehicles, chunkTicks)
+	tr := trace.NewChunked(traceDT, vehicles, chunkTicks)
 	for tick := 0; tick < ticks; tick++ {
 		row := tr.AppendRow()
 		for v := range row {
@@ -48,6 +53,18 @@ func startServer(t *testing.T, raw []byte, cfg traceserve.ServerConfig) (*traces
 	hs := httptest.NewServer(srv)
 	t.Cleanup(hs.Close)
 	return srv, hs
+}
+
+// dial connects a client to the server at hs and closes it when the test
+// ends.
+func dial(t *testing.T, hs *httptest.Server) *traceserve.Client {
+	t.Helper()
+	c, err := traceserve.Dial(hs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
 }
 
 // checkClientMatches reads every chunk through the client and compares each
@@ -81,12 +98,8 @@ func checkClientMatches(t *testing.T, c *traceserve.Client, tr trace.Source) int
 func TestClientMatchesResident(t *testing.T) {
 	tr, raw := buildTrace(t, 3, 90, 8)
 	_, hs := startServer(t, raw, traceserve.ServerConfig{})
-	c, err := traceserve.Dial(hs.URL, traceserve.ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.DT() != 0.5 || c.NumVehicles() != 3 || c.ChunkTicks() != 8 || c.NumTicks() != 90 {
+	c := dial(t, hs)
+	if c.DT() != traceDT || c.NumVehicles() != 3 || c.ChunkTicks() != 8 || c.NumTicks() != 90 {
 		t.Fatalf("client shape dt=%g vehicles=%d chunkTicks=%d ticks=%d",
 			c.DT(), c.NumVehicles(), c.ChunkTicks(), c.NumTicks())
 	}
@@ -103,11 +116,8 @@ func TestClientMatchesResident(t *testing.T) {
 func TestClientCacheServesRepeats(t *testing.T) {
 	tr, raw := buildTrace(t, 2, 32, 8)
 	srv, hs := startServer(t, raw, traceserve.ServerConfig{})
-	c, err := traceserve.Dial(hs.URL, traceserve.ClientConfig{CacheChunks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, hs)
+	c.SetCacheChunks(2)
 	if _, err := c.ReadChunk(0, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +157,9 @@ func TestClientRetriesLossyServer(t *testing.T) {
 	_, hs := startServer(t, raw, traceserve.ServerConfig{
 		Faults: faults.FetchConfig{LossProb: 0.4, Seed: 7},
 	})
-	c, err := traceserve.Dial(hs.URL, traceserve.ClientConfig{
-		Retries: 20, Backoff: time.Millisecond, CacheChunks: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, hs)
+	c.SetRetries(20, time.Millisecond)
+	c.SetCacheChunks(0)
 	if retries := checkClientMatches(t, c, tr); retries == 0 {
 		t.Fatal("a 40%-loss server needed zero retries")
 	}
@@ -225,11 +231,8 @@ func startFaulty(t *testing.T, raw []byte, mode string) *httptest.Server {
 func TestClientExhaustedRetries(t *testing.T) {
 	_, raw := buildTrace(t, 2, 32, 8)
 	hs := startFaulty(t, raw, "deny")
-	c, err := traceserve.Dial(hs.URL, traceserve.ClientConfig{Retries: 2, Backoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, hs)
+	c.SetRetries(2, time.Millisecond)
 	cf, err := c.ReadChunk(0, nil)
 	if err == nil {
 		t.Fatal("ReadChunk succeeded against an always-503 server")
@@ -247,12 +250,9 @@ func TestClientExhaustedRetries(t *testing.T) {
 func TestClientRejectsCorruptChunk(t *testing.T) {
 	_, raw := buildTrace(t, 2, 32, 8)
 	hs := startFaulty(t, raw, "corrupt")
-	c, err := traceserve.Dial(hs.URL, traceserve.ClientConfig{Retries: 1, Backoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_, err = c.ReadChunk(0, nil)
+	c := dial(t, hs)
+	c.SetRetries(1, time.Millisecond)
+	_, err := c.ReadChunk(0, nil)
 	if err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("corrupt chunk error = %v", err)
 	}
@@ -263,12 +263,9 @@ func TestClientRejectsCorruptChunk(t *testing.T) {
 func TestClientRejectsTruncatedChunk(t *testing.T) {
 	_, raw := buildTrace(t, 2, 32, 8)
 	hs := startFaulty(t, raw, "truncate")
-	c, err := traceserve.Dial(hs.URL, traceserve.ClientConfig{Retries: 1, Backoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_, err = c.ReadChunk(0, nil)
+	c := dial(t, hs)
+	c.SetRetries(1, time.Millisecond)
+	_, err := c.ReadChunk(0, nil)
 	if err == nil || !strings.Contains(err.Error(), "want") {
 		t.Fatalf("truncated chunk error = %v", err)
 	}
@@ -280,13 +277,9 @@ func TestClientRejectsTruncatedChunk(t *testing.T) {
 func TestClientTimeoutThenRetry(t *testing.T) {
 	tr, raw := buildTrace(t, 2, 16, 8)
 	hs := startFaulty(t, raw, "stall")
-	c, err := traceserve.Dial(hs.URL, traceserve.ClientConfig{
-		Timeout: 50 * time.Millisecond, Retries: 3, Backoff: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, hs)
+	c.SetRetries(3, time.Millisecond)
+	c.SetTimeout(50 * time.Millisecond)
 	cf, err := c.ReadChunk(0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -311,20 +304,15 @@ func TestWindowOverFlakyServer(t *testing.T) {
 	_, hs := startServer(t, raw, traceserve.ServerConfig{
 		Faults: faults.FetchConfig{Latency: time.Millisecond, LossProb: 0.2, Seed: 3},
 	})
-	c, err := traceserve.Dial(hs.URL, traceserve.ClientConfig{
-		Retries: 20, Backoff: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	w := trace.NewWindowSource(c, trace.WindowConfig{Behind: 2, Ahead: 5, Prefetch: true})
+	c := dial(t, hs)
+	c.SetRetries(20, time.Millisecond)
+	w := trace.NewWindowSource(c, trace.WindowConfig{Prefetch: true})
 	defer w.Close()
 	for cursor := 0; cursor < ticks; cursor++ {
 		if err := w.Advance(cursor); err != nil {
 			t.Fatalf("Advance(%d): %v", cursor, err)
 		}
-		now := float64(cursor) * 0.5
+		now := float64(cursor) * traceDT
 		for v := 0; v < 2; v++ {
 			if got, want := w.At(v, now), tr.At(v, now); got != want {
 				t.Fatalf("cursor %d vehicle %d: %v, want %v", cursor, v, got, want)
@@ -341,12 +329,9 @@ func TestWindowOverFlakyServer(t *testing.T) {
 func TestWindowPoisonedByBadServer(t *testing.T) {
 	_, raw := buildTrace(t, 2, 64, 8)
 	hs := startFaulty(t, raw, "deny")
-	c, err := traceserve.Dial(hs.URL, traceserve.ClientConfig{Retries: 1, Backoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	w := trace.NewWindowSource(c, trace.WindowConfig{Behind: 2, Ahead: 2})
+	c := dial(t, hs)
+	c.SetRetries(1, time.Millisecond)
+	w := trace.NewWindowSource(c, trace.WindowConfig{})
 	defer w.Close()
 	advErr := w.Advance(0)
 	var ce *trace.ChunkError
@@ -381,7 +366,7 @@ func TestDialRejectsHostileMeta(t *testing.T) {
 		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprint(w, meta)
 		}))
-		c, err := traceserve.Dial(hs.URL, traceserve.ClientConfig{Retries: -1})
+		c, err := traceserve.Dial(hs.URL)
 		if err == nil {
 			c.Close()
 			t.Errorf("%s: Dial accepted %s", name, meta)
