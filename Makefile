@@ -65,12 +65,13 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
-# CPU profiles of the scan hot paths (candidate pairs; the fleet tick's
-# contact scan — BenchmarkScanContacts, index rebuild + Pairs + the merge
-# with the open-contact list on a moving 1024- and 4096-vehicle fleet), of
-# the world in traffic (the fixed-work BenchmarkWorldTick/paper: a fresh
-# 6 + 50 + 250 world stepped 2000 times per op, so two profiles cover the
-# same work) and of the train step (internal/model's BenchmarkTrainStep on
+# CPU profiles of the fleet tick's pair enumeration (one internal/core run
+# of BenchmarkScanContacts — index rebuild + Pairs + the merge with the
+# open-contact list — and BenchmarkCandidatePairs — the same enumeration
+# with telemetry off, then the free-mask filter — on a moving 1024- and
+# 4096-vehicle fleet), of the world in traffic (the fixed-work
+# BenchmarkWorldTick/paper: a fresh 6 + 50 + 250 world stepped 2000 times
+# per op, so two profiles cover the same work) and of the train step (internal/model's BenchmarkTrainStep on
 # bench-shaped sparse batches, 5000 steps whatever the box's speed), for
 # flame-graph inspection and CI artifacts. Profiles land in bench-profiles/
 # next to their test binaries (go test needs -o when profiling, so the
@@ -79,9 +80,7 @@ bench-pprof:
 	mkdir -p bench-profiles
 	$(GO) test -run '^$$' -bench 'BenchmarkWorldTick/paper' -benchtime 10x -benchmem \
 		-cpuprofile bench-profiles/world.cpu.pprof -o bench-profiles/world.test ./internal/world/
-	$(GO) test -run '^$$' -bench 'BenchmarkCandidatePairs' -benchmem \
-		-cpuprofile bench-profiles/core.cpu.pprof -o bench-profiles/core.test ./internal/core/
-	$(GO) test -run '^$$' -bench 'BenchmarkScanContacts' -benchmem \
+	$(GO) test -run '^$$' -bench 'BenchmarkScanContacts|BenchmarkCandidatePairs' -benchmem \
 		-cpuprofile bench-profiles/scan.cpu.pprof -o bench-profiles/core.test ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkTrainStep' -benchtime 5000x -benchmem \
 		-cpuprofile bench-profiles/train.cpu.pprof -o bench-profiles/train.test ./internal/model/

@@ -46,6 +46,31 @@ func exchangeModels(e *core.Engine, a, b *core.Vehicle, psi, window float64) (fr
 	return fromA, fromB, elapsed
 }
 
+// gossip is the model exchange DP and DFL-DDS share: both models compressed
+// to the equal level that fits window = min(T_B, contact), shipped A→B then
+// B→A, and the pair marked chatted until the exchange is done. deliver runs
+// on the exchange's own tick, once per direction whose model arrived (A→B
+// first), with the receiver, the sender and the received parameters; the
+// merge it returns is scheduled for the exchange's end, so a merge rule can
+// capture sender state as it was before either merge ran.
+func gossip(e *core.Engine, a, b int, deliver func(to, from int, flat []float64) (merge func())) {
+	va, vb := e.Vehicles[a], e.Vehicles[b]
+	window := math.Min(e.Cfg.TimeBudget, e.Contact(a, b))
+	if window <= 0 {
+		return
+	}
+	psi := fitWindowPsi(window, math.Min(va.Bandwidth, vb.Bandwidth), e.ModelWireBytes())
+	fromA, fromB, elapsed := exchangeModels(e, va, vb, psi, window)
+	doneAt := e.Now() + elapsed
+	if fromA != nil {
+		e.Events.Schedule(doneAt, deliver(b, a, fromA))
+	}
+	if fromB != nil {
+		e.Events.Schedule(doneAt, deliver(a, b, fromB))
+	}
+	e.MarkChatted(a, b, doneAt)
+}
+
 // averageFlat returns the elementwise mean of the given parameter vectors.
 // Empty input returns nil.
 func averageFlat(vecs [][]float64) []float64 {

@@ -52,34 +52,16 @@ func (p *DFLDDS) OnTick(e *core.Engine, now float64) {
 	pairs := e.CandidatePairs(func(a, b int) float64 {
 		return 1 + 0.01*rng.Float64()
 	})
+	// The adapted baseline compresses so each pair can finish within its
+	// contact duration, capped by the round length (T_B).
 	for _, pr := range e.GreedyMatch(pairs) {
-		p.exchange(e, pr.A, pr.B)
+		gossip(e, pr.A, pr.B, func(to, from int, flat []float64) func() {
+			// Contribution vectors ride along with the models (negligible
+			// size), as they stood when the exchange started.
+			contrib := append([]float64(nil), p.contrib[from]...)
+			return func() { p.merge(e.Vehicles[to], to, flat, contrib) }
+		})
 	}
-}
-
-func (p *DFLDDS) exchange(e *core.Engine, a, b int) {
-	va, vb := e.Vehicles[a], e.Vehicles[b]
-	// The adapted baseline compresses so the pair can finish within the
-	// contact duration, capped by the round length.
-	window := math.Min(e.Cfg.TimeBudget, e.Contact(a, b))
-	if window <= 0 {
-		return
-	}
-	psi := fitWindowPsi(window, math.Min(va.Bandwidth, vb.Bandwidth), e.ModelWireBytes())
-	fromA, fromB, elapsed := exchangeModels(e, va, vb, psi, window)
-	doneAt := e.Now() + elapsed
-	// Contribution vectors ride along with the models (negligible size).
-	contribA := append([]float64(nil), p.contrib[a]...)
-	contribB := append([]float64(nil), p.contrib[b]...)
-	if fromA != nil {
-		flat := fromA
-		e.Events.Schedule(doneAt, func() { p.merge(vb, b, flat, contribA) })
-	}
-	if fromB != nil {
-		flat := fromB
-		e.Events.Schedule(doneAt, func() { p.merge(va, a, flat, contribB) })
-	}
-	e.MarkChatted(a, b, doneAt)
 }
 
 // merge picks the self-weight α minimizing the distance of the combined

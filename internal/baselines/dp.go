@@ -58,28 +58,10 @@ func (p *DP) OnTick(e *core.Engine, now float64) {
 		return 1 + 0.01*rng.Float64()
 	})
 	for _, pr := range e.GreedyMatch(pairs) {
-		p.gossip(e, pr.A, pr.B)
+		gossip(e, pr.A, pr.B, func(to, _ int, flat []float64) func() {
+			return func() { p.merge(e.Vehicles[to], p.valSets[to], flat) }
+		})
 	}
-}
-
-func (p *DP) gossip(e *core.Engine, a, b int) {
-	va, vb := e.Vehicles[a], e.Vehicles[b]
-	window := math.Min(e.Cfg.TimeBudget, e.Contact(a, b))
-	if window <= 0 {
-		return
-	}
-	psi := fitWindowPsi(window, math.Min(va.Bandwidth, vb.Bandwidth), e.ModelWireBytes())
-	fromA, fromB, elapsed := exchangeModels(e, va, vb, psi, window)
-	doneAt := e.Now() + elapsed
-	if fromA != nil {
-		flat := fromA
-		e.Events.Schedule(doneAt, func() { p.merge(vb, p.valSets[b], flat) })
-	}
-	if fromB != nil {
-		flat := fromB
-		e.Events.Schedule(doneAt, func() { p.merge(va, p.valSets[a], flat) })
-	}
-	e.MarkChatted(a, b, doneAt)
 }
 
 // merge folds a received model in with the normalized-log loss weights of

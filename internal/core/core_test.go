@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"lbchat/internal/bev"
@@ -208,7 +210,7 @@ func TestAbsorbCoresetExpandsDataset(t *testing.T) {
 	}
 	// Absorbed samples carry the uniform local weight.
 	for i := before; i < va.Data.Len(); i++ {
-		if va.Data.At(i).Weight != va.LocalWeight {
+		if va.Data.At(i).Weight != localWeight {
 			t.Fatalf("absorbed weight = %v", va.Data.At(i).Weight)
 		}
 	}
@@ -332,20 +334,65 @@ func TestLossyRegimeRuns(t *testing.T) {
 	}
 }
 
+// TestMarkChattedSetsCooldowns pins both cooldowns MarkChatted stamps, in
+// either argument order: the two vehicles are busy and then cooling down,
+// and once both are free again the pair itself stays blocked until
+// PairCooldown has passed since the chat. Each probe time is one at which
+// the pair is in radio range, so only the pair cooldown can empty the
+// candidate list.
 func TestMarkChattedSetsCooldowns(t *testing.T) {
-	eng, cfg := tinyEnv(t, 2, true)
-	eng.MarkChatted(0, 1, 42)
-	va, vb := eng.Vehicles[0], eng.Vehicles[1]
-	if va.BusyUntil != 42 || vb.BusyUntil != 42 {
-		t.Error("busy-until not stamped")
-	}
-	if va.NextChatAt != 42+cfg.ChatCooldown {
-		t.Errorf("chat cooldown = %v", va.NextChatAt)
-	}
-	// The pair must not re-match within the pair cooldown.
-	pairs := eng.CandidatePairs(func(a, b int) float64 { return 1 })
-	if len(pairs) != 0 {
-		t.Errorf("cooled-down pair re-matched: %v", pairs)
+	const busy = 42.0
+	for _, order := range [][2]int{{0, 1}, {1, 0}} {
+		t.Run(fmt.Sprintf("MarkChatted(%d,%d)", order[0], order[1]), func(t *testing.T) {
+			eng, cfg := tinyEnv(t, 2, true)
+			end := eng.Trace.Duration()
+			// firstInRange is the first tick in [lo, hi) at which the pair is
+			// in radio range, or NaN.
+			firstInRange := func(lo, hi float64) float64 {
+				for at := lo; at < hi; at += cfg.TickSeconds {
+					if eng.Trace.Distance(0, 1, at) <= eng.Radio.Params.MaxRangeMeters {
+						return at
+					}
+				}
+				return math.NaN()
+			}
+			// Chat at the first tick after which the pair is in range both
+			// between the end of the chat cooldowns and the end of the pair
+			// cooldown, and past the pair cooldown.
+			start, blocked, back := 0.0, math.NaN(), math.NaN()
+			for ; start < end; start += cfg.TickSeconds {
+				blocked = firstInRange(start+busy+cfg.ChatCooldown, start+cfg.PairCooldown)
+				back = firstInRange(start+cfg.PairCooldown, end)
+				if !math.IsNaN(blocked) && !math.IsNaN(back) {
+					break
+				}
+			}
+			if start >= end {
+				t.Fatal("the trace never puts the pair in range inside and after a pair cooldown")
+			}
+
+			eng.now = start
+			eng.MarkChatted(order[0], order[1], start+busy)
+			va, vb := eng.Vehicles[0], eng.Vehicles[1]
+			if va.BusyUntil != start+busy || vb.BusyUntil != start+busy {
+				t.Errorf("busy-until = %v, %v; want %v", va.BusyUntil, vb.BusyUntil, start+busy)
+			}
+			if want := start + busy + cfg.ChatCooldown; va.NextChatAt != want || vb.NextChatAt != want {
+				t.Errorf("chat cooldown ends %v, %v; want %v", va.NextChatAt, vb.NextChatAt, want)
+			}
+
+			one := func(a, b int) float64 { return 1 }
+			eng.now = blocked
+			if pairs := eng.CandidatePairs(one); len(pairs) != 0 {
+				t.Errorf("t=%g: pair re-matched %gs after its chat, inside the %gs pair cooldown: %v",
+					blocked, blocked-start, cfg.PairCooldown, pairs)
+			}
+			eng.now = back
+			want := []CandidatePair{{A: 0, B: 1, Score: 1}}
+			if pairs := eng.CandidatePairs(one); !reflect.DeepEqual(pairs, want) {
+				t.Errorf("t=%g: CandidatePairs %v once the pair cooldown passed, want %v", back, pairs, want)
+			}
+		})
 	}
 }
 

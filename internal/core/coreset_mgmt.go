@@ -51,6 +51,10 @@ func (e *Engine) EnsureCoreset(v *Vehicle) (*coreset.Coreset, error) {
 	return cs, nil
 }
 
+// localWeight is §III-D's uniform original weight w(d) every absorbed
+// sample carries.
+const localWeight = 1
+
 // AbsorbCoreset expands the vehicle's local dataset with a received peer
 // coreset (uniform original weights, §III-D) and refreshes the vehicle's own
 // coreset via merge-and-reduce so it summarizes the expanded dataset.
@@ -59,7 +63,7 @@ func (e *Engine) EnsureCoreset(v *Vehicle) (*coreset.Coreset, error) {
 // absorb dirtied — this covers every absorb path (full coresets, SCO, and
 // weight-discounted partial salvages alike append through here).
 func (e *Engine) AbsorbCoreset(v *Vehicle, peer *coreset.Coreset) error {
-	v.Data.Absorb(peer.Data(), v.LocalWeight)
+	v.Data.Absorb(peer.Data(), localWeight)
 	if v.Tree != nil {
 		v.Tree.Extend(v.Data.Len())
 	}

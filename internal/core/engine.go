@@ -10,7 +10,6 @@ import (
 	"lbchat/internal/coreset"
 	"lbchat/internal/dataset"
 	"lbchat/internal/faults"
-	"lbchat/internal/geom"
 	"lbchat/internal/metrics"
 	"lbchat/internal/model"
 	"lbchat/internal/parallel"
@@ -186,8 +185,6 @@ type Vehicle struct {
 	// Recv counts model-transfer outcomes toward the §IV-C receive rate.
 	Recv metrics.ReceiveStats
 
-	// LocalWeight is the uniform original weight w(d) for absorbed samples.
-	LocalWeight float64
 	// CoresetSizeOverride, when positive, replaces Config.CoresetSize for
 	// this vehicle — the adaptive-coreset-size variant tunes it per vehicle
 	// from observed contact durations.
@@ -197,7 +194,6 @@ type Vehicle struct {
 	ContactEMA float64
 
 	nextTrain float64
-	lastChat  map[int]float64
 	rng       *simrand.Rand
 }
 
@@ -263,12 +259,11 @@ type Engine struct {
 	// it. Ids, not pointers, so the scratch pins no departed vehicles.
 	dueIDs     []int32
 	popScratch []int32
-	// stepFn, stepObsFn, and probeFn are the per-vehicle phase bodies
-	// (stepDue, stepDueObserved, probeOne) bound once at construction, so
-	// dispatching a tick's phases allocates no closures.
-	stepFn    func(i int)
-	stepObsFn func(i int)
-	probeFn   func(i int)
+	// stepFn and probeFn are the per-vehicle phase bodies (stepDue,
+	// probeOne) bound once at construction, so dispatching a tick's phases
+	// allocates no closures.
+	stepFn  func(i int)
+	probeFn func(i int)
 
 	// tel caches the configured telemetry sink and obs its optional side
 	// channel (telemetry.Observer): wall time, calendar, leaf-cache
@@ -290,16 +285,22 @@ type Engine struct {
 	// value, in which case every fault hook is a no-op.
 	faults *faults.Injector
 
-	// spatialIdx accelerates radio-range queries (candidate pairs, contact
-	// scans); its cell size is the radio range. The pts/pair/free slices
-	// are reused scratch for the per-tick rebuild and enumeration, and
-	// matchTaken is GreedyMatch's reusable vehicle-taken set. All of them
-	// are touched only from the serial section of a tick.
-	spatialIdx  *spatial.Index
-	spatialPts  []geom.Point
-	pairScratch []spatial.Pair
-	freeScratch []int
-	matchTaken  []bool
+	// spatialIdx is the radio-range index (cell size = radio range) and
+	// inRange the in-range vehicle pairs scanInRange enumerated through it
+	// for the time inRangeAt (NaN until the first scan): the one list the
+	// contact scan and CandidatePairs both read. freeMask is CandidatePairs'
+	// per-vehicle free flags and matchTaken GreedyMatch's vehicle-taken set.
+	// All of them are reused scratch, touched only from the serial section
+	// of a tick.
+	spatialIdx *spatial.Index
+	inRange    []spatial.Pair
+	inRangeAt  float64
+	freeMask   []bool
+	matchTaken []bool
+	// pairChatAt is when each vehicle pair last chatted (MarkChatted's now),
+	// keyed by the ordered pair (A < B) whichever side was named first: the
+	// per-pair cooldown's state.
+	pairChatAt map[spatial.Pair]float64
 	// lossScratch is the reused per-vehicle loss buffer probe evaluation
 	// reduces from in id order.
 	lossScratch []float64
@@ -344,17 +345,19 @@ func NewEngine(cfg Config, tr trace.Source, datasets []*dataset.Dataset, rm *rad
 	}
 	root := simrand.New(cfg.Seed)
 	e := &Engine{
-		Cfg:   cfg,
-		Trace: tr,
-		Radio: rm,
-		Probe: probe,
-		rng:   root.Derive("engine"),
-		tel:   cfg.Telemetry,
+		Cfg:        cfg,
+		Trace:      tr,
+		Radio:      rm,
+		Probe:      probe,
+		rng:        root.Derive("engine"),
+		tel:        cfg.Telemetry,
+		spatialIdx: spatial.New(rm.Params.MaxRangeMeters),
+		inRangeAt:  math.NaN(),
+		freeMask:   make([]bool, len(datasets)),
+		pairChatAt: make(map[spatial.Pair]float64),
 	}
-	e.spatialIdx = spatial.New(rm.Params.MaxRangeMeters)
 	e.invTick = 1 / cfg.TickSeconds
 	e.stepFn = e.stepDue
-	e.stepObsFn = e.stepDueObserved
 	e.probeFn = e.probeOne
 	e.calendar = sched.NewCalendar(len(datasets))
 	e.obs, _ = e.tel.(telemetry.Observer)
@@ -387,13 +390,11 @@ func NewEngine(cfg Config, tr trace.Source, datasets []*dataset.Dataset, rm *rad
 		}
 		vr := root.DeriveIndexed("vehicle", i)
 		e.Vehicles = append(e.Vehicles, &Vehicle{
-			ID:          i,
-			Policy:      pol,
-			Data:        d,
-			Bandwidth:   vr.Uniform(cfg.BandwidthMinBps, maxBps),
-			LocalWeight: 1,
-			lastChat:    make(map[int]float64),
-			rng:         vr,
+			ID:        i,
+			Policy:    pol,
+			Data:      d,
+			Bandwidth: vr.Uniform(cfg.BandwidthMinBps, maxBps),
+			rng:       vr,
 			// Stagger training so vehicles do not all step on the same tick.
 			nextTrain: vr.Uniform(0, trainInterval),
 		})
@@ -493,26 +494,34 @@ func (e *Engine) Emit(ev telemetry.Event) {
 	}
 }
 
+// scanInRange enumerates the fleet's in-range pairs at now through the
+// spatial index — the tick's one Rebuild and Pairs — into e.inRange in
+// canonical (A, B)-ascending order, and stamps the list with now. One
+// contiguous row read covers every vehicle, and Rebuild copies it, so the
+// list outlives the window's next Advance.
+func (e *Engine) scanInRange() []spatial.Pair {
+	e.spatialIdx.Rebuild(e.Trace.RowAt(e.now))
+	e.inRange = e.spatialIdx.Pairs(e.inRange[:0], e.Radio.Params.MaxRangeMeters)
+	e.inRangeAt = e.now
+	return e.inRange
+}
+
 // scanContacts diffs the fleet's in-range pair set against the previous
 // tick and emits contact open/close events. It runs only with telemetry
-// enabled. It enumerates in-range pairs via the spatial index and merges
-// them with the open-contact list; every pair produces at most one event
-// and both sequences are (a, b)-ascending, so the merged event stream is
-// byte-identical to a full O(N²) pair-by-pair diff (the reference oracle in
-// oracle_test.go). The merge writes every pair still in range — continuing
-// ones with their open time, new ones at now — in order into the spare
-// buffer, which then becomes the open list: no map, no sort, and no
-// allocation once both buffers have grown.
+// enabled. It enumerates the tick's in-range pairs (scanInRange, which
+// CandidatePairs then reuses) and merges them with the open-contact list;
+// every pair produces at most one event and both sequences are
+// (a, b)-ascending, so the merged event stream is byte-identical to a full
+// O(N²) pair-by-pair diff (the reference oracle in oracle_test.go). The
+// merge writes every pair still in range — continuing ones with their open
+// time, new ones at now — in order into the spare buffer, which then
+// becomes the open list: no map, no sort, and no allocation once both
+// buffers have grown.
 func (e *Engine) scanContacts() {
 	if e.tel == nil {
 		return
 	}
-	maxRange := e.Radio.Params.MaxRangeMeters
-	// One contiguous row read covers every vehicle this tick; the copy into
-	// scratch keeps the slice valid across the window's next Advance.
-	pts := append(e.spatialPts[:0], e.Trace.RowAt(e.now)...)
-	e.spatialPts = pts
-	inRange := e.rangePairs(pts, maxRange)
+	inRange := e.scanInRange()
 	open, next := e.open, e.openNext[:0]
 	i, j := 0, 0
 	for i < len(inRange) || j < len(open) {
@@ -560,14 +569,6 @@ func (e *Engine) closeContacts() {
 
 // workers resolves the engine's per-tick parallelism.
 func (e *Engine) workers() int { return parallel.Resolve(e.Cfg.Workers) }
-
-// rangePairs enumerates the pairs of pts within distance r of each other in
-// canonical ascending (A, B) order. The result aliases e.pairScratch.
-func (e *Engine) rangePairs(pts []geom.Point, r float64) []spatial.Pair {
-	e.spatialIdx.Rebuild(pts)
-	e.pairScratch = e.spatialIdx.Pairs(e.pairScratch[:0], r)
-	return e.pairScratch
-}
 
 // dueTickEps bounds how close the tick-offset quotient must sit to an
 // integer before dueTick refuses to round it up: far wider than any float
@@ -631,22 +632,11 @@ func (e *Engine) calendarDue(due []int32) ([]int32, int) {
 	return due, buckets
 }
 
-// stepDue runs vehicle dueIDs[i]'s pending local-SGD steps — the
-// unobserved fast path: no outcome recording, no per-call scratch.
+// stepDue runs vehicle dueIDs[i]'s pending local-SGD steps and records the
+// outcome (and wall time, when the sink observes) into index-addressed
+// stepScratch for trainTick's serial emission pass, which reads it only
+// with telemetry on.
 func (e *Engine) stepDue(i int) {
-	v := e.Vehicles[e.dueIDs[i]]
-	for v.nextTrain <= e.now {
-		if batch := v.Data.SampleBatch(e.Cfg.BatchSize, v.rng); len(batch) > 0 {
-			v.Policy.TrainStep(batch)
-		}
-		v.nextTrain += trainInterval
-	}
-}
-
-// stepDueObserved is stepDue recording the vehicle's outcome (and wall
-// time, when the sink observes) into index-addressed stepScratch for
-// trainTick's serial emission pass.
-func (e *Engine) stepDueObserved(i int) {
 	v := e.Vehicles[e.dueIDs[i]]
 	var out stepOutcome
 	var start time.Time
@@ -654,8 +644,7 @@ func (e *Engine) stepDueObserved(i int) {
 		start = time.Now()
 	}
 	for v.nextTrain <= e.now {
-		batch := v.Data.SampleBatch(e.Cfg.BatchSize, v.rng)
-		if len(batch) > 0 {
+		if batch := v.Data.SampleBatch(e.Cfg.BatchSize, v.rng); len(batch) > 0 {
 			out.loss = v.Policy.TrainStep(batch)
 			out.steps++
 		}
@@ -678,19 +667,15 @@ func (e *Engine) trainTick() {
 		e.observeSched(0, buckets)
 		return
 	}
-	// With telemetry on, the parallel phase records each vehicle's outcome
-	// into index-addressed scratch; events are then emitted serially in
+	// The parallel phase records each vehicle's outcome into index-addressed
+	// scratch; with telemetry on, events are then emitted serially in
 	// vehicle-index order so the stream is identical at every worker count.
-	// The two phase bodies are pre-bound methods (stepFn/stepObsFn), not
-	// per-tick closures, so a quiet tick allocates nothing.
-	fn := e.stepFn
-	if e.tel != nil {
-		if cap(e.stepScratch) < len(due) {
-			e.stepScratch = make([]stepOutcome, len(due))
-		}
-		fn = e.stepObsFn
+	// The phase body is a pre-bound method (stepFn), not a per-tick
+	// closure, so a steady tick allocates nothing.
+	if cap(e.stepScratch) < len(due) {
+		e.stepScratch = make([]stepOutcome, len(due))
 	}
-	parallel.ForEach(e.workers(), len(due), fn)
+	parallel.ForEach(e.workers(), len(due), e.stepFn)
 	e.observeSched(len(due), buckets)
 	// Re-enqueue each stepped vehicle at its next due tick, serially — the
 	// wheel is single-writer scratch like every engine index.

@@ -10,6 +10,7 @@ import (
 
 	"lbchat/internal/coreset"
 	"lbchat/internal/dataset"
+	"lbchat/internal/spatial"
 	"lbchat/internal/telemetry"
 )
 
@@ -55,7 +56,7 @@ func bruteCandidatePairs(e *Engine, score func(a, b int) float64) []CandidatePai
 			if e.Distance(a, b) > e.Radio.Params.MaxRangeMeters {
 				continue
 			}
-			if last, ok := e.Vehicles[a].lastChat[b]; ok && e.now-last < e.Cfg.PairCooldown {
+			if last, ok := e.pairChatAt[spatial.Pair{A: a, B: b}]; ok && e.now-last < e.Cfg.PairCooldown {
 				continue
 			}
 			if s := score(a, b); s > 0 {
@@ -147,23 +148,30 @@ func (scanOnly) OnTick(e *Engine, now float64) {
 // that CandidatePairs equals the brute double loop — same pairs, same
 // order, same scores — and that the end-of-run flush closes exactly what
 // the oracle still holds open. The LbChat row is a small fleet on the world
-// trace; the fleet row is fleet-scan in miniature, where over ten thousand
-// contacts open and close and over a thousand are still open at the flush.
+// trace; the fleet rows are fleet-scan in miniature, where over ten
+// thousand contacts open and close and over a thousand are still open at
+// the flush. With a sink, CandidatePairs must reuse the contact scan's
+// list; the row without one has no contact scan, so CandidatePairs must
+// enumerate the tick's pairs itself.
 func TestPairScanMatchesBruteOracle(t *testing.T) {
 	cases := []struct {
 		name     string
 		env      func(t *testing.T, sink telemetry.Sink) *Engine
 		proto    Protocol
+		noSink   bool
 		minOpens int // contacts the run must open (and close) at least
 		minFlush int // contacts the end-of-run flush must close at least
 	}{
 		{"lbchat/5 vehicles", func(t *testing.T, sink telemetry.Sink) *Engine {
 			eng, _ := tinyEnvWith(t, 5, true, func(c *Config) { c.Telemetry = sink })
 			return eng
-		}, NewLbChat(), 1, 0},
+		}, NewLbChat(), false, 1, 0},
 		{"scan-only/256-vehicle fleet", func(t *testing.T, sink telemetry.Sink) *Engine {
 			return fleetEngine(t, 256, 601, 0.5, sink)
-		}, scanOnly{}, 5000, 1000},
+		}, scanOnly{}, false, 5000, 1000},
+		{"scan-only/256-vehicle fleet, no sink", func(t *testing.T, _ telemetry.Sink) *Engine {
+			return fleetEngine(t, 256, 601, 0.5, nil)
+		}, scanOnly{}, true, 0, 0},
 	}
 	score := func(a, b int) float64 { return 1 + float64(a) + 0.01*float64(b) }
 	for _, tc := range cases {
@@ -173,17 +181,24 @@ func TestPairScanMatchesBruteOracle(t *testing.T) {
 			open := map[[2]int]float64{}
 			seen, opens, closes, pairs := 0, 0, 0, 0
 			hook := tickHook{Protocol: tc.proto, tick: func(e *Engine, now float64) {
-				events := mem.Events()
-				got, want := contactEvents(events[seen:]), bruteContactDiff(e, open)
-				seen = len(events)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("t=%g: contact events %v, brute oracle %v", now, got, want)
+				// With a sink the contact scan has already listed this tick's
+				// pairs; without one nothing has.
+				if scanned := e.inRangeAt == now; scanned == tc.noSink {
+					t.Fatalf("t=%g: in-range list scanned before CandidatePairs = %v, want %v", now, scanned, !tc.noSink)
 				}
-				for _, ev := range want {
-					if _, ok := ev.(telemetry.ContactOpen); ok {
-						opens++
-					} else {
-						closes++
+				if !tc.noSink {
+					events := mem.Events()
+					got, want := contactEvents(events[seen:]), bruteContactDiff(e, open)
+					seen = len(events)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("t=%g: contact events %v, brute oracle %v", now, got, want)
+					}
+					for _, ev := range want {
+						if _, ok := ev.(telemetry.ContactOpen); ok {
+							opens++
+						} else {
+							closes++
+						}
 					}
 				}
 				gotPairs, wantPairs := e.CandidatePairs(score), bruteCandidatePairs(e, score)
@@ -198,6 +213,9 @@ func TestPairScanMatchesBruteOracle(t *testing.T) {
 			if opens < tc.minOpens || closes < tc.minOpens || pairs == 0 {
 				t.Fatalf("run exercised %d opens, %d closes, %d candidate pairs; the oracle needs %d opens and closes and some pairs",
 					opens, closes, pairs, tc.minOpens)
+			}
+			if tc.noSink {
+				return
 			}
 			// The end-of-run flush closes what the oracle still holds open.
 			tail := contactEvents(mem.Events()[seen:])

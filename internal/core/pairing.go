@@ -1,6 +1,10 @@
 package core
 
-import "sort"
+import (
+	"sort"
+
+	"lbchat/internal/spatial"
+)
 
 // CandidatePair is a potential pairwise exchange with its Eq. (5) score.
 type CandidatePair struct {
@@ -14,41 +18,34 @@ type CandidatePair struct {
 // cooldown. score computes the pair's priority; pairs scoring zero or less
 // are dropped.
 //
-// The in-range enumeration goes through the engine's spatial index (cell
-// size = radio range), so a tick costs O(F·k) in the free-vehicle count F
-// and mean neighborhood size k instead of O(F²). The index returns pairs in
-// the same canonical (A, B)-ascending order as the classic double loop and
-// confirms every candidate with the exact same distance comparison, so the
-// output — and any randomness score draws — is bit-identical to the
-// brute-force double loop (the reference oracle in oracle_test.go).
+// The in-range pairs are the tick's one enumeration (scanInRange): the
+// contact scan's list when it already ran at this now, enumerated here
+// otherwise (telemetry off, or a call outside a run). Filtering that
+// (A, B)-ascending list by a per-vehicle free mask keeps the order of the
+// classic double loop over free vehicles, and every pair was confirmed by
+// the same distance predicate, so the output — and any randomness score
+// draws — is bit-identical to the brute-force double loop (the reference
+// oracle in oracle_test.go).
 func (e *Engine) CandidatePairs(score func(a, b int) float64) []CandidatePair {
 	now := e.now
-	free := e.freeScratch[:0]
-	for _, v := range e.Vehicles {
-		if v.BusyUntil <= now && v.NextChatAt <= now && !e.VehicleAway(v.ID) {
-			free = append(free, v.ID)
-		}
+	if e.inRangeAt != now {
+		e.scanInRange()
 	}
-	e.freeScratch = free
-	maxRange := e.Radio.Params.MaxRangeMeters
+	free := e.freeMask
+	for i, v := range e.Vehicles {
+		free[i] = v.BusyUntil <= now && v.NextChatAt <= now && !e.VehicleAway(v.ID)
+	}
 	var out []CandidatePair
-	emit := func(a, b int) {
-		if last, ok := e.Vehicles[a].lastChat[b]; ok && now-last < e.Cfg.PairCooldown {
-			return
+	for _, p := range e.inRange {
+		if !free[p.A] || !free[p.B] {
+			continue
 		}
-		if s := score(a, b); s > 0 {
-			out = append(out, CandidatePair{A: a, B: b, Score: s})
+		if last, ok := e.pairChatAt[p]; ok && now-last < e.Cfg.PairCooldown {
+			continue
 		}
-	}
-	// One contiguous row read serves every free vehicle's position.
-	row := e.Trace.RowAt(now)
-	pts := e.spatialPts[:0]
-	for _, id := range free {
-		pts = append(pts, row[id])
-	}
-	e.spatialPts = pts
-	for _, pr := range e.rangePairs(pts, maxRange) {
-		emit(free[pr.A], free[pr.B])
+		if s := score(p.A, p.B); s > 0 {
+			out = append(out, CandidatePair{A: p.A, B: p.B, Score: s})
+		}
 	}
 	return out
 }
@@ -98,13 +95,14 @@ func (e *Engine) GreedyMatch(pairs []CandidatePair) []CandidatePair {
 	return out
 }
 
-// MarkChatted stamps the pair's cooldown bookkeeping.
+// MarkChatted stamps the pair's cooldown bookkeeping: both vehicles busy
+// until busyUntil and cooling down for ChatCooldown after, and the pair —
+// in either order — blocked for PairCooldown from now.
 func (e *Engine) MarkChatted(a, b int, busyUntil float64) {
 	va, vb := e.Vehicles[a], e.Vehicles[b]
 	va.BusyUntil = busyUntil
 	vb.BusyUntil = busyUntil
 	va.NextChatAt = busyUntil + e.Cfg.ChatCooldown
 	vb.NextChatAt = busyUntil + e.Cfg.ChatCooldown
-	va.lastChat[b] = e.now
-	vb.lastChat[a] = e.now
+	e.pairChatAt[spatial.Pair{A: min(a, b), B: max(a, b)}] = e.now
 }

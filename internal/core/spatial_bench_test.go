@@ -81,29 +81,33 @@ type countingSink struct{ n int }
 func (s *countingSink) Emit(telemetry.Event) { s.n++ }
 func (s *countingSink) Close() error         { return nil }
 
-// BenchmarkCandidatePairs measures per-tick pair enumeration through the
-// spatial index at scaled fleet sizes; the benchmarks/perf ledger re-times
-// it as core.candidate_pairs_us.
+// BenchmarkCandidatePairs times one tick's CandidatePairs with telemetry
+// off, so no contact scan has listed the tick's pairs: the index rebuild,
+// Pairs, the free mask and the filter, on the moving fleet
+// BenchmarkScanContacts replays. One op is one tick, every vehicle free and
+// no pair cooling down. make bench-pprof profiles it with
+// BenchmarkScanContacts as bench-profiles/scan.cpu.pprof.
 func BenchmarkCandidatePairs(b *testing.B) {
+	const dt, ticks = 0.5, 120
 	score := func(a, c int) float64 { return 1 }
-	for _, n := range []int{16, 64, 256} {
-		eng := benchEngine(b, n)
-		b.Run(fmt.Sprintf("N=%d/index", n), func(b *testing.B) {
+	for _, n := range []int{1024, 4096} {
+		eng := fleetEngine(b, n, ticks, dt, nil)
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			var pairs int
 			for i := 0; i < b.N; i++ {
-				pairs = len(eng.CandidatePairs(score))
+				eng.now = float64(i%ticks) * dt
+				pairs += len(eng.CandidatePairs(score))
 			}
-			b.ReportMetric(float64(pairs), "pairs")
+			b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
 		})
 	}
 }
 
-// BenchmarkScanContacts times one tick's contact scan — the row copy, the
-// index rebuild, Pairs, and the merge with the open-contact list — on a
-// moving fleet at fleet-scan's density and tick, emitting into a counting
-// sink. One op is one tick; the replay wraps after a minute of virtual
-// time. make bench-pprof profiles it as bench-profiles/scan.cpu.pprof.
+// BenchmarkScanContacts times one tick's contact scan — the index rebuild,
+// Pairs, and the merge with the open-contact list — on a moving fleet at
+// fleet-scan's density and tick, emitting into a counting sink. One op is
+// one tick; the replay wraps after a minute of virtual time.
 func BenchmarkScanContacts(b *testing.B) {
 	const dt, ticks = 0.5, 120
 	for _, n := range []int{1024, 4096} {

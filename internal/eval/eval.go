@@ -443,9 +443,6 @@ type controller struct {
 	bev bev.Config
 	// stoppedFor accumulates full-stop time for deadlock-breaking creep.
 	stoppedFor float64
-	// prevYawRate smooths steering across frames (the model's per-frame
-	// waypoint jitter would otherwise wobble the car).
-	prevYawRate float64
 	// wps is step's decoded-waypoint buffer, reused across control periods.
 	wps []geom.Point
 }
@@ -491,9 +488,6 @@ func (c *controller) step(agent *world.FreeAgent, pred []float64, bevT []uint8, 
 		// A floor on the speed keeps the agent able to steer out from a
 		// near-standstill.
 		yawRate = geom.Clamp(math.Max(agent.V, 2.5)*curvature, -maxYawRate, maxYawRate)
-		// Exponential smoothing damps frame-to-frame prediction jitter.
-		yawRate = yawSmoothing*c.prevYawRate + (1-yawSmoothing)*yawRate
-		c.prevYawRate = yawRate
 		agent.Heading = geom.WrapAngle(agent.Heading + yawRate*dt)
 	}
 
@@ -548,9 +542,6 @@ const (
 	aebCreep    = 1.2
 	// maxLatAccel caps v·ω during maneuvers (m/s²).
 	maxLatAccel = 4.0
-	// yawSmoothing is the EMA factor on the steering command. Zero means
-	// no smoothing: lag at corner entry costs more than jitter does.
-	yawSmoothing = 0.0
 )
 
 // nearestObstacleAhead scans the BEV's vehicle and pedestrian channels for

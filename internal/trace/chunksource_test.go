@@ -115,6 +115,15 @@ func TestWindowAdaptiveOverDelayedSource(t *testing.T) {
 	src := &delaySource{ChunkSource: inner, delay: 2 * time.Millisecond}
 	w := narrow(NewWindowSource(src, WindowConfig{Prefetch: true}), 2, 5)
 	defer w.Close()
+	loads, maxDepth := 0, 0
+	var waitNs int64
+	w.SetChunkObserver(func(op ChunkOp) {
+		if op.Kind == OpLoad {
+			loads++
+			waitNs += op.WaitNs
+		}
+		maxDepth = max(maxDepth, op.Depth)
+	})
 	for cursor := 0; cursor < ticks; cursor++ {
 		if err := w.Advance(cursor); err != nil {
 			t.Fatalf("Advance(%d): %v", cursor, err)
@@ -126,13 +135,13 @@ func TestWindowAdaptiveOverDelayedSource(t *testing.T) {
 			}
 		}
 	}
-	if d := w.PrefetchDepth(); d <= 1 {
-		t.Errorf("adaptive depth stayed at %d over a 2ms-latency source", d)
+	if maxDepth <= 1 {
+		t.Errorf("adaptive depth stayed at %d over a 2ms-latency source", maxDepth)
 	}
-	if loads, _, _ := w.Stats(); loads != NumChunks(ticks, chunkTicks) {
+	if loads != NumChunks(ticks, chunkTicks) {
 		t.Errorf("loads = %d, want %d", loads, NumChunks(ticks, chunkTicks))
 	}
-	if _, waitNs := w.FetchStats(); waitNs <= 0 {
+	if waitNs <= 0 {
 		t.Errorf("waitNs = %d; the first synchronous load alone should have blocked", waitNs)
 	}
 }
@@ -150,8 +159,8 @@ func (r *retrySource) ReadChunk(idx int, dst []geom.Point) (ChunkFetch, error) {
 	return cf, err
 }
 
-// TestWindowSurfacesFetchRetries checks that per-fetch retry counts
-// aggregate into FetchStats and ride each load's ChunkOp.
+// TestWindowSurfacesFetchRetries checks that every fetch's retry count
+// rides its load's ChunkOp.
 func TestWindowSurfacesFetchRetries(t *testing.T) {
 	const ticks, chunkTicks = 48, 8
 	tr := syntheticTrace(0.5, 2, ticks, chunkTicks)
@@ -173,9 +182,6 @@ func TestWindowSurfacesFetchRetries(t *testing.T) {
 		}
 	}
 	wantRetries := 2 * NumChunks(ticks, chunkTicks)
-	if retries, _ := w.FetchStats(); retries != wantRetries {
-		t.Errorf("FetchStats retries = %d, want %d", retries, wantRetries)
-	}
 	if opRetries != wantRetries {
 		t.Errorf("summed ChunkOp retries = %d, want %d", opRetries, wantRetries)
 	}

@@ -165,10 +165,6 @@ type Window struct {
 	stalled     bool          // a load blocked since the last depth update
 	crossedSeam bool          // a chunk was loaded since the last depth update
 	lastWait    time.Duration // most recent load's blocking time
-
-	loads, evicts, prefetches int
-	retries                   int
-	waitNs                    int64
 }
 
 // NewWindowSource wraps a random-access ChunkSource in a sliding window.
@@ -238,23 +234,6 @@ func secondsToTicks(s, dt float64) int {
 // chunk load, evict, and prefetch issue. Calls always happen on the
 // goroutine driving Advance, in a deterministic order.
 func (w *Window) SetChunkObserver(fn func(ChunkOp)) { w.onOp = fn }
-
-// Stats returns the window's lifetime chunk-operation counts
-// (loads, evicts, prefetch issues).
-func (w *Window) Stats() (loads, evicts, prefetches int) {
-	return w.loads, w.evicts, w.prefetches
-}
-
-// FetchStats returns the window's lifetime fetch-pipeline counters: total
-// transport retries across all chunk fetches, and the total time Advance
-// spent blocked waiting for fetches.
-func (w *Window) FetchStats() (retries int, waitNs int64) {
-	return w.retries, w.waitNs
-}
-
-// PrefetchDepth returns the current adaptive readahead depth (1 when
-// prefetch is off or nothing has been measured yet).
-func (w *Window) PrefetchDepth() int { return w.depth }
 
 // Advance moves the cursor to the given tick (clamped to the trace
 // extent), loading chunks up to the leading edge and evicting those fully
@@ -408,13 +387,11 @@ func (w *Window) loadNext() error {
 		return &ChunkError{Chunk: idx, FirstTick: idx * w.chunkTicks, Err: err}
 	}
 	w.observeLatency(res.latency)
-	w.retries += res.retries
 	w.chunks = append(w.chunks, res.pts)
 	w.next++
 	if w.issued < w.next {
 		w.issued = w.next
 	}
-	w.loads++
 	w.crossedSeam = true
 	w.emit(ChunkOp{Kind: OpLoad, Chunk: idx, Ticks: w.ticksIn(idx), Resident: len(w.chunks),
 		Depth: w.depth, Retries: res.retries, WaitNs: w.lastWaitNs()})
@@ -428,7 +405,6 @@ func (w *Window) noteWait(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	w.waitNs += d.Nanoseconds()
 	w.stallNs += d.Nanoseconds()
 	w.stalled = true
 }
@@ -445,7 +421,6 @@ func (w *Window) evictFront() {
 	w.chunks = w.chunks[:len(w.chunks)-1]
 	w.free = append(w.free, buf)
 	w.lo++
-	w.evicts++
 	w.emit(ChunkOp{Kind: OpEvict, Chunk: idx, Ticks: w.ticksIn(idx), Resident: len(w.chunks), Depth: w.depth})
 }
 
@@ -461,7 +436,6 @@ func (w *Window) issuePrefetches() {
 		ch := make(chan fetchResult, 1)
 		w.inflight[idx] = ch
 		w.issued++
-		w.prefetches++
 		w.emit(ChunkOp{Kind: OpPrefetch, Chunk: idx, Ticks: w.ticksIn(idx), Resident: len(w.chunks), Depth: w.depth})
 		go func() {
 			start := time.Now()
