@@ -65,10 +65,11 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
-# CPU profiles of the fleet tick's pair enumeration (one internal/core run
-# of BenchmarkScanContacts — index rebuild + Pairs + the merge with the
-# open-contact list — and BenchmarkCandidatePairs — the same enumeration
-# with telemetry off, then the free-mask filter — on a moving 1024- and
+# CPU profiles of the fleet tick's pair listing (one internal/core run
+# of BenchmarkScanContacts — the skin list's filter, a Rebuild + Pairs on
+# the ticks it is due, and the merge with the open-contact list — and
+# BenchmarkCandidatePairs — the same listing with telemetry off, then the
+# free-mask filter — on a moving 1024- and
 # 4096-vehicle fleet), of the world in traffic (the fixed-work
 # BenchmarkWorldTick/paper: a fresh 6 + 50 + 250 world stepped 2000 times
 # per op, so two profiles cover the same work) and of the train step (internal/model's BenchmarkTrainStep on

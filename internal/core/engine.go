@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"lbchat/internal/compress"
 	"lbchat/internal/coreset"
 	"lbchat/internal/dataset"
 	"lbchat/internal/faults"
+	"lbchat/internal/geom"
 	"lbchat/internal/metrics"
 	"lbchat/internal/model"
 	"lbchat/internal/parallel"
@@ -285,14 +287,18 @@ type Engine struct {
 	// value, in which case every fault hook is a no-op.
 	faults *faults.Injector
 
-	// spatialIdx is the radio-range index (cell size = radio range) and
-	// inRange the in-range vehicle pairs scanInRange enumerated through it
-	// for the time inRangeAt (NaN until the first scan): the one list the
-	// contact scan and CandidatePairs both read. freeMask is CandidatePairs'
-	// per-vehicle free flags and matchTaken GreedyMatch's vehicle-taken set.
-	// All of them are reused scratch, touched only from the serial section
-	// of a tick.
+	// spatialIdx is the pair index (cell size = radio range + skinMeters).
+	// skin is the Verlet list it last enumerated: the pairs within radio
+	// range + skinMeters of each other on skinRow, a copy of the row they
+	// were found on (empty before the first enumeration). inRange is the
+	// in-range vehicle pairs scanInRange filtered out of skin for the time
+	// inRangeAt (NaN until the first scan): the one list the contact scan and
+	// CandidatePairs both read. freeMask is CandidatePairs' per-vehicle free
+	// flags and matchTaken GreedyMatch's vehicle-taken set. All of them are
+	// reused scratch, touched only from the serial section of a tick.
 	spatialIdx *spatial.Index
+	skin       []spatial.Pair
+	skinRow    []geom.Point
 	inRange    []spatial.Pair
 	inRangeAt  float64
 	freeMask   []bool
@@ -351,7 +357,7 @@ func NewEngine(cfg Config, tr trace.Source, datasets []*dataset.Dataset, rm *rad
 		Probe:      probe,
 		rng:        root.Derive("engine"),
 		tel:        cfg.Telemetry,
-		spatialIdx: spatial.New(rm.Params.MaxRangeMeters),
+		spatialIdx: spatial.New(rm.Params.MaxRangeMeters + skinMeters),
 		inRangeAt:  math.NaN(),
 		freeMask:   make([]bool, len(datasets)),
 		pairChatAt: make(map[spatial.Pair]float64),
@@ -494,21 +500,123 @@ func (e *Engine) Emit(ev telemetry.Event) {
 	}
 }
 
-// scanInRange enumerates the fleet's in-range pairs at now through the
-// spatial index — the tick's one Rebuild and Pairs — into e.inRange in
-// canonical (A, B)-ascending order, and stamps the list with now. One
-// contiguous row read covers every vehicle, and Rebuild copies it, so the
-// list outlives the window's next Advance.
+// skinMeters is the Verlet skin s: scanInRange keeps the pairs within
+// r + s of each other and filters them on every later row until vehicles
+// have moved far enough to bring a pair from beyond r + s into range. Sized
+// from a sweep on fleet-scan (EXPERIMENTS.md "Hot loops", *Fleet tick: a
+// Verlet skin*): a vehicle covers at most 20 m per 1 s tick there, and
+// throughput peaked between 150 and 300 m.
+const skinMeters = 200
+
+// skinSlack shrinks the drift budget by a relative 1e-9 (0.2 µm of the
+// 200 m) so the skin list stays a superset of the in-range pairs in float
+// arithmetic too. Every distance the argument uses is a correctly rounded
+// difference of two trace coordinates, so its rounding error is relative
+// to the distance itself — a few ulps, ≈ 1e-15 of r + s — and not to the
+// coordinates' magnitude; the slack covers it a millionfold at any
+// magnitude.
+const skinSlack = 1e-9
+
+// scanInRange lists the fleet's in-range pairs at now into e.inRange in
+// canonical (A, B)-ascending order, and stamps the list with now. It
+// filters the skin list with the in-range predicate on the current row,
+// first re-enumerating the skin — the engine's one Rebuild and Pairs, at
+// radius r + skinMeters — when skinStale says the row has drifted too far
+// from the one the skin was found on. Every pair within r now was within
+// r + skinMeters then, and filtering keeps Pairs' order, so the list is
+// exactly what Pairs at r would return (the brute oracle in oracle_test.go
+// checks it every tick). The row is read once and the skin keeps its own
+// copy, so the list outlives the window's next Advance.
 func (e *Engine) scanInRange() []spatial.Pair {
-	e.spatialIdx.Rebuild(e.Trace.RowAt(e.now))
-	e.inRange = e.spatialIdx.Pairs(e.inRange[:0], e.Radio.Params.MaxRangeMeters)
+	row := e.Trace.RowAt(e.now)
+	r := e.Radio.Params.MaxRangeMeters
+	if e.skinStale(row) {
+		e.spatialIdx.Rebuild(row)
+		e.skin = e.spatialIdx.Pairs(e.skin[:0], r+skinMeters)
+		e.skinRow = append(e.skinRow[:0], row...)
+		if e.obs != nil {
+			e.obs.Observe(telemetry.MSkinRebuilds, 1)
+		}
+	}
+	e.inRange = filterInRange(e.inRange, e.skin, row, r)
 	e.inRangeAt = e.now
 	return e.inRange
 }
 
+// skinStale reports whether the skin list may miss a pair in range on row:
+// on the first scan (or any change in the row's length), on a NaN or
+// infinite drift, and once the two largest per-vehicle displacements
+// since the skin row sum past skinMeters (less skinSlack). Below that, any
+// two vehicles closed in by less than skinMeters, so a pair within r now
+// was within r + skinMeters then. The drift is measured from the rows
+// themselves, so a teleport or a clock that runs backwards is caught like
+// any other move.
+func (e *Engine) skinStale(row []geom.Point) bool {
+	if len(row) != len(e.skinRow) {
+		return true
+	}
+	// top1 ≥ top2 are the two largest squared displacements; total sums
+	// them all, so one NaN or infinite displacement makes it non-finite.
+	var top1, top2, total float64
+	for i, p := range row {
+		o := e.skinRow[i]
+		dx, dy := p.X-o.X, p.Y-o.Y
+		d := dx*dx + dy*dy
+		total += d
+		if d > top2 {
+			if d > top1 {
+				top1, top2 = d, top1
+			} else {
+				top2 = d
+			}
+		}
+	}
+	return !(total <= math.MaxFloat64) || math.Sqrt(top1)+math.Sqrt(top2) > skinMeters*(1-skinSlack)
+}
+
+// screenBand is filterInRange's squared-distance screen: a pair whose
+// squared distance lies more than this relative band from r² is in range
+// exactly when it is below r², and only the pairs inside the band go to
+// spatial.WithinBall. The band is a thousand times WithinBall's own
+// (1e-12), so the screen only decides what WithinBall would decide the same
+// way.
+const screenBand = 1e-9
+
+// filterInRange returns, in dst's storage, the pairs of skin within r of
+// each other on row, in skin's order, by the predicate Pairs applies —
+// spatial.WithinBall(row[A], row[B], r, r²) — behind an inline screen. The
+// loop is branch-light: every pair is written and the count advances by
+// the screen's flag, so the half of the skin that is out of range costs no
+// mispredicted branch; the one branch, into the band, is almost never
+// taken.
+func filterInRange(dst, skin []spatial.Pair, row []geom.Point, r float64) []spatial.Pair {
+	dst = slices.Grow(dst[:0], len(skin))[:len(skin)]
+	rr := r * r
+	band := rr * screenBand
+	n := 0
+	for _, p := range skin {
+		a, b := row[p.A], row[p.B]
+		dx, dy := b.X-a.X, b.Y-a.Y
+		sq := dx*dx + dy*dy
+		dst[n] = p
+		hit := 0
+		if sq < rr {
+			hit = 1
+		}
+		if math.Abs(sq-rr) <= band {
+			hit = 0
+			if spatial.WithinBall(a, b, r, rr) {
+				hit = 1
+			}
+		}
+		n += hit
+	}
+	return dst[:n]
+}
+
 // scanContacts diffs the fleet's in-range pair set against the previous
 // tick and emits contact open/close events. It runs only with telemetry
-// enabled. It enumerates the tick's in-range pairs (scanInRange, which
+// enabled. It lists the tick's in-range pairs (scanInRange, which
 // CandidatePairs then reuses) and merges them with the open-contact list;
 // every pair produces at most one event and both sequences are
 // (a, b)-ascending, so the merged event stream is byte-identical to a full
@@ -635,12 +743,14 @@ func (e *Engine) calendarDue(due []int32) ([]int32, int) {
 // stepDue runs vehicle dueIDs[i]'s pending local-SGD steps and records the
 // outcome (and wall time, when the sink observes) into index-addressed
 // stepScratch for trainTick's serial emission pass, which reads it only
-// with telemetry on.
+// with telemetry on. Only a vehicle with data steps, and the wall time is
+// observed only for one that did, so the clock is read only for those.
 func (e *Engine) stepDue(i int) {
 	v := e.Vehicles[e.dueIDs[i]]
 	var out stepOutcome
 	var start time.Time
-	if e.obs != nil {
+	timed := e.obs != nil && v.Data.Len() > 0
+	if timed {
 		start = time.Now()
 	}
 	for v.nextTrain <= e.now {
@@ -650,7 +760,7 @@ func (e *Engine) stepDue(i int) {
 		}
 		v.nextTrain += trainInterval
 	}
-	if e.obs != nil {
+	if timed {
 		out.wallNs = time.Since(start).Nanoseconds()
 	}
 	e.stepScratch[i] = out

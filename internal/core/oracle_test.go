@@ -4,14 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
 
 	"lbchat/internal/coreset"
 	"lbchat/internal/dataset"
+	"lbchat/internal/geom"
+	"lbchat/internal/radio"
 	"lbchat/internal/spatial"
 	"lbchat/internal/telemetry"
+	"lbchat/internal/trace"
 )
 
 // This file holds the engine's reference oracles: the pre-index O(N²) pair
@@ -53,7 +57,7 @@ func bruteCandidatePairs(e *Engine, score func(a, b int) float64) []CandidatePai
 	for ai := 0; ai < len(free); ai++ {
 		for bi := ai + 1; bi < len(free); bi++ {
 			a, b := free[ai], free[bi]
-			if e.Distance(a, b) > e.Radio.Params.MaxRangeMeters {
+			if !(e.Distance(a, b) <= e.Radio.Params.MaxRangeMeters) { // NaN is in range of nothing
 				continue
 			}
 			if last, ok := e.pairChatAt[spatial.Pair{A: a, B: b}]; ok && e.now-last < e.Cfg.PairCooldown {
@@ -143,6 +147,93 @@ func (scanOnly) OnTick(e *Engine, now float64) {
 	}
 }
 
+// teleportRows is a static scatter of 64 vehicles over 121 one-second rows
+// in which three pairs come into range in ways a stale skin list would
+// miss: vehicles 60 and 61 start beyond r + s apart and 61 creeps 15 m a
+// tick, within range from tick 14, when only the drift summed since the
+// list's row (210 m) calls for a rebuild; vehicle 0 jumps five skins away
+// at tick 20 and back at 40; vehicles 62 and 63 start 750 m apart
+// and each jump 150 m toward the other at tick 60 — each below the skin,
+// together past it.
+func teleportRows() [][]geom.Point {
+	base := fleetRows(64, 1, 1)[0]
+	rows := make([][]geom.Point, 121)
+	for t := range rows {
+		row := append([]geom.Point(nil), base...)
+		if t >= 20 && t < 40 {
+			row[0].X = math.Mod(row[0].X+5*skinMeters, 8*densityCell)
+		}
+		row[60] = geom.Pt(-5000, -5000)
+		row[61] = geom.Pt(-5000+705-15*float64(t), -5000)
+		row[62], row[63] = geom.Pt(0, -10000), geom.Pt(750, -10000)
+		if t >= 60 {
+			row[62].X, row[63].X = 150, 600
+		}
+		rows[t] = row
+	}
+	return rows
+}
+
+// boundaryRows puts pairs on the predicates' edges over ten one-second
+// rows: vehicles 0 and 1 exactly r apart throughout, 2 and 3 one ulp
+// beyond r, and 4 and 5 exactly r + s apart on the first row, after which
+// 5 closes in by just under s (still out of range, on the same skin list),
+// then to exactly r, and from row 6 leaves by one ulp.
+func boundaryRows(r float64) [][]geom.Point {
+	rows := make([][]geom.Point, 10)
+	for t := range rows {
+		x5 := 10000 + r + skinMeters
+		switch {
+		case t == 1:
+			x5 = 10000 + r + 1e-4
+		case t >= 6:
+			x5 = math.Nextafter(10000+r, math.Inf(1))
+		case t >= 2:
+			x5 = 10000 + r
+		}
+		rows[t] = []geom.Point{
+			geom.Pt(0, 0), geom.Pt(r, 0),
+			geom.Pt(0, 5000), geom.Pt(math.Nextafter(r, math.Inf(1)), 5000),
+			geom.Pt(10000, 0), geom.Pt(x5, 0),
+		}
+	}
+	return rows
+}
+
+// nanRows is eight vehicles within 300 m of each other over 50 one-second
+// rows, vehicle 7 cycling through NaN, finite, half-NaN, infinite and
+// finite positions ten rows each, and vehicle 6 at (−Inf, −Inf) for rows
+// 25–34.
+func nanRows() [][]geom.Point {
+	nan, inf := math.NaN(), math.Inf(1)
+	seven := []geom.Point{geom.Pt(nan, nan), geom.Pt(100, 50), geom.Pt(nan, 50), geom.Pt(inf, 0), geom.Pt(150, 0)}
+	rows := make([][]geom.Point, 50)
+	for t := range rows {
+		row := make([]geom.Point, 8)
+		for i := range row {
+			row[i] = geom.Pt(40*float64(i), 10*float64(i%3))
+		}
+		row[7] = seven[t/10]
+		if t >= 25 && t < 35 {
+			row[6] = geom.Pt(-inf, -inf)
+		}
+		rows[t] = row
+	}
+	return rows
+}
+
+// offsetRows is fleetRows with every coordinate shifted by off.
+func offsetRows(n, ticks int, dt, off float64) [][]geom.Point {
+	rows := fleetRows(n, ticks, dt)
+	for _, row := range rows {
+		for i := range row {
+			row[i].X += off
+			row[i].Y += off
+		}
+	}
+	return rows
+}
+
 // TestPairScanMatchesBruteOracle asserts, on every tick of a run, that the
 // contact events the engine emitted equal the brute pair-by-pair diff and
 // that CandidatePairs equals the brute double loop — same pairs, same
@@ -152,8 +243,18 @@ func (scanOnly) OnTick(e *Engine, now float64) {
 // thousand contacts open and close and over a thousand are still open at
 // the flush. With a sink, CandidatePairs must reuse the contact scan's
 // list; the row without one has no contact scan, so CandidatePairs must
-// enumerate the tick's pairs itself.
+// enumerate the tick's pairs itself. The rows after those try to break the
+// skin list scanInRange filters: a jump past the skin, pairs exactly at r
+// and at r + s, NaN and infinite positions, coordinates near 1e7 m, and
+// CandidatePairs called at a time before the last scan (the rewound row
+// checks that call against the oracle at the earlier time, every tick).
 func TestPairScanMatchesBruteOracle(t *testing.T) {
+	r := radio.NewModel(false).Params.MaxRangeMeters
+	rowsEnv := func(rows [][]geom.Point, dt float64) func(*testing.T, telemetry.Sink) *Engine {
+		return func(t *testing.T, sink telemetry.Sink) *Engine {
+			return rowsEngine(t, trace.FromRows(dt, rows), sink)
+		}
+	}
 	cases := []struct {
 		name     string
 		env      func(t *testing.T, sink telemetry.Sink) *Engine
@@ -161,17 +262,24 @@ func TestPairScanMatchesBruteOracle(t *testing.T) {
 		noSink   bool
 		minOpens int // contacts the run must open (and close) at least
 		minFlush int // contacts the end-of-run flush must close at least
+		dur      float64
+		rewind   bool
 	}{
 		{"lbchat/5 vehicles", func(t *testing.T, sink telemetry.Sink) *Engine {
 			eng, _ := tinyEnvWith(t, 5, true, func(c *Config) { c.Telemetry = sink })
 			return eng
-		}, NewLbChat(), false, 1, 0},
+		}, NewLbChat(), false, 1, 0, 300, false},
 		{"scan-only/256-vehicle fleet", func(t *testing.T, sink telemetry.Sink) *Engine {
 			return fleetEngine(t, 256, 601, 0.5, sink)
-		}, scanOnly{}, false, 5000, 1000},
+		}, scanOnly{}, false, 5000, 1000, 300, false},
 		{"scan-only/256-vehicle fleet, no sink", func(t *testing.T, _ telemetry.Sink) *Engine {
 			return fleetEngine(t, 256, 601, 0.5, nil)
-		}, scanOnly{}, true, 0, 0},
+		}, scanOnly{}, true, 0, 0, 300, false},
+		{"scan-only/teleports past the skin", rowsEnv(teleportRows(), 1), scanOnly{}, false, 4, 1, 120, false},
+		{"scan-only/pairs at r and r + s", rowsEnv(boundaryRows(r), 1), scanOnly{}, false, 1, 1, 9, false},
+		{"scan-only/NaN and infinite positions", rowsEnv(nanRows(), 1), scanOnly{}, false, 7, 20, 49, false},
+		{"scan-only/coordinates near 1e7 m", rowsEnv(offsetRows(64, 601, 0.5, 1e7), 0.5), scanOnly{}, false, 500, 50, 300, false},
+		{"scan-only/CandidatePairs rewound", rowsEnv(fleetRows(64, 601, 0.5), 0.5), scanOnly{}, false, 500, 50, 300, true},
 	}
 	score := func(a, b int) float64 { return 1 + float64(a) + 0.01*float64(b) }
 	for _, tc := range cases {
@@ -206,8 +314,19 @@ func TestPairScanMatchesBruteOracle(t *testing.T) {
 					t.Fatalf("t=%g: CandidatePairs %v, brute oracle %v", now, gotPairs, wantPairs)
 				}
 				pairs += len(wantPairs)
+				if tc.rewind {
+					// 1–40 ticks back, so the skin is sometimes reused across
+					// the jump and sometimes rebuilt for it.
+					ticks := float64(1 + int(now/e.Cfg.TickSeconds)%40)
+					e.now = math.Max(0, now-ticks*e.Cfg.TickSeconds)
+					gotPairs, wantPairs = e.CandidatePairs(score), bruteCandidatePairs(e, score)
+					if !reflect.DeepEqual(gotPairs, wantPairs) {
+						t.Fatalf("t=%g rewound to %g: CandidatePairs %v, brute oracle %v", now, e.now, gotPairs, wantPairs)
+					}
+					e.now = now
+				}
 			}}
-			if err := eng.Run(hook, 300); err != nil {
+			if err := eng.Run(hook, tc.dur); err != nil {
 				t.Fatal(err)
 			}
 			if opens < tc.minOpens || closes < tc.minOpens || pairs == 0 {
@@ -227,6 +346,25 @@ func TestPairScanMatchesBruteOracle(t *testing.T) {
 				t.Fatalf("%d contacts open at the end-of-run flush, the row needs %d", len(want), tc.minFlush)
 			}
 		})
+	}
+}
+
+// TestSkinListIsReused reads spatial.skin_rebuilds off the oracle's
+// 256-vehicle fleet: the skin list must be enumerated at least once and on
+// fewer than half the ticks, or scanInRange is either not scanning or
+// re-enumerating as often as it did before the skin. (At 0.5 s ticks and
+// at most 20 m/s a vehicle, two vehicles close in by at most 20 m a tick,
+// so the 200 m skin should last about ten ticks.)
+func TestSkinListIsReused(t *testing.T) {
+	sum := telemetry.NewSummary()
+	const dt, dur = 0.5, 300
+	eng := fleetEngine(t, 256, 601, dt, sum)
+	if err := eng.Run(scanOnly{}, dur); err != nil {
+		t.Fatal(err)
+	}
+	ticks := int64(dur / dt)
+	if n := sum.Reg.Counter(telemetry.MSkinRebuilds); n <= 0 || 2*n >= ticks {
+		t.Fatalf("%s = %d over %d ticks, want in (0, %d)", telemetry.MSkinRebuilds, n, ticks, ticks/2)
 	}
 }
 

@@ -18,9 +18,9 @@ type CandidatePair struct {
 // cooldown. score computes the pair's priority; pairs scoring zero or less
 // are dropped.
 //
-// The in-range pairs are the tick's one enumeration (scanInRange): the
-// contact scan's list when it already ran at this now, enumerated here
-// otherwise (telemetry off, or a call outside a run). Filtering that
+// The in-range pairs are the tick's one list (scanInRange): the contact
+// scan's when it already ran at this now, listed here otherwise (telemetry
+// off, or a call outside a run). Filtering that
 // (A, B)-ascending list by a per-vehicle free mask keeps the order of the
 // classic double loop over free vehicles, and every pair was confirmed by
 // the same distance predicate, so the output — and any randomness score

@@ -49,18 +49,32 @@ func benchEngine(tb testing.TB, n int) *Engine {
 // so n policies cost nothing and the contact scan is the tick's work.
 func fleetEngine(tb testing.TB, n, ticks int, dt float64, sink telemetry.Sink) *Engine {
 	tb.Helper()
+	return rowsEngine(tb, trace.FromRows(dt, fleetRows(n, ticks, dt)), sink)
+}
+
+// fleetRows records ticks rows of a shard.NewFleet random-waypoint fleet of
+// n vehicles at densityCell spacing, one row every dt seconds.
+func fleetRows(n, ticks int, dt float64) [][]geom.Point {
 	fleet := shard.NewFleet(uint64(n), n, densityCell*math.Sqrt(float64(n)))
-	tr := trace.New(dt, n)
-	for t := 0; t < ticks; t++ {
+	rows := make([][]geom.Point, ticks)
+	for t := range rows {
 		fleet.Tick(dt, 1)
-		copy(tr.AppendRow(), fleet.Positions())
+		rows[t] = append([]geom.Point(nil), fleet.Positions()...)
 	}
+	return rows
+}
+
+// rowsEngine builds fleetEngine's model-free engine over any trace, ticking
+// at the trace's own interval.
+func rowsEngine(tb testing.TB, tr trace.Source, sink telemetry.Sink) *Engine {
+	tb.Helper()
+	n := tr.NumVehicles()
 	datasets := make([]*dataset.Dataset, n)
 	for i := range datasets {
 		datasets[i] = dataset.New(0)
 	}
 	cfg := DefaultConfig()
-	cfg.TickSeconds = dt
+	cfg.TickSeconds = tr.DT()
 	cfg.Workers = 1
 	cfg.Telemetry = sink
 	cfg.Model.UseConv = false
@@ -75,39 +89,54 @@ func fleetEngine(tb testing.TB, n, ticks int, dt float64, sink telemetry.Sink) *
 }
 
 // countingSink is a telemetry sink that only counts: the contact scan runs
-// with telemetry on, and a recording sink would time its own appends.
-type countingSink struct{ n int }
+// with telemetry on, and a recording sink would time its own appends. It
+// also observes, counting the skin list's rebuilds off the side channel.
+type countingSink struct{ n, rebuilds int }
 
 func (s *countingSink) Emit(telemetry.Event) { s.n++ }
 func (s *countingSink) Close() error         { return nil }
 
+func (s *countingSink) Observe(name string, _ float64) {
+	if name == telemetry.MSkinRebuilds {
+		s.rebuilds++
+	}
+}
+
 // BenchmarkCandidatePairs times one tick's CandidatePairs with telemetry
-// off, so no contact scan has listed the tick's pairs: the index rebuild,
-// Pairs, the free mask and the filter, on the moving fleet
-// BenchmarkScanContacts replays. One op is one tick, every vehicle free and
-// no pair cooling down. make bench-pprof profiles it with
-// BenchmarkScanContacts as bench-profiles/scan.cpu.pprof.
+// off, so no contact scan has listed the tick's pairs: the skin check, a
+// rebuild when it is due, the filter to the in-range list, the free mask
+// and the free-pair filter, on the moving fleet BenchmarkScanContacts
+// replays. One op is one tick, every vehicle free and no pair cooling down;
+// rebuilds/op is the share of ticks that re-enumerated the skin list (the
+// engine observes only the side channel, so no event is built). make
+// bench-pprof profiles it with BenchmarkScanContacts as
+// bench-profiles/scan.cpu.pprof.
 func BenchmarkCandidatePairs(b *testing.B) {
 	const dt, ticks = 0.5, 120
 	score := func(a, c int) float64 { return 1 }
 	for _, n := range []int{1024, 4096} {
 		eng := fleetEngine(b, n, ticks, dt, nil)
+		obs := &countingSink{}
+		eng.obs = obs
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			var pairs int
+			obs.rebuilds = 0
 			for i := 0; i < b.N; i++ {
 				eng.now = float64(i%ticks) * dt
 				pairs += len(eng.CandidatePairs(score))
 			}
 			b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
+			b.ReportMetric(float64(obs.rebuilds)/float64(b.N), "rebuilds/op")
 		})
 	}
 }
 
-// BenchmarkScanContacts times one tick's contact scan — the index rebuild,
-// Pairs, and the merge with the open-contact list — on a moving fleet at
-// fleet-scan's density and tick, emitting into a counting sink. One op is
-// one tick; the replay wraps after a minute of virtual time.
+// BenchmarkScanContacts times one tick's contact scan — the skin check, a
+// rebuild when it is due, the filter to the in-range list, and the merge
+// with the open-contact list — on a moving fleet at fleet-scan's density
+// and tick, emitting into a counting sink. One op is one tick; the replay
+// wraps after a minute of virtual time, which costs a rebuild.
 func BenchmarkScanContacts(b *testing.B) {
 	const dt, ticks = 0.5, 120
 	for _, n := range []int{1024, 4096} {
@@ -115,12 +144,13 @@ func BenchmarkScanContacts(b *testing.B) {
 		eng := fleetEngine(b, n, ticks, dt, sink)
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
-			sink.n = 0
+			sink.n, sink.rebuilds = 0, 0
 			for i := 0; i < b.N; i++ {
 				eng.now = float64(i%ticks) * dt
 				eng.scanContacts()
 			}
 			b.ReportMetric(float64(sink.n)/float64(b.N), "events/op")
+			b.ReportMetric(float64(sink.rebuilds)/float64(b.N), "rebuilds/op")
 		})
 	}
 }

@@ -99,6 +99,14 @@ type Weighted struct {
 // Dataset is a weighted collection of samples.
 type Dataset struct {
 	items []Weighted
+	// cum caches SampleBatch's cumulative weights over a prefix of items:
+	// cum[i] is the running sum, in index order, of the positive weights
+	// among items[0..i] — simrand.WeightedIndex's total, stopped at i — and
+	// clean ≤ len(cum) counts the cached items before the first NaN weight.
+	// SampleBatch extends both over items appended since (Add, Absorb), and
+	// SetWeight(i, …) truncates them at i.
+	cum   []float64
+	clean int
 }
 
 // New returns an empty dataset with capacity for hint samples.
@@ -126,10 +134,17 @@ func (d *Dataset) Len() int { return len(d.items) }
 func (d *Dataset) At(i int) Weighted { return d.items[i] }
 
 // SetWeight updates the weight of the i-th sample.
-func (d *Dataset) SetWeight(i int, w float64) { d.items[i].Weight = w }
+func (d *Dataset) SetWeight(i int, w float64) {
+	d.items[i].Weight = w
+	if i < len(d.cum) {
+		d.cum = d.cum[:i]
+		d.clean = min(d.clean, i)
+	}
+}
 
-// Items returns the underlying weighted samples. The returned slice must not
-// be appended to; elements may be read freely.
+// Items returns the underlying weighted samples. The returned slice and its
+// elements are read-only: it must not be appended to, and a weight changes
+// only through SetWeight, which keeps SampleBatch's cached sums current.
 func (d *Dataset) Items() []Weighted { return d.items }
 
 // TotalWeight returns the sum of all sample weights.
@@ -152,24 +167,67 @@ func (d *Dataset) Absorb(other *Dataset, uniformWeight float64) {
 }
 
 // SampleBatch draws a batch of k samples by weighted sampling with
-// replacement. It returns fewer than k only when the dataset is empty.
+// replacement: each draw is rng.WeightedIndex over the weights, falling back
+// to a uniform rng.Intn when no weight is positive. It returns fewer than k
+// only when the dataset is empty.
+//
+// The draws are rng.WeightedIndex's, bit for bit, without its two linear
+// passes. Its scan returns the first positive-weight index whose running
+// sum exceeds the one Float64 target; the cached sums are its own, in its
+// order, up to the first NaN weight, whose addition poisons its running sum
+// for every later index. So the first index of the NaN-free prefix whose
+// cached sum exceeds the target — a binary search — is the index its scan
+// returns, and no such index sends both to the last positive weight. A draw
+// costs O(log N), and only the samples appended or reweighted since the
+// previous call are summed.
 func (d *Dataset) SampleBatch(k int, rng *simrand.Rand) []Weighted {
-	if len(d.items) == 0 || k <= 0 {
+	n := len(d.items)
+	if n == 0 || k <= 0 {
 		return nil
 	}
-	weights := make([]float64, len(d.items))
-	for i, it := range d.items {
-		weights[i] = it.Weight
-	}
-	out := make([]Weighted, 0, k)
-	for len(out) < k {
-		idx := rng.WeightedIndex(weights)
-		if idx < 0 {
-			idx = rng.Intn(len(d.items))
+	d.extendCum()
+	cum, total := d.cum[:d.clean], d.cum[n-1]
+	out := make([]Weighted, k)
+	for j := range out {
+		if !(total > 0) {
+			out[j] = d.items[rng.Intn(n)]
+			continue
 		}
-		out = append(out, d.items[idx])
+		target := rng.Float64() * total
+		lo, hi := 0, len(cum)
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if target < cum[m] {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		if lo == len(cum) { // the target is past every sum before a NaN weight
+			for lo = n - 1; !(d.items[lo].Weight > 0); lo-- {
+			}
+		}
+		out[j] = d.items[lo]
 	}
 	return out
+}
+
+// extendCum extends the cached running sums over the whole dataset.
+func (d *Dataset) extendCum() {
+	var acc float64
+	if len(d.cum) > 0 {
+		acc = d.cum[len(d.cum)-1]
+	}
+	for i := len(d.cum); i < len(d.items); i++ {
+		w := d.items[i].Weight
+		if w > 0 {
+			acc += w
+		}
+		if d.clean == i && w == w {
+			d.clean++
+		}
+		d.cum = append(d.cum, acc)
+	}
 }
 
 // WireSize returns the approximate transmission size of the whole dataset in

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"math"
 	"testing"
 
 	"lbchat/internal/simrand"
@@ -118,6 +119,144 @@ func TestSampleBatchEmpty(t *testing.T) {
 	d := New(0)
 	if got := d.SampleBatch(5, simrand.New(1)); got != nil {
 		t.Errorf("empty dataset batch = %v", got)
+	}
+}
+
+// legacySampleBatch is the pre-cache SampleBatch, kept as its oracle: a
+// fresh weight vector and one rng.WeightedIndex — two linear passes — per
+// draw, with the uniform fallback when no weight is positive.
+func legacySampleBatch(d *Dataset, k int, rng *simrand.Rand) []Weighted {
+	if len(d.items) == 0 || k <= 0 {
+		return nil
+	}
+	weights := make([]float64, len(d.items))
+	for i, it := range d.items {
+		weights[i] = it.Weight
+	}
+	out := make([]Weighted, 0, k)
+	for len(out) < k {
+		idx := rng.WeightedIndex(weights)
+		if idx < 0 {
+			idx = rng.Intn(len(d.items))
+		}
+		out = append(out, d.items[idx])
+	}
+	return out
+}
+
+// TestSampleBatchMatchesWeightedIndexOracle drives random interleavings of
+// Add, Absorb, SetWeight and SampleBatch over weights that include zero,
+// negative, NaN and infinite values, and asserts after every batch that the
+// cached draw picked the oracle's samples and left both random streams in
+// the same state. The runs must reach every path: no positive weight
+// (uniform Intn), a NaN weight (which poisons WeightedIndex's running sum for
+// every later index), an infinite total (a target past every sum) and plain
+// weights.
+func TestSampleBatchMatchesWeightedIndexOracle(t *testing.T) {
+	odd := []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1e-300, 1e12}
+	shapes := map[string]int{}
+	for seed := uint64(1); seed <= 200; seed++ {
+		ops := simrand.New(seed)
+		// One run in five is mostly non-positive weights, so datasets with
+		// none positive are common enough to test.
+		pool, pOdd := odd, 0.3
+		if seed%5 == 0 {
+			pool, pOdd = odd[:2], 0.95
+		}
+		weight := func() float64 {
+			if ops.Bernoulli(pOdd) {
+				return pool[ops.Intn(len(pool))]
+			}
+			return ops.Uniform(0, 2)
+		}
+		id := 0
+		next := func() Sample {
+			id++
+			return sample(CmdFollow, float64(id))
+		}
+		d := New(0)
+		got, want := simrand.New(seed+1000), simrand.New(seed+1000)
+		for step := 0; step < 80; step++ {
+			switch ops.Intn(4) {
+			case 0:
+				d.Add(next(), weight())
+			case 1:
+				other := New(0)
+				for i := ops.Intn(5); i >= 0; i-- {
+					other.Add(next(), 1)
+				}
+				d.Absorb(other, weight())
+			case 2:
+				if d.Len() > 0 {
+					d.SetWeight(ops.Intn(d.Len()), weight())
+				}
+			default:
+				k := ops.Intn(20)
+				g, w := d.SampleBatch(k, got), legacySampleBatch(d, k, want)
+				if len(g) != len(w) {
+					t.Fatalf("seed %d step %d: batch of %d, oracle %d", seed, step, len(g), len(w))
+				}
+				for i := range w {
+					if g[i].Sample.Speed != w[i].Sample.Speed {
+						t.Fatalf("seed %d step %d: draw %d took sample %g, oracle %g", seed, step, i, g[i].Sample.Speed, w[i].Sample.Speed)
+					}
+				}
+				if a, b := got.Float64(), want.Float64(); a != b {
+					t.Fatalf("seed %d step %d: random streams diverged after the batch", seed, step)
+				}
+				if len(w) == 0 {
+					continue
+				}
+				shapes[weightShape(d)]++
+			}
+		}
+	}
+	for _, shape := range []string{"plain", "none positive", "NaN before a positive", "infinite total"} {
+		if shapes[shape] < 20 {
+			t.Errorf("oracle compared %d batches over %q weights, want ≥ 20 (all: %v)", shapes[shape], shape, shapes)
+		}
+	}
+}
+
+// weightShape names which of SampleBatch's paths d's weights exercise: the
+// uniform fallback, the search bounded by a NaN weight, the fallback past an
+// infinite total, or a plain search.
+func weightShape(d *Dataset) string {
+	var total float64
+	positive, nan := false, false
+	for _, it := range d.items {
+		switch w := it.Weight; {
+		case w > 0:
+			total += w
+			positive = true
+			if nan {
+				return "NaN before a positive"
+			}
+		case w != w:
+			nan = true
+		}
+	}
+	switch {
+	case !positive:
+		return "none positive"
+	case math.IsInf(total, 1):
+		return "infinite total"
+	}
+	return "plain"
+}
+
+// TestSampleBatchAllocatesOnlyTheBatch pins the cache's point: once the
+// sums cover the dataset, a draw allocates the returned batch and nothing
+// else.
+func TestSampleBatchAllocatesOnlyTheBatch(t *testing.T) {
+	d := New(0)
+	for i := 0; i < 3000; i++ {
+		d.Add(sample(CmdFollow, float64(i)), float64(i%7))
+	}
+	rng := simrand.New(3)
+	d.SampleBatch(16, rng)
+	if allocs := testing.AllocsPerRun(50, func() { d.SampleBatch(16, rng) }); allocs != 1 {
+		t.Fatalf("SampleBatch allocated %v times per call, want 1 (the batch)", allocs)
 	}
 }
 

@@ -137,8 +137,8 @@ var clockFedMetrics = []string{
 
 // TestGoldenSummaryRegistry pins the aggregate side of a run across commits:
 // the Summary registry of one lossy LbChat run over a streamed trace — every
-// event-fed counter and histogram plus the sched, coreset-tree and chunk
-// load/evict side-channel rows — must render the
+// event-fed counter and histogram plus the sched, skin-list, coreset-tree
+// and chunk load/evict side-channel rows — must render the
 // committed CSV once the clock-fed rows are dropped. TestGoldenEventStreams
 // cannot see this half: side-channel values never reach the event stream.
 func TestGoldenSummaryRegistry(t *testing.T) {

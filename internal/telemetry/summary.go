@@ -41,6 +41,8 @@ const (
 	MSchedDueDequeued    = "sched.due_dequeued"
 	MSchedBucketsTouched = "sched.buckets_touched"
 
+	MSkinRebuilds = "spatial.skin_rebuilds"
+
 	MTraceLoads         = "trace.chunk_loads"
 	MTraceEvicts        = "trace.chunk_evicts"
 	MTracePrefetches    = "trace.chunk_prefetches"
@@ -72,6 +74,7 @@ func KnownMetrics() []string {
 		MContactsOpened, MContactDuration,
 		MTrainSteps, MTrainWallNs,
 		MSchedDueDequeued, MSchedBucketsTouched,
+		MSkinRebuilds,
 		MTraceLoads, MTraceEvicts, MTracePrefetches, MTraceResident,
 		MTraceFetchRetries, MTraceFetchWaitNs, MTracePrefetchDepth,
 		MFaultsInjected, MChatResumed, MResumeSavedB, MSalvages, MSalvageFrames,

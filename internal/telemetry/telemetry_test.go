@@ -183,6 +183,7 @@ func TestObserverSideChannel(t *testing.T) {
 		{MTrainWallNs, 5e6, 3},
 		{MSchedDueDequeued, 0, -1},
 		{MSchedBucketsTouched, 7, -1},
+		{MSkinRebuilds, 1, -1},
 		{MTraceLoads, 1, -1},
 		{MTraceEvicts, 1, -1},
 		{MTracePrefetches, 1, -1},
