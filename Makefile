@@ -3,7 +3,10 @@ GO ?= go
 # staticcheck is pinned so lint results are reproducible; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: build vet fmt lint test test-purego cross race bench bench-pprof telemetry-smoke trace-smoke doccheck ci
+# How long make fuzz runs each fuzz target.
+FUZZTIME ?= 30s
+
+.PHONY: build vet fmt lint test test-purego cross race fuzz bench bench-pprof telemetry-smoke trace-smoke doccheck ci
 
 build:
 	$(GO) build ./...
@@ -57,6 +60,13 @@ cross:
 race:
 	$(GO) test -race -timeout 17m ./...
 
+# Native fuzz targets, FUZZTIME each; go test fuzzes one target per run. A
+# crasher lands in the package's testdata/fuzz/<target>/, which is committed:
+# plain go test replays every input there as a regression test.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzLBTCDecode$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzPolicyUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/model
+
 # go test -bench is the development tool; the perf gate is benchmarks/perf
 # (bash benchmarks/run.sh -pair / -compare, see benchmarks/README.md), whose
 # ledger re-times every kernel these micro-benchmarks cover. The root
@@ -70,8 +80,9 @@ bench:
 # the ticks it is due, and the merge with the open-contact list — and
 # BenchmarkCandidatePairs — the same listing with telemetry off, then the
 # free-mask filter — on a moving 1024- and
-# 4096-vehicle fleet), of the world in traffic (the fixed-work
-# BenchmarkWorldTick/paper: a fresh 6 + 50 + 250 world stepped 2000 times
+# 4096-vehicle fleet), of the fleet's set-up (BenchmarkNewEngine: one
+# shared initialization cloned into 1024 and 4096 vehicles), of the world
+# in traffic (the fixed-work BenchmarkWorldTick/paper: a fresh 6 + 50 + 250 world stepped 2000 times
 # per op, so two profiles cover the same work) and of the train step (internal/model's BenchmarkTrainStep on
 # bench-shaped sparse batches, 5000 steps whatever the box's speed), for
 # flame-graph inspection and CI artifacts. Profiles land in bench-profiles/
@@ -83,6 +94,8 @@ bench-pprof:
 		-cpuprofile bench-profiles/world.cpu.pprof -o bench-profiles/world.test ./internal/world/
 	$(GO) test -run '^$$' -bench 'BenchmarkScanContacts|BenchmarkCandidatePairs' -benchmem \
 		-cpuprofile bench-profiles/scan.cpu.pprof -o bench-profiles/core.test ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkNewEngine' -benchmem \
+		-cpuprofile bench-profiles/setup.cpu.pprof -o bench-profiles/core.test ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkTrainStep' -benchtime 5000x -benchmem \
 		-cpuprofile bench-profiles/train.cpu.pprof -o bench-profiles/train.test ./internal/model/
 
@@ -145,4 +158,4 @@ doccheck:
 		fi; \
 	done; exit $$fail
 
-ci: build vet fmt doccheck lint test test-purego cross race telemetry-smoke trace-smoke
+ci: build vet fmt doccheck lint test test-purego cross race fuzz telemetry-smoke trace-smoke

@@ -77,15 +77,18 @@ func run(fs *flag.FlagSet, args []string) error {
 			return fmt.Errorf("no .lbp model blobs in %s", *loadDir)
 		}
 		sort.Strings(blobs)
+		// Every blob overwrites all parameters, so one built policy's
+		// shape serves them all.
+		shape, err := model.New(env.Cfg.Model, 0)
+		if err != nil {
+			return err
+		}
 		for _, path := range blobs {
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				return err
 			}
-			pol, err := model.New(env.Cfg.Model, 0)
-			if err != nil {
-				return err
-			}
+			pol := shape.Clone()
 			if err := pol.UnmarshalBinary(raw); err != nil {
 				return fmt.Errorf("%s: %w", path, err)
 			}

@@ -327,8 +327,9 @@ type stepOutcome struct {
 }
 
 // NewEngine builds a fleet over the given mobility trace and local datasets.
-// All vehicles start from an identical model initialization (the paper's
-// assumption) but distinct random streams.
+// All vehicles start from one model initialization (the paper's
+// assumption), built once and cloned into each, but distinct random
+// streams.
 //
 // The trace may be resident or a bounded sliding window (trace.Source);
 // windowed sources are reserved to the engine's lookahead — ContactHorizon
@@ -390,14 +391,10 @@ func NewEngine(cfg Config, tr trace.Source, datasets []*dataset.Dataset, rm *rad
 	}
 	e.initFlat = initPolicy.Flat()
 	for i, d := range datasets {
-		pol, err := model.New(cfg.Model, cfg.Seed) // same seed: identical init
-		if err != nil {
-			return nil, fmt.Errorf("core: building vehicle %d policy: %w", i, err)
-		}
 		vr := root.DeriveIndexed("vehicle", i)
 		e.Vehicles = append(e.Vehicles, &Vehicle{
 			ID:        i,
-			Policy:    pol,
+			Policy:    initPolicy.Clone(), // the one shared initialization
 			Data:      d,
 			Bandwidth: vr.Uniform(cfg.BandwidthMinBps, maxBps),
 			rng:       vr,

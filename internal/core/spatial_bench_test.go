@@ -24,13 +24,7 @@ const densityCell = 250.0
 // scattered at densityCell spacing.
 func benchEngine(tb testing.TB, n int) *Engine {
 	tb.Helper()
-	side := densityCell * math.Sqrt(float64(n))
-	rng := simrand.New(uint64(n))
-	snap := make([]geom.Point, n)
-	for i := range snap {
-		snap[i] = geom.Pt(rng.Uniform(0, side), rng.Uniform(0, side))
-	}
-	tr := trace.FromRows(1, [][]geom.Point{snap})
+	tr := scatterTrace(n)
 	datasets := make([]*dataset.Dataset, n)
 	for i := range datasets {
 		datasets[i] = dataset.New(0)
@@ -41,6 +35,18 @@ func benchEngine(tb testing.TB, n int) *Engine {
 		tb.Fatalf("NewEngine: %v", err)
 	}
 	return eng
+}
+
+// scatterTrace is a one-row trace of n vehicles scattered uniformly at
+// densityCell spacing.
+func scatterTrace(n int) *trace.Trace {
+	side := densityCell * math.Sqrt(float64(n))
+	rng := simrand.New(uint64(n))
+	snap := make([]geom.Point, n)
+	for i := range snap {
+		snap[i] = geom.Pt(rng.Uniform(0, side), rng.Uniform(0, side))
+	}
+	return trace.FromRows(1, [][]geom.Point{snap})
 }
 
 // fleetEngine builds a model-free engine ticking every dt seconds over a
@@ -68,8 +74,18 @@ func fleetRows(n, ticks int, dt float64) [][]geom.Point {
 // at the trace's own interval.
 func rowsEngine(tb testing.TB, tr trace.Source, sink telemetry.Sink) *Engine {
 	tb.Helper()
-	n := tr.NumVehicles()
-	datasets := make([]*dataset.Dataset, n)
+	cfg, datasets := rowsInputs(tr, sink)
+	eng, err := NewEngine(cfg, tr, datasets, radio.NewModel(false), nil)
+	if err != nil {
+		tb.Fatalf("NewEngine: %v", err)
+	}
+	return eng
+}
+
+// rowsInputs returns rowsEngine's configuration — one worker, the trace's
+// tick, fleet-scan's two-unit model — and one empty dataset per vehicle.
+func rowsInputs(tr trace.Source, sink telemetry.Sink) (Config, []*dataset.Dataset) {
+	datasets := make([]*dataset.Dataset, tr.NumVehicles())
 	for i := range datasets {
 		datasets[i] = dataset.New(0)
 	}
@@ -81,11 +97,7 @@ func rowsEngine(tb testing.TB, tr trace.Source, sink telemetry.Sink) *Engine {
 	cfg.Model.BEVChannels, cfg.Model.BEVHeight, cfg.Model.BEVWidth = 1, 2, 2
 	cfg.Model.Hidden = 2
 	cfg.Model.NumWaypoints = 1
-	eng, err := NewEngine(cfg, tr, datasets, radio.NewModel(false), nil)
-	if err != nil {
-		tb.Fatalf("NewEngine: %v", err)
-	}
-	return eng
+	return cfg, datasets
 }
 
 // countingSink is a telemetry sink that only counts: the contact scan runs

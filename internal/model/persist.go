@@ -18,7 +18,9 @@ const (
 	persistHdrSize = 4 + 8*4    // magic + 8 uint32 architecture fields
 )
 
-// ErrBadModelBlob is returned when a payload fails validation.
+// ErrBadModelBlob is wrapped by every error UnmarshalBinary returns: a
+// payload that fails validation, header or body. A body the nn wire format
+// refuses wraps nn.ErrBadWireFormat as well.
 var ErrBadModelBlob = errors.New("model: bad model blob")
 
 // MarshalBinary encodes the policy's architecture and parameters.
@@ -63,9 +65,13 @@ func (p *Policy) UnmarshalBinary(blob []byte) error {
 	}
 	flat, err := nn.Deserialize(blob[persistHdrSize:])
 	if err != nil {
-		return fmt.Errorf("model: decoding parameters: %w", err)
+		return fmt.Errorf("%w: decoding parameters: %w", ErrBadModelBlob, err)
 	}
-	return p.SetFlat(flat)
+	// The header's params word matched; the wire body's own count must too.
+	if err := p.SetFlat(flat); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadModelBlob, err)
+	}
+	return nil
 }
 
 func boolWord(b bool) uint32 {

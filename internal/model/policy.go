@@ -117,27 +117,42 @@ type Policy struct {
 }
 
 // New builds a policy with deterministic initialization from seed. All
-// policies built with the same (cfg, seed) have identical parameters, which
-// implements the paper's "same initialization on all vehicles" assumption.
+// policies built with the same (cfg, seed) have identical parameters. A
+// fleet that shares one initialization (the paper's assumption) builds it
+// once with New and gives every member a Clone of it.
 func New(cfg Config, seed uint64) (*Policy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := simrand.New(seed)
+	return build(cfg, simrand.New(seed)), nil
+}
+
+// build allocates a policy's layers for a validated cfg — the conv
+// front-end when UseConv, the dense trunk and the per-command heads — with a
+// fresh optimizer. Each layer draws its He-uniform weights from its own
+// stream derived from rng; a nil rng seeds no stream and leaves every
+// parameter zero.
+func build(cfg Config, rng *simrand.Rand) *Policy {
+	stream := func(name string) *simrand.Rand {
+		if rng == nil {
+			return nil
+		}
+		return rng.Derive(name)
+	}
 	var layers []nn.Layer
 	trunkIn := cfg.InputSize()
 	if cfg.UseConv {
 		// The conv front-end sees only the BEV; the scalar inputs join at
 		// the dense trunk via a SplitTail wrapper.
 		conv := nn.NewConv2D("conv1", cfg.BEVChannels, cfg.BEVHeight, cfg.BEVWidth,
-			cfg.ConvChannels, 3, 2, 1, rng.Derive("conv1"))
+			cfg.ConvChannels, 3, 2, 1, stream("conv1"))
 		layers = append(layers, nn.NewSplitTail(conv, 3), nn.NewReLU())
 		trunkIn = conv.OutSize() + 3
 	}
 	layers = append(layers,
-		nn.NewDense("fc1", trunkIn, cfg.Hidden, rng.Derive("fc1")),
+		nn.NewDense("fc1", trunkIn, cfg.Hidden, stream("fc1")),
 		nn.NewReLU(),
-		nn.NewDense("fc2", cfg.Hidden, cfg.Hidden, rng.Derive("fc2")),
+		nn.NewDense("fc2", cfg.Hidden, cfg.Hidden, stream("fc2")),
 		nn.NewReLU(),
 	)
 	p := &Policy{
@@ -146,14 +161,17 @@ func New(cfg Config, seed uint64) (*Policy, error) {
 		opt:   nn.NewAdam(cfg.LR),
 	}
 	for i := range p.heads {
-		p.heads[i] = nn.NewDense(fmt.Sprintf("head%d", i), cfg.Hidden, cfg.TargetSize(),
-			rng.DeriveIndexed("head", i))
+		var head *simrand.Rand
+		if rng != nil {
+			head = rng.DeriveIndexed("head", i)
+		}
+		p.heads[i] = nn.NewDense(fmt.Sprintf("head%d", i), cfg.Hidden, cfg.TargetSize(), head)
 	}
 	p.params = append(nn.ParamSet{}, p.trunk.Params()...)
 	for _, h := range p.heads {
 		p.params = append(p.params, h.Params()...)
 	}
-	return p, nil
+	return p
 }
 
 // Config returns the policy configuration.
@@ -176,16 +194,13 @@ func (p *Policy) Flat() []float64 { return p.params.Flatten() }
 func (p *Policy) SetFlat(flat []float64) error { return p.params.LoadFlat(flat) }
 
 // Clone returns a policy with identical parameters and a fresh optimizer
-// state.
+// state. It seeds no stream: the clone's layers are allocated zeroed and
+// p's parameter values copied in, so the two share no storage. A Clone of an
+// untouched New(cfg, seed) is bit for bit another New(cfg, seed).
 func (p *Policy) Clone() *Policy {
-	// Error cases are impossible: cfg was validated at construction and the
-	// flat vector comes from an identically shaped policy.
-	cp, err := New(p.cfg, 0)
-	if err != nil {
-		panic(fmt.Sprintf("model: cloning valid policy failed: %v", err))
-	}
-	if err := cp.SetFlat(p.Flat()); err != nil {
-		panic(fmt.Sprintf("model: cloning valid policy failed: %v", err))
+	cp := build(p.cfg, nil)
+	for i, q := range cp.params {
+		copy(q.Value.Data(), p.params[i].Value.Data())
 	}
 	return cp
 }

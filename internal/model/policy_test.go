@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -134,6 +135,68 @@ func TestCloneIsIndependentCopy(t *testing.T) {
 		}
 	} else {
 		t.Error("training the clone had no effect")
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCloneMatchesNew pins Clone's contract with and without the conv
+// front-end: a Clone of New(cfg, s) is another New(cfg, s) — the same
+// parameter bits and the same fresh optimizer, so it trains along the same
+// trajectory — it shares no storage with its source, and a trained policy's
+// clone starts over with a fresh optimizer.
+func TestCloneMatchesNew(t *testing.T) {
+	for _, conv := range []bool{false, true} {
+		t.Run(fmt.Sprintf("UseConv=%v", conv), func(t *testing.T) {
+			cfg := tinyConfig()
+			cfg.UseConv, cfg.ConvChannels = conv, 4
+			src, err := New(cfg, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, _ := New(cfg, 7)
+			srcFlat := src.Flat()
+			cp := src.Clone()
+			if !sameBits(cp.Flat(), fresh.Flat()) {
+				t.Fatal("Clone of New(cfg, 7) differs from New(cfg, 7)")
+			}
+			data := syntheticSet(cfg, 32, simrand.New(8))
+			for step := 0; step < 20; step++ {
+				a, b := cp.TrainStep(data), fresh.TrainStep(data)
+				if math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("step %d: clone loss %v, New loss %v", step, a, b)
+				}
+			}
+			if !sameBits(cp.Flat(), fresh.Flat()) {
+				t.Fatal("20 steps on the clone and on New(cfg, 7) end at different parameters")
+			}
+			if !sameBits(src.Flat(), srcFlat) {
+				t.Fatal("training the clone moved its source")
+			}
+
+			// fresh has trained 20 steps; its clone must take the step of a
+			// policy that has never stepped.
+			again := fresh.Clone()
+			loaded, _ := New(cfg, 99)
+			if err := loaded.SetFlat(fresh.Flat()); err != nil {
+				t.Fatal(err)
+			}
+			a, b := again.TrainStep(data), loaded.TrainStep(data)
+			if math.Float64bits(a) != math.Float64bits(b) || !sameBits(again.Flat(), loaded.Flat()) {
+				t.Fatal("a trained policy's clone does not step like a fresh policy loaded with its parameters")
+			}
+		})
 	}
 }
 

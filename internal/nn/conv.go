@@ -27,7 +27,9 @@ type Conv2D struct {
 
 var _ Layer = (*Conv2D)(nil)
 
-// NewConv2D creates a convolution layer with He-uniform initialization.
+// NewConv2D creates a convolution layer with He-uniform initialization
+// drawn from rng. A nil rng draws nothing and leaves every weight zero, as
+// in NewDense.
 func NewConv2D(name string, inC, inH, inW, outC, kernel, stride, pad int, rng *simrand.Rand) *Conv2D {
 	c := &Conv2D{
 		InC: inC, InH: inH, InW: inW,
@@ -38,11 +40,13 @@ func NewConv2D(name string, inC, inH, inW, outC, kernel, stride, pad int, rng *s
 		W:    NewParam(name+".W", outC, inC*kernel*kernel),
 		B:    NewParam(name+".b", outC),
 	}
-	fanIn := float64(inC * kernel * kernel)
-	bound := math.Sqrt(6.0 / fanIn)
-	wd := c.W.Value.Data()
-	for i := range wd {
-		wd[i] = rng.Uniform(-bound, bound)
+	if rng != nil {
+		fanIn := float64(inC * kernel * kernel)
+		bound := math.Sqrt(6.0 / fanIn)
+		wd := c.W.Value.Data()
+		for i := range wd {
+			wd[i] = rng.Uniform(-bound, bound)
+		}
 	}
 	return c
 }

@@ -49,7 +49,9 @@ type Dense struct {
 
 var _ Layer = (*Dense)(nil)
 
-// NewDense creates a fully connected layer with He-uniform initialization.
+// NewDense creates a fully connected layer with He-uniform initialization
+// drawn from rng. A nil rng draws nothing and leaves every weight zero, for
+// a caller about to load the values from elsewhere.
 func NewDense(name string, in, out int, rng *simrand.Rand) *Dense {
 	d := &Dense{
 		In:  in,
@@ -57,10 +59,12 @@ func NewDense(name string, in, out int, rng *simrand.Rand) *Dense {
 		W:   NewParam(name+".W", in, out),
 		B:   NewParam(name+".b", out),
 	}
-	bound := math.Sqrt(6.0 / float64(in))
-	wd := d.W.Value.Data()
-	for i := range wd {
-		wd[i] = rng.Uniform(-bound, bound)
+	if rng != nil {
+		bound := math.Sqrt(6.0 / float64(in))
+		wd := d.W.Value.Data()
+		for i := range wd {
+			wd[i] = rng.Uniform(-bound, bound)
+		}
 	}
 	return d
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -8,6 +9,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"lbchat/internal/geom"
 )
 
 // lbtc assembles an LBTC stream field by field, so a test can write the
@@ -98,10 +101,8 @@ func TestHostileHeaders(t *testing.T) {
 				"Load": func() error { _, err := loadBytes(tc.raw); return err },
 			}
 			for name, open := range opens {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				err := open()
-				runtime.ReadMemStats(&after)
+				var err error
+				grew := allocated(func() { err = open() })
 				if err == nil {
 					t.Errorf("%s accepted the stream", name)
 					continue
@@ -115,11 +116,95 @@ func TestHostileHeaders(t *testing.T) {
 				case tc.chunk >= 0 && ce.Chunk != tc.chunk:
 					t.Errorf("%s: error names chunk %d, want %d: %v", name, ce.Chunk, tc.chunk, err)
 				}
-				const slack = 64 << 10 // the error, the file handle, the index
-				if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(tc.raw))+slack {
+				if grew > uint64(len(tc.raw))+rejectSlack {
 					t.Errorf("%s allocated %d bytes rejecting a %d-byte stream", name, grew, len(tc.raw))
 				}
 			}
 		})
 	}
+}
+
+// rejectSlack is what refusing a stream may allocate beyond the stream's own
+// size: the error, the file handle, the index.
+const rejectSlack = 64 << 10
+
+// allocated returns the heap bytes fn allocated.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzLBTCDecode feeds arbitrary bytes to the one LBTC decoder, seeded with
+// every hostile stream and two small valid ones (whole chunks, and a short
+// tail chunk). Indexing and loading must not panic, must agree on whether
+// the stream is accepted, and must refuse within rejectSlack of the input's
+// size; an accepted stream's ReadChunk must return each chunk's ticks ×
+// vehicles points, bit for bit the points Load materialized.
+func FuzzLBTCDecode(f *testing.F) {
+	for _, tc := range hostileStreams() {
+		f.Add(tc.raw)
+	}
+	for _, ticks := range []int{8, 6} {
+		var buf bytes.Buffer
+		cw := NewChunkWriter(&buf, 0.5, 2, 4)
+		for tick := 0; tick < ticks; tick++ {
+			row := cw.AppendRow()
+			for v := range row {
+				row[v] = geom.Pt(float64(tick), float64(-v))
+			}
+		}
+		if err := cw.Close(); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var (
+			src             *IndexedChunkSource
+			tr              *Trace
+			srcErr, loadErr error
+		)
+		if grew := allocated(func() { src, srcErr = NewBytesSource(raw) }); srcErr != nil && grew > uint64(len(raw))+rejectSlack {
+			t.Fatalf("NewBytesSource allocated %d bytes rejecting a %d-byte stream", grew, len(raw))
+		}
+		if grew := allocated(func() { tr, loadErr = loadBytes(raw) }); loadErr != nil && grew > uint64(len(raw))+rejectSlack {
+			t.Fatalf("Load allocated %d bytes rejecting a %d-byte stream", grew, len(raw))
+		}
+		if (srcErr == nil) != (loadErr == nil) {
+			t.Fatalf("NewBytesSource error %v, Load error %v", srcErr, loadErr)
+		}
+		if srcErr != nil {
+			return
+		}
+		vehicles, total, chunkTicks := src.NumVehicles(), src.NumTicks(), src.ChunkTicks()
+		if n := NumChunks(total, chunkTicks); src.NumChunks() != n {
+			t.Fatalf("%d chunks indexed for %d ticks of capacity %d, want %d", src.NumChunks(), total, chunkTicks, n)
+		}
+		if tr.NumTicks() != total {
+			t.Fatalf("Load holds %d ticks, the index %d", tr.NumTicks(), total)
+		}
+		for idx := 0; idx < src.NumChunks(); idx++ {
+			cf, err := src.ReadChunk(idx, nil)
+			if err != nil {
+				t.Fatalf("ReadChunk(%d) of an accepted stream: %v", idx, err)
+			}
+			ticks := ticksInChunk(idx, total, chunkTicks)
+			if cf.Ticks != ticks || len(cf.Pts) != ticks*vehicles {
+				t.Fatalf("chunk %d: %d ticks in %d points, want %d ticks of %d vehicles",
+					idx, cf.Ticks, len(cf.Pts), ticks, vehicles)
+			}
+			for k := 0; k < ticks; k++ {
+				row := tr.Row(idx*chunkTicks + k)
+				for v, p := range cf.Pts[k*vehicles : (k+1)*vehicles] {
+					if math.Float64bits(p.X) != math.Float64bits(row[v].X) ||
+						math.Float64bits(p.Y) != math.Float64bits(row[v].Y) {
+						t.Fatalf("chunk %d tick %d vehicle %d: ReadChunk %v, Load %v", idx, k, v, p, row[v])
+					}
+				}
+			}
+		}
+	})
 }
