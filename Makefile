@@ -66,6 +66,7 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLBTCDecode$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzPolicyUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/model
+	$(GO) test -run '^$$' -fuzz '^FuzzPolylinePose$$' -fuzztime $(FUZZTIME) ./internal/geom
 
 # go test -bench is the development tool; the perf gate is benchmarks/perf
 # (bash benchmarks/run.sh -pair / -compare, see benchmarks/README.md), whose
@@ -83,7 +84,9 @@ bench:
 # 4096-vehicle fleet), of the fleet's set-up (BenchmarkNewEngine: one
 # shared initialization cloned into 1024 and 4096 vehicles), of the world
 # in traffic (the fixed-work BenchmarkWorldTick/paper: a fresh 6 + 50 + 250 world stepped 2000 times
-# per op, so two profiles cover the same work) and of the train step (internal/model's BenchmarkTrainStep on
+# per op, so two profiles cover the same work), of closed-loop evaluation
+# (the fixed-work BenchmarkEvalTrial: four Navi (Normal) trials replaying
+# recorded oracle waypoints per op) and of the train step (internal/model's BenchmarkTrainStep on
 # bench-shaped sparse batches, 5000 steps whatever the box's speed), for
 # flame-graph inspection and CI artifacts. Profiles land in bench-profiles/
 # next to their test binaries (go test needs -o when profiling, so the
@@ -92,6 +95,8 @@ bench-pprof:
 	mkdir -p bench-profiles
 	$(GO) test -run '^$$' -bench 'BenchmarkWorldTick/paper' -benchtime 10x -benchmem \
 		-cpuprofile bench-profiles/world.cpu.pprof -o bench-profiles/world.test ./internal/world/
+	$(GO) test -run '^$$' -bench 'BenchmarkEvalTrial' -benchtime 10x -benchmem \
+		-cpuprofile bench-profiles/eval.cpu.pprof -o bench-profiles/eval.test ./internal/eval/
 	$(GO) test -run '^$$' -bench 'BenchmarkScanContacts|BenchmarkCandidatePairs' -benchmem \
 		-cpuprofile bench-profiles/scan.cpu.pprof -o bench-profiles/core.test ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkNewEngine' -benchmem \

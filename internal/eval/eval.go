@@ -174,8 +174,8 @@ type Evaluator struct {
 	// NormalTraffic is the population scaled per condition.
 	NormalTraffic world.SpawnConfig
 	// DT is the control period (s). Data collection runs at the paper's
-	// 2 fps, but the driving controller runs at 10 Hz like CARLA agents —
-	// closed-loop stability needs a far faster loop than data logging.
+	// 2 fps, but the driving controller runs at 5 Hz — closed-loop
+	// stability needs a faster loop than data logging, as for CARLA agents.
 	DT float64
 }
 
@@ -184,7 +184,7 @@ type Evaluator struct {
 const graceSeconds = 3
 
 // NewEvaluator returns an evaluator with the experiment defaults: the
-// paper's traffic population and 2 fps control.
+// paper's traffic population and 5 Hz control.
 func NewEvaluator(s *Suite) *Evaluator {
 	return &Evaluator{
 		Suite:         s,
@@ -238,6 +238,10 @@ type trial struct {
 	policy Driver
 	route  *world.Route
 	agent  *world.FreeAgent
+	// samples are the route's points every 5 m from its start, taken on
+	// the first control step. They live here, not on the route: suite
+	// routes are shared by trials running in parallel.
+	samples []geom.Point
 }
 
 // newTrial spawns the trial's world from seed and places agent in it.
@@ -281,7 +285,7 @@ func (tr *trial) controlStep() (frame geom.Frame, arc, lateral float64) {
 	bevT := tr.ras.Rasterize(frame,
 		w.VehiclePositionsNearSeenBy(frame.Origin, cfg.VehicleCullRadius(), -1, agent),
 		w.PedestrianPositionsNear(frame.Origin, cfg.PedestrianCullRadius()))
-	arc, lateral = routeProgress(route, agent.Pos)
+	arc, lateral = tr.progress(agent.Pos)
 	cmd := route.CommandAt(arc)
 	// Act.
 	pred := tr.policy.Predict(bevT, agent.V/world.SpeedNorm, world.NavDistAt(route, arc),
@@ -397,18 +401,24 @@ func classifyHitDetailed(w *world.World, frame geom.Frame, pos geom.Point) strin
 	}
 }
 
-// routeProgress projects the agent onto the route, returning its arc
-// position and lateral deviation.
-func routeProgress(route *world.Route, pos geom.Point) (arc, lateral float64) {
+// progress projects the agent onto the route, returning its arc position
+// and lateral deviation.
+func (tr *trial) progress(pos geom.Point) (arc, lateral float64) {
 	// Project onto the route's lane polyline via dense sampling: routes are
 	// a few hundred meters, so a 5 m scan plus local refinement is plenty.
 	// geom.Nearest screens on squared distance, so only samples that can
 	// improve on the best pay for a Hypot.
+	route := tr.route
+	if tr.samples == nil {
+		for s := 0.0; s <= route.Length(); s += 5 {
+			tr.samples = append(tr.samples, route.PosAt(s))
+		}
+	}
 	best := geom.NewNearest(pos)
 	bestArc := 0.0
-	for s := 0.0; s <= route.Length(); s += 5 {
-		if best.Closer(route.PosAt(s)) {
-			bestArc = s
+	for i, p := range tr.samples {
+		if best.Closer(p) {
+			bestArc = 5 * float64(i) // the sampling's s, exactly: whole meters
 		}
 	}
 	// The upper bound follows bestArc: an improving sample extends the scan.

@@ -161,11 +161,15 @@ func unscreenedRouteProgress(route *world.Route, pos geom.Point) (arc, lateral f
 	return bestArc, best
 }
 
+// TestRouteProgressMatchesUnscreenedScan holds both screened scans — the
+// routeProgress oracle and a trial's progress over its kept samples — to
+// the unscreened one, on, beside and far off every route.
 func TestRouteProgressMatchesUnscreenedScan(t *testing.T) {
 	s := testSuite(t)
 	rng := simrand.New(3)
 	for _, cond := range []Condition{CondStraight, CondOneTurn, CondNaviEmpty} {
 		for _, route := range s.Routes[cond] {
+			tr := &trial{route: route}
 			for q := 0; q < 300; q++ {
 				// On the lane, beside it, and well off the route.
 				pos := route.PosAt(rng.Uniform(-10, route.Length()+10))
@@ -179,6 +183,9 @@ func TestRouteProgressMatchesUnscreenedScan(t *testing.T) {
 				wantArc, wantLat := unscreenedRouteProgress(route, pos)
 				if math.Float64bits(gotArc) != math.Float64bits(wantArc) || math.Float64bits(gotLat) != math.Float64bits(wantLat) {
 					t.Fatalf("%v: routeProgress(%v) = (%v, %v), unscreened scan (%v, %v)", cond, pos, gotArc, gotLat, wantArc, wantLat)
+				}
+				if gotArc, gotLat = tr.progress(pos); math.Float64bits(gotArc) != math.Float64bits(wantArc) || math.Float64bits(gotLat) != math.Float64bits(wantLat) {
+					t.Fatalf("%v: trial progress(%v) = (%v, %v), unscreened scan (%v, %v)", cond, pos, gotArc, gotLat, wantArc, wantLat)
 				}
 			}
 		}

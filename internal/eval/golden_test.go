@@ -51,7 +51,7 @@ func (d *hashingDriver) Predict(bevT []uint8, speed, navDist, redDist float64, c
 // RunTrialReport, and the hash of every control step's BEV bytes, route
 // projection and model inputs plus the final TrialReport must match the
 // committed goldens. It covers what the world goldens do not: a free agent
-// among traffic, the evaluator's perceive–act–judge loop, and routeProgress.
+// among traffic, the evaluator's perceive–act–judge loop, and route progress.
 // Re-baseline a deliberate change with `go test ./internal/eval -run Golden
 // -update`.
 func TestGoldenEvalTrials(t *testing.T) {

@@ -1,6 +1,7 @@
 package eval_test
 
 import (
+	"math"
 	"testing"
 
 	"lbchat/internal/bev"
@@ -67,6 +68,44 @@ func TestOracleDriverSucceeds(t *testing.T) {
 					cond, ri, outcome, route.Length(), route.NumTurns())
 			}
 		}
+	}
+}
+
+// TestTrialProgressMatchesOracle drives the oracle through every Navi
+// (Dense) route of the golden suite and, on every control step, holds the
+// trial's progress — the scan over route samples it took once — to
+// RouteProgress, which re-samples the route on every call, bit for bit.
+func TestTrialProgressMatchesOracle(t *testing.T) {
+	m, err := world.NewMap(world.DefaultConfig())
+	if err != nil {
+		t.Fatalf("NewMap: %v", err)
+	}
+	suite, err := eval.BuildSuite(m, eval.SuiteConfig{RoutesPerCondition: 4, Seed: 5})
+	if err != nil {
+		t.Fatalf("BuildSuite: %v", err)
+	}
+	ev := eval.NewEvaluator(suite)
+	for ri, route := range suite.Routes[eval.CondNaviDense] {
+		s0 := math.Min(12, route.Length()/4)
+		agent := &world.FreeAgent{Pos: route.PosAt(s0), Heading: route.HeadingAt(s0)}
+		oracle := &oracleDriver{route: route, agent: agent, bev: bev.DefaultConfig(), speed: 7}
+		tr, err := ev.NewTrial(oracle, eval.CondNaviDense, route, uint64(300+ri), agent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps, arc := 0, 0.0
+		for at := 0.0; at < route.Length()/2.5+60; at += ev.DT {
+			wantArc, wantLat := eval.RouteProgress(route, agent.Pos)
+			_, gotArc, lat := tr.ControlStep()
+			if math.Float64bits(gotArc) != math.Float64bits(wantArc) || math.Float64bits(lat) != math.Float64bits(wantLat) {
+				t.Fatalf("route %d step %d: progress (%v, %v), RouteProgress (%v, %v)", ri, steps, gotArc, lat, wantArc, wantLat)
+			}
+			steps, arc = steps+1, gotArc
+			if arc > route.Length()-18 && lat < 6 {
+				break
+			}
+		}
+		t.Logf("route %d: %d control steps, %.0f of %.0f m", ri, steps, arc, route.Length())
 	}
 }
 

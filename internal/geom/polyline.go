@@ -76,6 +76,32 @@ func (pl *Polyline) HeadingAt(s float64) float64 {
 	return pl.pts[i+1].Sub(pl.pts[i]).Heading()
 }
 
+// Pose returns (At(s), HeadingAt(s)) bit for bit from one segment search.
+// Where At searches at all, s lies strictly inside (0, Length()) or is NaN,
+// so Clamp leaves it unchanged and both find the same segment.
+func (pl *Polyline) Pose(s float64) (Point, float64) {
+	n := len(pl.pts)
+	switch n {
+	case 0:
+		return Point{}, 0
+	case 1:
+		return pl.pts[0], 0
+	}
+	length := pl.Length()
+	i := pl.segmentIndex(Clamp(s, 0, length))
+	a, b := pl.pts[i], pl.pts[i+1]
+	heading := b.Sub(a).Heading()
+	switch {
+	case s <= 0:
+		return pl.pts[0], heading
+	case s >= length:
+		return pl.pts[n-1], heading
+	}
+	start := pl.cumLen[i]
+	t := (s - start) / (pl.cumLen[i+1] - start)
+	return Lerp(a, b, t), heading
+}
+
 // segmentIndex returns the index i of the segment [pts[i], pts[i+1]]
 // containing arc length s. s must be within [0, Length()] and the polyline
 // must have at least two points.

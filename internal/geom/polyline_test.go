@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -99,6 +100,88 @@ func TestProjectConsistentWithAt(t *testing.T) {
 			t.Fatalf("on-line point at s=%v projects to arc %v", s, arc)
 		}
 	}
+}
+
+// sameBits reports whether a and b are the same float64 bit for bit, any
+// two NaNs counting as the same: when both operands of an add or multiply
+// are NaN, which payload survives depends on the compiler's operand order,
+// so NaN payloads are no part of any contract here.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// checkPose fails unless pl.Pose(s) is (pl.At(s), pl.HeadingAt(s)) bit for
+// bit.
+func checkPose(t *testing.T, pl *Polyline, s float64) {
+	t.Helper()
+	p, h := pl.Pose(s)
+	wantP, wantH := pl.At(s), pl.HeadingAt(s)
+	if !sameBits(p.X, wantP.X) || !sameBits(p.Y, wantP.Y) || !sameBits(h, wantH) {
+		t.Fatalf("%d points: Pose(%v) = (%v, %v), At/HeadingAt (%v, %v)", pl.Len(), s, p, h, wantP, wantH)
+	}
+}
+
+// TestPoseMatchesAtAndHeadingAt queries Pose at every vertex arc, at every
+// segment midpoint and at the edge values — both signed zeros, the ends,
+// beyond them, NaN and ±Inf — on polylines of 0, 1, 2 and many points,
+// including points closer than a rounding step of their running arc length.
+func TestPoseMatchesAtAndHeadingAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	walk := []Point{Pt(0, 0)}
+	for i := 0; i < 200; i++ {
+		walk = append(walk, walk[len(walk)-1].Add(Pt(rng.Float64()*20-10, rng.Float64()*20-10)))
+	}
+	far := []Point{Pt(0, 0), Pt(1e9, 0)}
+	for i := 1; i <= 50; i++ {
+		// Steps of 1e-8 m after a 1e9 m leg: far above the 1e-12 collapse
+		// threshold, below a rounding step of the arc length, so runs of
+		// segments share one cumLen value.
+		far = append(far, Pt(1e9, float64(i)*1e-8))
+	}
+	lines := []*Polyline{
+		line(), line(Pt(2, 3)), line(Pt(0, 0), Pt(10, 0)),
+		line(Pt(0, 0), Pt(1e-12, 0), Pt(2e-12, 1e-12), Pt(5, 5)),
+		NewPolyline(walk), NewPolyline(far),
+	}
+	for _, pl := range lines {
+		queries := []float64{-1, math.Copysign(0, -1), 0, pl.Length(), pl.Length() + 1,
+			math.NaN(), math.Inf(1), math.Inf(-1)}
+		for i, c := range pl.cumLen {
+			queries = append(queries, c)
+			if i+1 < len(pl.cumLen) {
+				queries = append(queries, (c+pl.cumLen[i+1])/2)
+			}
+		}
+		for _, s := range queries {
+			checkPose(t, pl, s)
+		}
+	}
+}
+
+// FuzzPolylinePose builds a polyline from arbitrary coordinates (16 bytes a
+// point) and queries it at an arbitrary arc: Pose never panics and always
+// equals (At, HeadingAt) bit for bit.
+func FuzzPolylinePose(f *testing.F) {
+	pts := func(coords ...float64) []byte {
+		raw := make([]byte, 0, 8*len(coords))
+		for _, c := range coords {
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(c))
+		}
+		return raw
+	}
+	f.Add([]byte{}, 1.0)
+	f.Add(pts(1, 2), 0.0)
+	f.Add(pts(0, 0, 10, 0, 10, 10), 15.0)
+	f.Add(pts(0, 0, 1e-13, 0, 3, 4), math.NaN())
+	f.Add(pts(1e300, 0, -1e300, 0, math.Inf(1), 5), 2.5)
+	f.Fuzz(func(t *testing.T, raw []byte, s float64) {
+		var p []Point
+		for ; len(raw) >= 16; raw = raw[16:] {
+			p = append(p, Pt(math.Float64frombits(binary.LittleEndian.Uint64(raw)),
+				math.Float64frombits(binary.LittleEndian.Uint64(raw[8:]))))
+		}
+		checkPose(t, NewPolyline(p), s)
+	})
 }
 
 // unscreenedProject is Project as it was before the squared-distance

@@ -69,7 +69,8 @@ func (p *Pedestrian) Step(w *World, dt float64) {
 		p.waitUntil = w.Time + p.rng.Uniform(10, 60)
 		return
 	}
-	next := p.Pos.Add(to.Unit().Scale(p.speed * dt))
+	// to.Unit(), without the second Hypot: dist ≥ 1 is its norm.
+	next := p.Pos.Add(geom.Pt(to.X/dist, to.Y/dist).Scale(p.speed * dt))
 	// Yield only when about to STEP ONTO the road: once crossing, keep
 	// moving and clear the lane (a pedestrian frozen mid-road would be a
 	// guaranteed collision).

@@ -45,6 +45,16 @@ type Vehicle struct {
 	// stuckFor accumulates time spent fully stopped, for deadlock breaking.
 	stuckFor float64
 	rng      *simrand.Rand
+
+	// The pose memo: frame and its world→ego transform local at arc poseS
+	// of lane poseLane. A lane polyline is never mutated (ExtendRandom
+	// swaps in a new one), so the key names the answer, and a write to S
+	// or Route needs no invalidation call: the next read misses. Reads
+	// write the memo, so a vehicle, like its world, is single-goroutine.
+	poseLane *geom.Polyline
+	poseS    float64
+	frame    geom.Frame
+	local    geom.LocalFrame
 }
 
 // NewVehicle places a vehicle at the start of route.
@@ -52,15 +62,39 @@ func NewVehicle(id int, route *Route, rng *simrand.Rand) *Vehicle {
 	return &Vehicle{ID: id, Route: route, roamLength: 600, rng: rng}
 }
 
-// Pos returns the vehicle's world position.
-func (v *Vehicle) Pos() geom.Point { return v.Route.PosAt(v.S) }
+// pose brings the memo to (Route.lane, S): one segment search and one
+// Sincos on a miss, nothing on a hit. A NaN S never hits.
+func (v *Vehicle) pose() {
+	if lane := v.Route.lane; lane != v.poseLane || v.S != v.poseS {
+		p, h := lane.Pose(v.S)
+		v.frame = geom.Frame{Origin: p, Heading: h}
+		v.local = v.frame.Local()
+		v.poseLane, v.poseS = lane, v.S
+	}
+}
 
-// Heading returns the vehicle's heading (radians).
-func (v *Vehicle) Heading() float64 { return v.Route.HeadingAt(v.S) }
+// Pos returns the vehicle's world position: Route.PosAt(S).
+func (v *Vehicle) Pos() geom.Point {
+	v.pose()
+	return v.frame.Origin
+}
+
+// Heading returns the vehicle's heading (radians): Route.HeadingAt(S).
+func (v *Vehicle) Heading() float64 {
+	v.pose()
+	return v.frame.Heading
+}
 
 // Frame returns the vehicle's ego frame.
 func (v *Vehicle) Frame() geom.Frame {
-	return geom.Frame{Origin: v.Pos(), Heading: v.Heading()}
+	v.pose()
+	return v.frame
+}
+
+// localFrame returns Frame().Local() without recomputing its rotation.
+func (v *Vehicle) localFrame() geom.LocalFrame {
+	v.pose()
+	return v.local
 }
 
 // Command returns the active high-level command.

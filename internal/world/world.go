@@ -91,13 +91,16 @@ func New(m *Map, spawn SpawnConfig, rng *simrand.Rand) (*World, error) {
 		v.S = vr.Uniform(0, route.Length()/2)
 		w.Experts = append(w.Experts, v)
 	}
+	// Background cars are numbered from 1000, or past the last expert when
+	// there are more: an ID is how every query excludes a car from its own.
+	firstBackgroundID := max(1000, spawn.Experts)
 	for i := 0; i < spawn.BackgroundCars; i++ {
 		vr := rng.DeriveIndexed("bg", i)
 		route, err := RandomWalkRoute(m, NodeID(vr.Intn(numNodes)), 600, vr)
 		if err != nil {
 			return nil, fmt.Errorf("world: spawning background car %d: %w", i, err)
 		}
-		v := NewVehicle(1000+i, route, vr)
+		v := NewVehicle(firstBackgroundID+i, route, vr)
 		v.Background = true
 		v.S = vr.Uniform(0, route.Length()/2)
 		w.Background = append(w.Background, v)
@@ -273,8 +276,7 @@ func aheadDistance(frame geom.LocalFrame, p geom.Point, maxDist, corridor float6
 // nearestVehicleAhead returns the gap to the closest car in v's driving
 // cone (excluding v itself).
 func (w *World) nearestVehicleAhead(v *Vehicle) float64 {
-	ego := v.Frame()
-	frame := ego.Local()
+	frame := v.localFrame()
 	const maxDist, corridor = followGap + 10, 3.0
 	best := math.Inf(1)
 	consider := func(p geom.Point) {
@@ -285,7 +287,7 @@ func (w *World) nearestVehicleAhead(v *Vehicle) float64 {
 	w.ensureIndexes()
 	// Everything in the cone lies within its circumradius of the ego.
 	bound := math.Hypot(maxDist, corridor)
-	w.vehIndex.ForCandidates(ego.Origin, bound, func(i int, p geom.Point) bool {
+	w.vehIndex.ForCandidates(v.Pos(), bound, func(i int, p geom.Point) bool {
 		if w.idxVehicles[i].ID != v.ID {
 			consider(p)
 		}
@@ -300,13 +302,12 @@ func (w *World) nearestVehicleAhead(v *Vehicle) float64 {
 // nearestPedestrianAhead returns the gap to the closest pedestrian in v's
 // caution cone.
 func (w *World) nearestPedestrianAhead(v *Vehicle) float64 {
-	ego := v.Frame()
-	frame := ego.Local()
+	frame := v.localFrame()
 	const maxDist, corridor = pedSlowGap + 6, 2.5
 	best := math.Inf(1)
 	w.ensureIndexes()
 	bound := math.Hypot(maxDist, corridor)
-	w.pedIndex.ForCandidates(ego.Origin, bound, func(_ int, p geom.Point) bool {
+	w.pedIndex.ForCandidates(v.Pos(), bound, func(_ int, p geom.Point) bool {
 		if d := aheadDistance(frame, p, maxDist, corridor); d < best {
 			best = d
 		}
@@ -319,7 +320,7 @@ func (w *World) nearestPedestrianAhead(v *Vehicle) float64 {
 // conflict disc around an intersection ahead of v (cars behind v are
 // ignored — they are followers, not crossing traffic).
 func (w *World) intersectionOccupied(v *Vehicle, node geom.Point) bool {
-	frame := v.Frame().Local()
+	frame := v.localFrame()
 	occupied := func(p geom.Point) bool {
 		if p.Dist(node) > intersectionR {
 			return false

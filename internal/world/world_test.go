@@ -264,6 +264,101 @@ func TestWorldSpawnPopulation(t *testing.T) {
 	}
 }
 
+// TestVehicleIDsDistinctPastThousandExperts pins the background numbering:
+// with more than 1000 experts, background IDs must not collide with expert
+// IDs — a shared ID drops each car out of the other's queries.
+func TestVehicleIDsDistinctPastThousandExperts(t *testing.T) {
+	w, err := New(testMap(t), SpawnConfig{Experts: 1001, BackgroundCars: 2}, simrand.New(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	for _, v := range append(append([]*Vehicle(nil), w.Experts...), w.Background...) {
+		if seen[v.ID] {
+			t.Fatalf("vehicle ID %d is used twice", v.ID)
+		}
+		seen[v.ID] = true
+	}
+}
+
+// sameBits reports whether a and b are the same float64 bit for bit, any
+// two NaNs counting as the same (which NaN payload survives an operation on
+// two NaNs depends on the compiler's operand order).
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// samePoint reports whether a and b are equal under sameBits.
+func samePoint(a, b geom.Point) bool { return sameBits(a.X, b.X) && sameBits(a.Y, b.Y) }
+
+// checkPoseMemo fails unless v's memoised pose is its route's answer at S
+// bit for bit.
+func checkPoseMemo(t *testing.T, v *Vehicle, when string) {
+	t.Helper()
+	pos, heading := v.Route.PosAt(v.S), v.Route.HeadingAt(v.S)
+	want := geom.Frame{Origin: pos, Heading: heading}
+	got := v.Frame()
+	if !samePoint(v.Pos(), pos) || !sameBits(v.Heading(), heading) ||
+		!samePoint(got.Origin, pos) || !sameBits(got.Heading, heading) {
+		t.Fatalf("%s car %d at S=%v: pose (%v, %v), frame %+v; route says (%v, %v)",
+			when, v.ID, v.S, v.Pos(), v.Heading(), got, pos, heading)
+	}
+	// A NaN S makes the transform NaN, which == cannot compare; a probe
+	// point's image under sameBits can.
+	probe := pos.Add(geom.Pt(3, -7))
+	if !samePoint(v.localFrame().ToLocal(probe), want.Local().ToLocal(probe)) ||
+		!math.IsNaN(v.S) && v.localFrame() != want.Local() {
+		t.Fatalf("%s car %d at S=%v: localFrame differs from Frame().Local()", when, v.ID, v.S)
+	}
+}
+
+// TestVehiclePoseMatchesRoute holds the pose memo to its definition through
+// every way S and the route change: Step, ExtendRandom's lane swap, an
+// external teleport, and a NaN S, which never hits the memo.
+func TestVehiclePoseMatchesRoute(t *testing.T) {
+	w := seededWorld(t, SpawnConfig{Experts: 6, BackgroundCars: 50, Pedestrians: 250})
+	cars := routedCars(w)
+	lanes := make([]*geom.Polyline, len(cars))
+	for i, v := range cars {
+		lanes[i] = v.Route.lane
+	}
+	extended := 0
+	for tick := 0; tick < 2000; tick++ {
+		w.Step(0.5)
+		if tick == 1000 {
+			for _, v := range w.Background {
+				v.Pos() // prime the memo at the old S
+				v.S = math.Min(v.S+60, v.Route.Length())
+			}
+			w.InvalidateIndex()
+		}
+		for i, v := range cars {
+			checkPoseMemo(t, v, "after step")
+			if v.Route.lane != lanes[i] {
+				extended++
+				lanes[i] = v.Route.lane
+			}
+		}
+	}
+	if extended == 0 {
+		t.Fatal("no route was extended: the lane-swap key went untested")
+	}
+	// A step moves S with the lane, so only a car stopped at the swap would
+	// read a stale memo there — and an extension keeps the prefix's poses.
+	// Replacing the route in place at an unchanged S, as ExtendRandom does,
+	// must miss the memo even when every pose changes.
+	v := cars[0]
+	checkPoseMemo(t, v, "before the route swap")
+	*v.Route = *cars[1].Route
+	checkPoseMemo(t, v, "route replaced in place")
+	s := v.S
+	v.S = math.NaN()
+	checkPoseMemo(t, v, "NaN S")
+	checkPoseMemo(t, v, "NaN S again")
+	v.S = s
+	checkPoseMemo(t, v, "S restored")
+}
+
 func TestCollisionAt(t *testing.T) {
 	m := testMap(t)
 	w, _ := New(m, SpawnConfig{Experts: 1}, simrand.New(9))
