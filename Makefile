@@ -67,6 +67,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLBTCDecode$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzPolicyUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/model
 	$(GO) test -run '^$$' -fuzz '^FuzzPolylinePose$$' -fuzztime $(FUZZTIME) ./internal/geom
+	$(GO) test -run '^$$' -fuzz '^FuzzDeltaPlanCut$$' -fuzztime $(FUZZTIME) ./internal/compress
 
 # go test -bench is the development tool; the perf gate is benchmarks/perf
 # (bash benchmarks/run.sh -pair / -compare, see benchmarks/README.md), whose
@@ -86,8 +87,10 @@ bench:
 # in traffic (the fixed-work BenchmarkWorldTick/paper: a fresh 6 + 50 + 250 world stepped 2000 times
 # per op, so two profiles cover the same work), of closed-loop evaluation
 # (the fixed-work BenchmarkEvalTrial: four Navi (Normal) trials replaying
-# recorded oracle waypoints per op) and of the train step (internal/model's BenchmarkTrainStep on
-# bench-shaped sparse batches, 5000 steps whatever the box's speed), for
+# recorded oracle waypoints per op), of the train step (internal/model's BenchmarkTrainStep on
+# bench-shaped sparse batches, 5000 steps whatever the box's speed) and of one
+# side of a chat's compression (internal/compress's BenchmarkDeltaPlanCuts: a
+# Fill and four cut-and-Reconstruct levels of a 56 k log-normal delta), for
 # flame-graph inspection and CI artifacts. Profiles land in bench-profiles/
 # next to their test binaries (go test needs -o when profiling, so the
 # binary is kept alongside).
@@ -103,6 +106,8 @@ bench-pprof:
 		-cpuprofile bench-profiles/setup.cpu.pprof -o bench-profiles/core.test ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkTrainStep' -benchtime 5000x -benchmem \
 		-cpuprofile bench-profiles/train.cpu.pprof -o bench-profiles/train.test ./internal/model/
+	$(GO) test -run '^$$' -bench 'BenchmarkDeltaPlanCuts' -benchtime 2000x -benchmem \
+		-cpuprofile bench-profiles/chat.cpu.pprof -o bench-profiles/compress.test ./internal/compress/
 
 # End-to-end check of the telemetry pipeline: a tiny sim writes its event
 # stream as JSONL plus its aggregated summary CSV, and telemetry-lint fails

@@ -1,6 +1,6 @@
 package compress
 
-import "math"
+import "lbchat/internal/tensor"
 
 // DeltaPlan holds one model's delta from a base vector, with the selection
 // scratch and a reconstruction buffer, so the delta is computed once and
@@ -54,13 +54,7 @@ func (p *DeltaPlan) ReconstructInto(dst []float64, k int) []float64 {
 		}
 	default:
 		c := p.sel.cut(k)
-		for i, d := range p.delta {
-			b := p.base[i]
-			if c.keeps(math.Abs(d)) {
-				b += d
-			}
-			dst[i] = b
-		}
+		tensor.AddKept(dst, p.base, p.delta, c.thr, c.ties)
 	}
 	return dst
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"lbchat/internal/dataset"
 )
@@ -15,7 +16,19 @@ import (
 // weights to better-performing models"). This implements the stated intent:
 // each model is weighted by the OTHER model's normalized loss. See DESIGN.md
 // §4.
+//
+// The weights are finite, non-negative and sum to one for any pair: a model
+// whose loss is NaN or infinite gets weight 0 (with both so, the receiver
+// keeps its own model), and two finite losses whose sum overflows are
+// normalised by the larger first.
 func AggregationWeights(lossSelf, lossPeer float64) (wSelf, wPeer float64) {
+	selfOK, peerOK := isFinite(lossSelf), isFinite(lossPeer)
+	if !selfOK || !peerOK {
+		if peerOK {
+			return 0, 1
+		}
+		return 1, 0
+	}
 	if lossSelf < 0 || lossPeer < 0 {
 		lossSelf, lossPeer = clampNonNeg(lossSelf), clampNonNeg(lossPeer)
 	}
@@ -23,8 +36,19 @@ func AggregationWeights(lossSelf, lossPeer float64) (wSelf, wPeer float64) {
 	if total <= 0 {
 		return 0.5, 0.5
 	}
+	if total > math.MaxFloat64 { // two finite losses overflowed their sum
+		larger := lossSelf
+		if lossPeer > larger {
+			larger = lossPeer
+		}
+		lossSelf, lossPeer = lossSelf/larger, lossPeer/larger
+		total = lossSelf + lossPeer
+	}
 	return lossPeer / total, lossSelf / total
 }
+
+// isFinite reports whether v is neither NaN nor ±Inf.
+func isFinite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }
 
 func clampNonNeg(v float64) float64 {
 	if v < 0 {
@@ -34,14 +58,24 @@ func clampNonNeg(v float64) float64 {
 }
 
 // MergeModels blends a received (decompressed) peer parameter vector into
-// the vehicle's policy: x ← wSelf·x + wPeer·x̂_peer.
+// the vehicle's policy: x ← wSelf·x + wPeer·x̂_peer. A model of weight 0 is
+// left out of the blend, not multiplied by 0, so non-finite parameters of a
+// model with no weight reach nothing (0·NaN is NaN).
 func MergeModels(v *Vehicle, peerFlat []float64, wSelf, wPeer float64) error {
 	selfFlat := v.Policy.Flat()
 	if len(peerFlat) != len(selfFlat) {
 		return fmt.Errorf("core: peer model has %d params, local has %d", len(peerFlat), len(selfFlat))
 	}
-	for i := range selfFlat {
-		selfFlat[i] = wSelf*selfFlat[i] + wPeer*peerFlat[i]
+	for i, x := range selfFlat {
+		switch {
+		case wPeer == 0:
+			x *= wSelf
+		case wSelf == 0:
+			x = wPeer * peerFlat[i]
+		default:
+			x = wSelf*x + wPeer*peerFlat[i]
+		}
+		selfFlat[i] = x
 	}
 	return v.Policy.SetFlat(selfFlat)
 }

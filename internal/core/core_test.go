@@ -515,3 +515,46 @@ func TestCompressReconstructSchemes(t *testing.T) {
 		t.Errorf("quantized reconstruction worse than init: %v vs %v", dQ, dInit)
 	}
 }
+
+// TestAggregationWeightsProperty draws loss pairs from finite magnitudes
+// across the whole range and the edge values — 0, denormals, MaxFloat64,
+// ±Inf, NaN, a negative — and checks Eq. (8)'s invariant: the weights are
+// finite, non-negative and sum to one within 2⁻⁵¹, and a model whose loss is
+// not a number gets weight 0. A NaN peer then leaves the receiver's bits as
+// they were.
+func TestAggregationWeightsProperty(t *testing.T) {
+	rng := simrand.New(8)
+	edges := []float64{0, math.SmallestNonzeroFloat64, 0x1p-1022 / 3, 1, math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(), -2}
+	draw := func() float64 {
+		if rng.Bernoulli(0.5) {
+			return edges[rng.Intn(len(edges))]
+		}
+		return math.Exp(rng.Uniform(-740, 709))
+	}
+	for i := 0; i < 20000; i++ {
+		lossSelf, lossPeer := draw(), draw()
+		wSelf, wPeer := AggregationWeights(lossSelf, lossPeer)
+		if !isFinite(wSelf) || !isFinite(wPeer) || wSelf < 0 || wPeer < 0 || math.Abs(wSelf+wPeer-1) > 0x1p-51 {
+			t.Fatalf("AggregationWeights(%v, %v) = (%v, %v)", lossSelf, lossPeer, wSelf, wPeer)
+		}
+		if (!isFinite(lossSelf) && wSelf != 0 && isFinite(lossPeer)) || (!isFinite(lossPeer) && wPeer != 0) {
+			t.Fatalf("AggregationWeights(%v, %v) = (%v, %v): a non-finite loss kept weight", lossSelf, lossPeer, wSelf, wPeer)
+		}
+	}
+
+	eng, _ := tinyEnv(t, 2, true)
+	v := eng.Vehicles[0]
+	before := v.Policy.Flat()
+	peer := make([]float64, len(before))
+	for i := range peer {
+		peer[i] = math.NaN()
+	}
+	wSelf, wPeer := AggregationWeights(0.3, math.NaN())
+	if err := MergeModels(v, peer, wSelf, wPeer); err != nil {
+		t.Fatal(err)
+	}
+	if !bitEqual(v.Policy.Flat(), before) {
+		t.Fatal("merging a NaN peer moved the receiver's parameters")
+	}
+}

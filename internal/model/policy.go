@@ -371,9 +371,9 @@ func (p *Policy) TrainStep(items []dataset.Weighted) float64 {
 		decay = 2 * p.cfg.L2Penalty
 	}
 	nn.DecayClipGradNorm(p.params, decay, gradClip)
-	p.opt.Step(p.params)
+	sumSq := p.opt.Step(p.params)
 
-	return p.lossFromPerSample(perSample, weights, cmds)
+	return p.lossFromPerSample(perSample, weights, cmds, math.Sqrt(sumSq))
 }
 
 // PerSampleLosses evaluates the unpenalized per-sample losses f(x; d) for
@@ -406,10 +406,12 @@ func (p *Policy) Loss(items []dataset.Weighted) float64 {
 		weights[i] = it.Weight
 		cmds[i] = it.Sample.Command
 	}
-	return p.lossFromPerSample(perSample, weights, cmds)
+	return p.lossFromPerSample(perSample, weights, cmds, p.params.L2Norm())
 }
 
-func (p *Policy) lossFromPerSample(perSample, weights []float64, cmds []dataset.Command) float64 {
+// lossFromPerSample assembles Eq. (6) from the per-sample losses and norm,
+// the parameters' L2 norm ‖x‖.
+func (p *Policy) lossFromPerSample(perSample, weights []float64, cmds []dataset.Command, norm float64) float64 {
 	var risk, totalW float64
 	for i, l := range perSample {
 		risk += weights[i] * l
@@ -420,7 +422,7 @@ func (p *Policy) lossFromPerSample(perSample, weights []float64, cmds []dataset.
 	}
 	loss := risk
 	if p.cfg.L2Penalty > 0 {
-		loss += p.cfg.L2Penalty * p.params.L2Norm()
+		loss += p.cfg.L2Penalty * norm
 	}
 	if p.cfg.EntropyPenalty > 0 {
 		// The σ term is reported at a fixed small scale; EntropyPenalty

@@ -24,11 +24,13 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step applies one update using the parameters' current gradients. The
-// first call binds the optimizer to params: its moments are kept by
-// position, so every later call must pass a set of the same shape in the
-// same order (the same set, in practice) and panics otherwise.
-func (o *Adam) Step(params ParamSet) {
+// Step applies one update using the parameters' current gradients and
+// returns the sum of the squares of the updated values, added in parameter
+// and index order: params.L2Norm() squared, bit for bit, without a pass of
+// its own. The first call binds the optimizer to params: its moments are
+// kept by position, so every later call must pass a set of the same shape in
+// the same order (the same set, in practice) and panics otherwise.
+func (o *Adam) Step(params ParamSet) float64 {
 	if o.m == nil {
 		o.m = make([][]float64, len(params))
 		o.v = make([][]float64, len(params))
@@ -49,45 +51,64 @@ func (o *Adam) Step(params ParamSet) {
 		BiasCorr2: 1 - math.Pow(o.Beta2, float64(o.t)),
 		LR:        o.LR, Eps: o.Eps,
 	}
+	var sumSq float64
 	for pi, p := range params {
 		vd := p.Value.Data()
 		if len(vd) != len(o.m[pi]) {
 			panic(fmt.Sprintf("nn: Adam is bound to %d elements at parameter %d (%s), Step got %d",
 				len(o.m[pi]), pi, p.Name, len(vd)))
 		}
-		tensor.AdamUpdate(vd, p.Grad.Data(), o.m[pi], o.v[pi], &coef)
+		sumSq = tensor.AdamUpdate(vd, p.Grad.Data(), o.m[pi], o.v[pi], &coef, sumSq)
 	}
+	return sumSq
 }
 
 // DecayClipGradNorm adds decay·value to every gradient (decay == 0 adds
 // nothing, not even a signed zero) and then rescales all gradients so their
-// joint L2 norm is at most maxNorm (maxNorm <= 0 never rescales), returning
-// the norm before rescaling. The decay and the norm share one pass, in the
-// parameter and index order of a separate axpy followed by a separate sum of
-// squares, so the bits are theirs.
-func DecayClipGradNorm(params ParamSet, decay, maxNorm float64) float64 {
+// joint L2 norm is at most maxNorm (maxNorm <= 0 never rescales). The norm
+// that decides is the square root of one ordered sum of squares — parameter
+// then index order, one accumulator, over the decayed gradients — but the
+// decay pass returns a packed sum of the same squares, and the ordered sum is
+// taken only when that screen does not rule a clip out.
+func DecayClipGradNorm(params ParamSet, decay, maxNorm float64) {
+	var screen float64
+	for _, p := range params {
+		screen += tensor.DecaySumSquares(p.Grad.Data(), p.Value.Data(), decay)
+	}
+	if maxNorm > 0 && !(screen < clipScreenLimit(maxNorm, params.NumElements())) {
+		clipOrdered(params, maxNorm)
+	}
+}
+
+// clipOrdered rescales the gradients when the square root of their ordered
+// sum of squares — parameter then index order, one accumulator — exceeds
+// maxNorm.
+func clipOrdered(params ParamSet, maxNorm float64) {
 	var acc float64
 	for _, p := range params {
-		gd := p.Grad.Data()
-		if decay == 0 {
-			for _, g := range gd {
-				acc += g * g
-			}
-			continue
-		}
-		vd := p.Value.Data()[:len(gd)]
-		for i, v := range vd {
-			g := gd[i] + decay*v
-			gd[i] = g
+		for _, g := range p.Grad.Data() {
 			acc += g * g
 		}
 	}
-	norm := math.Sqrt(acc)
-	if maxNorm > 0 && norm > maxNorm {
+	if norm := math.Sqrt(acc); norm > maxNorm {
 		scale := maxNorm / norm
 		for _, p := range params {
 			p.Grad.ScaleInPlace(scale)
 		}
 	}
-	return norm
+}
+
+// clipScreenLimit is the screen sum below which n squares cannot clip at
+// maxNorm. Any two sums of the same n non-negative terms lie within
+// (n−1)·2⁻⁵³ of their exact sum, relative, so below maxNorm²·(1 − band),
+// with band 4(n+1)·2⁻⁵³ covering both sums and the rounding of the limit
+// itself, the ordered sum is below maxNorm² and its square root at most
+// maxNorm. A maxNorm² that is not a normal float has no relative rounding
+// bound and screens nothing.
+func clipScreenLimit(maxNorm float64, n int) float64 {
+	sq := maxNorm * maxNorm
+	if sq < 0x1p-1022 || sq > math.MaxFloat64 {
+		return 0
+	}
+	return sq * (1 - 4*float64(n+1)*0x1p-53)
 }

@@ -53,7 +53,17 @@ func addRowAVX2(dst, src *float64, n int)
 func scaleAVX2(x *float64, n int, s float64)
 
 //go:noescape
-func adamUpdateAVX2(value, grad, m, v *float64, n int, k *AdamCoef)
+func adamUpdateAVX2(value, grad, m, v *float64, n int, k *AdamCoef, sumSq float64) float64
+
+// addKeptAVX2 runs whole vectors only (n is a multiple of 4) and returns how
+// many elements it wrote: all n, or fewer when it met a vector holding a
+// tie while ties > 0.
+//
+//go:noescape
+func addKeptAVX2(dst, base, delta *float64, n int, thr float64, ties int) int
+
+//go:noescape
+func decaySumSquaresAVX2(grad, value *float64, n int, decay float64) float64
 
 func axpy4(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 	if !useAVX2 || len(c) == 0 {
@@ -111,12 +121,46 @@ func scale(x []float64, s float64) {
 // AdamUpdate applies one Adam step to one parameter: value, its gradient and
 // its two moments, all of value's length (longer ones are read to that
 // length, a shorter one panics before anything is written), which must not
-// overlap.
-func AdamUpdate(value, grad, m, v []float64, k *AdamCoef) {
+// overlap. It returns sumSq plus the square of every updated value, added
+// one at a time in index order.
+func AdamUpdate(value, grad, m, v []float64, k *AdamCoef, sumSq float64) float64 {
 	if !useAVX2 || len(value) == 0 {
-		adamUpdateGeneric(value, grad, m, v, k)
-		return
+		return adamUpdateGeneric(value, grad, m, v, k, sumSq)
 	}
 	grad, m, v = grad[:len(value)], m[:len(value)], v[:len(value)]
-	adamUpdateAVX2(&value[0], &grad[0], &m[0], &v[0], len(value), k)
+	return adamUpdateAVX2(&value[0], &grad[0], &m[0], &v[0], len(value), k, sumSq)
+}
+
+// AddKept writes into dst, at every index of delta, base + delta where the
+// top-k cut (thr, ties) keeps the delta and base where it does not: it keeps
+// |delta| > thr, and |delta| == thr for the first ties such entries in index
+// order. A NaN |delta| or a NaN thr keeps nothing. dst and base are read to
+// delta's length (a shorter one panics before anything is written) and must
+// not overlap delta.
+func AddKept(dst, base, delta []float64, thr float64, ties int) {
+	n := len(delta)
+	if !useAVX2 || n == 0 {
+		addKeptGeneric(dst, base, delta, thr, ties)
+		return
+	}
+	dst, base = dst[:n], base[:n]
+	for i := 0; i < n; {
+		i += addKeptAVX2(&dst[i], &base[i], &delta[i], (n-i)&^3, thr, ties)
+		// The vector holding a tie, or the last 1–3 elements.
+		end := min(i+4, n)
+		ties = addKeptGeneric(dst[i:end], base[i:end], delta[i:end], thr, ties)
+		i = end
+	}
+}
+
+// DecaySumSquares adds decay·value to grad (decay == 0 adds nothing, not even
+// a signed zero) and returns the sum of the squares of the result, four
+// lanes at a time: a screen for a norm, not the norm's ordered sum. value is
+// read to grad's length; a shorter one panics before anything is written.
+func DecaySumSquares(grad, value []float64, decay float64) float64 {
+	if !useAVX2 || len(grad) == 0 || decay == 0 {
+		return decaySumSquaresGeneric(grad, value, decay)
+	}
+	value = value[:len(grad)]
+	return decaySumSquaresAVX2(&grad[0], &value[0], len(grad), decay)
 }

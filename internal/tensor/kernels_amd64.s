@@ -9,8 +9,8 @@
 // square root round identically, and nothing here fuses a multiply into an
 // add (repolint.FusedMultiplyAdd). Each routine takes pointers its Go wrapper
 // has bounds-checked against n, runs whole 4-lane vectors to n&^3, finishes
-// the last 1–3 elements with the scalar forms of the same instructions, and
-// returns through VZEROUPPER. Loop heads are 64-byte aligned, which also
+// the last 1–3 elements with the scalar forms of the same instructions (but
+// addKeptAVX2, whose caller finishes them), and returns through VZEROUPPER. Loop heads are 64-byte aligned, which also
 // aligns the routines themselves.
 
 // Y4 (X4) += a·b[AX] for one more term of an axpy.
@@ -251,20 +251,23 @@ done:
 	VZEROUPPER
 	RET
 
-// func adamUpdateAVX2(value, grad, m, v *float64, n int, k *AdamCoef)
+// func adamUpdateAVX2(value, grad, m, v *float64, n int, k *AdamCoef, sumSq float64) float64
 //
 // Per lane, adamUpdateGeneric's body:
 //	g     = grad + decay·value
 //	m     = β1·m + (1−β1)·g
 //	v     = β2·v + ((1−β2)·g)·g
 //	value = value − (η·(m/bc1)) / (√(v/bc2) + ε)
-TEXT ·adamUpdateAVX2(SB), NOSPLIT, $0-48
+// and then, one lane at a time from lane 0 to lane 3, sumSq += value²: the
+// ordered sum rides the loop, its adds waiting on the divides in X6.
+TEXT ·adamUpdateAVX2(SB), NOSPLIT, $0-64
 	MOVQ         value+0(FP), DI
 	MOVQ         grad+8(FP), SI
 	MOVQ         m+16(FP), DX
 	MOVQ         v+24(FP), CX
 	MOVQ         n+32(FP), R9
 	MOVQ         k+40(FP), R8
+	VMOVSD       sumSq+48(FP), X6
 	VBROADCASTSD 0(R8), Y15  // Decay
 	VBROADCASTSD 8(R8), Y14  // Beta1
 	VBROADCASTSD 16(R8), Y13 // OneMinusBeta1
@@ -299,6 +302,14 @@ loop:
 	VDIVPD  Y4, Y2, Y2
 	VSUBPD  Y2, Y0, Y0
 	VMOVUPD Y0, (DI)(AX*8)
+	VMULPD  Y0, Y0, Y3         // value²
+	VADDSD  X3, X6, X6         // + lane 0
+	VUNPCKHPD X3, X3, X5
+	VADDSD  X5, X6, X6         // + lane 1
+	VEXTRACTF128 $1, Y3, X3
+	VADDSD  X3, X6, X6         // + lane 2
+	VUNPCKHPD X3, X3, X5
+	VADDSD  X5, X6, X6         // + lane 3
 	ADDQ    $4, AX
 	CMPQ    AX, R10
 	JLT     loop
@@ -328,11 +339,110 @@ tail1:
 	VDIVSD  X4, X2, X2
 	VSUBSD  X2, X0, X0
 	VMOVSD  X0, (DI)(AX*8)
+	VMULSD  X0, X0, X3
+	VADDSD  X3, X6, X6
 	INCQ    AX
 	CMPQ    AX, R9
 	JLT     tail1
 
 done:
+	VMOVSD     X6, ret+56(FP)
+	VZEROUPPER
+	RET
+
+// func addKeptAVX2(dst, base, delta *float64, n int, thr float64, ties int) int
+//
+// Per lane, addKeptGeneric's body where no tie is taken: dst = base + delta
+// if |delta| > thr, else base, picked by VBLENDVPD from the compare's mask
+// with no branch. While ties > 0, a vector holding a lane equal to thr stops
+// the loop before it is written, and the count written so far is returned:
+// the caller finishes that vector with the scalar rule, which takes the ties
+// in index order. n is a multiple of 4.
+TEXT ·addKeptAVX2(SB), NOSPLIT, $0-56
+	MOVQ         dst+0(FP), DI
+	MOVQ         base+8(FP), SI
+	MOVQ         delta+16(FP), DX
+	MOVQ         n+24(FP), R9
+	VBROADCASTSD thr+32(FP), Y14
+	MOVQ         ties+40(FP), R8
+	VPCMPEQQ     Y15, Y15, Y15
+	VPSRLQ       $1, Y15, Y15    // every bit but the sign
+	XORQ         AX, AX
+	TESTQ        R9, R9
+	JZ           done
+
+	PCALIGN $64
+loop:
+	VMOVUPD   (DX)(AX*8), Y1
+	VANDPD    Y15, Y1, Y2       // |delta|
+	TESTQ     R8, R8
+	JZ        blend
+	VCMPPD    $0x00, Y14, Y2, Y3 // |delta| == thr, ordered
+	VMOVMSKPD Y3, BX
+	TESTL     BX, BX
+	JNZ       done
+
+blend:
+	VCMPPD    $0x1e, Y14, Y2, Y3 // |delta| > thr, ordered
+	VMOVUPD   (SI)(AX*8), Y0
+	VADDPD    Y1, Y0, Y4         // base + delta
+	VBLENDVPD Y3, Y4, Y0, Y0
+	VMOVUPD   Y0, (DI)(AX*8)
+	ADDQ      $4, AX
+	CMPQ      AX, R9
+	JLT       loop
+
+done:
+	MOVQ       AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func decaySumSquaresAVX2(grad, value *float64, n int, decay float64) float64
+//
+// Per lane, decaySumSquaresGeneric's body: grad = grad + decay·value, then
+// the lane's sum += grad². The lanes join as (0+2) + (1+3) before the last
+// 1–3 elements add in one at a time.
+TEXT ·decaySumSquaresAVX2(SB), NOSPLIT, $0-40
+	MOVQ         grad+0(FP), DI
+	MOVQ         value+8(FP), SI
+	MOVQ         n+16(FP), R9
+	VBROADCASTSD decay+24(FP), Y0
+	VXORPD       Y6, Y6, Y6
+	VECTORS(R9)
+	JZ           join
+
+	PCALIGN $64
+loop:
+	VMULPD  (SI)(AX*8), Y0, Y1
+	VADDPD  (DI)(AX*8), Y1, Y1 // g
+	VMOVUPD Y1, (DI)(AX*8)
+	VMULPD  Y1, Y1, Y2
+	VADDPD  Y2, Y6, Y6
+	ADDQ    $4, AX
+	CMPQ    AX, R10
+	JLT     loop
+
+join:
+	VEXTRACTF128 $1, Y6, X7
+	VADDPD       X7, X6, X6 // lanes 0+2, 1+3
+	VUNPCKHPD    X6, X6, X7
+	VADDSD       X7, X6, X6
+	CMPQ         AX, R9
+	JGE          done
+
+tail1:
+	VMOVSD (SI)(AX*8), X1
+	VMULSD X1, X0, X1
+	VADDSD (DI)(AX*8), X1, X1
+	VMOVSD X1, (DI)(AX*8)
+	VMULSD X1, X1, X2
+	VADDSD X2, X6, X6
+	INCQ   AX
+	CMPQ   AX, R9
+	JLT    tail1
+
+done:
+	VMOVSD     X6, ret+32(FP)
 	VZEROUPPER
 	RET
 

@@ -68,8 +68,9 @@ type AdamCoef struct {
 }
 
 // adamUpdateGeneric is one Adam step over one parameter: three divides and a
-// square root per element, no dependence between elements.
-func adamUpdateGeneric(value, grad, m, v []float64, k *AdamCoef) {
+// square root per element, no dependence between elements but the returned
+// sumSq plus the squares of the updated values, added in index order.
+func adamUpdateGeneric(value, grad, m, v []float64, k *AdamCoef, sumSq float64) float64 {
 	grad, m, v = grad[:len(value)], m[:len(value)], v[:len(value)]
 	for i := range value {
 		g := grad[i] + k.Decay*value[i]
@@ -77,6 +78,58 @@ func adamUpdateGeneric(value, grad, m, v []float64, k *AdamCoef) {
 		v[i] = k.Beta2*v[i] + k.OneMinusBeta2*g*g
 		mHat := m[i] / k.BiasCorr1
 		vHat := v[i] / k.BiasCorr2
-		value[i] -= k.LR * mHat / (math.Sqrt(vHat) + k.Eps)
+		x := value[i] - k.LR*mHat/(math.Sqrt(vHat)+k.Eps)
+		value[i] = x
+		sumSq += x * x
 	}
+	return sumSq
+}
+
+// addKeptGeneric writes base + delta into dst where the top-k cut keeps the
+// delta and base where it does not: it keeps |delta| > thr, and |delta| ==
+// thr while ties last, taken in index order. It returns the ties left.
+func addKeptGeneric(dst, base, delta []float64, thr float64, ties int) int {
+	dst, base = dst[:len(delta)], base[:len(delta)]
+	for i, d := range delta {
+		b := base[i]
+		if m := math.Abs(d); m > thr {
+			b += d
+		} else if m == thr && ties > 0 {
+			ties--
+			b += d
+		}
+		dst[i] = b
+	}
+	return ties
+}
+
+// decaySumSquaresGeneric adds decay·value to grad (decay == 0 adds nothing,
+// not even a signed zero) and returns the sum of the squares of the result
+// in the packed kernel's order: lane j sums elements 4i+j of the whole
+// vectors, the lanes join as (0+2) + (1+3), and the last 1–3 elements follow
+// one at a time.
+func decaySumSquaresGeneric(grad, value []float64, decay float64) float64 {
+	value = value[:len(grad)]
+	var lane [4]float64
+	whole := len(grad) &^ 3
+	for i := 0; i < whole; i += 4 {
+		for j := range lane {
+			g := grad[i+j]
+			if decay != 0 {
+				g += decay * value[i+j]
+				grad[i+j] = g
+			}
+			lane[j] += g * g
+		}
+	}
+	sum := (lane[0] + lane[2]) + (lane[1] + lane[3])
+	for i := whole; i < len(grad); i++ {
+		g := grad[i]
+		if decay != 0 {
+			g += decay * value[i]
+			grad[i] = g
+		}
+		sum += g * g
+	}
+	return sum
 }

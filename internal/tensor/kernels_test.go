@@ -136,9 +136,72 @@ func TestPackedKernelsMatchGenericBits(t *testing.T) {
 						o.got[3][i], o.want[3][i] = v, v
 					}
 				}
-				AdamUpdate(o.got[0], o.got[1], o.got[2], o.got[3], &k)
-				adamUpdateGeneric(o.want[0], o.want[1], o.want[2], o.want[3], &k)
+				sumSq := draw()
+				if rep%2 == 0 {
+					sumSq = math.Abs(a1)
+				}
+				gotSum := AdamUpdate(o.got[0], o.got[1], o.got[2], o.got[3], &k, sumSq)
+				wantSum := adamUpdateGeneric(o.want[0], o.want[1], o.want[2], o.want[3], &k, sumSq)
 				o.compare(t, "AdamUpdate "+what)
+				sameBits(t, "AdamUpdate sum "+what, []float64{gotSum}, []float64{wantSum})
+
+				// The blend: thresholds drawn from the deltas themselves make
+				// ties, which the packed path hands to the scalar rule.
+				o = newOperands(3, n, off, draw)
+				thr := a0
+				if n > 0 && rep%2 == 0 {
+					thr = math.Abs(o.got[2][rng.Intn(n)])
+				}
+				ties := rng.Intn(3)
+				AddKept(o.got[0], o.got[1], o.got[2], thr, ties)
+				addKeptGeneric(o.want[0], o.want[1], o.want[2], thr, ties)
+				o.compare(t, fmt.Sprintf("AddKept thr=%v ties=%d %s", thr, ties, what))
+
+				decay := a0
+				if rep%4 == 0 {
+					decay = 0
+				}
+				o = newOperands(2, n, off, draw)
+				gotSum = DecaySumSquares(o.got[0], o.got[1], decay)
+				wantSum = decaySumSquaresGeneric(o.want[0], o.want[1], decay)
+				o.compare(t, "DecaySumSquares "+what)
+				sameBits(t, "DecaySumSquares sum "+what, []float64{gotSum}, []float64{wantSum})
+			}
+		}
+	}
+}
+
+// TestAddKeptTies pins the tie rule on runs of equal magnitudes that cross
+// vector boundaries: the first ties entries at the threshold are kept, in
+// index order, whichever sign they carry, and nothing at it after them.
+func TestAddKeptTies(t *testing.T) {
+	const n = 23
+	delta := make([]float64, n)
+	base := make([]float64, n)
+	for i := range delta {
+		delta[i] = 0.5
+		if i%3 == 0 {
+			delta[i] = -0.5
+		}
+		if i%5 == 0 {
+			delta[i] = 2
+		}
+		base[i] = float64(i)
+	}
+	for ties := 0; ties <= n; ties++ {
+		dst := make([]float64, n)
+		AddKept(dst, base, delta, 0.5, ties)
+		left := ties
+		for i, d := range delta {
+			want := base[i]
+			if math.Abs(d) > 0.5 || left > 0 {
+				if math.Abs(d) == 0.5 {
+					left--
+				}
+				want += d
+			}
+			if dst[i] != want {
+				t.Fatalf("ties=%d: dst[%d] = %v, want %v", ties, i, dst[i], want)
 			}
 		}
 	}
@@ -178,7 +241,9 @@ func TestShortOperandPanicsInGo(t *testing.T) {
 		{"axpy2", 3, func(o [][]float64) { axpy2(o[0], o[1], o[2], 2, 3) }},
 		{"axpy1", 2, func(o [][]float64) { axpy1(o[0], o[1], 2) }},
 		{"addRow", 2, func(o [][]float64) { addRow(o[1], o[0]) }}, // src sets the length
-		{"AdamUpdate", 4, func(o [][]float64) { AdamUpdate(o[0], o[1], o[2], o[3], &k) }},
+		{"AdamUpdate", 4, func(o [][]float64) { AdamUpdate(o[0], o[1], o[2], o[3], &k, 0) }},
+		{"AddKept", 3, func(o [][]float64) { AddKept(o[1], o[2], o[0], 0.5, 1) }}, // delta sets the length
+		{"DecaySumSquares", 2, func(o [][]float64) { DecaySumSquares(o[0], o[1], 0.5) }},
 	}
 	for _, c := range cases {
 		for short := 1; short < c.count; short++ {
