@@ -6,7 +6,7 @@ STATICCHECK_VERSION ?= 2025.1
 # How long make fuzz runs each fuzz target.
 FUZZTIME ?= 30s
 
-.PHONY: build vet fmt lint test test-purego cross race fuzz bench bench-pprof telemetry-smoke trace-smoke doccheck ci
+.PHONY: build vet fmt lint test test-purego cross race fuzz bench bench-pprof telemetry-smoke doccheck ci
 
 build:
 	$(GO) build ./...
@@ -109,52 +109,24 @@ bench-pprof:
 	$(GO) test -run '^$$' -bench 'BenchmarkDeltaPlanCuts' -benchtime 2000x -benchmem \
 		-cpuprofile bench-profiles/chat.cpu.pprof -o bench-profiles/compress.test ./internal/compress/
 
-# End-to-end check of the telemetry pipeline: a tiny sim writes its event
-# stream as JSONL plus its aggregated summary CSV, and telemetry-lint fails
-# unless the stream is non-empty, every line decodes against the event
-# schema, and every summary row names a canonical metric.
+# End-to-end check of the telemetry pipeline over a recorded trace: worldgen
+# writes a small LBTC recording, a tiny sim replays it from the file
+# (-trace-file) and writes its event stream as JSONL plus its aggregated
+# summary CSV, and telemetry-lint fails unless the stream is non-empty, every
+# line decodes against the event schema, and every summary row names a
+# canonical metric. (Resident ≡ windowed replay is TestStreamABDeterminism's
+# and TestTraceResidencyBySize's, run by make test and make race.)
 telemetry-smoke:
 	$(eval TMPDIR_SMOKE := $(shell mktemp -d))
-	$(GO) run ./cmd/lbchat-sim -scale test -vehicles 4 -duration 120 \
+	$(GO) run ./cmd/worldgen -vehicles 4 -trace 240 \
+		-trace-out $(TMPDIR_SMOKE)/trace.lbtc > /dev/null
+	$(GO) run ./cmd/lbchat-sim -scale test -duration 120 \
+		-trace-file $(TMPDIR_SMOKE)/trace.lbtc \
 		-telemetry-out $(TMPDIR_SMOKE)/events.jsonl \
 		-summary-out $(TMPDIR_SMOKE)/summary.csv > /dev/null
 	$(GO) run ./cmd/telemetry-lint -summary $(TMPDIR_SMOKE)/summary.csv \
 		$(TMPDIR_SMOKE)/events.jsonl
 	rm -rf $(TMPDIR_SMOKE)
-
-# End-to-end check of the two trace paths a CLI can reach, under the race
-# detector: one recorded LBTC trace drives the same co-simulation from the
-# file (-trace-file: resident at this size) and paged through the bounded
-# sliding window over HTTP from cmd/trace-serve on a loopback port
-# (-trace-url). The two telemetry event streams must be byte-identical —
-# windowing and remote paging change where chunks come from, never what the
-# engine computes; chunk traffic flows through a side channel — and the
-# remote run's summary CSV must lint clean against the canonical metric
-# registry, which covers the trace.chunk_* fetch-pipeline counters only a
-# windowed run emits. (A windowed local file is TestStreamABDeterminism's.)
-trace-smoke:
-	$(eval TMPDIR_TRACE := $(shell mktemp -d))
-	$(GO) build -o $(TMPDIR_TRACE)/trace-serve ./cmd/trace-serve
-	$(GO) build -race -o $(TMPDIR_TRACE)/lbchat-sim ./cmd/lbchat-sim
-	$(GO) run ./cmd/worldgen -vehicles 4 -trace 240 \
-		-trace-out $(TMPDIR_TRACE)/trace.lbtc > /dev/null
-	$(TMPDIR_TRACE)/lbchat-sim -scale test -duration 120 \
-		-trace-file $(TMPDIR_TRACE)/trace.lbtc \
-		-telemetry-out $(TMPDIR_TRACE)/resident.jsonl > /dev/null
-	set -e; \
-	$(TMPDIR_TRACE)/trace-serve -file $(TMPDIR_TRACE)/trace.lbtc \
-		-addr 127.0.0.1:0 -addr-file $(TMPDIR_TRACE)/addr & \
-	pid=$$!; trap "kill $$pid 2>/dev/null || true" EXIT; \
-	for i in $$(seq 1 100); do [ -s $(TMPDIR_TRACE)/addr ] && break; sleep 0.1; done; \
-	[ -s $(TMPDIR_TRACE)/addr ] || { echo "trace-serve never published its address"; exit 1; }; \
-	$(TMPDIR_TRACE)/lbchat-sim -scale test -duration 120 \
-		-trace-url http://$$(cat $(TMPDIR_TRACE)/addr) \
-		-telemetry-out $(TMPDIR_TRACE)/remote.jsonl \
-		-summary-out $(TMPDIR_TRACE)/summary.csv > /dev/null
-	cmp $(TMPDIR_TRACE)/resident.jsonl $(TMPDIR_TRACE)/remote.jsonl
-	$(GO) run ./cmd/telemetry-lint -summary $(TMPDIR_TRACE)/summary.csv \
-		$(TMPDIR_TRACE)/remote.jsonl
-	rm -rf $(TMPDIR_TRACE)
 
 # Every internal package must carry its godoc in a dedicated doc.go opening
 # with the canonical "// Package <name>" sentence.
@@ -168,4 +140,4 @@ doccheck:
 		fi; \
 	done; exit $$fail
 
-ci: build vet fmt doccheck lint test test-purego cross race fuzz telemetry-smoke trace-smoke
+ci: build vet fmt doccheck lint test test-purego cross race fuzz telemetry-smoke

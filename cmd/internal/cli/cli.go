@@ -1,6 +1,6 @@
 // Package cli collects the flag handling shared by the lbchat commands so
-// -seed, -workers, -scale, -faults, -telemetry-out, -trace-file and
-// -trace-url parse and behave identically everywhere.
+// -seed, -workers, -scale, -faults, -telemetry-out and -trace-file parse and
+// behave identically everywhere.
 package cli
 
 import (
@@ -16,7 +16,6 @@ import (
 	"lbchat/internal/telemetry"
 	"lbchat/internal/tensor"
 	"lbchat/internal/trace"
-	"lbchat/internal/traceserve"
 )
 
 // Common holds the parsed shared flags.
@@ -42,11 +41,6 @@ type Common struct {
 	// decides whether it is held resident or paged through a sliding window
 	// (results are bit-identical either way). Resolve it with ApplyTrace.
 	TraceFile string
-	// TraceURL pages the mobility trace from a remote chunk server
-	// (-trace-url, see cmd/trace-serve) instead of a local file. Remote
-	// traces always page through a sliding window; mutually exclusive
-	// with -trace-file. Resolve it with ApplyTrace.
-	TraceURL string
 
 	fs   *flag.FlagSet
 	sink telemetry.Sink // the open -telemetry-out sink; nil once closed
@@ -66,8 +60,6 @@ func Register(fs *flag.FlagSet) *Common {
 		"fault-injection profile: off, light, or heavy (burst loss, window truncation, churn, corruption)")
 	fs.StringVar(&c.TraceFile, "trace-file", "",
 		"take the mobility trace from this LBTC file (see worldgen -trace-out) instead of recording one; large files are paged through a bounded window")
-	fs.StringVar(&c.TraceURL, "trace-url", "",
-		"page the mobility trace from a trace-serve chunk server at this base URL (always windowed; excludes -trace-file)")
 	return c
 }
 
@@ -92,35 +84,23 @@ func (c *Common) Scale() (experiments.Scale, error) {
 	return scale, nil
 }
 
-// ApplyTrace resolves -trace-file or -trace-url onto the scale. Either
-// source is probed once for its stream metadata — a file through its LBTC
-// header and chunk index, a URL by dialing the chunk server — and recorded
-// as Scale.TracePath or Scale.TraceURL for the experiment layer to open
-// (a file resident or windowed by its size; remote traces always
-// window). The scale's vehicle count is taken from the trace — overriding
-// any -vehicles setting, which only sizes recorded traces. Without either
-// flag the scale is untouched.
+// ApplyTrace resolves -trace-file onto the scale. The file is probed once
+// for its stream metadata, through its LBTC header and chunk index, and
+// recorded as Scale.TracePath for the experiment layer to open (resident or
+// windowed by its size). The scale's vehicle count is taken from the trace —
+// overriding any -vehicles setting, which only sizes recorded traces.
+// Without the flag the scale is untouched.
 func (c *Common) ApplyTrace(scale *experiments.Scale) error {
-	switch {
-	case c.TraceFile != "" && c.TraceURL != "":
-		return fmt.Errorf("-trace-file and -trace-url are mutually exclusive")
-	case c.TraceURL != "":
-		probe, err := traceserve.Dial(c.TraceURL)
-		if err != nil {
-			return err
-		}
-		probe.Close()
-		scale.TraceURL = c.TraceURL
-		scale.Vehicles, scale.TraceTicks = probe.NumVehicles(), probe.NumTicks()
-	case c.TraceFile != "":
-		probe, err := trace.OpenFileSource(c.TraceFile)
-		if err != nil {
-			return err
-		}
-		probe.Close()
-		scale.TracePath = c.TraceFile
-		scale.Vehicles, scale.TraceTicks = probe.NumVehicles(), probe.NumTicks()
+	if c.TraceFile == "" {
+		return nil
 	}
+	probe, err := trace.OpenFileSource(c.TraceFile)
+	if err != nil {
+		return err
+	}
+	probe.Close()
+	scale.TracePath = c.TraceFile
+	scale.Vehicles, scale.TraceTicks = probe.NumVehicles(), probe.NumTicks()
 	return nil
 }
 

@@ -125,7 +125,6 @@ func TestFlagErrors(t *testing.T) {
 		args []string
 		want string // substring the error must carry
 	}{
-		{"both sources", []string{"-trace-file", "a.lbtc", "-trace-url", "http://127.0.0.1:1"}, "mutually exclusive"},
 		{"missing file", []string{"-trace-file", filepath.Join(dir, "missing.lbtc")}, "missing.lbtc"},
 		{"truncated file", []string{"-trace-file", filepath.Join(dir, "truncated.lbtc")}, "truncated.lbtc"},
 		{"corrupt file", []string{"-trace-file", filepath.Join(dir, "corrupt.lbtc")}, "corrupt.lbtc"},

@@ -6,9 +6,8 @@
 //
 // With -summary it additionally validates a summary CSV dump (from
 // lbchat-sim -summary-out) against the canonical metric-name registry, so
-// counters added by new subsystems — e.g. the trace.chunk_* fetch-pipeline
-// counters remote-streamed runs emit — are caught if they drift from
-// telemetry.KnownMetrics.
+// counters added by new subsystems — e.g. the trace.chunk_* counters
+// windowed runs emit — are caught if they drift from telemetry.KnownMetrics.
 //
 // Usage:
 //

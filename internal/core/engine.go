@@ -816,15 +816,12 @@ func (e *Engine) observeSched(due, buckets int) {
 }
 
 // observeChunk is the trace window's chunk callback: loads, evicts and
-// prefetch issues with the retained chunk count after each, and a remote
-// source's retries and blocking fetch waits when there were any.
+// prefetch issues with the retained chunk count after each, and the time a
+// load blocked when it did.
 func (e *Engine) observeChunk(op trace.ChunkOp) {
 	switch op.Kind {
 	case trace.OpLoad:
 		e.obs.Observe(telemetry.MTraceLoads, 1)
-		if op.Retries > 0 {
-			e.obs.Observe(telemetry.MTraceFetchRetries, float64(op.Retries))
-		}
 		if op.WaitNs > 0 {
 			e.obs.Observe(telemetry.MTraceFetchWaitNs, float64(op.WaitNs))
 		}
@@ -832,7 +829,6 @@ func (e *Engine) observeChunk(op trace.ChunkOp) {
 		e.obs.Observe(telemetry.MTraceEvicts, 1)
 	case trace.OpPrefetch:
 		e.obs.Observe(telemetry.MTracePrefetches, 1)
-		e.obs.Observe(telemetry.MTracePrefetchDepth, float64(op.Depth))
 	}
 	e.obs.Observe(telemetry.MTraceResident, float64(op.Resident))
 }

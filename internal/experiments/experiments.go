@@ -19,7 +19,6 @@ import (
 	"lbchat/internal/simrand"
 	"lbchat/internal/telemetry"
 	"lbchat/internal/trace"
-	"lbchat/internal/traceserve"
 	"lbchat/internal/world"
 )
 
@@ -62,12 +61,6 @@ type Scale struct {
 	// window follows from its decoded size (residentTraceBudget); results
 	// are bit-identical either way.
 	TracePath string
-	// TraceURL, when set, pages the mobility trace from a remote chunk
-	// server (cmd/trace-serve) at this base URL instead of a local file.
-	// Remote traces are always windowed — each run gets a fresh window over
-	// a shared retrying client — and take precedence over TracePath. Results
-	// are bit-identical to the resident and local-windowed paths.
-	TraceURL string
 }
 
 // TestScale is a minimal configuration for unit tests.
@@ -131,10 +124,10 @@ type Env struct {
 	Telemetry telemetry.Sink
 
 	// chunks is the one chunk source every windowed run pages through — an
-	// indexed LBTC file or a chunk-server client, both safe for concurrent
-	// ReadChunk — and nil when Trace is resident. spill names the temporary
-	// LBTC file behind chunks when the env recorded it; Close removes it.
-	chunks trace.ChunkSource
+	// indexed LBTC file, safe for concurrent ReadChunk — and nil when Trace
+	// is resident. spill names the temporary LBTC file behind chunks when
+	// the env recorded it; Close removes it.
+	chunks *trace.IndexedChunkSource
 	spill  string
 }
 
@@ -175,20 +168,13 @@ func fitsResident(ticks, vehicles int) bool {
 var envWindow = trace.WindowConfig{Prefetch: true}
 
 // buildTrace resolves the scale's mobility trace into env: at most one
-// chunk source (a dialed chunk server | an LBTC file | none, for a trace
-// recorded from the world), held resident when its decoded size fits
-// residentTraceBudget and windowed otherwise; a chunk server always windows.
-// On error the caller closes env, which releases whatever was opened before
-// the failure.
+// chunk source (an LBTC file, or none for a trace recorded from the world),
+// held resident when its decoded size fits residentTraceBudget and windowed
+// otherwise. On error the caller closes env, which releases whatever was
+// opened before the failure.
 func buildTrace(env *Env, w *world.World) error {
 	scale := env.Scale
 	switch {
-	case scale.TraceURL != "":
-		remote, err := traceserve.Dial(scale.TraceURL)
-		if err != nil {
-			return fmt.Errorf("experiments: dialing trace server: %w", err)
-		}
-		env.chunks = remote
 	case scale.TracePath != "":
 		file, err := trace.OpenFileSource(scale.TracePath)
 		if err != nil {

@@ -128,12 +128,9 @@ func TestGoldenEventStreams(t *testing.T) {
 const goldenSummaryPath = "testdata/golden_summary.csv"
 
 // clockFedMetrics are the Summary rows the wall clock feeds — per-vehicle
-// train time, and the prefetch pipeline whose depth adapts to measured fetch
-// latency — so they differ run to run and stay out of the golden.
-var clockFedMetrics = []string{
-	telemetry.MTrainWallNs, telemetry.MTracePrefetches, telemetry.MTracePrefetchDepth,
-	telemetry.MTraceResident, telemetry.MTraceFetchWaitNs,
-}
+// train time and the time chunk loads blocked — so they differ run to run
+// and stay out of the golden.
+var clockFedMetrics = []string{telemetry.MTrainWallNs, telemetry.MTraceFetchWaitNs}
 
 // TestGoldenSummaryRegistry pins the aggregate side of a run across commits:
 // the Summary registry of one lossy LbChat run over a streamed trace — every

@@ -207,10 +207,8 @@ func CommTable(runs []*ProtocolRun) *metrics.Table {
 		counter("trace chunk loads", telemetry.MTraceLoads)
 		counter("trace chunk evicts", telemetry.MTraceEvicts)
 		counter("trace chunk prefetches", telemetry.MTracePrefetches)
-		// Fetch-pipeline rows appear only when some run actually retried or
-		// blocked on a fetch — i.e. remote or degraded chunk sources.
-		if anyCount(telemetry.MTraceFetchRetries) || anyCount(telemetry.MTraceFetchWaitNs) {
-			counter("trace fetch retries", telemetry.MTraceFetchRetries)
+		// The wait row appears only when some run blocked on a chunk read.
+		if anyCount(telemetry.MTraceFetchWaitNs) {
 			row("trace fetch wait (ms)", func(r *ProtocolRun) float64 {
 				return float64(r.Comm.Reg.Counter(telemetry.MTraceFetchWaitNs)) / 1e6
 			})

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"net/http/httptest"
 	"os"
 	"sync"
 	"testing"
@@ -10,7 +9,6 @@ import (
 	"lbchat/internal/core"
 	"lbchat/internal/telemetry"
 	"lbchat/internal/trace"
-	"lbchat/internal/traceserve"
 )
 
 // TestMain closes the package's shared envs so the streamed env's temporary
@@ -79,45 +77,19 @@ func TestStreamABDeterminism(t *testing.T) {
 		t.Fatal("resident reference run emitted no events")
 	}
 	streamed := getStreamedEnv(t)
-
-	// Third arm: the same spilled LBTC stream, but paged over localhost
-	// through a trace-serve chunk server — the remote runs must match the
-	// resident reference byte for byte too.
-	srv, err := traceserve.NewServer(streamed.chunks.(*trace.IndexedChunkSource), traceserve.ServerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(srv)
-	defer hs.Close()
-	client, err := traceserve.Dial(hs.URL)
-	if err != nil {
-		t.Fatalf("dialing chunk server: %v", err)
-	}
-	defer client.Close()
-	remoteEnv := *streamed
-	remoteEnv.chunks, remoteEnv.spill = client, ""
-
-	for _, arm := range []struct {
-		name string
-		env  *Env
-	}{
-		{"streamed", streamed},
-		{"remote", &remoteEnv},
-	} {
-		for _, workers := range []int{1, 4, 8} {
-			run, stream := runWith(arm.env, workers)
-			if len(stream) != len(refStream) {
-				t.Fatalf("%s workers=%d: %d events, resident reference %d",
-					arm.name, workers, len(stream), len(refStream))
-			}
-			for i := range stream {
-				if !bytes.Equal(stream[i], refStream[i]) {
-					t.Fatalf("%s workers=%d: event %d differs:\n%s: %s\nresident: %s",
-						arm.name, workers, i, arm.name, stream[i], refStream[i])
-				}
-			}
-			sameRun(t, arm.name+" vs resident", run, refRun)
+	for _, workers := range []int{1, 4, 8} {
+		run, stream := runWith(streamed, workers)
+		if len(stream) != len(refStream) {
+			t.Fatalf("streamed workers=%d: %d events, resident reference %d",
+				workers, len(stream), len(refStream))
 		}
+		for i := range stream {
+			if !bytes.Equal(stream[i], refStream[i]) {
+				t.Fatalf("streamed workers=%d: event %d differs:\nstreamed: %s\nresident: %s",
+					workers, i, stream[i], refStream[i])
+			}
+		}
+		sameRun(t, "streamed vs resident", run, refRun)
 	}
 }
 

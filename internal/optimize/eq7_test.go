@@ -3,6 +3,8 @@ package optimize
 import (
 	"math"
 	"testing"
+
+	"lbchat/internal/simrand"
 )
 
 // phiFlat builds a φ curve with constant loss at every ψ.
@@ -71,15 +73,81 @@ func TestPredictClampsToSampledRange(t *testing.T) {
 	}
 }
 
-func TestSolveRespectsTimeConstraint(t *testing.T) {
-	p := baseProblem(t)
-	sol := Solve(p)
-	window := math.Min(p.TimeBudget, p.ContactTime)
-	if sol.TransferTime > window+1e-9 {
-		t.Errorf("transfer time %v exceeds window %v", sol.TransferTime, window)
+// randomPhi returns a φ curve fitted to a few random (ψ, loss) samples, or
+// nil — a side with no curve — one time in four.
+func randomPhi(rng *simrand.Rand) *PhiCurve {
+	if rng.Intn(4) == 0 {
+		return nil
 	}
-	if sol.PsiSelf < 0 || sol.PsiSelf > 1 || sol.PsiPeer < 0 || sol.PsiPeer > 1 {
-		t.Errorf("ψ out of bounds: %v, %v", sol.PsiSelf, sol.PsiPeer)
+	n := 2 + rng.Intn(4)
+	psis, losses := make([]float64, n), make([]float64, n)
+	for i := range psis {
+		psis[i] = (float64(i) + rng.Uniform(0.1, 1)) / float64(n)
+		losses[i] = rng.Uniform(0, 0.5)
+	}
+	c, err := FitPhi(psis, losses)
+	if err != nil {
+		return nil
+	}
+	return c
+}
+
+// randomProblem draws an Eq. (7) instance: zero, ordinary and huge
+// bandwidths, contact times below and above the budget, nil φ curves, and
+// the default or a coarse ψ grid.
+func randomProblem(rng *simrand.Rand) Problem {
+	p := Problem{
+		PhiSelf:        randomPhi(rng),
+		PhiPeer:        randomPhi(rng),
+		LossSelfOnPeer: rng.Uniform(0, 0.5),
+		LossPeerOnSelf: rng.Uniform(0, 0.5),
+		ModelBytes:     1 + rng.Intn(100_000_000),
+		TimeBudget:     rng.Uniform(0, 30),
+		LambdaC:        []float64{0, rng.Uniform(0, 0.01), 10}[rng.Intn(3)],
+	}
+	p.MinBandwidthBps = []float64{0, rng.Uniform(1e5, 1e8), 1e15}[rng.Intn(3)]
+	if rng.Bernoulli(0.5) {
+		p.ContactTime = rng.Uniform(0, p.TimeBudget)
+	} else {
+		p.ContactTime = p.TimeBudget + rng.Uniform(0, 60)
+	}
+	if rng.Bernoulli(0.5) {
+		p.GridStep = rng.Uniform(0.01, 0.3)
+	}
+	return p
+}
+
+// TestSolveRespectsTimeConstraint is the Eq. (7) property test: for every
+// solution Solve returns, the transfer fits the window min(T_B, T_contact),
+// both ψ lie in [0, 1], the objective is at least the no-exchange award
+// λc·window, and it is exactly its components' sum.
+func TestSolveRespectsTimeConstraint(t *testing.T) {
+	const problems = 2000
+	root := simrand.New(7)
+	exchanges := 0
+	for i := 0; i < problems; i++ {
+		p := randomProblem(root.DeriveIndexed("problem", i))
+		sol := Solve(p)
+		if sol.PsiSelf > 0 || sol.PsiPeer > 0 {
+			exchanges++
+		}
+		window := math.Min(p.TimeBudget, p.ContactTime)
+		if sol.TransferTime > window {
+			t.Fatalf("problem %d: transfer time %v exceeds window %v\n%+v", i, sol.TransferTime, window, p)
+		}
+		if sol.PsiSelf < 0 || sol.PsiSelf > 1 || sol.PsiPeer < 0 || sol.PsiPeer > 1 {
+			t.Fatalf("problem %d: ψ out of bounds: %v, %v", i, sol.PsiSelf, sol.PsiPeer)
+		}
+		if floor := p.LambdaC * window; sol.Objective < floor {
+			t.Fatalf("problem %d: objective %v below the no-exchange award %v", i, sol.Objective, floor)
+		}
+		if want := sol.GainSelf + sol.GainPeer + p.LambdaC*(window-sol.TransferTime); sol.Objective != want {
+			t.Fatalf("problem %d: objective %v, components sum to %v", i, sol.Objective, want)
+		}
+	}
+	// The draw must reach the exchanging side, not only the ψ = (0, 0) default.
+	if exchanges < problems/5 {
+		t.Errorf("only %d of %d problems chose an exchange", exchanges, problems)
 	}
 }
 

@@ -43,13 +43,11 @@ const (
 
 	MSkinRebuilds = "spatial.skin_rebuilds"
 
-	MTraceLoads         = "trace.chunk_loads"
-	MTraceEvicts        = "trace.chunk_evicts"
-	MTracePrefetches    = "trace.chunk_prefetches"
-	MTraceResident      = "trace.resident_chunks"
-	MTraceFetchRetries  = "trace.chunk_fetch_retries"
-	MTraceFetchWaitNs   = "trace.chunk_fetch_wait_ns"
-	MTracePrefetchDepth = "trace.chunk_prefetch_depth"
+	MTraceLoads       = "trace.chunk_loads"
+	MTraceEvicts      = "trace.chunk_evicts"
+	MTracePrefetches  = "trace.chunk_prefetches"
+	MTraceResident    = "trace.resident_chunks"
+	MTraceFetchWaitNs = "trace.chunk_fetch_wait_ns"
 
 	MFaultsInjected = "fault.injected"
 	MChatResumed    = "chat.resumed"
@@ -76,7 +74,7 @@ func KnownMetrics() []string {
 		MSchedDueDequeued, MSchedBucketsTouched,
 		MSkinRebuilds,
 		MTraceLoads, MTraceEvicts, MTracePrefetches, MTraceResident,
-		MTraceFetchRetries, MTraceFetchWaitNs, MTracePrefetchDepth,
+		MTraceFetchWaitNs,
 		MFaultsInjected, MChatResumed, MResumeSavedB, MSalvages, MSalvageFrames,
 	}
 }
@@ -94,9 +92,8 @@ var (
 // sideChannelEdges holds the bucket edges of the side-channel metrics that
 // are distributions; Summary.Observe counts every other name.
 var sideChannelEdges = map[string][]float64{
-	MTrainWallNs:        {1e4, 1e5, 1e6, 1e7, 1e8, 1e9},
-	MTraceResident:      {1, 2, 3, 4, 6, 8, 16},
-	MTracePrefetchDepth: {1, 2, 3, 4, 6, 8, 16},
+	MTrainWallNs:   {1e4, 1e5, 1e6, 1e7, 1e8, 1e9},
+	MTraceResident: {1, 2, 3, 4, 6, 8, 16},
 }
 
 // Summary is the always-cheap aggregating sink: it folds the event stream

@@ -188,9 +188,7 @@ func TestObserverSideChannel(t *testing.T) {
 		{MTraceEvicts, 1, -1},
 		{MTracePrefetches, 1, -1},
 		{MTraceResident, 5, 4},
-		{MTraceFetchRetries, 2, -1},
 		{MTraceFetchWaitNs, 1.5e6, -1},
-		{MTracePrefetchDepth, 0, 0},
 	}
 	sum, mem := NewSummary(), NewMemorySink()
 	var stream bytes.Buffer

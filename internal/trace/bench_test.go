@@ -2,11 +2,7 @@ package trace
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
-	"time"
-
-	"lbchat/internal/geom"
 )
 
 // benchStream encodes a synthetic trace once and hands out fresh readers:
@@ -55,74 +51,6 @@ func BenchmarkWindowAdvance(b *testing.B) {
 				}
 				w.Close()
 			}
-		})
-	}
-}
-
-// consumeRow is the benchmark's stand-in for the engine's per-tick trace
-// reads: a few passes of distance arithmetic over the row, so the cursor
-// advances at a realistic rate instead of memory speed — which is what
-// gives the adaptive depth a rate to measure against the fetch latency.
-func consumeRow(row []geom.Point) float64 {
-	var sum float64
-	for rep := 0; rep < 16; rep++ {
-		for v := range row {
-			sum += row[v].Dist(row[0])
-		}
-	}
-	return sum
-}
-
-// BenchmarkWindowAdvanceLatency pages the window over a chunk source with
-// an injected 3ms per-fetch latency — a stand-in for a chunk server on a
-// degraded link — with no readahead (sync) and with the adaptive depth
-// (adaptive). The per-tick consumer work makes one chunk's worth of ticks
-// cheaper than one fetch, so the adaptive pipeline has to keep several
-// fetches in flight to hide the latency; nolat/sync is the zero-latency
-// floor the adaptive variant is judged against (EXPERIMENTS.md holds the
-// measured table).
-func BenchmarkWindowAdvanceLatency(b *testing.B) {
-	const vehicles, ticks = 64, 32768
-	raw, _ := benchStream(b, vehicles, ticks)
-	for _, mode := range []struct {
-		name    string
-		latency time.Duration
-		cfg     WindowConfig
-	}{
-		{"nolat/sync", 0, WindowConfig{}},
-		{"lat3ms/sync", 3 * time.Millisecond, WindowConfig{}},
-		{"lat3ms/adaptive", 3 * time.Millisecond, WindowConfig{Prefetch: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var sum float64
-			for i := 0; i < b.N; i++ {
-				inner, err := NewBytesSource(raw)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var src ChunkSource = inner
-				if mode.latency > 0 {
-					src = &delaySource{ChunkSource: inner, delay: mode.latency}
-				}
-				w := NewWindowSource(src, mode.cfg)
-				for t := 0; t < ticks; t++ {
-					if err := w.Advance(t); err != nil {
-						b.Fatal(err)
-					}
-					sum += consumeRow(w.Row(t))
-					// The engine's tick is full of scheduling points (worker
-					// channels); an unbroken busy loop would
-					// starve the prefetch goroutines' timers on a single-core
-					// box and measure the scheduler, not the readahead policy.
-					// Yielding every few ticks is enough for ms-scale timers.
-					if t%16 == 0 {
-						runtime.Gosched()
-					}
-				}
-				w.Close()
-			}
-			benchSink = sum
 		})
 	}
 }

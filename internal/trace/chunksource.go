@@ -11,44 +11,6 @@ import (
 	"lbchat/internal/geom"
 )
 
-// ChunkSource serves LBTC chunks by index — the random-access seam behind
-// Window. The resident file source, in-memory buffers, and the remote chunk
-// client (internal/traceserve) all implement it, so the window never knows
-// whether a chunk came from a local decode or crossed a network.
-//
-// Implementations must be safe for concurrent ReadChunk calls: the
-// window's adaptive prefetcher keeps up to depth-k fetches in flight at
-// once.
-type ChunkSource interface {
-	// DT returns the stream's tick interval in seconds.
-	DT() float64
-	// NumVehicles returns the stream's vehicle count.
-	NumVehicles() int
-	// ChunkTicks returns the stream's chunk capacity in ticks.
-	ChunkTicks() int
-	// NumTicks returns the stream's total tick count.
-	NumTicks() int
-	// ReadChunk decodes chunk idx into dst (grown as needed; dst may be
-	// nil) and returns the fetch result. Reading past the last chunk is an
-	// error. The returned points are owned by the caller.
-	ReadChunk(idx int, dst []geom.Point) (ChunkFetch, error)
-	// Close releases the source's resources (file handles, connections).
-	Close() error
-}
-
-// ChunkFetch is one completed chunk read: the decoded positions
-// (row-major, Ticks × vehicles) and how hard the fetch was.
-type ChunkFetch struct {
-	// Pts holds the chunk's positions, backed by the caller's dst when its
-	// capacity sufficed.
-	Pts []geom.Point
-	// Ticks is the chunk's tick count (the tail chunk may be short).
-	Ticks int
-	// Retries counts transport-level retries the fetch needed; always zero
-	// for local sources.
-	Retries int
-}
-
 // NumChunks returns the chunk count of a stream with the given shape.
 func NumChunks(totalTicks, chunkTicks int) int {
 	if totalTicks <= 0 || chunkTicks <= 0 {
@@ -66,12 +28,12 @@ func ticksInChunk(idx, totalTicks, chunkTicks int) int {
 	return chunkTicks
 }
 
-// checkChunk verifies a fetched chunk has the shape its place in the stream
-// implies, whatever the source claimed.
-func checkChunk(ticks int, pts []geom.Point, wantTicks, vehicles int) error {
-	if ticks != wantTicks || len(pts) != wantTicks*vehicles {
-		return fmt.Errorf("chunk holds %d ticks in %d positions, expected %d ticks of %d vehicles",
-			ticks, len(pts), wantTicks, vehicles)
+// checkChunk verifies a read chunk has the shape its place in the stream
+// implies, whatever the source's index claimed.
+func checkChunk(pts []geom.Point, wantTicks, vehicles int) error {
+	if len(pts) != wantTicks*vehicles {
+		return fmt.Errorf("chunk holds %d positions, expected %d ticks of %d vehicles",
+			len(pts), wantTicks, vehicles)
 	}
 	return nil
 }
@@ -109,8 +71,8 @@ type chunkIndexEntry struct {
 // chunk itself.
 const blockBytes = 64 << 10
 
-// IndexedChunkSource is a random-access ChunkSource over a seekable LBTC
-// stream (io.ReaderAt): the constructor scans the chunk headers once to
+// IndexedChunkSource serves the chunks of a seekable LBTC stream
+// (io.ReaderAt) by index: the constructor scans the chunk headers once to
 // build an offset index, and every ReadChunk is then positioned reads of at
 // most blockBytes, each decoded straight into the caller's chunk — no
 // shared cursor and no shared buffer, so concurrent fetches never contend.
@@ -208,23 +170,24 @@ func NewBytesSource(raw []byte) (*IndexedChunkSource, error) {
 }
 
 // Load materializes a chunk source as a resident trace: every chunk, read
-// in order. A file, a byte slice and a chunk server all load this way, so
-// the sources' one decoder is the only one. The trace adopts the decoded
-// chunks as they are — its tail chunk has no spare capacity, so a loaded
-// trace is for reading, not for AppendRow.
-func Load(src ChunkSource) (*Trace, error) {
+// in order. A file and a byte slice both load this way, so the window's
+// decoder is the only one. The trace adopts the decoded chunks as they are
+// — its tail chunk has no spare capacity, so a loaded trace is for reading,
+// not for AppendRow.
+func Load(src *IndexedChunkSource) (*Trace, error) {
 	tr := NewChunked(src.DT(), src.NumVehicles(), src.ChunkTicks())
 	total := src.NumTicks()
 	for idx, n := 0, NumChunks(total, tr.chunkTicks); idx < n; idx++ {
-		cf, err := src.ReadChunk(idx, nil)
+		ticks := ticksInChunk(idx, total, tr.chunkTicks)
+		pts, err := src.ReadChunk(idx, nil)
 		if err == nil {
-			err = checkChunk(cf.Ticks, cf.Pts, ticksInChunk(idx, total, tr.chunkTicks), tr.vehicles)
+			err = checkChunk(pts, ticks, tr.vehicles)
 		}
 		if err != nil {
 			return nil, &ChunkError{Chunk: idx, FirstTick: tr.ticks, Err: err}
 		}
-		tr.chunks = append(tr.chunks, cf.Pts)
-		tr.ticks += cf.Ticks
+		tr.chunks = append(tr.chunks, pts)
+		tr.ticks += ticks
 	}
 	return tr, nil
 }
@@ -253,34 +216,17 @@ func (s *IndexedChunkSource) entry(idx int) (chunkIndexEntry, error) {
 	return s.index[idx], nil
 }
 
-// ReadRawChunk reads chunk idx's encoded body into dst (grown as needed)
-// and returns it alongside the chunk's tick count. This is the zero-decode
-// path the chunk server uses to put bodies straight on the wire.
-func (s *IndexedChunkSource) ReadRawChunk(idx int, dst []byte) ([]byte, int, error) {
-	e, err := s.entry(idx)
-	if err != nil {
-		return nil, 0, err
-	}
-	n := e.ticks * s.vehicles * 16
-	if cap(dst) < n {
-		dst = make([]byte, n)
-	}
-	dst = dst[:n]
-	if _, err := s.r.ReadAt(dst, e.off); err != nil {
-		return nil, 0, fmt.Errorf("trace: reading chunk %d body: %w", idx, err)
-	}
-	return dst, e.ticks, nil
-}
-
-// ReadChunk implements ChunkSource, safe for concurrent use: positioned
-// reads of at most blockBytes, each decoded by DecodePoints straight into
-// its sub-slice of dst, so the one chunk-sized buffer is dst itself. Every
+// ReadChunk decodes chunk idx into dst (grown as needed; dst may be nil)
+// and returns its positions, row-major ticks × vehicles; reading past the
+// last chunk is an error. It is safe for concurrent use: positioned reads
+// of at most blockBytes, each decoded by DecodePoints straight into its
+// sub-slice of dst, so the one chunk-sized buffer is dst itself. Every
 // length was checked against the stream when it was indexed; a short read
 // is an error.
-func (s *IndexedChunkSource) ReadChunk(idx int, dst []geom.Point) (ChunkFetch, error) {
+func (s *IndexedChunkSource) ReadChunk(idx int, dst []geom.Point) ([]geom.Point, error) {
 	e, err := s.entry(idx)
 	if err != nil {
-		return ChunkFetch{}, err
+		return nil, err
 	}
 	n := e.ticks * s.vehicles
 	if cap(dst) < n {
@@ -292,14 +238,14 @@ func (s *IndexedChunkSource) ReadChunk(idx int, dst []geom.Point) (ChunkFetch, e
 		m := min(n-at, blockBytes/16)
 		raw := block[:m*16]
 		if _, err := s.r.ReadAt(raw, e.off+int64(at)*16); err != nil {
-			return ChunkFetch{}, fmt.Errorf("trace: reading chunk %d body: %w", idx, err)
+			return nil, fmt.Errorf("trace: reading chunk %d body: %w", idx, err)
 		}
 		if _, err := DecodePoints(raw, dst[at:at+m]); err != nil {
-			return ChunkFetch{}, err
+			return nil, err
 		}
 		at += m
 	}
-	return ChunkFetch{Pts: dst, Ticks: e.ticks}, nil
+	return dst, nil
 }
 
 // Close releases the backing file handle when the source owns one.

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"lbchat/internal/geom"
 )
@@ -52,7 +52,7 @@ func TestIndexedSourceMatchesResident(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cf, err := src.ReadChunk(idx, nil)
+			pts, err := src.ReadChunk(idx, nil)
 			if err != nil {
 				t.Errorf("ReadChunk(%d): %v", idx, err)
 				return
@@ -62,17 +62,16 @@ func TestIndexedSourceMatchesResident(t *testing.T) {
 			if rem := ticks - first; rem < wantTicks {
 				wantTicks = rem
 			}
-			if cf.Ticks != wantTicks || len(cf.Pts) != wantTicks*vehicles || cf.Retries != 0 {
-				t.Errorf("chunk %d: ticks=%d pts=%d retries=%d, want ticks=%d pts=%d retries=0",
-					idx, cf.Ticks, len(cf.Pts), cf.Retries, wantTicks, wantTicks*vehicles)
+			if len(pts) != wantTicks*vehicles {
+				t.Errorf("chunk %d: %d points, want %d", idx, len(pts), wantTicks*vehicles)
 				return
 			}
-			for k := 0; k < cf.Ticks; k++ {
+			for k := 0; k < wantTicks; k++ {
 				row := tr.Row(first + k)
 				for v := 0; v < vehicles; v++ {
-					if cf.Pts[k*vehicles+v] != row[v] {
+					if pts[k*vehicles+v] != row[v] {
 						t.Errorf("chunk %d tick %d vehicle %d: %v, want %v",
-							idx, first+k, v, cf.Pts[k*vehicles+v], row[v])
+							idx, first+k, v, pts[k*vehicles+v], row[v])
 						return
 					}
 				}
@@ -85,132 +84,33 @@ func TestIndexedSourceMatchesResident(t *testing.T) {
 	}
 }
 
-// delaySource injects a fixed latency into every fetch — enough for the
-// adaptive depth to see expensive chunks without a real network.
-type delaySource struct {
-	ChunkSource
-	delay time.Duration
+// failReader fails every read at one offset — a disk error under the
+// first block of one chunk's body.
+type failReader struct {
+	io.ReaderAt
+	failAt int64
 }
 
-func (d *delaySource) ReadChunk(idx int, dst []geom.Point) (ChunkFetch, error) {
-	time.Sleep(d.delay)
-	return d.ChunkSource.ReadChunk(idx, dst)
+func (f *failReader) ReadAt(p []byte, off int64) (int, error) {
+	if off == f.failAt {
+		return 0, errors.New("injected read failure")
+	}
+	return f.ReaderAt.ReadAt(p, off)
 }
 
-// TestWindowAdaptiveOverDelayedSource sweeps a prefetching window over a
-// high-latency source: values must stay identical to the resident trace,
-// and the adaptive depth must have grown past the fixed one-chunk
-// readahead.
-func TestWindowAdaptiveOverDelayedSource(t *testing.T) {
-	const (
-		vehicles   = 2
-		ticks      = 96
-		chunkTicks = 8
-	)
-	tr := syntheticTrace(0.5, vehicles, ticks, chunkTicks)
-	inner, err := NewBytesSource(encodeTrace(t, tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := &delaySource{ChunkSource: inner, delay: 2 * time.Millisecond}
-	w := narrow(NewWindowSource(src, WindowConfig{Prefetch: true}), 2, 5)
-	defer w.Close()
-	loads, maxDepth := 0, 0
-	var waitNs int64
-	w.SetChunkObserver(func(op ChunkOp) {
-		if op.Kind == OpLoad {
-			loads++
-			waitNs += op.WaitNs
-		}
-		maxDepth = max(maxDepth, op.Depth)
-	})
-	for cursor := 0; cursor < ticks; cursor++ {
-		if err := w.Advance(cursor); err != nil {
-			t.Fatalf("Advance(%d): %v", cursor, err)
-		}
-		now := float64(cursor) * 0.5
-		for v := 0; v < vehicles; v++ {
-			if got, want := w.At(v, now), tr.At(v, now); got != want {
-				t.Fatalf("cursor %d vehicle %d: %v, want %v", cursor, v, got, want)
-			}
-		}
-	}
-	if maxDepth <= 1 {
-		t.Errorf("adaptive depth stayed at %d over a 2ms-latency source", maxDepth)
-	}
-	if loads != NumChunks(ticks, chunkTicks) {
-		t.Errorf("loads = %d, want %d", loads, NumChunks(ticks, chunkTicks))
-	}
-	if waitNs <= 0 {
-		t.Errorf("waitNs = %d; the first synchronous load alone should have blocked", waitNs)
-	}
-}
-
-// retrySource reports a fixed per-fetch retry count, standing in for a
-// flaky transport that recovered every time.
-type retrySource struct {
-	ChunkSource
-	retries int
-}
-
-func (r *retrySource) ReadChunk(idx int, dst []geom.Point) (ChunkFetch, error) {
-	cf, err := r.ChunkSource.ReadChunk(idx, dst)
-	cf.Retries = r.retries
-	return cf, err
-}
-
-// TestWindowSurfacesFetchRetries checks that every fetch's retry count
-// rides its load's ChunkOp.
-func TestWindowSurfacesFetchRetries(t *testing.T) {
-	const ticks, chunkTicks = 48, 8
-	tr := syntheticTrace(0.5, 2, ticks, chunkTicks)
-	inner, err := NewBytesSource(encodeTrace(t, tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := narrow(NewWindowSource(&retrySource{ChunkSource: inner, retries: 2}, WindowConfig{}), 2, 5)
-	defer w.Close()
-	var opRetries int
-	w.SetChunkObserver(func(op ChunkOp) {
-		if op.Kind == OpLoad {
-			opRetries += op.Retries
-		}
-	})
-	for cursor := 0; cursor < ticks; cursor++ {
-		if err := w.Advance(cursor); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wantRetries := 2 * NumChunks(ticks, chunkTicks)
-	if opRetries != wantRetries {
-		t.Errorf("summed ChunkOp retries = %d, want %d", opRetries, wantRetries)
-	}
-}
-
-// failSource fails every fetch of one chunk index.
-type failSource struct {
-	ChunkSource
-	failIdx int
-}
-
-func (f *failSource) ReadChunk(idx int, dst []geom.Point) (ChunkFetch, error) {
-	if idx == f.failIdx {
-		return ChunkFetch{}, fmt.Errorf("injected fetch failure")
-	}
-	return f.ChunkSource.ReadChunk(idx, dst)
-}
-
-// TestWindowSourceErrorPoisons pins the failure contract for source-level
-// fetch errors (a chunk server with exhausted retries): Advance returns a
-// position-annotated *ChunkError, the error is sticky, and lookups panic.
+// TestWindowSourceErrorPoisons pins the failure contract for read errors
+// under an indexed stream: Advance returns a position-annotated
+// *ChunkError, the error is sticky, and lookups panic.
 func TestWindowSourceErrorPoisons(t *testing.T) {
 	const chunkTicks = 8
-	tr := syntheticTrace(0.5, 2, 64, chunkTicks)
-	inner, err := NewBytesSource(encodeTrace(t, tr))
+	raw := encodeTrace(t, syntheticTrace(0.5, 2, 64, chunkTicks))
+	r := &failReader{ReaderAt: bytes.NewReader(raw), failAt: -1}
+	src, err := NewIndexedSource(r, int64(len(raw)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := narrow(NewWindowSource(&failSource{ChunkSource: inner, failIdx: 3}, WindowConfig{}), 2, 2)
+	r.failAt = src.index[3].off
+	w := narrow(NewWindowSource(src, WindowConfig{}), 2, 2)
 	defer w.Close()
 	var advErr error
 	for cursor := 0; cursor < 64; cursor++ {
@@ -257,8 +157,8 @@ func TestReadChunkMatchesRawDecode(t *testing.T) {
 					t.Fatal(err)
 				}
 				for idx := 0; idx < src.NumChunks(); idx++ {
-					raw, ticks, err := src.ReadRawChunk(idx, nil)
-					if err != nil {
+					raw := make([]byte, src.index[idx].ticks*src.vehicles*16)
+					if _, err := src.r.ReadAt(raw, src.index[idx].off); err != nil {
 						t.Fatal(err)
 					}
 					want, err := DecodePoints(raw, nil)
@@ -281,14 +181,14 @@ func TestReadChunkMatchesRawDecode(t *testing.T) {
 						{"sized", make([]geom.Point, len(want))},
 						{"oversized", oversized},
 					} {
-						cf, err := src.ReadChunk(idx, dst.pts)
+						pts, err := src.ReadChunk(idx, dst.pts)
 						if err != nil {
 							t.Fatalf("chunk %d, %s dst: %v", idx, dst.name, err)
 						}
-						if cf.Ticks != ticks || !slices.Equal(cf.Pts, want) {
-							t.Fatalf("chunk %d, %s dst: %d ticks %v, raw decode %d ticks %v", idx, dst.name, cf.Ticks, cf.Pts, ticks, want)
+						if !slices.Equal(pts, want) {
+							t.Fatalf("chunk %d, %s dst: %v, raw decode %v", idx, dst.name, pts, want)
 						}
-						if cap(dst.pts) >= len(want) && &cf.Pts[0] != &dst.pts[0] {
+						if cap(dst.pts) >= len(want) && &pts[0] != &dst.pts[0] {
 							t.Fatalf("chunk %d, %s dst: decoded outside the caller's buffer", idx, dst.name)
 						}
 					}
@@ -339,15 +239,15 @@ func TestChunkIOScratchIsBounded(t *testing.T) {
 	}
 	defer src.Close()
 	dst := make([]geom.Point, vehicles*chunkTicks)
-	var cf ChunkFetch
-	if got := totalAlloc(func() { cf, err = src.ReadChunk(0, dst) }); got >= limit {
+	var pts []geom.Point
+	if got := totalAlloc(func() { pts, err = src.ReadChunk(0, dst) }); got >= limit {
 		t.Errorf("reading a %d-byte chunk into a sized dst allocated %d bytes, want < %d", 16*len(dst), got, limit)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last := cf.Pts[len(cf.Pts)-1]; cf.Ticks != chunkTicks || last != geom.Pt(chunkTicks-1, vehicles-1) {
-		t.Fatalf("read back %d ticks ending at %v", cf.Ticks, last)
+	if last := pts[len(pts)-1]; len(pts) != vehicles*chunkTicks || last != geom.Pt(chunkTicks-1, vehicles-1) {
+		t.Fatalf("read back %d points ending at %v", len(pts), last)
 	}
 }
 

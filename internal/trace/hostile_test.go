@@ -187,18 +187,18 @@ func FuzzLBTCDecode(f *testing.F) {
 			t.Fatalf("Load holds %d ticks, the index %d", tr.NumTicks(), total)
 		}
 		for idx := 0; idx < src.NumChunks(); idx++ {
-			cf, err := src.ReadChunk(idx, nil)
+			pts, err := src.ReadChunk(idx, nil)
 			if err != nil {
 				t.Fatalf("ReadChunk(%d) of an accepted stream: %v", idx, err)
 			}
 			ticks := ticksInChunk(idx, total, chunkTicks)
-			if cf.Ticks != ticks || len(cf.Pts) != ticks*vehicles {
-				t.Fatalf("chunk %d: %d ticks in %d points, want %d ticks of %d vehicles",
-					idx, cf.Ticks, len(cf.Pts), ticks, vehicles)
+			if src.index[idx].ticks != ticks || len(pts) != ticks*vehicles {
+				t.Fatalf("chunk %d: %d ticks indexed, %d points read, want %d ticks of %d vehicles",
+					idx, src.index[idx].ticks, len(pts), ticks, vehicles)
 			}
 			for k := 0; k < ticks; k++ {
 				row := tr.Row(idx*chunkTicks + k)
-				for v, p := range cf.Pts[k*vehicles : (k+1)*vehicles] {
+				for v, p := range pts[k*vehicles : (k+1)*vehicles] {
 					if math.Float64bits(p.X) != math.Float64bits(row[v].X) ||
 						math.Float64bits(p.Y) != math.Float64bits(row[v].Y) {
 						t.Fatalf("chunk %d tick %d vehicle %d: ReadChunk %v, Load %v", idx, k, v, p, row[v])

@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"lbchat/internal/geom"
@@ -18,23 +17,16 @@ const (
 	windowAhead  = 150.0
 )
 
-// prefetchBudget bounds the adaptive readahead: the window never keeps more
-// than this many chunk fetches in flight, no matter what the observed fetch
-// latency asks for. Chosen so a worst-case prefetch pipeline stays a small
-// multiple of the retained window itself.
-const prefetchBudget = 8
-
 // WindowConfig configures a sliding window. Its retained span starts at
 // the package defaults (30 s behind the cursor, 150 s ahead); consumers
 // widen it to their lookahead with Reserve.
 type WindowConfig struct {
-	// Prefetch reads chunks past the leading edge on background
-	// goroutines so a steady-state Advance rarely blocks on fetch or
-	// decode. The readahead depth adapts to the observed cursor rate and
-	// chunk fetch latency (see DESIGN.md §12), clamped by a fixed budget.
-	// It never changes results or the telemetry event stream — chunk
-	// operations are reported through the side-channel observer only, and
-	// always from the Advance goroutine.
+	// Prefetch keeps one chunk read in flight on a background goroutine:
+	// the chunk after the leading edge, issued at the end of every Advance
+	// that has none pending, so a steady-state Advance rarely blocks on
+	// fetch or decode. It never changes results or the telemetry event
+	// stream — chunk operations are reported through the side-channel
+	// observer only, and always from the Advance goroutine.
 	Prefetch bool
 }
 
@@ -51,20 +43,13 @@ const (
 )
 
 // ChunkOp describes one window chunk operation for the side-channel
-// observer: which chunk, how many ticks it covers, how many chunks the
-// window retains after the operation, and — for loads and prefetch issues —
-// how the adaptive fetch pipeline behaved.
+// observer: which chunk, how many ticks it covers, and how many chunks the
+// window retains after the operation.
 type ChunkOp struct {
 	Kind     ChunkOpKind
 	Chunk    int
 	Ticks    int
 	Resident int
-	// Depth is the prefetch depth in effect when the operation happened
-	// (1 when prefetch is off).
-	Depth int
-	// Retries counts transport-level retries the chunk's fetch needed
-	// (loads only; always zero for local sources).
-	Retries int
 	// WaitNs is how long Advance blocked waiting for this chunk's fetch
 	// (loads only): zero means the prefetcher fully hid the fetch.
 	WaitNs int64
@@ -86,14 +71,14 @@ func (v *WindowViolation) Error() string {
 		v.Tick, v.Lo, v.Hi, v.Cursor)
 }
 
-// ChunkError annotates a chunk fetch or decode failure with its stream
-// position so mid-stream corruption (or a failing chunk server) reports
-// where the trace broke, not just how.
+// ChunkError annotates a chunk read or decode failure with its stream
+// position so mid-stream corruption reports where the trace broke, not just
+// how.
 type ChunkError struct {
 	// Chunk is the chunk index in the stream; FirstTick the first tick it
 	// covers.
 	Chunk, FirstTick int
-	// Err is the underlying fetch or decode error.
+	// Err is the underlying read or decode error.
 	Err error
 }
 
@@ -103,26 +88,17 @@ func (e *ChunkError) Error() string {
 
 func (e *ChunkError) Unwrap() error { return e.Err }
 
-// fetchResult carries a background chunk fetch back to Advance.
+// fetchResult carries a background chunk read back to Advance.
 type fetchResult struct {
-	pts     []geom.Point
-	ticks   int
-	retries int
-	latency time.Duration
-	err     error
+	pts []geom.Point
+	err error
 }
 
-// ewmaAlpha weighs new fetch-latency and cursor-rate samples; high enough
-// to track a phase change within a few chunks, low enough not to thrash on
-// one slow fetch.
-const ewmaAlpha = 0.3
-
-// Window is a bounded sliding-window Source over a ChunkSource: it keeps
-// only the chunks covering the retained span around the cursor, evicting
-// behind it and loading (or prefetching) ahead, so a full co-simulation's
-// trace working set is O(window) chunks regardless of trace length — and
-// regardless of whether chunks come from a local file or a remote chunk
-// server (internal/traceserve).
+// Window is a bounded sliding-window Source over an IndexedChunkSource: it
+// keeps only the chunks covering the retained span around the cursor,
+// evicting behind it and loading (or prefetching) ahead, so a full
+// co-simulation's trace working set is O(window) chunks regardless of trace
+// length.
 //
 // The cursor moves forward only: Advance must be called with
 // non-decreasing ticks, and lookups outside the retained span panic with
@@ -131,7 +107,7 @@ const ewmaAlpha = 0.3
 // makes the single-goroutine contract (plus the internal prefetch
 // handshake) sound.
 type Window struct {
-	src        ChunkSource
+	src        *IndexedChunkSource
 	totalTicks int
 	dt         float64
 	vehicles   int
@@ -144,32 +120,18 @@ type Window struct {
 
 	advanced bool
 	cursor   int
-	lo       int // first retained chunk index
-	next     int // next chunk index Advance will deliver; retained = [lo, next)
-	issued   int // next chunk index the prefetcher will issue; inflight = [next, issued)
+	lo       int              // first retained chunk index
+	next     int              // next chunk index Advance will deliver; retained = [lo, next)
+	ahead    chan fetchResult // the background read of chunk next; nil when none is in flight
 	chunks   [][]geom.Point
 	free     [][]geom.Point
-	inflight map[int]chan fetchResult
 	onOp     func(ChunkOp)
 	err      error // sticky load error; poisons the window
-
-	// Adaptive-depth state: the prefetch depth is re-derived every Advance
-	// from the observed cursor rate (ticks/s of wall time, stall time
-	// excluded) and chunk fetch latency, then clamped by prefetchBudget.
-	depth       int
-	latEWMA     float64 // seconds per chunk fetch
-	rateEWMA    float64 // cursor ticks per wall second
-	lastAdv     time.Time
-	lastAdvTick int
-	stallNs     int64         // fetch-wait time since the last rate sample
-	stalled     bool          // a load blocked since the last depth update
-	crossedSeam bool          // a chunk was loaded since the last depth update
-	lastWait    time.Duration // most recent load's blocking time
 }
 
-// NewWindowSource wraps a random-access ChunkSource in a sliding window.
+// NewWindowSource wraps a random-access chunk source in a sliding window.
 // The source's total tick count sizes the window's chunk arithmetic.
-func NewWindowSource(src ChunkSource, cfg WindowConfig) *Window {
+func NewWindowSource(src *IndexedChunkSource, cfg WindowConfig) *Window {
 	w := &Window{
 		src:        src,
 		totalTicks: src.NumTicks(),
@@ -177,8 +139,6 @@ func NewWindowSource(src ChunkSource, cfg WindowConfig) *Window {
 		vehicles:   src.NumVehicles(),
 		chunkTicks: src.ChunkTicks(),
 		prefetch:   cfg.Prefetch,
-		depth:      1,
-		inflight:   make(map[int]chan fetchResult),
 	}
 	w.numChunks = NumChunks(w.totalTicks, w.chunkTicks)
 	w.Reserve(windowBehind, windowAhead)
@@ -256,9 +216,6 @@ func (w *Window) Advance(tick int) error {
 	if w.advanced && tick < w.cursor {
 		return fmt.Errorf("trace: window cursor moved backward to tick %d (cursor at %d)", tick, w.cursor)
 	}
-	if w.prefetch {
-		w.observeRate(tick)
-	}
 	w.advanced = true
 	w.cursor = tick
 
@@ -282,136 +239,37 @@ func (w *Window) Advance(tick int) error {
 		w.evictFront()
 	}
 	if w.prefetch {
-		w.updateDepth()
-		w.issuePrefetches()
+		w.readAhead()
 	}
 	return nil
 }
 
-// observeRate folds the cursor's advance rate (ticks per wall second,
-// excluding time spent blocked on fetches) into its EWMA. Wall time feeds
-// only the prefetch depth — results and the telemetry event stream are
-// identical no matter what the clock says.
-func (w *Window) observeRate(tick int) {
-	now := time.Now()
-	if !w.lastAdv.IsZero() && tick > w.lastAdvTick {
-		elapsed := now.Sub(w.lastAdv) - time.Duration(w.stallNs)
-		if elapsed > 0 {
-			rate := float64(tick-w.lastAdvTick) / elapsed.Seconds()
-			if w.rateEWMA == 0 {
-				w.rateEWMA = rate
-			} else {
-				w.rateEWMA += ewmaAlpha * (rate - w.rateEWMA)
-			}
-		}
-		w.lastAdv, w.lastAdvTick, w.stallNs = now, tick, 0
-	} else if w.lastAdv.IsZero() {
-		w.lastAdv, w.lastAdvTick = now, tick
-	}
-}
-
-// observeLatency folds one fetch-latency sample into its EWMA.
-func (w *Window) observeLatency(d time.Duration) {
-	s := d.Seconds()
-	if w.latEWMA == 0 {
-		w.latEWMA = s
-	} else {
-		w.latEWMA += ewmaAlpha * (s - w.latEWMA)
-	}
-}
-
-// updateDepth re-derives the adaptive readahead depth: enough in-flight
-// fetches to cover the chunks the cursor will cross during one fetch
-// latency (latency × rate / chunkTicks), plus one for the seam in
-// progress; bumped past the current depth whenever a load still blocked,
-// and clamped to [1, prefetchBudget].
-func (w *Window) updateDepth() {
-	target := 1
-	if w.latEWMA > 0 && w.rateEWMA > 0 {
-		target = 1 + int(math.Ceil(w.latEWMA*w.rateEWMA/float64(w.chunkTicks)))
-	}
-	if w.stalled {
-		if t := w.depth + 1; t > target {
-			target = t
-		}
-		w.stalled = false
-	}
-	// Grow to the target at once, but decay at most one step per chunk
-	// crossed: Advance runs every tick, so letting each of the hundreds of
-	// intra-chunk updates step the depth down would collapse the pipeline
-	// microseconds after one fast rate sample. A too-deep readahead wastes
-	// a little memory; a too-shallow one stalls the cursor for a full
-	// fetch latency.
-	if target < w.depth {
-		if w.crossedSeam {
-			target = w.depth - 1
-		} else {
-			target = w.depth
-		}
-	}
-	w.crossedSeam = false
-	if target > prefetchBudget {
-		target = prefetchBudget
-	}
-	if target < 1 {
-		target = 1
-	}
-	w.depth = target
-}
-
-// loadNext appends chunk w.next to the retained window, absorbing its
-// in-flight prefetch if one was issued, or fetching synchronously.
+// loadNext appends chunk w.next to the retained window, taking its
+// background read if one is in flight and reading it synchronously
+// otherwise. The load's WaitNs is how long Advance blocked either way.
 func (w *Window) loadNext() error {
 	idx := w.next
+	start := time.Now()
 	var res fetchResult
-	if ch, ok := w.inflight[idx]; ok {
-		start := time.Now()
-		res = <-ch
-		wait := time.Since(start)
-		delete(w.inflight, idx)
-		// res.latency keeps the goroutine's full fetch duration: the depth
-		// target must plan for what a fetch truly costs, not for the wait a
-		// lucky prefetch happened to hide — feeding hidden (near-zero) waits
-		// into the EWMA collapses the depth and reintroduces the stalls.
-		w.noteWait(wait)
+	if w.ahead != nil {
+		res = <-w.ahead
+		w.ahead = nil
 	} else {
-		start := time.Now()
-		cf, err := w.src.ReadChunk(idx, w.grabBuf(idx))
-		res = fetchResult{pts: cf.Pts, ticks: cf.Ticks, retries: cf.Retries, err: err, latency: time.Since(start)}
-		w.noteWait(res.latency)
+		res.pts, res.err = w.src.ReadChunk(idx, w.grabBuf(idx))
+	}
+	wait := time.Since(start)
+	if res.err == nil {
+		res.err = checkChunk(res.pts, w.ticksIn(idx), w.vehicles)
 	}
 	if res.err != nil {
 		return &ChunkError{Chunk: idx, FirstTick: idx * w.chunkTicks, Err: res.err}
 	}
-	if err := checkChunk(res.ticks, res.pts, w.ticksIn(idx), w.vehicles); err != nil {
-		return &ChunkError{Chunk: idx, FirstTick: idx * w.chunkTicks, Err: err}
-	}
-	w.observeLatency(res.latency)
 	w.chunks = append(w.chunks, res.pts)
 	w.next++
-	if w.issued < w.next {
-		w.issued = w.next
-	}
-	w.crossedSeam = true
 	w.emit(ChunkOp{Kind: OpLoad, Chunk: idx, Ticks: w.ticksIn(idx), Resident: len(w.chunks),
-		Depth: w.depth, Retries: res.retries, WaitNs: w.lastWaitNs()})
+		WaitNs: wait.Nanoseconds()})
 	return nil
 }
-
-// noteWait records time Advance spent blocked on a fetch, feeding the
-// stall accounting that keeps the rate EWMA honest and the depth bump.
-func (w *Window) noteWait(d time.Duration) {
-	w.lastWait = d
-	if d <= 0 {
-		return
-	}
-	w.stallNs += d.Nanoseconds()
-	w.stalled = true
-}
-
-// lastWait is the most recent load's blocking time, surfaced on its
-// ChunkOp.
-func (w *Window) lastWaitNs() int64 { return w.lastWait.Nanoseconds() }
 
 // evictFront recycles the oldest retained chunk.
 func (w *Window) evictFront() {
@@ -421,28 +279,26 @@ func (w *Window) evictFront() {
 	w.chunks = w.chunks[:len(w.chunks)-1]
 	w.free = append(w.free, buf)
 	w.lo++
-	w.emit(ChunkOp{Kind: OpEvict, Chunk: idx, Ticks: w.ticksIn(idx), Resident: len(w.chunks), Depth: w.depth})
+	w.emit(ChunkOp{Kind: OpEvict, Chunk: idx, Ticks: w.ticksIn(idx), Resident: len(w.chunks)})
 }
 
-// issuePrefetches tops the fetch pipeline up to the current depth:
-// background reads of chunks [issued, …) until depth fetches are in
-// flight or the stream ends. Buffers are taken from the free list on this
-// goroutine; each background read touches only the ChunkSource and its
-// private buffer.
-func (w *Window) issuePrefetches() {
-	for len(w.inflight) < w.depth && w.issued < w.numChunks {
-		idx := w.issued
-		buf := w.grabBuf(idx)
-		ch := make(chan fetchResult, 1)
-		w.inflight[idx] = ch
-		w.issued++
-		w.emit(ChunkOp{Kind: OpPrefetch, Chunk: idx, Ticks: w.ticksIn(idx), Resident: len(w.chunks), Depth: w.depth})
-		go func() {
-			start := time.Now()
-			cf, err := w.src.ReadChunk(idx, buf)
-			ch <- fetchResult{pts: cf.Pts, ticks: cf.Ticks, retries: cf.Retries, err: err, latency: time.Since(start)}
-		}()
+// readAhead issues the background read of chunk w.next — the one after
+// the leading edge — unless one is already in flight or the stream has
+// ended. The buffer is taken from the free list on this goroutine; the
+// background read touches only the source and its private buffer.
+func (w *Window) readAhead() {
+	if w.ahead != nil || w.next >= w.numChunks {
+		return
 	}
+	idx := w.next
+	buf := w.grabBuf(idx)
+	ch := make(chan fetchResult, 1)
+	w.ahead = ch
+	w.emit(ChunkOp{Kind: OpPrefetch, Chunk: idx, Ticks: w.ticksIn(idx), Resident: len(w.chunks)})
+	go func() {
+		pts, err := w.src.ReadChunk(idx, buf)
+		ch <- fetchResult{pts, err}
+	}()
 }
 
 // grabBuf returns a recycled (or fresh) buffer sized for chunk idx.
@@ -470,13 +326,13 @@ func (w *Window) emit(op ChunkOp) {
 	}
 }
 
-// Close drains outstanding prefetches so no background read races the
-// underlying source's teardown. It does not close the source —
+// Close waits for the background read in flight, if any, so it does not
+// race the underlying source's teardown. It does not close the source —
 // OpenWindowFile's closer owns that.
 func (w *Window) Close() error {
-	for idx, ch := range w.inflight {
-		<-ch
-		delete(w.inflight, idx)
+	if w.ahead != nil {
+		<-w.ahead
+		w.ahead = nil
 	}
 	return nil
 }
@@ -490,7 +346,8 @@ func (w *Window) Row(tick int) []geom.Point {
 	}
 	c := tick / w.chunkTicks
 	if tick < 0 || tick >= w.totalTicks || c < w.lo || c >= w.next {
-		panic(&WindowViolation{Tick: tick, Lo: w.lo * w.chunkTicks, Hi: w.next*w.chunkTicks - 1, Cursor: w.cursor})
+		hi := min(w.next*w.chunkTicks, w.totalTicks) - 1 // a short tail chunk ends at the trace
+		panic(&WindowViolation{Tick: tick, Lo: w.lo * w.chunkTicks, Hi: hi, Cursor: w.cursor})
 	}
 	chunk := w.chunks[c-w.lo]
 	off := (tick - c*w.chunkTicks) * w.vehicles
@@ -548,8 +405,8 @@ func (w *Window) Validate() error {
 
 // OpenWindowFile opens an LBTC trace file as a bounded sliding window over
 // a random-access file source (chunk offsets indexed once at open). The
-// returned closer owns the file handle (and drains the window's
-// prefetches) — close it when the window is done.
+// returned closer owns the file handle (and waits for the window's
+// readahead) — close it when the window is done.
 func OpenWindowFile(path string, cfg WindowConfig) (*Window, io.Closer, error) {
 	src, err := OpenFileSource(path)
 	if err != nil {
@@ -559,10 +416,10 @@ func OpenWindowFile(path string, cfg WindowConfig) (*Window, io.Closer, error) {
 	return w, &windowCloser{w: w, src: src}, nil
 }
 
-// windowCloser ties a window's prefetch drain to its backing source.
+// windowCloser ties a window's readahead drain to its backing source.
 type windowCloser struct {
 	w   *Window
-	src ChunkSource
+	src *IndexedChunkSource
 }
 
 func (c *windowCloser) Close() error {

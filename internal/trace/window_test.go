@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -100,41 +101,70 @@ func TestWindowMatchesResident(t *testing.T) {
 	}
 }
 
-// TestWindowPrefetchMatchesSync pins that background prefetch changes
-// neither values nor the load/evict sequence.
+// TestWindowPrefetchMatchesSync pins that the one-chunk readahead changes
+// neither values nor the load/evict sequence, and pins where it issues: an
+// Advance that loads chunk k ends by prefetching chunk k+1, the next load
+// takes that read, and no more than one read is ever in flight.
 func TestWindowPrefetchMatchesSync(t *testing.T) {
 	tr := syntheticTrace(0.5, 2, 64, 8)
+	numChunks := NumChunks(tr.NumTicks(), 8)
 	type rec struct {
 		kind  ChunkOpKind
 		chunk int
 	}
-	runOps := func(prefetch bool) (ops []rec) {
+	// runOps returns each Advance's chunk ops.
+	runOps := func(prefetch bool) (steps [][]rec) {
 		w := narrow(windowOver(t, tr, WindowConfig{Prefetch: prefetch}), 2, 6)
+		var ops []rec
+		cursor := 0
+		inflight := map[int]bool{}
 		w.SetChunkObserver(func(op ChunkOp) {
-			if op.Kind != OpPrefetch {
-				ops = append(ops, rec{op.Kind, op.Chunk})
+			ops = append(ops, rec{op.Kind, op.Chunk})
+			switch op.Kind {
+			case OpPrefetch:
+				inflight[op.Chunk] = true
+			case OpLoad:
+				// Only the first Advance, with nothing issued yet, reads
+				// synchronously.
+				if prefetch && cursor > 0 && !inflight[op.Chunk] {
+					t.Errorf("Advance(%d) loaded chunk %d without its prefetch", cursor, op.Chunk)
+				}
+				delete(inflight, op.Chunk)
+			}
+			if len(inflight) > 1 {
+				t.Fatalf("%d chunk reads in flight after %+v", len(inflight), op)
 			}
 		})
-		for cursor := 0; cursor < tr.NumTicks(); cursor++ {
+		for ; cursor < tr.NumTicks(); cursor++ {
+			ops = nil
 			if err := w.Advance(cursor); err != nil {
 				t.Fatalf("prefetch=%v Advance(%d): %v", prefetch, cursor, err)
 			}
 			if got, want := w.RowAt(float64(cursor)*0.5), tr.RowAt(float64(cursor)*0.5); got[0] != want[0] {
 				t.Fatalf("prefetch=%v cursor=%d: row differs", prefetch, cursor)
 			}
+			steps = append(steps, ops)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return ops
+		return steps
 	}
 	sync, pre := runOps(false), runOps(true)
-	if len(sync) != len(pre) {
-		t.Fatalf("op counts differ: sync %d, prefetch %d", len(sync), len(pre))
-	}
-	for i := range sync {
-		if sync[i] != pre[i] {
-			t.Fatalf("op %d differs: sync %+v, prefetch %+v", i, sync[i], pre[i])
+	for cursor, ops := range sync {
+		want := slices.Clone(ops)
+		next := -1
+		for _, op := range ops {
+			if op.kind == OpLoad {
+				next = op.chunk + 1
+			}
+		}
+		if next > 0 && next < numChunks {
+			want = append(want, rec{OpPrefetch, next})
+		}
+		if !slices.Equal(pre[cursor], want) {
+			t.Fatalf("Advance(%d): prefetch ops %+v, want the sync ops and then one prefetch: %+v",
+				cursor, pre[cursor], want)
 		}
 	}
 }
@@ -215,8 +245,26 @@ func TestWindowEviction(t *testing.T) {
 
 // TestWindowViolationAhead pins the strict-window error path on the
 // leading edge: a lookup past the reserved span must panic, not silently
-// load the rest of the trace.
+// load the rest of the trace — and a lookup past the trace's end reports a
+// span that ends at its last tick, not at its short tail chunk's capacity.
 func TestWindowViolationAhead(t *testing.T) {
+	t.Run("past the end", func(t *testing.T) {
+		w := windowOver(t, syntheticTrace(1.0, 2, 20, 8), WindowConfig{}) // chunks of 8, 8 and 4 ticks
+		if err := w.Advance(0); err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			v, ok := recover().(*WindowViolation)
+			if !ok {
+				t.Fatalf("recovered %v, want *WindowViolation", v)
+			}
+			if want := (WindowViolation{Tick: 22, Lo: 0, Hi: 19, Cursor: 0}); *v != want {
+				t.Fatalf("violation = %+v, want %+v", *v, want)
+			}
+		}()
+		w.Row(22)
+	})
+
 	tr := syntheticTrace(1.0, 2, 64, 4)
 	w := narrow(windowOver(t, tr, WindowConfig{}), 2, 4)
 	if err := w.Advance(0); err != nil {
@@ -261,15 +309,6 @@ func (r *shrinkingReader) ReadAt(p []byte, off int64) (int, error) {
 	return bytes.NewReader(r.b).ReadAt(p, off)
 }
 
-// claimedTicks advertises more ticks than its stream holds — a source whose
-// metadata outruns its chunks.
-type claimedTicks struct {
-	ChunkSource
-	ticks int
-}
-
-func (c claimedTicks) NumTicks() int { return c.ticks }
-
 // TestWindowCorruptionPositioned is the mid-stream corruption fix: whether
 // the index scan at open or a chunk fetch during Advance hits the damage,
 // the failure must carry the chunk index and first tick, not just the bare
@@ -286,13 +325,13 @@ func TestWindowCorruptionPositioned(t *testing.T) {
 
 	cases := []struct {
 		name      string
-		open      func(b []byte) (ChunkSource, error)
+		open      func(b []byte) (*IndexedChunkSource, error)
 		wantChunk int
 		atOpen    bool
 	}{
 		{
 			name: "oversized chunk length mid-stream",
-			open: func(b []byte) (ChunkSource, error) {
+			open: func(b []byte) (*IndexedChunkSource, error) {
 				// Chunk 2's length field claims more ticks than capacity:
 				// the index scan refuses the stream.
 				b[headerLen+2*chunkBytes] = 0xff
@@ -303,26 +342,13 @@ func TestWindowCorruptionPositioned(t *testing.T) {
 		},
 		{
 			name: "stream truncated inside chunk body",
-			open: func(b []byte) (ChunkSource, error) {
+			open: func(b []byte) (*IndexedChunkSource, error) {
 				r := &shrinkingReader{b: b}
 				src, err := NewIndexedSource(r, int64(len(b)))
 				r.b = b[:headerLen+2*chunkBytes+10]
 				return src, err
 			},
 			wantChunk: 2,
-		},
-		{
-			name: "end marker where chunks remain",
-			open: func(b []byte) (ChunkSource, error) {
-				// Replace chunk 3's length with the end-of-stream marker: the
-				// stream indexes as three chunks while the source still
-				// advertises four.
-				off := headerLen + 3*chunkBytes
-				b[off], b[off+1], b[off+2], b[off+3] = 0, 0, 0, 0
-				src, err := NewBytesSource(b[:off+4])
-				return claimedTicks{src, ticks}, err
-			},
-			wantChunk: 3,
 		},
 	}
 	for _, tc := range cases {
