@@ -114,8 +114,11 @@ bench-pprof:
 # (-trace-file) and writes its event stream as JSONL plus its aggregated
 # summary CSV, and telemetry-lint fails unless the stream is non-empty, every
 # line decodes against the event schema, and every summary row names a
-# canonical metric. (Resident ≡ windowed replay is TestStreamABDeterminism's
-# and TestTraceResidencyBySize's, run by make test and make race.)
+# canonical metric. lbchat-bench then walks two entries that share a run
+# (fig3's LbChat is fig2a's, trained and streamed once) into one stream,
+# which telemetry-lint checks the same way. (Resident ≡ windowed replay is
+# TestStreamABDeterminism's and TestTraceResidencyBySize's, run by make test
+# and make race.)
 telemetry-smoke:
 	$(eval TMPDIR_SMOKE := $(shell mktemp -d))
 	$(GO) run ./cmd/worldgen -vehicles 4 -trace 240 \
@@ -126,6 +129,9 @@ telemetry-smoke:
 		-summary-out $(TMPDIR_SMOKE)/summary.csv > /dev/null
 	$(GO) run ./cmd/telemetry-lint -summary $(TMPDIR_SMOKE)/summary.csv \
 		$(TMPDIR_SMOKE)/events.jsonl
+	$(GO) run ./cmd/lbchat-bench -scale test -exp fig2a,fig3 \
+		-telemetry-out $(TMPDIR_SMOKE)/bench.jsonl > /dev/null
+	$(GO) run ./cmd/telemetry-lint $(TMPDIR_SMOKE)/bench.jsonl
 	rm -rf $(TMPDIR_SMOKE)
 
 # Every internal package must carry its godoc in a dedicated doc.go opening

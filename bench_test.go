@@ -6,8 +6,9 @@
 //
 //	go test -bench=. -benchmem
 //
-// The shared environment (map, datasets, mobility trace, driving routes) is
-// built once and reused; every benchmark iteration re-runs the protocol
+// BenchmarkExperiment builds a fresh environment (map, datasets, mobility
+// trace, driving routes) for every iteration, outside the timer; the other
+// benchmarks share one built once. Every iteration re-runs the protocol
 // training and/or evaluation from pristine state. For paper-scale runs (32
 // vehicles) use cmd/lbchat-bench -scale full instead.
 package lbchat_test
@@ -64,14 +65,21 @@ func getBenchEnv(b *testing.B) *experiments.Env {
 // per -exp token, e.g. -bench 'Experiment/tab4$' — and reports each cell of
 // the entry's table as a custom metric named row/column (driving success
 // rates for the tables, final probe losses for the figures, the Fig. 3
-// slowdown, the studies' scalars).
+// slowdown, the studies' scalars). Each iteration times one entry cold: it
+// runs on a fresh environment, built with the timer stopped, so no arm is
+// answered from the run memo an earlier iteration or entry filled.
 func BenchmarkExperiment(b *testing.B) {
 	for _, x := range experiments.Catalogue {
 		b.Run(x.Name, func(b *testing.B) {
-			spec := experiments.Spec{Experiment: x.Name, Env: getBenchEnv(b)}
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.Run(context.Background(), spec)
+				b.StopTimer()
+				env, err := experiments.BuildEnv(benchScale())
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				res, err := experiments.Run(context.Background(), experiments.Spec{Experiment: x.Name, Env: env})
+				env.Close()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,10 +1,10 @@
 // Command lbchat-bench regenerates the paper's tables and figures
 // end-to-end: it builds the driving world, collects per-vehicle datasets,
 // records mobility traces, and then walks the selected entries of
-// experiments.Catalogue in catalogue order — training each entry's arms
-// (once per invocation for the entries that share a lineup), printing the
-// artefact in the paper's layout and, after each training, a per-arm
-// communication-efficiency report (bytes on air vs final loss).
+// experiments.Catalogue in catalogue order through experiments.Run on one
+// environment (whose run memo trains an arm several entries share once),
+// printing each artefact in the paper's layout and a per-arm communication
+// report (bytes on air vs final loss) unless an entry printed it already.
 //
 // Usage:
 //
@@ -127,47 +127,25 @@ func run(fs *flag.FlagSet, args []string) error {
 			return err
 		}
 		defer env.Close()
-		env.Cfg.Faults = fcfg
-		env.Telemetry = sink
 		fmt.Printf("-- environment built in %s\n", time.Since(buildStart).Round(time.Millisecond))
 	}
 
 	// Each experiment reports its wall-clock, so scale and worker-count
-	// choices can be compared run to run. A lineup several entries report on
-	// is trained, under its own header, by the first of them selected; the
-	// communication-efficiency report follows whatever was just trained.
-	lineups := map[string][]*experiments.ProtocolRun{}
+	// choices can be compared run to run. Entries that read one lineup
+	// print its communication report once.
+	printed := map[string]bool{}
 	for _, x := range sel {
 		start := time.Now()
-		var res *experiments.Result
-		var comm string
-		if !trains(x) {
-			res, err = experiments.Run(ctx, experiments.Spec{
-				Experiment: x.Name,
-				Vehicles:   *vehiclesFlag,
-				Duration:   *durationFlag,
-				Workers:    common.Workers,
-				Seed:       common.Seed,
-			})
-		} else if runs, ok := lineups[x.Lineup]; ok {
-			res = x.Report(env, runs)
-		} else {
-			if x.Lineup != "" {
-				fmt.Printf("\n== Training %s...\n", x.Lineup)
-			}
-			if runs, err = x.Train(ctx, env); err == nil {
-				res = x.Report(env, runs)
-				comm = experiments.CommTable(runs).Render()
-				if x.Lineup != "" {
-					lineups[x.Lineup] = runs
-					fmt.Printf("\n=== Communication efficiency (%s) ===\n%s", x.Lineup, comm)
-					comm = ""
-				}
-			}
-		}
+		res, err := experiments.Run(ctx, experiments.Spec{Experiment: x.Name, Env: env, Telemetry: sink, Faults: fcfg,
+			Vehicles: *vehiclesFlag, Duration: *durationFlag, Workers: common.Workers, Seed: common.Seed})
 		if err != nil {
 			return fmt.Errorf("%s: %w", x.Name, err)
 		}
+		comm := experiments.CommTable(res.Runs).Render()
+		if len(res.Runs) == 0 || printed[comm] {
+			comm = ""
+		}
+		printed[comm] = true
 		fmt.Printf("\n=== %s ===\n%s%s", x.Title, res.Text, comm)
 		fmt.Printf("-- %s finished in %s (workers=%s)\n", x.Name,
 			time.Since(start).Round(time.Millisecond), cli.WorkersLabel(common.Workers))

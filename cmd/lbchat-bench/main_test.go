@@ -3,14 +3,17 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
 
 	"lbchat/internal/experiments"
+	"lbchat/internal/telemetry"
 )
 
 func selected(t *testing.T, exp string) []string {
@@ -101,5 +104,67 @@ func TestBadFaultsKeepsTelemetryFile(t *testing.T) {
 	}
 	if got, _ := os.ReadFile(path); !bytes.Equal(got, old) {
 		t.Errorf("-telemetry-out file changed by a failed run: %q, want %q", got, old)
+	}
+}
+
+// lbchatCurve is the printed listing of an entry's LbChat loss curve.
+var lbchatCurve = regexp.MustCompile(`(?m)^# LbChat\n(?:^ +\d+  \d\.\d{6}\n)+`)
+
+// TestSharedArmsTrainOnce walks fig2a, tab2 and fig3 with a telemetry
+// stream: tab2 reads fig2a's runs and fig3's LbChat is fig2a's, so the
+// stream holds the five fig2a runs and fig3's SCO — six runs, not seven —
+// and fig3 prints fig2a's LbChat curve, whose end is the streamed final
+// loss.
+func TestSharedArmsTrainOnce(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "events.jsonl")
+	stdout, err := os.Create(filepath.Join(dir, "stdout.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(old *os.File) { os.Stdout = old }(os.Stdout)
+	os.Stdout = stdout
+	fs := flag.NewFlagSet("lbchat-bench", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	err = run(fs, []string{"-scale", "test", "-exp", "fig2a,tab2,fig3", "-telemetry-out", path})
+	stdout.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := telemetry.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var started []string
+	var lbchatFinal []float64
+	for _, ev := range events {
+		switch ev := ev.(type) {
+		case telemetry.RunStarted:
+			started = append(started, ev.Protocol)
+		case telemetry.RunFinished:
+			if ev.Protocol == string(experiments.ProtoLbChat) {
+				lbchatFinal = append(lbchatFinal, ev.FinalLoss)
+			}
+		}
+	}
+	if want := []string{"ProxSkip", "RSU-L", "DFL-DDS", "DP", "LbChat", "SCO"}; !slices.Equal(started, want) {
+		t.Fatalf("stream starts runs %v, want %v", started, want)
+	}
+	out, err := os.ReadFile(stdout.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	curves := lbchatCurve.FindAll(out, -1)
+	if len(curves) != 2 || !bytes.Equal(curves[0], curves[1]) {
+		t.Fatalf("fig2a and fig3 print %d LbChat curves, want the same one twice:\n%s", len(curves), bytes.Join(curves, nil))
+	}
+	lines := strings.Split(strings.TrimSpace(string(curves[1])), "\n")
+	if want := fmt.Sprintf("%.6f", lbchatFinal[0]); !strings.HasSuffix(lines[len(lines)-1], want) {
+		t.Errorf("fig3's LbChat curve ends %q, the streamed final loss is %s", lines[len(lines)-1], want)
 	}
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"math"
 	"testing"
 
+	"lbchat/internal/coreset"
+	"lbchat/internal/dataset"
 	"lbchat/internal/faults"
 	"lbchat/internal/simrand"
 	"lbchat/internal/telemetry"
@@ -244,5 +247,46 @@ func TestFaultedEngineRunsAndLearns(t *testing.T) {
 	counts := eventKinds(sink)
 	if counts[telemetry.KindFaultInjected] == 0 {
 		t.Error("heavy profile injected no faults in 300s")
+	}
+}
+
+// TestSalvageCoresetProperty draws coresets of 1–40 items with weights
+// spread over twelve orders of magnitude and cuts them at every kind of
+// frame count: none or fewer (nil), all or more (the coreset itself), and
+// any prefix in between, whose items are the prefix's samples with each
+// weight scaled by frames/len — bit for bit, item for item.
+func TestSalvageCoresetProperty(t *testing.T) {
+	rng := simrand.New(107)
+	for trial := 0; trial < 5000; trial++ {
+		n := 1 + rng.Intn(40)
+		ds := dataset.New(n)
+		for i := 0; i < n; i++ {
+			ds.Add(dataset.Sample{Speed: float64(i)}, math.Exp(rng.Uniform(-14, 14)))
+		}
+		cs := coreset.FromDataset(ds)
+		frames := rng.Intn(n+7) - 3
+		got := salvageCoreset(cs, frames)
+		switch {
+		case frames <= 0:
+			if got != nil {
+				t.Fatalf("salvage of %d of %d frames = %d items, want nil", frames, n, got.Len())
+			}
+		case frames >= n:
+			if got != cs {
+				t.Fatalf("salvage of %d of %d frames is not the coreset itself", frames, n)
+			}
+		default:
+			if got == nil || got.Len() != frames {
+				t.Fatalf("salvage of %d of %d frames = %v", frames, n, got)
+			}
+			discount := float64(frames) / float64(n)
+			for i, it := range got.Items() {
+				want := cs.Items()[i]
+				if it.Sample.Speed != want.Sample.Speed || math.Float64bits(it.Weight) != math.Float64bits(want.Weight*discount) {
+					t.Fatalf("salvage of %d of %d frames: item %d = (%v, %v), want (%v, %v × %v)",
+						frames, n, i, it.Sample.Speed, it.Weight, want.Sample.Speed, want.Weight, discount)
+				}
+			}
+		}
 	}
 }

@@ -53,9 +53,6 @@ type Experiment struct {
 	Title, Caption string
 	// Paper marks the artefacts of the paper's §IV: what "-exp all" means.
 	Paper bool
-	// Lineup, when non-empty, names an arm set that several entries report
-	// on, so one invocation can train it once for all of them.
-	Lineup string
 	// Arms are the training runs, in table order. Empty for ExpFleetScan,
 	// which trains nothing, and for ExpProtocol, whose one arm is the Spec's.
 	Arms []Arm
@@ -63,14 +60,8 @@ type Experiment struct {
 	report reporter
 }
 
-// The Fig. 2 / §IV-C / Tables II–III lineup, in the paper's column order. It
-// is trained once per regime: fig2a and tab2 read the lossless runs, fig2b,
-// recvrate and tab3 the lossy ones.
-const (
-	lineupLossless = "all protocols, W/O wireless loss"
-	lineupLossy    = "all protocols, W wireless loss"
-)
-
+// The Fig. 2 / §IV-C / Tables II–III lineup, in the paper's column order:
+// fig2a and tab2 read the lossless runs, fig2b, recvrate and tab3 the lossy.
 var (
 	armsLossy    = protocols(ProtoProxSkip, ProtoRSUL, ProtoDFLDDS, ProtoDP, ProtoLbChat)
 	armsLossless = lossless(armsLossy)
@@ -161,17 +152,17 @@ func faultSweepArms() []Arm {
 // DESIGN.md §5 index (TestDocsListCatalogue) all read it.
 var Catalogue = []Experiment{
 	{Name: "fig2a", Paper: true, Title: "Figure 2(a): training loss vs time, W/O wireless loss",
-		Lineup: lineupLossless, Arms: armsLossless, report: reportCurves},
+		Arms: armsLossless, report: reportCurves},
 	{Name: "fig2b", Paper: true, Title: "Figure 2(b): training loss vs time, W wireless loss",
-		Lineup: lineupLossy, Arms: armsLossy, report: reportCurves},
+		Arms: armsLossy, report: reportCurves},
 	// The paper reports LbChat 87% vs 51–60% for the benchmarks.
 	{Name: "recvrate", Paper: true, Title: "§IV-C: successful model receiving rate",
 		Caption: "Successful model receiving rate (%)",
-		Lineup:  lineupLossy, Arms: armsLossy, report: reportReceiveRates},
+		Arms:    armsLossy, report: reportReceiveRates},
 	{Name: "tab2", Paper: true, Title: "Table II (driving success rate, W/O wireless loss)",
-		Lineup: lineupLossless, Arms: armsLossless, report: reportConditions},
+		Arms: armsLossless, report: reportConditions},
 	{Name: "tab3", Paper: true, Title: "Table III (driving success rate, W wireless loss)",
-		Lineup: lineupLossy, Arms: armsLossy, report: reportConditions},
+		Arms: armsLossy, report: reportConditions},
 	// LbChat with coreset sizes 10× and 1/10 the default, in both regimes;
 	// columns follow the paper.
 	{Name: "tab4", Paper: true, Title: "Table IV (coreset-size sweep)",
@@ -261,16 +252,42 @@ func Lookup(name string) (*Experiment, error) {
 // its own engine, fresh dataset clones, and seed-derived random streams — so
 // they execute concurrently; results come back in arm order, and buffered
 // telemetry streams drain into the Env's user sink in that same order, so a
-// shared sink sees a deterministic stream at any worker count.
+// shared sink sees a deterministic stream at any worker count. An arm whose
+// run the Env's memo holds is neither trained nor streamed again.
 func (x *Experiment) Train(ctx context.Context, e *Env) ([]*ProtocolRun, error) {
-	runs, err := parallel.MapErr(parallel.Resolve(e.Scale.Workers), len(x.Arms), func(i int) (*ProtocolRun, error) {
-		a := x.Arms[i]
+	runs := make([]*ProtocolRun, len(x.Arms))
+	keys := make([]string, len(x.Arms))
+	var todo []int // the first arm of each key the memo lacks
+	for i, a := range x.Arms {
+		keys[i] = e.runKey(a)
+		if runs[i] = e.memo[keys[i]]; runs[i] == nil && slices.Index(keys, keys[i]) == i {
+			todo = append(todo, i)
+		}
+	}
+	fresh, err := parallel.MapErr(parallel.Resolve(e.Scale.Workers), len(todo), func(j int) (*ProtocolRun, error) {
+		a := x.Arms[todo[j]]
 		return e.runProtocol(ctx, a.Protocol, a.Lossless, a.Config)
 	})
 	if err != nil {
 		return nil, err
 	}
-	e.flushRuns(runs...)
+	e.flushRuns(fresh...)
+	shared := map[string]int{} // how many catalogue arms resolve to each key
+	for _, y := range Catalogue {
+		for _, a := range y.Arms {
+			shared[e.runKey(a)]++
+		}
+	}
+	for j, i := range todo {
+		if runs[i] = fresh[j]; !runs[i].Canceled && shared[keys[i]] > 1 {
+			e.memo[keys[i]] = runs[i]
+		}
+	}
+	for i := range runs {
+		if runs[i] == nil {
+			runs[i] = runs[slices.Index(keys, keys[i])]
+		}
+	}
 	return runs, nil
 }
 
@@ -278,7 +295,7 @@ func (x *Experiment) Train(ctx context.Context, e *Env) ([]*ProtocolRun, error) 
 // canceled training phase skips evaluation: the partial runs come back with
 // a nil table.
 func (x *Experiment) Report(e *Env, runs []*ProtocolRun) *Result {
-	res := &Result{Runs: runs, Canceled: anyCanceled(runs)}
+	res := &Result{Runs: runs, Canceled: slices.ContainsFunc(runs, func(r *ProtocolRun) bool { return r.Canceled })}
 	if res.Canceled {
 		return res
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"regexp"
 	"slices"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"lbchat/internal/eval"
 	"lbchat/internal/metrics"
+	"lbchat/internal/telemetry"
 )
 
 func mustLookup(t *testing.T, name string) *Experiment {
@@ -25,7 +27,6 @@ func mustLookup(t *testing.T, name string) *Experiment {
 func TestCatalogueWellFormed(t *testing.T) {
 	env := getEnv(t)
 	seen := map[string]bool{}
-	lineups := map[string][]Arm{}
 	for i := range Catalogue {
 		x := &Catalogue[i]
 		if x.Name == "" || seen[x.Name] {
@@ -49,29 +50,108 @@ func TestCatalogueWellFormed(t *testing.T) {
 				t.Errorf("%s arm %q: %v", x.Name, a.Label, err)
 			}
 		}
-		if x.Lineup == "" {
-			continue
-		}
-		// Entries that name one lineup must hold the very same arms, or a
-		// caller that trains it once reports the wrong runs for one of them.
-		if first, ok := lineups[x.Lineup]; ok && &first[0] != &x.Arms[0] {
-			t.Errorf("%s: lineup %q is a different arm set than an earlier entry's", x.Name, x.Lineup)
-		}
-		lineups[x.Lineup] = x.Arms
 	}
-	for _, group := range [][]string{{"fig2a", "tab2"}, {"fig2b", "recvrate", "tab3"}} {
-		first := mustLookup(t, group[0])
-		if first.Lineup == "" {
-			t.Errorf("%s names no lineup", first.Name)
-		}
-		for _, name := range group[1:] {
-			if x := mustLookup(t, name); x.Lineup != first.Lineup {
-				t.Errorf("%s and %s do not share a lineup", first.Name, name)
+}
+
+// TestCatalogueRunKeys resolves every arm of the catalogue against the test
+// env. Entries that read one lineup share its arm slice; its 44 arms are
+// 36 runs. The seven arms that are the default LbChat run under another
+// label land on fig2a's or fig2b's LbChat key, fig3's SCO is Table VII's
+// lossless arm, and every other arm is a run of its own.
+func TestCatalogueRunKeys(t *testing.T) {
+	env := getEnv(t)
+	lossless := env.runKey(Arm{Protocol: ProtoLbChat, Lossless: true})
+	lossy := env.runKey(Arm{Protocol: ProtoLbChat})
+	want := map[string]string{
+		"fig2a/LbChat": lossless, "fig2b/LbChat": lossy,
+		"fig3/LbChat": lossless, "routeshare/LbChat": lossy, "methods/layered": lossless,
+		"adaptive/fixed |C|": lossless, "hetero/20-31 Mbps": lossless, "quant/top-k": lossless,
+		"faultsweep/no faults/LbChat": lossy,
+		"fig3/SCO":                    env.runKey(Arm{Protocol: ProtoSCO, Lossless: true}),
+	}
+	arms, keys := map[*Arm]bool{}, map[string]bool{}
+	for _, x := range Catalogue {
+		for i, a := range x.Arms {
+			arms[&x.Arms[i]] = true
+			key := env.runKey(a)
+			keys[key] = true
+			name := x.Name + "/" + a.Label
+			if x.Name == "faultsweep" {
+				name += "/" + string(a.Protocol)
+			}
+			if w, ok := want[name]; ok && key != w {
+				t.Errorf("%s does not resolve to the run it repeats", name)
 			}
 		}
 	}
-	if a, b := mustLookup(t, "fig2a"), mustLookup(t, "fig2b"); a.Lineup == b.Lineup {
-		t.Error("the lossless and lossy lineups share a name")
+	if len(arms) != 44 || len(keys) != 36 {
+		t.Errorf("catalogue: %d arms resolve to %d distinct runs, want 44 and 36", len(arms), len(keys))
+	}
+}
+
+// TestRunKeyCoversConfigAndScale perturbs every field of core.Config (one
+// level into its nested structs) and of Scale: each must change the key but
+// the sink, or a field added later could alias two different runs.
+func TestRunKeyCoversConfigAndScale(t *testing.T) {
+	base := getEnv(t)
+	arm := Arm{Protocol: ProtoLbChat}
+	want := base.runKey(arm)
+	check := func(name string, mutate func(e *Env)) {
+		e := *base
+		e.Cfg.PsiSamples = slices.Clone(e.Cfg.PsiSamples)
+		mutate(&e)
+		if changed := e.runKey(arm) != want; changed != (name != "Telemetry") {
+			t.Errorf("perturbing %s: key changed = %v", name, changed)
+		}
+	}
+	fields := func(v reflect.Value) []string {
+		var names []string
+		for i := 0; i < v.NumField(); i++ {
+			names = append(names, v.Type().Field(i).Name)
+		}
+		return names
+	}
+	perturbAll := func(prefix string, root func(e *Env) reflect.Value) {
+		for _, name := range fields(root(base)) {
+			if f := root(base).FieldByName(name); f.Kind() == reflect.Struct {
+				for _, sub := range fields(f) {
+					check(prefix+name+"."+sub, func(e *Env) { perturb(t, root(e).FieldByName(name).FieldByName(sub)) })
+				}
+				continue
+			}
+			check(prefix+name, func(e *Env) { perturb(t, root(e).FieldByName(name)) })
+		}
+	}
+	perturbAll("", func(e *Env) reflect.Value { return reflect.ValueOf(&e.Cfg).Elem() })
+	perturbAll("Scale.", func(e *Env) reflect.Value { return reflect.ValueOf(&e.Scale).Elem() })
+	check("user sink", func(e *Env) { e.Telemetry = telemetry.NewMemorySink() })
+	for _, a := range []Arm{{Protocol: ProtoSCO}, {Protocol: ProtoLbChat, Lossless: true}} {
+		if base.runKey(a) == want {
+			t.Errorf("arm %+v shares the lossy LbChat key", a)
+		}
+	}
+}
+
+// perturb sets a settable field to a value other than its own.
+func perturb(t *testing.T, f reflect.Value) {
+	t.Helper()
+	switch f.Kind() {
+	case reflect.Bool:
+		f.SetBool(!f.Bool())
+	case reflect.Int:
+		f.SetInt(f.Int() + 1)
+	case reflect.Uint64:
+		f.SetUint(f.Uint() + 1)
+	case reflect.Float64:
+		f.SetFloat(f.Float() + 0.5)
+	case reflect.String:
+		f.SetString(f.String() + "x")
+	case reflect.Slice:
+		f.Index(0).SetFloat(f.Index(0).Float() + 0.5)
+	case reflect.Interface:
+		f.Set(reflect.ValueOf(telemetry.NewMemorySink()))
+	default:
+		t.Fatalf("no perturbation for a %s field", f.Kind())
 	}
 }
 

@@ -123,6 +123,11 @@ type Env struct {
 	// aggregate summaries (ProtocolRun.Comm) are collected regardless.
 	Telemetry telemetry.Sink
 
+	// memo holds, by runKey, the completed runs that several catalogue arms
+	// resolve to, so Train trains each once. Copies of the Env share it, and
+	// Train is not safe for concurrent use on one Env.
+	memo map[string]*ProtocolRun
+
 	// chunks is the one chunk source every windowed run pages through — an
 	// indexed LBTC file, safe for concurrent ReadChunk — and nil when Trace
 	// is resident. spill names the temporary LBTC file behind chunks when
@@ -250,7 +255,7 @@ func BuildEnv(scale Scale) (*Env, error) {
 	// drive encounters; we keep stepping the same world. RecordStream spills
 	// the identical positions when the trace is over the resident budget, so
 	// windowed and resident envs see the same trajectories bit for bit.
-	env := &Env{Scale: scale, Map: m, Cfg: cfg, datasets: datasets}
+	env := &Env{Scale: scale, Map: m, Cfg: cfg, datasets: datasets, memo: map[string]*ProtocolRun{}}
 	if err := buildTrace(env, w); err != nil {
 		env.Close()
 		return nil, err
@@ -394,7 +399,8 @@ type ProtocolRun struct {
 
 // RunProtocol trains the fleet under one protocol and wireless regime.
 // cfgMut, when non-nil, adjusts the engine config (coreset-size sweeps).
-// It is Run with Spec{Experiment: ExpProtocol} on a background context.
+// It always trains afresh on a background context, bypassing the run memo
+// that Run and Experiment.Train consult.
 func (e *Env) RunProtocol(name ProtocolName, lossless bool, cfgMut func(*core.Config)) (*ProtocolRun, error) {
 	run, err := e.runProtocol(context.Background(), name, lossless, cfgMut)
 	if err != nil {
@@ -402,6 +408,18 @@ func (e *Env) RunProtocol(name ProtocolName, lossless bool, cfgMut func(*core.Co
 	}
 	e.flushRuns(run)
 	return run, nil
+}
+
+// runKey names what determines an arm's run on this env: the protocol, the
+// regime, the applied engine config (its sink excluded: telemetry never
+// perturbs a run), the scale, and whether the run streams to a user sink.
+func (e *Env) runKey(a Arm) string {
+	cfg := e.Cfg
+	if a.Config != nil {
+		a.Config(&cfg)
+	}
+	cfg.Telemetry = nil
+	return fmt.Sprintf("%s|%t|%#v|%#v|%t", a.Protocol, a.Lossless, cfg, e.Scale, e.Telemetry != nil)
 }
 
 // runProtocol is the core runner: it brackets the run with
@@ -475,16 +493,6 @@ func (e *Env) flushRuns(runs ...*ProtocolRun) {
 			r.events = nil
 		}
 	}
-}
-
-// anyCanceled reports whether any run in the set was cut short.
-func anyCanceled(runs []*ProtocolRun) bool {
-	for _, r := range runs {
-		if r != nil && r.Canceled {
-			return true
-		}
-	}
-	return false
 }
 
 // EvalFleet computes fleet-averaged driving success rates for every

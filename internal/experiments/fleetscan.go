@@ -40,10 +40,7 @@ func runFleetScan(ctx context.Context, x *Experiment, spec Spec) (*Result, error
 		seed = 1
 	}
 	const dt = 0.5
-	ticks := int(dur / dt)
-	if ticks < 1 {
-		ticks = 1
-	}
+	ticks := max(int(dur/dt), 1)
 	maxRange := radio.NewModel(false).Params.MaxRangeMeters
 	side := fleetScanDensityCell * math.Sqrt(float64(n))
 	fleet := shard.NewFleet(seed, n, side)

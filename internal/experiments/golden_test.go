@@ -57,12 +57,17 @@ func goldenRun(t *testing.T, name ProtocolName, lossless bool) (*ProtocolRun, st
 	if err != nil {
 		t.Fatalf("%s: %v", key, err)
 	}
+	r := hashedRun{run: run, hash: runHash(t, mem, run)}
+	hashedRuns[key] = r
+	return r.run, r.hash
+}
+
+// runHash is the SHA-256 of a run's JSONL-encoded event stream, as its sink
+// received it, followed by every vehicle's final parameter bits.
+func runHash(t *testing.T, mem *telemetry.MemorySink, run *ProtocolRun) string {
+	t.Helper()
 	h := sha256.New()
-	for _, ev := range mem.Events() {
-		line, err := telemetry.Encode(ev)
-		if err != nil {
-			t.Fatalf("%s: encoding %s: %v", key, ev.Kind(), err)
-		}
+	for _, line := range encodedLines(t, mem) {
 		h.Write(line)
 		h.Write([]byte{'\n'})
 	}
@@ -73,9 +78,7 @@ func goldenRun(t *testing.T, name ProtocolName, lossless bool) (*ProtocolRun, st
 			h.Write(buf[:])
 		}
 	}
-	r := hashedRun{run: run, hash: hex.EncodeToString(h.Sum(nil))}
-	hashedRuns[key] = r
-	return r.run, r.hash
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestGoldenEventStreams pins behaviour across commits: every protocol's

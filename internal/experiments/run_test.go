@@ -11,11 +11,14 @@ import (
 )
 
 // envWithSink copies the shared env so a test-local telemetry sink never
-// leaks into the other tests (sharedEnv is reused across the package).
+// leaks into the other tests (sharedEnv is reused across the package). The
+// copy gets a run memo of its own: a memo hit streams nothing, so a sink
+// must not see runs another test's sink already received.
 func envWithSink(t *testing.T, sink telemetry.Sink) *Env {
 	t.Helper()
 	e := *getEnv(t)
 	e.Telemetry = sink
+	e.memo = map[string]*ProtocolRun{}
 	return &e
 }
 
@@ -113,11 +116,12 @@ func TestEventStreamDeterministicAcrossWorkers(t *testing.T) {
 
 // TestRunCancellationReturnsPartialResult: a pre-canceled context must stop
 // at the first engine tick and surface a partial Result with Canceled set —
-// not an error.
+// not an error. The env's memo starts empty: a run the shared env already
+// holds would be returned whole, with no tick to cancel.
 func TestRunCancellationReturnsPartialResult(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Run(ctx, Spec{Experiment: ExpProtocol, Protocol: ProtoLbChat, Env: getEnv(t)})
+	res, err := Run(ctx, Spec{Experiment: ExpProtocol, Protocol: ProtoLbChat, Env: envWithSink(t, nil)})
 	if err != nil {
 		t.Fatalf("canceled run returned error: %v", err)
 	}
@@ -138,12 +142,71 @@ func TestRunCancellationReturnsPartialResult(t *testing.T) {
 	}
 }
 
+// defaultLbChat runs the lossless LbChat arm, which several catalogue
+// entries share, through Run on env.
+func defaultLbChat(ctx context.Context, t *testing.T, env *Env) *ProtocolRun {
+	t.Helper()
+	res, err := Run(ctx, Spec{Protocol: ProtoLbChat, Lossless: true, Env: env})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Runs[0]
+}
+
+// TestRunMemoNeverReturnsCanceledRun: a canceled run is not remembered, so
+// the next Train of its arm trains it in full — the very run RunProtocol
+// trains — and that completed run is the one the memo then returns.
+func TestRunMemoNeverReturnsCanceledRun(t *testing.T) {
+	env := envWithSink(t, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if run := defaultLbChat(ctx, t, env); !run.Canceled {
+		t.Fatal("pre-canceled run completed")
+	}
+	run := defaultLbChat(context.Background(), t, env)
+	if run.Canceled {
+		t.Fatal("the memo returned the canceled run")
+	}
+	golden, _ := goldenRun(t, ProtoLbChat, true)
+	sameRun(t, "memoised vs fresh", run, golden)
+	if again := defaultLbChat(context.Background(), t, env); again != run {
+		t.Error("a shared arm trained twice on one env")
+	}
+}
+
+// TestRunMemoKeepsUserSinkStreams: a run trained without a user sink is not
+// returned to an env that has one — that env's sink receives the run's full
+// event stream, the golden one — while a run the sink already received is
+// returned without streaming it again.
+func TestRunMemoKeepsUserSinkStreams(t *testing.T) {
+	env := envWithSink(t, nil)
+	golden, hash := goldenRun(t, ProtoLbChat, true)
+	env.memo[env.runKey(Arm{Protocol: ProtoLbChat, Lossless: true})] = golden
+	if defaultLbChat(context.Background(), t, env) != golden {
+		t.Fatal("the memo missed on the env it was filled for")
+	}
+	mem := telemetry.NewMemorySink()
+	env.Telemetry = mem
+	run := defaultLbChat(context.Background(), t, env)
+	if run == golden {
+		t.Fatal("an env with a user sink got a run trained for an env without one")
+	}
+	if got := runHash(t, mem, run); got != hash {
+		t.Errorf("user sink stream hashes to %s, want the golden %s", got, hash)
+	}
+	again := telemetry.NewMemorySink()
+	env.Telemetry = again
+	if defaultLbChat(context.Background(), t, env) != run || again.Len() != 0 {
+		t.Errorf("memo hit streamed %d events or trained again", again.Len())
+	}
+}
+
 // TestRunCanceledTableExperiment: canceling a table experiment must skip
 // evaluation (nil table) while still returning the partial runs.
 func TestRunCanceledTableExperiment(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Run(ctx, Spec{Experiment: "tab7", Env: getEnv(t)})
+	res, err := Run(ctx, Spec{Experiment: "tab7", Env: envWithSink(t, nil)})
 	if err != nil {
 		t.Fatalf("canceled table run returned error: %v", err)
 	}
