@@ -40,10 +40,11 @@ func TestVehiclesStartFromOneInit(t *testing.T) {
 
 // maxEngineBytesPerVehicle bounds what NewEngine allocates per vehicle on
 // rowsEngine's two-unit model: the policy clone, the vehicle and its one
-// seeded stream measure 9.9 KB. One more seeded math/rand source per vehicle
-// (≈ 4.9 KB: an extra Derive) crosses it, and a model.New per vehicle (seven
-// sources, 48 KB) is far past it.
-const maxEngineBytesPerVehicle = 12 << 10
+// stream measure 4.5 KB. A stream holds no 607-word state until its 274th
+// draw, so one more Derive per vehicle (≈ 0.1 KB) stays under the bound;
+// one more *materialised* stream per vehicle (≈ 4.9 KB of state) crosses
+// it, and a model.New per vehicle is far past it.
+const maxEngineBytesPerVehicle = 6 << 10
 
 // TestNewEngineAllocations guards the set-up cost of one shared
 // initialization: NewEngine's heap per vehicle at N = 1024.

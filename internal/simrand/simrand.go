@@ -7,21 +7,22 @@ import (
 	"strconv"
 )
 
-// Rand is a deterministic random stream. It wraps math/rand with a
-// fixed source and adds derivation and weighted-sampling helpers used
-// throughout the simulator. A Rand is NOT safe for concurrent use; derive a
-// separate stream per goroutine instead.
+// Rand is a deterministic random stream. It wraps math/rand around a
+// source that reproduces rand.NewSource bit for bit, and adds derivation and
+// weighted-sampling helpers used throughout the simulator. A Rand is NOT
+// safe for concurrent use; derive a separate stream per goroutine instead.
 type Rand struct {
 	seed uint64
 	rng  *rand.Rand
+	src  source
 }
 
 // New returns a stream seeded with seed.
 func New(seed uint64) *Rand {
-	return &Rand{
-		seed: seed,
-		rng:  rand.New(rand.NewSource(int64(seed))), //nolint:gosec // simulation, not crypto
-	}
+	r := &Rand{seed: seed}
+	r.src.Seed(int64(seed))
+	r.rng = rand.New(&r.src) //nolint:gosec // simulation, not crypto
+	return r
 }
 
 // Seed returns the seed this stream was created with.
@@ -31,15 +32,19 @@ func (r *Rand) Seed() uint64 { return r.seed }
 // stable: the same (seed, name) pair always yields the same stream,
 // regardless of how many other streams have been derived or how much the
 // parent has been consumed.
-func (r *Rand) Derive(name string) *Rand {
+func (r *Rand) Derive(name string) *Rand { return New(deriveSeed(r.seed, name)) }
+
+// deriveSeed is the seed of the stream Derive names: FNV-1a over the
+// parent's seed, little-endian, and the name.
+func deriveSeed(seed uint64, name string) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(r.seed >> (8 * i))
+		buf[i] = byte(seed >> (8 * i))
 	}
 	_, _ = h.Write(buf[:])
 	_, _ = h.Write([]byte(name))
-	return New(h.Sum64())
+	return h.Sum64()
 }
 
 // DeriveIndexed returns a derived stream for the name-index pair, e.g. one

@@ -1,6 +1,8 @@
 package world
 
 import (
+	"math"
+
 	"lbchat/internal/geom"
 	"lbchat/internal/simrand"
 )
@@ -18,6 +20,10 @@ type Pedestrian struct {
 	waitUntil float64 // dwell at the current spot until this world time
 	rng       *simrand.Rand
 	bounds    geom.Point // map extent for target sampling
+	// onRoad is IsRoad(onRoadAt), carried from the step that moved here; a
+	// Pos written from outside differs from onRoadAt and is asked afresh.
+	onRoad   bool
+	onRoadAt geom.Point
 }
 
 // NewPedestrian spawns a pedestrian at a random off-road position.
@@ -31,6 +37,7 @@ func NewPedestrian(id int, m *Map, rng *simrand.Rand) *Pedestrian {
 	}
 	p.Pos = p.samplePoint(m)
 	p.target = p.samplePoint(m)
+	p.onRoadAt = geom.Pt(math.NaN(), math.NaN()) // equal to no Pos
 	return p
 }
 
@@ -74,8 +81,19 @@ func (p *Pedestrian) Step(w *World, dt float64) {
 	// Yield only when about to STEP ONTO the road: once crossing, keep
 	// moving and clear the lane (a pedestrian frozen mid-road would be a
 	// guaranteed collision).
-	if m.IsRoad(next) && !m.IsRoad(p.Pos) && w.anyCarNear(next, yieldDistance) {
+	nextOnRoad := m.IsRoad(next)
+	if nextOnRoad && !p.isRoad(m) && w.anyCarNear(next, yieldDistance) {
 		return // wait at the curb
 	}
 	p.Pos = next
+	p.onRoad, p.onRoadAt = nextOnRoad, next
+}
+
+// isRoad reports whether the pedestrian stands on the road, answered by
+// the carried IsRoad when it was taken at Pos.
+func (p *Pedestrian) isRoad(m *Map) bool {
+	if p.Pos != p.onRoadAt {
+		p.onRoad, p.onRoadAt = m.IsRoad(p.Pos), p.Pos
+	}
+	return p.onRoad
 }

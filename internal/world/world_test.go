@@ -389,6 +389,40 @@ func TestPedestrianStaysInBounds(t *testing.T) {
 	}
 }
 
+// TestPedestrianRoadCarry checks the on-road answer a step carries: it is
+// IsRoad of the position it was taken at, and a Pos written from outside is
+// asked afresh rather than answered from the carry.
+func TestPedestrianRoadCarry(t *testing.T) {
+	w := seededWorld(t, SpawnConfig{Experts: 2, BackgroundCars: 6, Pedestrians: 40})
+	carried, onRoad := 0, 0
+	for i := 0; i < 600; i++ {
+		w.Step(0.5)
+		for _, p := range w.Pedestrians {
+			if p.onRoadAt != p.Pos {
+				continue
+			}
+			carried++
+			if p.onRoad {
+				onRoad++
+			}
+			if p.onRoad != w.Map.IsRoad(p.Pos) {
+				t.Fatalf("pedestrian %d at %v carries onRoad %v", p.ID, p.Pos, p.onRoad)
+			}
+		}
+	}
+	if carried == 0 || onRoad == 0 {
+		t.Fatalf("%d carried answers, %d on the road: the check is vacuous", carried, onRoad)
+	}
+	p := w.Pedestrians[0]
+	p.isRoad(w.Map)
+	for _, pos := range []geom.Point{w.Map.NodePos(0), geom.Pt(-500, -500)} {
+		p.Pos = pos
+		if got, want := p.isRoad(w.Map), w.Map.IsRoad(pos); got != want {
+			t.Errorf("after Pos = %v, isRoad = %v, want %v", pos, got, want)
+		}
+	}
+}
+
 func TestCollectFrameShape(t *testing.T) {
 	m := testMap(t)
 	w, _ := New(m, SpawnConfig{Experts: 1, BackgroundCars: 2, Pedestrians: 3}, simrand.New(11))
