@@ -67,6 +67,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLBTCDecode$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzPolicyUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/model
 	$(GO) test -run '^$$' -fuzz '^FuzzPolylinePose$$' -fuzztime $(FUZZTIME) ./internal/geom
+	$(GO) test -run '^$$' -fuzz '^FuzzArcOf$$' -fuzztime $(FUZZTIME) ./internal/geom
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaPlanCut$$' -fuzztime $(FUZZTIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime $(FUZZTIME) ./internal/simrand
 
@@ -86,7 +87,9 @@ bench:
 # 4096-vehicle fleet), of the fleet's set-up (BenchmarkNewEngine: one
 # shared initialization cloned into 1024 and 4096 vehicles), of the world
 # in traffic (the fixed-work BenchmarkWorldTick/paper: a fresh 6 + 50 + 250 world stepped 2000 times
-# per op, so two profiles cover the same work), of closed-loop evaluation
+# per op, so two profiles cover the same work), of route extension
+# (BenchmarkExtendRandom: one 600 m ExtendRandom of a 1, 5 and 20 km route),
+# of closed-loop evaluation
 # (the fixed-work BenchmarkEvalTrial: four Navi (Normal) trials replaying
 # recorded oracle waypoints per op), of the train step (internal/model's BenchmarkTrainStep on
 # bench-shaped sparse batches, 5000 steps whatever the box's speed) and of one
@@ -99,6 +102,8 @@ bench-pprof:
 	mkdir -p bench-profiles
 	$(GO) test -run '^$$' -bench 'BenchmarkWorldTick/paper' -benchtime 10x -benchmem \
 		-cpuprofile bench-profiles/world.cpu.pprof -o bench-profiles/world.test ./internal/world/
+	$(GO) test -run '^$$' -bench 'BenchmarkExtendRandom' -benchtime 2000x -benchmem \
+		-cpuprofile bench-profiles/route.cpu.pprof -o bench-profiles/world.test ./internal/world/
 	$(GO) test -run '^$$' -bench 'BenchmarkEvalTrial' -benchtime 10x -benchmem \
 		-cpuprofile bench-profiles/eval.cpu.pprof -o bench-profiles/eval.test ./internal/eval/
 	$(GO) test -run '^$$' -bench 'BenchmarkScanContacts|BenchmarkCandidatePairs' -benchmem \

@@ -85,9 +85,22 @@ func (s *Sparse) Dense() []float64 {
 // coordinates: kept coordinates take the transmitted values, dropped ones
 // keep the receiver's own parameters. This is how a receiver materializes a
 // compressed peer model for evaluation and aggregation without zero-holes.
+// A malformed s — Values not parallel to Indices, an index outside
+// [0, Len), or indices not strictly increasing — is an error, not a panic
+// or a silent overwrite.
 func (s *Sparse) ApplyAsUpdate(base []float64) ([]float64, error) {
 	if len(base) != s.Len {
 		return nil, fmt.Errorf("compress: base length %d != sparse length %d", len(base), s.Len)
+	}
+	if len(s.Values) != len(s.Indices) {
+		return nil, fmt.Errorf("compress: %d values for %d indices", len(s.Values), len(s.Indices))
+	}
+	prev := -1
+	for i, idx := range s.Indices {
+		if idx <= prev || idx >= s.Len {
+			return nil, fmt.Errorf("compress: index %d at position %d is out of order or outside [0, %d)", idx, i, s.Len)
+		}
+		prev = idx
 	}
 	out := append([]float64(nil), base...)
 	for i, idx := range s.Indices {

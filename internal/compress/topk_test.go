@@ -94,6 +94,28 @@ func TestApplyAsUpdate(t *testing.T) {
 	}
 }
 
+func TestApplyAsUpdateRejectsMalformed(t *testing.T) {
+	base := []float64{1, 2, 3, 4}
+	for _, tc := range []struct {
+		name    string
+		indices []int
+		values  []float64
+	}{
+		{"negative index", []int{-1, 2}, []float64{5, 6}},
+		{"index at Len", []int{1, 4}, []float64{5, 6}},
+		{"index past Len", []int{9}, []float64{5}},
+		{"fewer values than indices", []int{0, 2}, []float64{5}},
+		{"more values than indices", []int{0}, []float64{5, 6}},
+		{"duplicate index", []int{1, 1}, []float64{5, 6}},
+		{"descending indices", []int{2, 0}, []float64{5, 6}},
+	} {
+		sp := &Sparse{Len: len(base), Indices: tc.indices, Values: tc.values}
+		if got, err := sp.ApplyAsUpdate(base); err == nil {
+			t.Errorf("%s: accepted, got %v", tc.name, got)
+		}
+	}
+}
+
 func TestWireSizeMonotone(t *testing.T) {
 	flat := make([]float64, 1000)
 	for i := range flat {

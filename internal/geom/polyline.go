@@ -7,24 +7,95 @@ import "math"
 type Polyline struct {
 	pts    []Point
 	cumLen []float64 // cumLen[i] = arc length from pts[0] to pts[i]
+	blocks []bounds  // blocks[k] bounds segments [k·blockSegs, (k+1)·blockSegs)
+}
+
+// blockSegs is how many consecutive segments share one bounding box in
+// ArcOf's coarse screen.
+const blockSegs = 32
+
+// bounds is the axis-aligned bounding box of a run of points. A NaN
+// coordinate makes its bounds NaN, which screen nothing out.
+type bounds struct{ lo, hi Point }
+
+// add stretches bx over p.
+func (bx *bounds) add(p Point) {
+	bx.lo.X, bx.hi.X = min(bx.lo.X, p.X), max(bx.hi.X, p.X)
+	bx.lo.Y, bx.hi.Y = min(bx.lo.Y, p.Y), max(bx.hi.Y, p.Y)
 }
 
 // NewPolyline builds a polyline from the given points. Consecutive duplicate
 // points are collapsed. A polyline needs at least one point to be useful;
 // an empty input yields an empty polyline with zero length.
 func NewPolyline(pts []Point) *Polyline {
-	clean := make([]Point, 0, len(pts))
+	b := NewPolylineBuilder(len(pts))
 	for _, p := range pts {
-		if n := len(clean); n > 0 && clean[n-1].Dist(p) < 1e-12 {
-			continue
-		}
-		clean = append(clean, p)
+		b.Add(p)
 	}
-	cum := make([]float64, len(clean))
-	for i := 1; i < len(clean); i++ {
-		cum[i] = cum[i-1] + clean[i-1].Dist(clean[i])
+	return b.Polyline()
+}
+
+// PolylineBuilder assembles a polyline a point at a time: NewPolyline over
+// the points added, bit for bit.
+type PolylineBuilder struct {
+	pts    []Point
+	cumLen []float64
+	blocks []bounds
+}
+
+// NewPolylineBuilder returns an empty builder with room for n points.
+func NewPolylineBuilder(n int) *PolylineBuilder {
+	return &PolylineBuilder{pts: make([]Point, 0, n), cumLen: make([]float64, 0, n)}
+}
+
+// Regrow returns a builder holding copies of pl's first keep points and
+// their arc lengths, with room for extra more. Building from it is
+// NewPolyline over those points followed by the ones added, bit for bit —
+// pl's points are already collapsed, so NewPolyline would keep each of them
+// and sum the same lengths — and nothing added to it reaches pl.
+func (pl *Polyline) Regrow(keep, extra int) *PolylineBuilder {
+	b := NewPolylineBuilder(keep + extra)
+	b.pts, b.cumLen = append(b.pts, pl.pts[:keep]...), append(b.cumLen, pl.cumLen[:keep]...)
+	// Blocks whose last point is kept are copied; the one the cut runs
+	// through is bounded again over its kept points.
+	full := max(keep-1, 0) / blockSegs
+	b.blocks = append(make([]bounds, 0, full+extra/blockSegs+1), pl.blocks[:full]...)
+	for i := full * blockSegs; i+1 < keep; i++ {
+		b.bound(i)
 	}
-	return &Polyline{pts: clean, cumLen: cum}
+	return b
+}
+
+// Add appends p unless it lies within 1e-12 of the last point kept.
+func (b *PolylineBuilder) Add(p Point) {
+	n := len(b.pts)
+	if n == 0 {
+		b.pts, b.cumLen = append(b.pts, p), append(b.cumLen, 0)
+		return
+	}
+	d := b.pts[n-1].Dist(p)
+	if d < 1e-12 {
+		return
+	}
+	b.pts, b.cumLen = append(b.pts, p), append(b.cumLen, b.cumLen[n-1]+d)
+	b.bound(n - 1)
+}
+
+// bound stretches the blocks over segment i, the last one added.
+func (b *PolylineBuilder) bound(i int) {
+	if i%blockSegs == 0 {
+		a := b.pts[i]
+		b.blocks = append(b.blocks, bounds{lo: a, hi: a})
+	}
+	b.blocks[len(b.blocks)-1].add(b.pts[i+1])
+}
+
+// Len returns the number of points kept so far.
+func (b *PolylineBuilder) Len() int { return len(b.pts) }
+
+// Polyline returns the polyline built. The builder must not be used after.
+func (b *PolylineBuilder) Polyline() *Polyline {
+	return &Polyline{pts: b.pts, cumLen: b.cumLen, blocks: b.blocks}
 }
 
 // Len returns the number of points.
@@ -138,6 +209,77 @@ func (pl *Polyline) Project(p Point) (arc, dist float64) {
 		}
 	}
 	return bestArc, best.Dist
+}
+
+// ArcOf returns Project(p)'s arc bit for bit, and the segment it read it
+// from: seg is the index of the first segment whose closest point is p
+// exactly, or -1 when no segment's is and the arc is Project's own.
+//
+// Project keeps the first strict minimum of the segments' distances, and
+// nothing beats a distance of exactly 0, so when some segment's computed
+// closest point is p its answer is the lowest such segment's arc:
+// cumLen[seg] + t·|segment|, which is what ArcOf returns, found by a scan
+// that stops there. A vertex pts[k] is such a point whenever its segment
+// runs between finite points no farther apart than MaxFloat64:
+// ClosestPoint takes t = ±0 and Lerp(A, B, ±0) is A. So a vertex's first hit
+// lies at or before segment k, and its arc — cumLen[k] when the hit is
+// segment k — reads no point past pts[k+1]. When nothing hits (a point off
+// the vertices and off the segments' rounding, a collapsed near-duplicate,
+// NaN or ±Inf coordinates, fewer than two points) ArcOf falls back to
+// Project.
+//
+// Each segment is first screened by its bounding box, widened on each axis
+// by m = 1e-9·(|a|+|b|) + 2⁻¹⁰²² for endpoint coordinates a and b. The
+// closest point is Lerp(A, B, t) with t ∈ [0, 1]: a ⊕ ((b ⊖ a) ⊗ t), and with
+// u = 2⁻⁵³ the exact a + (b−a)·t lies in [min(a,b), max(a,b)] while the
+// computed value differs from it by at most |b−a|·(2u+u²) from the
+// subtraction and product, 2⁻¹⁰⁷⁵ if the product underflows, and u times
+// the sum's magnitude from the sum — together under 4u·(|a|+|b|) + 2⁻¹⁰⁷⁵.
+// m and the box's two bounds round by a few u of their own, and 1e-9 ≫ 6u,
+// 2⁻¹⁰²² ≫ 2⁻¹⁰⁷⁵: no t's rounded Lerp can land on p from a segment the
+// screen rejects. An infinite endpoint makes m infinite, and a segment with
+// a NaN coordinate never hits (its t is NaN), whatever the screen says.
+//
+// Before that, each block of blockSegs segments is screened the same way
+// with its bounds for [min(a,b), max(a,b)] and 2·max(|lo|,|hi|) for |a|+|b|.
+// Both stand on the safe side of every (non-NaN) segment's in the block,
+// and rounding is monotone, so the block's widened box holds each of its
+// segments' widened boxes: a block is skipped only when all of its segments
+// would be.
+func (pl *Polyline) ArcOf(p Point) (arc float64, seg int) {
+	for k, bx := range pl.blocks {
+		if bx.excludes(p) {
+			continue
+		}
+		for i := k * blockSegs; i < min(k*blockSegs+blockSegs, len(pl.pts)-1); i++ {
+			a, b := pl.pts[i], pl.pts[i+1]
+			if outsideSpan(p.X, min(a.X, b.X), max(a.X, b.X), math.Abs(a.X)+math.Abs(b.X)) ||
+				outsideSpan(p.Y, min(a.Y, b.Y), max(a.Y, b.Y), math.Abs(a.Y)+math.Abs(b.Y)) {
+				continue
+			}
+			s := Segment{A: a, B: b}
+			q, t := s.ClosestPoint(p)
+			if q.X-p.X == 0 && q.Y-p.Y == 0 { // q.Dist(p) == 0
+				return pl.cumLen[i] + t*s.Length(), i
+			}
+		}
+	}
+	arc, _ = pl.Project(p)
+	return arc, -1
+}
+
+// excludes reports whether ArcOf's block screen rules out every segment of
+// the block bx bounds.
+func (bx bounds) excludes(p Point) bool {
+	return outsideSpan(p.X, bx.lo.X, bx.hi.X, 2*max(math.Abs(bx.lo.X), math.Abs(bx.hi.X))) ||
+		outsideSpan(p.Y, bx.lo.Y, bx.hi.Y, 2*max(math.Abs(bx.lo.Y), math.Abs(bx.hi.Y)))
+}
+
+// outsideSpan reports whether x lies outside [lo, hi] widened by ArcOf's
+// margin for coordinates whose magnitudes sum to mag.
+func outsideSpan(x, lo, hi, mag float64) bool {
+	m := mag*1e-9 + 0x1p-1022
+	return x < lo-m || x > hi+m
 }
 
 // Nearest is the running minimum of a nearest-point scan: the distance from

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -229,6 +230,186 @@ func TestProjectMatchesUnscreenedScan(t *testing.T) {
 			wantArc, wantDist := unscreenedProject(pl, p)
 			if math.Float64bits(gotArc) != math.Float64bits(wantArc) || math.Float64bits(gotDist) != math.Float64bits(wantDist) {
 				t.Fatalf("trial %d: Project(%v) = (%v, %v), unscreened scan (%v, %v)", trial, p, gotArc, gotDist, wantArc, wantDist)
+			}
+		}
+	}
+}
+
+// firstHit is the segment ArcOf must name, found without its screen: the
+// lowest one whose closest point to p is at distance exactly 0, or -1.
+func firstHit(pl *Polyline, p Point) int {
+	for i := 0; i+1 < len(pl.pts); i++ {
+		if (Segment{A: pl.pts[i], B: pl.pts[i+1]}).DistToPoint(p) == 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkArcOf fails unless pl.ArcOf(p) is Project(p)'s arc bit for bit and
+// names the first segment that hits p exactly.
+func checkArcOf(t *testing.T, pl *Polyline, p Point) {
+	t.Helper()
+	arc, seg := pl.ArcOf(p)
+	want, _ := pl.Project(p)
+	if !sameBits(arc, want) || seg != firstHit(pl, p) {
+		t.Fatalf("%d points: ArcOf(%v) = (%v, %d), Project's arc %v, first hit %d", pl.Len(), p, arc, seg, want, firstHit(pl, p))
+	}
+}
+
+// blocked is the polyline of pts and cumLen as given, bounded for ArcOf.
+func blocked(pts []Point, cumLen []float64) *Polyline {
+	b := &PolylineBuilder{pts: pts, cumLen: cumLen}
+	for i := 0; i+1 < len(pts); i++ {
+		b.bound(i)
+	}
+	return b.Polyline()
+}
+
+// TestArcOfMatchesProject queries ArcOf at every vertex, at each segment's
+// Lerp(A, B, 1), at every raw input point (near-duplicates NewPolyline drops
+// included) and at random points
+// on, near and off polylines that revisit their corners, have zero-length
+// and axis-parallel segments, and carry ±0, subnormal, 1e300, near-overflow,
+// ±Inf and NaN coordinates.
+func TestArcOfMatchesProject(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	negZero := math.Copysign(0, -1)
+	var raws [][]Point
+	for trial := 0; trial < 150; trial++ {
+		// A lattice walk through corners it has passed before, with a near
+		// duplicate (collapsed by NewPolyline) after some of its points.
+		raw := []Point{Pt(0, 0)}
+		for len(raw) < 2+rng.Intn(150) {
+			last := raw[len(raw)-1]
+			if rng.Intn(5) == 0 {
+				raw = append(raw, last.Add(Pt(rng.Float64()*5e-13, 0)))
+				continue
+			}
+			step := []Point{Pt(10, 0), Pt(-10, 0), Pt(0, 10), Pt(0, -10), Pt(7, 7)}[rng.Intn(5)]
+			raw = append(raw, last.Add(step))
+		}
+		raws = append(raws, raw)
+		// A free walk at a random scale, subnormal to 1e300.
+		scale := math.Pow(10, float64(rng.Intn(620)-315))
+		walk := []Point{Pt(rng.Float64()*scale, rng.Float64()*scale)}
+		for i := 0; i < 40; i++ {
+			walk = append(walk, walk[len(walk)-1].Add(Pt((rng.Float64()-0.5)*scale, (rng.Float64()-0.5)*scale)))
+		}
+		raws = append(raws, walk)
+	}
+	raws = append(raws,
+		[]Point{Pt(negZero, 0), Pt(0, negZero), Pt(negZero, negZero), Pt(0, 1)},
+		[]Point{Pt(5e-324, 0), Pt(0, 5e-324), Pt(1e-310, 1e-310), Pt(1, 1)},
+		[]Point{Pt(1e300, -1e300), Pt(-1e300, 1e300), Pt(1e300, 1e300)},
+		[]Point{Pt(1.7e308, 0), Pt(-1.7e308, 0), Pt(0, 1.7e308), Pt(1.7e308, 0)},
+		[]Point{Pt(0, 0), Pt(math.Inf(1), 0), Pt(math.Inf(1), 0), Pt(3, math.Inf(-1)), Pt(1, 1)},
+		[]Point{Pt(0, 0), Pt(math.NaN(), 1), Pt(2, 2), Pt(2, math.NaN()), Pt(0, 0)},
+		[]Point{Pt(2, 3)}, nil,
+	)
+	lines := []*Polyline{
+		// Zero-length segments, which NewPolyline would collapse: an exact
+		// repeat, and a step whose squared length underflows to 0.
+		blocked([]Point{Pt(0, 0), Pt(0, 0), Pt(3, 4), Pt(3+1e-170, 4), Pt(0, 0)}, []float64{0, 0, 5, 5, 10}),
+	}
+	for _, raw := range raws {
+		lines = append(lines, NewPolyline(raw))
+	}
+	for li, pl := range lines {
+		queries := []Point{Pt(math.NaN(), 0), Pt(math.Inf(1), 3), Pt(negZero, negZero), Pt(1e300, 1e300)}
+		queries = append(queries, pl.pts...)
+		for i := 0; i+1 < pl.Len(); i++ {
+			// Lerp(A, B, 1) need not be B, nor inside the segment's box.
+			queries = append(queries, Lerp(pl.pts[i], pl.pts[i+1], 1))
+		}
+		if li > 0 {
+			queries = append(queries, raws[li-1]...)
+		}
+		for q := 0; q < 20 && pl.Len() > 1; q++ {
+			on := pl.At(rng.Float64() * pl.Length())
+			i := rng.Intn(pl.Len() - 1)
+			queries = append(queries, on, Lerp(pl.pts[i], pl.pts[i+1], rng.Float64()),
+				on.Add(Pt(rng.Float64()*8-4, rng.Float64()*8-4)),
+				Pt(rng.Float64()*400-200, rng.Float64()*400-200))
+		}
+		for _, p := range queries {
+			checkArcOf(t, pl, p)
+		}
+	}
+}
+
+// FuzzArcOf builds a polyline from arbitrary coordinates (16 bytes a point)
+// and queries ArcOf at an arbitrary point, at every vertex and at each
+// segment's Lerp(A, B, 1): it equals
+// Project's arc bit for bit and names the first exact hit.
+func FuzzArcOf(f *testing.F) {
+	pts := func(coords ...float64) []byte {
+		raw := make([]byte, 0, 8*len(coords))
+		for _, c := range coords {
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(c))
+		}
+		return raw
+	}
+	f.Add([]byte{}, 1.0, 2.0)
+	f.Add(pts(0, 0, 10, 0, 10, 10, 0, 10, 0, 0, 10, 0), 10.0, 0.0)
+	f.Add(pts(0, 0, 1e-13, 0, 3, 4), 1e-13, 0.0)
+	f.Add(pts(5e-324, 0, 0, 5e-324, 1e300, -1e300), 0.0, 0.0)
+	f.Add(pts(1.7e308, 0, -1.7e308, 0, math.Inf(1), 5), math.NaN(), 5.0)
+	f.Fuzz(func(t *testing.T, raw []byte, x, y float64) {
+		var p []Point
+		for ; len(raw) >= 16; raw = raw[16:] {
+			p = append(p, Pt(math.Float64frombits(binary.LittleEndian.Uint64(raw)),
+				math.Float64frombits(binary.LittleEndian.Uint64(raw[8:]))))
+		}
+		pl := NewPolyline(p)
+		checkArcOf(t, pl, Pt(x, y))
+		for i, v := range pl.pts {
+			checkArcOf(t, pl, v)
+			if i+1 < pl.Len() {
+				checkArcOf(t, pl, Lerp(v, pl.pts[i+1], 1))
+			}
+		}
+	})
+}
+
+// TestRegrowMatchesNewPolyline regrows random prefixes of random polylines
+// (near-duplicates included) by random tails: the result is NewPolyline
+// over prefix and tail bit for bit, ArcOf's block bounds included, and the
+// original is untouched.
+func TestRegrowMatchesNewPolyline(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	walk := func(n int) []Point {
+		pts := make([]Point, n)
+		for i := range pts {
+			pts[i] = Pt(float64(rng.Intn(5)), float64(rng.Intn(5))) // repeats collapse
+			if rng.Intn(4) == 0 && i > 0 {
+				pts[i] = pts[i-1].Add(Pt(3e-13, 0))
+			}
+		}
+		return pts
+	}
+	for trial := 0; trial < 300; trial++ {
+		pl := NewPolyline(walk(rng.Intn(120)))
+		snap := NewPolyline(pl.Points())
+		keep := rng.Intn(pl.Len() + 1)
+		tail := walk(rng.Intn(120))
+		b := pl.Regrow(keep, rng.Intn(3))
+		for _, p := range tail {
+			b.Add(p)
+		}
+		got := b.Polyline()
+		want := NewPolyline(append(pl.Points()[:keep], tail...))
+		for _, c := range []struct{ a, b *Polyline }{{got, want}, {pl, snap}} {
+			if c.a.Len() != c.b.Len() {
+				t.Fatalf("trial %d: %d points, want %d", trial, c.a.Len(), c.b.Len())
+			}
+			for i := range c.a.pts {
+				if c.a.pts[i] != c.b.pts[i] || !sameBits(c.a.cumLen[i], c.b.cumLen[i]) {
+					t.Fatalf("trial %d: point %d = %v at %v, want %v at %v", trial, i, c.a.pts[i], c.a.cumLen[i], c.b.pts[i], c.b.cumLen[i])
+				}
+			}
+			if !slices.Equal(c.a.blocks, c.b.blocks) {
+				t.Fatalf("trial %d: blocks %v, want %v", trial, c.a.blocks, c.b.blocks)
 			}
 		}
 	}

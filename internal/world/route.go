@@ -33,6 +33,12 @@ type Route struct {
 	commands []dataset.Command // command active approaching each interior node
 	limits   []float64         // speed limit per edge
 	edgeArcs []float64         // arc position where each edge begins
+	// lastAt is the number of lane points before the last edge's section,
+	// the points an extension keeps. reach is the last lane point the arcs
+	// taken before that section read (ArcOf's segment + 1), or MaxInt when
+	// one of them is Project's: an extension keeps those arcs only when
+	// reach < lastAt.
+	lastAt, reach int
 }
 
 // NewRoute builds a route along the given node path. The path must contain
@@ -41,31 +47,58 @@ func NewRoute(m *Map, nodes []NodeID) (*Route, error) {
 	if len(nodes) < 2 {
 		return nil, fmt.Errorf("world: route needs at least 2 nodes, got %d", len(nodes))
 	}
-	r := &Route{nodes: append([]NodeID(nil), nodes...)}
-	lanes := make([]*geom.Polyline, 0, len(nodes)-1)
+	edges, limits, err := edgesAlong(m, nodes)
+	if err != nil {
+		return nil, err
+	}
+	r := &Route{nodes: append([]NodeID(nil), nodes...), edges: edges, limits: limits}
+	r.layLane(m, 0)
+	r.commands = classifyTurns(m, nodes)
+	return r, nil
+}
+
+// edgesAlong returns the edges joining consecutive nodes of a path and their
+// speed limits.
+func edgesAlong(m *Map, nodes []NodeID) ([]EdgeID, []float64, error) {
+	edges := make([]EdgeID, 0, len(nodes)-1)
+	limits := make([]float64, 0, len(nodes)-1)
 	for i := 0; i+1 < len(nodes); i++ {
 		eid, err := m.EdgeBetween(nodes[i], nodes[i+1])
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		e := m.EdgeByID(eid)
-		r.edges = append(r.edges, eid)
-		r.limits = append(r.limits, e.SpeedLimit)
-		lanes = append(lanes, e.Lane)
+		edges = append(edges, eid)
+		limits = append(limits, m.EdgeByID(eid).SpeedLimit)
 	}
+	return edges, limits, nil
+}
 
-	// Assemble the drivable lane: each edge's straight section, cut back by
-	// the fillet length at interior nodes, joined by quadratic Bézier
-	// fillets so corners are smooth and physically drivable. Interior-node
-	// arcs land on the fillet midpoints.
+// layLane lays the drivable lane of edges from.. and takes their arcs. from
+// is 0, or the last edge of the lane being extended: its lastAt points
+// before that edge's section are kept, with every arc taken before it.
+//
+// Each edge's straight section is cut back by the fillet length at interior
+// nodes, and quadratic Bézier fillets join the sections, so corners are
+// smooth and physically drivable. An interior node's arc is its fillet
+// midpoint's and an edge's start arc its cut-back start's, each a lane
+// vertex taken with ArcOf; its first exact hit lies at or before the vertex,
+// which is what lets an extension keep the arcs before its last section.
+func (r *Route) layLane(m *Map, from int) {
 	var pts []geom.Point
-	var interiorMarks []int // index into pts of each fillet midpoint
-	for i, lane := range lanes {
+	var marks, starts []int // indices into pts of fillet midpoints and edge starts
+	last := len(r.edges) - 1
+	lastFrom := 0 // index into pts where the last edge's section begins
+	for i := from; i <= last; i++ {
+		lane := m.EdgeByID(r.edges[i]).Lane
+		if i == last {
+			lastFrom = len(pts)
+		}
 		startCut, endCut := 0.0, 0.0
 		if i > 0 {
 			startCut = math.Min(cornerCut, lane.Length()/3)
+			starts = append(starts, len(pts))
 		}
-		if i+1 < len(lanes) {
+		if i < last {
 			endCut = math.Min(cornerCut, lane.Length()/3)
 		}
 		// Straight section.
@@ -74,8 +107,8 @@ func NewRoute(m *Map, nodes []NodeID) (*Route, error) {
 		}
 		pts = append(pts, lane.At(lane.Length()-endCut))
 		// Fillet into the next edge.
-		if i+1 < len(lanes) {
-			next := lanes[i+1]
+		if i < last {
+			next := m.EdgeByID(r.edges[i+1]).Lane
 			nextCut := math.Min(cornerCut, next.Length()/3)
 			p1 := lane.At(lane.Length() - endCut)
 			p2 := next.At(nextCut)
@@ -87,29 +120,44 @@ func NewRoute(m *Map, nodes []NodeID) (*Route, error) {
 				b := geom.Lerp(ctrl, p2, t)
 				pts = append(pts, geom.Lerp(a, b, t))
 				if k == filletSteps/2 {
-					interiorMarks = append(interiorMarks, len(pts)-1)
+					marks = append(marks, len(pts)-1)
 				}
 			}
 		}
 	}
-	r.lane = geom.NewPolyline(pts)
-	// Recover interior-node arcs by projecting the marked fillet midpoints.
-	for _, mk := range interiorMarks {
-		arc, _ := r.lane.Project(pts[mk])
-		r.nodeArcs = append(r.nodeArcs, arc)
+
+	var b *geom.PolylineBuilder
+	if from == 0 {
+		b = geom.NewPolylineBuilder(len(pts))
+		r.nodeArcs, r.edgeArcs, r.reach = nil, []float64{0}, 0
+	} else {
+		b = r.lane.Regrow(r.lastAt, len(pts))
+		r.edgeArcs = r.edgeArcs[:from]
 	}
-	// Edge start arcs: project each lane's cut-back start point.
-	for i, lane := range lanes {
-		if i == 0 {
-			r.edgeArcs = append(r.edgeArcs, 0)
-			continue
+	for i, p := range pts {
+		if i == lastFrom {
+			r.lastAt = b.Len()
 		}
-		startCut := math.Min(cornerCut, lane.Length()/3)
-		arc, _ := r.lane.Project(lane.At(startCut))
-		r.edgeArcs = append(r.edgeArcs, arc)
+		b.Add(p)
 	}
-	r.commands = classifyTurns(m, nodes)
-	return r, nil
+	r.lane = b.Polyline()
+	arcOf := func(i int) float64 {
+		arc, seg := r.lane.ArcOf(pts[i])
+		if i < lastFrom {
+			if seg < 0 {
+				r.reach = math.MaxInt
+			} else {
+				r.reach = max(r.reach, seg+1)
+			}
+		}
+		return arc
+	}
+	for _, i := range marks {
+		r.nodeArcs = append(r.nodeArcs, arcOf(i))
+	}
+	for _, i := range starts {
+		r.edgeArcs = append(r.edgeArcs, arcOf(i))
+	}
 }
 
 // classifyTurns returns the command approaching each interior node of the
@@ -268,18 +316,31 @@ func randomWalkNodes(m *Map, start NodeID, minLength float64, rng *simrand.Rand)
 
 // ExtendRandom appends a random continuation of at least extra meters to the
 // route, avoiding an immediate U-turn when possible. The route's arc
-// parameterization is preserved (existing arc lengths remain valid).
+// parameterization is preserved (existing arc lengths remain valid), and so
+// is everything else it holds: extension appends. The lane keeps its points before the old last edge's section, that edge
+// gains its end cut and its fillet, and the tail is laid after it; the
+// result is a new polyline sharing no storage with the old one. The arcs
+// taken before the old last section are kept — each was read at or before
+// its own vertex — unless one read past the kept points (reach), and then
+// the whole lane is laid again.
 func (r *Route) ExtendRandom(m *Map, extra float64, rng *simrand.Rand) error {
 	tail, err := randomWalkNodes(m, r.nodes[len(r.nodes)-1], extra, rng)
 	if err != nil {
 		return err
 	}
-	// Drop tail's first node (it duplicates our last) and rebuild.
-	joined := append(append([]NodeID(nil), r.nodes...), tail[1:]...)
-	nr, err := NewRoute(m, joined)
+	edges, limits, err := edgesAlong(m, tail)
 	if err != nil {
 		return err
 	}
-	*r = *nr
+	from := len(r.edges) - 1
+	if r.reach >= r.lastAt {
+		from = 0
+	}
+	junction := len(r.nodes) - 2 // the old last node's predecessor
+	r.nodes = append(r.nodes, tail[1:]...)
+	r.edges = append(r.edges, edges...)
+	r.limits = append(r.limits, limits...)
+	r.commands = append(r.commands, classifyTurns(m, r.nodes[junction:])...)
+	r.layLane(m, from)
 	return nil
 }

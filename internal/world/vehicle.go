@@ -48,9 +48,10 @@ type Vehicle struct {
 
 	// The pose memo: frame and its world→ego transform local at arc poseS
 	// of lane poseLane. A lane polyline is never mutated (ExtendRandom
-	// swaps in a new one), so the key names the answer, and a write to S
-	// or Route needs no invalidation call: the next read misses. Reads
-	// write the memo, so a vehicle, like its world, is single-goroutine.
+	// copies the kept prefix into a new one), so the key names the answer,
+	// and a write to S or Route needs no invalidation call: the next read
+	// misses. Reads write the memo, so a vehicle, like its world, is
+	// single-goroutine.
 	poseLane *geom.Polyline
 	poseS    float64
 	frame    geom.Frame
