@@ -70,6 +70,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzArcOf$$' -fuzztime $(FUZZTIME) ./internal/geom
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaPlanCut$$' -fuzztime $(FUZZTIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime $(FUZZTIME) ./internal/simrand
+	$(GO) test -run '^$$' -fuzz '^FuzzIndexPairs$$' -fuzztime $(FUZZTIME) ./internal/spatial
 
 # go test -bench is the development tool; the perf gate is benchmarks/perf
 # (bash benchmarks/run.sh -pair / -compare, see benchmarks/README.md), whose
@@ -84,7 +85,9 @@ bench:
 # the ticks it is due, and the merge with the open-contact list — and
 # BenchmarkCandidatePairs — the same listing with telemetry off, then the
 # free-mask filter — on a moving 1024- and
-# 4096-vehicle fleet), of the fleet's set-up (BenchmarkNewEngine: one
+# 4096-vehicle fleet), of the skin rebuild's spatial work alone
+# (internal/spatial's BenchmarkPairs: one Rebuild and one Pairs at 700 m on
+# 1024 and 4096 points at the fleet's density), of the fleet's set-up (BenchmarkNewEngine: one
 # shared initialization cloned into 1024 and 4096 vehicles), of the world
 # in traffic (the fixed-work BenchmarkWorldTick/paper: a fresh 6 + 50 + 250 world stepped 2000 times
 # per op, so two profiles cover the same work), of route extension
@@ -108,6 +111,8 @@ bench-pprof:
 		-cpuprofile bench-profiles/eval.cpu.pprof -o bench-profiles/eval.test ./internal/eval/
 	$(GO) test -run '^$$' -bench 'BenchmarkScanContacts|BenchmarkCandidatePairs' -benchmem \
 		-cpuprofile bench-profiles/scan.cpu.pprof -o bench-profiles/core.test ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkPairs' -benchmem \
+		-cpuprofile bench-profiles/pairs.cpu.pprof -o bench-profiles/spatial.test ./internal/spatial/
 	$(GO) test -run '^$$' -bench 'BenchmarkNewEngine' -benchmem \
 		-cpuprofile bench-profiles/setup.cpu.pprof -o bench-profiles/core.test ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkTrainStep' -benchtime 5000x -benchmem \

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"lbchat/internal/compress"
@@ -290,7 +289,8 @@ type Engine struct {
 	// spatialIdx is the pair index (cell size = radio range + skinMeters).
 	// skin is the Verlet list it last enumerated: the pairs within radio
 	// range + skinMeters of each other on skinRow, a copy of the row they
-	// were found on (empty before the first enumeration). inRange is the
+	// were found on (empty before the first enumeration), at tickIndex
+	// skinTick — the row itself may lie ahead of that tick. inRange is the
 	// in-range vehicle pairs scanInRange filtered out of skin for the time
 	// inRangeAt (NaN until the first scan): the one list the contact scan and
 	// CandidatePairs both read. freeMask is CandidatePairs' per-vehicle free
@@ -299,6 +299,7 @@ type Engine struct {
 	spatialIdx *spatial.Index
 	skin       []spatial.Pair
 	skinRow    []geom.Point
+	skinTick   int64
 	inRange    []spatial.Pair
 	inRangeAt  float64
 	freeMask   []bool
@@ -501,8 +502,8 @@ func (e *Engine) Emit(ev telemetry.Event) {
 // r + s of each other and filters them on every later row until vehicles
 // have moved far enough to bring a pair from beyond r + s into range. Sized
 // from a sweep on fleet-scan (EXPERIMENTS.md "Hot loops", *Fleet tick: a
-// Verlet skin*): a vehicle covers at most 20 m per 1 s tick there, and
-// throughput peaked between 150 and 300 m.
+// Verlet skin* and *Fleet tick: a centred skin*): a vehicle covers at most
+// 20 m per 1 s tick there, and throughput peaked between 150 and 300 m.
 const skinMeters = 200
 
 // skinSlack shrinks the drift budget by a relative 1e-9 (0.2 µm of the
@@ -524,39 +525,73 @@ const skinSlack = 1e-9
 // exactly what Pairs at r would return (the brute oracle in oracle_test.go
 // checks it every tick). The row is read once and the skin keeps its own
 // copy, so the list outlives the window's next Advance.
+//
+// A rebuilt skin is centred ahead: it is found on the recorded row
+// skinAhead ticks past now, provided that row is itself within the drift
+// budget of the current one. Motion being near-linear over a few seconds,
+// the skin then holds from now until about as far past the ahead row, where
+// one found on the current row spends half its budget on ticks already
+// gone. Exactness never rests on the guess: skinStale still checks every
+// row against the one the skin was found on, and a bad guess costs an
+// earlier rebuild.
 func (e *Engine) scanInRange() []spatial.Pair {
 	row := e.Trace.RowAt(e.now)
 	r := e.Radio.Params.MaxRangeMeters
-	if e.skinStale(row) {
-		e.spatialIdx.Rebuild(row)
+	if skinStale(row, e.skinRow) {
+		at := row
+		if k := e.skinAhead(); k > 0 {
+			if ahead := e.Trace.RowAt(e.now + float64(k)*e.Cfg.TickSeconds); !skinStale(row, ahead) {
+				at = ahead
+			}
+		}
+		e.spatialIdx.Rebuild(at)
 		e.skin = e.spatialIdx.Pairs(e.skin[:0], r+skinMeters)
-		e.skinRow = append(e.skinRow[:0], row...)
+		e.skinRow = append(e.skinRow[:0], at...)
+		e.skinTick = e.tickIndex
 		if e.obs != nil {
 			e.obs.Observe(telemetry.MSkinRebuilds, 1)
 		}
 	}
-	e.inRange = filterInRange(e.inRange, e.skin, row, r)
+	e.inRange = spatial.FilterWithin(e.inRange, e.skin, row, r)
 	e.inRangeAt = e.now
 	return e.inRange
 }
 
-// skinStale reports whether the skin list may miss a pair in range on row:
-// on the first scan (or any change in the row's length), on a NaN or
-// infinite drift, and once the two largest per-vehicle displacements
-// since the skin row sum past skinMeters (less skinSlack). Below that, any
-// two vehicles closed in by less than skinMeters, so a pair within r now
-// was within r + skinMeters then. The drift is measured from the rows
-// themselves, so a teleport or a clock that runs backwards is caught like
-// any other move.
-func (e *Engine) skinStale(row []geom.Point) bool {
-	if len(row) != len(e.skinRow) {
+// skinAhead returns how many ticks ahead of now a skin rebuilt now is
+// found: half the ticks the outgoing skin lasted, none before the first
+// skin, and at most TimeBudget's worth, so the row read lies inside the
+// span a windowed trace keeps reserved past its cursor for transfers.
+// A skin found c ticks ahead lasts about c + L, where L is a skin's life
+// found on the current row, so the look-ahead settles where it doubles
+// that life, at c = L.
+func (e *Engine) skinAhead() int64 {
+	if len(e.skinRow) == 0 {
+		return 0
+	}
+	k := (e.tickIndex - e.skinTick) / 2
+	if limit := e.Cfg.TimeBudget / e.Cfg.TickSeconds; limit < float64(k) {
+		k = int64(limit)
+	}
+	return k
+}
+
+// skinStale reports whether a skin list found on skinRow may miss a pair
+// in range on row: when the lengths differ (the first scan, before any
+// skin), on a NaN or infinite drift, and once the two largest per-vehicle
+// displacements between the rows sum past skinMeters (less skinSlack).
+// Below that, any two vehicles closed in by less than skinMeters, so a pair
+// within r on row was within r + skinMeters on skinRow. The drift is
+// measured from the rows themselves, so a teleport, a clock that runs
+// backwards or a skin row ahead of now is caught like any other move.
+func skinStale(row, skinRow []geom.Point) bool {
+	if len(row) != len(skinRow) {
 		return true
 	}
 	// top1 ≥ top2 are the two largest squared displacements; total sums
 	// them all, so one NaN or infinite displacement makes it non-finite.
 	var top1, top2, total float64
 	for i, p := range row {
-		o := e.skinRow[i]
+		o := skinRow[i]
 		dx, dy := p.X-o.X, p.Y-o.Y
 		d := dx*dx + dy*dy
 		total += d
@@ -569,46 +604,6 @@ func (e *Engine) skinStale(row []geom.Point) bool {
 		}
 	}
 	return !(total <= math.MaxFloat64) || math.Sqrt(top1)+math.Sqrt(top2) > skinMeters*(1-skinSlack)
-}
-
-// screenBand is filterInRange's squared-distance screen: a pair whose
-// squared distance lies more than this relative band from r² is in range
-// exactly when it is below r², and only the pairs inside the band go to
-// spatial.WithinBall. The band is a thousand times WithinBall's own
-// (1e-12), so the screen only decides what WithinBall would decide the same
-// way.
-const screenBand = 1e-9
-
-// filterInRange returns, in dst's storage, the pairs of skin within r of
-// each other on row, in skin's order, by the predicate Pairs applies —
-// spatial.WithinBall(row[A], row[B], r, r²) — behind an inline screen. The
-// loop is branch-light: every pair is written and the count advances by
-// the screen's flag, so the half of the skin that is out of range costs no
-// mispredicted branch; the one branch, into the band, is almost never
-// taken.
-func filterInRange(dst, skin []spatial.Pair, row []geom.Point, r float64) []spatial.Pair {
-	dst = slices.Grow(dst[:0], len(skin))[:len(skin)]
-	rr := r * r
-	band := rr * screenBand
-	n := 0
-	for _, p := range skin {
-		a, b := row[p.A], row[p.B]
-		dx, dy := b.X-a.X, b.Y-a.Y
-		sq := dx*dx + dy*dy
-		dst[n] = p
-		hit := 0
-		if sq < rr {
-			hit = 1
-		}
-		if math.Abs(sq-rr) <= band {
-			hit = 0
-			if spatial.WithinBall(a, b, r, rr) {
-				hit = 1
-			}
-		}
-		n += hit
-	}
-	return dst[:n]
 }
 
 // scanContacts diffs the fleet's in-range pair set against the previous

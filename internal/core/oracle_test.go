@@ -13,6 +13,7 @@ import (
 	"lbchat/internal/dataset"
 	"lbchat/internal/geom"
 	"lbchat/internal/radio"
+	"lbchat/internal/simrand"
 	"lbchat/internal/spatial"
 	"lbchat/internal/telemetry"
 	"lbchat/internal/trace"
@@ -366,6 +367,67 @@ func TestSkinListIsReused(t *testing.T) {
 	if n := sum.Reg.Counter(telemetry.MSkinRebuilds); n <= 0 || 2*n >= ticks {
 		t.Fatalf("%s = %d over %d ticks, want in (0, %d)", telemetry.MSkinRebuilds, n, ticks, ticks/2)
 	}
+}
+
+// TestSkinCentredAhead runs a synthetic constant-velocity fleet — 64
+// vehicles on straight lines at fixed speeds, the two fastest at v₁ = v₂ =
+// 10 m/s — for T = 600 s of 0.5 s ticks. A skin found on the current row
+// lasts until those two have moved s between them, so the uncentred count
+// is ⌈T·(v₁+v₂)/s⌉ = 60 rebuilds; centring ahead must bring it to at most
+// 0.6× that (the look-ahead settles near 19 ticks, each skin lasting ≈ 39),
+// while every tick's in-range list still equals the brute double loop.
+func TestSkinCentredAhead(t *testing.T) {
+	const n, dt, dur, v1, v2 = 64, 0.5, 600.0, 10.0, 10.0
+	rng := simrand.New(3)
+	start, vel := make([]geom.Point, n), make([]geom.Point, n)
+	for i := range start {
+		start[i] = geom.Pt(rng.Uniform(0, 3000), rng.Uniform(0, 3000))
+		speed := rng.Uniform(2, 8)
+		switch i {
+		case 0:
+			speed = v1
+		case 1:
+			speed = v2
+		}
+		heading := rng.Uniform(-math.Pi, math.Pi)
+		vel[i] = geom.Pt(speed*math.Cos(heading), speed*math.Sin(heading))
+	}
+	rows := make([][]geom.Point, int(dur/dt)+1)
+	for k := range rows {
+		rows[k] = make([]geom.Point, n)
+		for i := range rows[k] {
+			rows[k][i] = start[i].Add(vel[i].Scale(float64(k) * dt))
+		}
+	}
+	sum := telemetry.NewSummary()
+	eng := rowsEngine(t, trace.FromRows(dt, rows), sum)
+	r := eng.Radio.Params.MaxRangeMeters
+	inRange := 0
+	hook := tickHook{Protocol: scanOnly{}, tick: func(e *Engine, now float64) {
+		row := e.Trace.RowAt(now)
+		var want []spatial.Pair
+		for a := range row {
+			for b := a + 1; b < len(row); b++ {
+				if row[a].Dist(row[b]) <= r {
+					want = append(want, spatial.Pair{A: a, B: b})
+				}
+			}
+		}
+		if e.inRangeAt != now || !slices.Equal(e.inRange, want) {
+			t.Fatalf("t=%g: in-range list %v (listed at %g), brute %v", now, e.inRange, e.inRangeAt, want)
+		}
+		inRange += len(want)
+	}}
+	if err := eng.Run(hook, dur); err != nil {
+		t.Fatal(err)
+	}
+	uncentred := int64(math.Ceil(dur * (v1 + v2) / skinMeters))
+	got := sum.Reg.Counter(telemetry.MSkinRebuilds)
+	if got <= 0 || 10*got > 6*uncentred || inRange == 0 {
+		t.Fatalf("%d skin rebuilds (%d in-range pairs over the run), want in (0, %d] = 0.6 × the uncentred %d",
+			got, inRange, 6*uncentred/10, uncentred)
+	}
+	t.Logf("%d skin rebuilds against %d uncentred; %d in-range pairs over the run", got, uncentred, inRange)
 }
 
 // TestScanContactsSteadyStateAllocations pins the open-contact list's

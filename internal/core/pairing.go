@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"lbchat/internal/spatial"
 )
@@ -54,18 +55,20 @@ func (e *Engine) CandidatePairs(score func(a, b int) float64) []CandidatePair {
 // order — each vehicle chats with at most one peer at a time, and every
 // vehicle prefers its highest-scoring available neighbor, which realizes the
 // Eq. (5) exchange-sequence determination across the fleet. Ties break by
-// (A, B) for determinism. The vehicle-taken set is engine-held scratch
-// keyed by vehicle ID, reused across ticks.
+// (A, B), which makes the order total — CandidatePairs lists each pair
+// once and keeps only scores above zero, so no NaN — and the sorted
+// sequence the one any correct sort gives. The vehicle-taken set is
+// engine-held scratch keyed by vehicle ID, reused across ticks.
 func (e *Engine) GreedyMatch(pairs []CandidatePair) []CandidatePair {
 	sorted := append([]CandidatePair(nil), pairs...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Score != sorted[j].Score {
-			return sorted[i].Score > sorted[j].Score
+	slices.SortFunc(sorted, func(p, q CandidatePair) int {
+		if c := cmp.Compare(q.Score, p.Score); c != 0 {
+			return c
 		}
-		if sorted[i].A != sorted[j].A {
-			return sorted[i].A < sorted[j].A
+		if c := cmp.Compare(p.A, q.A); c != 0 {
+			return c
 		}
-		return sorted[i].B < sorted[j].B
+		return cmp.Compare(p.B, q.B)
 	})
 	maxID := -1
 	for _, p := range sorted {

@@ -34,15 +34,20 @@ type Index struct {
 	heads        []int32 // per bucket: its first point, -1 when empty
 	next, prev   []int32 // per point: its neighbors in its bucket's list, -1 at the ends
 	slots        []int32 // per point: the bucket holding it
-	// descending records that every bucket list runs in descending point
-	// order: layout files ascending points at the heads, so it holds after
-	// every layout, and an Update that moves a point across buckets clears
-	// it. While it holds, Pairs stops walking a bucket at its first point
-	// not above the query's.
-	descending bool
 
-	scratch []int32
+	// Pairs' scratch, reused across calls: the cell-sorted snapshot —
+	// bucket b's points are sortedPts[start[b]:start[b+1]], with their ids
+	// in sortedIDs — the b-major candidate buffer, and the per-A offsets of
+	// the scatter that reorders it.
+	start     []int32
+	sortedPts []geom.Point
+	sortedIDs []int32
+	found     []candidate
+	offA      []int32
 }
+
+// candidate is one (a, b) pair Pairs enumerated, a < b.
+type candidate struct{ a, b int32 }
 
 // New creates an index with the given cell size in meters. The cell size
 // should be on the order of the dominant query radius: queries then visit
@@ -116,9 +121,20 @@ func axisRange(lo, hi, eff, minC float64, n int) (o0, o1 int, ok bool) {
 	return int(c0), int(c1), c0 <= c1
 }
 
+// boxSlack widens a query's bounding box by a relative 1e-12 of r. A point
+// q the exact predicate accepts has |fl(q.X − p.X)| ≤ r, so its exact
+// offset is at most r·(1 + 2⁻⁵²) — more than r when the difference rounded
+// down, as it can for coordinates of opposite sign (p.X = −350 − ulp,
+// q.X = 350, r = 700). A bound of p.X ± r·(1 + boxSlack) lies beyond any
+// such q.X, and rounding the bound to a float cannot step past the float
+// q.X, so q's cell is inside the box.
+const boxSlack = 1e-12
+
 // cellBox returns the bucket offsets [x0, x1] × [y0, y1] overlapping the
-// bounding box of the disc (p, r); ok is false when there are none.
+// bounding box of the disc (p, r), widened by boxSlack; ok is false when
+// there are none.
 func (ix *Index) cellBox(p geom.Point, r float64) (x0, x1, y0, y1 int, ok bool) {
+	r *= 1 + boxSlack
 	x0, x1, okX := axisRange(p.X-r, p.X+r, ix.eff, ix.minCx, ix.cols)
 	y0, y1, okY := axisRange(p.Y-r, p.Y+r, ix.eff, ix.minCy, ix.rows)
 	return x0, x1, y0, y1, okX && okY
@@ -200,7 +216,6 @@ func (ix *Index) layout() {
 		// Every point is inside the box by construction.
 		ix.push(int32(i), int32(axisOffset(p.Y, ix.eff, ix.minCy, ix.rows)*ix.cols+axisOffset(p.X, ix.eff, ix.minCx, ix.cols)))
 	}
-	ix.descending = true
 }
 
 // push files point i at the front of bucket slot.
@@ -240,7 +255,6 @@ func (ix *Index) Update(i int, p geom.Point) {
 		ix.prev[after] = before
 	}
 	ix.push(int32(i), slot)
-	ix.descending = false
 }
 
 // ForCandidates calls fn for every indexed point in the cells overlapping
@@ -299,6 +313,47 @@ func WithinBall(p, q geom.Point, r, rr float64) bool {
 	return q.Dist(p) <= r
 }
 
+// screenBand is the relative band around r² of the screen Pairs and
+// FilterWithin put in front of WithinBall: a squared distance more than
+// rr·screenBand from rr is decided by sq < rr alone, which is what
+// WithinBall's own screen, a thousand times narrower (1e-12), decides
+// there. The rest — the band, and any NaN or infinite difference, which the
+// negated comparison `!(|sq − rr| > band)` catches — goes to WithinBall.
+// Both loops write every pair and advance a count by the verdict, so the
+// out-of-range candidates cost no mispredicted branch; the one branch, into
+// the band, is almost never taken.
+const screenBand = 1e-9
+
+// FilterWithin returns, in dst's storage and in their order, the members of
+// pairs whose two points on pts lie within r of each other, by Pairs'
+// predicate WithinBall(pts[A], pts[B], r, r²) behind its screen. On a
+// superset of the in-range pairs in (A, B) order — the engine's Verlet skin
+// list — the result is exactly what Pairs at r returns.
+func FilterWithin(dst, pairs []Pair, pts []geom.Point, r float64) []Pair {
+	dst = slices.Grow(dst[:0], len(pairs))[:len(pairs)]
+	rr := r * r
+	band := rr * screenBand
+	n := 0
+	for _, p := range pairs {
+		a, b := pts[p.A], pts[p.B]
+		dx, dy := b.X-a.X, b.Y-a.Y
+		sq := dx*dx + dy*dy
+		dst[n] = p
+		hit := 0
+		if sq < rr {
+			hit = 1
+		}
+		if !(math.Abs(sq-rr) > band) {
+			hit = 0
+			if WithinBall(a, b, r, rr) {
+				hit = 1
+			}
+		}
+		n += hit
+	}
+	return dst[:n]
+}
+
 // Neighbors returns the indices of all points within distance r of p
 // (closed ball, the same `Dist(p) <= r` comparison a brute-force scan
 // makes), in ascending index order. The returned slice is appended to dst,
@@ -325,40 +380,114 @@ type Pair struct {
 // each other (closed ball), in canonical ascending (A, B) order — exactly
 // the enumeration order of the classic `for a { for b > a }` brute-force
 // double loop, so replacing that loop with Pairs preserves downstream
-// iteration order bit for bit. While the bucket lists are in descending
-// order (after any Rebuild, until an Update moves a point across buckets),
-// each bucket walk stops at its first point not above a instead of
-// filtering the rest.
+// iteration order bit for bit.
+//
+// No comparison sort runs. A counting sort by bucket copies the points into
+// a cell-sorted snapshot, ids ascending within each bucket. Each point b
+// then walks the buckets of its own box, each one up to its first id not
+// below b: every candidate (a, b) is written to a buffer and the count
+// advances by the verdict WithinBall(pts[a], pts[b], r, r²) — the brute
+// loop's predicate in its orientation, behind the screenBand screen. The
+// buffer comes out b-major, and one stable counting scatter by a puts it in
+// (A, B) order. The snapshot reads only the per-point buckets, so it is
+// exact after Updates too.
 func (ix *Index) Pairs(dst []Pair, r float64) []Pair {
-	if len(ix.pts) == 0 || r < 0 {
+	n := len(ix.pts)
+	if n == 0 || r < 0 {
 		return dst
 	}
+	ix.snapshot()
 	rr := r * r
-	for a, p := range ix.pts {
-		ix.scratch = ix.scratch[:0]
+	band := rr * screenBand
+	found, m := ix.found[:cap(ix.found)], 0
+	for b, p := range ix.pts {
 		x0, x1, y0, y1, ok := ix.cellBox(p, r)
 		if !ok {
 			continue
 		}
+		// A point writes fewer than n candidates.
+		if len(found)-m < n {
+			found = slices.Grow(found[:m], n)
+			found = found[:cap(found)]
+		}
+		id := int32(b)
 		for y := y0; y <= y1; y++ {
-			for _, head := range ix.heads[y*ix.cols+x0 : y*ix.cols+x1+1] {
-				for id := head; id >= 0; id = ix.next[id] {
-					if int(id) <= a {
-						if ix.descending {
-							break
+			for c := y*ix.cols + x0; c <= y*ix.cols+x1; c++ {
+				for k := ix.start[c]; k < ix.start[c+1]; k++ {
+					a := ix.sortedIDs[k]
+					if a >= id {
+						break
+					}
+					found[m] = candidate{a, id}
+					q := ix.sortedPts[k]
+					dx, dy := p.X-q.X, p.Y-q.Y
+					sq := dx*dx + dy*dy
+					hit := 0
+					if sq < rr {
+						hit = 1
+					}
+					if !(math.Abs(sq-rr) > band) { // see screenBand
+						hit = 0
+						if WithinBall(q, p, r, rr) {
+							hit = 1
 						}
-						continue
 					}
-					if withinBall(p, ix.pts[id], r, rr) {
-						ix.scratch = append(ix.scratch, id)
-					}
+					m += hit
 				}
 			}
 		}
-		slices.Sort(ix.scratch)
-		for _, b := range ix.scratch {
-			dst = append(dst, Pair{A: a, B: int(b)})
-		}
+	}
+	ix.found = found
+	return ix.scatterByA(dst, found[:m])
+}
+
+// snapshot counting-sorts the points by bucket into sortedPts and
+// sortedIDs, bucket b's run starting at start[b]. Points are placed from
+// the last down, each at the end of its bucket's remaining room, so ids
+// ascend within a bucket.
+func (ix *Index) snapshot() {
+	n, nb := len(ix.pts), len(ix.heads)
+	ix.start = slices.Grow(ix.start[:0], nb+1)[:nb+1]
+	clear(ix.start)
+	for _, s := range ix.slots {
+		ix.start[s]++
+	}
+	var end int32
+	for c, k := range ix.start[:nb] {
+		end += k
+		ix.start[c] = end
+	}
+	ix.start[nb] = end
+	ix.sortedPts = slices.Grow(ix.sortedPts[:0], n)[:n]
+	ix.sortedIDs = slices.Grow(ix.sortedIDs[:0], n)[:n]
+	for i := n - 1; i >= 0; i-- {
+		s := ix.slots[i]
+		ix.start[s]--
+		k := ix.start[s]
+		ix.sortedPts[k], ix.sortedIDs[k] = ix.pts[i], int32(i)
+	}
+}
+
+// scatterByA appends found, which is ordered by b, to dst ordered by a and
+// then b: a stable counting scatter on a.
+func (ix *Index) scatterByA(dst []Pair, found []candidate) []Pair {
+	n := len(ix.pts)
+	ix.offA = slices.Grow(ix.offA[:0], n)[:n]
+	clear(ix.offA)
+	for _, f := range found {
+		ix.offA[f.a]++
+	}
+	var end int32
+	for a, k := range ix.offA {
+		ix.offA[a] = end
+		end += k
+	}
+	base := len(dst)
+	dst = slices.Grow(dst, len(found))[:base+len(found)]
+	out := dst[base:]
+	for _, f := range found {
+		out[ix.offA[f.a]] = Pair{A: int(f.a), B: int(f.b)}
+		ix.offA[f.a]++
 	}
 	return dst
 }

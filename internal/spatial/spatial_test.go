@@ -1,6 +1,8 @@
 package spatial
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -105,31 +107,12 @@ func checkBucketBudget(t *testing.T, ix *Index) {
 	}
 }
 
-// checkBucketsDescending holds a freshly laid-out index to the invariant
-// Pairs' early exit rests on: the descending bit is set and every bucket
-// list runs in strictly descending point order.
-func checkBucketsDescending(t *testing.T, ix *Index) {
-	t.Helper()
-	if !ix.descending {
-		t.Fatal("layout left the descending bit clear")
-	}
-	for b, head := range ix.heads {
-		for id := head; id >= 0 && ix.next[id] >= 0; id = ix.next[id] {
-			if ix.next[id] >= id {
-				t.Fatalf("bucket %d lists point %d before %d", b, id, ix.next[id])
-			}
-		}
-	}
-}
-
 // TestIndexUpdateMatchesRebuild moves points one at a time (the world's
 // in-tick pattern) and checks that incremental updates answer queries
 // exactly like a fresh rebuild and like the brute-force scans at every
 // step: small moves inside the occupied cell box, long walks that leave it
 // (each forcing a re-layout), and two clusters 1e7 m apart at a 1 m cell,
-// where only a coarser effective cell keeps the bucket array bounded. The
-// updated index's Pairs pins the descending bit: an Update that files a
-// low point ahead of higher ones must turn Pairs' early exit off.
+// where only a coarser effective cell keeps the bucket array bounded.
 func TestIndexUpdateMatchesRebuild(t *testing.T) {
 	farApart := func(rng *simrand.Rand, n int) []geom.Point {
 		pts := make([]geom.Point, n)
@@ -166,7 +149,6 @@ func TestIndexUpdateMatchesRebuild(t *testing.T) {
 				ix.Update(i, pts[i])
 				checkBucketBudget(t, ix)
 				fresh.Rebuild(pts)
-				checkBucketsDescending(t, fresh)
 				r := rng.Uniform(0, tc.maxR)
 				p := pts[rng.Intn(len(pts))]
 				got, want := ix.Neighbors(nil, p, r), bruteNeighbors(pts, p, r)
@@ -271,6 +253,16 @@ func TestIndexEdgeCases(t *testing.T) {
 			pts:  []geom.Point{geom.Pt(4.999999, 0), geom.Pt(5, 0), geom.Pt(5.000001, 0), geom.Pt(10, 0)},
 			q:    geom.Pt(5, 0),
 			r:    5,
+		},
+		{
+			// The two points are exactly r apart by the predicate, but
+			// their exact offset is r + ulp(350): an unwidened box of either
+			// stops one ulp short of the other's cell.
+			name: "pair at r across the origin, a cell boundary apart",
+			cell: 350,
+			pts:  []geom.Point{geom.Pt(-math.Nextafter(350, 400), 0), geom.Pt(350, 0), geom.Pt(0, -math.Nextafter(350, 400)), geom.Pt(0, 350)},
+			q:    geom.Pt(350, 0),
+			r:    700,
 		},
 		{
 			name: "radius larger than the map",
@@ -391,5 +383,90 @@ func TestNewDegenerateCellSize(t *testing.T) {
 		if got := ix.Neighbors(nil, geom.Pt(2, 2), 1); len(got) != 2 {
 			t.Errorf("New(%v) Neighbors = %v, want both points", cell, got)
 		}
+	}
+}
+
+// decodePoints reads raw as little-endian float64 (x, y) pairs, at most limit
+// points; a trailing partial pair is ignored.
+func decodePoints(raw []byte, limit int) []geom.Point {
+	var pts []geom.Point
+	for ; len(raw) >= 16 && len(pts) < limit; raw = raw[16:] {
+		pts = append(pts, geom.Pt(math.Float64frombits(binary.LittleEndian.Uint64(raw)),
+			math.Float64frombits(binary.LittleEndian.Uint64(raw[8:]))))
+	}
+	return pts
+}
+
+// FuzzIndexPairs holds Pairs to the brute double loop, set and order, on
+// fuzzed points (NaN, ±Inf and 1e7 m coordinates among the seeds), a fuzzed
+// cell size and radius, after a Rebuild and after each of a few Updates:
+// moves carries 17-byte records, a point index byte and its new (x, y).
+// Pairs appends, so the test also checks that dst's prefix survives, and
+// FilterWithin must cut Pairs at 2r down to the same list.
+func FuzzIndexPairs(f *testing.F) {
+	enc := func(coords ...float64) []byte {
+		raw := make([]byte, 0, 8*len(coords))
+		for _, c := range coords {
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(c))
+		}
+		return raw
+	}
+	move := func(i byte, x, y float64) []byte { return append([]byte{i}, enc(x, y)...) }
+	nan, inf, edge := math.NaN(), math.Inf(1), math.Nextafter(350, 400)
+	f.Add([]byte{}, []byte{}, 10.0, 5.0)
+	f.Add(enc(0, 0, 3, 4, 6, 8, 3, 4), move(1, 100, 100), 5.0, 5.0)
+	f.Add(enc(-edge, 0, 350, 0, 0, -edge, 0, 350), []byte{}, 350.0, 700.0)
+	f.Add(enc(1e7, -1e7, 1e7+300, -1e7+400, 1e7+0.5, -1e7, -1e7, 1e7), move(3, 1e7+1, -1e7+1), 700.0, 500.0)
+	f.Add(enc(nan, 1, 2, nan, inf, 0, -inf, inf, 0, 0, 1e300, -1e300), append(move(4, inf, inf), move(0, 1, 1)...), 1.0, 1e300)
+	f.Add(enc(0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5), append(move(5, 0.5, 0.5), move(2, 9e9, 0)...), 0.7, inf)
+	f.Add(enc(0, 0, 1e200, 0, -1e200, 1), []byte{}, 1e199, 1e200) // r² and the squared distances overflow
+	f.Fuzz(func(t *testing.T, raw, moves []byte, cell, r float64) {
+		pts := decodePoints(raw, 64)
+		ix := New(cell)
+		ix.Rebuild(pts)
+		check := func(when string) {
+			t.Helper()
+			sentinel := Pair{A: -1, B: -2}
+			got, want := ix.Pairs([]Pair{sentinel}, r), brutePairs(pts, r)
+			if got[0] != sentinel || !equalPairs(got[1:], want) {
+				t.Fatalf("%s (cell %g, r %g, points %v): Pairs = %v, brute = %v", when, cell, r, pts, got, want)
+			}
+			if got := FilterWithin(nil, ix.Pairs(nil, 2*r), pts, r); !equalPairs(got, want) {
+				t.Fatalf("%s (cell %g, r %g, points %v): FilterWithin of Pairs at 2r = %v, brute = %v", when, cell, r, pts, got, want)
+			}
+		}
+		check("after Rebuild")
+		for k := 0; len(moves) >= 17 && k < 8 && len(pts) > 0; k, moves = k+1, moves[17:] {
+			i := int(moves[0]) % len(pts)
+			pts[i] = decodePoints(moves[1:], 1)[0]
+			ix.Update(i, pts[i])
+			check(fmt.Sprintf("after Update(%d, %v)", i, pts[i]))
+		}
+	})
+}
+
+// BenchmarkPairs is the skin rebuild's spatial work: one Rebuild and one
+// Pairs at r = 700 m (the engine's radio range plus its skin) on a
+// uniform scatter at one point per 250 m × 250 m, the fleet-scan density.
+func BenchmarkPairs(b *testing.B) {
+	const spacing, r = 250.0, 700.0
+	for _, n := range []int{1024, 4096} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			rng := simrand.New(uint64(n))
+			side := spacing * math.Sqrt(float64(n))
+			pts := make([]geom.Point, n)
+			for i := range pts {
+				pts[i] = geom.Pt(rng.Uniform(0, side), rng.Uniform(0, side))
+			}
+			ix := New(r)
+			var pairs []Pair
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ix.Rebuild(pts)
+				pairs = ix.Pairs(pairs[:0], r)
+			}
+			b.ReportMetric(float64(len(pairs)), "pairs")
+		})
 	}
 }
