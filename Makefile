@@ -71,6 +71,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaPlanCut$$' -fuzztime $(FUZZTIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime $(FUZZTIME) ./internal/simrand
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexPairs$$' -fuzztime $(FUZZTIME) ./internal/spatial
+	$(GO) test -run '^$$' -fuzz '^FuzzGatherRows$$' -fuzztime $(FUZZTIME) ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzTelemetryDecode$$' -fuzztime $(FUZZTIME) ./internal/telemetry
 
 # go test -bench is the development tool; the perf gate is benchmarks/perf
 # (bash benchmarks/run.sh -pair / -compare, see benchmarks/README.md), whose
@@ -95,7 +97,10 @@ bench:
 # of closed-loop evaluation
 # (the fixed-work BenchmarkEvalTrial: four Navi (Normal) trials replaying
 # recorded oracle waypoints per op), of the train step (internal/model's BenchmarkTrainStep on
-# bench-shaped sparse batches, 5000 steps whatever the box's speed) and of one
+# bench-shaped sparse batches, 5000 steps whatever the box's speed), of the
+# first layer's products alone (internal/tensor's BenchmarkGatherRows: fc1's
+# 16×771×64 and 64×771×64 on a 17 %-dense binary input, from Rows and from
+# the dense matrix, and its weight gradient from Rows) and of one
 # side of a chat's compression (internal/compress's BenchmarkDeltaPlanCuts: a
 # Fill and four cut-and-Reconstruct levels of a 56 k log-normal delta), for
 # flame-graph inspection and CI artifacts. Profiles land in bench-profiles/
@@ -117,6 +122,8 @@ bench-pprof:
 		-cpuprofile bench-profiles/setup.cpu.pprof -o bench-profiles/core.test ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkTrainStep' -benchtime 5000x -benchmem \
 		-cpuprofile bench-profiles/train.cpu.pprof -o bench-profiles/train.test ./internal/model/
+	$(GO) test -run '^$$' -bench 'BenchmarkGatherRows' -benchtime 20000x -benchmem \
+		-cpuprofile bench-profiles/gather.cpu.pprof -o bench-profiles/tensor.test ./internal/tensor/
 	$(GO) test -run '^$$' -bench 'BenchmarkDeltaPlanCuts' -benchtime 2000x -benchmem \
 		-cpuprofile bench-profiles/chat.cpu.pprof -o bench-profiles/compress.test ./internal/compress/
 

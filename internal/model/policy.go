@@ -101,7 +101,14 @@ type Policy struct {
 	opt    *nn.Adam
 	params nn.ParamSet
 
-	// Batch scratch, filled by buildBatch (and by Predict for its one row).
+	// fc1 is the trunk's first layer when it reads the input itself (no
+	// conv front-end): it is fed the input's nonzero entries, rows.
+	fc1 *nn.Dense
+
+	// Batch scratch, filled by buildBatch (and by Predict for its one row):
+	// the input as rows for fc1 — sized by the batch's on-cells, never by
+	// its rows × input width — or dense for the conv front-end in x.
+	rows    tensor.Rows
 	x, y    *tensor.Dense
 	cmds    []dataset.Command
 	weights []float64
@@ -160,6 +167,9 @@ func build(cfg Config, rng *simrand.Rand) *Policy {
 		trunk: nn.NewSequential(layers...),
 		opt:   nn.NewAdam(cfg.LR),
 	}
+	if !cfg.UseConv {
+		p.fc1 = layers[0].(*nn.Dense)
+	}
 	for i := range p.heads {
 		var head *simrand.Rand
 		if rng != nil {
@@ -205,11 +215,24 @@ func (p *Policy) Clone() *Policy {
 	return cp
 }
 
-// forward runs the batch in p.x, p.cmds through trunk and heads, returning
-// per-sample predictions shaped (batch, 2K) in policy scratch. It leaves the
-// sample indices of each head in p.byCmd so backward can route gradients.
+// forward runs the batch in p.rows (or p.x), p.cmds through trunk and
+// heads, returning per-sample predictions shaped (batch, 2K) in policy
+// scratch.
 func (p *Policy) forward() *tensor.Dense {
-	hidden := p.trunk.Forward(p.x)
+	if p.fc1 == nil {
+		return p.route(p.trunk.Forward(p.x))
+	}
+	hidden := p.fc1.ForwardRows(&p.rows)
+	for _, l := range p.trunk.Layers[1:] {
+		hidden = l.Forward(hidden)
+	}
+	return p.route(hidden)
+}
+
+// route runs each row of the trunk's output through its command's head,
+// returning the predictions in policy scratch. It leaves the sample indices
+// of each head in p.byCmd so backward can route gradients.
+func (p *Policy) route(hidden *tensor.Dense) *tensor.Dense {
 	for h := range p.byCmd {
 		p.byCmd[h] = p.byCmd[h][:0]
 	}
@@ -232,13 +255,44 @@ func (p *Policy) forward() *tensor.Dense {
 // ego speed + normalized distance-to-maneuver + command. It implements
 // eval.Driver.
 func (p *Policy) Predict(bev []uint8, speed, navDist, redDist float64, cmd dataset.Command) []float64 {
-	p.x = tensor.Reuse2D(p.x, 1, p.cfg.InputSize())
-	fillInputRow(p.x.Data(), bev, speed, navDist, redDist)
+	p.startInput(1, tensor.CountNonzero(bevPart(bev, p.cfg.InputSize())))
+	p.appendInput(0, bev, speed, navDist, redDist)
 	p.cmds = append(p.cmds[:0], cmd)
 	preds := p.forward()
 	out := make([]float64, p.cfg.TargetSize())
 	copy(out, preds.Data())
 	return out
+}
+
+// startInput sizes the input scratch for a batch of rows inputs holding on
+// BEV on-cells: p.rows with room for exactly those and three scalars a row,
+// or p.x for the conv front-end.
+func (p *Policy) startInput(rows, on int) {
+	in := p.cfg.InputSize()
+	if p.fc1 == nil {
+		p.x = tensor.Reuse2D(p.x, rows, in)
+		return
+	}
+	p.rows.Reset(in, on+3*rows)
+}
+
+// bevPart is the part of bev an input row of width in reads: the cells
+// before the three scalars.
+func bevPart(bev []uint8, in int) []uint8 { return bev[:min(len(bev), in-3)] }
+
+// appendInput writes input row i: the BEV's on-cells, then the nonzero
+// scalars, into p.rows; or the dense row into p.x.
+func (p *Policy) appendInput(i int, bev []uint8, speed, navDist, redDist float64) {
+	in := p.cfg.InputSize()
+	if p.fc1 == nil {
+		fillInputRow(p.x.Data()[i*in:(i+1)*in], bev, speed, navDist, redDist)
+		return
+	}
+	p.rows.AppendBytes(bevPart(bev, in))
+	p.rows.AppendValue(in-3, speed)
+	p.rows.AppendValue(in-2, navDist)
+	p.rows.AppendValue(in-1, redDist)
+	p.rows.EndRow()
 }
 
 // fillInputRow writes one network input row: the BEV cells as floats, zero
@@ -274,16 +328,22 @@ func scatterRows(dst, src *tensor.Dense, idxs []int) {
 	}
 }
 
-// buildBatch fills the policy's batch scratch (p.x, p.y, p.cmds, p.weights)
-// from items.
+// buildBatch fills the policy's batch scratch (p.rows or p.x, p.y, p.cmds,
+// p.weights) from items.
 func (p *Policy) buildBatch(items []dataset.Weighted) {
 	batch := len(items)
 	in, tgt := p.cfg.InputSize(), p.cfg.TargetSize()
-	p.x = tensor.Reuse2D(p.x, batch, in)
+	on := 0
+	if p.fc1 != nil {
+		for _, it := range items {
+			on += tensor.CountNonzero(bevPart(it.Sample.BEV, in))
+		}
+	}
+	p.startInput(batch, on)
 	p.y = tensor.Reuse2D(p.y, batch, tgt)
 	p.cmds, p.weights = p.cmds[:0], p.weights[:0]
 	for i, it := range items {
-		fillInputRow(p.x.Data()[i*in:(i+1)*in], it.Sample.BEV, it.Sample.Speed, it.Sample.NavDist, it.Sample.RedDist)
+		p.appendInput(i, it.Sample.BEV, it.Sample.Speed, it.Sample.NavDist, it.Sample.RedDist)
 		ty := p.y.Data()[i*tgt : (i+1)*tgt]
 		clear(ty[copy(ty, it.Sample.Targets):])
 		p.cmds = append(p.cmds, it.Sample.Command)
@@ -316,10 +376,14 @@ func (p *Policy) TrainStep(items []dataset.Weighted) float64 {
 		return 0
 	}
 	p.buildBatch(items)
-	preds := p.forward()
-	y, cmds, weights := p.y, p.cmds, p.weights
+	return p.step(p.forward())
+}
 
-	batch := len(items)
+// step is TrainStep after the forward pass that left preds: the loss, the
+// backward pass and the optimizer step, on the batch in policy scratch.
+func (p *Policy) step(preds *tensor.Dense) float64 {
+	y, cmds, weights := p.y, p.cmds, p.weights
+	batch := len(cmds)
 	tgt := p.cfg.TargetSize()
 	if cap(p.perSample) < batch {
 		p.perSample = make([]float64, batch)

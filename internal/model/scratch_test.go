@@ -67,7 +67,12 @@ func TestEvalScratchBounded(t *testing.T) {
 			t.Errorf("%s holds %d values, more than evalChunk=%d rows of %d", name, capacity, evalChunk, cols)
 		}
 	}
-	rows("x", cap(pol.x.Data()), cfg.InputSize())
+	// The input is held as rows (TestRowsScratchBounded bounds their
+	// entries); without a conv front-end there is no dense input scratch.
+	if pol.x != nil {
+		t.Errorf("x holds %d values: a dense input without a conv front-end", cap(pol.x.Data()))
+	}
+	rows("rows.End", cap(pol.rows.End), 1)
 	rows("y", cap(pol.y.Data()), cfg.TargetSize())
 	rows("preds", cap(pol.preds.Data()), cfg.TargetSize())
 	rows("cmds", cap(pol.cmds), 1)

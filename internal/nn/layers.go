@@ -39,7 +39,11 @@ type Dense struct {
 	In, Out int
 	W, B    *Param
 
-	x *tensor.Dense // cached input
+	// in is the cached input as rows: xs, Forward's input screened, or the
+	// rows ForwardRows was given. BackwardParams takes dW from it, so the
+	// input is screened once per forward/backward pair.
+	in *tensor.Rows
+	xs tensor.Rows
 	// Scratch tensors reused across steps to keep the training hot path
 	// allocation-free: the forward output and the input gradient. Reuse is
 	// safe because each is fully overwritten per call and consumed before
@@ -71,36 +75,28 @@ func NewDense(name string, in, out int, rng *simrand.Rand) *Dense {
 
 // Forward implements Layer.
 func (d *Dense) Forward(x *tensor.Dense) *tensor.Dense {
-	d.x = x
-	batch := x.Shape()[0]
-	d.out = tensor.Reuse2D(d.out, batch, d.Out)
-	out := d.out
-	tensor.MatMulInto(out, x, d.W.Value)
-	bd := d.B.Value.Data()
-	od := out.Data()
-	for i := 0; i < batch; i++ {
-		row := od[i*d.Out : (i+1)*d.Out]
-		for j, bv := range bd {
-			row[j] += bv
-		}
-	}
-	return out
+	d.xs.SetDense(x)
+	return d.ForwardRows(&d.xs)
+}
+
+// ForwardRows is Forward for an input held as sparse rows of In columns —
+// the output is Forward's on the rows' dense form, bit for bit — and
+// BackwardParams then takes dW from the same rows. x must stay unchanged
+// until then.
+func (d *Dense) ForwardRows(x *tensor.Rows) *tensor.Dense {
+	d.in = x
+	d.out = tensor.Reuse2D(d.out, x.NumRows(), d.Out)
+	tensor.MatMulRowsInto(d.out, x, d.W.Value)
+	d.out.AddToRows(d.B.Value.Data())
+	return d.out
 }
 
 // BackwardParams implements Layer.
 func (d *Dense) BackwardParams(grad *tensor.Dense) {
-	batch := grad.Shape()[0]
 	// dW += xᵀ·grad
-	tensor.AddMatMulTransA(d.W.Grad, d.x, grad)
+	tensor.AddMatMulTransARows(d.W.Grad, d.in, grad)
 	// db += column sums of grad
-	bg := d.B.Grad.Data()
-	gd := grad.Data()
-	for i := 0; i < batch; i++ {
-		row := gd[i*d.Out : (i+1)*d.Out]
-		for j, gv := range row {
-			bg[j] += gv
-		}
-	}
+	grad.SumRowsInto(d.B.Grad.Data())
 }
 
 // Backward implements Layer.

@@ -2,20 +2,23 @@
 
 package tensor
 
+import "unsafe"
+
 // useAVX2 selects the packed kernels of kernels_amd64.s over the loops of
 // kernels_generic.go. The two are bit-identical, so which one runs is a
 // property of the CPU, not an option: set once here, never written again.
 var useAVX2 = detectAVX2()
 
-// detectAVX2 reports whether the CPU implements AVX2 and the OS saves the YMM
-// registers across context switches.
+// detectAVX2 reports whether the CPU implements AVX2 and POPCNT (the screens
+// count their survivors with it) and the OS saves the YMM registers across
+// context switches.
 func detectAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
 		return false
 	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
+	const popcnt, osxsave, avx = 1 << 23, 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(popcnt|osxsave|avx) != popcnt|osxsave|avx {
 		return false
 	}
 	const xmmState, ymmState = 1 << 1, 1 << 2
@@ -32,19 +35,22 @@ func xgetbv() (eax, edx uint32)
 
 // The assembly routines read n elements through every pointer and check
 // nothing: only the wrappers below call them, after reslicing every operand
-// to the n they pass — a short operand panics there, in Go.
+// to the n they pass — a short operand panics there, in Go. The gather also
+// reads the B rows its list names; those indices are checked where the lists
+// are made (MatMulRowsInto, the column scatter) or cannot be out of range
+// (the screens).
 
 //go:noescape
-func axpy4AVX2(c, b0, b1, b2, b3 *float64, n int, a0, a1, a2, a3 float64)
+func gatherAVX2(c *float64, n int, b *float64, idx *int32, val *float64, cnt int, add bool)
 
 //go:noescape
-func axpy3AVX2(c, b0, b1, b2 *float64, n int, a0, a1, a2 float64)
+func screenAVX2(idx *int32, val *float64, a *float64, n int, tab *[16][16]int32) int
 
 //go:noescape
-func axpy2AVX2(c, b0, b1 *float64, n int, a0, a1 float64)
+func screenBytesAVX2(idx *int32, val *float64, b *uint8, n int, tab *[16][16]int32) int
 
 //go:noescape
-func axpy1AVX2(c, b *float64, n int, a float64)
+func countBytesAVX2(b *uint8, n int) int
 
 //go:noescape
 func addRowAVX2(dst, src *float64, n int)
@@ -65,40 +71,82 @@ func addKeptAVX2(dst, base, delta *float64, n int, thr float64, ties int) int
 //go:noescape
 func decaySumSquaresAVX2(grad, value *float64, n int, decay float64) float64
 
-func axpy4(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
+// screenTable has one entry per 4-bit mask of listed lanes: the VPERMD
+// control that packs those lanes' doubles (dword pairs) to the front, then
+// the VPERMILPS control that packs their int32 indices, then padding to 64
+// bytes. Unlisted lanes take lane 0; the stores that carry them are
+// overwritten or lie past the count.
+var screenTable = func() (t [16][16]int32) {
+	for m := range t {
+		k := 0
+		for l := int32(0); l < 4; l++ {
+			if m&(1<<l) != 0 {
+				t[m][2*k], t[m][2*k+1], t[m][8+k] = 2*l, 2*l+1, l
+				k++
+			}
+		}
+	}
+	return t
+}()
+
+// gather sets c[j], for every column j, to Σ val[q]·B[idx[q], j] over q
+// ascending from +0 — or adds that sum to c[j] when add — where B is bd
+// read as a row-major matrix with len(c) columns. The indices are trusted:
+// every caller lists only rows of B (the exported kernels check them).
+func gather(c, bd []float64, idx []int32, val []float64, add bool) {
 	if !useAVX2 || len(c) == 0 {
-		axpy4Generic(c, b0, b1, b2, b3, a0, a1, a2, a3)
+		gatherGeneric(c, bd, idx, val, add)
 		return
 	}
-	b0, b1, b2, b3 = b0[:len(c)], b1[:len(c)], b2[:len(c)], b3[:len(c)]
-	axpy4AVX2(&c[0], &b0[0], &b1[0], &b2[0], &b3[0], len(c), a0, a1, a2, a3)
+	val = val[:len(idx)]
+	gatherAVX2(&c[0], len(c), unsafe.SliceData(bd), unsafe.SliceData(idx), unsafe.SliceData(val), len(idx), add)
 }
 
-func axpy3(c, b0, b1, b2 []float64, a0, a1, a2 float64) {
-	if !useAVX2 || len(c) == 0 {
-		axpy3Generic(c, b0, b1, b2, a0, a1, a2)
-		return
+// screen lists a's nonzero entries (a NaN is listed, −0 is not) in idx and
+// val, ascending, and returns their count. idx and val need room for len(a).
+func screen(idx []int32, val []float64, a []float64) int {
+	if !useAVX2 {
+		return screenGeneric(idx, val, a, 0)
 	}
-	b0, b1, b2 = b0[:len(c)], b1[:len(c)], b2[:len(c)]
-	axpy3AVX2(&c[0], &b0[0], &b1[0], &b2[0], len(c), a0, a1, a2)
+	idx, val = idx[:len(a)], val[:len(a)]
+	whole := len(a) &^ 3
+	cnt := 0
+	if whole > 0 {
+		cnt = screenAVX2(&idx[0], &val[0], &a[0], whole, &screenTable)
+	}
+	return cnt + screenGeneric(idx[cnt:], val[cnt:], a[whole:], whole)
 }
 
-func axpy2(c, b0, b1 []float64, a0, a1 float64) {
-	if !useAVX2 || len(c) == 0 {
-		axpy2Generic(c, b0, b1, a0, a1)
-		return
+// screenBytes lists b's nonzero bytes, as float64 values, in idx and val,
+// ascending, and returns their count, which is on. idx and val need room for
+// on + 3 entries (or for len(b), if that is fewer): the packed screen stores
+// four entries per nibble that lists any, so it may write three past the
+// count.
+func screenBytes(idx []int32, val []float64, b []uint8, on int) int {
+	if !useAVX2 {
+		return screenBytesGeneric(idx, val, b, 0)
 	}
-	b0, b1 = b0[:len(c)], b1[:len(c)]
-	axpy2AVX2(&c[0], &b0[0], &b1[0], len(c), a0, a1)
+	room := min(len(b), on+3)
+	idx, val = idx[:room], val[:room]
+	whole := len(b) &^ 31
+	cnt := 0
+	if whole > 0 {
+		cnt = screenBytesAVX2(&idx[0], &val[0], &b[0], whole, &screenTable)
+	}
+	return cnt + screenBytesGeneric(idx[cnt:], val[cnt:], b[whole:], whole)
 }
 
-func axpy1(c, b []float64, a float64) {
-	if !useAVX2 || len(c) == 0 {
-		axpy1Generic(c, b, a)
-		return
+// countBytes returns how many of b's bytes are nonzero.
+func countBytes(b []uint8) int {
+	if !useAVX2 {
+		return countBytesGeneric(b)
 	}
-	b = b[:len(c)]
-	axpy1AVX2(&c[0], &b[0], len(c), a)
+	whole := len(b) &^ 31
+	cnt := 0
+	if whole > 0 {
+		cnt = countBytesAVX2(&b[0], whole)
+	}
+	return cnt + countBytesGeneric(b[whole:])
 }
 
 func addRow(dst, src []float64) {

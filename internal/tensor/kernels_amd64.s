@@ -7,19 +7,15 @@
 // index only, and every lane evaluates the generic loop's expression tree in
 // its association — packed and scalar IEEE multiply, add, subtract, divide and
 // square root round identically, and nothing here fuses a multiply into an
-// add (repolint.FusedMultiplyAdd). Each routine takes pointers its Go wrapper
-// has bounds-checked against n, runs whole 4-lane vectors to n&^3, finishes
-// the last 1–3 elements with the scalar forms of the same instructions (but
-// addKeptAVX2, whose caller finishes them), and returns through VZEROUPPER. Loop heads are 64-byte aligned, which also
-// aligns the routines themselves.
-
-// Y4 (X4) += a·b[AX] for one more term of an axpy.
-#define VTERM(b, a) \
-	VMULPD (b)(AX*8), a, Y5; \
-	VADDPD Y5, Y4, Y4
-#define STERM(b, a) \
-	VMULSD (b)(AX*8), a, X5; \
-	VADDSD X5, X4, X4
+// add (repolint.FusedMultiplyAdd). The elementwise routines take pointers
+// their Go wrapper has bounds-checked against n, run whole 4-lane vectors to
+// n&^3, finish the last 1–3 elements with the scalar forms of the same
+// instructions (but addKeptAVX2, whose caller finishes them), and return
+// through VZEROUPPER; the screens run whole vectors or blocks and leave the
+// rest to their wrapper, and the gather trusts the row indices its callers
+// list. No instruction here has a legacy-SSE encoding: one between YMM
+// instructions costs a state transition. Loop heads are 64-byte aligned,
+// which also aligns the routines themselves.
 
 // R10 = n rounded down to whole vectors; AX = 0.
 #define VECTORS(n) \
@@ -27,163 +23,325 @@
 	MOVQ n, R10; \
 	ANDQ $-4, R10
 
-// func axpy4AVX2(c, b0, b1, b2, b3 *float64, n int, a0, a1, a2, a3 float64)
-TEXT ·axpy4AVX2(SB), NOSPLIT, $0-80
-	MOVQ         c+0(FP), DI
-	MOVQ         b0+8(FP), SI
-	MOVQ         b1+16(FP), DX
-	MOVQ         b2+24(FP), CX
-	MOVQ         b3+32(FP), R8
-	MOVQ         n+40(FP), R9
-	VBROADCASTSD a0+48(FP), Y0
-	VBROADCASTSD a1+56(FP), Y1
-	VBROADCASTSD a2+64(FP), Y2
-	VBROADCASTSD a3+72(FP), Y3
-	VECTORS(R9)
-	JZ           tail
+// func gatherAVX2(c *float64, n int, b *float64, idx *int32, val *float64, cnt int, add bool)
+//
+// gatherGeneric's sum for every column j of c: acc = ((+0 + val[0]·B[idx[0], j])
+// + val[1]·B[idx[1], j]) + … over the cnt survivors in list order, B being
+// row-major with n columns; c[j] = acc, or c[j] + acc when add. The columns
+// go 32 at a time, eight accumulators Y0–Y7 held in registers across the
+// whole list and stored once; then 4-lane strips in Y0; then one column at a
+// time in X0. Each step of the wide loop prefetches the strip of the row
+// GATHER_AHEAD survivors on (the last survivor's near the end of the list).
+#define GATHER_AHEAD 6
+
+// Y(acc) += Y8·B[row AX, strip column off/8].
+#define GTERM(off, acc, tmp) \
+	VMULPD off(AX), Y8, tmp; \
+	VADDPD tmp, acc, acc
+
+TEXT ·gatherAVX2(SB), NOSPLIT, $0-49
+	MOVQ    c+0(FP), DI
+	MOVQ    n+8(FP), R9
+	MOVQ    b+16(FP), SI
+	MOVQ    idx+24(FP), DX
+	MOVQ    val+32(FP), CX
+	MOVQ    cnt+40(FP), R8
+	MOVBQZX add+48(FP), R12
+	MOVQ    R9, R13
+	SHLQ    $3, R13         // bytes per row of B
+	LEAQ    -1(R8), R11     // the last survivor, where prefetches stop
+	XORQ    R10, R10        // first column of the strip
+
+wide:
+	LEAQ   32(R10), AX
+	CMPQ   AX, R9
+	JGT    narrow
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	LEAQ   (SI)(R10*8), R14 // the strip's column in row 0 of B
+	XORQ   BX, BX
+	TESTQ  R8, R8
+	JZ     widestore
 
 	PCALIGN $64
-loop:
-	VMOVUPD (DI)(AX*8), Y4
-	VTERM(SI, Y0)
-	VTERM(DX, Y1)
-	VTERM(CX, Y2)
-	VTERM(R8, Y3)
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ    $4, AX
-	CMPQ    AX, R10
-	JLT     loop
+wideloop:
+	LEAQ         GATHER_AHEAD(BX), AX
+	CMPQ         AX, R8
+	CMOVQGE      R11, AX
+	MOVLQSX      (DX)(AX*4), AX
+	IMULQ        R13, AX
+	PREFETCHT0   (R14)(AX*1)
+	PREFETCHT0   128(R14)(AX*1)
+	MOVLQSX      (DX)(BX*4), AX
+	IMULQ        R13, AX
+	ADDQ         R14, AX
+	VBROADCASTSD (CX)(BX*8), Y8
+	GTERM(0, Y0, Y9)
+	GTERM(32, Y1, Y10)
+	GTERM(64, Y2, Y11)
+	GTERM(96, Y3, Y12)
+	GTERM(128, Y4, Y9)
+	GTERM(160, Y5, Y10)
+	GTERM(192, Y6, Y11)
+	GTERM(224, Y7, Y12)
+	INCQ         BX
+	CMPQ         BX, R8
+	JLT          wideloop
 
-tail:
-	CMPQ AX, R9
-	JGE  done
+widestore:
+	TESTQ   R12, R12
+	JZ      wideput
+	VMOVUPD 0(DI)(R10*8), Y9
+	VADDPD  Y0, Y9, Y0
+	VMOVUPD 32(DI)(R10*8), Y10
+	VADDPD  Y1, Y10, Y1
+	VMOVUPD 64(DI)(R10*8), Y11
+	VADDPD  Y2, Y11, Y2
+	VMOVUPD 96(DI)(R10*8), Y12
+	VADDPD  Y3, Y12, Y3
+	VMOVUPD 128(DI)(R10*8), Y9
+	VADDPD  Y4, Y9, Y4
+	VMOVUPD 160(DI)(R10*8), Y10
+	VADDPD  Y5, Y10, Y5
+	VMOVUPD 192(DI)(R10*8), Y11
+	VADDPD  Y6, Y11, Y6
+	VMOVUPD 224(DI)(R10*8), Y12
+	VADDPD  Y7, Y12, Y7
 
-tail1:
-	VMOVSD (DI)(AX*8), X4
-	STERM(SI, X0)
-	STERM(DX, X1)
-	STERM(CX, X2)
-	STERM(R8, X3)
-	VMOVSD X4, (DI)(AX*8)
-	INCQ   AX
+wideput:
+	VMOVUPD Y0, 0(DI)(R10*8)
+	VMOVUPD Y1, 32(DI)(R10*8)
+	VMOVUPD Y2, 64(DI)(R10*8)
+	VMOVUPD Y3, 96(DI)(R10*8)
+	VMOVUPD Y4, 128(DI)(R10*8)
+	VMOVUPD Y5, 160(DI)(R10*8)
+	VMOVUPD Y6, 192(DI)(R10*8)
+	VMOVUPD Y7, 224(DI)(R10*8)
+	ADDQ    $32, R10
+	JMP     wide
+
+narrow:
+	LEAQ   4(R10), AX
 	CMPQ   AX, R9
-	JLT    tail1
+	JGT    scalar
+	VXORPD Y0, Y0, Y0
+	LEAQ   (SI)(R10*8), R14
+	XORQ   BX, BX
+	TESTQ  R8, R8
+	JZ     narrowstore
+
+narrowloop:
+	MOVLQSX      (DX)(BX*4), AX
+	IMULQ        R13, AX
+	VBROADCASTSD (CX)(BX*8), Y8
+	VMULPD       (R14)(AX*1), Y8, Y9
+	VADDPD       Y9, Y0, Y0
+	INCQ         BX
+	CMPQ         BX, R8
+	JLT          narrowloop
+
+narrowstore:
+	TESTQ   R12, R12
+	JZ      narrowput
+	VMOVUPD (DI)(R10*8), Y9
+	VADDPD  Y0, Y9, Y0
+
+narrowput:
+	VMOVUPD Y0, (DI)(R10*8)
+	ADDQ    $4, R10
+	JMP     narrow
+
+scalar:
+	CMPQ   R10, R9
+	JGE    done
+	VXORPD X0, X0, X0
+	LEAQ   (SI)(R10*8), R14
+	XORQ   BX, BX
+	TESTQ  R8, R8
+	JZ     scalarstore
+
+scalarloop:
+	MOVLQSX (DX)(BX*4), AX
+	IMULQ   R13, AX
+	VMOVSD  (CX)(BX*8), X8
+	VMULSD  (R14)(AX*1), X8, X9
+	VADDSD  X9, X0, X0
+	INCQ    BX
+	CMPQ    BX, R8
+	JLT     scalarloop
+
+scalarstore:
+	TESTQ  R12, R12
+	JZ     scalarput
+	VMOVSD (DI)(R10*8), X9
+	VADDSD X0, X9, X0
+
+scalarput:
+	VMOVSD X0, (DI)(R10*8)
+	INCQ   R10
+	JMP    scalar
 
 done:
 	VZEROUPPER
 	RET
 
-// func axpy3AVX2(c, b0, b1, b2 *float64, n int, a0, a1, a2 float64)
-TEXT ·axpy3AVX2(SB), NOSPLIT, $0-64
-	MOVQ         c+0(FP), DI
-	MOVQ         b0+8(FP), SI
-	MOVQ         b1+16(FP), DX
-	MOVQ         b2+24(FP), CX
-	MOVQ         n+32(FP), R9
-	VBROADCASTSD a0+40(FP), Y0
-	VBROADCASTSD a1+48(FP), Y1
-	VBROADCASTSD a2+56(FP), Y2
-	VECTORS(R9)
-	JZ           tail
+// X14 = the int32 lanes (0, 1, 2, 3).
+#define LANES \
+	MOVQ   $0x0000000100000000, AX; \
+	VMOVQ  AX, X14; \
+	MOVQ   $0x0000000300000002, AX; \
+	VPINSRQ $1, AX, X14, X14
+
+// func screenAVX2(idx *int32, val *float64, a *float64, n int, tab *[16][16]int32) int
+//
+// screenGeneric's list of a's nonzero entries (a != 0: NaN listed, −0 not)
+// for whole vectors, n a multiple of 4: VCMPPD NEQ_UQ against zero, VMOVMSKPD
+// to a 4-bit mask, and the mask's entry of tab packs the listed lanes to the
+// front — VPERMD over the values' dword pairs, VPERMILPS over the indices.
+// All four lanes are stored at the count, which POPCNT then advances, so a
+// vector writes at most to its own last element's position.
+TEXT ·screenAVX2(SB), NOSPLIT, $0-48
+	MOVQ   idx+0(FP), DI
+	MOVQ   val+8(FP), SI
+	MOVQ   a+16(FP), DX
+	MOVQ   n+24(FP), R9
+	MOVQ   tab+32(FP), R8
+	LANES
+	MOVL   $4, AX
+	VMOVD  AX, X13
+	VPBROADCASTD X13, X13 // (4, 4, 4, 4)
+	VXORPD Y15, Y15, Y15
+	XORQ   AX, AX
+	XORQ   BX, BX
+	TESTQ  R9, R9
+	JZ     done
 
 	PCALIGN $64
 loop:
-	VMOVUPD (DI)(AX*8), Y4
-	VTERM(SI, Y0)
-	VTERM(DX, Y1)
-	VTERM(CX, Y2)
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ    $4, AX
-	CMPQ    AX, R10
-	JLT     loop
-
-tail:
-	CMPQ AX, R9
-	JGE  done
-
-tail1:
-	VMOVSD (DI)(AX*8), X4
-	STERM(SI, X0)
-	STERM(DX, X1)
-	STERM(CX, X2)
-	VMOVSD X4, (DI)(AX*8)
-	INCQ   AX
-	CMPQ   AX, R9
-	JLT    tail1
+	VMOVUPD   (DX)(AX*8), Y1
+	VCMPPD    $4, Y15, Y1, Y2 // a != 0, unordered or not equal
+	VMOVMSKPD Y2, R10
+	SHLQ      $6, R10
+	VMOVDQU   (R8)(R10*1), Y3
+	VPERMD    Y1, Y3, Y1
+	VMOVUPD   Y1, (SI)(BX*8)
+	VPERMILPS 32(R8)(R10*1), X14, X4
+	VMOVDQU   X4, (DI)(BX*4)
+	SHRQ      $6, R10
+	POPCNTQ   R10, R10
+	ADDQ      R10, BX
+	VPADDD    X13, X14, X14
+	ADDQ      $4, AX
+	CMPQ      AX, R9
+	JLT       loop
 
 done:
+	MOVQ       BX, ret+40(FP)
 	VZEROUPPER
 	RET
 
-// func axpy2AVX2(c, b0, b1 *float64, n int, a0, a1 float64)
-TEXT ·axpy2AVX2(SB), NOSPLIT, $0-48
-	MOVQ         c+0(FP), DI
-	MOVQ         b0+8(FP), SI
-	MOVQ         b1+16(FP), DX
-	MOVQ         n+24(FP), R9
-	VBROADCASTSD a0+32(FP), Y0
-	VBROADCASTSD a1+40(FP), Y1
-	VECTORS(R9)
-	JZ           tail
+// func screenBytesAVX2(idx *int32, val *float64, b *uint8, n int, tab *[16][16]int32) int
+//
+// screenBytesGeneric's list of b's nonzero bytes, as float64, for whole
+// 32-byte blocks (n a multiple of 32): VPCMPEQB against zero and VPMOVMSKB
+// give a block's 32-bit mask of zero bytes; its complement is walked one
+// nonzero nibble at a time (BSF), lowest first, and each nibble's four bytes
+// widen to doubles (VPMOVZXBD, VCVTDQ2PD) and pack through tab's entry as in
+// screenAVX2. Only nibbles that list something are stored, so the stores end
+// at most three entries past the count returned.
+TEXT ·screenBytesAVX2(SB), NOSPLIT, $0-48
+	MOVQ  idx+0(FP), DI
+	MOVQ  val+8(FP), SI
+	MOVQ  b+16(FP), DX
+	MOVQ  n+24(FP), R9
+	MOVQ  tab+32(FP), R8
+	LANES
+	VPXOR Y15, Y15, Y15
+	XORQ  AX, AX
+	XORQ  BX, BX
+	TESTQ R9, R9
+	JZ    done
 
 	PCALIGN $64
-loop:
-	VMOVUPD (DI)(AX*8), Y4
-	VTERM(SI, Y0)
-	VTERM(DX, Y1)
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ    $4, AX
-	CMPQ    AX, R10
-	JLT     loop
+block:
+	VMOVDQU   (DX)(AX*1), Y1
+	VPCMPEQB  Y15, Y1, Y2
+	VPMOVMSKB Y2, R10
+	NOTL      R10
+	TESTL     R10, R10
+	JZ        next
 
-tail:
+nibble:
+	BSFL         R10, CX
+	ANDL         $-4, CX          // the nibble's first byte in the block
+	MOVL         R10, R11
+	SHRL         CX, R11
+	ANDL         $15, R11         // its lanes
+	MOVL         $15, R12
+	SHLL         CX, R12
+	NOTL         R12
+	ANDL         R12, R10         // and off the walk
+	LEAQ         (AX)(CX*1), R12  // the nibble's index in b
+	VPMOVZXBD    (DX)(R12*1), X3
+	VCVTDQ2PD    X3, Y3
+	MOVQ         R11, R13
+	SHLQ         $6, R13
+	VMOVDQU      (R8)(R13*1), Y4
+	VPERMD       Y3, Y4, Y3
+	VMOVUPD      Y3, (SI)(BX*8)
+	VMOVD        R12, X5
+	VPBROADCASTD X5, X5
+	VPADDD       X14, X5, X5
+	VPERMILPS    32(R8)(R13*1), X5, X5
+	VMOVDQU      X5, (DI)(BX*4)
+	POPCNTL      R11, R11
+	ADDQ         R11, BX
+	TESTL        R10, R10
+	JNZ          nibble
+
+next:
+	ADDQ $32, AX
 	CMPQ AX, R9
-	JGE  done
-
-tail1:
-	VMOVSD (DI)(AX*8), X4
-	STERM(SI, X0)
-	STERM(DX, X1)
-	VMOVSD X4, (DI)(AX*8)
-	INCQ   AX
-	CMPQ   AX, R9
-	JLT    tail1
+	JLT  block
 
 done:
+	MOVQ       BX, ret+40(FP)
 	VZEROUPPER
 	RET
 
-// func axpy1AVX2(c, b *float64, n int, a float64)
-TEXT ·axpy1AVX2(SB), NOSPLIT, $0-32
-	MOVQ         c+0(FP), DI
-	MOVQ         b+8(FP), SI
-	MOVQ         n+16(FP), R9
-	VBROADCASTSD a+24(FP), Y0
-	VECTORS(R9)
-	JZ           tail
+// func countBytesAVX2(b *uint8, n int) int
+//
+// countBytesGeneric's count of b's nonzero bytes for whole 32-byte blocks (n
+// a multiple of 32): POPCNT of each block's VPCMPEQB/VPMOVMSKB mask of
+// nonzero bytes.
+TEXT ·countBytesAVX2(SB), NOSPLIT, $0-24
+	MOVQ  b+0(FP), DX
+	MOVQ  n+8(FP), R9
+	VPXOR Y15, Y15, Y15
+	XORQ  AX, AX
+	XORQ  BX, BX
+	TESTQ R9, R9
+	JZ    done
 
 	PCALIGN $64
 loop:
-	VMOVUPD (DI)(AX*8), Y4
-	VTERM(SI, Y0)
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ    $4, AX
-	CMPQ    AX, R10
-	JLT     loop
-
-tail:
-	CMPQ AX, R9
-	JGE  done
-
-tail1:
-	VMOVSD (DI)(AX*8), X4
-	STERM(SI, X0)
-	VMOVSD X4, (DI)(AX*8)
-	INCQ   AX
-	CMPQ   AX, R9
-	JLT    tail1
+	VPCMPEQB  (DX)(AX*1), Y15, Y2
+	VPMOVMSKB Y2, R10
+	NOTL      R10
+	POPCNTL   R10, R10
+	ADDQ      R10, BX
+	ADDQ      $32, AX
+	CMPQ      AX, R9
+	JLT       loop
 
 done:
+	MOVQ       BX, ret+16(FP)
 	VZEROUPPER
 	RET
 

@@ -9,37 +9,75 @@ import "math"
 // per lane, exactly the expression its loop here evaluates per element
 // (DESIGN.md §15). None of them may be handed operands that overlap.
 
-// axpy4Generic applies four rank-one terms to c in one pass, in argument
-// order: one load and one store of each c[j] per four multiply-adds, the
-// same sum four axpy1 calls would leave.
-func axpy4Generic(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
-	b0, b1, b2, b3 = b0[:len(c)], b1[:len(c)], b2[:len(c)], b3[:len(c)]
-	for j := range c {
-		c[j] = (((c[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j]
+// gatherStrip is how many columns gatherGeneric sums at a time, in a stack
+// buffer: the packed kernel's register strip.
+const gatherStrip = 32
+
+// gatherGeneric sets c[j], for every column j, to ((+0 + val[0]·B[idx[0], j])
+// + val[1]·B[idx[1], j]) + … over the listed survivors in order — or to c[j]
+// plus that sum when add — where B is bd read as a row-major matrix with
+// len(c) columns. Each column has its one accumulator, so how the columns
+// are grouped moves no bit.
+func gatherGeneric(c, bd []float64, idx []int32, val []float64, add bool) {
+	n := len(c)
+	val = val[:len(idx)]
+	var buf [gatherStrip]float64
+	for j0 := 0; j0 < n; j0 += gatherStrip {
+		acc := buf[:min(gatherStrip, n-j0)]
+		clear(acc)
+		for q, p := range idx {
+			a, brow := val[q], bd[int(p)*n+j0:][:len(acc)]
+			for j := range acc {
+				acc[j] += a * brow[j]
+			}
+		}
+		out := c[j0:][:len(acc)]
+		if add {
+			for j := range out {
+				out[j] += acc[j]
+			}
+		} else {
+			copy(out, acc)
+		}
 	}
 }
 
-// axpy3Generic, axpy2Generic and axpy1Generic are axpy4Generic for the last
-// one to three terms of a row.
-func axpy3Generic(c, b0, b1, b2 []float64, a0, a1, a2 float64) {
-	b0, b1, b2 = b0[:len(c)], b1[:len(c)], b2[:len(c)]
-	for j := range c {
-		c[j] = ((c[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]
+// screenGeneric lists a's nonzero entries (a != 0: a NaN is listed, −0 is
+// not) in ascending order, index base+i and value a[i], in idx and val, and
+// returns their count.
+func screenGeneric(idx []int32, val []float64, a []float64, base int) int {
+	cnt := 0
+	for i, v := range a {
+		if v != 0 {
+			idx[cnt], val[cnt] = int32(base+i), v
+			cnt++
+		}
 	}
+	return cnt
 }
 
-func axpy2Generic(c, b0, b1 []float64, a0, a1 float64) {
-	b0, b1 = b0[:len(c)], b1[:len(c)]
-	for j := range c {
-		c[j] = (c[j] + a0*b0[j]) + a1*b1[j]
+// screenBytesGeneric lists b's nonzero bytes in ascending order, index
+// base+i and value float64(b[i]), in idx and val, and returns their count.
+func screenBytesGeneric(idx []int32, val []float64, b []uint8, base int) int {
+	cnt := 0
+	for i, v := range b {
+		if v != 0 {
+			idx[cnt], val[cnt] = int32(base+i), float64(v)
+			cnt++
+		}
 	}
+	return cnt
 }
 
-func axpy1Generic(c, b []float64, a float64) {
-	b = b[:len(c)]
-	for j := range c {
-		c[j] += a * b[j]
+// countBytesGeneric returns how many of b's bytes are nonzero.
+func countBytesGeneric(b []uint8) int {
+	cnt := 0
+	for _, v := range b {
+		if v != 0 {
+			cnt++
+		}
 	}
+	return cnt
 }
 
 // addRowGeneric adds src to dst elementwise (−0 + +0 = +0).

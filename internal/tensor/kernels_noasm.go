@@ -4,17 +4,17 @@ package tensor
 
 // Without the assembly of kernels_amd64.s every kernel is its generic loop.
 
-func axpy4(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
-	axpy4Generic(c, b0, b1, b2, b3, a0, a1, a2, a3)
+func gather(c, bd []float64, idx []int32, val []float64, add bool) {
+	gatherGeneric(c, bd, idx, val, add)
 }
 
-func axpy3(c, b0, b1, b2 []float64, a0, a1, a2 float64) {
-	axpy3Generic(c, b0, b1, b2, a0, a1, a2)
+func screen(idx []int32, val []float64, a []float64) int { return screenGeneric(idx, val, a, 0) }
+
+func screenBytes(idx []int32, val []float64, b []uint8, _ int) int {
+	return screenBytesGeneric(idx, val, b, 0)
 }
 
-func axpy2(c, b0, b1 []float64, a0, a1 float64) { axpy2Generic(c, b0, b1, a0, a1) }
-
-func axpy1(c, b []float64, a float64) { axpy1Generic(c, b, a) }
+func countBytes(b []uint8) int { return countBytesGeneric(b) }
 
 func addRow(dst, src []float64) { addRowGeneric(dst, src) }
 

@@ -90,27 +90,10 @@ func TestPackedKernelsMatchGenericBits(t *testing.T) {
 				what := fmt.Sprintf("n=%d off=%d rep=%d", n, off, rep)
 				a0, a1, a2, a3 := draw(), draw(), draw(), draw()
 
-				o := newOperands(5, n, off, draw)
-				axpy4(o.got[0], o.got[1], o.got[2], o.got[3], o.got[4], a0, a1, a2, a3)
-				axpy4Generic(o.want[0], o.want[1], o.want[2], o.want[3], o.want[4], a0, a1, a2, a3)
-				o.compare(t, "axpy4 "+what)
+				checkGather(t, rng, n, off, what)
+				checkScreens(t, rng, n, off, what)
 
-				o = newOperands(4, n, off, draw)
-				axpy3(o.got[0], o.got[1], o.got[2], o.got[3], a0, a1, a2)
-				axpy3Generic(o.want[0], o.want[1], o.want[2], o.want[3], a0, a1, a2)
-				o.compare(t, "axpy3 "+what)
-
-				o = newOperands(3, n, off, draw)
-				axpy2(o.got[0], o.got[1], o.got[2], a0, a1)
-				axpy2Generic(o.want[0], o.want[1], o.want[2], a0, a1)
-				o.compare(t, "axpy2 "+what)
-
-				o = newOperands(2, n, off, draw)
-				axpy1(o.got[0], o.got[1], a0)
-				axpy1Generic(o.want[0], o.want[1], a0)
-				o.compare(t, "axpy1 "+what)
-
-				o = newOperands(2, n, off, draw)
+				o := newOperands(2, n, off, draw)
 				addRow(o.got[0], o.got[1])
 				addRowGeneric(o.want[0], o.want[1])
 				o.compare(t, "addRow "+what)
@@ -207,13 +190,24 @@ func TestAddKeptTies(t *testing.T) {
 	}
 }
 
-// TestAddRowSignedZero pins the row rule of AddMatMulTransA on the kernel
-// itself, in every lane and in the scalar tail: −0 + +0 = +0, −0 + −0 = −0.
+// TestAddRowSignedZero pins the row rule of a bias add on the kernel itself,
+// in every lane and in the scalar tail: −0 + +0 = +0, −0 + −0 = −0; and the
+// same rule on the gather's += form, whose sum starts at +0: a row no
+// survivor reaches turns −0 into +0 in the wide strip, the 4-lane strips
+// and the scalar tail alike.
 func TestAddRowSignedZero(t *testing.T) {
 	dst := []float64{negZero, negZero, negZero, negZero, negZero, negZero, negZero}
 	src := []float64{0, negZero, 0, negZero, 0, negZero, 0}
 	addRow(dst, src)
 	sameBits(t, "addRow", dst, []float64{0, negZero, 0, negZero, 0, negZero, 0})
+
+	const n = 32 + 4 + 3
+	c := make([]float64, n)
+	for j := range c {
+		c[j] = negZero
+	}
+	gather(c, make([]float64, n), nil, nil, true)
+	sameBits(t, "gather +=", c, make([]float64, n))
 }
 
 // TestShortOperandPanicsInGo: the assembly trusts its count, so a short
@@ -236,10 +230,6 @@ func TestShortOperandPanicsInGo(t *testing.T) {
 		count int // operands
 		call  func(o [][]float64)
 	}{
-		{"axpy4", 5, func(o [][]float64) { axpy4(o[0], o[1], o[2], o[3], o[4], 2, 3, 4, 5) }},
-		{"axpy3", 4, func(o [][]float64) { axpy3(o[0], o[1], o[2], o[3], 2, 3, 4) }},
-		{"axpy2", 3, func(o [][]float64) { axpy2(o[0], o[1], o[2], 2, 3) }},
-		{"axpy1", 2, func(o [][]float64) { axpy1(o[0], o[1], 2) }},
 		{"addRow", 2, func(o [][]float64) { addRow(o[1], o[0]) }}, // src sets the length
 		{"AdamUpdate", 4, func(o [][]float64) { AdamUpdate(o[0], o[1], o[2], o[3], &k, 0) }},
 		{"AddKept", 3, func(o [][]float64) { AddKept(o[1], o[2], o[0], 0.5, 1) }}, // delta sets the length
@@ -271,4 +261,83 @@ func TestShortOperandPanicsInGo(t *testing.T) {
 			})
 		}
 	}
+}
+
+// gatherCase draws a k×n B, a survivor list of up to k+2 rows of it (repeats
+// and any order allowed: the kernels take the list as given) and a c, all
+// from draw, c and B starting off elements past a 32-byte boundary.
+func gatherCase(rng *simrand.Rand, n, off int, draw func() float64) (c, bd []float64, idx []int32, val []float64) {
+	k := 1 + rng.Intn(9)
+	bd = offsetSlice(k*n, (off+1)%4, draw)
+	cnt := rng.Intn(k + 3)
+	for q := 0; q < cnt; q++ {
+		idx = append(idx, int32(rng.Intn(k)))
+		val = append(val, draw())
+	}
+	return offsetSlice(n, off, draw), bd, idx, val
+}
+
+// checkGather runs the gather and its generic loop on the same operands, in
+// the store and the += form.
+func checkGather(t *testing.T, rng *simrand.Rand, n, off int, what string) {
+	t.Helper()
+	draw := func() float64 { return specialOrUniform(rng) }
+	for _, add := range []bool{false, true} {
+		c, bd, idx, val := gatherCase(rng, n, off, draw)
+		want := append([]float64(nil), c...)
+		gather(c, bd, idx, val, add)
+		gatherGeneric(want, bd, idx, val, add)
+		sameBits(t, fmt.Sprintf("gather add=%v %s", add, what), c, want)
+	}
+}
+
+// sparseDraw returns ±0 two times in three, else a special or a uniform.
+func sparseDraw(rng *simrand.Rand) float64 {
+	switch rng.Intn(6) {
+	case 0, 1:
+		return 0
+	case 2, 3:
+		return negZero
+	}
+	return specialOrUniform(rng)
+}
+
+// checkScreens runs the float screen, the byte screen and the byte count
+// against their generic loops: the same count, indices and value bits. The
+// byte screen gets exactly the room its contract asks for.
+func checkScreens(t *testing.T, rng *simrand.Rand, n, off int, what string) {
+	t.Helper()
+	a := offsetSlice(n, off, func() float64 { return sparseDraw(rng) })
+	gi, gv := make([]int32, n), make([]float64, n)
+	wi, wv := make([]int32, n), make([]float64, n)
+	got, want := screen(gi, gv, a), screenGeneric(wi, wv, a, 0)
+	sameList(t, "screen "+what, gi[:got], gv[:got], wi[:want], wv[:want])
+
+	b := make([]uint8, n)
+	for i := range b {
+		if rng.Bernoulli(0.2) {
+			b[i] = uint8(1 + rng.Intn(255))
+		}
+	}
+	on := countBytesGeneric(b)
+	if c := countBytes(b); c != on {
+		t.Fatalf("countBytes %s = %d, generic %d", what, c, on)
+	}
+	room := min(n, on+3)
+	gi, gv = make([]int32, room), make([]float64, room)
+	got, want = screenBytes(gi, gv, b, on), screenBytesGeneric(wi, wv, b, 0)
+	sameList(t, "screenBytes "+what, gi[:got], gv[:got], wi[:want], wv[:want])
+}
+
+func sameList(t *testing.T, what string, gi []int32, gv []float64, wi []int32, wv []float64) {
+	t.Helper()
+	if len(gi) != len(wi) {
+		t.Fatalf("%s: %d survivors, generic %d", what, len(gi), len(wi))
+	}
+	for q := range wi {
+		if gi[q] != wi[q] {
+			t.Fatalf("%s: survivor %d is index %d, generic %d", what, q, gi[q], wi[q])
+		}
+	}
+	sameBits(t, what, gv, wv)
 }

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"lbchat/internal/parallel"
@@ -20,14 +21,16 @@ func SetWorkers(n int) { workerCount.Store(int64(n)) }
 // Workers returns the effective worker count for parallel kernels.
 func Workers() int { return parallel.Resolve(int(workerCount.Load())) }
 
-// matMulParallelFlops is the minimum multiply-accumulate count before a
-// matmul fans out across workers. Chosen from the BenchmarkMatMul* data in
-// matmul_bench_test.go: goroutine dispatch costs a few microseconds (~10k
-// FLOPs of ikj matmul), so each worker must amortize well above that. At
-// 1<<20 MACs split 16 ways a worker gets ≥64k MACs (~20µs), keeping dispatch
-// overhead under a few percent, while the default policy's training-step
-// matmuls (16×771×64 ≈ 790k MACs) stay on the serial path — they sit inside
-// the per-vehicle parallel loop, which already owns the cores at that scale.
+// matMulParallelFlops is the minimum multiply-accumulate count (m·k·n)
+// before a dense matmul fans out across workers. Chosen from the
+// BenchmarkMatMul* data in matmul_bench_test.go: goroutine dispatch costs a
+// few microseconds (~10k FLOPs of ikj matmul), so each worker must amortize
+// well above that. At 1<<20 MACs split 16 ways a worker gets ≥64k MACs
+// (~20µs), keeping dispatch overhead under a few percent, while the default
+// policy's training-step products (fc2's 16×64×64, the heads') stay on the
+// serial path — they sit inside the per-vehicle parallel loop, which already
+// owns the cores at that scale. The first layer's product, from Rows, does
+// only the listed entries' work (≈ 135 a row × 64 columns) and is serial.
 const matMulParallelFlops = 1 << 20
 
 // MatMulInto computes dst = A·B for 2D tensors A (m×k) and B (k×n), reusing
@@ -43,6 +46,7 @@ func MatMulInto(dst, a, b *Dense) {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: matmul inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
+	mustShape(dst, m, n)
 	ad, bd, cd := a.data, b.data, dst.data
 	if w := Workers(); w > 1 && m > 1 && m*k*n >= matMulParallelFlops {
 		parallel.Chunks(w, m, func(lo, hi int) {
@@ -53,110 +57,105 @@ func MatMulInto(dst, a, b *Dense) {
 	matMulRows(cd, ad, bd, 0, m, k, n)
 }
 
-// The three GEMM loops below are blocked without moving a bit: every output
-// element still receives exactly the products the one-accumulator loops gave
-// it, in ascending order of the reduction index, through one accumulator.
-// Blocking only changes how many of those products are applied per load and
-// store of the element (axpy4), which output row is resident while they are
-// (MatMulTransAInto), or how many independent elements advance side by side
-// (matMulTransBRows). Splitting the reduction index across accumulators
-// would be faster still and is NOT order-preserving; see DESIGN.md §15.
+// The GEMMs that skip zeros share one path: the survivors — the reduction
+// indices p whose coefficient a_p is nonzero, and those coefficients — are
+// listed once, by a packed screen, and one gather then gives every output
+// element ((+0 + a_p0·B[p0, j]) + a_p1·B[p1, j]) + … over them in ascending
+// p, through one accumulator. That is the sum the seed's loops formed, bit
+// for bit; the gather only chooses which output elements are in registers
+// while it runs (DESIGN.md §15). Splitting the reduction index across
+// accumulators would be faster still and is NOT order-preserving.
 
-// matMulRows computes rows [lo, hi) of C = A·B.
-func matMulRows(cd, ad, bd []float64, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
-		crow := cd[i*n : (i+1)*n]
-		clear(crow)
-		gatherAxpy(crow, ad, i*k, 1, k, bd)
-	}
+// gemmScratch holds the survivor lists of one dense product: one row's, or
+// all of A's as Rows. It is pooled, so the dense kernels allocate nothing in
+// steady state (outside the race detector, which drops pooled items on
+// purpose) and stay safe to call from many goroutines at once. The layers
+// keep their own Rows instead (nn.Dense).
+type gemmScratch struct {
+	idx  []int32
+	val  []float64
+	rows Rows
 }
 
-// gatherChunk is how many coefficients gatherAxpy screens for zeros at a
-// time; it sizes a stack buffer that is cleared on every call, so it is small.
-const gatherChunk = 64
+var gemmPool = sync.Pool{New: func() any { return new(gemmScratch) }}
 
-// gatherAxpy adds Σ_p a_p·B[p,:] to c for p = 0..k-1 ascending, where
-// a_p = ad[off+p·stride] and B is k×len(c). Coefficients equal to zero are
-// skipped — the BEV input is ≈ 80 % zeros — so a NaN or Inf in a row of B
-// opposite a zero coefficient never enters the sum. The non-zero
-// coefficients are applied four at a time, in order.
-//
-// Zeros are screened a chunk at a time into a list of the reduction indices
-// that survive, written unconditionally and kept by advancing the count, so
-// the screen has no data-dependent branch to mispredict; up to three
-// survivors wait at the head of the list for the next chunk to complete
-// their group of four.
-func gatherAxpy(c, ad []float64, off, stride, k int, bd []float64) {
-	n := len(c)
-	var nz [gatherChunk + 3]int
-	cnt := 0
-	for lo := 0; lo < k; lo += gatherChunk {
-		for p := lo; p < min(lo+gatherChunk, k); p++ {
-			nz[cnt] = p
-			if ad[off+p*stride] != 0 {
-				cnt++
-			}
-		}
-		q := 0
-		for ; q+4 <= cnt; q += 4 {
-			p0, p1, p2, p3 := nz[q], nz[q+1], nz[q+2], nz[q+3]
-			axpy4(c, bd[p0*n:p0*n+n], bd[p1*n:p1*n+n], bd[p2*n:p2*n+n], bd[p3*n:p3*n+n],
-				ad[off+p0*stride], ad[off+p1*stride], ad[off+p2*stride], ad[off+p3*stride])
-		}
-		cnt = copy(nz[:], nz[q:cnt])
+// grown returns s resliced to n, reallocated if its capacity is short.
+func grown[T int32 | float64](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	switch cnt {
-	case 3:
-		p0, p1, p2 := nz[0], nz[1], nz[2]
-		axpy3(c, bd[p0*n:p0*n+n], bd[p1*n:p1*n+n], bd[p2*n:p2*n+n],
-			ad[off+p0*stride], ad[off+p1*stride], ad[off+p2*stride])
-	case 2:
-		p0, p1 := nz[0], nz[1]
-		axpy2(c, bd[p0*n:p0*n+n], bd[p1*n:p1*n+n], ad[off+p0*stride], ad[off+p1*stride])
-	case 1:
-		p0 := nz[0]
-		axpy1(c, bd[p0*n:p0*n+n], ad[off+p0*stride])
+	return s[:n]
+}
+
+// matMulRows computes rows [lo, hi) of C = A·B: screen a row, gather it.
+func matMulRows(cd, ad, bd []float64, lo, hi, k, n int) {
+	s := gemmPool.Get().(*gemmScratch)
+	s.idx, s.val = grown(s.idx, k), grown(s.val, k)
+	for i := lo; i < hi; i++ {
+		cnt := screen(s.idx, s.val, ad[i*k:(i+1)*k])
+		gather(cd[i*n:(i+1)*n], bd, s.idx[:cnt], s.val[:cnt], false)
+	}
+	gemmPool.Put(s)
+}
+
+// MatMulRowsInto computes dst = A·B for A given as rows (m×k: m = a.NumRows(),
+// k = a.Cols) and B k×n; dst must be m×n. It is MatMulInto on A's dense form,
+// bit for bit, with no screen to run: the rows are the survivor lists. It is
+// serial: even an evaluation chunk's 64 rows list under matMulParallelFlops
+// products.
+func MatMulRowsInto(dst *Dense, a *Rows, b *Dense) {
+	k, n := mustMatrix(b)
+	m := a.NumRows()
+	if a.Cols != k {
+		panic(fmt.Sprintf("tensor: matmul inner dimension mismatch %d columns x %v", a.Cols, b.shape))
+	}
+	mustShape(dst, m, n)
+	for _, c := range a.Idx {
+		if uint32(c) >= uint32(k) {
+			panic(fmt.Sprintf("tensor: column %d listed in rows of %d columns", c, k))
+		}
+	}
+	for i := 0; i < m; i++ {
+		idx, val := a.row(i)
+		gather(dst.data[i*n:(i+1)*n], b.data, idx, val, false)
 	}
 }
 
 // MatMulTransAInto computes dst = Aᵀ·B where A is k×m and B is k×n;
-// dst must be m×n.
-//
-// Row i of dst is Σ_p A[p,i]·B[p,:]: the rows are independent and each is
-// finished — p ascending, as ever — while it sits in L1. The kernel stays
+// dst must be m×n. Row i of dst is Σ_p A[p,i]·B[p,:]: A is screened row-major
+// once, one counting scatter turns the survivors into a list per column of
+// A, and each row of dst gathers its column's list from B. The kernel stays
 // serial only because no caller's product reaches matMulParallelFlops.
-func MatMulTransAInto(dst, a, b *Dense) {
-	k, m, n := mustTransA(a, b)
-	for i := 0; i < m; i++ {
-		crow := dst.data[i*n : (i+1)*n]
-		clear(crow)
-		gatherAxpy(crow, a.data, i, m, k, b.data)
-	}
-}
-
-// addRowBuf is the widest product row AddMatMulTransA finishes on the stack;
-// every layer of the policy is narrower.
-const addRowBuf = 256
+func MatMulTransAInto(dst, a, b *Dense) { transA(dst, a, b, false) }
 
 // AddMatMulTransA computes dst += Aᵀ·B where A is k×m and B is k×n; dst must
 // be m×n. This is how layers accumulate weight gradients. Each row of the
-// product is finished in a row-sized buffer and then added, so dst holds
-// exactly the bits MatMulTransAInto into scratch followed by an elementwise
-// add would leave — including −0 + +0 = +0 where a product row is all zeros —
-// without the scratch matrix or the second pass over it.
-func AddMatMulTransA(dst, a, b *Dense) {
-	k, m, n := mustTransA(a, b)
-	var stack [addRowBuf]float64
-	buf := stack[:]
-	if n > len(buf) {
-		buf = make([]float64, n)
+// product is finished in registers and then added, so dst holds exactly the
+// bits MatMulTransAInto into scratch followed by an elementwise add would
+// leave — including −0 + +0 = +0 where a product row is all zeros — without
+// the scratch matrix or the second pass over it.
+func AddMatMulTransA(dst, a, b *Dense) { transA(dst, a, b, true) }
+
+func transA(dst, a, b *Dense, add bool) {
+	_, m, n := mustTransA(a, b)
+	mustShape(dst, m, n)
+	s := gemmPool.Get().(*gemmScratch)
+	s.rows.SetDense(a)
+	s.rows.transA(dst.data, b.data, n, add)
+	gemmPool.Put(s)
+}
+
+// AddMatMulTransARows computes dst += Aᵀ·B for A given as rows (k×m: k =
+// a.NumRows(), m = a.Cols) and B k×n; dst must be m×n. It is AddMatMulTransA
+// on A's dense form, bit for bit, without the screen. The column lists are
+// built in storage a holds, so a Rows must not be used by two calls at once.
+func AddMatMulTransARows(dst *Dense, a *Rows, b *Dense) {
+	k, n := mustMatrix(b)
+	if a.NumRows() != k {
+		panic(fmt.Sprintf("tensor: matmulTransA inner dimension mismatch %d rows x %v", a.NumRows(), b.shape))
 	}
-	buf = buf[:n]
-	for i := 0; i < m; i++ {
-		clear(buf)
-		gatherAxpy(buf, a.data, i, m, k, b.data)
-		addRow(dst.data[i*n:(i+1)*n], buf)
-	}
+	mustShape(dst, a.Cols, n)
+	a.transA(dst.data, b.data, n, true)
 }
 
 func mustTransA(a, b *Dense) (k, m, n int) {
@@ -218,6 +217,12 @@ func matMulTransBRows(cd, ad, bd []float64, lo, hi, k, n int) {
 			}
 			crow[j] = acc
 		}
+	}
+}
+
+func mustShape(t *Dense, rows, cols int) {
+	if r, c := mustMatrix(t); r != rows || c != cols {
+		panic(fmt.Sprintf("tensor: destination shape %v, want [%d %d]", t.shape, rows, cols))
 	}
 }
 

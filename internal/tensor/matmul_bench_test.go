@@ -3,6 +3,8 @@ package tensor
 import (
 	"fmt"
 	"testing"
+
+	"lbchat/internal/simrand"
 )
 
 // Representative shapes for the default policy (model.DefaultConfig):
@@ -97,4 +99,55 @@ func BenchmarkIm2Col(b *testing.B) {
 			dst = Im2ColInto(dst, img, 3, 2, 1)
 		}
 	})
+}
+
+// binaryRows returns m rows of k columns in which share of the entries are 1
+// and the rest 0 — the first layer's BEV input — as a dense matrix and as
+// Rows.
+func binaryRows(m, k int, share float64) (*Dense, *Rows) {
+	rng := simrand.New(5)
+	a := New(m, k)
+	rows := new(Rows)
+	rows.Reset(k, m*k)
+	for i := 0; i < m; i++ {
+		row := a.Data()[i*k : (i+1)*k]
+		for j := range row {
+			if rng.Bernoulli(share) {
+				row[j] = 1
+			}
+		}
+		rows.appendDense(row)
+		rows.EndRow()
+	}
+	return a, rows
+}
+
+// BenchmarkGatherRows times the first layer's products on a 17 %-dense
+// binary input, at the training batch (16 rows) and the evaluation chunk (64):
+// the forward product from Rows (the gather alone) and from the dense matrix
+// (screen, then gather), and the weight gradient from Rows (the column
+// scatter, then the gather).
+func BenchmarkGatherRows(b *testing.B) {
+	const k, n = 771, 64
+	for _, m := range []int{16, 64} {
+		a, rows := binaryRows(m, k, 0.17)
+		w := fill(New(k, n))
+		g := fill(New(m, n))
+		out, dW := New(m, n), New(k, n)
+		b.Run(fmt.Sprintf("%dx%dx%d/rows", m, k, n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatMulRowsInto(out, rows, w)
+			}
+		})
+		b.Run(fmt.Sprintf("%dx%dx%d/dense", m, k, n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatMulInto(out, a, w)
+			}
+		})
+		b.Run(fmt.Sprintf("%dx%dx%d/dW", m, k, n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				AddMatMulTransARows(dW, rows, g)
+			}
+		})
+	}
 }

@@ -250,10 +250,11 @@ func TestAddMatMulTransAZeroProductRow(t *testing.T) {
 	sameBits(t, "dst", dst.data, want)
 }
 
-// TestAddMatMulTransAWideRows crosses the stack-buffer width.
+// TestAddMatMulTransAWideRows runs product rows wider than any layer's
+// through several 32-column strips, a 4-lane strip and the scalar tail.
 func TestAddMatMulTransAWideRows(t *testing.T) {
 	rng := simrand.New(3)
-	c := newKernelCase(3, 5, addRowBuf+9, 0.5, false, rng)
+	c := newKernelCase(3, 5, 8*gatherStrip+7, 0.5, false, rng)
 	got, want := New(c.m, c.n), New(c.m, c.n)
 	got.Fill(0.25)
 	want.Fill(0.25)

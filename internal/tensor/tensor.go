@@ -138,6 +138,25 @@ func (t *Dense) Fill(v float64) {
 // ScaleInPlace multiplies every element by s.
 func (t *Dense) ScaleInPlace(s float64) { scale(t.data, s) }
 
+// AddToRows adds v to every row of the matrix t (a layer's bias).
+func (t *Dense) AddToRows(v []float64) {
+	rows, cols := mustMatrix(t)
+	v = v[:cols]
+	for i := 0; i < rows; i++ {
+		addRow(t.data[i*cols:(i+1)*cols], v)
+	}
+}
+
+// SumRowsInto adds the rows of the matrix t to dst, one row at a time from
+// row 0 (a bias gradient).
+func (t *Dense) SumRowsInto(dst []float64) {
+	rows, cols := mustMatrix(t)
+	dst = dst[:cols]
+	for i := 0; i < rows; i++ {
+		addRow(dst, t.data[i*cols:(i+1)*cols])
+	}
+}
+
 // Dot returns the inner product of t and other viewed as flat vectors.
 func (t *Dense) Dot(other *Dense) float64 {
 	assertSameSize(t, other)
