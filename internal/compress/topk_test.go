@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"encoding/binary"
 	"math"
 	"sort"
 	"testing"
@@ -114,6 +115,91 @@ func TestApplyAsUpdateRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: accepted, got %v", tc.name, got)
 		}
 	}
+}
+
+// FuzzSparseApply feeds ApplyAsUpdate arbitrary sparse models: Len, the
+// indices (one signed byte each), the values and the base (eight bytes each).
+// It must not panic; it must accept exactly the well-formed ones (values
+// parallel to strictly increasing indices in [0, Len), a base of Len); an
+// accepted one must return its values at the kept positions and the base's
+// bits elsewhere; and the base must come back unmodified. The base doubles as
+// a dense vector for TopK(base, k), whose ApplyAsUpdate onto zeros must be
+// its Dense() bit for bit.
+func FuzzSparseApply(f *testing.F) {
+	floats := func(vals ...float64) []byte {
+		raw := make([]byte, 0, 8*len(vals))
+		for _, v := range vals {
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
+		}
+		return raw
+	}
+	f.Add(0, []byte{}, []byte{}, []byte{}, 0)
+	f.Add(3, []byte{0, 2}, floats(5, -6), floats(1, 2, 3), 1)
+	f.Add(4, []byte{1, 1}, floats(5, 6), floats(1, 2, 3, 4), 2)
+	f.Add(4, []byte{0xFF, 2}, floats(5, 6), floats(1, 2, 3, 4), 4)
+	f.Add(2, []byte{0, 1}, floats(5), floats(1, 2), 9)
+	f.Add(5, []byte{0, 3, 4}, floats(math.NaN(), math.Copysign(0, -1), math.Inf(-1)),
+		floats(math.Inf(1), 0, math.NaN(), 5e-324, -1e300), 3)
+	f.Fuzz(func(t *testing.T, n int, idx, vals, rawBase []byte, k int) {
+		s := &Sparse{Len: n}
+		for _, b := range idx {
+			s.Indices = append(s.Indices, int(int8(b)))
+		}
+		for ; len(vals) >= 8; vals = vals[8:] {
+			s.Values = append(s.Values, math.Float64frombits(binary.LittleEndian.Uint64(vals)))
+		}
+		var base []float64
+		for ; len(rawBase) >= 8; rawBase = rawBase[8:] {
+			base = append(base, math.Float64frombits(binary.LittleEndian.Uint64(rawBase)))
+		}
+		baseBits := make([]uint64, len(base))
+		for i, v := range base {
+			baseBits[i] = math.Float64bits(v)
+		}
+		wellFormed := len(base) == s.Len && len(s.Values) == len(s.Indices)
+		for i, j := range s.Indices {
+			if j < 0 || j >= s.Len || i > 0 && j <= s.Indices[i-1] {
+				wellFormed = false
+			}
+		}
+
+		out, err := s.ApplyAsUpdate(base)
+		for i, v := range base {
+			if math.Float64bits(v) != baseBits[i] {
+				t.Fatalf("base[%d] changed from %#x to %#x", i, baseBits[i], math.Float64bits(v))
+			}
+		}
+		if (err == nil) != wellFormed {
+			t.Fatalf("Len %d, indices %v, %d values, base of %d: error %v, well-formed %v",
+				s.Len, s.Indices, len(s.Values), len(base), err, wellFormed)
+		}
+		if err == nil {
+			want := append([]uint64(nil), baseBits...)
+			for i, j := range s.Indices {
+				want[j] = math.Float64bits(s.Values[i])
+			}
+			if len(out) != len(want) {
+				t.Fatalf("%d values out for Len %d", len(out), s.Len)
+			}
+			for i, v := range out {
+				if math.Float64bits(v) != want[i] {
+					t.Fatalf("out[%d] = %#x, want %#x", i, math.Float64bits(v), want[i])
+				}
+			}
+		}
+
+		top := TopK(base, k)
+		dense := top.Dense()
+		applied, err := top.ApplyAsUpdate(make([]float64, len(base)))
+		if err != nil {
+			t.Fatalf("TopK(%d) of %d values does not apply: %v", k, len(base), err)
+		}
+		for i := range dense {
+			if math.Float64bits(applied[i]) != math.Float64bits(dense[i]) {
+				t.Fatalf("TopK(%d): ApplyAsUpdate(zeros)[%d] = %#x, Dense() %#x", k, i, math.Float64bits(applied[i]), math.Float64bits(dense[i]))
+			}
+		}
+	})
 }
 
 func TestWireSizeMonotone(t *testing.T) {

@@ -93,7 +93,6 @@ func rowsInputs(tr trace.Source, sink telemetry.Sink) (Config, []*dataset.Datase
 	cfg.TickSeconds = tr.DT()
 	cfg.Workers = 1
 	cfg.Telemetry = sink
-	cfg.Model.UseConv = false
 	cfg.Model.BEVChannels, cfg.Model.BEVHeight, cfg.Model.BEVWidth = 1, 2, 2
 	cfg.Model.Hidden = 2
 	cfg.Model.NumWaypoints = 1

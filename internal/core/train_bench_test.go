@@ -36,7 +36,6 @@ func benchTrainEngine(b *testing.B, n int, tick float64) *Engine {
 	// Tiny policies: the benchmark measures scheduling, and 10k full-size
 	// models would make setup (and its GC shadow in the timed region) the
 	// dominant cost.
-	cfg.Model.UseConv = false
 	cfg.Model.BEVChannels, cfg.Model.BEVHeight, cfg.Model.BEVWidth = 1, 2, 2
 	cfg.Model.Hidden = 2
 	cfg.Model.NumWaypoints = 1

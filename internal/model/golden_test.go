@@ -112,7 +112,7 @@ func goldenTrajectory(t *testing.T, cfg Config) string {
 }
 
 // TestGoldenTrainTrajectory pins the training arithmetic across commits, bit
-// for bit, for both network variants. TestGoldenEventStreams covers the same
+// for bit. TestGoldenEventStreams covers the same
 // kernels at the real shapes, but a failure there does not say which layer
 // moved; this one runs in well under two seconds and touches nothing but
 // tensor, nn and model. A change that is meant to move float bits
@@ -121,11 +121,8 @@ func TestGoldenTrainTrajectory(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("goldens are recorded on amd64; fused multiply-add changes float bits elsewhere")
 	}
-	conv := DefaultConfig()
-	conv.UseConv = true
 	got := map[string]string{
 		"default": goldenTrajectory(t, DefaultConfig()),
-		"conv":    goldenTrajectory(t, conv),
 	}
 	if *update {
 		raw, err := json.MarshalIndent(got, "", "  ")
@@ -151,6 +148,11 @@ func TestGoldenTrainTrajectory(t *testing.T) {
 	for key, sum := range got {
 		if want[key] != sum {
 			t.Errorf("%s hash = %s, golden %s", key, sum, want[key])
+		}
+	}
+	for key := range want {
+		if _, ok := got[key]; !ok {
+			t.Errorf("%s holds %s, which no configuration here records", goldenModelPath, key)
 		}
 	}
 }

@@ -14,8 +14,11 @@ import (
 // the CLI tools to hand trained fleets between training and evaluation runs.
 
 const (
-	persistMagic   = 0x4C625031 // "LbP1"
-	persistHdrSize = 4 + 8*4    // magic + 8 uint32 architecture fields
+	persistMagic   = 0x4C625032 // "LbP2"
+	persistHdrSize = 4 + 6*4    // magic + 6 uint32 architecture fields
+	// persistMagicV1 ("LbP1") headed the blobs of the conv-capable policy,
+	// whose header carried two more words; they are rejected, not migrated.
+	persistMagicV1 = 0x4C625031
 )
 
 // ErrBadModelBlob is wrapped by every error UnmarshalBinary returns: a
@@ -25,16 +28,9 @@ var ErrBadModelBlob = errors.New("model: bad model blob")
 
 // MarshalBinary encodes the policy's architecture and parameters.
 func (p *Policy) MarshalBinary() ([]byte, error) {
-	cfg := p.cfg
 	hdr := make([]byte, persistHdrSize)
 	binary.LittleEndian.PutUint32(hdr[0:], persistMagic)
-	fields := []uint32{
-		uint32(cfg.BEVChannels), uint32(cfg.BEVHeight), uint32(cfg.BEVWidth),
-		boolWord(cfg.UseConv), uint32(cfg.ConvChannels),
-		uint32(cfg.Hidden), uint32(cfg.NumWaypoints),
-		uint32(p.NumParams()),
-	}
-	for i, f := range fields {
+	for i, f := range p.headerWords() {
 		binary.LittleEndian.PutUint32(hdr[4+4*i:], f)
 	}
 	return append(hdr, nn.Serialize(p.Flat())...), nil
@@ -46,19 +42,16 @@ func (p *Policy) UnmarshalBinary(blob []byte) error {
 	if len(blob) < persistHdrSize {
 		return fmt.Errorf("%w: %d bytes", ErrBadModelBlob, len(blob))
 	}
-	if binary.LittleEndian.Uint32(blob[0:]) != persistMagic {
+	switch binary.LittleEndian.Uint32(blob[0:]) {
+	case persistMagic:
+	case persistMagicV1:
+		return fmt.Errorf("%w: format LbP1 is older than this build's LbP2; save the fleet again with lbchat-sim -save-fleet", ErrBadModelBlob)
+	default:
 		return fmt.Errorf("%w: bad magic", ErrBadModelBlob)
 	}
 	get := func(i int) uint32 { return binary.LittleEndian.Uint32(blob[4+4*i:]) }
-	cfg := p.cfg
-	want := []uint32{
-		uint32(cfg.BEVChannels), uint32(cfg.BEVHeight), uint32(cfg.BEVWidth),
-		boolWord(cfg.UseConv), uint32(cfg.ConvChannels),
-		uint32(cfg.Hidden), uint32(cfg.NumWaypoints),
-		uint32(p.NumParams()),
-	}
-	names := []string{"channels", "height", "width", "conv", "convChannels", "hidden", "waypoints", "params"}
-	for i, w := range want {
+	names := []string{"channels", "height", "width", "hidden", "waypoints", "params"}
+	for i, w := range p.headerWords() {
 		if got := get(i); got != w {
 			return fmt.Errorf("%w: %s mismatch (blob %d, policy %d)", ErrBadModelBlob, names[i], got, w)
 		}
@@ -74,9 +67,13 @@ func (p *Policy) UnmarshalBinary(blob []byte) error {
 	return nil
 }
 
-func boolWord(b bool) uint32 {
-	if b {
-		return 1
+// headerWords are the architecture words a blob's header carries after the
+// magic, in order.
+func (p *Policy) headerWords() []uint32 {
+	cfg := p.cfg
+	return []uint32{
+		uint32(cfg.BEVChannels), uint32(cfg.BEVHeight), uint32(cfg.BEVWidth),
+		uint32(cfg.Hidden), uint32(cfg.NumWaypoints),
+		uint32(p.NumParams()),
 	}
-	return 0
 }

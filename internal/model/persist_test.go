@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"lbchat/internal/nn"
@@ -35,8 +36,9 @@ func TestMarshalRoundTrip(t *testing.T) {
 }
 
 // TestUnmarshalRejectsMismatch requires every rejection to wrap
-// ErrBadModelBlob, and a body the wire format refuses to wrap
-// nn.ErrBadWireFormat besides.
+// ErrBadModelBlob, a body the wire format refuses to wrap
+// nn.ErrBadWireFormat besides, and a blob of the previous format to be named
+// as such.
 func TestUnmarshalRejectsMismatch(t *testing.T) {
 	cfg := tinyConfig()
 	pol, _ := New(cfg, 3)
@@ -47,22 +49,27 @@ func TestUnmarshalRejectsMismatch(t *testing.T) {
 
 	bad := append([]byte(nil), blob...)
 	bad[0] ^= 0xFF
+	// A blob of the previous format, which carried two more header words.
+	v1 := append(binary.LittleEndian.AppendUint32(nil, persistMagicV1), make([]byte, 8*4)...)
+	v1 = append(v1, nn.Serialize(pol.Flat())...)
 	// A header whose params word matches the policy in front of a
 	// well-formed wire body one parameter short.
 	flat := pol.Flat()
 	miscounted := append(append([]byte(nil), blob[:persistHdrSize]...), nn.Serialize(flat[:len(flat)-1])...)
 
 	for _, tc := range []struct {
-		name string
-		into *Policy
-		blob []byte
-		wire bool // the nn wire format refuses the body
+		name     string
+		into     *Policy
+		blob     []byte
+		wire     bool   // the nn wire format refuses the body
+		mentions string // the error names this
 	}{
-		{"architecture mismatch", wrong, blob, false},
-		{"truncated header", pol, blob[:10], false},
-		{"bad magic", pol, bad, false},
-		{"short parameter payload", pol, blob[:len(blob)-4], true},
-		{"wire count differs from header", pol, miscounted, false},
+		{"architecture mismatch", wrong, blob, false, ""},
+		{"truncated header", pol, blob[:10], false, ""},
+		{"bad magic", pol, bad, false, ""},
+		{"previous blob version", pol, v1, false, "LbP1"},
+		{"short parameter payload", pol, blob[:len(blob)-4], true, ""},
+		{"wire count differs from header", pol, miscounted, false, ""},
 	} {
 		err := tc.into.UnmarshalBinary(tc.blob)
 		switch {
@@ -72,6 +79,8 @@ func TestUnmarshalRejectsMismatch(t *testing.T) {
 			t.Errorf("%s: %v does not wrap ErrBadModelBlob", tc.name, err)
 		case tc.wire && !errors.Is(err, nn.ErrBadWireFormat):
 			t.Errorf("%s: %v does not wrap nn.ErrBadWireFormat", tc.name, err)
+		case !strings.Contains(err.Error(), tc.mentions):
+			t.Errorf("%s: %v does not name %s", tc.name, err, tc.mentions)
 		}
 	}
 }
@@ -82,7 +91,7 @@ func TestUnmarshalRejectsMismatch(t *testing.T) {
 // stored parameters are float32, which the float64 round trip keeps exactly
 // — up to the payload bits of a NaN, which only need to stay a NaN.
 func FuzzPolicyUnmarshal(f *testing.F) {
-	// 46 parameters: a blob of 228 bytes keeps the fuzzer's minimization
+	// 46 parameters: a blob of 220 bytes keeps the fuzzer's minimization
 	// short.
 	cfg := tinyConfig()
 	cfg.BEVChannels, cfg.BEVHeight, cfg.BEVWidth = 1, 2, 2

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -17,9 +18,11 @@ type Config struct {
 	BEVHeight   int
 	BEVWidth    int
 
-	// UseConv inserts a strided convolution front-end before the dense trunk.
-	UseConv      bool
-	ConvChannels int
+	// UseConv must be false, and Validate rejects true: the conv front-end
+	// it selected is gone (ROADMAP item 25). The field stands only because
+	// benchmarks/perf/workload_fleet.go assigns it; item 13(d) deletes it
+	// together with that line.
+	UseConv bool
 
 	// Hidden is the width of the dense trunk.
 	Hidden int
@@ -29,11 +32,15 @@ type Config struct {
 
 	// LR is the Adam learning rate.
 	LR float64
-	// L2Penalty is λ1 of Eq. (6) (structural-risk regularizer).
-	L2Penalty float64
-	// EntropyPenalty is λ2 of Eq. (6) (command-balance penalty).
-	EntropyPenalty float64
 }
+
+// The penalty weights of Eq. (6).
+const (
+	// l2Penalty is λ1, the structural-risk regularizer.
+	l2Penalty = 1e-4
+	// entropyPenalty is λ2, the command-balance penalty.
+	entropyPenalty = 0.6
+)
 
 // gradClip bounds the gradient L2 norm of every training step.
 const gradClip = 5
@@ -44,16 +51,12 @@ const gradClip = 5
 // compensate for the smaller model; see DESIGN.md.
 func DefaultConfig() Config {
 	return Config{
-		BEVChannels:    3,
-		BEVHeight:      16,
-		BEVWidth:       16,
-		UseConv:        false,
-		ConvChannels:   8,
-		Hidden:         64,
-		NumWaypoints:   5,
-		LR:             1e-3,
-		L2Penalty:      1e-4,
-		EntropyPenalty: 0.6,
+		BEVChannels:  3,
+		BEVHeight:    16,
+		BEVWidth:     16,
+		Hidden:       64,
+		NumWaypoints: 5,
+		LR:           1e-3,
 	}
 }
 
@@ -78,8 +81,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("model: non-positive waypoint count %d", c.NumWaypoints)
 	case c.LR <= 0:
 		return fmt.Errorf("model: non-positive learning rate %g", c.LR)
-	case c.UseConv && c.ConvChannels <= 0:
-		return fmt.Errorf("model: conv enabled with non-positive channel count %d", c.ConvChannels)
+	case c.UseConv:
+		return errors.New("model: UseConv is set, but the conv front-end is gone (ROADMAP item 25)")
 	}
 	return nil
 }
@@ -101,15 +104,15 @@ type Policy struct {
 	opt    *nn.Adam
 	params nn.ParamSet
 
-	// fc1 is the trunk's first layer when it reads the input itself (no
-	// conv front-end): it is fed the input's nonzero entries, rows.
+	// fc1 is the trunk's first layer: it is fed the input's nonzero
+	// entries, rows.
 	fc1 *nn.Dense
 
 	// Batch scratch, filled by buildBatch (and by Predict for its one row):
 	// the input as rows for fc1 — sized by the batch's on-cells, never by
-	// its rows × input width — or dense for the conv front-end in x.
+	// its rows × input width.
 	rows    tensor.Rows
-	x, y    *tensor.Dense
+	y       *tensor.Dense
 	cmds    []dataset.Command
 	weights []float64
 	// Forward scratch: the scattered predictions, the sample indices and
@@ -134,11 +137,10 @@ func New(cfg Config, seed uint64) (*Policy, error) {
 	return build(cfg, simrand.New(seed)), nil
 }
 
-// build allocates a policy's layers for a validated cfg — the conv
-// front-end when UseConv, the dense trunk and the per-command heads — with a
-// fresh optimizer. Each layer draws its He-uniform weights from its own
-// stream derived from rng; a nil rng seeds no stream and leaves every
-// parameter zero.
+// build allocates a policy's layers for a validated cfg — the dense trunk
+// and the per-command heads — with a fresh optimizer. Each layer draws its
+// He-uniform weights from its own stream derived from rng; a nil rng seeds
+// no stream and leaves every parameter zero.
 func build(cfg Config, rng *simrand.Rand) *Policy {
 	stream := func(name string) *simrand.Rand {
 		if rng == nil {
@@ -146,29 +148,17 @@ func build(cfg Config, rng *simrand.Rand) *Policy {
 		}
 		return rng.Derive(name)
 	}
-	var layers []nn.Layer
-	trunkIn := cfg.InputSize()
-	if cfg.UseConv {
-		// The conv front-end sees only the BEV; the scalar inputs join at
-		// the dense trunk via a SplitTail wrapper.
-		conv := nn.NewConv2D("conv1", cfg.BEVChannels, cfg.BEVHeight, cfg.BEVWidth,
-			cfg.ConvChannels, 3, 2, 1, stream("conv1"))
-		layers = append(layers, nn.NewSplitTail(conv, 3), nn.NewReLU())
-		trunkIn = conv.OutSize() + 3
-	}
-	layers = append(layers,
-		nn.NewDense("fc1", trunkIn, cfg.Hidden, stream("fc1")),
-		nn.NewReLU(),
-		nn.NewDense("fc2", cfg.Hidden, cfg.Hidden, stream("fc2")),
-		nn.NewReLU(),
-	)
+	fc1 := nn.NewDense("fc1", cfg.InputSize(), cfg.Hidden, stream("fc1"))
 	p := &Policy{
-		cfg:   cfg,
-		trunk: nn.NewSequential(layers...),
-		opt:   nn.NewAdam(cfg.LR),
-	}
-	if !cfg.UseConv {
-		p.fc1 = layers[0].(*nn.Dense)
+		cfg: cfg,
+		trunk: nn.NewSequential(
+			fc1,
+			nn.NewReLU(),
+			nn.NewDense("fc2", cfg.Hidden, cfg.Hidden, stream("fc2")),
+			nn.NewReLU(),
+		),
+		opt: nn.NewAdam(cfg.LR),
+		fc1: fc1,
 	}
 	for i := range p.heads {
 		var head *simrand.Rand
@@ -215,13 +205,9 @@ func (p *Policy) Clone() *Policy {
 	return cp
 }
 
-// forward runs the batch in p.rows (or p.x), p.cmds through trunk and
-// heads, returning per-sample predictions shaped (batch, 2K) in policy
-// scratch.
+// forward runs the batch in p.rows, p.cmds through trunk and heads,
+// returning per-sample predictions shaped (batch, 2K) in policy scratch.
 func (p *Policy) forward() *tensor.Dense {
-	if p.fc1 == nil {
-		return p.route(p.trunk.Forward(p.x))
-	}
 	hidden := p.fc1.ForwardRows(&p.rows)
 	for _, l := range p.trunk.Layers[1:] {
 		hidden = l.Forward(hidden)
@@ -256,7 +242,7 @@ func (p *Policy) route(hidden *tensor.Dense) *tensor.Dense {
 // eval.Driver.
 func (p *Policy) Predict(bev []uint8, speed, navDist, redDist float64, cmd dataset.Command) []float64 {
 	p.startInput(1, tensor.CountNonzero(bevPart(bev, p.cfg.InputSize())))
-	p.appendInput(0, bev, speed, navDist, redDist)
+	p.appendInput(bev, speed, navDist, redDist)
 	p.cmds = append(p.cmds[:0], cmd)
 	preds := p.forward()
 	out := make([]float64, p.cfg.TargetSize())
@@ -265,49 +251,24 @@ func (p *Policy) Predict(bev []uint8, speed, navDist, redDist float64, cmd datas
 }
 
 // startInput sizes the input scratch for a batch of rows inputs holding on
-// BEV on-cells: p.rows with room for exactly those and three scalars a row,
-// or p.x for the conv front-end.
+// BEV on-cells: p.rows with room for exactly those and three scalars a row.
 func (p *Policy) startInput(rows, on int) {
-	in := p.cfg.InputSize()
-	if p.fc1 == nil {
-		p.x = tensor.Reuse2D(p.x, rows, in)
-		return
-	}
-	p.rows.Reset(in, on+3*rows)
+	p.rows.Reset(p.cfg.InputSize(), on+3*rows)
 }
 
 // bevPart is the part of bev an input row of width in reads: the cells
 // before the three scalars.
 func bevPart(bev []uint8, in int) []uint8 { return bev[:min(len(bev), in-3)] }
 
-// appendInput writes input row i: the BEV's on-cells, then the nonzero
-// scalars, into p.rows; or the dense row into p.x.
-func (p *Policy) appendInput(i int, bev []uint8, speed, navDist, redDist float64) {
+// appendInput writes the next input row into p.rows: the BEV's on-cells,
+// then the nonzero scalars.
+func (p *Policy) appendInput(bev []uint8, speed, navDist, redDist float64) {
 	in := p.cfg.InputSize()
-	if p.fc1 == nil {
-		fillInputRow(p.x.Data()[i*in:(i+1)*in], bev, speed, navDist, redDist)
-		return
-	}
 	p.rows.AppendBytes(bevPart(bev, in))
 	p.rows.AppendValue(in-3, speed)
 	p.rows.AppendValue(in-2, navDist)
 	p.rows.AppendValue(in-1, redDist)
 	p.rows.EndRow()
-}
-
-// fillInputRow writes one network input row: the BEV cells as floats, zero
-// padding up to the scalars should the BEV be short, then the three scalars.
-func fillInputRow(row []float64, bev []uint8, speed, navDist, redDist float64) {
-	for j, v := range bev {
-		row[j] = float64(v)
-	}
-	in := len(row)
-	if len(bev) < in-3 {
-		clear(row[len(bev) : in-3])
-	}
-	row[in-3] = speed
-	row[in-2] = navDist
-	row[in-1] = redDist
 }
 
 // gatherRows copies rows idxs of src into dst (reused when it is large
@@ -328,22 +289,20 @@ func scatterRows(dst, src *tensor.Dense, idxs []int) {
 	}
 }
 
-// buildBatch fills the policy's batch scratch (p.rows or p.x, p.y, p.cmds,
+// buildBatch fills the policy's batch scratch (p.rows, p.y, p.cmds,
 // p.weights) from items.
 func (p *Policy) buildBatch(items []dataset.Weighted) {
 	batch := len(items)
 	in, tgt := p.cfg.InputSize(), p.cfg.TargetSize()
 	on := 0
-	if p.fc1 != nil {
-		for _, it := range items {
-			on += tensor.CountNonzero(bevPart(it.Sample.BEV, in))
-		}
+	for _, it := range items {
+		on += tensor.CountNonzero(bevPart(it.Sample.BEV, in))
 	}
 	p.startInput(batch, on)
 	p.y = tensor.Reuse2D(p.y, batch, tgt)
 	p.cmds, p.weights = p.cmds[:0], p.weights[:0]
 	for i, it := range items {
-		p.appendInput(i, it.Sample.BEV, it.Sample.Speed, it.Sample.NavDist, it.Sample.RedDist)
+		p.appendInput(it.Sample.BEV, it.Sample.Speed, it.Sample.NavDist, it.Sample.RedDist)
 		ty := p.y.Data()[i*tgt : (i+1)*tgt]
 		clear(ty[copy(ty, it.Sample.Targets):])
 		p.cmds = append(p.cmds, it.Sample.Command)
@@ -402,7 +361,7 @@ func (p *Policy) step(preds *tensor.Dense) float64 {
 	// entropy penalty in Eq. (6) — commands whose mean loss exceeds the
 	// overall mean get up-weighted gradients, pushing per-command losses
 	// toward balance. See DESIGN.md §2.
-	cmdMult := commandMultipliers(perSample, weights, cmds, p.cfg.EntropyPenalty)
+	cmdMult := commandMultipliers(perSample, weights, cmds, entropyPenalty)
 
 	// dLoss/dPred with per-sample weights folded in.
 	p.grad = tensor.Reuse2D(p.grad, batch, tgt)
@@ -430,14 +389,10 @@ func (p *Policy) step(preds *tensor.Dense) float64 {
 	// by far the widest product of the step — has no reader.
 	p.trunk.BackwardParams(p.hiddenGrad)
 	// λ1 term: L2 structural risk enters as weight decay on the gradient.
-	decay := 0.0
-	if p.cfg.L2Penalty > 0 {
-		decay = 2 * p.cfg.L2Penalty
-	}
-	nn.DecayClipGradNorm(p.params, decay, gradClip)
+	nn.DecayClipGradNorm(p.params, 2*l2Penalty, gradClip)
 	sumSq := p.opt.Step(p.params)
 
-	return p.lossFromPerSample(perSample, weights, cmds, math.Sqrt(sumSq))
+	return lossFromPerSample(perSample, weights, cmds, math.Sqrt(sumSq))
 }
 
 // PerSampleLosses evaluates the unpenalized per-sample losses f(x; d) for
@@ -470,12 +425,12 @@ func (p *Policy) Loss(items []dataset.Weighted) float64 {
 		weights[i] = it.Weight
 		cmds[i] = it.Sample.Command
 	}
-	return p.lossFromPerSample(perSample, weights, cmds, p.params.L2Norm())
+	return lossFromPerSample(perSample, weights, cmds, p.params.L2Norm())
 }
 
 // lossFromPerSample assembles Eq. (6) from the per-sample losses and norm,
 // the parameters' L2 norm ‖x‖.
-func (p *Policy) lossFromPerSample(perSample, weights []float64, cmds []dataset.Command, norm float64) float64 {
+func lossFromPerSample(perSample, weights []float64, cmds []dataset.Command, norm float64) float64 {
 	var risk, totalW float64
 	for i, l := range perSample {
 		risk += weights[i] * l
@@ -484,16 +439,9 @@ func (p *Policy) lossFromPerSample(perSample, weights []float64, cmds []dataset.
 	if totalW > 0 {
 		risk /= totalW
 	}
-	loss := risk
-	if p.cfg.L2Penalty > 0 {
-		loss += p.cfg.L2Penalty * norm
-	}
-	if p.cfg.EntropyPenalty > 0 {
-		// The σ term is reported at a fixed small scale; EntropyPenalty
-		// itself chiefly controls the gradient rebalancing strength.
-		loss += 0.05 * CommandImbalance(perSample, weights, cmds)
-	}
-	return loss
+	// The σ term is reported at a fixed small scale; entropyPenalty itself
+	// chiefly controls the gradient rebalancing strength.
+	return risk + l2Penalty*norm + 0.05*CommandImbalance(perSample, weights, cmds)
 }
 
 // CommandImbalance computes σ(x) of Eq. (6): the KL divergence from uniform

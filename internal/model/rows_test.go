@@ -12,8 +12,23 @@ import (
 
 // The dense first layer the policy ran before it read on-cells, kept as the
 // oracle: every input row built in full by fillInputRow and fed to fc1's
-// dense Forward (and so to the dense AddMatMulTransA in backward), the rest
-// of the step as production runs it.
+// dense Forward (which screens it into the rows its backward pass reads),
+// the rest of the step as production runs it.
+
+// fillInputRow writes one network input row: the BEV cells as floats, zero
+// padding up to the scalars should the BEV be short, then the three scalars.
+func fillInputRow(row []float64, bev []uint8, speed, navDist, redDist float64) {
+	for j, v := range bev {
+		row[j] = float64(v)
+	}
+	in := len(row)
+	if len(bev) < in-3 {
+		clear(row[len(bev) : in-3])
+	}
+	row[in-3] = speed
+	row[in-2] = navDist
+	row[in-1] = redDist
+}
 
 func denseInput(cfg Config, items []dataset.Weighted) *tensor.Dense {
 	in := cfg.InputSize()

@@ -68,10 +68,7 @@ func TestEvalScratchBounded(t *testing.T) {
 		}
 	}
 	// The input is held as rows (TestRowsScratchBounded bounds their
-	// entries); without a conv front-end there is no dense input scratch.
-	if pol.x != nil {
-		t.Errorf("x holds %d values: a dense input without a conv front-end", cap(pol.x.Data()))
-	}
+	// entries).
 	rows("rows.End", cap(pol.rows.End), 1)
 	rows("y", cap(pol.y.Data()), cfg.TargetSize())
 	rows("preds", cap(pol.preds.Data()), cfg.TargetSize())

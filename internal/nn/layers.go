@@ -168,47 +168,6 @@ func (r *ReLU) BackwardParams(*tensor.Dense) {}
 // Params implements Layer.
 func (r *ReLU) Params() ParamSet { return nil }
 
-// Tanh is the hyperbolic-tangent activation.
-type Tanh struct {
-	// y is the cached forward output (doubles as the reused output
-	// scratch); gout is the reused backward scratch.
-	y, gout *tensor.Dense
-}
-
-var _ Layer = (*Tanh)(nil)
-
-// NewTanh creates a tanh activation layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Forward implements Layer.
-func (t *Tanh) Forward(x *tensor.Dense) *tensor.Dense {
-	t.y = tensor.ReuseLike(t.y, x)
-	out := t.y
-	od := out.Data()
-	for i, v := range x.Data() {
-		od[i] = math.Tanh(v)
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (t *Tanh) Backward(grad *tensor.Dense) *tensor.Dense {
-	t.gout = tensor.ReuseLike(t.gout, grad)
-	out := t.gout
-	od := out.Data()
-	yd := t.y.Data()
-	for i, g := range grad.Data() {
-		od[i] = g * (1 - yd[i]*yd[i])
-	}
-	return out
-}
-
-// BackwardParams implements Layer: a Tanh has no parameters.
-func (t *Tanh) BackwardParams(*tensor.Dense) {}
-
-// Params implements Layer.
-func (t *Tanh) Params() ParamSet { return nil }
-
 // Sequential chains layers.
 type Sequential struct {
 	Layers []Layer

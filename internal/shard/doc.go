@@ -11,7 +11,7 @@
 // spatial.Index on every measured pairing). It stays, with its tests and
 // BenchmarkShardScan, only because the frozen benchmarks/perf harness times
 // NewScanner(4, 1).Scan for its shard.scan_us row; the next benchmark PR
-// drops that row and scanner.go with it (ROADMAP item 10).
+// drops that row and scanner.go with it (ROADMAP item 13(b)).
 //
 // The Scanner splits the occupied bounding box into an Sx×Sy region grid,
 // assigns each vehicle to the region holding its position, and halo-exports

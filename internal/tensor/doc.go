@@ -1,7 +1,7 @@
 // Package tensor implements the dense float64 tensors underlying the neural
 // network substrate. It is intentionally small: shapes, elementwise
-// arithmetic, matrix multiplication, and the im2col transform needed for
-// convolution — everything the driving model requires and nothing more.
+// arithmetic and matrix multiplication — everything the driving model
+// requires and nothing more.
 //
 // Matrix multiplication optionally fans out across row blocks
 // (SetWorkers); results are bit-identical at every worker count because

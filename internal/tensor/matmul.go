@@ -34,7 +34,10 @@ func Workers() int { return parallel.Resolve(int(workerCount.Load())) }
 const matMulParallelFlops = 1 << 20
 
 // MatMulInto computes dst = A·B for 2D tensors A (m×k) and B (k×n), reusing
-// dst's storage. dst must be m×n.
+// dst's storage. dst must be m×n. No layer calls it (nn.Dense screens its
+// input into Rows once and calls MatMulRowsInto): it stays for
+// benchmarks/perf/kernels.go's tensor.matmul_us row, and for the tests,
+// until ROADMAP item 13(c) retargets that row.
 //
 // Above matMulParallelFlops the row range is split into contiguous chunks,
 // one per worker. Each output row is produced by exactly the same arithmetic
@@ -70,7 +73,9 @@ func MatMulInto(dst, a, b *Dense) {
 // all of A's as Rows. It is pooled, so the dense kernels allocate nothing in
 // steady state (outside the race detector, which drops pooled items on
 // purpose) and stay safe to call from many goroutines at once. The layers
-// keep their own Rows instead (nn.Dense).
+// keep their own Rows instead (nn.Dense); the pool's only non-test callers
+// are MatMulInto and MatMulTransAInto, on benchmarks/perf's kernel rows
+// (ROADMAP item 13(c)).
 type gemmScratch struct {
 	idx  []int32
 	val  []float64
@@ -125,30 +130,28 @@ func MatMulRowsInto(dst *Dense, a *Rows, b *Dense) {
 // dst must be m×n. Row i of dst is Σ_p A[p,i]·B[p,:]: A is screened row-major
 // once, one counting scatter turns the survivors into a list per column of
 // A, and each row of dst gathers its column's list from B. The kernel stays
-// serial only because no caller's product reaches matMulParallelFlops.
-func MatMulTransAInto(dst, a, b *Dense) { transA(dst, a, b, false) }
-
-// AddMatMulTransA computes dst += Aᵀ·B where A is k×m and B is k×n; dst must
-// be m×n. This is how layers accumulate weight gradients. Each row of the
-// product is finished in registers and then added, so dst holds exactly the
-// bits MatMulTransAInto into scratch followed by an elementwise add would
-// leave — including −0 + +0 = +0 where a product row is all zeros — without
-// the scratch matrix or the second pass over it.
-func AddMatMulTransA(dst, a, b *Dense) { transA(dst, a, b, true) }
-
-func transA(dst, a, b *Dense, add bool) {
+// serial only because no caller's product reaches matMulParallelFlops. No
+// layer calls it (weight gradients accumulate through AddMatMulTransARows):
+// it stays for benchmarks/perf/kernels.go's tensor.matmul_transa_us row,
+// and for the tests, until ROADMAP item 13(c) retargets that row.
+func MatMulTransAInto(dst, a, b *Dense) {
 	_, m, n := mustTransA(a, b)
 	mustShape(dst, m, n)
 	s := gemmPool.Get().(*gemmScratch)
 	s.rows.SetDense(a)
-	s.rows.transA(dst.data, b.data, n, add)
+	s.rows.transA(dst.data, b.data, n, false)
 	gemmPool.Put(s)
 }
 
 // AddMatMulTransARows computes dst += Aᵀ·B for A given as rows (k×m: k =
-// a.NumRows(), m = a.Cols) and B k×n; dst must be m×n. It is AddMatMulTransA
-// on A's dense form, bit for bit, without the screen. The column lists are
-// built in storage a holds, so a Rows must not be used by two calls at once.
+// a.NumRows(), m = a.Cols) and B k×n; dst must be m×n. This is how layers
+// accumulate weight gradients. Each row of the product is finished in
+// registers and then added, so dst holds exactly the bits MatMulTransAInto
+// on A's dense form into scratch followed by an elementwise add would leave
+// — including −0 + +0 = +0 where a product row is all zeros — without the
+// screen, the scratch matrix or the second pass over it. The column lists
+// are built in storage a holds, so a Rows must not be used by two calls at
+// once.
 func AddMatMulTransARows(dst *Dense, a *Rows, b *Dense) {
 	k, n := mustMatrix(b)
 	if a.NumRows() != k {

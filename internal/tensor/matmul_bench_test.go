@@ -9,8 +9,7 @@ import (
 
 // Representative shapes for the default policy (model.DefaultConfig):
 // input 3·16·16+3 = 771, hidden 64, training batch 16, probe batches up to
-// ~128, and the optional conv front-end (3×16×16 BEV, 3×3 kernel, stride 2,
-// pad 1 → 8×8 spatial, 27-wide receptive fields). The parallel-matmul
+// ~128. The parallel-matmul
 // threshold (matMulParallelFlops) is chosen from this data: shapes below it
 // are too small to amortize goroutine dispatch, shapes above it are the
 // probe-evaluation and scaled-up-model batches that benefit.
@@ -81,24 +80,6 @@ func BenchmarkMatMulTransBInto(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		MatMulTransBInto(dst, g, w)
 	}
-}
-
-func BenchmarkIm2Col(b *testing.B) {
-	// Conv front-end receptive-field lowering: 3×16×16 BEV, 3×3 kernel,
-	// stride 2, pad 1.
-	img := fill(New(3, 16, 16))
-	b.Run("alloc", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = Im2Col(img, 3, 2, 1)
-		}
-	})
-	b.Run("into", func(b *testing.B) {
-		dst := Im2Col(img, 3, 2, 1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			dst = Im2ColInto(dst, img, 3, 2, 1)
-		}
-	})
 }
 
 // binaryRows returns m rows of k columns in which share of the entries are 1

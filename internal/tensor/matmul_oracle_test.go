@@ -70,8 +70,8 @@ func oracleTransB(cd, ad, bd []float64, lo, hi, k, n int) {
 	}
 }
 
-// oracleTransAThenAdd is what Dense.Backward and Conv2D.Backward did before
-// AddMatMulTransA: the product into scratch, then an elementwise add.
+// oracleTransAThenAdd is how the layers accumulated weight gradients before
+// the += gather: the product into scratch, then an elementwise add.
 func oracleTransAThenAdd(dst, a, b *Dense) {
 	scratch := New(dst.shape...)
 	oracleTransA(scratch, a, b)
@@ -199,6 +199,15 @@ func TestKernelsMatchOracleBits(t *testing.T) {
 	}
 }
 
+// addMatMulTransA is dst += Aᵀ·B as a layer takes its weight gradient: A
+// screened into Rows (nn.Dense.Forward's Rows.SetDense), then
+// AddMatMulTransARows.
+func addMatMulTransA(dst, a, b *Dense) {
+	var r Rows
+	r.SetDense(a)
+	AddMatMulTransARows(dst, &r, b)
+}
+
 func checkKernels(t *testing.T, c kernelCase, rng *simrand.Rand) {
 	t.Helper()
 	m, k, n := c.m, c.k, c.n
@@ -233,32 +242,34 @@ func checkKernels(t *testing.T, c kernelCase, rng *simrand.Rand) {
 		}
 		got.data[i], want.data[i] = v, v
 	}
-	AddMatMulTransA(got, c.at, c.b)
+	addMatMulTransA(got, c.at, c.b)
 	oracleTransAThenAdd(want, c.at, c.b)
-	sameBits(t, c.name+" AddMatMulTransA", got.data, want.data)
+	sameBits(t, c.name+" AddMatMulTransARows", got.data, want.data)
 }
 
-// TestAddMatMulTransAZeroProductRow pins the −0 rule by itself: column 1 of A
-// is all zeros, so row 1 of Aᵀ·B is +0 everywhere and −0 + +0 must read +0.
+// TestAddMatMulTransAZeroProductRow pins AddMatMulTransARows' −0 rule by
+// itself: column 1 of A is all zeros, so row 1 of Aᵀ·B is +0 everywhere and
+// −0 + +0 must read +0.
 func TestAddMatMulTransAZeroProductRow(t *testing.T) {
 	a := FromSlice([]float64{1, 0, 2, 0}, 2, 2) // k=2, m=2
 	b := FromSlice([]float64{3, 4, 5, 6}, 2, 2)
 	negZero := math.Copysign(0, -1)
 	dst := FromSlice([]float64{negZero, 1, negZero, negZero}, 2, 2)
-	AddMatMulTransA(dst, a, b)
+	addMatMulTransA(dst, a, b)
 	want := []float64{13, 17, 0, 0}
 	sameBits(t, "dst", dst.data, want)
 }
 
-// TestAddMatMulTransAWideRows runs product rows wider than any layer's
-// through several 32-column strips, a 4-lane strip and the scalar tail.
+// TestAddMatMulTransAWideRows runs AddMatMulTransARows' product rows, wider
+// than any layer's, through several 32-column strips, a 4-lane strip and the
+// scalar tail.
 func TestAddMatMulTransAWideRows(t *testing.T) {
 	rng := simrand.New(3)
 	c := newKernelCase(3, 5, 8*gatherStrip+7, 0.5, false, rng)
 	got, want := New(c.m, c.n), New(c.m, c.n)
 	got.Fill(0.25)
 	want.Fill(0.25)
-	AddMatMulTransA(got, c.at, c.b)
+	addMatMulTransA(got, c.at, c.b)
 	oracleTransAThenAdd(want, c.at, c.b)
 	sameBits(t, "wide", got.data, want.data)
 }

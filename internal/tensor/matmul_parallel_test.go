@@ -80,22 +80,3 @@ func TestReuseLike(t *testing.T) {
 		t.Errorf("ReuseLike shape = %v", s)
 	}
 }
-
-func TestIm2ColIntoMatchesIm2Col(t *testing.T) {
-	img := New(3, 16, 16)
-	for i := range img.Data() {
-		img.Data()[i] = float64(i % 13)
-	}
-	want := Im2Col(img, 3, 2, 1)
-	scratch := New(1, 1)
-	got := Im2ColInto(scratch, img, 3, 2, 1)
-	if !Equal(want, got, 0) {
-		t.Error("Im2ColInto differs from Im2Col")
-	}
-	// Reuse with dirty contents must still match: every cell is overwritten.
-	got.Fill(99)
-	got = Im2ColInto(got, img, 3, 2, 1)
-	if !Equal(want, got, 0) {
-		t.Error("Im2ColInto reuse with dirty scratch differs")
-	}
-}

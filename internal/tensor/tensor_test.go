@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -185,54 +184,4 @@ func TestMatMulDimensionPanic(t *testing.T) {
 		}
 	}()
 	matMul(New(2, 3), New(2, 2))
-}
-
-func TestIm2ColIdentityKernel(t *testing.T) {
-	// 1×1 kernel, stride 1, no padding: im2col rows are exactly the pixels.
-	img := FromSlice([]float64{1, 2, 3, 4}, 1, 2, 2)
-	cols := Im2Col(img, 1, 1, 0)
-	if cols.Shape()[0] != 4 || cols.Shape()[1] != 1 {
-		t.Fatalf("shape = %v", cols.Shape())
-	}
-	for i, want := range []float64{1, 2, 3, 4} {
-		if cols.Data()[i] != want {
-			t.Errorf("col %d = %v", i, cols.Data()[i])
-		}
-	}
-}
-
-func TestIm2ColPaddingZeros(t *testing.T) {
-	img := FromSlice([]float64{5}, 1, 1, 1)
-	cols := Im2Col(img, 3, 1, 1) // single 3×3 receptive field centered on pixel
-	if cols.Shape()[0] != 1 || cols.Shape()[1] != 9 {
-		t.Fatalf("shape = %v", cols.Shape())
-	}
-	var sum float64
-	for _, v := range cols.Data() {
-		sum += v
-	}
-	if sum != 5 || cols.Data()[4] != 5 {
-		t.Errorf("padded field = %v", cols.Data())
-	}
-}
-
-func TestCol2ImIsAdjoint(t *testing.T) {
-	// <Im2Col(x), y> must equal <x, Col2Im(y)> (adjoint property),
-	// which is exactly what backprop through im2col requires.
-	const c, h, w, k, stride, pad = 2, 4, 4, 3, 1, 1
-	x := New(c, h, w)
-	for i := range x.Data() {
-		x.Data()[i] = float64(i%7) - 3
-	}
-	cols := Im2Col(x, k, stride, pad)
-	y := New(cols.Shape()[0], cols.Shape()[1])
-	for i := range y.Data() {
-		y.Data()[i] = float64((i*5)%11) - 5
-	}
-	lhs := cols.Dot(y)
-	back := Col2Im(y, c, h, w, k, stride, pad)
-	rhs := x.Dot(back)
-	if math.Abs(lhs-rhs) > 1e-9 {
-		t.Errorf("adjoint mismatch: %v vs %v", lhs, rhs)
-	}
 }
