@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"lbchat/internal/core"
+	"lbchat/internal/radio"
 	"lbchat/internal/simrand"
 	"lbchat/internal/telemetry"
 )
@@ -92,7 +93,7 @@ func (p *ProxSkip) emitLink(e *core.Engine, from, to, bytes int, ok bool) {
 	if ok {
 		ev.BytesDelivered = bytes
 	} else {
-		ev.Truncated = telemetry.TruncLoss
+		ev.Truncated = radio.TruncLoss
 	}
 	e.Emit(ev)
 }

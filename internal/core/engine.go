@@ -216,11 +216,11 @@ type Protocol interface {
 type Engine struct {
 	Cfg      Config
 	Vehicles []*Vehicle
-	// Trace is the fleet mobility source: a resident *trace.Trace or a
-	// bounded sliding *trace.Window. The engine advances it once per tick
-	// and only ever reads [now, now + ContactHorizon + TimeBudget], which
-	// is the span it reserves on windowed sources.
-	Trace trace.Source
+	// Trace is the fleet mobility trace, resident or windowed. The engine
+	// advances it once per tick and only ever reads [now, now +
+	// ContactHorizon + TimeBudget], which is the span it reserves on a
+	// windowed trace.
+	Trace *trace.Trace
 	Radio *radio.Model
 	Probe []dataset.Weighted
 
@@ -332,12 +332,11 @@ type stepOutcome struct {
 // assumption), built once and cloned into each, but distinct random
 // streams.
 //
-// The trace may be resident or a bounded sliding window (trace.Source);
-// windowed sources are reserved to the engine's lookahead — ContactHorizon
-// plus TimeBudget past the cursor — and advanced once per tick, so results
-// are bit-identical either way while a streamed run's trace working set
-// stays O(window) chunks.
-func NewEngine(cfg Config, tr trace.Source, datasets []*dataset.Dataset, rm *radio.Model, probe []dataset.Weighted) (*Engine, error) {
+// The trace may be resident or windowed; a windowed trace is reserved to
+// the engine's lookahead — ContactHorizon plus TimeBudget past the cursor —
+// and advanced once per tick, so results are bit-identical either way while
+// a streamed run's trace working set stays O(window) chunks.
+func NewEngine(cfg Config, tr *trace.Trace, datasets []*dataset.Dataset, rm *radio.Model, probe []dataset.Weighted) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -369,19 +368,17 @@ func NewEngine(cfg Config, tr trace.Source, datasets []*dataset.Dataset, rm *rad
 	e.probeFn = e.probeOne
 	e.calendar = sched.NewCalendar(len(datasets))
 	e.obs, _ = e.tel.(telemetry.Observer)
-	if w, ok := tr.(trace.Windowed); ok {
-		// The engine's deepest lookahead past the cursor: a contact scan
-		// reaches ContactHorizon ahead and an in-flight transfer samples
-		// distances up to its deadline (≤ TimeBudget) past its start, with
-		// one tick of slack for the snap-to-tick clamp. The trailing span
-		// keeps the window's own default.
-		w.Reserve(0, cfg.ContactHorizon+cfg.TimeBudget+cfg.TickSeconds)
-		if e.obs != nil {
-			w.SetChunkObserver(e.observeChunk)
-		}
-		if err := w.Advance(0); err != nil {
-			return nil, fmt.Errorf("core: loading initial trace window: %w", err)
-		}
+	// The engine's deepest lookahead past the cursor: a contact scan
+	// reaches ContactHorizon ahead and an in-flight transfer samples
+	// distances up to its deadline (≤ TimeBudget) past its start, with one
+	// tick of slack for the snap-to-tick clamp. The trailing span keeps the
+	// window's own default. All three calls do nothing on a resident trace.
+	tr.Reserve(0, cfg.ContactHorizon+cfg.TimeBudget+cfg.TickSeconds)
+	if e.obs != nil {
+		tr.SetChunkObserver(e.observeChunk)
+	}
+	if err := tr.Advance(0); err != nil {
+		return nil, fmt.Errorf("core: loading initial trace window: %w", err)
 	}
 	if cfg.Faults.Enabled() {
 		e.faults = faults.NewInjector(cfg.Faults, root.Derive("faults"), tr.NumVehicles())
@@ -472,7 +469,7 @@ func (e *Engine) RunContext(ctx context.Context, p Protocol, duration float64) (
 	return nil
 }
 
-// advanceTrace moves a windowed trace source's cursor to the current tick.
+// advanceTrace moves a windowed trace's cursor to the current tick.
 // Resident traces make this a no-op.
 func (e *Engine) advanceTrace() error {
 	dt := e.Trace.DT()

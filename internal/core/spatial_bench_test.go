@@ -72,7 +72,7 @@ func fleetRows(n, ticks int, dt float64) [][]geom.Point {
 
 // rowsEngine builds fleetEngine's model-free engine over any trace, ticking
 // at the trace's own interval.
-func rowsEngine(tb testing.TB, tr trace.Source, sink telemetry.Sink) *Engine {
+func rowsEngine(tb testing.TB, tr *trace.Trace, sink telemetry.Sink) *Engine {
 	tb.Helper()
 	cfg, datasets := rowsInputs(tr, sink)
 	eng, err := NewEngine(cfg, tr, datasets, radio.NewModel(false), nil)
@@ -84,7 +84,7 @@ func rowsEngine(tb testing.TB, tr trace.Source, sink telemetry.Sink) *Engine {
 
 // rowsInputs returns rowsEngine's configuration — one worker, the trace's
 // tick, fleet-scan's two-unit model — and one empty dataset per vehicle.
-func rowsInputs(tr trace.Source, sink telemetry.Sink) (Config, []*dataset.Dataset) {
+func rowsInputs(tr *trace.Trace, sink telemetry.Sink) (Config, []*dataset.Dataset) {
 	datasets := make([]*dataset.Dataset, tr.NumVehicles())
 	for i := range datasets {
 		datasets[i] = dataset.New(0)

@@ -106,11 +106,11 @@ func FullScale() Scale {
 type Env struct {
 	Scale Scale
 	Map   *world.Map
-	// Trace is the env-level mobility source: the resident trace every run
+	// Trace is the env-level mobility trace: the resident trace every run
 	// shares, or — when the trace is windowed — a window over chunks that
 	// only answers for the stream's shape. Windowed runs do not share it:
 	// each opens its own window (a window's cursor only moves forward).
-	Trace    trace.Source
+	Trace    *trace.Trace
 	Probe    []dataset.Weighted
 	Suite    *eval.Suite
 	Cfg      core.Config

@@ -478,13 +478,15 @@ func CommandImbalance(perSample, weights []float64, cmds []dataset.Command) floa
 	return logK - entropy
 }
 
+// commandMultipliers returns each command's gradient share under the λ2
+// rebalancing; lambda is entropyPenalty (> 0). It stays a parameter so the
+// clamp bounds 1−λ and 1+4λ are float64 arithmetic at run time, not
+// constant expressions folded at arbitrary precision — their bits are in
+// the golden training trajectory.
 func commandMultipliers(perSample, weights []float64, cmds []dataset.Command, lambda float64) [dataset.NumCommands]float64 {
 	var mult [dataset.NumCommands]float64
 	for i := range mult {
 		mult[i] = 1
-	}
-	if lambda <= 0 {
-		return mult
 	}
 	var sums, ws [dataset.NumCommands]float64
 	for i, l := range perSample {

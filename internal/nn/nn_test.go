@@ -102,7 +102,8 @@ func TestDenseInputGradient(t *testing.T) {
 
 func TestReLUForwardBackward(t *testing.T) {
 	r := NewReLU()
-	x := tensor.FromSlice([]float64{-1, 0, 2}, 1, 3)
+	x := tensor.New(1, 3)
+	copy(x.Data(), []float64{-1, 0, 2})
 	y := r.Forward(x)
 	want := []float64{0, 0, 2}
 	for i, v := range y.Data() {
@@ -110,7 +111,9 @@ func TestReLUForwardBackward(t *testing.T) {
 			t.Errorf("forward[%d] = %v", i, v)
 		}
 	}
-	g := r.Backward(tensor.FromSlice([]float64{5, 5, 5}, 1, 3))
+	dy := tensor.New(1, 3)
+	copy(dy.Data(), []float64{5, 5, 5})
+	g := r.Backward(dy)
 	wantG := []float64{0, 0, 5}
 	for i, v := range g.Data() {
 		if v != wantG[i] {

@@ -121,111 +121,6 @@ func checkFile(fset *token.FileSet, path string, file *ast.File, findings *[]str
 	})
 }
 
-// ConcreteTraceParams parses every .go file under root and returns one
-// "path:line:col: ..." finding per function parameter declared with a
-// concrete mobility-source type — trace.Trace or trace.Window, with any
-// number of pointer indirections — outside the trace package itself.
-// Consumers must accept the trace.Source interface (or trace.Windowed for
-// window-specific capabilities) so both the resident trace and the bounded
-// sliding window satisfy them; a concrete parameter type quietly pins a
-// call path to one implementation and breaks the streamed/resident A/B
-// guarantee. Returning a concrete type is fine — constructors do — and the
-// trace package's own internals are exempt.
-func ConcreteTraceParams(root string) ([]string, error) {
-	var findings []string
-	fset := token.NewFileSet()
-	tracePkgDir := filepath.Join("internal", "trace")
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if name == "testdata" || strings.HasPrefix(name, ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		rel, relErr := filepath.Rel(root, path)
-		if relErr != nil {
-			rel = path
-		}
-		if strings.HasPrefix(rel, tracePkgDir+string(filepath.Separator)) {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return fmt.Errorf("parsing %s: %w", path, err)
-		}
-		checkTraceParams(fset, rel, file, &findings)
-		return nil
-	})
-	return findings, err
-}
-
-// checkTraceParams appends a finding for each concrete-trace parameter in
-// one file. It resolves the file's local name for the trace import (usually
-// "trace", but aliases count too) and then flags parameters of that
-// package's Trace and Window types in every function signature — top-level
-// declarations, methods, function literals, func-typed fields, and
-// interface methods all share *ast.FuncType and are visited alike.
-func checkTraceParams(fset *token.FileSet, path string, file *ast.File, findings *[]string) {
-	local := ""
-	for _, imp := range file.Imports {
-		if strings.Trim(imp.Path.Value, `"`) != "lbchat/internal/trace" {
-			continue
-		}
-		local = "trace"
-		if imp.Name != nil {
-			local = imp.Name.Name
-		}
-	}
-	if local == "" || local == "." || local == "_" {
-		return
-	}
-	concrete := func(expr ast.Expr) string {
-		for {
-			star, ok := expr.(*ast.StarExpr)
-			if !ok {
-				break
-			}
-			expr = star.X
-		}
-		sel, ok := expr.(*ast.SelectorExpr)
-		if !ok {
-			return ""
-		}
-		pkg, ok := sel.X.(*ast.Ident)
-		if !ok || pkg.Name != local {
-			return ""
-		}
-		if sel.Sel.Name == "Trace" || sel.Sel.Name == "Window" {
-			return local + "." + sel.Sel.Name
-		}
-		return ""
-	}
-	ast.Inspect(file, func(n ast.Node) bool {
-		ft, ok := n.(*ast.FuncType)
-		if !ok || ft.Params == nil {
-			return true
-		}
-		for _, f := range ft.Params.List {
-			name := concrete(f.Type)
-			if name == "" {
-				continue
-			}
-			pos := fset.Position(f.Type.Pos())
-			*findings = append(*findings, fmt.Sprintf(
-				"%s:%d:%d: parameter typed with concrete %s; accept trace.Source (or trace.Windowed) instead",
-				path, pos.Line, pos.Column, name))
-		}
-		return true
-	})
-}
-
 // DirectCoresetBuilds parses every .go file under root and returns one
 // "path:line:col: ..." finding per call to coreset.Build or
 // coreset.BuildWith outside the coreset package. Coresets must be built

@@ -28,96 +28,6 @@ func TestNoShadowedBuiltins(t *testing.T) {
 	}
 }
 
-// TestNoConcreteTraceParams is the repository-wide assertion: outside
-// internal/trace, no function may take the concrete trace.Trace or
-// trace.Window as a parameter — consumers go through trace.Source so the
-// resident and streamed implementations stay interchangeable.
-func TestNoConcreteTraceParams(t *testing.T) {
-	root, err := ModuleRoot(".")
-	if err != nil {
-		t.Fatalf("ModuleRoot: %v", err)
-	}
-	findings, err := ConcreteTraceParams(root)
-	if err != nil {
-		t.Fatalf("ConcreteTraceParams: %v", err)
-	}
-	for _, f := range findings {
-		t.Error(f)
-	}
-}
-
-// TestDetectsConcreteTraceParams pins down the signature forms the checker
-// must catch, and the ones it must deliberately allow.
-func TestDetectsConcreteTraceParams(t *testing.T) {
-	src := `package p
-
-import tr "lbchat/internal/trace"
-
-func f(t *tr.Trace) {}                  // pointer param
-func g(w tr.Window, n int) {}           // value param
-func h(fn func(*tr.Trace)) {}           // func-typed param's param
-func ok1(s tr.Source) {}                // interface param: allowed
-func ok2(w tr.Windowed) {}              // capability param: allowed
-func ok3() *tr.Trace { return nil }     // concrete result: allowed
-func ok4(cfg tr.WindowConfig) {}        // config struct: allowed
-
-type i interface {
-	m(*tr.Window) // interface method param
-}
-`
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "x.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	findings, err := ConcreteTraceParams(dir)
-	if err != nil {
-		t.Fatalf("ConcreteTraceParams: %v", err)
-	}
-	if len(findings) != 4 {
-		t.Fatalf("got %d findings, want 4:\n%s", len(findings), strings.Join(findings, "\n"))
-	}
-	for _, f := range findings {
-		if strings.Contains(f, "ok") || strings.Contains(f, "Source") && !strings.Contains(f, "accept") {
-			t.Errorf("allowed form wrongly flagged: %s", f)
-		}
-	}
-}
-
-// TestConcreteTraceParamsExemptsTracePackage: the trace package's own files
-// (and files that never import it) produce no findings.
-func TestConcreteTraceParamsExemptsTracePackage(t *testing.T) {
-	dir := t.TempDir()
-	inTrace := filepath.Join(dir, "internal", "trace")
-	if err := os.MkdirAll(inTrace, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	own := `package trace
-
-import tr "lbchat/internal/trace"
-
-func internalHelper(t *tr.Trace) {}
-`
-	if err := os.WriteFile(filepath.Join(inTrace, "x.go"), []byte(own), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	noImport := `package p
-
-type Trace struct{}
-
-func f(t *Trace) {} // unrelated local type named Trace
-`
-	if err := os.WriteFile(filepath.Join(dir, "y.go"), []byte(noImport), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	findings, err := ConcreteTraceParams(dir)
-	if err != nil {
-		t.Fatalf("ConcreteTraceParams: %v", err)
-	}
-	if len(findings) != 0 {
-		t.Errorf("unexpected findings:\n%s", strings.Join(findings, "\n"))
-	}
-}
-
 // TestNoDirectCoresetBuilds is the repository-wide assertion: outside the
 // coreset package no non-test code may call coreset.Build/BuildWith
 // directly — coresets flow through Engine.EnsureCoreset so the partition

@@ -41,13 +41,6 @@ const (
 // (the ProxSkip central server, RSU coordinators) in Transfer events.
 const PeerInfra = -1
 
-// Transfer truncation reasons (mirrors radio.TransferResult.Truncated).
-const (
-	TruncDeadline = "deadline"
-	TruncRange    = "range"
-	TruncLoss     = "loss"
-)
-
 // RunStarted brackets the beginning of one protocol training run.
 type RunStarted struct {
 	Protocol string `json:"protocol"`
@@ -124,8 +117,9 @@ type Transfer struct {
 	BytesDelivered int     `json:"bytes_delivered"`
 	Completed      bool    `json:"completed"`
 	Elapsed        float64 `json:"elapsed"`
-	// Truncated names why an incomplete transfer stopped ("deadline",
-	// "range", "loss"); empty when Completed.
+	// Truncated names why an incomplete transfer stopped, one of the
+	// radio.TruncDeadline, radio.TruncRange and radio.TruncLoss reasons of
+	// radio.TransferResult.Truncated; empty when Completed.
 	Truncated string `json:"truncated,omitempty"`
 }
 

@@ -17,7 +17,7 @@ var allEventKinds = []Event{
 	ChatCompleted{Time: 10, A: 1, B: 2, Elapsed: 13.7},
 	ChatAborted{Time: 11, A: 3, B: 4, Reason: AbortCoresetExchange},
 	CompressionChosen{Time: 10, From: 1, To: 2, Psi: 0.35, Bytes: 18_200_000},
-	Transfer{Time: 10, From: 1, To: 2, Payload: PayloadModel, BytesRequested: 100, BytesDelivered: 50, Elapsed: 3.2, Truncated: TruncRange},
+	Transfer{Time: 10, From: 1, To: 2, Payload: PayloadModel, BytesRequested: 100, BytesDelivered: 50, Elapsed: 3.2, Truncated: "range"},
 	Aggregation{Time: 12, Vehicle: 2, WSelf: 0.45, WPeer: 0.55},
 	CoresetAbsorbed{Time: 12, Vehicle: 2, Frames: 150},
 	CoresetEvicted{Time: 12, Vehicle: 2, Dropped: 150},

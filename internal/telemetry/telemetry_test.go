@@ -98,7 +98,7 @@ func TestSummaryAggregation(t *testing.T) {
 	s.Emit(ChatInitiated{Time: 10, A: 0, B: 1, Contact: 40, Window: 15})
 	s.Emit(Transfer{Time: 10, From: 0, To: 1, Payload: PayloadCoreset, BytesRequested: 600_000, BytesDelivered: 600_000, Completed: true})
 	s.Emit(CompressionChosen{Time: 10, From: 0, To: 1, Psi: 0.35, Bytes: 18_200_000})
-	s.Emit(Transfer{Time: 10, From: 0, To: 1, Payload: PayloadModel, BytesRequested: 18_200_000, BytesDelivered: 9_000_000, Truncated: TruncDeadline})
+	s.Emit(Transfer{Time: 10, From: 0, To: 1, Payload: PayloadModel, BytesRequested: 18_200_000, BytesDelivered: 9_000_000, Truncated: "deadline"})
 	s.Emit(ChatCompleted{Time: 10, A: 0, B: 1, Elapsed: 14.2})
 	s.Emit(Aggregation{Time: 11, Vehicle: 1, WSelf: 0.4, WPeer: 0.6})
 	s.Emit(TrainStep{Time: 12, Vehicle: 0, Steps: 2, Loss: 0.5})

@@ -251,10 +251,10 @@ func checkKernels(t *testing.T, c kernelCase, rng *simrand.Rand) {
 // itself: column 1 of A is all zeros, so row 1 of Aᵀ·B is +0 everywhere and
 // −0 + +0 must read +0.
 func TestAddMatMulTransAZeroProductRow(t *testing.T) {
-	a := FromSlice([]float64{1, 0, 2, 0}, 2, 2) // k=2, m=2
-	b := FromSlice([]float64{3, 4, 5, 6}, 2, 2)
+	a := mat(2, 2, 1, 0, 2, 0) // k=2, m=2
+	b := mat(2, 2, 3, 4, 5, 6)
 	negZero := math.Copysign(0, -1)
-	dst := FromSlice([]float64{negZero, 1, negZero, negZero}, 2, 2)
+	dst := mat(2, 2, negZero, 1, negZero, negZero)
 	addMatMulTransA(dst, a, b)
 	want := []float64{13, 17, 0, 0}
 	sameBits(t, "dst", dst.data, want)

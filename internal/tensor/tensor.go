@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Dense is a dense row-major tensor of float64 values.
 type Dense struct {
@@ -24,22 +21,6 @@ func New(shape ...int) *Dense {
 	s := make([]int, len(shape))
 	copy(s, shape)
 	return &Dense{shape: s, data: make([]float64, n)}
-}
-
-// FromSlice wraps data in a tensor of the given shape. The data is NOT
-// copied; the caller must not alias it unexpectedly. The data length must
-// match the shape volume.
-func FromSlice(data []float64, shape ...int) *Dense {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(data) {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v", len(data), shape))
-	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Dense{shape: s, data: data}
 }
 
 // Shape returns the tensor's shape. The returned slice must not be mutated.
@@ -97,30 +78,6 @@ func ReuseLike(t *Dense, ref *Dense) *Dense {
 	return t
 }
 
-// At returns the element at the given multi-index.
-func (t *Dense) At(idx ...int) float64 {
-	return t.data[t.offset(idx)]
-}
-
-// Set writes the element at the given multi-index.
-func (t *Dense) Set(v float64, idx ...int) {
-	t.data[t.offset(idx)] = v
-}
-
-func (t *Dense) offset(idx []int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index rank %d does not match shape %v", len(idx), t.shape))
-	}
-	off := 0
-	for i, ix := range idx {
-		if ix < 0 || ix >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", idx, t.shape))
-		}
-		off = off*t.shape[i] + ix
-	}
-	return off
-}
-
 // Zero sets every element to zero.
 func (t *Dense) Zero() {
 	for i := range t.data {
@@ -154,49 +111,5 @@ func (t *Dense) SumRowsInto(dst []float64) {
 	dst = dst[:cols]
 	for i := 0; i < rows; i++ {
 		addRow(dst, t.data[i*cols:(i+1)*cols])
-	}
-}
-
-// Dot returns the inner product of t and other viewed as flat vectors.
-func (t *Dense) Dot(other *Dense) float64 {
-	assertSameSize(t, other)
-	var acc float64
-	for i, v := range t.data {
-		acc += v * other.data[i]
-	}
-	return acc
-}
-
-// L2Norm returns the Euclidean norm of the flattened tensor.
-func (t *Dense) L2Norm() float64 {
-	var acc float64
-	for _, v := range t.data {
-		acc += v * v
-	}
-	return math.Sqrt(acc)
-}
-
-// Equal reports whether two tensors have identical shapes and elementwise
-// differences at most tol.
-func Equal(a, b *Dense, tol float64) bool {
-	if len(a.shape) != len(b.shape) {
-		return false
-	}
-	for i := range a.shape {
-		if a.shape[i] != b.shape[i] {
-			return false
-		}
-	}
-	for i := range a.data {
-		if math.Abs(a.data[i]-b.data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-func assertSameSize(a, b *Dense) {
-	if len(a.data) != len(b.data) {
-		panic(fmt.Sprintf("tensor: size mismatch %v vs %v", a.shape, b.shape))
 	}
 }

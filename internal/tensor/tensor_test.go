@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -26,37 +28,8 @@ func TestNewPanicsOnBadShape(t *testing.T) {
 	New(2, 0)
 }
 
-func TestFromSliceNoCopy(t *testing.T) {
-	data := []float64{1, 2, 3, 4}
-	x := FromSlice(data, 2, 2)
-	data[0] = 9
-	if x.At(0, 0) != 9 {
-		t.Error("FromSlice must wrap, not copy")
-	}
-}
-
-func TestFromSliceLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on length mismatch")
-		}
-	}()
-	FromSlice([]float64{1, 2, 3}, 2, 2)
-}
-
-func TestAtSet(t *testing.T) {
-	x := New(2, 3)
-	x.Set(7, 1, 2)
-	if x.At(1, 2) != 7 {
-		t.Error("At after Set")
-	}
-	if x.Data()[5] != 7 {
-		t.Error("row-major layout broken")
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
-	x := FromSlice([]float64{1, 2}, 2)
+	x := mat(1, 2, 1, 2)
 	y := x.Clone()
 	y.Data()[0] = 5
 	if x.Data()[0] != 1 {
@@ -65,36 +38,35 @@ func TestCloneIndependent(t *testing.T) {
 }
 
 func TestElementwiseOps(t *testing.T) {
-	x := FromSlice([]float64{1, 2}, 2)
+	x := mat(1, 2, 1, 2)
 	x.ScaleInPlace(3)
 	if x.Data()[0] != 3 || x.Data()[1] != 6 {
 		t.Errorf("ScaleInPlace: %v", x.Data())
 	}
 }
 
-func TestNorms(t *testing.T) {
-	x := FromSlice([]float64{3, -4}, 2)
-	if x.L2Norm() != 5 {
-		t.Errorf("L2Norm = %v", x.L2Norm())
+// mat returns a rows×cols matrix holding data, row-major.
+func mat(rows, cols int, data ...float64) *Dense {
+	if len(data) != rows*cols {
+		panic("tensor test: matrix data does not match its shape")
 	}
-	if x.Dot(x) != 25 {
-		t.Errorf("Dot = %v", x.Dot(x))
-	}
+	t := New(rows, cols)
+	copy(t.Data(), data)
+	return t
 }
 
-func TestEqual(t *testing.T) {
-	a := FromSlice([]float64{1, 2}, 2)
-	b := FromSlice([]float64{1, 2.0000001}, 2)
-	if !Equal(a, b, 1e-6) {
-		t.Error("Equal within tolerance failed")
+// within reports whether a and b have one shape and elementwise differences
+// of at most tol.
+func within(a, b *Dense, tol float64) bool {
+	if !slices.Equal(a.Shape(), b.Shape()) {
+		return false
 	}
-	if Equal(a, b, 1e-9) {
-		t.Error("Equal beyond tolerance passed")
+	for i, v := range a.Data() {
+		if math.Abs(v-b.Data()[i]) > tol {
+			return false
+		}
 	}
-	c := FromSlice([]float64{1, 2}, 1, 2)
-	if Equal(a, c, 1) {
-		t.Error("Equal across shapes passed")
-	}
+	return true
 }
 
 func naiveMatMul(a, b *Dense) *Dense {
@@ -105,9 +77,9 @@ func naiveMatMul(a, b *Dense) *Dense {
 		for j := 0; j < n; j++ {
 			var acc float64
 			for p := 0; p < k; p++ {
-				acc += a.At(i, p) * b.At(p, j)
+				acc += a.Data()[i*k+p] * b.Data()[p*n+j]
 			}
-			c.Set(acc, i, j)
+			c.Data()[i*n+j] = acc
 		}
 	}
 	return c
@@ -121,11 +93,11 @@ func matMul(a, b *Dense) *Dense {
 }
 
 func TestMatMulAgainstNaive(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
+	a := mat(2, 3, 1, 2, 3, 4, 5, 6)
+	b := mat(3, 2, 7, 8, 9, 10, 11, 12)
 	got := matMul(a, b)
 	want := naiveMatMul(a, b)
-	if !Equal(got, want, 1e-12) {
+	if !within(got, want, 1e-12) {
 		t.Errorf("MatMulInto = %v, want %v", got.Data(), want.Data())
 	}
 }
@@ -145,7 +117,7 @@ func TestMatMulProperty(t *testing.T) {
 		for i := range b.Data() {
 			b.Data()[i] = float64((seed+int64(i)*11)%17) / 5
 		}
-		return Equal(matMul(a, b), naiveMatMul(a, b), 1e-9)
+		return within(matMul(a, b), naiveMatMul(a, b), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -154,25 +126,25 @@ func TestMatMulProperty(t *testing.T) {
 
 func TestMatMulTransA(t *testing.T) {
 	// Aᵀ·B computed directly must match transposing then multiplying.
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 3, 2) // 3×2 → Aᵀ is 2×3
-	b := FromSlice([]float64{1, 0, 0, 1, 1, 1}, 3, 2)
+	a := mat(3, 2, 1, 2, 3, 4, 5, 6) // 3×2 → Aᵀ is 2×3
+	b := mat(3, 2, 1, 0, 0, 1, 1, 1)
 	got := New(2, 2)
 	MatMulTransAInto(got, a, b)
-	at := FromSlice([]float64{1, 3, 5, 2, 4, 6}, 2, 3)
+	at := mat(2, 3, 1, 3, 5, 2, 4, 6)
 	want := naiveMatMul(at, b)
-	if !Equal(got, want, 1e-12) {
+	if !within(got, want, 1e-12) {
 		t.Errorf("TransA = %v, want %v", got.Data(), want.Data())
 	}
 }
 
 func TestMatMulTransB(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	b := FromSlice([]float64{5, 6, 7, 8}, 2, 2) // Bᵀ = [[5,7],[6,8]]
+	a := mat(2, 2, 1, 2, 3, 4)
+	b := mat(2, 2, 5, 6, 7, 8) // Bᵀ = [[5,7],[6,8]]
 	got := New(2, 2)
 	MatMulTransBInto(got, a, b)
-	bt := FromSlice([]float64{5, 7, 6, 8}, 2, 2)
+	bt := mat(2, 2, 5, 7, 6, 8)
 	want := naiveMatMul(a, bt)
-	if !Equal(got, want, 1e-12) {
+	if !within(got, want, 1e-12) {
 		t.Errorf("TransB = %v, want %v", got.Data(), want.Data())
 	}
 }

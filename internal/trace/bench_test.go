@@ -56,9 +56,9 @@ func BenchmarkWindowAdvance(b *testing.B) {
 }
 
 // BenchmarkWindowRowAt measures the in-window lookup path against the
-// resident trace's: after Advance, Row/RowAt must cost the same few
-// instructions either way — the window adds one range check and a chunk
-// ring lookup, nothing per-vehicle.
+// resident trace's: after Advance, Row/RowAt is the same few instructions
+// either way — one range check and a retained-chunk lookup, nothing
+// per-vehicle.
 func BenchmarkWindowRowAt(b *testing.B) {
 	const vehicles, ticks = 64, 1024
 	raw, tr := benchStream(b, vehicles, ticks)
@@ -74,7 +74,7 @@ func BenchmarkWindowRowAt(b *testing.B) {
 	}
 	for _, src := range []struct {
 		name string
-		s    Source
+		s    *Trace
 	}{{"window", w}, {"resident", tr}} {
 		b.Run(src.name, func(b *testing.B) {
 			b.ReportAllocs()

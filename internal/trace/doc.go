@@ -16,16 +16,17 @@
 // header can size anything beyond the bytes that are there — and serves
 // chunks by index, reading each body in 64 KB blocks that DecodePoints
 // decodes straight into the caller's chunk. ChunkWriter encodes in the same
-// blocks, so neither side holds a chunk-sized byte buffer. A resident Trace
-// is Load of a chunk source, a bounded one is a Window over it.
+// blocks, so neither side holds a chunk-sized byte buffer.
 //
-// Consumers address mobility through the Source interface, which Trace (the
-// resident store) and Window (a bounded sliding window over an
-// IndexedChunkSource) both satisfy. A Window retains only the chunks
-// covering [cursor−behind, cursor+ahead] — 30 s and 150 s unless a
-// consumer's Reserve widens them — advanced by a monotone cursor, evicting
-// behind and optionally reading one chunk ahead; out-of-window reads panic
-// with *WindowViolation and decode failures surface as position-annotated
-// *ChunkError. Both implementations share the clamping and derived-query
-// code, so streamed and resident replays are bit-identical (DESIGN.md §12).
+// Trace is the one mobility type, in two residencies. A resident trace
+// (New, FromRows, Record, or Load of a chunk source) holds every chunk; its
+// Advance, Reserve and SetChunkObserver do nothing, so runs may share it. A
+// windowed trace (NewWindowSource over an IndexedChunkSource, or
+// OpenWindowFile) retains only the chunks covering
+// [cursor−behind, cursor+ahead] — 30 s and 150 s unless a consumer's Reserve
+// widens them — advanced by a monotone cursor, evicting behind and
+// optionally reading one chunk ahead; out-of-window reads panic with
+// *WindowViolation and decode failures surface as position-annotated
+// *ChunkError. Both residencies answer queries through the same methods, so
+// streamed and resident replays are bit-identical (DESIGN.md §12).
 package trace

@@ -206,5 +206,18 @@ func FuzzLBTCDecode(f *testing.F) {
 				}
 			}
 		}
+		win := NewWindowSource(src, WindowConfig{})
+		for tick := 0; tick < total; tick++ {
+			if err := win.Advance(tick); err != nil {
+				t.Fatalf("Advance(%d) of an accepted stream: %v", tick, err)
+			}
+			got, want := win.Row(tick), tr.Row(tick)
+			for v := range want {
+				if math.Float64bits(got[v].X) != math.Float64bits(want[v].X) ||
+					math.Float64bits(got[v].Y) != math.Float64bits(want[v].Y) {
+					t.Fatalf("tick %d vehicle %d: window %v, Load %v", tick, v, got[v], want[v])
+				}
+			}
+		}
 	})
 }

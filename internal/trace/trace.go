@@ -21,17 +21,46 @@ const DefaultChunkTicks = 256
 // positions are one contiguous subslice (Row), which is what the engine's
 // encounter scans iterate.
 //
-// Construct with New, FromRows, Record, or Load; the zero value is an
-// empty trace with an invalid tick interval.
+// A trace retains chunks [lo, lo+len(chunks)) and comes in two residencies:
 //
-// Trace is the trivial whole-trace Source implementation: every tick is
-// resident, so Advance is free and At never fails.
+//   - Resident (New, NewChunked, FromRows, Record, Load): no chunk source,
+//     every chunk retained. Advance, Reserve and SetChunkObserver return at
+//     once and write nothing, so concurrent runs may share one resident
+//     value.
+//   - Windowed (NewWindowSource, OpenWindowFile): a bounded sliding window
+//     over an IndexedChunkSource that retains only the chunks covering
+//     [cursor−behind, cursor+ahead], evicting behind and loading (or
+//     prefetching) ahead, so a replay's trace working set is O(window)
+//     chunks regardless of trace length. Its cursor moves forward only;
+//     lookups outside the retained span panic with *WindowViolation. A
+//     windowed trace is not safe for concurrent use — the engine reads
+//     positions only from its serial tick phases.
+//
+// The queries (Row, RowAt, At, Distance, ContactDuration) are one code path
+// for both, so resident and windowed replays are bit-identical.
+//
+// The zero value is an empty resident trace with an invalid tick interval.
 type Trace struct {
 	dt         float64
 	vehicles   int
 	chunkTicks int
-	ticks      int
+	ticks      int // total tick count, retained or not
+	lo         int // index of the first retained chunk
 	chunks     [][]geom.Point
+	err        error // sticky chunk load error; poisons a windowed trace
+
+	// Windowed only: src is nil on a resident trace.
+	src         *IndexedChunkSource
+	behindTicks int
+	aheadTicks  int
+	prefetch    bool
+	advanced    bool
+	cursor      int
+	// ahead is the background read of the chunk after the leading edge;
+	// nil when none is in flight.
+	ahead chan fetchResult
+	free  [][]geom.Point
+	onOp  func(ChunkOp)
 }
 
 // New returns an empty trace for the given vehicle count and tick interval,
@@ -74,7 +103,8 @@ func FromRows(dt float64, rows [][]geom.Point) *Trace {
 // AppendRow extends the trace by one tick and returns the new row's backing
 // slice (length NumVehicles) for the caller to fill in place. The row lives
 // inside the current chunk: steady-state appends allocate nothing, and one
-// chunk backing array is allocated every chunkTicks ticks.
+// chunk backing array is allocated every chunkTicks ticks. Only a trace
+// built by New or NewChunked grows; a loaded or windowed one is for reading.
 func (tr *Trace) AppendRow() []geom.Point {
 	inChunk := tr.ticks % tr.chunkTicks
 	if inChunk == 0 {
@@ -122,7 +152,7 @@ func RecordStream(w *world.World, ticks int, dt float64, cw *ChunkWriter) error 
 // DT returns the tick interval in seconds.
 func (tr *Trace) DT() float64 { return tr.dt }
 
-// NumTicks returns the number of recorded ticks.
+// NumTicks returns the trace's total tick count (retained or not).
 func (tr *Trace) NumTicks() int { return tr.ticks }
 
 // NumVehicles returns the vehicle count (0 for an empty trace).
@@ -139,36 +169,41 @@ func (tr *Trace) ChunkTicks() int { return tr.chunkTicks }
 // Duration returns the trace's covered time span in seconds.
 func (tr *Trace) Duration() float64 { return float64(tr.ticks) * tr.dt }
 
-// Advance is the Source window contract; a resident trace keeps every tick
-// loaded, so it is a no-op.
-func (tr *Trace) Advance(tick int) error { return nil }
-
 // tickFor clamps a time to the trace extent and snaps it to a tick.
 func (tr *Trace) tickFor(t float64) int {
-	return clampTick(t, tr.dt, tr.ticks)
-}
-
-// clampTick snaps a time to a tick index, clamped to [0, ticks-1]. It is
-// the one place this arithmetic lives so every Source implementation snaps
-// identically — bit-identical A/B streams depend on it.
-func clampTick(t, dt float64, ticks int) int {
-	tick := int(t / dt)
+	tick := int(t / tr.dt)
 	if tick < 0 {
 		tick = 0
 	}
-	if tick >= ticks {
-		tick = ticks - 1
+	if tick >= tr.ticks {
+		tick = tr.ticks - 1
 	}
 	return tick
 }
 
 // Row returns the positions of every vehicle at the given tick as one
-// contiguous subslice of the backing chunk. Callers must not modify or
-// retain it across appends.
+// contiguous subslice of the backing chunk. Callers must not modify it, nor
+// retain it across appends or Advance. A tick outside the retained chunks
+// panics with *WindowViolation, and a poisoned windowed trace panics with
+// its load error.
 func (tr *Trace) Row(tick int) []geom.Point {
-	chunk := tr.chunks[tick/tr.chunkTicks]
-	off := (tick % tr.chunkTicks) * tr.vehicles
+	c := tick / tr.chunkTicks
+	if tr.err != nil || tick < 0 || tick >= tr.ticks || c < tr.lo || c >= tr.lo+len(tr.chunks) {
+		tr.badRow(tick)
+	}
+	chunk := tr.chunks[c-tr.lo]
+	off := (tick - c*tr.chunkTicks) * tr.vehicles
 	return chunk[off : off+tr.vehicles]
+}
+
+// badRow panics for a Row that cannot be served: with the load error of a
+// poisoned trace, or with a *WindowViolation naming the retained ticks.
+func (tr *Trace) badRow(tick int) {
+	if tr.err != nil {
+		panic(tr.err)
+	}
+	hi := min((tr.lo+len(tr.chunks))*tr.chunkTicks, tr.ticks) - 1 // a short tail chunk ends at the trace
+	panic(&WindowViolation{Tick: tick, Lo: tr.lo * tr.chunkTicks, Hi: hi, Cursor: tr.cursor})
 }
 
 // RowAt is Row addressed by time (clamped to the trace extent, snapped to
@@ -201,14 +236,28 @@ func (tr *Trace) Distance(a, b int, t float64) float64 {
 // ContactDuration estimates how long vehicles a and b will remain within
 // commRange starting from time t, by replaying their shared future routes
 // (the paper's vehicles exchange their next-few-minutes routes from the
-// navigation service). The estimate is capped at horizon seconds.
+// navigation service). The estimate is capped at horizon seconds. It reads
+// up to horizon seconds ahead of t, which bounds the span a windowed
+// trace's consumer must Reserve.
 func (tr *Trace) ContactDuration(a, b int, t, commRange, horizon float64) float64 {
-	return sourceContactDuration(tr, a, b, t, commRange, horizon)
+	if tr.Distance(a, b, t) > commRange {
+		return 0
+	}
+	end := t + horizon
+	if traceEnd := tr.Duration(); end > traceEnd {
+		end = traceEnd
+	}
+	for u, dt := t, tr.dt; u < end; u += dt {
+		if tr.Distance(a, b, u) > commRange {
+			return u - t
+		}
+	}
+	return end - t
 }
 
 // Validate performs basic structural checks. The columnar layout makes
 // ragged ticks unconstructible through the API, so the remaining checks are
-// on the scalar invariants.
+// on the scalar invariants and the retained chunks' sizes.
 func (tr *Trace) Validate() error {
 	if tr.dt <= 0 {
 		return fmt.Errorf("trace: non-positive tick interval %g", tr.dt)
@@ -217,14 +266,8 @@ func (tr *Trace) Validate() error {
 		return fmt.Errorf("trace: non-positive chunk capacity %d", tr.chunkTicks)
 	}
 	for c, chunk := range tr.chunks {
-		want := tr.chunkTicks * tr.vehicles
-		if c == len(tr.chunks)-1 {
-			if rem := tr.ticks - c*tr.chunkTicks; rem < tr.chunkTicks {
-				want = rem * tr.vehicles
-			}
-		}
-		if len(chunk) != want {
-			return fmt.Errorf("trace: chunk %d holds %d positions, expected %d", c, len(chunk), want)
+		if want := ticksInChunk(tr.lo+c, tr.ticks, tr.chunkTicks) * tr.vehicles; len(chunk) != want {
+			return fmt.Errorf("trace: chunk %d holds %d positions, expected %d", tr.lo+c, len(chunk), want)
 		}
 	}
 	return nil

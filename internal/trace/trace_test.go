@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"lbchat/internal/geom"
@@ -302,5 +305,102 @@ func TestStreamRejectsCorruption(t *testing.T) {
 
 	if _, err := loadBytes(good[:8]); err == nil {
 		t.Error("truncated header accepted")
+	}
+}
+
+// fieldShape returns, field by field, what a write to tr would change: a
+// slice's header (not its elements), a func's or chan's pointer, and any
+// other field's value.
+func fieldShape(tr *Trace) []string {
+	v := reflect.ValueOf(tr).Elem()
+	out := make([]string, v.NumField())
+	for i := range out {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Slice:
+			out[i] = fmt.Sprintf("%s: %#x len %d cap %d", v.Type().Field(i).Name, f.Pointer(), f.Len(), f.Cap())
+		case reflect.Func, reflect.Chan:
+			out[i] = fmt.Sprintf("%s: %#x", v.Type().Field(i).Name, f.Pointer())
+		default:
+			out[i] = fmt.Sprintf("%s: %v", v.Type().Field(i).Name, f)
+		}
+	}
+	return out
+}
+
+// residentTraces returns a trace built by appending rows and the same trace
+// loaded from its encoding: the two ways a resident trace comes to be.
+func residentTraces(t *testing.T) map[string]*Trace {
+	t.Helper()
+	built := syntheticTrace(0.5, 3, 40, 8)
+	loaded, err := loadBytes(encodeTrace(t, built))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*Trace{"appended": built, "loaded": loaded}
+}
+
+// TestResidentIgnoresWindowCalls: on a resident trace, Reserve,
+// SetChunkObserver, Advance and Close write nothing — no field, no retained
+// position — so runs may share one resident value.
+func TestResidentIgnoresWindowCalls(t *testing.T) {
+	for name, tr := range residentTraces(t) {
+		before := fieldShape(tr)
+		rows := make([][]geom.Point, tr.NumTicks())
+		for tick := range rows {
+			rows[tick] = append([]geom.Point(nil), tr.Row(tick)...)
+		}
+		tr.Reserve(1e9, 1e9)
+		tr.SetChunkObserver(func(op ChunkOp) { t.Errorf("%s: resident trace reported %+v", name, op) })
+		for _, tick := range []int{0, 25, 3, -1, 1 << 20} {
+			if err := tr.Advance(tick); err != nil {
+				t.Fatalf("%s: Advance(%d): %v", name, tick, err)
+			}
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", name, err)
+		}
+		if after := fieldShape(tr); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: fields changed:\nbefore %q\nafter  %q", name, before, after)
+		}
+		for tick, want := range rows {
+			if got := tr.Row(tick); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Row(%d) = %v, want %v", name, tick, got, want)
+			}
+		}
+	}
+}
+
+// TestResidentConcurrentReads shares one resident trace between goroutines
+// that read it and make every window call on it, as concurrent engine runs
+// over one env do; under -race (make race) any write among them fails.
+func TestResidentConcurrentReads(t *testing.T) {
+	for name, tr := range residentTraces(t) {
+		want := tr.ContactDuration(0, 1, 0, 1e9, 10)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tr.Reserve(0, 30)
+				tr.SetChunkObserver(nil)
+				for tick := 0; tick < tr.NumTicks(); tick++ {
+					if err := tr.Advance(tick); err != nil {
+						t.Errorf("%s: Advance(%d): %v", name, tick, err)
+						return
+					}
+					at := float64(tick) * tr.DT()
+					row := tr.RowAt(at)
+					if d := tr.Distance(0, 2, at); d != row[0].Dist(row[2]) {
+						t.Errorf("%s: Distance at %g = %v, want %v", name, at, d, row[0].Dist(row[2]))
+						return
+					}
+				}
+				if got := tr.ContactDuration(0, 1, 0, 1e9, 10); got != want {
+					t.Errorf("%s: ContactDuration = %v, want %v", name, got, want)
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -17,7 +17,7 @@ const (
 	windowAhead  = 150.0
 )
 
-// WindowConfig configures a sliding window. Its retained span starts at
+// WindowConfig configures a windowed trace. Its retained span starts at
 // the package defaults (30 s behind the cursor, 150 s ahead); consumers
 // widen it to their lookahead with Reserve.
 type WindowConfig struct {
@@ -94,87 +94,35 @@ type fetchResult struct {
 	err error
 }
 
-// Window is a bounded sliding-window Source over an IndexedChunkSource: it
-// keeps only the chunks covering the retained span around the cursor,
-// evicting behind it and loading (or prefetching) ahead, so a full
-// co-simulation's trace working set is O(window) chunks regardless of trace
-// length.
-//
-// The cursor moves forward only: Advance must be called with
-// non-decreasing ticks, and lookups outside the retained span panic with
-// *WindowViolation. Window methods are not safe for concurrent use — the
-// engine reads positions only from its serial tick phases, which is what
-// makes the single-goroutine contract (plus the internal prefetch
-// handshake) sound.
-type Window struct {
-	src        *IndexedChunkSource
-	totalTicks int
-	dt         float64
-	vehicles   int
-	chunkTicks int
-	numChunks  int
-
-	behindTicks int
-	aheadTicks  int
-	prefetch    bool
-
-	advanced bool
-	cursor   int
-	lo       int              // first retained chunk index
-	next     int              // next chunk index Advance will deliver; retained = [lo, next)
-	ahead    chan fetchResult // the background read of chunk next; nil when none is in flight
-	chunks   [][]geom.Point
-	free     [][]geom.Point
-	onOp     func(ChunkOp)
-	err      error // sticky load error; poisons the window
-}
-
-// NewWindowSource wraps a random-access chunk source in a sliding window.
-// The source's total tick count sizes the window's chunk arithmetic.
-func NewWindowSource(src *IndexedChunkSource, cfg WindowConfig) *Window {
-	w := &Window{
+// NewWindowSource returns a windowed trace over a random-access chunk
+// source: nothing is retained until the first Advance. The source's total
+// tick count sizes the window's chunk arithmetic.
+func NewWindowSource(src *IndexedChunkSource, cfg WindowConfig) *Trace {
+	tr := &Trace{
 		src:        src,
-		totalTicks: src.NumTicks(),
+		ticks:      src.NumTicks(),
 		dt:         src.DT(),
 		vehicles:   src.NumVehicles(),
 		chunkTicks: src.ChunkTicks(),
 		prefetch:   cfg.Prefetch,
 	}
-	w.numChunks = NumChunks(w.totalTicks, w.chunkTicks)
-	w.Reserve(windowBehind, windowAhead)
-	return w
+	tr.Reserve(windowBehind, windowAhead)
+	return tr
 }
 
-// DT returns the tick interval in seconds.
-func (w *Window) DT() float64 { return w.dt }
-
-// NumTicks returns the underlying trace's total tick count.
-func (w *Window) NumTicks() int { return w.totalTicks }
-
-// NumVehicles returns the vehicle count (0 for an empty trace).
-func (w *Window) NumVehicles() int {
-	if w.totalTicks == 0 {
-		return 0
+// Reserve widens a windowed trace's retained span to at least behind/ahead
+// seconds around the cursor (non-positive arguments leave the corresponding
+// side alone). It never shrinks the span, so independent consumers can each
+// state their own lookahead. On a resident trace it does nothing.
+func (tr *Trace) Reserve(behind, ahead float64) {
+	if tr.src == nil {
+		return
 	}
-	return w.vehicles
-}
-
-// ChunkTicks returns the stream's chunk capacity in ticks.
-func (w *Window) ChunkTicks() int { return w.chunkTicks }
-
-// Duration returns the trace's covered time span in seconds.
-func (w *Window) Duration() float64 { return float64(w.totalTicks) * w.dt }
-
-// Reserve widens the retained span to at least behind/ahead seconds around
-// the cursor (non-positive arguments leave the corresponding side alone).
-// It never shrinks the span, so independent consumers can each state their
-// own lookahead.
-func (w *Window) Reserve(behind, ahead float64) {
-	if t := secondsToTicks(behind, w.dt); t > w.behindTicks {
-		w.behindTicks = t
+	if t := secondsToTicks(behind, tr.dt); t > tr.behindTicks {
+		tr.behindTicks = t
 	}
-	if t := secondsToTicks(ahead, w.dt); t > w.aheadTicks {
-		w.aheadTicks = t
+	if t := secondsToTicks(ahead, tr.dt); t > tr.aheadTicks {
+		tr.aheadTicks = t
 	}
 }
 
@@ -190,123 +138,137 @@ func secondsToTicks(s, dt float64) int {
 	return t
 }
 
-// SetChunkObserver installs the side-channel callback invoked on every
-// chunk load, evict, and prefetch issue. Calls always happen on the
-// goroutine driving Advance, in a deterministic order.
-func (w *Window) SetChunkObserver(fn func(ChunkOp)) { w.onOp = fn }
-
-// Advance moves the cursor to the given tick (clamped to the trace
-// extent), loading chunks up to the leading edge and evicting those fully
-// behind the trailing edge. The cursor is monotone: moving it backward is
-// an error. A chunk fetch failure is returned as a *ChunkError and
-// poisons the window.
-func (w *Window) Advance(tick int) error {
-	if w.err != nil {
-		return w.err
+// SetChunkObserver installs the side-channel callback a windowed trace
+// invokes on every chunk load, evict, and prefetch issue. Calls always
+// happen on the goroutine driving Advance, in a deterministic order. A
+// resident trace has no chunk traffic and keeps no observer.
+func (tr *Trace) SetChunkObserver(fn func(ChunkOp)) {
+	if tr.src == nil {
+		return
 	}
-	if w.totalTicks == 0 {
+	tr.onOp = fn
+}
+
+// Advance moves a windowed trace's cursor to the given tick (clamped to the
+// trace extent), loading chunks up to the leading edge and evicting those
+// fully behind the trailing edge. The cursor is monotone: moving it
+// backward is an error. A chunk fetch failure is returned as a *ChunkError
+// and poisons the trace. On a resident trace, which retains every chunk, it
+// does nothing.
+func (tr *Trace) Advance(tick int) error {
+	if tr.src == nil {
+		return nil
+	}
+	if tr.err != nil {
+		return tr.err
+	}
+	if tr.ticks == 0 {
 		return nil
 	}
 	if tick < 0 {
 		tick = 0
 	}
-	if tick >= w.totalTicks {
-		tick = w.totalTicks - 1
+	if tick >= tr.ticks {
+		tick = tr.ticks - 1
 	}
-	if w.advanced && tick < w.cursor {
-		return fmt.Errorf("trace: window cursor moved backward to tick %d (cursor at %d)", tick, w.cursor)
+	if tr.advanced && tick < tr.cursor {
+		return fmt.Errorf("trace: window cursor moved backward to tick %d (cursor at %d)", tick, tr.cursor)
 	}
-	w.advanced = true
-	w.cursor = tick
+	tr.advanced = true
+	tr.cursor = tick
 
-	loTick := tick - w.behindTicks
+	loTick := tick - tr.behindTicks
 	if loTick < 0 {
 		loTick = 0
 	}
-	hiTick := tick + w.aheadTicks
-	if hiTick >= w.totalTicks {
-		hiTick = w.totalTicks - 1
+	hiTick := tick + tr.aheadTicks
+	if hiTick >= tr.ticks {
+		hiTick = tr.ticks - 1
 	}
-	wantLo, wantHi := loTick/w.chunkTicks, hiTick/w.chunkTicks
+	wantLo, wantHi := loTick/tr.chunkTicks, hiTick/tr.chunkTicks
 
-	for w.next <= wantHi {
-		if err := w.loadNext(); err != nil {
-			w.err = err
+	for tr.next() <= wantHi {
+		if err := tr.loadNext(); err != nil {
+			tr.err = err
 			return err
 		}
 	}
-	for w.lo < wantLo && w.lo < w.next {
-		w.evictFront()
+	for tr.lo < wantLo && len(tr.chunks) > 0 {
+		tr.evictFront()
 	}
-	if w.prefetch {
-		w.readAhead()
+	if tr.prefetch {
+		tr.readAhead()
 	}
 	return nil
 }
 
-// loadNext appends chunk w.next to the retained window, taking its
+// next returns the index of the chunk Advance delivers next, one past the
+// last retained chunk.
+func (tr *Trace) next() int { return tr.lo + len(tr.chunks) }
+
+// loadNext appends chunk next() to the retained window, taking its
 // background read if one is in flight and reading it synchronously
 // otherwise. The load's WaitNs is how long Advance blocked either way.
-func (w *Window) loadNext() error {
-	idx := w.next
+func (tr *Trace) loadNext() error {
+	idx := tr.next()
 	start := time.Now()
 	var res fetchResult
-	if w.ahead != nil {
-		res = <-w.ahead
-		w.ahead = nil
+	if tr.ahead != nil {
+		res = <-tr.ahead
+		tr.ahead = nil
 	} else {
-		res.pts, res.err = w.src.ReadChunk(idx, w.grabBuf(idx))
+		res.pts, res.err = tr.src.ReadChunk(idx, tr.grabBuf(idx))
 	}
 	wait := time.Since(start)
 	if res.err == nil {
-		res.err = checkChunk(res.pts, w.ticksIn(idx), w.vehicles)
+		res.err = checkChunk(res.pts, tr.ticksIn(idx), tr.vehicles)
 	}
 	if res.err != nil {
-		return &ChunkError{Chunk: idx, FirstTick: idx * w.chunkTicks, Err: res.err}
+		return &ChunkError{Chunk: idx, FirstTick: idx * tr.chunkTicks, Err: res.err}
 	}
-	w.chunks = append(w.chunks, res.pts)
-	w.next++
-	w.emit(ChunkOp{Kind: OpLoad, Chunk: idx, Ticks: w.ticksIn(idx), Resident: len(w.chunks),
+	tr.chunks = append(tr.chunks, res.pts)
+	tr.emit(ChunkOp{Kind: OpLoad, Chunk: idx, Ticks: tr.ticksIn(idx), Resident: len(tr.chunks),
 		WaitNs: wait.Nanoseconds()})
 	return nil
 }
 
 // evictFront recycles the oldest retained chunk.
-func (w *Window) evictFront() {
-	idx := w.lo
-	buf := w.chunks[0]
-	copy(w.chunks, w.chunks[1:])
-	w.chunks = w.chunks[:len(w.chunks)-1]
-	w.free = append(w.free, buf)
-	w.lo++
-	w.emit(ChunkOp{Kind: OpEvict, Chunk: idx, Ticks: w.ticksIn(idx), Resident: len(w.chunks)})
+func (tr *Trace) evictFront() {
+	idx := tr.lo
+	buf := tr.chunks[0]
+	copy(tr.chunks, tr.chunks[1:])
+	tr.chunks = tr.chunks[:len(tr.chunks)-1]
+	tr.free = append(tr.free, buf)
+	tr.lo++
+	tr.emit(ChunkOp{Kind: OpEvict, Chunk: idx, Ticks: tr.ticksIn(idx), Resident: len(tr.chunks)})
 }
 
-// readAhead issues the background read of chunk w.next — the one after
+// readAhead issues the background read of chunk next() — the one after
 // the leading edge — unless one is already in flight or the stream has
 // ended. The buffer is taken from the free list on this goroutine; the
 // background read touches only the source and its private buffer.
-func (w *Window) readAhead() {
-	if w.ahead != nil || w.next >= w.numChunks {
+func (tr *Trace) readAhead() {
+	idx := tr.next()
+	if tr.ahead != nil || idx >= tr.src.NumChunks() {
 		return
 	}
-	idx := w.next
-	buf := w.grabBuf(idx)
+	buf := tr.grabBuf(idx)
 	ch := make(chan fetchResult, 1)
-	w.ahead = ch
-	w.emit(ChunkOp{Kind: OpPrefetch, Chunk: idx, Ticks: w.ticksIn(idx), Resident: len(w.chunks)})
+	tr.ahead = ch
+	tr.emit(ChunkOp{Kind: OpPrefetch, Chunk: idx, Ticks: tr.ticksIn(idx), Resident: len(tr.chunks)})
+	src := tr.src
 	go func() {
-		pts, err := w.src.ReadChunk(idx, buf)
+		pts, err := src.ReadChunk(idx, buf)
 		ch <- fetchResult{pts, err}
 	}()
 }
 
 // grabBuf returns a recycled (or fresh) buffer sized for chunk idx.
-func (w *Window) grabBuf(idx int) []geom.Point {
-	n := w.ticksIn(idx) * w.vehicles
-	if l := len(w.free); l > 0 {
-		buf := w.free[l-1]
-		w.free = w.free[:l-1]
+func (tr *Trace) grabBuf(idx int) []geom.Point {
+	n := tr.ticksIn(idx) * tr.vehicles
+	if l := len(tr.free); l > 0 {
+		buf := tr.free[l-1]
+		tr.free = tr.free[:l-1]
 		if cap(buf) >= n {
 			return buf[:n]
 		}
@@ -316,98 +278,33 @@ func (w *Window) grabBuf(idx int) []geom.Point {
 
 // ticksIn returns the tick count of chunk idx (the tail chunk may be
 // short).
-func (w *Window) ticksIn(idx int) int {
-	return ticksInChunk(idx, w.totalTicks, w.chunkTicks)
+func (tr *Trace) ticksIn(idx int) int {
+	return ticksInChunk(idx, tr.ticks, tr.chunkTicks)
 }
 
-func (w *Window) emit(op ChunkOp) {
-	if w.onOp != nil {
-		w.onOp(op)
+func (tr *Trace) emit(op ChunkOp) {
+	if tr.onOp != nil {
+		tr.onOp(op)
 	}
 }
 
-// Close waits for the background read in flight, if any, so it does not
-// race the underlying source's teardown. It does not close the source —
-// OpenWindowFile's closer owns that.
-func (w *Window) Close() error {
-	if w.ahead != nil {
-		<-w.ahead
-		w.ahead = nil
+// Close waits for a windowed trace's background read in flight, if any, so
+// it does not race the underlying source's teardown. It does not close the
+// source — OpenWindowFile's closer owns that. On a resident trace it does
+// nothing.
+func (tr *Trace) Close() error {
+	if tr.ahead != nil {
+		<-tr.ahead
+		tr.ahead = nil
 	}
 	return nil
 }
 
-// Row returns every vehicle's position at the given tick as one contiguous
-// slice, valid until the next Advance. Ticks outside the retained window
-// panic with *WindowViolation.
-func (w *Window) Row(tick int) []geom.Point {
-	if w.err != nil {
-		panic(w.err)
-	}
-	c := tick / w.chunkTicks
-	if tick < 0 || tick >= w.totalTicks || c < w.lo || c >= w.next {
-		hi := min(w.next*w.chunkTicks, w.totalTicks) - 1 // a short tail chunk ends at the trace
-		panic(&WindowViolation{Tick: tick, Lo: w.lo * w.chunkTicks, Hi: hi, Cursor: w.cursor})
-	}
-	chunk := w.chunks[c-w.lo]
-	off := (tick - c*w.chunkTicks) * w.vehicles
-	return chunk[off : off+w.vehicles]
-}
-
-// RowAt is Row addressed by time (clamped to the trace extent, snapped to
-// a tick), mirroring the resident trace.
-func (w *Window) RowAt(t float64) []geom.Point {
-	if w.totalTicks == 0 {
-		return nil
-	}
-	return w.Row(clampTick(t, w.dt, w.totalTicks))
-}
-
-// At returns the position of vehicle v at time t (clamped, snapped to a
-// tick). The snapped tick must be inside the retained window.
-func (w *Window) At(v int, t float64) geom.Point {
-	if w.totalTicks == 0 {
-		return geom.Point{}
-	}
-	return w.Row(clampTick(t, w.dt, w.totalTicks))[v]
-}
-
-// Distance returns the distance between vehicles a and b at time t.
-func (w *Window) Distance(a, b int, t float64) float64 {
-	if w.totalTicks == 0 {
-		return 0
-	}
-	row := w.Row(clampTick(t, w.dt, w.totalTicks))
-	return row[a].Dist(row[b])
-}
-
-// ContactDuration estimates how long vehicles a and b remain within
-// commRange from time t, capped at horizon seconds; identical to the
-// resident implementation (both delegate to one helper).
-func (w *Window) ContactDuration(a, b int, t, commRange, horizon float64) float64 {
-	return sourceContactDuration(w, a, b, t, commRange, horizon)
-}
-
-// Validate performs basic structural checks on the window's header-derived
-// shape.
-func (w *Window) Validate() error {
-	if w.dt <= 0 {
-		return fmt.Errorf("trace: non-positive tick interval %g", w.dt)
-	}
-	if w.chunkTicks <= 0 {
-		return fmt.Errorf("trace: non-positive chunk capacity %d", w.chunkTicks)
-	}
-	if w.totalTicks > 0 && w.vehicles <= 0 {
-		return fmt.Errorf("trace: %d ticks of %d vehicles", w.totalTicks, w.vehicles)
-	}
-	return nil
-}
-
-// OpenWindowFile opens an LBTC trace file as a bounded sliding window over
-// a random-access file source (chunk offsets indexed once at open). The
+// OpenWindowFile opens an LBTC trace file as a windowed trace over a
+// random-access file source (chunk offsets indexed once at open). The
 // returned closer owns the file handle (and waits for the window's
-// readahead) — close it when the window is done.
-func OpenWindowFile(path string, cfg WindowConfig) (*Window, io.Closer, error) {
+// readahead) — close it when the trace is done.
+func OpenWindowFile(path string, cfg WindowConfig) (*Trace, io.Closer, error) {
 	src, err := OpenFileSource(path)
 	if err != nil {
 		return nil, nil, err
@@ -418,7 +315,7 @@ func OpenWindowFile(path string, cfg WindowConfig) (*Window, io.Closer, error) {
 
 // windowCloser ties a window's readahead drain to its backing source.
 type windowCloser struct {
-	w   *Window
+	w   *Trace
 	src *IndexedChunkSource
 }
 

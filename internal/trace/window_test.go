@@ -13,7 +13,7 @@ import (
 
 // windowOver encodes tr and reopens it as a sliding window with the given
 // config.
-func windowOver(t *testing.T, tr *Trace, cfg WindowConfig) *Window {
+func windowOver(t *testing.T, tr *Trace, cfg WindowConfig) *Trace {
 	t.Helper()
 	src, err := NewBytesSource(encodeTrace(t, tr))
 	if err != nil {
@@ -25,7 +25,7 @@ func windowOver(t *testing.T, tr *Trace, cfg WindowConfig) *Window {
 // narrow sets w's retained span to behind and ahead seconds around the
 // cursor. It goes below the package defaults, which Reserve only widens, so
 // short test traces reach eviction and the window's leading edge.
-func narrow(w *Window, behind, ahead float64) *Window {
+func narrow(w *Trace, behind, ahead float64) *Trace {
 	w.behindTicks, w.aheadTicks = secondsToTicks(behind, w.dt), secondsToTicks(ahead, w.dt)
 	return w
 }
@@ -44,10 +44,10 @@ func syntheticTrace(dt float64, vehicles, ticks, chunkTicks int) *Trace {
 }
 
 // TestWindowMatchesResident is the window-contract property test: for a
-// cursor swept over every tick, Window.At/Row/Distance/ContactDuration
-// must equal the resident trace for every time reachable under the
-// reserved span — the exact guarantee the engine relies on for byte-
-// identical streamed runs.
+// cursor swept over every tick, a windowed trace's At, Row, Distance and
+// ContactDuration must equal the resident trace's for every time reachable
+// under the reserved span — the exact guarantee the engine relies on for
+// byte-identical streamed runs.
 func TestWindowMatchesResident(t *testing.T) {
 	const (
 		dt       = 0.5
@@ -354,7 +354,7 @@ func TestWindowCorruptionPositioned(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			src, failure := tc.open(append([]byte(nil), good...))
-			var w *Window
+			var w *Trace
 			if !tc.atOpen {
 				if failure != nil {
 					t.Fatalf("stream should still index: %v", failure)
@@ -386,7 +386,7 @@ func TestWindowCorruptionPositioned(t *testing.T) {
 				return
 			}
 			// The window is poisoned: further lookups fail loudly through
-			// Window.At with the same positioned error.
+			// At with the same positioned error.
 			defer func() {
 				r := recover()
 				var pe *ChunkError
