@@ -135,9 +135,10 @@ bench-pprof:
 # line decodes against the event schema, and every summary row names a
 # canonical metric. lbchat-bench then walks two entries that share a run
 # (fig3's LbChat is fig2a's, trained and streamed once) into one stream,
-# which telemetry-lint checks the same way. (Resident ≡ windowed replay is
-# TestStreamABDeterminism's and TestTraceResidencyBySize's, run by make test
-# and make race.)
+# which telemetry-lint checks the same way; so is lbchat-eval's stream of
+# the fleet it trains on its own env before driving it. (Resident ≡ windowed
+# replay is TestStreamABDeterminism's and TestTraceResidencyBySize's, run by
+# make test and make race.)
 telemetry-smoke:
 	$(eval TMPDIR_SMOKE := $(shell mktemp -d))
 	$(GO) run ./cmd/worldgen -vehicles 4 -trace 240 \
@@ -151,6 +152,9 @@ telemetry-smoke:
 	$(GO) run ./cmd/lbchat-bench -scale test -exp fig2a,fig3 \
 		-telemetry-out $(TMPDIR_SMOKE)/bench.jsonl > /dev/null
 	$(GO) run ./cmd/telemetry-lint $(TMPDIR_SMOKE)/bench.jsonl
+	$(GO) run ./cmd/lbchat-eval -scale test -duration 120 -trials 1 \
+		-telemetry-out $(TMPDIR_SMOKE)/eval.jsonl > /dev/null
+	$(GO) run ./cmd/telemetry-lint $(TMPDIR_SMOKE)/eval.jsonl
 	rm -rf $(TMPDIR_SMOKE)
 
 # Every internal package must carry its godoc in a dedicated doc.go opening

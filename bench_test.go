@@ -78,7 +78,7 @@ func BenchmarkExperiment(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				res, err := experiments.Run(context.Background(), experiments.Spec{Experiment: x.Name, Env: env})
+				res, err := experiments.Run(context.Background(), env, experiments.Spec{Experiment: x.Name})
 				env.Close()
 				if err != nil {
 					b.Fatal(err)

@@ -26,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
@@ -78,14 +77,9 @@ func selection(exp string) ([]*experiments.Experiment, error) {
 	return sel, nil
 }
 
-// trains reports whether an entry trains arms, and so needs the environment.
-func trains(x *experiments.Experiment) bool { return x.Name != experiments.ExpFleetScan }
-
 func run(fs *flag.FlagSet, args []string) error {
 	_, names := selectable()
 	expFlag := fs.String("exp", "all", "comma-separated experiments (all = the paper's tables and figures): "+names)
-	vehiclesFlag := fs.Int("vehicles", 0, fmt.Sprintf("fleet size for -exp %s (0 = 2048)", experiments.ExpFleetScan))
-	durationFlag := fs.Float64("duration", 0, fmt.Sprintf("virtual seconds for -exp %s (0 = 60)", experiments.ExpFleetScan))
 	common := cli.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -115,20 +109,17 @@ func run(fs *flag.FlagSet, args []string) error {
 	ctx, stop := cli.SignalContext()
 	defer stop()
 
-	// The environment is built only for entries that train: a 10k-vehicle
-	// synthetic fleet needs no datasets or eval suite, and building them at
-	// that size would dwarf the measurement.
-	var env *experiments.Env
-	if slices.ContainsFunc(sel, trains) {
-		fmt.Printf("Building environment (scale=%s: %d vehicles, %d frames/vehicle, %.0fs training, workers=%s)...\n",
-			scale.Name, scale.Vehicles, scale.CollectTicks, scale.TrainDuration, cli.WorkersLabel(common.Workers))
-		buildStart := time.Now()
-		if env, err = experiments.BuildEnv(scale); err != nil {
-			return err
-		}
-		defer env.Close()
-		fmt.Printf("-- environment built in %s\n", time.Since(buildStart).Round(time.Millisecond))
+	fmt.Printf("Building environment (scale=%s: %d vehicles, %d frames/vehicle, %.0fs training, workers=%s)...\n",
+		scale.Name, scale.Vehicles, scale.CollectTicks, scale.TrainDuration, cli.WorkersLabel(common.Workers))
+	buildStart := time.Now()
+	env, err := experiments.BuildEnv(scale)
+	if err != nil {
+		return err
 	}
+	defer env.Close()
+	env.Telemetry = sink
+	env.Cfg.Faults = fcfg
+	fmt.Printf("-- environment built in %s\n", time.Since(buildStart).Round(time.Millisecond))
 
 	// Each experiment reports its wall-clock, so scale and worker-count
 	// choices can be compared run to run. Entries that read one lineup
@@ -136,8 +127,7 @@ func run(fs *flag.FlagSet, args []string) error {
 	printed := map[string]bool{}
 	for _, x := range sel {
 		start := time.Now()
-		res, err := experiments.Run(ctx, experiments.Spec{Experiment: x.Name, Env: env, Telemetry: sink, Faults: fcfg,
-			Vehicles: *vehiclesFlag, Duration: *durationFlag, Workers: common.Workers, Seed: common.Seed})
+		res, err := experiments.Run(ctx, env, experiments.Spec{Experiment: x.Name})
 		if err != nil {
 			return fmt.Errorf("%s: %w", x.Name, err)
 		}

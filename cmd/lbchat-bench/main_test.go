@@ -58,22 +58,8 @@ func TestSelection(t *testing.T) {
 	}
 }
 
-func TestFleetScanAloneBuildsNoEnvironment(t *testing.T) {
-	sel, err := selection(experiments.ExpFleetScan)
-	if err != nil || len(sel) != 1 {
-		t.Fatalf("selection: %v, %v", sel, err)
-	}
-	if slices.ContainsFunc(sel, trains) {
-		t.Error("fleetscan alone would build the environment")
-	}
-	sel, err = selection("fleetscan,tab4")
-	if err != nil || !slices.ContainsFunc(sel, trains) {
-		t.Errorf("fleetscan,tab4: no entry asks for the environment (%v)", err)
-	}
-}
-
 func TestUnknownExperimentRejected(t *testing.T) {
-	for _, exp := range []string{"tab8", "fig2a,tabb3", "tab8,nope", "", "fig2a,", experiments.ExpProtocol} {
+	for _, exp := range []string{"tab8", "fig2a,tabb3", "tab8,nope", "", "fig2a,", experiments.ExpProtocol, "fleetscan"} {
 		sel, err := selection(exp)
 		if err == nil {
 			t.Errorf("selection(%q) accepted: %v", exp, sel)
@@ -83,6 +69,20 @@ func TestUnknownExperimentRejected(t *testing.T) {
 			if x.Name != experiments.ExpProtocol && !strings.Contains(err.Error(), x.Name) {
 				t.Errorf("selection(%q) error %q does not list %s", exp, err, x.Name)
 			}
+		}
+	}
+}
+
+// TestRemovedFlagsRejected: -vehicles and -duration sized the removed
+// synthetic fleet scan; no entry reads them, so they fail to parse rather
+// than being accepted and ignored.
+func TestRemovedFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{{"-vehicles", "10"}, {"-duration", "60"}} {
+		fs := flag.NewFlagSet("lbchat-bench", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		if err := run(fs, append([]string{"-scale", "test", "-exp", "tab4"}, args...)); err == nil ||
+			!strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: error %v, want an undefined flag", args, err)
 		}
 	}
 }

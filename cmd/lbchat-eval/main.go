@@ -103,13 +103,12 @@ func run(fs *flag.FlagSet, args []string) error {
 		defer common.CloseSink()
 		fmt.Printf("Training fleet under %s (%.0fs virtual, wireless loss: %v)...\n",
 			*protocol, *duration, *lossy)
-		res, err := experiments.Run(ctx, experiments.Spec{
+		env.Telemetry = sink
+		env.Cfg.Faults = fcfg
+		res, err := experiments.Run(ctx, env, experiments.Spec{
 			Experiment: experiments.ExpProtocol,
 			Protocol:   experiments.ProtocolName(*protocol),
 			Lossless:   !*lossy,
-			Env:        env,
-			Telemetry:  sink,
-			Faults:     fcfg,
 		})
 		if err != nil {
 			return err

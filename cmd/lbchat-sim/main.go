@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"lbchat/cmd/internal/cli"
-	"lbchat/internal/core"
 	"lbchat/internal/experiments"
 	"lbchat/internal/metrics"
 )
@@ -78,14 +77,18 @@ func run(fs *flag.FlagSet, args []string) error {
 	fmt.Printf("Running %s for %.0fs of virtual time (wireless loss: %v)...\n",
 		*protocol, *duration, *lossy)
 	start := time.Now()
-	res, err := experiments.Run(ctx, experiments.Spec{
+	env, err := experiments.BuildEnv(scale)
+	if err != nil {
+		return err
+	}
+	defer env.Close()
+	env.Telemetry = sink
+	env.Cfg.Faults = fcfg
+	env.Cfg.LogChats = *logChats
+	res, err := experiments.Run(ctx, env, experiments.Spec{
 		Experiment: experiments.ExpProtocol,
 		Protocol:   experiments.ProtocolName(*protocol),
 		Lossless:   !*lossy,
-		Scale:      &scale,
-		Telemetry:  sink,
-		Faults:     fcfg,
-		Config:     func(c *core.Config) { c.LogChats = *logChats },
 	})
 	if err != nil {
 		return err

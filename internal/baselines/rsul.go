@@ -103,8 +103,9 @@ func (p *RSUL) visit(e *core.Engine, v *core.Vehicle, rsu int) {
 	dist := func(elapsed float64) float64 { return e.Trace.At(v.ID, start+elapsed).Dist(rsuPos) }
 	bytes := e.ModelWireBytes()
 	// The exchange window is the time the vehicle stays inside the RSU's
-	// radio range (capped), estimated from its shared route — RSUs are
-	// fixed, so this is even easier than the vehicle-to-vehicle case.
+	// radio range (capped), read off the recorded future trace like the
+	// vehicle-to-vehicle estimate (ROADMAP item 21) — RSUs are fixed, so
+	// only the vehicle's own positions are stepped.
 	window := p.contactWindow(e, v.ID, rsuPos)
 
 	up := e.Radio.SimulateTransfer(bytes, dist, v.Bandwidth, window, e.RNG())

@@ -34,7 +34,8 @@ type Config struct {
 	RecordInterval float64
 	// TimeBudget is T_B, the per-pair exchange budget (15 s in the paper).
 	TimeBudget float64
-	// ContactHorizon caps route-based contact-duration estimation (s).
+	// ContactHorizon caps contact-duration estimation, which steps the
+	// recorded future trace this far ahead (s; ROADMAP item 21).
 	ContactHorizon float64
 	// CoresetSize is the coreset budget |C| (150 frames in the paper).
 	CoresetSize int
@@ -469,14 +470,11 @@ func (e *Engine) RunContext(ctx context.Context, p Protocol, duration float64) (
 	return nil
 }
 
-// advanceTrace moves a windowed trace's cursor to the current tick.
-// Resident traces make this a no-op.
+// advanceTrace moves a windowed trace's cursor to the current tick; a
+// resident trace's Advance returns at once. NewEngine's Validate guarantees
+// a positive tick interval.
 func (e *Engine) advanceTrace() error {
-	dt := e.Trace.DT()
-	if dt <= 0 {
-		return nil
-	}
-	if err := e.Trace.Advance(int(e.now / dt)); err != nil {
+	if err := e.Trace.Advance(int(e.now / e.Trace.DT())); err != nil {
 		return fmt.Errorf("core: advancing trace window to t=%gs: %w", e.now, err)
 	}
 	return nil
@@ -865,8 +863,10 @@ func (e *Engine) Distance(a, b int) float64 {
 	return e.Trace.Distance(a, b, e.now)
 }
 
-// Contact estimates the remaining contact duration between two vehicles
-// from their shared routes.
+// Contact estimates the remaining contact duration between two vehicles by
+// stepping the recorded future trace at its tick interval, up to
+// ContactHorizon (Trace.ContactDuration): perfect foresight, which ROADMAP
+// item 21 replaces with a route-based predictor.
 func (e *Engine) Contact(a, b int) float64 {
 	return e.Trace.ContactDuration(a, b, e.now, e.Radio.Params.MaxRangeMeters, e.Cfg.ContactHorizon)
 }

@@ -204,7 +204,7 @@ func (ev *Evaluator) RunTrial(policy Driver, cond Condition, route *world.Route,
 		Pos:     route.PosAt(s0),
 		Heading: route.HeadingAt(s0),
 	}
-	return ev.RunTrialWithAgent(policy, cond, route, seed, agent)
+	return ev.RunTrialReport(policy, cond, route, seed, agent).Outcome
 }
 
 // TrialReport carries a trial's outcome plus termination diagnostics.
@@ -219,12 +219,6 @@ type TrialReport struct {
 	// HitKind classifies collisions: "car-front", "car-side", "car-behind",
 	// or "pedestrian"; empty for non-collision outcomes.
 	HitKind string
-}
-
-// RunTrialWithAgent runs a trial with a caller-provided testing agent —
-// oracles and instrumented drivers hold a reference to the live agent.
-func (ev *Evaluator) RunTrialWithAgent(policy Driver, cond Condition, route *world.Route, seed uint64, agent *world.FreeAgent) Outcome {
-	return ev.RunTrialReport(policy, cond, route, seed, agent).Outcome
 }
 
 // trial is the live state of one closed-loop run: a private world with the
@@ -296,7 +290,9 @@ func (tr *trial) controlStep() (frame geom.Frame, arc, lateral float64) {
 	return frame, arc, lateral
 }
 
-// RunTrialReport is RunTrialWithAgent with termination diagnostics.
+// RunTrialReport runs a trial with a caller-provided testing agent —
+// oracles and instrumented drivers hold a reference to the live agent — and
+// returns its outcome with termination diagnostics.
 func (ev *Evaluator) RunTrialReport(policy Driver, cond Condition, route *world.Route, seed uint64, agent *world.FreeAgent) TrialReport {
 	tr, err := ev.newTrial(policy, cond, route, seed, agent)
 	if err != nil {

@@ -114,7 +114,7 @@ func TestTrialProgressMatchesOracle(t *testing.T) {
 func runOracleTrial(ev *eval.Evaluator, oracle *oracleDriver, cond eval.Condition, route *world.Route, seed uint64) eval.Outcome {
 	agent := &world.FreeAgent{Pos: route.PosAt(0), Heading: route.HeadingAt(0)}
 	oracle.agent = agent
-	return ev.RunTrialWithAgent(oracle, cond, route, seed, agent)
+	return ev.RunTrialReport(oracle, cond, route, seed, agent).Outcome
 }
 
 var _ = geom.Point{}

@@ -15,21 +15,11 @@ import (
 	"lbchat/internal/parallel"
 )
 
-// The two catalogue entries Run treats by name: every other entry is arms
-// plus a reporter.
-const (
-	// ExpProtocol trains one fleet under Spec.Protocol, Spec.Lossless and
-	// Spec.Config (the default experiment; what lbchat-sim and lbchat-eval
-	// run).
-	ExpProtocol = "protocol"
-	// ExpFleetScan is the scale workload: a synthetic random-waypoint fleet
-	// (internal/shard.Fleet) ticked and pair-scanned for Spec.Duration
-	// virtual seconds, its positions streamed through a trace.ChunkWriter.
-	// It trains nothing and skips the environment build, so fleets of 10k+
-	// vehicles measure the scan/trace machinery, not dataset collection;
-	// Spec.Vehicles and Spec.Duration size it.
-	ExpFleetScan = "fleetscan"
-)
+// ExpProtocol is the one catalogue entry Run treats by name: it trains one
+// fleet under Spec.Protocol and Spec.Lossless (the default experiment; what
+// lbchat-sim and lbchat-eval run). Every other entry is arms plus a
+// reporter.
+const ExpProtocol = "protocol"
 
 // Arm is one training run of an experiment: a protocol in a wireless regime
 // under one engine-config mutation.
@@ -53,8 +43,8 @@ type Experiment struct {
 	Title, Caption string
 	// Paper marks the artefacts of the paper's §IV: what "-exp all" means.
 	Paper bool
-	// Arms are the training runs, in table order. Empty for ExpFleetScan,
-	// which trains nothing, and for ExpProtocol, whose one arm is the Spec's.
+	// Arms are the training runs, in table order. Empty for ExpProtocol,
+	// whose one arm is the Spec's.
 	Arms []Arm
 
 	report reporter
@@ -119,7 +109,7 @@ func coresetMethods(methods ...coreset.Method) []Arm {
 // setting trains full LbChat (session resumption on) against the
 // restart-on-reencounter arm (Variant.NoResumption), so the table isolates
 // what the DESIGN.md §9 resilience machinery buys as conditions degrade.
-// Each arm sets its own fault config, overriding Spec.Faults.
+// Each arm sets its own fault config, overriding the env's Cfg.Faults.
 func faultSweepArms() []Arm {
 	noChurn := func(c faults.Config) faults.Config {
 		c.ChurnPerHour, c.AwayMeanSecs = 0, 0
@@ -231,7 +221,6 @@ var Catalogue = []Experiment{
 	{Name: "faultsweep", Title: "Robustness: fault sweep (burst loss x churn, with vs without resumption)",
 		Caption: "FaultSweep: final probe loss (x1000), W wireless loss",
 		Arms:    faultSweepArms(), report: reportPivot(finalLoss)},
-	{Name: ExpFleetScan, Title: "Fleet scan scale workload", Caption: "Fleet scan scale workload"},
 	{Name: ExpProtocol, Title: "One protocol, one regime", report: reportCurves},
 }
 

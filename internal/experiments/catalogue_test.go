@@ -36,10 +36,10 @@ func TestCatalogueWellFormed(t *testing.T) {
 		if x.Title == "" {
 			t.Errorf("%s has no title", x.Name)
 		}
-		if trains := x.Name != ExpFleetScan; trains != (x.report != nil) {
-			t.Errorf("%s: trains=%v but reporter set=%v", x.Name, trains, x.report != nil)
+		if x.report == nil {
+			t.Errorf("%s has no reporter", x.Name)
 		}
-		if fixed := x.Name != ExpFleetScan && x.Name != ExpProtocol; fixed != (len(x.Arms) > 0) {
+		if fixed := x.Name != ExpProtocol; fixed != (len(x.Arms) > 0) {
 			t.Errorf("%s has %d arms", x.Name, len(x.Arms))
 		}
 		for _, a := range x.Arms {

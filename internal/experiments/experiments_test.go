@@ -156,7 +156,7 @@ func entryResult(t *testing.T, name string) *Result {
 	if res, ok := entryResults[name]; ok {
 		return res
 	}
-	res, err := Run(context.Background(), Spec{Experiment: name, Env: getEnv(t)})
+	res, err := Run(context.Background(), getEnv(t), Spec{Experiment: name})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

@@ -80,10 +80,8 @@ func TestFaultedRunDeterministicAcrossWorkers(t *testing.T) {
 		mem := telemetry.NewMemorySink()
 		env := envWithSink(t, mem)
 		env.Scale.Workers = workers
-		res, err := Run(context.Background(), Spec{
-			Experiment: ExpProtocol, Protocol: ProtoLbChat,
-			Faults: faults.Heavy(), Env: env,
-		})
+		env.Cfg.Faults = faults.Heavy()
+		res, err := Run(context.Background(), env, Spec{Experiment: ExpProtocol, Protocol: ProtoLbChat})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -111,14 +109,14 @@ func TestFaultedRunDeterministicAcrossWorkers(t *testing.T) {
 	sameRun(t, "faulted workers 1 vs 8", run1, run8)
 }
 
-// TestSpecFaultsReachesSummary: a faulted Spec must surface its injections
-// in the run's telemetry summary, and CommTable must then grow the
-// resilience rows (which stay absent for fault-free runs).
-func TestSpecFaultsReachesSummary(t *testing.T) {
-	res, err := Run(context.Background(), Spec{
-		Experiment: ExpProtocol, Protocol: ProtoLbChat,
-		Faults: faults.Heavy(), Env: envWithSink(t, nil),
-	})
+// TestEnvFaultsReachSummary: a fault profile on the env's engine config
+// must surface its injections in the run's telemetry summary, and CommTable
+// must then grow the resilience rows (which stay absent for fault-free
+// runs).
+func TestEnvFaultsReachSummary(t *testing.T) {
+	env := envWithSink(t, nil)
+	env.Cfg.Faults = faults.Heavy()
+	res, err := Run(context.Background(), env, Spec{Experiment: ExpProtocol, Protocol: ProtoLbChat})
 	if err != nil {
 		t.Fatal(err)
 	}

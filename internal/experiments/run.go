@@ -4,46 +4,21 @@ import (
 	"context"
 	"fmt"
 
-	"lbchat/internal/core"
-	"lbchat/internal/faults"
 	"lbchat/internal/metrics"
 	"lbchat/internal/telemetry"
 )
 
-// Spec selects and parameterizes one experiment for Run. The zero value
-// trains LbChat at bench scale in the lossy regime.
+// Spec selects the experiment Run performs. The zero value trains LbChat in
+// the lossy regime. Everything else a run depends on — scale, engine config,
+// fault profile, telemetry sink — is the Env's.
 type Spec struct {
 	// Experiment names the Catalogue entry to run; "" means ExpProtocol.
 	Experiment string
-	// Protocol, Lossless and Config describe ExpProtocol's one arm: the
-	// protocol to train ("" = LbChat), its wireless regime, and an optional
-	// adjustment of its engine config. Every other experiment fixes its own
-	// arms and ignores the three.
+	// Protocol and Lossless describe ExpProtocol's one arm: the protocol to
+	// train ("" = LbChat) and its wireless regime. Every other experiment
+	// fixes its own arms and ignores the two.
 	Protocol ProtocolName
 	Lossless bool
-	Config   func(*core.Config)
-	// Scale is the scale to build the environment at (nil = BenchScale).
-	// Ignored when Env is set.
-	Scale *Scale
-	// Seed, Vehicles, Duration and Workers size ExpFleetScan, which has no
-	// environment to take them from (0 = seed 1, 2048 vehicles, 60 s, one
-	// worker per CPU). Every other experiment reads its Scale.
-	Seed     uint64
-	Vehicles int
-	Duration float64
-	Workers  int
-	// Telemetry, when non-nil, receives every run's full event stream in
-	// deterministic order (see Env.Telemetry). The caller owns Close.
-	Telemetry telemetry.Sink
-	// Faults configures fault injection (internal/faults) for every engine
-	// run the experiment performs; the zero value leaves faults off. It is
-	// applied to the environment's engine config, so it reaches every arm
-	// that does not set its own (the faultsweep entry's do).
-	Faults faults.Config
-	// Env reuses a prebuilt environment instead of building one from the
-	// scale fields (which are then ignored). Its Telemetry field is
-	// overwritten when Spec.Telemetry is set.
-	Env *Env
 }
 
 // Result is the typed outcome of Run.
@@ -79,11 +54,12 @@ func ScaleByName(name string) (Scale, error) {
 }
 
 // Run is the unified experiment entrypoint: it looks the Spec's experiment
-// up in the Catalogue, resolves an environment, trains the entry's arms
-// under ctx and reports them. Cancellation is honored once per engine tick;
-// a canceled experiment returns the partial Result with Canceled set and a
-// nil error.
-func Run(ctx context.Context, spec Spec) (*Result, error) {
+// up in the Catalogue, trains the entry's arms on env under ctx and reports
+// them. The env is the caller's to build, configure and close: Run changes
+// none of its fields, and only adds to the run memo Experiment.Train keeps.
+// Cancellation is honored once per engine tick; a canceled experiment
+// returns the partial Result with Canceled set and a nil error.
+func Run(ctx context.Context, env *Env, spec Spec) (*Result, error) {
 	if spec.Experiment == "" {
 		spec.Experiment = ExpProtocol
 	}
@@ -91,39 +67,13 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The fleetscan scale workload builds no environment (a 10k-vehicle
-	// dataset collection would dwarf the measurement), so it short-circuits
-	// before scale resolution.
-	if x.Name == ExpFleetScan {
-		return runFleetScan(ctx, x, spec)
-	}
-	env := spec.Env
-	if env == nil {
-		scale := BenchScale()
-		if spec.Scale != nil {
-			scale = *spec.Scale
-		}
-		if env, err = BuildEnv(scale); err != nil {
-			return nil, err
-		}
-		// Run owns the env it built: release trace resources (window file
-		// handles, temporary stream spills) once the experiment completes.
-		// Caller-supplied envs stay open — the caller closes them.
-		defer env.Close()
-	}
-	if spec.Telemetry != nil {
-		env.Telemetry = spec.Telemetry
-	}
-	if spec.Faults.Enabled() {
-		env.Cfg.Faults = spec.Faults
-	}
 	if x.Name == ExpProtocol {
 		name := spec.Protocol
 		if name == "" {
 			name = ProtoLbChat
 		}
 		one := *x
-		one.Arms = []Arm{{Label: string(name), Protocol: name, Lossless: spec.Lossless, Config: spec.Config}}
+		one.Arms = []Arm{{Label: string(name), Protocol: name, Lossless: spec.Lossless}}
 		x = &one
 	}
 	runs, err := x.Train(ctx, env)

@@ -88,7 +88,7 @@ func TestEventStreamDeterministicAcrossWorkers(t *testing.T) {
 		mem := telemetry.NewMemorySink()
 		env := envWithSink(t, mem)
 		env.Scale.Workers = workers
-		res, err := Run(context.Background(), Spec{Experiment: "fig3", Env: env})
+		res, err := Run(context.Background(), env, Spec{Experiment: "fig3"})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -121,7 +121,7 @@ func TestEventStreamDeterministicAcrossWorkers(t *testing.T) {
 func TestRunCancellationReturnsPartialResult(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Run(ctx, Spec{Experiment: ExpProtocol, Protocol: ProtoLbChat, Env: envWithSink(t, nil)})
+	res, err := Run(ctx, envWithSink(t, nil), Spec{Experiment: ExpProtocol, Protocol: ProtoLbChat})
 	if err != nil {
 		t.Fatalf("canceled run returned error: %v", err)
 	}
@@ -146,7 +146,7 @@ func TestRunCancellationReturnsPartialResult(t *testing.T) {
 // entries share, through Run on env.
 func defaultLbChat(ctx context.Context, t *testing.T, env *Env) *ProtocolRun {
 	t.Helper()
-	res, err := Run(ctx, Spec{Protocol: ProtoLbChat, Lossless: true, Env: env})
+	res, err := Run(ctx, env, Spec{Protocol: ProtoLbChat, Lossless: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +202,18 @@ func TestRunMemoKeepsUserSinkStreams(t *testing.T) {
 }
 
 // TestRunCanceledTableExperiment: canceling a table experiment must skip
-// evaluation (nil table) while still returning the partial runs.
+// evaluation (nil table) while still returning the partial runs, and Run
+// leaves the caller's env as it found it.
 func TestRunCanceledTableExperiment(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Run(ctx, Spec{Experiment: "tab7", Env: envWithSink(t, nil)})
+	env := envWithSink(t, telemetry.NewMemorySink())
+	before := *env
+	res, err := Run(ctx, env, Spec{Experiment: "tab7"})
+	if env.Telemetry != before.Telemetry || env.Trace != before.Trace ||
+		!reflect.DeepEqual(env.Cfg, before.Cfg) || !reflect.DeepEqual(env.Scale, before.Scale) {
+		t.Error("Run changed the env's fields")
+	}
 	if err != nil {
 		t.Fatalf("canceled table run returned error: %v", err)
 	}
@@ -226,9 +233,8 @@ func TestRunCanceledTableExperiment(t *testing.T) {
 func TestRunJSONLEndToEnd(t *testing.T) {
 	var buf bytes.Buffer
 	sink := telemetry.NewJSONL(&buf)
-	res, err := Run(context.Background(), Spec{
+	res, err := Run(context.Background(), envWithSink(t, sink), Spec{
 		Experiment: ExpProtocol, Protocol: ProtoLbChat, Lossless: true,
-		Env: envWithSink(t, sink),
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -303,8 +309,37 @@ func TestScaleByName(t *testing.T) {
 	}
 }
 
+// specFieldReasons accounts for every Spec field by the non-test caller
+// that sets it. What a run depends on beyond the arm it selects is the
+// Env's, so a field for it belongs there, not here.
+var specFieldReasons = map[string]string{
+	"Experiment": "lbchat-bench -exp",
+	"Protocol":   "lbchat-sim and lbchat-eval -protocol",
+	"Lossless":   "lbchat-sim and lbchat-eval -wireless-loss",
+}
+
+// TestSpecFieldsAccountedFor holds Spec to specFieldReasons: a new field
+// fails until its setter is named there, and a removed one until its entry
+// goes.
+func TestSpecFieldsAccountedFor(t *testing.T) {
+	typ := reflect.TypeOf(Spec{})
+	fields := map[string]bool{}
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		fields[name] = true
+		if specFieldReasons[name] == "" {
+			t.Errorf("Spec.%s has no entry in specFieldReasons: name the non-test caller that sets it", name)
+		}
+	}
+	for name := range specFieldReasons {
+		if !fields[name] {
+			t.Errorf("specFieldReasons names Spec.%s, which is not a field", name)
+		}
+	}
+}
+
 func TestRunRejectsUnknownExperiment(t *testing.T) {
-	_, err := Run(context.Background(), Spec{Experiment: "tab99", Env: getEnv(t)})
+	_, err := Run(context.Background(), getEnv(t), Spec{Experiment: "tab99"})
 	if err == nil {
 		t.Fatal("unknown experiment accepted")
 	}

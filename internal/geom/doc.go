@@ -4,6 +4,7 @@
 //
 // Polyline is the workhorse: routes, lanes, and vehicle paths are all
 // polylines, and arc-length parameterization (PointAt, length-preserving
-// resampling) is what lets the trace layer place vehicles and estimate
-// contact durations along shared routes.
+// resampling) is what places vehicles along them for the trace layer to
+// record. Contact durations are read from that recorded trace, not from the
+// routes (ROADMAP item 21).
 package geom

@@ -8,8 +8,8 @@ import "math"
 // notes this information totals 184 bytes and its transmission time is
 // negligible.
 type PriorityInputs struct {
-	// ContactDuration is the estimated remaining contact time (s), derived
-	// from the shared future routes.
+	// ContactDuration is the estimated remaining contact time (s), which
+	// the engine reads off the recorded future trace (ROADMAP item 21).
 	ContactDuration float64
 	// Distance is the current link distance (m).
 	Distance float64

@@ -1,14 +1,14 @@
 // Package shard holds the synthetic fleet of the scale workloads and a
 // grid-region pair scanner that no engine path uses any more.
 //
-// Fleet is the synthetic random-waypoint workload used by the fleetscan
-// scale experiment and the fleet-scan benchmark workload: per-vehicle
-// derived RNG streams keep its kinematics bit-identical at any worker
-// count.
+// Fleet is the synthetic random-waypoint workload of the benchmark's
+// fleet-scan workload, its only non-test caller (benchmarks/perf; ROADMAP
+// item 13(b) moves it there): per-vehicle derived RNG streams keep its
+// kinematics bit-identical at any worker count.
 //
 // Scanner was the engine's sharded encounter scan until that option left
-// core.Config (EXPERIMENTS.md "Scale — fleet scan": it lost to the single
-// spatial.Index on every measured pairing). It stays, with its tests and
+// core.Config (EXPERIMENTS.md, the sharded-scan record: it lost to the
+// single spatial.Index on every measured pairing). It stays, with its tests and
 // BenchmarkShardScan, only because the frozen benchmarks/perf harness times
 // NewScanner(4, 1).Scan for its shard.scan_us row; the next benchmark PR
 // drops that row and scanner.go with it (ROADMAP item 13(b)).

@@ -10,7 +10,7 @@ import (
 // private waypoint at a private speed and draws the next waypoint from its
 // own derived RNG stream on arrival. Because every vehicle owns its stream,
 // a tick is embarrassingly parallel and bit-identical at any worker count —
-// the scale workload for the fleetscan experiment, where the full world
+// the scale workload of benchmarks/perf's fleet-scan, where the full world
 // simulation would dominate the measurement.
 type Fleet struct {
 	// Side is the square arena's side length in meters.

@@ -1,6 +1,8 @@
 // Package trace records and replays vehicle mobility: position snapshots at
-// a fixed frame rate and contact-duration estimation from shared future
-// routes — the "assistive information" of Eq. (5).
+// a fixed frame rate and contact-duration estimation — the "assistive
+// information" of Eq. (5) — by stepping the recorded future trace at its
+// tick interval, up to a horizon (ROADMAP item 21 replaces that with a
+// predictor over the routes vehicles share).
 //
 // The paper runs its CARLA world for 120 hours and records expert positions
 // at 2 fps; we generate traces the same way from internal/world.

@@ -234,11 +234,13 @@ func (tr *Trace) Distance(a, b int, t float64) float64 {
 }
 
 // ContactDuration estimates how long vehicles a and b will remain within
-// commRange starting from time t, by replaying their shared future routes
-// (the paper's vehicles exchange their next-few-minutes routes from the
-// navigation service). The estimate is capped at horizon seconds. It reads
-// up to horizon seconds ahead of t, which bounds the span a windowed
-// trace's consumer must Reserve.
+// commRange starting from time t, by stepping the recorded future trace at
+// its tick interval until they part. The paper's vehicles instead predict
+// it from the next-few-minutes routes they exchange; ROADMAP item 21
+// replaces this perfect foresight with such a route-based predictor. The
+// estimate is capped at horizon seconds. It reads up to horizon seconds
+// ahead of t, which bounds the span a windowed trace's consumer must
+// Reserve.
 func (tr *Trace) ContactDuration(a, b int, t, commRange, horizon float64) float64 {
 	if tr.Distance(a, b, t) > commRange {
 		return 0
