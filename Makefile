@@ -135,8 +135,8 @@ bench-pprof:
 # line decodes against the event schema, and every summary row names a
 # canonical metric. lbchat-bench then walks two entries that share a run
 # (fig3's LbChat is fig2a's, trained and streamed once) into one stream,
-# which telemetry-lint checks the same way; so is lbchat-eval's stream of
-# the fleet it trains on its own env before driving it. (Resident ≡ windowed
+# which telemetry-lint checks the same way; so is the stream of an
+# lbchat-sim -trials run, which drives the fleet it trains. (Resident ≡ windowed
 # replay is TestStreamABDeterminism's and TestTraceResidencyBySize's, run by
 # make test and make race.)
 telemetry-smoke:
@@ -152,7 +152,7 @@ telemetry-smoke:
 	$(GO) run ./cmd/lbchat-bench -scale test -exp fig2a,fig3 \
 		-telemetry-out $(TMPDIR_SMOKE)/bench.jsonl > /dev/null
 	$(GO) run ./cmd/telemetry-lint $(TMPDIR_SMOKE)/bench.jsonl
-	$(GO) run ./cmd/lbchat-eval -scale test -duration 120 -trials 1 \
+	$(GO) run ./cmd/lbchat-sim -scale test -duration 120 -trials 1 \
 		-telemetry-out $(TMPDIR_SMOKE)/eval.jsonl > /dev/null
 	$(GO) run ./cmd/telemetry-lint $(TMPDIR_SMOKE)/eval.jsonl
 	rm -rf $(TMPDIR_SMOKE)

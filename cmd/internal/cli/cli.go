@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"lbchat/internal/experiments"
@@ -87,12 +88,16 @@ func (c *Common) Scale() (experiments.Scale, error) {
 // ApplyTrace resolves -trace-file onto the scale. The file is probed once
 // for its stream metadata, through its LBTC header and chunk index, and
 // recorded as Scale.TracePath for the experiment layer to open (resident or
-// windowed by its size). The scale's vehicle count is taken from the trace —
-// overriding any -vehicles setting, which only sizes recorded traces.
-// Without the flag the scale is untouched.
+// windowed by its size). The scale's vehicle count and trace length are
+// taken from the file, so a command's -vehicles or -trace-ticks, which only
+// size recorded traces, is an error when given with it. Without the flag
+// the scale is untouched.
 func (c *Common) ApplyTrace(scale *experiments.Scale) error {
 	if c.TraceFile == "" {
 		return nil
+	}
+	if err := c.Refuse("trace-file", "vehicles", "trace-ticks"); err != nil {
+		return err
 	}
 	probe, err := trace.OpenFileSource(c.TraceFile)
 	if err != nil {
@@ -102,6 +107,23 @@ func (c *Common) ApplyTrace(scale *experiments.Scale) error {
 	scale.TracePath = c.TraceFile
 	scale.Vehicles, scale.TraceTicks = probe.NumVehicles(), probe.NumTicks()
 	return nil
+}
+
+// Refuse returns an error naming every flag among names — shared or the
+// command's own — that was given explicitly, since the flag named by cause
+// leaves them without effect; nil when none was. A command calls it before
+// it creates a file or builds an environment.
+func (c *Common) Refuse(cause string, names ...string) error {
+	var given []string
+	for _, name := range names {
+		if c.flagSet(name) {
+			given = append(given, "-"+name)
+		}
+	}
+	if len(given) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s would be ignored with -%s; drop it", strings.Join(given, ", "), cause)
 }
 
 // flagSet reports whether the named flag was given explicitly.

@@ -43,7 +43,7 @@ func main() {
 
 // selectable lists the catalogue entries -exp accepts and their names: all
 // but the single-protocol run, whose arm comes from flags only lbchat-sim
-// and lbchat-eval have.
+// has.
 func selectable() (entries []*experiments.Experiment, names string) {
 	for i := range experiments.Catalogue {
 		if x := &experiments.Catalogue[i]; x.Name != experiments.ExpProtocol {

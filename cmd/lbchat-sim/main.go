@@ -1,17 +1,25 @@
 // Command lbchat-sim runs one co-simulation: a fleet of vehicles training
 // under a chosen protocol over a generated mobility trace, printing the
 // probe-loss curve, communication statistics, and the run's
-// communication-efficiency summary.
+// communication-efficiency summary. With -trials it then runs the paper's
+// online evaluation (§IV-D): the trained models drive a testing autopilot
+// over the CARLA-style benchmark — Straight, One Turn, and full navigation
+// with empty, normal, and dense traffic — and the driving success rate is
+// printed per condition. -load-fleet skips training and drives the blobs a
+// -save-fleet run wrote, exactly as that run's fleet drives.
 //
 // Usage:
 //
 //	lbchat-sim -protocol LbChat -vehicles 8 -duration 1800
 //	lbchat-sim -protocol DP -wireless-loss -telemetry-out events.jsonl
 //	lbchat-sim -protocol LbChat -wireless-loss -faults light
+//	lbchat-sim -protocol DP -trials 16 -save-fleet fleet
+//	lbchat-sim -protocol DP -trials 16 -load-fleet fleet
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -19,8 +27,10 @@ import (
 	"time"
 
 	"lbchat/cmd/internal/cli"
+	"lbchat/internal/eval"
 	"lbchat/internal/experiments"
 	"lbchat/internal/metrics"
+	"lbchat/internal/model"
 )
 
 func main() {
@@ -28,6 +38,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lbchat-sim: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// trainingFlags shape only the training run, which -load-fleet skips.
+var trainingFlags = []string{
+	"duration", "vehicles", "wireless-loss", "trace-ticks", "trace-file", "faults",
+	"telemetry-out", "summary-out", "json", "save-fleet", "log-chats",
 }
 
 func run(fs *flag.FlagSet, args []string) error {
@@ -42,9 +58,23 @@ func run(fs *flag.FlagSet, args []string) error {
 	jsonPath := fs.String("json", "", "write the loss curve and transfer stats as JSON to this file")
 	summaryOut := fs.String("summary-out", "",
 		"write the run's aggregated telemetry counters and histograms as CSV to this file (see telemetry-lint -summary)")
+	trials := fs.Int("trials", 0, "drive the fleet on the driving benchmark, this many trials per condition (0 = no driving)")
+	loadDir := fs.String("load-fleet", "",
+		"skip training and drive the model blobs -save-fleet wrote into this directory (needs -trials)")
 	common := cli.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *trials < 0 {
+		return fmt.Errorf("-trials %d: want 0 or more", *trials)
+	}
+	if *loadDir != "" {
+		if *trials == 0 {
+			return errors.New("-load-fleet needs -trials > 0")
+		}
+		if err := common.Refuse("load-fleet", trainingFlags...); err != nil {
+			return err
+		}
 	}
 
 	scale, err := common.Scale()
@@ -55,6 +85,9 @@ func run(fs *flag.FlagSet, args []string) error {
 	scale.TrainDuration = *duration
 	if *traceTicks > 0 {
 		scale.TraceTicks = *traceTicks
+	}
+	if *trials > 0 {
+		scale.EvalTrials = *trials
 	}
 	if err := common.ApplyTrace(&scale); err != nil {
 		return err
@@ -74,14 +107,26 @@ func run(fs *flag.FlagSet, args []string) error {
 
 	fmt.Printf("Building environment: %d vehicles on a %d-tick trace...\n",
 		scale.Vehicles, scale.TraceTicks)
-	fmt.Printf("Running %s for %.0fs of virtual time (wireless loss: %v)...\n",
-		*protocol, *duration, *lossy)
+	if *loadDir == "" {
+		fmt.Printf("Running %s for %.0fs of virtual time (wireless loss: %v)...\n",
+			*protocol, *duration, *lossy)
+	}
 	start := time.Now()
 	env, err := experiments.BuildEnv(scale)
 	if err != nil {
 		return err
 	}
 	defer env.Close()
+
+	if *loadDir != "" {
+		fleet, err := loadFleet(*loadDir, env.Cfg.Model)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("Loaded %d models from %s\n", len(fleet), *loadDir)
+		drive(env, fleet, *protocol)
+		return nil
+	}
 	env.Telemetry = sink
 	env.Cfg.Faults = fcfg
 	env.Cfg.LogChats = *logChats
@@ -144,20 +189,76 @@ func run(fs *flag.FlagSet, args []string) error {
 		fmt.Printf("Wrote %s\n", *jsonPath)
 	}
 	if *saveDir != "" {
-		if err := os.MkdirAll(*saveDir, 0o755); err != nil {
+		if err := saveFleet(*saveDir, run.Fleet); err != nil {
 			return err
-		}
-		for i, pol := range run.Fleet {
-			blob, err := pol.MarshalBinary()
-			if err != nil {
-				return err
-			}
-			path := filepath.Join(*saveDir, fmt.Sprintf("vehicle-%02d.lbp", i))
-			if err := os.WriteFile(path, blob, 0o644); err != nil {
-				return err
-			}
 		}
 		fmt.Printf("Saved %d model blobs to %s\n", len(run.Fleet), *saveDir)
 	}
+	if *trials > 0 {
+		if res.Canceled {
+			return errors.New("run canceled: the fleet is not driven")
+		}
+		drive(env, run.Fleet, *protocol)
+	}
 	return nil
+}
+
+// drive runs the fleet on the driving benchmark, env.Scale.EvalTrials trials
+// per condition, and prints the success rate per condition under a column
+// labelled by the protocol.
+func drive(env *experiments.Env, fleet []*model.Policy, protocol string) {
+	fmt.Printf("Running driving benchmark (%d trials per condition)...\n", env.Scale.EvalTrials)
+	rates := env.EvalFleet(fleet)
+	fmt.Printf("\n%-16s %8s\n", "Task", protocol)
+	for _, cond := range eval.Conditions {
+		fmt.Printf("%-16s %7.0f%%\n", cond.String(), rates[cond])
+	}
+}
+
+// blobPath names vehicle i's model blob in a fleet directory.
+func blobPath(dir string, i int) string {
+	return filepath.Join(dir, fmt.Sprintf("vehicle-%02d.lbp", i))
+}
+
+// saveFleet writes one model blob per vehicle, in fleet order.
+func saveFleet(dir string, fleet []*model.Policy) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for i, pol := range fleet {
+		blob, err := pol.MarshalBinary()
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(blobPath(dir, i), blob, 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// loadFleet reads the blobs saveFleet wrote, vehicle 0 first, up to the
+// first index without one. Every blob overwrites all parameters, so one
+// built policy's shape serves them all.
+func loadFleet(dir string, cfg model.Config) ([]*model.Policy, error) {
+	shape, err := model.New(cfg, 0)
+	if err != nil {
+		return nil, err
+	}
+	var fleet []*model.Policy
+	for i := 0; ; i++ {
+		path := blobPath(dir, i)
+		raw, err := os.ReadFile(path)
+		if errors.Is(err, os.ErrNotExist) && i > 0 {
+			return fleet, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		pol := shape.Clone()
+		if err := pol.UnmarshalBinary(raw); err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		fleet = append(fleet, pol)
+	}
 }

@@ -17,8 +17,7 @@ import (
 
 // ExpProtocol is the one catalogue entry Run treats by name: it trains one
 // fleet under Spec.Protocol and Spec.Lossless (the default experiment; what
-// lbchat-sim and lbchat-eval run). Every other entry is arms plus a
-// reporter.
+// lbchat-sim runs). Every other entry is arms plus a reporter.
 const ExpProtocol = "protocol"
 
 // Arm is one training run of an experiment: a protocol in a wireless regime

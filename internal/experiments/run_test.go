@@ -314,8 +314,8 @@ func TestScaleByName(t *testing.T) {
 // Env's, so a field for it belongs there, not here.
 var specFieldReasons = map[string]string{
 	"Experiment": "lbchat-bench -exp",
-	"Protocol":   "lbchat-sim and lbchat-eval -protocol",
-	"Lossless":   "lbchat-sim and lbchat-eval -wireless-loss",
+	"Protocol":   "lbchat-sim -protocol",
+	"Lossless":   "lbchat-sim -wireless-loss",
 }
 
 // TestSpecFieldsAccountedFor holds Spec to specFieldReasons: a new field

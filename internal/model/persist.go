@@ -10,14 +10,18 @@ import (
 
 // Persistence: trained policies serialize to a self-describing byte blob —
 // a fixed header carrying the architecture so a loader can verify shape
-// compatibility, followed by the nn wire-format parameter vector. Used by
-// the CLI tools to hand trained fleets between training and evaluation runs.
+// compatibility, followed by the nn wire-format parameter vector, float64
+// bit for bit, so a loaded policy predicts exactly as the saved one did.
+// lbchat-sim -save-fleet writes a trained fleet's blobs and -load-fleet
+// drives them.
 
 const (
-	persistMagic   = 0x4C625032 // "LbP2"
+	persistMagic   = 0x4C625033 // "LbP3"
 	persistHdrSize = 4 + 6*4    // magic + 6 uint32 architecture fields
-	// persistMagicV1 ("LbP1") headed the blobs of the conv-capable policy,
-	// whose header carried two more words; they are rejected, not migrated.
+	// persistMagicV2 ("LbP2") headed blobs whose parameters were float32,
+	// and persistMagicV1 ("LbP1") those of the conv-capable policy, whose
+	// header carried two more words; both are rejected, not migrated.
+	persistMagicV2 = 0x4C625032
 	persistMagicV1 = 0x4C625031
 )
 
@@ -44,8 +48,10 @@ func (p *Policy) UnmarshalBinary(blob []byte) error {
 	}
 	switch binary.LittleEndian.Uint32(blob[0:]) {
 	case persistMagic:
-	case persistMagicV1:
-		return fmt.Errorf("%w: format LbP1 is older than this build's LbP2; save the fleet again with lbchat-sim -save-fleet", ErrBadModelBlob)
+	case persistMagicV1, persistMagicV2:
+		// The magic's low byte, first in little-endian order, is its digit.
+		return fmt.Errorf("%w: format LbP%c is older than this build's LbP3; save the fleet again with lbchat-sim -save-fleet",
+			ErrBadModelBlob, blob[0])
 	default:
 		return fmt.Errorf("%w: bad magic", ErrBadModelBlob)
 	}

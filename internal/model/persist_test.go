@@ -28,16 +28,21 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err := fresh.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
-	// float32 wire precision: losses match to ~1e-6 relative.
-	a, b := pol.Loss(data), fresh.Loss(data)
-	if math.Abs(a-b) > 1e-5*(1+math.Abs(a)) {
-		t.Errorf("loaded policy loss %v, want %v", b, a)
+	// The blob stores float64: the loaded parameters are the trained ones.
+	want, got := pol.Flat(), fresh.Flat()
+	if len(got) != len(want) {
+		t.Fatalf("loaded %d parameters, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("parameter %d loads as %v, trained %v", i, got[i], want[i])
+		}
 	}
 }
 
 // TestUnmarshalRejectsMismatch requires every rejection to wrap
 // ErrBadModelBlob, a body the wire format refuses to wrap
-// nn.ErrBadWireFormat besides, and a blob of the previous format to be named
+// nn.ErrBadWireFormat besides, and a blob of a previous format to be named
 // as such.
 func TestUnmarshalRejectsMismatch(t *testing.T) {
 	cfg := tinyConfig()
@@ -49,9 +54,14 @@ func TestUnmarshalRejectsMismatch(t *testing.T) {
 
 	bad := append([]byte(nil), blob...)
 	bad[0] ^= 0xFF
-	// A blob of the previous format, which carried two more header words.
+	// A blob of the conv-capable format, which carried two more header words.
 	v1 := append(binary.LittleEndian.AppendUint32(nil, persistMagicV1), make([]byte, 8*4)...)
 	v1 = append(v1, nn.Serialize(pol.Flat())...)
+	// A blob of the float32 format: this header, four bytes a parameter.
+	v2 := binary.LittleEndian.AppendUint32(nil, persistMagicV2)
+	v2 = append(v2, blob[4:persistHdrSize]...)
+	v2 = append(v2, blob[persistHdrSize:persistHdrSize+8]...)
+	v2 = append(v2, make([]byte, 4*pol.NumParams())...)
 	// A header whose params word matches the policy in front of a
 	// well-formed wire body one parameter short.
 	flat := pol.Flat()
@@ -67,7 +77,8 @@ func TestUnmarshalRejectsMismatch(t *testing.T) {
 		{"architecture mismatch", wrong, blob, false, ""},
 		{"truncated header", pol, blob[:10], false, ""},
 		{"bad magic", pol, bad, false, ""},
-		{"previous blob version", pol, v1, false, "LbP1"},
+		{"conv-capable blob version", pol, v1, false, "LbP1"},
+		{"float32 blob version", pol, v2, false, "LbP2"},
 		{"short parameter payload", pol, blob[:len(blob)-4], true, ""},
 		{"wire count differs from header", pol, miscounted, false, ""},
 	} {
@@ -87,11 +98,10 @@ func TestUnmarshalRejectsMismatch(t *testing.T) {
 
 // FuzzPolicyUnmarshal feeds arbitrary bytes to a tiny policy's
 // UnmarshalBinary. It must not panic, every rejection must wrap
-// ErrBadModelBlob, and an accepted blob must marshal back to itself: the
-// stored parameters are float32, which the float64 round trip keeps exactly
-// — up to the payload bits of a NaN, which only need to stay a NaN.
+// ErrBadModelBlob, and an accepted blob must marshal back to itself byte for
+// byte: the stored parameters are float64, which load and store unchanged.
 func FuzzPolicyUnmarshal(f *testing.F) {
-	// 46 parameters: a blob of 220 bytes keeps the fuzzer's minimization
+	// 46 parameters: a blob of 404 bytes keeps the fuzzer's minimization
 	// short.
 	cfg := tinyConfig()
 	cfg.BEVChannels, cfg.BEVHeight, cfg.BEVWidth = 1, 2, 2
@@ -109,21 +119,8 @@ func FuzzPolicyUnmarshal(f *testing.F) {
 			}
 			return
 		}
-		out, _ := p.MarshalBinary()
-		if len(out) != len(raw) {
-			t.Fatalf("accepted a %d-byte blob that marshals to %d bytes", len(raw), len(out))
-		}
-		const body = persistHdrSize + 8 // both headers, then one float32 per parameter
-		if !bytes.Equal(out[:body], raw[:body]) {
-			t.Fatalf("headers re-marshal as %x, accepted %x", out[:body], raw[:body])
-		}
-		for at := body; at < len(raw); at += 4 {
-			got := math.Float32frombits(binary.LittleEndian.Uint32(out[at:]))
-			want := math.Float32frombits(binary.LittleEndian.Uint32(raw[at:]))
-			bothNaN := math.IsNaN(float64(got)) && math.IsNaN(float64(want))
-			if math.Float32bits(got) != math.Float32bits(want) && !bothNaN {
-				t.Fatalf("parameter at byte %d re-marshals as %v, accepted %v", at, got, want)
-			}
+		if out, _ := p.MarshalBinary(); !bytes.Equal(out, raw) {
+			t.Fatalf("accepted blob re-marshals as %x, accepted %x", out, raw)
 		}
 	})
 }

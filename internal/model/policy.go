@@ -183,10 +183,6 @@ func (p *Policy) Params() nn.ParamSet { return p.params }
 // NumParams returns the total scalar parameter count.
 func (p *Policy) NumParams() int { return p.params.NumElements() }
 
-// WireSize returns the serialized (uncompressed) model size in bytes; this is
-// the S of the compression ratio φ = S/S_c.
-func (p *Policy) WireSize() int { return nn.WireSize(p.NumParams()) }
-
 // Flat returns a copy of the flat parameter vector.
 func (p *Policy) Flat() []float64 { return p.params.Flatten() }
 

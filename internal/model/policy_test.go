@@ -339,11 +339,3 @@ func TestEmptyInputs(t *testing.T) {
 		t.Error("empty PerSampleLosses should return nil")
 	}
 }
-
-func TestWireSize(t *testing.T) {
-	cfg := tinyConfig()
-	pol, _ := New(cfg, 1)
-	if pol.WireSize() <= pol.NumParams() {
-		t.Errorf("wire size %d vs %d params", pol.WireSize(), pol.NumParams())
-	}
-}

@@ -227,18 +227,20 @@ func TestDecayClipGradNormMatchesSeparatePasses(t *testing.T) {
 	}
 }
 
+// TestSerializeRoundTrip requires the decoded vector to be the encoded one
+// bit for bit, values float32 cannot hold included.
 func TestSerializeRoundTrip(t *testing.T) {
-	flat := []float64{0, 1.5, -2.25, 1e-3}
+	flat := []float64{0, 1.5, -2.25, 1e-3, 0.1, 1e-300, math.Nextafter(1, 2)}
 	buf := Serialize(flat)
-	if len(buf) != WireSize(len(flat)) {
-		t.Fatalf("wire size %d != %d", len(buf), WireSize(len(flat)))
+	if want := headerBytes + BytesPerParam*len(flat); len(buf) != want {
+		t.Fatalf("wire size %d != %d", len(buf), want)
 	}
 	got, err := Deserialize(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range flat {
-		if math.Abs(got[i]-flat[i]) > 1e-6 {
+		if math.Float64bits(got[i]) != math.Float64bits(flat[i]) {
 			t.Errorf("round trip [%d]: %v vs %v", i, got[i], flat[i])
 		}
 	}

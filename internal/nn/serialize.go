@@ -8,13 +8,12 @@ import (
 )
 
 // Wire format: a little-endian header (magic, element count) followed by the
-// flat parameter vector as float32 values. Float32 matches what practical
-// systems ship over the air and halves transfer size relative to the float64
-// training representation.
+// flat parameter vector as float64 values, the training representation bit
+// for bit, so a decoded vector is the encoded one.
 const (
 	wireMagic = 0x4C624368 // "LbCh"
-	// BytesPerParam is the on-the-wire size of one model parameter.
-	BytesPerParam = 4
+	// BytesPerParam is the encoded size of one model parameter.
+	BytesPerParam = 8
 	headerBytes   = 8
 )
 
@@ -28,7 +27,7 @@ func Serialize(flat []float64) []byte {
 	binary.LittleEndian.PutUint32(buf[0:4], wireMagic)
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(flat)))
 	for i, v := range flat {
-		binary.LittleEndian.PutUint32(buf[headerBytes+4*i:], math.Float32bits(float32(v)))
+		binary.LittleEndian.PutUint64(buf[headerBytes+BytesPerParam*i:], math.Float64bits(v))
 	}
 	return buf
 }
@@ -48,13 +47,7 @@ func Deserialize(buf []byte) ([]float64, error) {
 	}
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[headerBytes+4*i:])))
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[headerBytes+BytesPerParam*i:]))
 	}
 	return out, nil
-}
-
-// WireSize returns the serialized size in bytes of a model with numParams
-// parameters, without materializing the payload.
-func WireSize(numParams int) int {
-	return headerBytes + BytesPerParam*numParams
 }
