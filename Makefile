@@ -69,7 +69,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPolylinePose$$' -fuzztime $(FUZZTIME) ./internal/geom
 	$(GO) test -run '^$$' -fuzz '^FuzzArcOf$$' -fuzztime $(FUZZTIME) ./internal/geom
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaPlanCut$$' -fuzztime $(FUZZTIME) ./internal/compress
-	$(GO) test -run '^$$' -fuzz '^FuzzSparseApply$$' -fuzztime $(FUZZTIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime $(FUZZTIME) ./internal/simrand
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexPairs$$' -fuzztime $(FUZZTIME) ./internal/spatial
 	$(GO) test -run '^$$' -fuzz '^FuzzGatherRows$$' -fuzztime $(FUZZTIME) ./internal/tensor

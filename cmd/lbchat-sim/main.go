@@ -105,9 +105,15 @@ func run(fs *flag.FlagSet, args []string) error {
 	ctx, stop := cli.SignalContext()
 	defer stop()
 
-	fmt.Printf("Building environment: %d vehicles on a %d-tick trace...\n",
-		scale.Vehicles, scale.TraceTicks)
-	if *loadDir == "" {
+	if *loadDir != "" {
+		// Driving reads only the env's suite, scale and model config: build
+		// it without training data or probe set, on the shortest trace
+		// BuildEnv accepts (one tick: an empty trace holds no vehicles).
+		scale.CollectTicks, scale.TraceTicks, scale.ProbeFrames = 0, 1, 0
+		fmt.Println("Building the driving benchmark...")
+	} else {
+		fmt.Printf("Building environment: %d vehicles on a %d-tick trace...\n",
+			scale.Vehicles, scale.TraceTicks)
 		fmt.Printf("Running %s for %.0fs of virtual time (wireless loss: %v)...\n",
 			*protocol, *duration, *lossy)
 	}

@@ -83,10 +83,3 @@ func (q *Quantized) Dense() []float64 {
 	}
 	return out
 }
-
-// WireSize returns the transmission size in bytes: packed codes plus the
-// range header.
-func (q *Quantized) WireSize() int {
-	const header = 12 + 16 // magic+count+bits, two float64 bounds
-	return header + (len(q.Codes)*q.Bits+7)/8
-}

@@ -87,17 +87,3 @@ func TestQuantizeEdgeCases(t *testing.T) {
 		t.Error("17-bit width accepted")
 	}
 }
-
-func TestQuantWireSize(t *testing.T) {
-	rng := simrand.New(5)
-	flat := make([]float64, 1000)
-	q8, _ := Quantize(flat, 8, rng)
-	q4, _ := Quantize(flat, 4, rng)
-	if q4.WireSize() >= q8.WireSize() {
-		t.Errorf("4-bit wire %d not below 8-bit %d", q4.WireSize(), q8.WireSize())
-	}
-	// 8-bit ≈ 1000 bytes + header.
-	if q8.WireSize() < 1000 || q8.WireSize() > 1100 {
-		t.Errorf("8-bit wire size = %d", q8.WireSize())
-	}
-}

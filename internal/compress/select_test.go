@@ -153,7 +153,7 @@ func TestTopKMatchesSortOracle(t *testing.T) {
 			for _, k := range ks {
 				if got, want := TopK(v, k), sortOracleTopK(v, k); !sameSparse(got, want) {
 					t.Fatalf("%s (n=%d, round %d): TopK(k=%d) kept %d entries %v, oracle %d entries %v",
-						name, n, round, k, got.K(), head(got.Indices), want.K(), head(want.Indices))
+						name, n, round, k, len(got.Indices), head(got.Indices), len(want.Indices), head(want.Indices))
 				}
 			}
 		}

@@ -1,15 +1,11 @@
 package compress
 
-import "fmt"
-
 // Bytes-per-entry constants for compressed payload sizing.
 const (
 	// valueBytes is the wire size of one parameter value (float32).
 	valueBytes = 4
 	// indexBytes is the wire size of one parameter index (uint32).
 	indexBytes = 4
-	// headerBytes covers magic + counts.
-	headerBytes = 12
 )
 
 // Sparse is a top-k sparsified model: the k largest-magnitude parameters as
@@ -21,22 +17,6 @@ type Sparse struct {
 	Indices []int
 	// Values are the kept parameter values, parallel to Indices.
 	Values []float64
-}
-
-// K returns the number of retained parameters.
-func (s *Sparse) K() int { return len(s.Indices) }
-
-// WireSize returns the transmission size in bytes. When more than half the
-// parameters are kept, a dense encoding (bitmap-free, full vector) is
-// cheaper and is what the size accounts for — so WireSize is monotone in K
-// and never exceeds the uncompressed size plus header.
-func (s *Sparse) WireSize() int {
-	sparse := headerBytes + s.K()*(indexBytes+valueBytes)
-	dense := headerBytes + s.Len*valueBytes
-	if sparse < dense {
-		return sparse
-	}
-	return dense
 }
 
 // KForPsi returns the number of parameters to keep so that the compressed
@@ -69,42 +49,4 @@ func TopK(flat []float64, k int) *Sparse {
 	var sel selection
 	sel.load(flat)
 	return sel.sparse(flat, k)
-}
-
-// Dense reconstructs the dense vector, zero-filling dropped parameters —
-// the standard biased top-k decompression.
-func (s *Sparse) Dense() []float64 {
-	out := make([]float64, s.Len)
-	for i, idx := range s.Indices {
-		out[idx] = s.Values[i]
-	}
-	return out
-}
-
-// ApplyAsUpdate reconstructs a dense vector using base for the dropped
-// coordinates: kept coordinates take the transmitted values, dropped ones
-// keep the receiver's own parameters. This is how a receiver materializes a
-// compressed peer model for evaluation and aggregation without zero-holes.
-// A malformed s — Values not parallel to Indices, an index outside
-// [0, Len), or indices not strictly increasing — is an error, not a panic
-// or a silent overwrite.
-func (s *Sparse) ApplyAsUpdate(base []float64) ([]float64, error) {
-	if len(base) != s.Len {
-		return nil, fmt.Errorf("compress: base length %d != sparse length %d", len(base), s.Len)
-	}
-	if len(s.Values) != len(s.Indices) {
-		return nil, fmt.Errorf("compress: %d values for %d indices", len(s.Values), len(s.Indices))
-	}
-	prev := -1
-	for i, idx := range s.Indices {
-		if idx <= prev || idx >= s.Len {
-			return nil, fmt.Errorf("compress: index %d at position %d is out of order or outside [0, %d)", idx, i, s.Len)
-		}
-		prev = idx
-	}
-	out := append([]float64(nil), base...)
-	for i, idx := range s.Indices {
-		out[idx] = s.Values[i]
-	}
-	return out, nil
 }

@@ -290,7 +290,7 @@ func TestMergeModelsBlends(t *testing.T) {
 func TestSCORunSharesDataNotModels(t *testing.T) {
 	eng, _ := tinyEnv(t, 3, true)
 	sizeBefore := eng.Vehicles[0].Data.Len()
-	if err := eng.Run(NewSCO(), 400); err != nil {
+	if err := eng.Run(NewLbChatVariant(SCO), 400); err != nil {
 		t.Fatal(err)
 	}
 	stats := eng.FleetReceiveStats()
@@ -308,18 +308,16 @@ func TestSCORunSharesDataNotModels(t *testing.T) {
 	}
 }
 
+// TestVariantsRun runs every arm but full LbChat (which most other tests
+// run) and checks that it learns.
 func TestVariantsRun(t *testing.T) {
-	for _, v := range []Variant{
-		{EqualCompression: true},
-		{AverageAggregation: true},
-	} {
+	for v := fullLbChat + 1; int(v) < len(variantNames); v++ {
 		eng, _ := tinyEnv(t, 3, true)
-		proto := NewLbChatVariant("variant", v)
-		if err := eng.Run(proto, 300); err != nil {
-			t.Fatalf("variant %+v failed: %v", v, err)
+		if err := eng.Run(NewLbChatVariant(v), 300); err != nil {
+			t.Fatalf("%v failed: %v", v, err)
 		}
 		if eng.LossCurve.Final() >= eng.LossCurve.Points[0].Value {
-			t.Errorf("variant %+v did not learn", v)
+			t.Errorf("%v did not learn", v)
 		}
 	}
 }
@@ -398,7 +396,7 @@ func TestMarkChattedSetsCooldowns(t *testing.T) {
 
 func TestNoPrioritizationVariantRuns(t *testing.T) {
 	eng, _ := tinyEnv(t, 3, false)
-	proto := NewLbChatVariant("no-prio", Variant{NoPrioritization: true})
+	proto := NewLbChatVariant(NoPrioritization)
 	if err := eng.Run(proto, 300); err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +407,7 @@ func TestNoPrioritizationVariantRuns(t *testing.T) {
 
 func TestAdaptiveCoresetSizing(t *testing.T) {
 	eng, _ := tinyEnv(t, 3, true)
-	proto := NewLbChatVariant("adaptive", Variant{AdaptiveCoresetSize: true})
+	proto := NewLbChatVariant(AdaptiveCoresetSize)
 	if err := eng.Run(proto, 400); err != nil {
 		t.Fatal(err)
 	}

@@ -29,14 +29,10 @@ func (e *Engine) EnsureCoreset(v *Vehicle) (*coreset.Coreset, error) {
 	if v.Data.Len() == 0 {
 		return nil, fmt.Errorf("core: vehicle %d has no local data", v.ID)
 	}
-	size := e.Cfg.CoresetSize
-	if v.CoresetSizeOverride > 0 {
-		size = v.CoresetSizeOverride
-	}
 	if v.Tree == nil {
 		v.Tree = coreset.NewTree(e.Cfg.CoresetMethod)
 	}
-	cs, stats, err := v.Tree.Refresh(v.Data, size, v.Policy.PerSampleLosses, v.rng.Derive("coreset-tree"))
+	cs, stats, err := v.Tree.Refresh(v.Data, e.coresetBudget(v), v.Policy.PerSampleLosses, v.rng.Derive("coreset-tree"))
 	if err != nil {
 		return nil, fmt.Errorf("core: incremental coreset refresh for vehicle %d: %w", v.ID, err)
 	}
@@ -49,6 +45,15 @@ func (e *Engine) EnsureCoreset(v *Vehicle) (*coreset.Coreset, error) {
 		e.obs.Observe(telemetry.MCoresetTreeMerges, float64(stats.TreeMerges))
 	}
 	return cs, nil
+}
+
+// coresetBudget is v's coreset size: its adaptive override when set, the
+// configured CoresetSize otherwise.
+func (e *Engine) coresetBudget(v *Vehicle) int {
+	if v.CoresetSizeOverride > 0 {
+		return v.CoresetSizeOverride
+	}
+	return e.Cfg.CoresetSize
 }
 
 // localWeight is §III-D's uniform original weight w(d) every absorbed
@@ -71,12 +76,8 @@ func (e *Engine) AbsorbCoreset(v *Vehicle, peer *coreset.Coreset) error {
 	if v.Core == nil {
 		return nil
 	}
-	size := e.Cfg.CoresetSize
-	if v.CoresetSizeOverride > 0 {
-		size = v.CoresetSizeOverride
-	}
 	prev := v.Core.Len()
-	merged, err := coreset.MergeReduce(v.Core, peer, size, v.rng.Derive("reduce"))
+	merged, err := coreset.MergeReduce(v.Core, peer, e.coresetBudget(v), v.rng.Derive("reduce"))
 	if err != nil {
 		return fmt.Errorf("core: merge-reduce for vehicle %d: %w", v.ID, err)
 	}

@@ -14,32 +14,56 @@ import (
 	"lbchat/internal/telemetry"
 )
 
-// Variant toggles LbChat's components for the paper's ablations and the SCO
-// study. The zero value is full LbChat.
-type Variant struct {
+// Variant selects one arm of LbChat for the paper's ablations and the SCO
+// study: full LbChat (the zero value) or one component masked or extended.
+// Its String is the arm's protocol name.
+type Variant uint8
+
+const (
+	// fullLbChat is the paper's protocol, every component on.
+	fullLbChat Variant = iota
 	// SCO shares coresets only: no model exchange or aggregation (§IV-G).
-	SCO bool
+	SCO
 	// EqualCompression masks the Eq. (7) optimization and splits the
 	// exchange window into equal fixed compression ratios (Table V).
-	EqualCompression bool
+	EqualCompression
 	// AverageAggregation masks the Eq. (8) weights and merges with plain
 	// averaging (Table VI).
-	AverageAggregation bool
+	AverageAggregation
 	// NoPrioritization masks the Eq. (5) route-sharing neighbor
 	// prioritization: encounters pair up at random like the gossip
 	// baselines, isolating what the priority score contributes.
-	NoPrioritization bool
+	NoPrioritization
 	// AdaptiveCoresetSize enables the paper's stated future-work feature:
 	// each vehicle tunes its coreset budget so the coreset exchange
 	// consumes at most a small share of its typically observed contact
 	// duration — short-contact vehicles shrink their coresets, vehicles
 	// with long encounters can afford richer ones.
-	AdaptiveCoresetSize bool
+	AdaptiveCoresetSize
 	// NoResumption disables chat-session resumption: a re-encountered peer
 	// restarts a broken coreset exchange from scratch instead of resuming
 	// from the last completed payload — the FaultSweep comparison arm
 	// (DESIGN.md §9).
-	NoResumption bool
+	NoResumption
+)
+
+// variantNames spells each Variant's protocol name, in Variant order.
+var variantNames = [...]string{
+	fullLbChat:          "LbChat",
+	SCO:                 "SCO",
+	EqualCompression:    "LbChat-EqualComp",
+	AverageAggregation:  "LbChat-AvgAgg",
+	NoPrioritization:    "LbChat-NoPrio",
+	AdaptiveCoresetSize: "LbChat-AdaptiveCS",
+	NoResumption:        "LbChat-NoResume",
+}
+
+// String returns the variant's protocol name.
+func (v Variant) String() string {
+	if int(v) < len(variantNames) {
+		return variantNames[v]
+	}
+	return fmt.Sprintf("Variant(%d)", uint8(v))
 }
 
 // Adaptive coreset sizing constants: the coreset exchange should claim at
@@ -102,7 +126,6 @@ type LbChat struct {
 	// Variant selects ablation behaviour.
 	Variant Variant
 
-	name    string
 	scratch *model.Policy // reusable buffer for evaluating received models
 	// sessions holds broken coreset exchanges by ordered pair key for
 	// resumption on re-encounter.
@@ -110,20 +133,13 @@ type LbChat struct {
 }
 
 // NewLbChat returns the full protocol.
-func NewLbChat() *LbChat { return &LbChat{name: "LbChat"} }
+func NewLbChat() *LbChat { return &LbChat{} }
 
-// NewLbChatVariant returns a named protocol variant.
-func NewLbChatVariant(name string, v Variant) *LbChat {
-	return &LbChat{name: name, Variant: v}
-}
+// NewLbChatVariant returns the protocol arm v.
+func NewLbChatVariant(v Variant) *LbChat { return &LbChat{Variant: v} }
 
-// NewSCO returns the share-coreset-only protocol of §IV-G.
-func NewSCO() *LbChat {
-	return &LbChat{name: "SCO", Variant: Variant{SCO: true}}
-}
-
-// Name implements Protocol.
-func (l *LbChat) Name() string { return l.name }
+// Name implements Protocol: the variant's protocol name.
+func (l *LbChat) Name() string { return l.Variant.String() }
 
 // Setup implements Protocol.
 func (l *LbChat) Setup(e *Engine) error {
@@ -150,7 +166,7 @@ func (l *LbChat) OnTick(e *Engine, now float64) {
 			TimeBudget:   e.Cfg.TimeBudget,
 		})
 	}
-	if l.Variant.NoPrioritization {
+	if l.Variant == NoPrioritization {
 		// Route-sharing ablation: any in-range pair is equally good.
 		rng := e.RNG()
 		score = func(a, b int) float64 { return 1 + 0.01*rng.Float64() }
@@ -173,7 +189,7 @@ func (l *LbChat) chat(e *Engine, a, b int) {
 	}
 	window = e.FaultWindow(a, b, window)
 	e.Emit(telemetry.ChatInitiated{Time: e.Now(), A: a, B: b, Contact: contact, Window: window})
-	if l.Variant.AdaptiveCoresetSize {
+	if l.Variant == AdaptiveCoresetSize {
 		l.adaptCoresetSize(e, va, contact)
 		l.adaptCoresetSize(e, vb, contact)
 	}
@@ -197,7 +213,7 @@ func (l *LbChat) chat(e *Engine, a, b int) {
 	var resumed *chatSession
 	if s, ok := l.sessions[key]; ok {
 		delete(l.sessions, key)
-		if !l.Variant.NoResumption && e.Now()-s.brokenAt <= resumeTTL {
+		if l.Variant != NoResumption && e.Now()-s.brokenAt <= resumeTTL {
 			resumed = s
 		}
 	}
@@ -252,7 +268,7 @@ func (l *LbChat) chat(e *Engine, a, b int) {
 		if core := legBA.core; core != nil && !legBA.resumed {
 			e.Events.Schedule(doneAt, func() { _ = e.AbsorbCoreset(va, core) })
 		}
-		if !l.Variant.NoResumption {
+		if l.Variant != NoResumption {
 			l.sessions[key] = &chatSession{brokenAt: e.Now(), toB: legAB, toA: legBA}
 		}
 		e.Emit(telemetry.ChatAborted{Time: e.Now(), A: a, B: b, Reason: telemetry.AbortCoresetExchange})
@@ -265,7 +281,7 @@ func (l *LbChat) chat(e *Engine, a, b int) {
 	// reverse. The rest of the chat works from the held copies.
 	caAtB, cbAtA := legAB.core, legBA.core
 
-	if l.Variant.SCO {
+	if l.Variant == SCO {
 		doneAt := e.Now() + elapsed
 		absorbAB, absorbBA := !legAB.resumed, !legBA.resumed
 		e.Events.Schedule(doneAt, func() {
@@ -301,7 +317,7 @@ func (l *LbChat) chat(e *Engine, a, b int) {
 	minBW := math.Min(va.Bandwidth, vb.Bandwidth)
 
 	var psiA, psiB float64
-	if l.Variant.EqualCompression {
+	if l.Variant == EqualCompression {
 		// Ablation: fixed equal ratios sized so both directions fill the
 		// remaining window.
 		psi := remaining * minBW / 8 / float64(2*modelBytes)
@@ -472,7 +488,7 @@ func (l *LbChat) sendModel(e *Engine, plan *compress.DeltaPlan, from, to *Vehicl
 // the Eq. (8) weights computed on the joint coreset (fast path of §III-D).
 func (l *LbChat) mergeInto(e *Engine, v *Vehicle, peerFlat []float64, senderCore *coreset.Coreset) {
 	var wSelf, wPeer float64
-	if l.Variant.AverageAggregation {
+	if l.Variant == AverageAggregation {
 		wSelf, wPeer = 0.5, 0.5
 	} else {
 		joint := JointEvalSet(e, v, senderCore.Items())

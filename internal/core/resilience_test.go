@@ -157,7 +157,7 @@ func TestChatResumptionSkipsDeliveredLeg(t *testing.T) {
 // re-encounter re-sends everything and never emits chat_resumed.
 func TestNoResumptionVariantRestartsFromScratch(t *testing.T) {
 	eng, l, sink, at := salvageScenario(t)
-	l.Variant.NoResumption = true
+	l.Variant = NoResumption
 	vb := eng.Vehicles[1]
 
 	l.chat(eng, 0, 1)

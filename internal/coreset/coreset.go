@@ -27,9 +27,6 @@ func (c *Coreset) Items() []dataset.Weighted { return c.data.Items() }
 // total weight of the summarized dataset.
 func (c *Coreset) TotalWeight() float64 { return c.data.TotalWeight() }
 
-// WireSize returns the transmission size of the coreset in bytes.
-func (c *Coreset) WireSize() int { return c.data.WireSize() }
-
 // FromDataset wraps an existing weighted dataset as a coreset (weights are
 // taken as w_C). Used by tests and by merge operations.
 func FromDataset(d *dataset.Dataset) *Coreset { return &Coreset{data: d} }

@@ -38,9 +38,6 @@ func (c Command) String() string {
 	}
 }
 
-// Valid reports whether c is a defined command.
-func (c Command) Valid() bool { return c >= CmdFollow && c <= CmdStraight }
-
 // Index returns the zero-based head index for the command.
 func (c Command) Index() int { return int(c) - 1 }
 
@@ -70,23 +67,6 @@ type Sample struct {
 	// V2I (SPaT), as it does for CARLA agents.
 	RedDist float64
 	Targets []float64
-}
-
-// Clone returns a deep copy of the sample.
-func (s Sample) Clone() Sample {
-	bev := make([]uint8, len(s.BEV))
-	copy(bev, s.BEV)
-	tgt := make([]float64, len(s.Targets))
-	copy(tgt, s.Targets)
-	return Sample{BEV: bev, Command: s.Command, Speed: s.Speed, NavDist: s.NavDist, RedDist: s.RedDist, Targets: tgt}
-}
-
-// WireSize returns the approximate transmission size of the sample in bytes:
-// the BEV ships as a bitmask (the paper's BEV is a sparse binary tensor),
-// the command as one byte, the speed and each waypoint coordinate as
-// float32.
-func (s Sample) WireSize() int {
-	return (len(s.BEV)+7)/8 + 1 + 12 + 4*len(s.Targets)
 }
 
 // Weighted couples a sample with a weight. Inside a local dataset the weight
@@ -228,16 +208,6 @@ func (d *Dataset) extendCum() {
 		}
 		d.cum = append(d.cum, acc)
 	}
-}
-
-// WireSize returns the approximate transmission size of the whole dataset in
-// bytes, including a 4-byte weight per sample.
-func (d *Dataset) WireSize() int {
-	var n int
-	for _, it := range d.items {
-		n += it.Sample.WireSize() + 4
-	}
-	return n
 }
 
 // Subset returns a new dataset holding the samples at the given indices.

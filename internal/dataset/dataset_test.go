@@ -22,39 +22,12 @@ func TestCommandProperties(t *testing.T) {
 		t.Fatalf("NumCommands = %d", NumCommands)
 	}
 	for c := CmdFollow; c <= CmdStraight; c++ {
-		if !c.Valid() {
-			t.Errorf("%v invalid", c)
-		}
 		if c.Index() < 0 || c.Index() >= NumCommands {
 			t.Errorf("%v index %d", c, c.Index())
 		}
 	}
-	if Command(0).Valid() || Command(5).Valid() {
-		t.Error("out-of-range command considered valid")
-	}
 	if CmdLeft.String() != "left" {
 		t.Errorf("String = %q", CmdLeft.String())
-	}
-}
-
-func TestSampleClone(t *testing.T) {
-	s := sample(CmdLeft, 0.5)
-	c := s.Clone()
-	c.BEV[0] = 9
-	c.Targets[0] = 9
-	if s.BEV[0] == 9 || s.Targets[0] == 9 {
-		t.Error("clone shares payloads")
-	}
-	if c.Command != s.Command || c.Speed != s.Speed || c.NavDist != s.NavDist {
-		t.Error("clone dropped metadata")
-	}
-}
-
-func TestSampleWireSize(t *testing.T) {
-	s := sample(CmdFollow, 0)
-	// 4 BEV bits → 1 byte, 1 command byte, 12 scalar bytes, 4×4 targets.
-	if got := s.WireSize(); got != 1+1+12+16 {
-		t.Errorf("WireSize = %d", got)
 	}
 }
 
@@ -282,15 +255,5 @@ func TestFromWeightedShares(t *testing.T) {
 	d.SetWeight(0, 5)
 	if items[0].Weight != 1 {
 		t.Error("FromWeighted aliases the input slice values")
-	}
-}
-
-func TestDatasetWireSize(t *testing.T) {
-	d := New(0)
-	d.Add(sample(CmdFollow, 0), 1)
-	d.Add(sample(CmdLeft, 0), 1)
-	per := sample(CmdFollow, 0).WireSize() + 4
-	if got := d.WireSize(); got != 2*per {
-		t.Errorf("WireSize = %d, want %d", got, 2*per)
 	}
 }

@@ -332,21 +332,29 @@ const (
 // protocolTable lists every runnable protocol and how to construct it: the
 // paper's lineup, then the ablations and extension variants. It is the one
 // spelling of that list; an arm of the Catalogue resolves through it.
-var protocolTable = []struct {
-	Name ProtocolName
-	New  func(*Env) core.Protocol
-}{
+var protocolTable = []protocolEntry{
 	{ProtoLbChat, func(*Env) core.Protocol { return core.NewLbChat() }},
 	{ProtoProxSkip, func(*Env) core.Protocol { return baselines.NewProxSkip() }},
 	{ProtoRSUL, func(e *Env) core.Protocol { return baselines.NewRSUL(e.RSUPositions()) }},
 	{ProtoDFLDDS, func(*Env) core.Protocol { return baselines.NewDFLDDS() }},
 	{ProtoDP, func(*Env) core.Protocol { return baselines.NewDP() }},
-	{ProtoSCO, func(*Env) core.Protocol { return core.NewSCO() }},
-	{ProtoEqualComp, lbchatVariant(ProtoEqualComp, core.Variant{EqualCompression: true})},
-	{ProtoAvgAgg, lbchatVariant(ProtoAvgAgg, core.Variant{AverageAggregation: true})},
-	{ProtoNoPrio, lbchatVariant(ProtoNoPrio, core.Variant{NoPrioritization: true})},
-	{ProtoAdaptive, lbchatVariant(ProtoAdaptive, core.Variant{AdaptiveCoresetSize: true})},
-	{ProtoNoResume, lbchatVariant(ProtoNoResume, core.Variant{NoResumption: true})},
+	lbchatEntry(core.SCO),
+	lbchatEntry(core.EqualCompression),
+	lbchatEntry(core.AverageAggregation),
+	lbchatEntry(core.NoPrioritization),
+	lbchatEntry(core.AdaptiveCoresetSize),
+	lbchatEntry(core.NoResumption),
+}
+
+// protocolEntry is one runnable protocol: its name and constructor.
+type protocolEntry struct {
+	Name ProtocolName
+	New  func(*Env) core.Protocol
+}
+
+// lbchatEntry is the row of LbChat's arm v, named by the variant.
+func lbchatEntry(v core.Variant) protocolEntry {
+	return protocolEntry{ProtocolName(v.String()), func(*Env) core.Protocol { return core.NewLbChatVariant(v) }}
 }
 
 // Protocols lists the names newProtocol accepts, in table order. The
@@ -358,10 +366,6 @@ var Protocols = func() []ProtocolName {
 	}
 	return names
 }()
-
-func lbchatVariant(name ProtocolName, v core.Variant) func(*Env) core.Protocol {
-	return func(*Env) core.Protocol { return core.NewLbChatVariant(string(name), v) }
-}
 
 // newProtocol constructs a protocol instance by name.
 func (e *Env) newProtocol(name ProtocolName) (core.Protocol, error) {

@@ -128,11 +128,6 @@ func (f Frame) ToLocal(world Point) Point {
 	return world.Sub(f.Origin).Rotate(-f.Heading)
 }
 
-// ToWorld transforms an ego-frame point back into world coordinates.
-func (f Frame) ToWorld(local Point) Point {
-	return local.Rotate(f.Heading).Add(f.Origin)
-}
-
 // LocalFrame is the world→ego half of a Frame with its rotation computed
 // once. Code that transforms many points through one frame — a cone query
 // over its candidates, a rasterizer over its entities — builds it once

@@ -144,7 +144,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	f := Frame{Origin: Pt(10, -5), Heading: 1.1}
 	pts := []Point{Pt(0, 0), Pt(3, 4), Pt(-7, 2)}
 	for _, p := range pts {
-		back := f.ToWorld(f.ToLocal(p))
+		back := f.World().ToWorld(f.ToLocal(p))
 		if !near(back.X, p.X) || !near(back.Y, p.Y) {
 			t.Errorf("round trip of %v gives %v", p, back)
 		}
@@ -168,7 +168,7 @@ func TestFrameAheadIsPositiveX(t *testing.T) {
 // TestFrameTransformsMatchPerPointSincos pins the hoisted rotation to the
 // formula it replaced: transforming through a frame computes Sincos(∓Heading)
 // and one fixed sequence of multiply-adds, whether the rotation is built per
-// point (Frame.ToLocal/ToWorld) or once (Frame.Local/World) — same bits.
+// point (Frame.ToLocal) or once (Frame.Local/World) — same bits.
 func TestFrameTransformsMatchPerPointSincos(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 2000; trial++ {
@@ -190,9 +190,6 @@ func TestFrameTransformsMatchPerPointSincos(t *testing.T) {
 
 		s, c = math.Sincos(f.Heading)
 		wantWorld := Point{c*p.X - s*p.Y + f.Origin.X, s*p.X + c*p.Y + f.Origin.Y}
-		if got := f.ToWorld(p); got != wantWorld {
-			t.Fatalf("Frame.ToWorld(%v) in %+v = %v, want %v", p, f, got, wantWorld)
-		}
 		if got := f.World().ToWorld(p); got != wantWorld {
 			t.Fatalf("WorldFrame.ToWorld(%v) in %+v = %v, want %v", p, f, got, wantWorld)
 		}

@@ -108,9 +108,6 @@ func (pl *Polyline) Points() []Point {
 	return out
 }
 
-// Point returns the i-th point.
-func (pl *Polyline) Point(i int) Point { return pl.pts[i] }
-
 // Length returns the total arc length.
 func (pl *Polyline) Length() float64 {
 	if len(pl.cumLen) == 0 {

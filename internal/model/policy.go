@@ -98,15 +98,14 @@ const evalChunk = 64
 // every call works in scratch the policy holds (below), which stays valid
 // only until the policy's next call. Slices a method returns are fresh.
 type Policy struct {
-	cfg    Config
-	trunk  *nn.Sequential
-	heads  [dataset.NumCommands]*nn.Dense
-	opt    *nn.Adam
-	params nn.ParamSet
-
-	// fc1 is the trunk's first layer: it is fed the input's nonzero
-	// entries, rows.
-	fc1 *nn.Dense
+	cfg Config
+	// The trunk, in order: fc1 (fed the input's nonzero entries, rows),
+	// relu1, fc2, relu2.
+	fc1, fc2     *nn.Dense
+	relu1, relu2 *nn.ReLU
+	heads        [dataset.NumCommands]*nn.Dense
+	opt          *nn.Adam
+	params       nn.ParamSet
 
 	// Batch scratch, filled by buildBatch (and by Predict for its one row):
 	// the input as rows for fc1 — sized by the batch's on-cells, never by
@@ -148,17 +147,13 @@ func build(cfg Config, rng *simrand.Rand) *Policy {
 		}
 		return rng.Derive(name)
 	}
-	fc1 := nn.NewDense("fc1", cfg.InputSize(), cfg.Hidden, stream("fc1"))
 	p := &Policy{
-		cfg: cfg,
-		trunk: nn.NewSequential(
-			fc1,
-			nn.NewReLU(),
-			nn.NewDense("fc2", cfg.Hidden, cfg.Hidden, stream("fc2")),
-			nn.NewReLU(),
-		),
-		opt: nn.NewAdam(cfg.LR),
-		fc1: fc1,
+		cfg:   cfg,
+		fc1:   nn.NewDense("fc1", cfg.InputSize(), cfg.Hidden, stream("fc1")),
+		relu1: nn.NewReLU(),
+		fc2:   nn.NewDense("fc2", cfg.Hidden, cfg.Hidden, stream("fc2")),
+		relu2: nn.NewReLU(),
+		opt:   nn.NewAdam(cfg.LR),
 	}
 	for i := range p.heads {
 		var head *simrand.Rand
@@ -167,15 +162,12 @@ func build(cfg Config, rng *simrand.Rand) *Policy {
 		}
 		p.heads[i] = nn.NewDense(fmt.Sprintf("head%d", i), cfg.Hidden, cfg.TargetSize(), head)
 	}
-	p.params = append(nn.ParamSet{}, p.trunk.Params()...)
+	p.params = append(p.fc1.Params(), p.fc2.Params()...)
 	for _, h := range p.heads {
 		p.params = append(p.params, h.Params()...)
 	}
 	return p
 }
-
-// Config returns the policy configuration.
-func (p *Policy) Config() Config { return p.cfg }
 
 // Params returns the policy's parameters in stable order.
 func (p *Policy) Params() nn.ParamSet { return p.params }
@@ -205,9 +197,7 @@ func (p *Policy) Clone() *Policy {
 // returning per-sample predictions shaped (batch, 2K) in policy scratch.
 func (p *Policy) forward() *tensor.Dense {
 	hidden := p.fc1.ForwardRows(&p.rows)
-	for _, l := range p.trunk.Layers[1:] {
-		hidden = l.Forward(hidden)
-	}
+	hidden = p.relu2.Forward(p.fc2.Forward(p.relu1.Forward(hidden)))
 	return p.route(hidden)
 }
 
@@ -381,9 +371,9 @@ func (p *Policy) step(preds *tensor.Dense) float64 {
 		p.headGrad = gatherRows(p.headGrad, p.grad, idxs)
 		scatterRows(p.hiddenGrad, p.heads[h].Backward(p.headGrad), idxs)
 	}
-	// Nothing is upstream of the trunk's first layer: its input gradient —
-	// by far the widest product of the step — has no reader.
-	p.trunk.BackwardParams(p.hiddenGrad)
+	// Back through the trunk. Nothing is upstream of fc1: its input
+	// gradient — by far the widest product of the step — has no reader.
+	p.fc1.BackwardParams(p.relu1.Backward(p.fc2.Backward(p.relu2.Backward(p.hiddenGrad))))
 	// λ1 term: L2 structural risk enters as weight decay on the gradient.
 	nn.DecayClipGradNorm(p.params, 2*l2Penalty, gradClip)
 	sumSq := p.opt.Step(p.params)

@@ -42,7 +42,9 @@ func denseInput(cfg Config, items []dataset.Weighted) *tensor.Dense {
 
 func denseForward(p *Policy, items []dataset.Weighted) *tensor.Dense {
 	p.buildBatch(items)
-	return p.route(p.trunk.Forward(denseInput(p.cfg, items)))
+	hidden := p.fc1.Forward(denseInput(p.cfg, items))
+	hidden = p.relu2.Forward(p.fc2.Forward(p.relu1.Forward(hidden)))
+	return p.route(hidden)
 }
 
 func denseTrainStep(p *Policy, items []dataset.Weighted) float64 {

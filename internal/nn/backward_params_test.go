@@ -9,11 +9,47 @@ import (
 	"lbchat/internal/tensor"
 )
 
-// gradBits runs one forward pass and then backward (either Backward or
-// BackwardParams) on a freshly built layer, twice — gradients accumulate —
-// and returns the bit patterns of every parameter gradient.
-func gradBits(build func() Layer, in int, paramsOnly bool) []uint64 {
-	layer := build()
+// layer is what Dense and ReLU share.
+type layer interface {
+	Forward(*tensor.Dense) *tensor.Dense
+	Backward(*tensor.Dense) *tensor.Dense
+}
+
+// chain is a hand-chained network under test: first is its first layer,
+// rest the layers after it in order. backward runs the backward pass from
+// dLoss/dOutput — Backward through rest, then Backward on first, or, when
+// paramsOnly, BackwardParams on it as the policy's trunk does.
+type chain struct {
+	first  *Dense
+	rest   []layer
+	params ParamSet
+}
+
+func (c *chain) forward(x *tensor.Dense) *tensor.Dense {
+	x = c.first.Forward(x)
+	for _, l := range c.rest {
+		x = l.Forward(x)
+	}
+	return x
+}
+
+func (c *chain) backward(grad *tensor.Dense, paramsOnly bool) {
+	for i := len(c.rest) - 1; i >= 0; i-- {
+		grad = c.rest[i].Backward(grad)
+	}
+	if paramsOnly {
+		c.first.BackwardParams(grad)
+	} else {
+		c.first.Backward(grad)
+	}
+}
+
+// gradBits runs one forward pass and then the backward pass on a freshly
+// built chain, twice — gradients accumulate — and returns the bit patterns
+// of every parameter gradient and whether the first layer's input-gradient
+// scratch was written.
+func gradBits(build func() *chain, in int, paramsOnly bool) (bits []uint64, firstDx bool) {
+	c := build()
 	rng := simrand.New(77)
 	x := tensor.New(5, in)
 	for i := range x.Data() {
@@ -21,54 +57,43 @@ func gradBits(build func() Layer, in int, paramsOnly bool) []uint64 {
 			x.Data()[i] = rng.Normal(0, 1)
 		}
 	}
-	var bits []uint64
 	for pass := 0; pass < 2; pass++ {
-		y := layer.Forward(x)
-		grad := y.Clone()
-		if paramsOnly {
-			layer.BackwardParams(grad)
-		} else {
-			layer.Backward(grad)
-		}
+		c.backward(clone(c.forward(x)), paramsOnly)
 	}
-	for _, p := range layer.Params() {
+	for _, p := range c.params {
 		for _, g := range p.Grad.Data() {
 			bits = append(bits, math.Float64bits(g))
 		}
 	}
-	return bits
+	return bits, c.first.dx != nil
 }
 
-// TestBackwardParamsMatchesBackward: BackwardParams leaves the same
-// parameter-gradient bits as Backward for every layer kind and for a nested
-// container, and the first layer's input-gradient scratch is never touched.
+// TestBackwardParamsMatchesBackward: BackwardParams on a network's first
+// layer leaves the same parameter-gradient bits as Backward, alone and
+// under a Dense → ReLU → Dense → ReLU → Dense chain, and the first layer's
+// input-gradient scratch is never touched.
 func TestBackwardParamsMatchesBackward(t *testing.T) {
-	var firstDense *Dense
 	cases := []struct {
 		name  string
 		in    int
-		build func() Layer
+		build func() *chain
 	}{
-		{"Dense", 7, func() Layer {
-			firstDense = NewDense("d", 7, 4, simrand.New(1))
-			return firstDense
+		{"Dense", 7, func() *chain {
+			d := NewDense("d", 7, 4, simrand.New(1))
+			return &chain{first: d, params: d.Params()}
 		}},
-		{"Sequential", 9, func() Layer {
+		{"Chain", 9, func() *chain {
 			rng := simrand.New(4)
-			firstDense = NewDense("a", 9, 6, rng.Derive("a"))
-			return NewSequential(
-				NewSequential(firstDense, NewReLU()),
-				NewDense("b", 6, 5, rng.Derive("b")),
-				NewReLU(),
-				NewDense("c", 5, 3, rng.Derive("c")),
-			)
+			a := NewDense("a", 9, 6, rng.Derive("a"))
+			b := NewDense("b", 6, 5, rng.Derive("b"))
+			c := NewDense("c", 5, 3, rng.Derive("c"))
+			ps := append(append(a.Params(), b.Params()...), c.Params()...)
+			return &chain{first: a, rest: []layer{NewReLU(), b, NewReLU(), c}, params: ps}
 		}},
 	}
 	for _, c := range cases {
-		firstDense = nil
-		want := gradBits(c.build, c.in, false)
-		firstDense = nil
-		got := gradBits(c.build, c.in, true)
+		want, _ := gradBits(c.build, c.in, false)
+		got, firstDx := gradBits(c.build, c.in, true)
 		if len(got) != len(want) || len(got) == 0 {
 			t.Fatalf("%s: %d gradient values, Backward gave %d", c.name, len(got), len(want))
 		}
@@ -77,11 +102,10 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 				t.Fatalf("%s: gradient %d = %#x after BackwardParams, %#x after Backward", c.name, i, got[i], want[i])
 			}
 		}
-		if firstDense != nil && firstDense.dx != nil {
+		if firstDx {
 			t.Errorf("%s: BackwardParams computed the first layer's input gradient", c.name)
 		}
 	}
-	NewSequential().BackwardParams(tensor.New(1, 1)) // an empty chain has nothing to do
 }
 
 // mapAdam is Adam as the seed wrote it — moments looked up per parameter in

@@ -7,34 +7,15 @@ import (
 	"lbchat/internal/tensor"
 )
 
-// Layer is a differentiable module operating on batched activations shaped
-// (batch, features). Forward caches whatever Backward needs; a layer instance
-// therefore serves one forward/backward pair at a time and is not safe for
-// concurrent use. The fleet trains in parallel by giving every vehicle its
-// own layer instances (one Policy each), never by sharing layers.
+// Dense is a fully connected layer: y = x·W + b, on batched activations
+// shaped (batch, features).
 //
-// Layers return SCRATCH tensors from Forward and Backward: the returned
-// tensor is owned by the layer and overwritten on its next call. Callers
-// that need the values past the next Forward/Backward must copy them (the
-// model layer's loss/prediction paths already do).
-type Layer interface {
-	// Forward computes the layer output for a batch of inputs.
-	Forward(x *tensor.Dense) *tensor.Dense
-	// Backward receives dLoss/dOutput and returns dLoss/dInput, accumulating
-	// (+=, never overwriting) parameter gradients into each Param.Grad along
-	// the way.
-	Backward(grad *tensor.Dense) *tensor.Dense
-	// BackwardParams is Backward for the layer nothing feeds: it leaves
-	// every Param.Grad holding exactly the bits Backward would, and neither
-	// computes nor touches the input gradient. A network's first layer takes
-	// this call — its input gradient is the widest product of the backward
-	// pass and has no reader.
-	BackwardParams(grad *tensor.Dense)
-	// Params returns the layer's trainable parameters (possibly empty).
-	Params() ParamSet
-}
-
-// Dense is a fully connected layer: y = x·W + b.
+// Forward caches what the backward pass needs, so a Dense (and a ReLU)
+// serves one forward/backward pair at a time and is not safe for concurrent
+// use: the fleet trains in parallel by giving every vehicle its own layers
+// (one model.Policy each). Forward and Backward return scratch the layer
+// owns and overwrites on its next call; a caller that needs the values
+// longer copies them.
 type Dense struct {
 	In, Out int
 	W, B    *Param
@@ -50,8 +31,6 @@ type Dense struct {
 	// the next Forward/Backward on this layer.
 	out, dx *tensor.Dense
 }
-
-var _ Layer = (*Dense)(nil)
 
 // NewDense creates a fully connected layer with He-uniform initialization
 // drawn from rng. A nil rng draws nothing and leaves every weight zero, for
@@ -73,7 +52,7 @@ func NewDense(name string, in, out int, rng *simrand.Rand) *Dense {
 	return d
 }
 
-// Forward implements Layer.
+// Forward computes the layer output for a batch of inputs.
 func (d *Dense) Forward(x *tensor.Dense) *tensor.Dense {
 	d.xs.SetDense(x)
 	return d.ForwardRows(&d.xs)
@@ -91,7 +70,10 @@ func (d *Dense) ForwardRows(x *tensor.Rows) *tensor.Dense {
 	return d.out
 }
 
-// BackwardParams implements Layer.
+// BackwardParams receives dLoss/dOutput and accumulates (+=, never
+// overwriting) dW and db into the parameters' Grad. It is Backward for the
+// layer nothing feeds: the input gradient — for a network's first layer the
+// widest product of the backward pass — is neither computed nor touched.
 func (d *Dense) BackwardParams(grad *tensor.Dense) {
 	// dW += xᵀ·grad
 	tensor.AddMatMulTransARows(d.W.Grad, d.in, grad)
@@ -99,7 +81,7 @@ func (d *Dense) BackwardParams(grad *tensor.Dense) {
 	grad.SumRowsInto(d.B.Grad.Data())
 }
 
-// Backward implements Layer.
+// Backward is BackwardParams that also returns dLoss/dInput.
 func (d *Dense) Backward(grad *tensor.Dense) *tensor.Dense {
 	d.BackwardParams(grad)
 	// dx = grad·Wᵀ
@@ -108,7 +90,7 @@ func (d *Dense) Backward(grad *tensor.Dense) *tensor.Dense {
 	return d.dx
 }
 
-// Params implements Layer.
+// Params returns the layer's weights and bias.
 func (d *Dense) Params() ParamSet { return ParamSet{d.W, d.B} }
 
 // ReLU is the rectified-linear activation.
@@ -119,12 +101,10 @@ type ReLU struct {
 	out, gout *tensor.Dense
 }
 
-var _ Layer = (*ReLU)(nil)
-
 // NewReLU creates a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward implements Layer.
+// Forward computes max(x, 0) elementwise and caches which entries passed.
 func (r *ReLU) Forward(x *tensor.Dense) *tensor.Dense {
 	r.out = tensor.ReuseLike(r.out, x)
 	out := r.out
@@ -146,7 +126,8 @@ func (r *ReLU) Forward(x *tensor.Dense) *tensor.Dense {
 	return out
 }
 
-// Backward implements Layer.
+// Backward receives dLoss/dOutput and returns dLoss/dInput: the gradient
+// where Forward's input was positive, 0 elsewhere.
 func (r *ReLU) Backward(grad *tensor.Dense) *tensor.Dense {
 	r.gout = tensor.ReuseLike(r.gout, grad)
 	out := r.gout
@@ -160,60 +141,4 @@ func (r *ReLU) Backward(grad *tensor.Dense) *tensor.Dense {
 		}
 	}
 	return out
-}
-
-// BackwardParams implements Layer: a ReLU has no parameters.
-func (r *ReLU) BackwardParams(*tensor.Dense) {}
-
-// Params implements Layer.
-func (r *ReLU) Params() ParamSet { return nil }
-
-// Sequential chains layers.
-type Sequential struct {
-	Layers []Layer
-}
-
-var _ Layer = (*Sequential)(nil)
-
-// NewSequential builds a sequential container from the given layers.
-func NewSequential(layers ...Layer) *Sequential {
-	return &Sequential{Layers: layers}
-}
-
-// Forward implements Layer.
-func (s *Sequential) Forward(x *tensor.Dense) *tensor.Dense {
-	for _, l := range s.Layers {
-		x = l.Forward(x)
-	}
-	return x
-}
-
-// Backward implements Layer.
-func (s *Sequential) Backward(grad *tensor.Dense) *tensor.Dense {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		grad = s.Layers[i].Backward(grad)
-	}
-	return grad
-}
-
-// BackwardParams implements Layer: the gradient flows back through every
-// layer but the first as in Backward, and the first — whose input is the
-// network's input — accumulates its parameter gradients only.
-func (s *Sequential) BackwardParams(grad *tensor.Dense) {
-	if len(s.Layers) == 0 {
-		return
-	}
-	for i := len(s.Layers) - 1; i >= 1; i-- {
-		grad = s.Layers[i].Backward(grad)
-	}
-	s.Layers[0].BackwardParams(grad)
-}
-
-// Params implements Layer.
-func (s *Sequential) Params() ParamSet {
-	var ps ParamSet
-	for _, l := range s.Layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
 }

@@ -8,9 +8,18 @@ import (
 	"lbchat/internal/tensor"
 )
 
-// numericalGradCheck verifies analytic parameter gradients of a layer against
-// central finite differences on a scalar loss L = 0.5·‖y‖².
-func numericalGradCheck(t *testing.T, layer Layer, batch, in int, seed uint64) {
+// clone returns a deep copy of t.
+func clone(t *tensor.Dense) *tensor.Dense {
+	out := tensor.New(t.Shape()...)
+	copy(out.Data(), t.Data())
+	return out
+}
+
+// numericalGradCheck verifies the analytic parameter gradients of a network
+// against central finite differences on a scalar loss L = 0.5·‖y‖²: forward
+// runs the network, backward its backward pass from dL/dy, accumulating
+// into the gradients of params.
+func numericalGradCheck(t *testing.T, forward func(*tensor.Dense) *tensor.Dense, backward func(*tensor.Dense), params ParamSet, batch, in int, seed uint64) {
 	t.Helper()
 	rng := simrand.New(seed)
 	x := tensor.New(batch, in)
@@ -18,7 +27,7 @@ func numericalGradCheck(t *testing.T, layer Layer, batch, in int, seed uint64) {
 		x.Data()[i] = rng.Normal(0, 1)
 	}
 	loss := func() float64 {
-		y := layer.Forward(x)
+		y := forward(x)
 		var acc float64
 		for _, v := range y.Data() {
 			acc += 0.5 * v * v
@@ -26,13 +35,10 @@ func numericalGradCheck(t *testing.T, layer Layer, batch, in int, seed uint64) {
 		return acc
 	}
 	// Analytic gradients.
-	for _, p := range layer.Params() {
-		p.ZeroGrad()
-	}
-	y := layer.Forward(x)
-	layer.Backward(y.Clone()) // dL/dy = y
+	params.ZeroGrad()
+	backward(clone(forward(x))) // dL/dy = y
 	const eps = 1e-6
-	for _, p := range layer.Params() {
+	for _, p := range params {
 		data := p.Value.Data()
 		grad := p.Grad.Data()
 		// Check a subset of coordinates for speed.
@@ -53,18 +59,18 @@ func numericalGradCheck(t *testing.T, layer Layer, batch, in int, seed uint64) {
 }
 
 func TestDenseGradients(t *testing.T) {
-	rng := simrand.New(1)
-	numericalGradCheck(t, NewDense("d", 5, 3, rng), 4, 5, 2)
+	d := NewDense("d", 5, 3, simrand.New(1))
+	numericalGradCheck(t, d.Forward, func(g *tensor.Dense) { d.Backward(g) }, d.Params(), 4, 5, 2)
 }
 
+// TestSequentialGradients checks a hand-chained Dense → ReLU → Dense, the
+// shape of the policy's trunk.
 func TestSequentialGradients(t *testing.T) {
 	rng := simrand.New(5)
-	seq := NewSequential(
-		NewDense("a", 6, 5, rng.Derive("a")),
-		NewReLU(),
-		NewDense("b", 5, 2, rng.Derive("b")),
-	)
-	numericalGradCheck(t, seq, 3, 6, 7)
+	a, relu, b := NewDense("a", 6, 5, rng.Derive("a")), NewReLU(), NewDense("b", 5, 2, rng.Derive("b"))
+	forward := func(x *tensor.Dense) *tensor.Dense { return b.Forward(relu.Forward(a.Forward(x))) }
+	backward := func(g *tensor.Dense) { a.Backward(relu.Backward(b.Backward(g))) }
+	numericalGradCheck(t, forward, backward, append(a.Params(), b.Params()...), 3, 6, 7)
 }
 
 func TestDenseInputGradient(t *testing.T) {
@@ -84,7 +90,7 @@ func TestDenseInputGradient(t *testing.T) {
 		return acc
 	}
 	y := d.Forward(x)
-	dx := d.Backward(y.Clone())
+	dx := d.Backward(clone(y))
 	const eps = 1e-6
 	for i := range x.Data() {
 		orig := x.Data()[i]

@@ -23,10 +23,6 @@ type PriorityInputs struct {
 	TimeBudget float64
 }
 
-// AssistiveInfoBytes is the wire size of the route/bandwidth information
-// exchanged for Eq. (5), as measured in the paper's experiments.
-const AssistiveInfoBytes = 184
-
 // ContactPriority computes z_ij, the truncated-ratio contact-duration
 // priority of [7]: how much of the needed exchange window the contact
 // covers, capped at 1. A higher z means the contact is short yet sufficient.

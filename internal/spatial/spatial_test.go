@@ -4,13 +4,30 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"lbchat/internal/geom"
 	"lbchat/internal/simrand"
 )
 
-// bruteNeighbors is the reference O(N) scan Neighbors must agree with.
+// neighbors is a range query the way internal/world runs one: ForCandidates
+// filtered by the exact closed-ball predicate (WithinBall, which answers as
+// `q.Dist(p) <= r` does), sorted for comparison with bruteNeighbors.
+func neighbors(ix *Index, p geom.Point, r float64) []int {
+	var out []int
+	rr := r * r
+	ix.ForCandidates(p, r, func(i int, q geom.Point) bool {
+		if WithinBall(p, q, r, rr) {
+			out = append(out, i)
+		}
+		return true
+	})
+	slices.Sort(out)
+	return out
+}
+
+// bruteNeighbors is the reference O(N) scan neighbors must agree with.
 func bruteNeighbors(pts []geom.Point, p geom.Point, r float64) []int {
 	var out []int
 	for i, q := range pts {
@@ -74,7 +91,7 @@ func randomScene(rng *simrand.Rand, n int) []geom.Point {
 }
 
 // TestIndexMatchesBruteForceRandomized is the core property test: on many
-// randomized scenes, cell sizes, and radii, Neighbors and Pairs must agree
+// randomized scenes, cell sizes, and radii, neighbors and Pairs must agree
 // with the brute-force scans exactly — same sets, same canonical order.
 func TestIndexMatchesBruteForceRandomized(t *testing.T) {
 	rng := simrand.New(42)
@@ -91,8 +108,8 @@ func TestIndexMatchesBruteForceRandomized(t *testing.T) {
 		}
 		for q := 0; q < 10; q++ {
 			p := geom.Pt(rng.Uniform(-600, 1000), rng.Uniform(-500, 900))
-			if got, want := ix.Neighbors(nil, p, r), bruteNeighbors(pts, p, r); !equalInts(got, want) {
-				t.Fatalf("trial %d: Neighbors(%v, %g) = %v, brute = %v", trial, p, r, got, want)
+			if got, want := neighbors(ix, p, r), bruteNeighbors(pts, p, r); !equalInts(got, want) {
+				t.Fatalf("trial %d: neighbors(%v, %g) = %v, brute = %v", trial, p, r, got, want)
 			}
 		}
 	}
@@ -151,12 +168,12 @@ func TestIndexUpdateMatchesRebuild(t *testing.T) {
 				fresh.Rebuild(pts)
 				r := rng.Uniform(0, tc.maxR)
 				p := pts[rng.Intn(len(pts))]
-				got, want := ix.Neighbors(nil, p, r), bruteNeighbors(pts, p, r)
+				got, want := neighbors(ix, p, r), bruteNeighbors(pts, p, r)
 				if !equalInts(got, want) {
-					t.Fatalf("step %d: updated index Neighbors = %v, brute = %v", step, got, want)
+					t.Fatalf("step %d: updated index neighbors = %v, brute = %v", step, got, want)
 				}
-				if rebuilt := fresh.Neighbors(nil, p, r); !equalInts(rebuilt, want) {
-					t.Fatalf("step %d: rebuilt index Neighbors = %v, brute = %v", step, rebuilt, want)
+				if rebuilt := neighbors(fresh, p, r); !equalInts(rebuilt, want) {
+					t.Fatalf("step %d: rebuilt index neighbors = %v, brute = %v", step, rebuilt, want)
 				}
 				gp, wp := ix.Pairs(nil, r), brutePairs(pts, r)
 				if !equalPairs(gp, wp) {
@@ -187,8 +204,8 @@ func TestIndexHostileCoordinates(t *testing.T) {
 			t.Errorf("Pairs(%g) = %v, brute = %v", r, got, want)
 		}
 		for _, q := range pts {
-			if got, want := ix.Neighbors(nil, q, r), bruteNeighbors(pts, q, r); !equalInts(got, want) {
-				t.Errorf("Neighbors(%v, %g) = %v, brute = %v", q, r, got, want)
+			if got, want := neighbors(ix, q, r), bruteNeighbors(pts, q, r); !equalInts(got, want) {
+				t.Errorf("neighbors(%v, %g) = %v, brute = %v", q, r, got, want)
 			}
 		}
 	}
@@ -197,8 +214,8 @@ func TestIndexHostileCoordinates(t *testing.T) {
 		pts[1] = p
 		ix.Update(1, p)
 		checkBucketBudget(t, ix)
-		if got, want := ix.Neighbors(nil, geom.Pt(0, 0), 6), bruteNeighbors(pts, geom.Pt(0, 0), 6); !equalInts(got, want) {
-			t.Errorf("after Update(1, %v): Neighbors = %v, brute = %v", p, got, want)
+		if got, want := neighbors(ix, geom.Pt(0, 0), 6), bruteNeighbors(pts, geom.Pt(0, 0), 6); !equalInts(got, want) {
+			t.Errorf("after Update(1, %v): neighbors = %v, brute = %v", p, got, want)
 		}
 	}
 }
@@ -327,8 +344,8 @@ func TestIndexEdgeCases(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ix := New(tc.cell)
 			ix.Rebuild(tc.pts)
-			if got, want := ix.Neighbors(nil, tc.q, tc.r), bruteNeighbors(tc.pts, tc.q, tc.r); !equalInts(got, want) {
-				t.Errorf("Neighbors = %v, brute = %v", got, want)
+			if got, want := neighbors(ix, tc.q, tc.r), bruteNeighbors(tc.pts, tc.q, tc.r); !equalInts(got, want) {
+				t.Errorf("neighbors = %v, brute = %v", got, want)
 			}
 			if got, want := ix.Pairs(nil, tc.r), brutePairs(tc.pts, tc.r); !equalPairs(got, want) {
 				t.Errorf("Pairs = %v, brute = %v", got, want)
@@ -376,12 +393,12 @@ func TestForCandidatesSuperset(t *testing.T) {
 func TestNewDegenerateCellSize(t *testing.T) {
 	for _, cell := range []float64{0, -3, math.NaN(), math.Inf(1)} {
 		ix := New(cell)
-		if ix.CellSize() != 1 {
-			t.Errorf("New(%v) cell size = %g, want fallback 1", cell, ix.CellSize())
+		if ix.cell != 1 {
+			t.Errorf("New(%v) cell size = %g, want fallback 1", cell, ix.cell)
 		}
 		ix.Rebuild([]geom.Point{geom.Pt(2, 2), geom.Pt(2.5, 2)})
-		if got := ix.Neighbors(nil, geom.Pt(2, 2), 1); len(got) != 2 {
-			t.Errorf("New(%v) Neighbors = %v, want both points", cell, got)
+		if got := neighbors(ix, geom.Pt(2, 2), 1); len(got) != 2 {
+			t.Errorf("New(%v) neighbors = %v, want both points", cell, got)
 		}
 	}
 }

@@ -208,23 +208,30 @@ func addMatMulTransA(dst, a, b *Dense) {
 	AddMatMulTransARows(dst, &r, b)
 }
 
+// setAll sets every element of t to v.
+func setAll(t *Dense, v float64) {
+	for i := range t.data {
+		t.data[i] = v
+	}
+}
+
 func checkKernels(t *testing.T, c kernelCase, rng *simrand.Rand) {
 	t.Helper()
 	m, k, n := c.m, c.k, c.n
 	got, want := New(m, n), New(m, n)
-	got.Fill(math.NaN()) // every element must be overwritten
-	want.Fill(math.NaN())
+	setAll(got, math.NaN()) // every element must be overwritten
+	setAll(want, math.NaN())
 
 	MatMulInto(got, c.a, c.b)
 	oracleMatMulRows(want.data, c.a.data, c.b.data, 0, m, k, n)
 	sameBits(t, c.name+" MatMulInto", got.data, want.data)
 
-	got.Fill(math.NaN())
+	setAll(got, math.NaN())
 	MatMulTransAInto(got, c.at, c.b)
 	oracleTransA(want, c.at, c.b)
 	sameBits(t, c.name+" MatMulTransAInto", got.data, want.data)
 
-	got.Fill(math.NaN())
+	setAll(got, math.NaN())
 	MatMulTransBInto(got, c.a, c.bt)
 	oracleTransB(want.data, c.a.data, c.bt.data, 0, m, k, n)
 	sameBits(t, c.name+" MatMulTransBInto", got.data, want.data)
@@ -267,8 +274,8 @@ func TestAddMatMulTransAWideRows(t *testing.T) {
 	rng := simrand.New(3)
 	c := newKernelCase(3, 5, 8*gatherStrip+7, 0.5, false, rng)
 	got, want := New(c.m, c.n), New(c.m, c.n)
-	got.Fill(0.25)
-	want.Fill(0.25)
+	setAll(got, 0.25)
+	setAll(want, 0.25)
 	addMatMulTransA(got, c.at, c.b)
 	oracleTransAThenAdd(want, c.at, c.b)
 	sameBits(t, "wide", got.data, want.data)

@@ -32,13 +32,6 @@ func (t *Dense) Size() int { return len(t.data) }
 // Data returns the underlying storage. Mutating it mutates the tensor.
 func (t *Dense) Data() []float64 { return t.data }
 
-// Clone returns a deep copy.
-func (t *Dense) Clone() *Dense {
-	out := New(t.shape...)
-	copy(out.data, t.data)
-	return out
-}
-
 // Reuse2D returns a (rows, cols) matrix, reusing t's storage when its
 // capacity suffices and allocating otherwise (t may be nil). The returned
 // tensor's CONTENTS ARE UNSPECIFIED — callers must overwrite every element.
@@ -82,13 +75,6 @@ func ReuseLike(t *Dense, ref *Dense) *Dense {
 func (t *Dense) Zero() {
 	for i := range t.data {
 		t.data[i] = 0
-	}
-}
-
-// Fill sets every element to v.
-func (t *Dense) Fill(v float64) {
-	for i := range t.data {
-		t.data[i] = v
 	}
 }
 

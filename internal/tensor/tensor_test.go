@@ -28,15 +28,6 @@ func TestNewPanicsOnBadShape(t *testing.T) {
 	New(2, 0)
 }
 
-func TestCloneIndependent(t *testing.T) {
-	x := mat(1, 2, 1, 2)
-	y := x.Clone()
-	y.Data()[0] = 5
-	if x.Data()[0] != 1 {
-		t.Error("clone shares storage")
-	}
-}
-
 func TestElementwiseOps(t *testing.T) {
 	x := mat(1, 2, 1, 2)
 	x.ScaleInPlace(3)

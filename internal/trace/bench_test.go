@@ -39,7 +39,7 @@ func BenchmarkWindowAdvance(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				src, err := NewBytesSource(raw)
+				src, err := bytesSource(raw)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -62,7 +62,7 @@ func BenchmarkWindowAdvance(b *testing.B) {
 func BenchmarkWindowRowAt(b *testing.B) {
 	const vehicles, ticks = 64, 1024
 	raw, tr := benchStream(b, vehicles, ticks)
-	chunks, err := NewBytesSource(raw)
+	chunks, err := bytesSource(raw)
 	if err != nil {
 		b.Fatal(err)
 	}

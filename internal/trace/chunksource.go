@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -161,12 +160,6 @@ func OpenFileSource(path string) (*IndexedChunkSource, error) {
 	}
 	s.closer = f
 	return s, nil
-}
-
-// NewBytesSource wraps an in-memory LBTC stream as a random-access chunk
-// source.
-func NewBytesSource(raw []byte) (*IndexedChunkSource, error) {
-	return NewIndexedSource(bytes.NewReader(raw), int64(len(raw)))
 }
 
 // Load materializes a chunk source as a resident trace: every chunk, read

@@ -25,6 +25,12 @@ func encodeTrace(t *testing.T, tr *Trace) []byte {
 	return buf.Bytes()
 }
 
+// bytesSource indexes an in-memory LBTC stream as a random-access chunk
+// source.
+func bytesSource(raw []byte) (*IndexedChunkSource, error) {
+	return NewIndexedSource(bytes.NewReader(raw), int64(len(raw)))
+}
+
 // TestIndexedSourceMatchesResident reads every chunk of an indexed source —
 // out of order and concurrently — and checks each decoded position against
 // the resident trace.
@@ -35,7 +41,7 @@ func TestIndexedSourceMatchesResident(t *testing.T) {
 		chunkTicks = 8
 	)
 	tr := syntheticTrace(0.5, vehicles, ticks, chunkTicks)
-	src, err := NewBytesSource(encodeTrace(t, tr))
+	src, err := bytesSource(encodeTrace(t, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +158,7 @@ func TestReadChunkMatchesRawDecode(t *testing.T) {
 			{"tail", body + 1, 2*body + 1, 1},
 		} {
 			t.Run(fmt.Sprintf("%d/%s", body, layout.name), func(t *testing.T) {
-				src, err := NewBytesSource(encodeTrace(t, syntheticTrace(0.5, 1, layout.ticks, layout.chunkTicks)))
+				src, err := bytesSource(encodeTrace(t, syntheticTrace(0.5, 1, layout.ticks, layout.chunkTicks)))
 				if err != nil {
 					t.Fatal(err)
 				}

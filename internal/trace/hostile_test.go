@@ -90,7 +90,7 @@ func TestHostileHeaders(t *testing.T) {
 				t.Fatal(err)
 			}
 			opens := map[string]func() error{
-				"NewBytesSource": func() error { _, err := NewBytesSource(tc.raw); return err },
+				"NewIndexedSource": func() error { _, err := bytesSource(tc.raw); return err },
 				"OpenFileSource": func() error {
 					src, err := OpenFileSource(path)
 					if err == nil {
@@ -167,14 +167,14 @@ func FuzzLBTCDecode(f *testing.F) {
 			tr              *Trace
 			srcErr, loadErr error
 		)
-		if grew := allocated(func() { src, srcErr = NewBytesSource(raw) }); srcErr != nil && grew > uint64(len(raw))+rejectSlack {
-			t.Fatalf("NewBytesSource allocated %d bytes rejecting a %d-byte stream", grew, len(raw))
+		if grew := allocated(func() { src, srcErr = bytesSource(raw) }); srcErr != nil && grew > uint64(len(raw))+rejectSlack {
+			t.Fatalf("NewIndexedSource allocated %d bytes rejecting a %d-byte stream", grew, len(raw))
 		}
 		if grew := allocated(func() { tr, loadErr = loadBytes(raw) }); loadErr != nil && grew > uint64(len(raw))+rejectSlack {
 			t.Fatalf("Load allocated %d bytes rejecting a %d-byte stream", grew, len(raw))
 		}
 		if (srcErr == nil) != (loadErr == nil) {
-			t.Fatalf("NewBytesSource error %v, Load error %v", srcErr, loadErr)
+			t.Fatalf("NewIndexedSource error %v, Load error %v", srcErr, loadErr)
 		}
 		if srcErr != nil {
 			return

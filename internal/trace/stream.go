@@ -37,7 +37,6 @@ type ChunkWriter struct {
 	vehicles   int
 	chunkTicks int
 	buf        []geom.Point // current partial chunk, row-major
-	ticks      int          // ticks written overall (committed + buffered)
 	scratch    []byte
 	headerOK   bool
 	closed     bool
@@ -79,12 +78,8 @@ func (cw *ChunkWriter) AppendRow() []geom.Point {
 	}
 	off := len(cw.buf)
 	cw.buf = cw.buf[: off+cw.vehicles : cw.chunkTicks*cw.vehicles]
-	cw.ticks++
 	return cw.buf[off:]
 }
-
-// NumTicks returns the number of rows appended so far.
-func (cw *ChunkWriter) NumTicks() int { return cw.ticks }
 
 func (cw *ChunkWriter) writeHeader() {
 	if cw.headerOK || cw.err != nil {

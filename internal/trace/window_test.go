@@ -15,7 +15,7 @@ import (
 // config.
 func windowOver(t *testing.T, tr *Trace, cfg WindowConfig) *Trace {
 	t.Helper()
-	src, err := NewBytesSource(encodeTrace(t, tr))
+	src, err := bytesSource(encodeTrace(t, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestWindowCorruptionPositioned(t *testing.T) {
 				// Chunk 2's length field claims more ticks than capacity:
 				// the index scan refuses the stream.
 				b[headerLen+2*chunkBytes] = 0xff
-				return NewBytesSource(b)
+				return bytesSource(b)
 			},
 			wantChunk: 2,
 			atOpen:    true,

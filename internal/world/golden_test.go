@@ -79,7 +79,7 @@ func TestGoldenWorldTrajectory(t *testing.T) {
 		if tick%50 == 0 {
 			hashState(long, w)
 			for _, v := range w.Experts {
-				hashFloats(long, v.Route.Length(), float64(len(v.Route.Nodes())))
+				hashFloats(long, v.Route.Length(), float64(len(v.Route.nodes)))
 			}
 		}
 	}

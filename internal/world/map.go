@@ -39,9 +39,6 @@ type Map struct {
 	Nodes []Node
 	Edges []Edge
 
-	// reverse[e] is the edge running opposite to e (or -1).
-	reverse []EdgeID
-
 	bitmap     []bool
 	bmMinX     float64
 	bmMinY     float64
@@ -146,7 +143,6 @@ func NewMap(cfg Config) (*Map, error) {
 		m.addRoad(e, gridIdx[[2]int{0, cfg.GridN - 1}], cfg, cfg.RuralSpeed)
 	}
 
-	m.buildReverse()
 	m.buildBitmap(cfg)
 	return m, nil
 }
@@ -173,27 +169,6 @@ func (m *Map) addDirected(from, to NodeID, cfg Config, speed float64) {
 	m.Edges = append(m.Edges, Edge{ID: id, From: from, To: to, Lane: lane, SpeedLimit: speed})
 	m.Nodes[from].Out = append(m.Nodes[from].Out, id)
 }
-
-func (m *Map) buildReverse() {
-	m.reverse = make([]EdgeID, len(m.Edges))
-	for i := range m.reverse {
-		m.reverse[i] = -1
-	}
-	type key struct{ a, b NodeID }
-	byPair := make(map[key]EdgeID, len(m.Edges))
-	for _, e := range m.Edges {
-		byPair[key{e.From, e.To}] = e.ID
-	}
-	for _, e := range m.Edges {
-		if r, ok := byPair[key{e.To, e.From}]; ok {
-			m.reverse[e.ID] = r
-		}
-	}
-}
-
-// Reverse returns the opposite-direction edge of e, or -1 if the road is
-// one-way.
-func (m *Map) Reverse(e EdgeID) EdgeID { return m.reverse[e] }
 
 func (m *Map) buildBitmap(cfg Config) {
 	minX, minY := math.Inf(1), math.Inf(1)

@@ -187,9 +187,6 @@ func classifyTurns(m *Map, nodes []NodeID) []dataset.Command {
 	return cmds
 }
 
-// Nodes returns the route's node sequence.
-func (r *Route) Nodes() []NodeID { return r.nodes }
-
 // Length returns the route length in meters.
 func (r *Route) Length() float64 { return r.lane.Length() }
 

@@ -31,7 +31,6 @@ func spurMap(t testing.TB) *Map {
 	s2 := m.addNode(m.NodePos(base).Add(geom.Pt(6e-13, 4e-13)))
 	m.addRoad(base, s1, cfg, cfg.TownSpeed)
 	m.addRoad(s1, s2, cfg, cfg.TownSpeed)
-	m.buildReverse()
 	return m
 }
 

@@ -9,6 +9,7 @@ import (
 	"lbchat/internal/dataset"
 	"lbchat/internal/geom"
 	"lbchat/internal/simrand"
+	"lbchat/internal/spatial"
 )
 
 // This file holds the world's reference oracles: the pre-index O(N) entity
@@ -250,6 +251,17 @@ func TestCollectDatasetSpatialIndexBitIdentical(t *testing.T) {
 	}
 }
 
+// indexedPoints returns the points ix holds, by index, as an unbounded
+// ForCandidates query enumerates them.
+func indexedPoints(ix *spatial.Index) []geom.Point {
+	pts := make([]geom.Point, ix.Len())
+	ix.ForCandidates(geom.Point{}, math.Inf(1), func(i int, q geom.Point) bool {
+		pts[i] = q
+		return true
+	})
+	return pts
+}
+
 // checkIndexedPositions fails unless every indexed point is its entity's
 // current position.
 func checkIndexedPositions(t *testing.T, w *World, when string) {
@@ -257,16 +269,18 @@ func checkIndexedPositions(t *testing.T, w *World, when string) {
 	if got, want := len(w.idxVehicles), len(w.Experts)+len(w.Background); got != want || w.vehIndex.Len() != want {
 		t.Fatalf("%s: vehicle index holds %d/%d cars, world has %d", when, got, w.vehIndex.Len(), want)
 	}
+	cars := indexedPoints(w.vehIndex)
 	for i, v := range w.idxVehicles {
-		if got, want := w.vehIndex.At(i), v.Pos(); got != want {
+		if got, want := cars[i], v.Pos(); got != want {
 			t.Fatalf("%s: car %d indexed at %v, is at %v", when, v.ID, got, want)
 		}
 	}
 	if got, want := w.pedIndex.Len(), len(w.Pedestrians); got != want {
 		t.Fatalf("%s: pedestrian index holds %d walkers, world has %d", when, got, want)
 	}
+	walkers := indexedPoints(w.pedIndex)
 	for i, p := range w.Pedestrians {
-		if got := w.pedIndex.At(i); got != p.Pos {
+		if got := walkers[i]; got != p.Pos {
 			t.Fatalf("%s: pedestrian %d indexed at %v, is at %v", when, p.ID, got, p.Pos)
 		}
 	}

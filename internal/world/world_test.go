@@ -26,13 +26,12 @@ func TestMapGeneration(t *testing.T) {
 	}
 	// Every edge must have a reverse (all roads bidirectional).
 	for _, e := range m.Edges {
-		r := m.Reverse(e.ID)
-		if r < 0 {
-			t.Fatalf("edge %d has no reverse", e.ID)
+		reversed := false
+		for _, r := range m.Nodes[e.To].Out {
+			reversed = reversed || m.EdgeByID(r).To == e.From
 		}
-		re := m.EdgeByID(r)
-		if re.From != e.To || re.To != e.From {
-			t.Fatalf("reverse mismatch for edge %d", e.ID)
+		if !reversed {
+			t.Fatalf("edge %d has no reverse", e.ID)
 		}
 	}
 	w, h := m.Bounds()
@@ -434,7 +433,7 @@ func TestCollectFrameShape(t *testing.T) {
 	if len(s.Targets) != 10 {
 		t.Errorf("targets size = %d", len(s.Targets))
 	}
-	if !s.Command.Valid() {
+	if s.Command < dataset.CmdFollow || s.Command > dataset.CmdStraight {
 		t.Errorf("invalid command %v", s.Command)
 	}
 	if s.Speed < 0 || s.Speed > 1 || s.NavDist < 0 || s.NavDist > 1 || s.RedDist < 0 || s.RedDist > 1 {
@@ -594,7 +593,7 @@ func TestFreeAgentVisibleToTraffic(t *testing.T) {
 	v := w.Experts[0]
 	// Park a free agent directly ahead of the expert: it must slow down.
 	frame := v.Frame()
-	w.FreeAgents = append(w.FreeAgents, &FreeAgent{Pos: frame.ToWorld(geom.Pt(10, 0))})
+	w.FreeAgents = append(w.FreeAgents, &FreeAgent{Pos: frame.World().ToWorld(geom.Pt(10, 0))})
 	if gap := w.nearestVehicleAhead(v); gap > 11 {
 		t.Errorf("free agent ahead not detected: gap %v", gap)
 	}
