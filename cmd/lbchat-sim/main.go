@@ -107,9 +107,8 @@ func run(fs *flag.FlagSet, args []string) error {
 
 	if *loadDir != "" {
 		// Driving reads only the env's suite, scale and model config: build
-		// it without training data or probe set, on the shortest trace
-		// BuildEnv accepts (one tick: an empty trace holds no vehicles).
-		scale.CollectTicks, scale.TraceTicks, scale.ProbeFrames = 0, 1, 0
+		// it without training data, trace or probe set.
+		scale.CollectTicks, scale.TraceTicks, scale.ProbeFrames = 0, 0, 0
 		fmt.Println("Building the driving benchmark...")
 	} else {
 		fmt.Printf("Building environment: %d vehicles on a %d-tick trace...\n",

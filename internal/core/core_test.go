@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lbchat/internal/bev"
@@ -159,6 +160,24 @@ func TestEngineRejectsMismatchedInputs(t *testing.T) {
 	var all []*dataset.Dataset
 	for _, v := range eng.Vehicles {
 		all = append(all, v.Data)
+	}
+	for _, set := range []func(*radio.Params){
+		func(p *radio.Params) { p.MaxRangeMeters = 0 },
+		func(p *radio.Params) { p.MaxTransmissions = 0 },
+	} {
+		rm := *eng.Radio
+		set(&rm.Params)
+		if _, err := NewEngine(cfg, eng.Trace, all, &rm, eng.Probe); err == nil || !strings.HasPrefix(err.Error(), "radio: ") {
+			t.Errorf("radio %+v: error %v, want the radio's", rm.Params, err)
+		}
+	}
+	// A trace without ticks is refused by its tick count, checked before its
+	// vehicles are compared with the datasets.
+	for _, vehicles := range []int{len(all), 2} {
+		_, err := NewEngine(cfg, trace.New(eng.Trace.DT(), vehicles), all, eng.Radio, eng.Probe)
+		if err == nil || !strings.Contains(err.Error(), "0 ticks") {
+			t.Errorf("%d-vehicle empty trace: error %v, want one naming its 0 ticks", vehicles, err)
+		}
 	}
 	cfg.BandwidthMinBps = eng.Radio.Params.MaxBandwidthBps + 1
 	if _, err := NewEngine(cfg, eng.Trace, all, eng.Radio, eng.Probe); err == nil {

@@ -341,9 +341,15 @@ func NewEngine(cfg Config, tr *trace.Trace, datasets []*dataset.Dataset, rm *rad
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if err := rm.Params.Validate(); err != nil {
+		return nil, err
+	}
 	maxBps := rm.Params.MaxBandwidthBps
 	if cfg.BandwidthMinBps > maxBps {
 		return nil, fmt.Errorf("core: minimum bandwidth %g above the radio's peak %g", cfg.BandwidthMinBps, maxBps)
+	}
+	if tr.NumTicks() == 0 {
+		return nil, fmt.Errorf("core: trace has %d ticks; a run needs at least one", tr.NumTicks())
 	}
 	if tr.NumVehicles() != len(datasets) {
 		return nil, fmt.Errorf("core: trace has %d vehicles, got %d datasets", tr.NumVehicles(), len(datasets))

@@ -458,7 +458,7 @@ func TestCancelClosesContactsInPairOrder(t *testing.T) {
 	seen := 0
 	hook := tickHook{Protocol: NewLbChat(), tick: func(e *Engine, now float64) {
 		bruteContactDiff(e, open)
-		seen = mem.Len()
+		seen = len(mem.Events())
 		if len(open) >= 2 {
 			cancel()
 		}

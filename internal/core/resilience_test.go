@@ -190,14 +190,14 @@ func TestSendCoresetZeroDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := sink.Len()
+	before := len(sink.Events())
 	for _, deadline := range []float64{0, -1} {
 		leg, elapsed := l.sendCoreset(eng, cs, 0, 1, deadline)
 		if leg.core != nil || leg.frames != 0 || leg.full || elapsed != 0 {
 			t.Errorf("deadline %v: leg = %+v, elapsed = %v; want empty outcome", deadline, leg, elapsed)
 		}
 	}
-	if sink.Len() != before {
+	if len(sink.Events()) != before {
 		t.Error("zero-deadline leg emitted events")
 	}
 }

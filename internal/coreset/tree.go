@@ -93,9 +93,6 @@ func NewTree(method Method) *Tree {
 // Len returns the dataset length the tree currently covers.
 func (t *Tree) Len() int { return t.n }
 
-// NumLeaves returns the current leaf count.
-func (t *Tree) NumLeaves() int { return len(t.leaves) }
-
 // DirtyLeaves returns how many leaves the next Refresh will rebuild.
 func (t *Tree) DirtyLeaves() int {
 	dirty := 0

@@ -40,8 +40,8 @@ func sameCoreset(t *testing.T, a, b *Coreset) {
 func TestTreeExtendPartition(t *testing.T) {
 	tr := NewTree(0)
 	tr.Extend(600)
-	if got, want := tr.NumLeaves(), 3; got != want {
-		t.Fatalf("NumLeaves = %d, want %d", got, want)
+	if got, want := len(tr.leaves), 3; got != want {
+		t.Fatalf("%d leaves, want %d", got, want)
 	}
 	if got, want := tr.DirtyLeaves(), 3; got != want {
 		t.Fatalf("DirtyLeaves = %d, want %d (all new leaves dirty)", got, want)
@@ -59,13 +59,13 @@ func TestTreeExtendPartition(t *testing.T) {
 	}
 	// Same length is a no-op; shorter resets the tree (append-only contract).
 	tr.Extend(600)
-	if tr.NumLeaves() != 3 {
-		t.Fatalf("no-op Extend changed leaf count to %d", tr.NumLeaves())
+	if len(tr.leaves) != 3 {
+		t.Fatalf("no-op Extend changed leaf count to %d", len(tr.leaves))
 	}
 	tr.Extend(100)
-	if tr.Len() != 100 || tr.NumLeaves() != 1 || tr.DirtyLeaves() != 1 {
+	if tr.Len() != 100 || len(tr.leaves) != 1 || tr.DirtyLeaves() != 1 {
 		t.Fatalf("shrink should reset: len=%d leaves=%d dirty=%d",
-			tr.Len(), tr.NumLeaves(), tr.DirtyLeaves())
+			tr.Len(), len(tr.leaves), tr.DirtyLeaves())
 	}
 }
 

@@ -54,6 +54,22 @@ func TestBuildEnvShape(t *testing.T) {
 	}
 }
 
+// TestBuildEnvZeroTicks: a scale without a trace, which is what
+// lbchat-sim -load-fleet asks for, builds, and its empty trace still
+// reports the scale's vehicle count.
+func TestBuildEnvZeroTicks(t *testing.T) {
+	scale := TestScale()
+	scale.CollectTicks, scale.TraceTicks, scale.ProbeFrames = 0, 0, 0
+	env, err := BuildEnv(scale)
+	if err != nil {
+		t.Fatalf("BuildEnv: %v", err)
+	}
+	defer env.Close()
+	if ticks, n := env.Trace.NumTicks(), env.Trace.NumVehicles(); ticks != 0 || n != scale.Vehicles {
+		t.Errorf("trace is %d ticks × %d vehicles, want 0 × %d", ticks, n, scale.Vehicles)
+	}
+}
+
 func TestUnknownProtocolRejected(t *testing.T) {
 	env := getEnv(t)
 	_, err := env.RunProtocol("Nonsense", true, nil)

@@ -27,8 +27,9 @@ func envWithSink(t *testing.T, sink telemetry.Sink) *Env {
 // it is safe off the test goroutine.
 func encodedLines(t *testing.T, mem *telemetry.MemorySink) [][]byte {
 	t.Helper()
-	lines := make([][]byte, 0, mem.Len())
-	for _, ev := range mem.Events() {
+	events := mem.Events()
+	lines := make([][]byte, 0, len(events))
+	for _, ev := range events {
 		line, err := telemetry.Encode(ev)
 		if err != nil {
 			t.Errorf("encoding %s: %v", ev.Kind(), err)
@@ -196,8 +197,8 @@ func TestRunMemoKeepsUserSinkStreams(t *testing.T) {
 	}
 	again := telemetry.NewMemorySink()
 	env.Telemetry = again
-	if defaultLbChat(context.Background(), t, env) != run || again.Len() != 0 {
-		t.Errorf("memo hit streamed %d events or trained again", again.Len())
+	if defaultLbChat(context.Background(), t, env) != run || len(again.Events()) != 0 {
+		t.Errorf("memo hit streamed %d events or trained again", len(again.Events()))
 	}
 }
 

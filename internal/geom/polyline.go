@@ -98,9 +98,6 @@ func (b *PolylineBuilder) Polyline() *Polyline {
 	return &Polyline{pts: b.pts, cumLen: b.cumLen, blocks: b.blocks}
 }
 
-// Len returns the number of points.
-func (pl *Polyline) Len() int { return len(pl.pts) }
-
 // Points returns a copy of the underlying points.
 func (pl *Polyline) Points() []Point {
 	out := make([]Point, len(pl.pts))

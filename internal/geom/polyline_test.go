@@ -19,8 +19,8 @@ func TestPolylineLength(t *testing.T) {
 
 func TestPolylineCollapsesDuplicates(t *testing.T) {
 	pl := line(Pt(0, 0), Pt(0, 0), Pt(1, 0))
-	if pl.Len() != 2 {
-		t.Errorf("len = %d, want 2", pl.Len())
+	if len(pl.pts) != 2 {
+		t.Errorf("len = %d, want 2", len(pl.pts))
 	}
 }
 
@@ -118,7 +118,7 @@ func checkPose(t *testing.T, pl *Polyline, s float64) {
 	p, h := pl.Pose(s)
 	wantP, wantH := pl.At(s), pl.HeadingAt(s)
 	if !sameBits(p.X, wantP.X) || !sameBits(p.Y, wantP.Y) || !sameBits(h, wantH) {
-		t.Fatalf("%d points: Pose(%v) = (%v, %v), At/HeadingAt (%v, %v)", pl.Len(), s, p, h, wantP, wantH)
+		t.Fatalf("%d points: Pose(%v) = (%v, %v), At/HeadingAt (%v, %v)", len(pl.pts), s, p, h, wantP, wantH)
 	}
 }
 
@@ -253,7 +253,7 @@ func checkArcOf(t *testing.T, pl *Polyline, p Point) {
 	arc, seg := pl.ArcOf(p)
 	want, _ := pl.Project(p)
 	if !sameBits(arc, want) || seg != firstHit(pl, p) {
-		t.Fatalf("%d points: ArcOf(%v) = (%v, %d), Project's arc %v, first hit %d", pl.Len(), p, arc, seg, want, firstHit(pl, p))
+		t.Fatalf("%d points: ArcOf(%v) = (%v, %d), Project's arc %v, first hit %d", len(pl.pts), p, arc, seg, want, firstHit(pl, p))
 	}
 }
 
@@ -318,16 +318,16 @@ func TestArcOfMatchesProject(t *testing.T) {
 	for li, pl := range lines {
 		queries := []Point{Pt(math.NaN(), 0), Pt(math.Inf(1), 3), Pt(negZero, negZero), Pt(1e300, 1e300)}
 		queries = append(queries, pl.pts...)
-		for i := 0; i+1 < pl.Len(); i++ {
+		for i := 0; i+1 < len(pl.pts); i++ {
 			// Lerp(A, B, 1) need not be B, nor inside the segment's box.
 			queries = append(queries, Lerp(pl.pts[i], pl.pts[i+1], 1))
 		}
 		if li > 0 {
 			queries = append(queries, raws[li-1]...)
 		}
-		for q := 0; q < 20 && pl.Len() > 1; q++ {
+		for q := 0; q < 20 && len(pl.pts) > 1; q++ {
 			on := pl.At(rng.Float64() * pl.Length())
-			i := rng.Intn(pl.Len() - 1)
+			i := rng.Intn(len(pl.pts) - 1)
 			queries = append(queries, on, Lerp(pl.pts[i], pl.pts[i+1], rng.Float64()),
 				on.Add(Pt(rng.Float64()*8-4, rng.Float64()*8-4)),
 				Pt(rng.Float64()*400-200, rng.Float64()*400-200))
@@ -365,7 +365,7 @@ func FuzzArcOf(f *testing.F) {
 		checkArcOf(t, pl, Pt(x, y))
 		for i, v := range pl.pts {
 			checkArcOf(t, pl, v)
-			if i+1 < pl.Len() {
+			if i+1 < len(pl.pts) {
 				checkArcOf(t, pl, Lerp(v, pl.pts[i+1], 1))
 			}
 		}
@@ -391,7 +391,7 @@ func TestRegrowMatchesNewPolyline(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		pl := NewPolyline(walk(rng.Intn(120)))
 		snap := NewPolyline(pl.Points())
-		keep := rng.Intn(pl.Len() + 1)
+		keep := rng.Intn(len(pl.pts) + 1)
 		tail := walk(rng.Intn(120))
 		b := pl.Regrow(keep, rng.Intn(3))
 		for _, p := range tail {
@@ -400,8 +400,8 @@ func TestRegrowMatchesNewPolyline(t *testing.T) {
 		got := b.Polyline()
 		want := NewPolyline(append(pl.Points()[:keep], tail...))
 		for _, c := range []struct{ a, b *Polyline }{{got, want}, {pl, snap}} {
-			if c.a.Len() != c.b.Len() {
-				t.Fatalf("trial %d: %d points, want %d", trial, c.a.Len(), c.b.Len())
+			if len(c.a.pts) != len(c.b.pts) {
+				t.Fatalf("trial %d: %d points, want %d", trial, len(c.a.pts), len(c.b.pts))
 			}
 			for i := range c.a.pts {
 				if c.a.pts[i] != c.b.pts[i] || !sameBits(c.a.cumLen[i], c.b.cumLen[i]) {

@@ -4,12 +4,20 @@
 // and rejects declarations that shadow predeclared identifiers (cap, len,
 // max, min, new, ...), which read as builtin calls at a glance and break
 // them for the rest of the scope. Narrower checks guard single decisions:
-// DirectCoresetBuilds, HotPathFleetScans, DiscardedInputGradient (a bare
+// directCoresetBuilds, hotPathFleetScans, discardedInputGradient (a bare
 // x.Backward(...) statement outside internal/nn computes an input gradient
-// nobody reads), UnlistedMetrics (every telemetry M* name must be in
-// KnownMetrics()), FusedMultiplyAdd (no assembly file may fuse a multiply
+// nobody reads), unlistedMetrics (every telemetry M* name must be in
+// KnownMetrics()), fusedMultiplyAdd (no assembly file may fuse a multiply
 // into an add, and every amd64 kernel has its generic Go loop beside it —
-// DESIGN.md §15). One more lives in the tests alone: every backticked
-// <pkg>.<Name> in DESIGN.md, README.md and EXPERIMENTS.md must name
-// something internal/<pkg> still declares.
+// DESIGN.md §15). Only this package's tests call them, so none is exported.
+//
+// Two more live in the tests alone. Every backticked <pkg>.<Name> in
+// DESIGN.md, README.md and EXPERIMENTS.md must name something internal/<pkg>
+// still declares. And TestProductionCallers type-checks every package of
+// `go list ./...` with go/types (the standard library from go/importer) and
+// fails on an exported function or method that no non-test file uses,
+// unless it implements an interface the module or the standard library
+// declares or productionCallerReasons lists it with its reason; an entry
+// that names nothing, or something that has gained a caller, fails too
+// (DESIGN.md §10).
 package repolint

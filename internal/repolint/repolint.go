@@ -13,7 +13,7 @@ import (
 	"strings"
 )
 
-// ShadowedBuiltins parses every .go file under root and returns one
+// shadowedBuiltins parses every .go file under root and returns one
 // "path:line:col: name" finding per declaration whose name shadows a
 // predeclared identifier — anything in the types.Universe scope, which
 // covers the builtin functions (append, cap, clear, copy, delete, len,
@@ -23,7 +23,7 @@ import (
 // names, and func parameter/result/receiver lists. Struct fields and
 // method names are not checked — they are selector-qualified and cannot
 // shadow anything. The blank identifier is always allowed.
-func ShadowedBuiltins(root string) ([]string, error) {
+func shadowedBuiltins(root string) ([]string, error) {
 	var findings []string
 	err := walkGo(root, "", true, nil, func(fset *token.FileSet, rel string, file *ast.File) {
 		checkFile(fset, rel, file, &findings)
@@ -143,7 +143,7 @@ func checkFile(fset *token.FileSet, path string, file *ast.File, findings *[]str
 	})
 }
 
-// DirectCoresetBuilds parses every .go file under root and returns one
+// directCoresetBuilds parses every .go file under root and returns one
 // "path:line:col: ..." finding per call to coreset.Build or
 // coreset.BuildWith outside the coreset package. Coresets must be built
 // through the engine's EnsureCoreset (internal/core/coreset_mgmt.go), which
@@ -151,7 +151,7 @@ func checkFile(fset *token.FileSet, path string, file *ast.File, findings *[]str
 // bypasses the incremental cache and the telemetry side channel. Exempt:
 // the coreset package itself, test files, and the examples tree
 // (pedagogical standalone programs).
-func DirectCoresetBuilds(root string) ([]string, error) {
+func directCoresetBuilds(root string) ([]string, error) {
 	var findings []string
 	coresetPkgDir := filepath.Join("internal", "coreset")
 	skip := func(rel, name string) bool { return name == "examples" || rel == coresetPkgDir }
@@ -212,7 +212,7 @@ var hotPathFuncs = map[string]bool{
 	"calendarDue":   true,
 }
 
-// HotPathFleetScans parses every non-test .go file under root's
+// hotPathFleetScans parses every non-test .go file under root's
 // internal/core and returns one "path:line:col: ..." finding per
 // `for ... range e.Vehicles` loop inside a per-tick hot-path function
 // (hotPathFuncs). The calendar queue exists precisely so empty ticks cost
@@ -221,7 +221,7 @@ var hotPathFuncs = map[string]bool{
 // scheduler replaced (DESIGN.md §14). Everything outside the hot set —
 // construction, end-of-run aggregation, the encounter scan's own spatial
 // index — is exempt, as are _test.go files (where the scan oracle lives).
-func HotPathFleetScans(root string) ([]string, error) {
+func hotPathFleetScans(root string) ([]string, error) {
 	var findings []string
 	err := walkGo(root, filepath.Join("internal", "core"), false, nil, func(fset *token.FileSet, rel string, file *ast.File) {
 		checkHotPathScans(fset, rel, file, &findings)
@@ -257,7 +257,7 @@ func checkHotPathScans(fset *token.FileSet, path string, file *ast.File, finding
 	}
 }
 
-// DiscardedInputGradient parses every non-test .go file under root outside
+// discardedInputGradient parses every non-test .go file under root outside
 // internal/nn and returns one "path:line:col: ..." finding per expression
 // statement that is a bare x.Backward(...) call. nn.Dense.Backward returns
 // dLoss/dInput; a caller that drops it made the layer compute a gradient
@@ -265,7 +265,7 @@ func checkHotPathScans(fset *token.FileSet, path string, file *ast.File, finding
 // backward pass — and wants nn.Dense.BackwardParams instead (DESIGN.md §15).
 // The check is syntactic: it keys on the method name, not the receiver's
 // type. internal/nn itself and _test.go files are exempt.
-func DiscardedInputGradient(root string) ([]string, error) {
+func discardedInputGradient(root string) ([]string, error) {
 	var findings []string
 	nnPkgDir := filepath.Join("internal", "nn")
 	skip := func(rel, _ string) bool { return rel == nnPkgDir }
@@ -293,14 +293,14 @@ func DiscardedInputGradient(root string) ([]string, error) {
 	return findings, err
 }
 
-// UnlistedMetrics parses root's internal/telemetry/summary.go and returns
+// unlistedMetrics parses root's internal/telemetry/summary.go and returns
 // one "path:line:col: ..." finding per package-level M* constant (M, then an
 // upper-case letter) that KnownMetrics() does not return. The constants and
 // the list are maintained by hand, and cmd/telemetry-lint -summary — which
 // validates CSV dumps against the list — only notices a missing name when a
 // run happens to emit it. The check is syntactic: a constant counts as
 // listed when its identifier appears anywhere in KnownMetrics' body.
-func UnlistedMetrics(root string) ([]string, error) {
+func unlistedMetrics(root string) ([]string, error) {
 	rel := filepath.Join("internal", "telemetry", "summary.go")
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, filepath.Join(root, rel), nil, parser.SkipObjectResolution)
@@ -357,7 +357,7 @@ var asmText = regexp.MustCompile(`^\s*TEXT\s+·(\w+)`)
 // behind tensor's useAVX2.
 var asmWithoutOracle = map[string]bool{"cpuid": true, "xgetbv": true}
 
-// FusedMultiplyAdd reads every .s file under root and returns one
+// fusedMultiplyAdd reads every .s file under root and returns one
 // "path:line: ..." finding per fused multiply-add instruction (comments are
 // not searched) and, in a *_amd64.s, per TEXT symbol that has no oracle: for
 // ·nameAVX2 (or ·name) a func nameGeneric in a *_generic.go of the same
@@ -366,7 +366,7 @@ var asmWithoutOracle = map[string]bool{"cpuid": true, "xgetbv": true}
 // the float bits every golden pins (DESIGN.md §15); and a kernel without its
 // generic loop has nothing to be tested against and nothing to run where the
 // assembly does not.
-func FusedMultiplyAdd(root string) ([]string, error) {
+func fusedMultiplyAdd(root string) ([]string, error) {
 	var findings []string
 	err := walkFiles(root, "", ".s", nil, func(path, rel string) error {
 		src, err := os.ReadFile(path)
@@ -423,8 +423,8 @@ func genericFuncs(dir string) (map[string]bool, error) {
 	return names, nil
 }
 
-// ModuleRoot walks upward from dir to the enclosing go.mod directory.
-func ModuleRoot(dir string) (string, error) {
+// moduleRoot walks upward from dir to the enclosing go.mod directory.
+func moduleRoot(dir string) (string, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {
 		return "", err

@@ -15,13 +15,13 @@ import (
 // TestNoShadowedBuiltins is the repository-wide assertion: no Go file in
 // the module may declare a name that shadows a predeclared identifier.
 func TestNoShadowedBuiltins(t *testing.T) {
-	root, err := ModuleRoot(".")
+	root, err := moduleRoot(".")
 	if err != nil {
-		t.Fatalf("ModuleRoot: %v", err)
+		t.Fatalf("moduleRoot: %v", err)
 	}
-	findings, err := ShadowedBuiltins(root)
+	findings, err := shadowedBuiltins(root)
 	if err != nil {
-		t.Fatalf("ShadowedBuiltins: %v", err)
+		t.Fatalf("shadowedBuiltins: %v", err)
 	}
 	for _, f := range findings {
 		t.Error(f)
@@ -33,13 +33,13 @@ func TestNoShadowedBuiltins(t *testing.T) {
 // directly — coresets flow through Engine.EnsureCoreset so the partition
 // tree applies.
 func TestNoDirectCoresetBuilds(t *testing.T) {
-	root, err := ModuleRoot(".")
+	root, err := moduleRoot(".")
 	if err != nil {
-		t.Fatalf("ModuleRoot: %v", err)
+		t.Fatalf("moduleRoot: %v", err)
 	}
-	findings, err := DirectCoresetBuilds(root)
+	findings, err := directCoresetBuilds(root)
 	if err != nil {
-		t.Fatalf("DirectCoresetBuilds: %v", err)
+		t.Fatalf("directCoresetBuilds: %v", err)
 	}
 	for _, f := range findings {
 		t.Error(f)
@@ -63,9 +63,9 @@ func ok3() { cs.NewTree(cs.MethodLayered) }                   // tree: allowed
 	if err := os.WriteFile(filepath.Join(dir, "x.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	findings, err := DirectCoresetBuilds(dir)
+	findings, err := directCoresetBuilds(dir)
 	if err != nil {
-		t.Fatalf("DirectCoresetBuilds: %v", err)
+		t.Fatalf("directCoresetBuilds: %v", err)
 	}
 	if len(findings) != 2 {
 		t.Fatalf("got %d findings, want 2:\n%s", len(findings), strings.Join(findings, "\n"))
@@ -107,15 +107,15 @@ func (coreset) Build() {}
 
 func g() { var c coreset; c.Build() } // unrelated local type: allowed
 `)
-	findings, err := DirectCoresetBuilds(dir)
+	findings, err := directCoresetBuilds(dir)
 	if err != nil {
-		t.Fatalf("DirectCoresetBuilds: %v", err)
+		t.Fatalf("directCoresetBuilds: %v", err)
 	}
 	if len(findings) != 0 {
 		t.Errorf("unexpected findings:\n%s", strings.Join(findings, "\n"))
 	}
 	write(filepath.Join("internal", "core", "coreset_mgmt.go"), "package core\n\n"+call)
-	if findings, err = DirectCoresetBuilds(dir); err != nil || len(findings) != 1 {
+	if findings, err = directCoresetBuilds(dir); err != nil || len(findings) != 1 {
 		t.Errorf("coreset_mgmt.go calling Build: %d findings (err %v), want 1", len(findings), err)
 	}
 }
@@ -125,13 +125,13 @@ func g() { var c coreset; c.Build() } // unrelated local type: allowed
 // calendarDue) may not range over the full Vehicles slice — due work comes
 // from the calendar queue, so empty ticks stay O(1).
 func TestNoHotPathFleetScans(t *testing.T) {
-	root, err := ModuleRoot(".")
+	root, err := moduleRoot(".")
 	if err != nil {
-		t.Fatalf("ModuleRoot: %v", err)
+		t.Fatalf("moduleRoot: %v", err)
 	}
-	findings, err := HotPathFleetScans(root)
+	findings, err := hotPathFleetScans(root)
 	if err != nil {
-		t.Fatalf("HotPathFleetScans: %v", err)
+		t.Fatalf("hotPathFleetScans: %v", err)
 	}
 	for _, f := range findings {
 		t.Error(f)
@@ -177,9 +177,9 @@ func (e *engine) FleetReceiveStats() {
 	if err := os.WriteFile(filepath.Join(coreDir, "x.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	findings, err := HotPathFleetScans(dir)
+	findings, err := hotPathFleetScans(dir)
 	if err != nil {
-		t.Fatalf("HotPathFleetScans: %v", err)
+		t.Fatalf("hotPathFleetScans: %v", err)
 	}
 	if len(findings) != 2 {
 		t.Fatalf("got %d findings, want 2:\n%s", len(findings), strings.Join(findings, "\n"))
@@ -215,9 +215,9 @@ func (e *engine) trainTick() {
 `
 	write(filepath.Join("internal", "core", "x_test.go"), "package core\n\n"+scan)
 	write(filepath.Join("internal", "other", "x.go"), "package other\n\n"+scan)
-	findings, err := HotPathFleetScans(dir)
+	findings, err := hotPathFleetScans(dir)
 	if err != nil {
-		t.Fatalf("HotPathFleetScans: %v", err)
+		t.Fatalf("hotPathFleetScans: %v", err)
 	}
 	if len(findings) != 0 {
 		t.Errorf("unexpected findings:\n%s", strings.Join(findings, "\n"))
@@ -228,13 +228,13 @@ func (e *engine) trainTick() {
 // internal/nn and tests, nobody calls Backward only to drop the input
 // gradient it returns.
 func TestNoDiscardedInputGradient(t *testing.T) {
-	root, err := ModuleRoot(".")
+	root, err := moduleRoot(".")
 	if err != nil {
-		t.Fatalf("ModuleRoot: %v", err)
+		t.Fatalf("moduleRoot: %v", err)
 	}
-	findings, err := DiscardedInputGradient(root)
+	findings, err := discardedInputGradient(root)
 	if err != nil {
-		t.Fatalf("DiscardedInputGradient: %v", err)
+		t.Fatalf("discardedInputGradient: %v", err)
 	}
 	for _, f := range findings {
 		t.Error(f)
@@ -271,9 +271,9 @@ func train(trunk, head layer, g *tensor) {
 	write(filepath.Join("internal", "model", "x.go"))
 	write(filepath.Join("internal", "model", "x_test.go"))
 	write(filepath.Join("internal", "nn", "x.go"))
-	findings, err := DiscardedInputGradient(dir)
+	findings, err := discardedInputGradient(dir)
 	if err != nil {
-		t.Fatalf("DiscardedInputGradient: %v", err)
+		t.Fatalf("discardedInputGradient: %v", err)
 	}
 	if len(findings) != 2 {
 		t.Fatalf("got %d findings, want 2:\n%s", len(findings), strings.Join(findings, "\n"))
@@ -316,9 +316,9 @@ func (o ok) close() {}         // method name: must NOT be flagged
 	if err := os.WriteFile(filepath.Join(dir, "x.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	findings, err := ShadowedBuiltins(dir)
+	findings, err := shadowedBuiltins(dir)
 	if err != nil {
-		t.Fatalf("ShadowedBuiltins: %v", err)
+		t.Fatalf("shadowedBuiltins: %v", err)
 	}
 	want := []string{"cap", "len", "min", "max", "new", "copy", "clear", "delete", "append"}
 	if len(findings) != len(want) {
@@ -346,13 +346,13 @@ func (o ok) close() {}         // method name: must NOT be flagged
 // TestNoUnlistedMetrics is the repository-wide assertion: every M* metric
 // constant of internal/telemetry is returned by KnownMetrics().
 func TestNoUnlistedMetrics(t *testing.T) {
-	root, err := ModuleRoot(".")
+	root, err := moduleRoot(".")
 	if err != nil {
-		t.Fatalf("ModuleRoot: %v", err)
+		t.Fatalf("moduleRoot: %v", err)
 	}
-	findings, err := UnlistedMetrics(root)
+	findings, err := unlistedMetrics(root)
 	if err != nil {
-		t.Fatalf("UnlistedMetrics: %v", err)
+		t.Fatalf("unlistedMetrics: %v", err)
 	}
 	for _, f := range findings {
 		t.Error(f)
@@ -390,9 +390,9 @@ func other() []string { return []string{MMissing, MLate} } // listing elsewhere 
 	if err := os.WriteFile(filepath.Join(telDir, "summary.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	findings, err := UnlistedMetrics(dir)
+	findings, err := unlistedMetrics(dir)
 	if err != nil {
-		t.Fatalf("UnlistedMetrics: %v", err)
+		t.Fatalf("unlistedMetrics: %v", err)
 	}
 	if len(findings) != 2 || !strings.Contains(findings[0], "MMissing") || !strings.Contains(findings[1], "MLate") {
 		t.Fatalf("want findings for MMissing and MLate, got %d:\n%s", len(findings), strings.Join(findings, "\n"))
@@ -541,9 +541,9 @@ func declaredNames(dir string) (map[string]map[string]bool, error) {
 // something internal/<pkg> declares today, so no doc goes on describing a
 // deleted field or option.
 func TestDocsNameLiveIdentifiers(t *testing.T) {
-	root, err := ModuleRoot(".")
+	root, err := moduleRoot(".")
 	if err != nil {
-		t.Fatalf("ModuleRoot: %v", err)
+		t.Fatalf("moduleRoot: %v", err)
 	}
 	findings, err := deadDocRefs(root, "DESIGN.md", "README.md", "EXPERIMENTS.md")
 	if err != nil {
@@ -602,13 +602,13 @@ type Source interface{ Advance(int) error }
 // TestNoFusedMultiplyAdd is the repository-wide assertion: no assembly file
 // fuses a multiply into an add, and every amd64 kernel has its generic loop.
 func TestNoFusedMultiplyAdd(t *testing.T) {
-	root, err := ModuleRoot(".")
+	root, err := moduleRoot(".")
 	if err != nil {
-		t.Fatalf("ModuleRoot: %v", err)
+		t.Fatalf("moduleRoot: %v", err)
 	}
-	findings, err := FusedMultiplyAdd(root)
+	findings, err := fusedMultiplyAdd(root)
 	if err != nil {
-		t.Fatalf("FusedMultiplyAdd: %v", err)
+		t.Fatalf("fusedMultiplyAdd: %v", err)
 	}
 	for _, f := range findings {
 		t.Error(f)
@@ -643,9 +643,9 @@ TEXT ·cpuid(SB), NOSPLIT, $0-24 // allowed without an oracle
 	write(filepath.Join("internal", "tensor", "k_generic.go"), "package tensor\n\nfunc madGeneric() {}\n")
 	write(filepath.Join("internal", "tensor", "other.go"), "package tensor\n\nfunc orphanGeneric() {} // not a _generic.go\n")
 	write(filepath.Join("internal", "nn", "k_arm64.s"), "TEXT ·anything(SB), NOSPLIT, $0-8\n\tVFMSUB213SD X1, X2, X3\n")
-	findings, err := FusedMultiplyAdd(dir)
+	findings, err := fusedMultiplyAdd(dir)
 	if err != nil {
-		t.Fatalf("FusedMultiplyAdd: %v", err)
+		t.Fatalf("fusedMultiplyAdd: %v", err)
 	}
 	amd64, arm64 := filepath.Join("internal", "tensor", "k_amd64.s"), filepath.Join("internal", "nn", "k_arm64.s")
 	want := []string{arm64 + ":2: fused multiply-add VFMSUB213SD", amd64 + ":2: fused multiply-add VFMADD231PD",

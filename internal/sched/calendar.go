@@ -26,8 +26,7 @@ type Calendar struct {
 	due  []int64 // due[id]: scheduled tick, or unscheduled (-1)
 	cur  int64   // next tick PopDue will drain
 
-	scheduled int // live (non-stale) entries across the wheel
-	merge     []int32
+	merge []int32
 }
 
 // unscheduled marks an id with no pending due tick.
@@ -46,18 +45,12 @@ func NewCalendar(n int) *Calendar {
 	return c
 }
 
-// Len returns the number of scheduled ids.
-func (c *Calendar) Len() int { return c.scheduled }
-
 // Schedule sets an id's due tick, replacing any pending one. Ticks in the
 // past (before the next PopDue tick) are clamped to the present, so the id
 // fires on the very next pop rather than being lost behind the cursor.
 func (c *Calendar) Schedule(id int32, tick int64) {
 	if tick < c.cur {
 		tick = c.cur
-	}
-	if c.due[id] == unscheduled {
-		c.scheduled++
 	}
 	// The stale prior entry (if any) is skipped lazily at pop time.
 	c.due[id] = tick
@@ -87,7 +80,6 @@ func (c *Calendar) PopDue(tick int64, dst []int32) (out []int32, buckets int) {
 		for _, id := range bucket {
 			if c.due[id] == c.cur {
 				c.due[id] = unscheduled
-				c.scheduled--
 				out = append(out, id)
 			}
 		}

@@ -55,9 +55,6 @@ func (q *Queue) Schedule(t float64, fire func()) *Event {
 	return e
 }
 
-// Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.heap) }
-
 // RunUntil fires every event scheduled at or before t, in (time, insertion)
 // order. Events scheduled during execution are fired too if they fall within
 // the bound.

@@ -26,8 +26,8 @@ func TestRunUntilBoundary(t *testing.T) {
 	if fired != 1 {
 		t.Errorf("fired %d events at t=5, want 1 (inclusive boundary)", fired)
 	}
-	if q.Len() != 1 {
-		t.Errorf("pending = %d", q.Len())
+	if len(q.heap) != 1 {
+		t.Errorf("pending = %d", len(q.heap))
 	}
 }
 
@@ -72,7 +72,7 @@ func TestQueueDrainsCompletely(t *testing.T) {
 			want++
 		}
 		q.RunUntil(1e300)
-		return fired == want && q.Len() == 0
+		return fired == want && len(q.heap) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

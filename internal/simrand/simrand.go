@@ -25,9 +25,6 @@ func New(seed uint64) *Rand {
 	return r
 }
 
-// Seed returns the seed this stream was created with.
-func (r *Rand) Seed() uint64 { return r.seed }
-
 // Derive returns a new independent stream identified by name. Derivation is
 // stable: the same (seed, name) pair always yields the same stream,
 // regardless of how many other streams have been derived or how much the
@@ -59,9 +56,6 @@ func (r *Rand) Float64() float64 { return r.rng.Float64() }
 // Intn returns a uniform int in [0, n). It panics if n <= 0, matching
 // math/rand semantics.
 func (r *Rand) Intn(n int) int { return r.rng.Intn(n) }
-
-// NormFloat64 returns a standard normal sample.
-func (r *Rand) NormFloat64() float64 { return r.rng.NormFloat64() }
 
 // Uniform returns a uniform sample in [lo, hi).
 func (r *Rand) Uniform(lo, hi float64) float64 {

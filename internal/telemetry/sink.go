@@ -54,13 +54,6 @@ func (m *MemorySink) Events() []Event {
 	return append([]Event(nil), m.events...)
 }
 
-// Len returns the number of recorded events.
-func (m *MemorySink) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.events)
-}
-
 // Drain replays the recorded events into dst in order and empties the sink.
 func (m *MemorySink) Drain(dst Sink) {
 	m.mu.Lock()

@@ -141,8 +141,8 @@ func TestMemorySinkAndTee(t *testing.T) {
 	tee := Tee(nil, a, s, b)
 	tee.Emit(ChatInitiated{Time: 1, A: 0, B: 1})
 	tee.Emit(ChatAborted{Time: 2, A: 0, B: 1, Reason: AbortCoresetExchange})
-	if a.Len() != 2 || b.Len() != 2 {
-		t.Errorf("tee fan-out lens = %d, %d", a.Len(), b.Len())
+	if len(a.events) != 2 || len(b.events) != 2 {
+		t.Errorf("tee fan-out lens = %d, %d", len(a.events), len(b.events))
 	}
 	if _, _, aborted := s.Chats(); aborted != 1 {
 		t.Error("summary member did not aggregate")
@@ -150,8 +150,8 @@ func TestMemorySinkAndTee(t *testing.T) {
 
 	dst := NewMemorySink()
 	a.Drain(dst)
-	if a.Len() != 0 || dst.Len() != 2 {
-		t.Errorf("drain: src %d, dst %d", a.Len(), dst.Len())
+	if len(a.events) != 0 || len(dst.events) != 2 {
+		t.Errorf("drain: src %d, dst %d", len(a.events), len(dst.events))
 	}
 	if dst.Events()[0].Kind() != KindChatInitiated {
 		t.Error("drain reordered events")
@@ -226,8 +226,8 @@ func TestObserverSideChannel(t *testing.T) {
 	if err := jsonl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if mem.Len() != 0 || stream.Len() != 0 {
-		t.Errorf("side channel reached the event sinks: %d events buffered, %d bytes streamed", mem.Len(), stream.Len())
+	if len(mem.events) != 0 || stream.Len() != 0 {
+		t.Errorf("side channel reached the event sinks: %d events buffered, %d bytes streamed", len(mem.events), stream.Len())
 	}
 	if _, ok := Tee(mem, NewMemorySink()).(Observer); ok {
 		t.Error("a Tee of event-only sinks must not be an Observer")

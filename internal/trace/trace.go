@@ -155,16 +155,9 @@ func (tr *Trace) DT() float64 { return tr.dt }
 // NumTicks returns the trace's total tick count (retained or not).
 func (tr *Trace) NumTicks() int { return tr.ticks }
 
-// NumVehicles returns the vehicle count (0 for an empty trace).
-func (tr *Trace) NumVehicles() int {
-	if tr.ticks == 0 {
-		return 0
-	}
-	return tr.vehicles
-}
-
-// ChunkTicks returns the trace's chunk capacity in ticks.
-func (tr *Trace) ChunkTicks() int { return tr.chunkTicks }
+// NumVehicles returns the vehicle count the trace was built or encoded with,
+// whatever its tick count.
+func (tr *Trace) NumVehicles() int { return tr.vehicles }
 
 // Duration returns the trace's covered time span in seconds.
 func (tr *Trace) Duration() float64 { return float64(tr.ticks) * tr.dt }

@@ -200,6 +200,29 @@ func loadBytes(raw []byte) (*Trace, error) {
 	return Load(src)
 }
 
+// TestZeroTickRoundTrip: a trace without ticks reports the vehicle count it
+// was built with, and keeps it through Encode and Load (the header carries
+// it).
+func TestZeroTickRoundTrip(t *testing.T) {
+	tr := New(0.5, 7)
+	var buf bytes.Buffer
+	if err := tr.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := loadBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		tr   *Trace
+	}{{"built", tr}, {"loaded", got}} {
+		if c.tr.NumTicks() != 0 || c.tr.NumVehicles() != 7 {
+			t.Errorf("%s: %d ticks × %d vehicles, want 0 × 7", c.name, c.tr.NumTicks(), c.tr.NumVehicles())
+		}
+	}
+}
+
 func TestStreamRoundTrip(t *testing.T) {
 	tr := record(t, 5, 70)
 	var buf bytes.Buffer
@@ -260,7 +283,7 @@ func TestStreamWriterIncremental(t *testing.T) {
 	// byte.
 	tr := record(t, 3, 30)
 	var direct bytes.Buffer
-	cw := NewChunkWriter(&direct, tr.DT(), tr.NumVehicles(), tr.ChunkTicks())
+	cw := NewChunkWriter(&direct, tr.DT(), tr.NumVehicles(), tr.chunkTicks)
 	for tick := 0; tick < tr.NumTicks(); tick++ {
 		copy(cw.AppendRow(), tr.Row(tick))
 	}

