@@ -134,10 +134,13 @@ bench-pprof:
 # line decodes against the event schema, and every summary row names a
 # canonical metric. lbchat-bench then walks two entries that share a run
 # (fig3's LbChat is fig2a's, trained and streamed once) into one stream,
-# which telemetry-lint checks the same way; so is the stream of an
-# lbchat-sim -trials run, which drives the fleet it trains. (Resident ≡ windowed
-# replay is TestStreamABDeterminism's and TestTraceResidencyBySize's, run by
-# make test and make race.)
+# which telemetry-lint checks the same way and which must list chat_decision
+# among its kinds (at test scale the stream holds 20 chats; LbChat's 10 each
+# solve Eq. (7) and send 4 models between them, so a decision that stops
+# being emitted fails here); so is the stream of an lbchat-sim -trials run,
+# which drives the fleet it trains.
+# (Resident ≡ windowed replay is TestStreamABDeterminism's and
+# TestTraceResidencyBySize's, run by make test and make race.)
 telemetry-smoke:
 	$(eval TMPDIR_SMOKE := $(shell mktemp -d))
 	$(GO) run ./cmd/worldgen -vehicles 4 -trace 240 \
@@ -150,7 +153,10 @@ telemetry-smoke:
 		$(TMPDIR_SMOKE)/events.jsonl
 	$(GO) run ./cmd/lbchat-bench -scale test -exp fig2a,fig3 \
 		-telemetry-out $(TMPDIR_SMOKE)/bench.jsonl > /dev/null
-	$(GO) run ./cmd/telemetry-lint $(TMPDIR_SMOKE)/bench.jsonl
+	$(GO) run ./cmd/telemetry-lint $(TMPDIR_SMOKE)/bench.jsonl > $(TMPDIR_SMOKE)/bench.lint
+	cat $(TMPDIR_SMOKE)/bench.lint
+	grep -q '^  chat_decision ' $(TMPDIR_SMOKE)/bench.lint || \
+		{ echo "telemetry-smoke: no chat_decision in the lbchat-bench stream"; exit 1; }
 	$(GO) run ./cmd/lbchat-sim -scale test -duration 120 -trials 1 \
 		-telemetry-out $(TMPDIR_SMOKE)/eval.jsonl > /dev/null
 	$(GO) run ./cmd/telemetry-lint $(TMPDIR_SMOKE)/eval.jsonl

@@ -43,7 +43,7 @@ func main() {
 // trainingFlags shape only the training run, which -load-fleet skips.
 var trainingFlags = []string{
 	"duration", "vehicles", "wireless-loss", "trace-ticks", "trace-file", "faults",
-	"telemetry-out", "summary-out", "json", "save-fleet", "log-chats",
+	"telemetry-out", "summary-out", "json", "save-fleet",
 }
 
 func run(fs *flag.FlagSet, args []string) error {
@@ -53,7 +53,6 @@ func run(fs *flag.FlagSet, args []string) error {
 	duration := fs.Float64("duration", 1800, "virtual training duration (s)")
 	traceTicks := fs.Int("trace-ticks", 0, "mobility-trace length in 0.5s ticks (0 = the scale's default)")
 	lossy := fs.Bool("wireless-loss", false, "enable the distance-based wireless loss model")
-	logChats := fs.Bool("log-chats", false, "trace every pairwise chat decision to stderr")
 	saveDir := fs.String("save-fleet", "", "directory to write the trained fleet's model blobs into")
 	jsonPath := fs.String("json", "", "write the loss curve and transfer stats as JSON to this file")
 	summaryOut := fs.String("summary-out", "",
@@ -134,7 +133,6 @@ func run(fs *flag.FlagSet, args []string) error {
 	}
 	env.Telemetry = sink
 	env.Cfg.Faults = fcfg
-	env.Cfg.LogChats = *logChats
 	res, err := experiments.Run(ctx, env, experiments.Spec{
 		Experiment: experiments.ExpProtocol,
 		Protocol:   experiments.ProtocolName(*protocol),

@@ -67,7 +67,7 @@ func TestIgnoredFlagsRejected(t *testing.T) {
 		"duration": "60", "vehicles": "4", "wireless-loss": "true", "trace-ticks": "99",
 		"trace-file": filepath.Join(dir, "t.lbtc"), "faults": "light", "telemetry-out": path,
 		"summary-out": filepath.Join(dir, "s.csv"), "json": filepath.Join(dir, "r.json"),
-		"save-fleet": filepath.Join(dir, "saved"), "log-chats": "true",
+		"save-fleet": filepath.Join(dir, "saved"),
 	}
 	type tc struct {
 		args []string
@@ -93,6 +93,16 @@ func TestIgnoredFlagsRejected(t *testing.T) {
 		if got, _ := os.ReadFile(path); !bytes.Equal(got, old) {
 			t.Fatalf("%v: -telemetry-out file changed by a failed run: %q, want %q", c.args, got, old)
 		}
+	}
+}
+
+// TestRemovedFlagsRejected: -log-chats printed each chat's decision to
+// stderr; the chat_decision event of -telemetry-out carries it now, so the
+// flag fails to parse rather than being accepted and ignored.
+func TestRemovedFlagsRejected(t *testing.T) {
+	_, err := runArgs(t, "-scale", "test", "-log-chats")
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("-log-chats: error %v, want an undefined flag", err)
 	}
 }
 

@@ -148,21 +148,6 @@ func TestDPRuns(t *testing.T) {
 	runAndCheckLearning(t, eng, NewDP())
 }
 
-func TestFitWindowPsi(t *testing.T) {
-	// 15 s × 31 Mbps / 8 bits ≈ 58 MB of air time; two 52 MB models need
-	// ψ ≈ 0.56.
-	psi := fitWindowPsi(15, 31e6, 52_000_000)
-	if psi < 0.5 || psi > 0.62 {
-		t.Errorf("fit-window ψ = %v", psi)
-	}
-	if fitWindowPsi(0, 31e6, 52_000_000) != 0 {
-		t.Error("zero window should not transfer")
-	}
-	if fitWindowPsi(1000, 31e6, 1000) != 1 {
-		t.Error("huge window should cap ψ at 1")
-	}
-}
-
 func TestAverageFlat(t *testing.T) {
 	got := averageFlat([][]float64{{1, 3}, {3, 5}})
 	if got[0] != 2 || got[1] != 4 {

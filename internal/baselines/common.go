@@ -7,16 +7,6 @@ import (
 	"lbchat/internal/telemetry"
 )
 
-// fitWindowPsi returns the equal compression level at which two model
-// payloads fit the exchange window at the negotiated bandwidth.
-func fitWindowPsi(windowSeconds, minBWBps float64, modelBytes int) float64 {
-	if windowSeconds <= 0 || minBWBps <= 0 || modelBytes <= 0 {
-		return 0
-	}
-	psi := windowSeconds * minBWBps / 8 / float64(2*modelBytes)
-	return math.Min(1, psi)
-}
-
 // exchangeModels ships both vehicles' models compressed at the given equal
 // level, sequentially within the window. It returns each direction's
 // decompressed payload (nil when the transfer failed) and the total elapsed
@@ -59,7 +49,7 @@ func gossip(e *core.Engine, a, b int, deliver func(to, from int, flat []float64)
 	if window <= 0 {
 		return
 	}
-	psi := fitWindowPsi(window, math.Min(va.Bandwidth, vb.Bandwidth), e.ModelWireBytes())
+	psi := core.FitWindowPsi(window, math.Min(va.Bandwidth, vb.Bandwidth), e.ModelWireBytes())
 	fromA, fromB, elapsed := exchangeModels(e, va, vb, psi, window)
 	doneAt := e.Now() + elapsed
 	if fromA != nil {

@@ -48,10 +48,7 @@ func (p *DFLDDS) OnTick(e *core.Engine, now float64) {
 		return
 	}
 	p.nextRound += e.Cfg.TimeBudget
-	rng := e.RNG()
-	pairs := e.CandidatePairs(func(a, b int) float64 {
-		return 1 + 0.01*rng.Float64()
-	})
+	pairs := e.CandidatePairs(e.JitteredScore())
 	// The adapted baseline compresses so each pair can finish within its
 	// contact duration, capped by the round length (T_B).
 	for _, pr := range e.GreedyMatch(pairs) {

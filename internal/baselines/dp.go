@@ -38,7 +38,7 @@ func (p *DP) Setup(e *core.Engine) error {
 		n := v.Data.Len()
 		k := int(validationFraction * float64(n))
 		if k < 8 {
-			k = minInt(8, n)
+			k = min(8, n)
 		}
 		perm := v.RNG().Derive("dp-val").Perm(n)[:k]
 		p.valSets[i] = v.Data.Subset(perm).Items()
@@ -51,12 +51,8 @@ func (p *DP) Setup(e *core.Engine) error {
 
 // OnTick implements core.Protocol.
 func (p *DP) OnTick(e *core.Engine, now float64) {
-	// No value- or route-awareness: any in-range pair is equally good. A
-	// jittered constant score keeps the matching unbiased across IDs.
-	rng := e.RNG()
-	pairs := e.CandidatePairs(func(a, b int) float64 {
-		return 1 + 0.01*rng.Float64()
-	})
+	// No value- or route-awareness: any in-range pair is equally good.
+	pairs := e.CandidatePairs(e.JitteredScore())
 	for _, pr := range e.GreedyMatch(pairs) {
 		gossip(e, pr.A, pr.B, func(to, _ int, flat []float64) func() {
 			return func() { p.merge(e.Vehicles[to], p.valSets[to], flat) }
@@ -78,11 +74,4 @@ func (p *DP) merge(v *core.Vehicle, val []dataset.Weighted, peerFlat []float64) 
 		wPeer = 0.5
 	}
 	_ = core.MergeModels(v, peerFlat, 1-wPeer, wPeer)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

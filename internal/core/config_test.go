@@ -30,7 +30,6 @@ var configFieldReasons = map[string]string{
 	"PairCooldown":      "chat-dense (benchmarks/perf)",
 	"BandwidthMinBps":   "hetero",
 	"CompressionScheme": "quant",
-	"LogChats":          "lbchat-sim -log-chats (ROADMAP item 5 replaces it)",
 	"Workers":           "-workers through experiments.BuildEnv",
 	"Telemetry":         "-telemetry-out and the experiment harness",
 	"Faults":            "-faults and faultsweep",

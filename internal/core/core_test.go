@@ -283,6 +283,21 @@ func TestPayloadSizes(t *testing.T) {
 	}
 }
 
+func TestFitWindowPsi(t *testing.T) {
+	// 15 s × 31 Mbps / 8 bits ≈ 58 MB of air time; two 52 MB models need
+	// ψ ≈ 0.56.
+	psi := FitWindowPsi(15, 31e6, 52_000_000)
+	if psi < 0.5 || psi > 0.62 {
+		t.Errorf("fit-window ψ = %v", psi)
+	}
+	if FitWindowPsi(0, 31e6, 52_000_000) != 0 {
+		t.Error("zero window should not transfer")
+	}
+	if FitWindowPsi(1000, 31e6, 1000) != 1 {
+		t.Error("huge window should cap ψ at 1")
+	}
+}
+
 func TestMergeModelsBlends(t *testing.T) {
 	eng, _ := tinyEnv(t, 2, true)
 	v := eng.Vehicles[0]

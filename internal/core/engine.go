@@ -66,9 +66,6 @@ type Config struct {
 	// air: top-k delta sparsification [22] (default) or unbiased stochastic
 	// quantization — the alternative §III-C notes can be applied unchanged.
 	CompressionScheme CompressionScheme
-	// LogChats prints per-chat decision traces (value assessments, fitted φ
-	// samples, Eq. (7) solutions) to standard error — a debugging aid.
-	LogChats bool
 	// Workers bounds the engine's per-tick parallelism (local training and
 	// probe evaluation fan out across vehicles). 0 means one worker per
 	// available CPU; 1 forces the serial path. Results are bit-identical at
@@ -935,6 +932,17 @@ func (e *Engine) RNG() *simrand.Rand { return e.rng }
 // ModelWireBytes returns the over-the-air size of one uncompressed model
 // (the paper-scale S of the compression ratio φ = S/S_c).
 func (e *Engine) ModelWireBytes() int { return paperModelBytes }
+
+// FitWindowPsi returns the equal compression level at which two model
+// payloads of modelBytes each fit a window of windowSeconds at minBWBps,
+// capped at 1: EqualCompression's and the gossip baselines' ψ. A window,
+// bandwidth or size that is not positive gives 0, which sends nothing.
+func FitWindowPsi(windowSeconds, minBWBps float64, modelBytes int) float64 {
+	if windowSeconds <= 0 || minBWBps <= 0 || modelBytes <= 0 {
+		return 0
+	}
+	return math.Min(1, windowSeconds*minBWBps/8/float64(2*modelBytes))
+}
 
 // CompressedModelBytes returns the over-the-air size of a model compressed
 // to level ψ.

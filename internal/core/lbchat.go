@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"log"
 	"math"
 
 	"lbchat/internal/compress"
@@ -168,8 +167,7 @@ func (l *LbChat) OnTick(e *Engine, now float64) {
 	}
 	if l.Variant == NoPrioritization {
 		// Route-sharing ablation: any in-range pair is equally good.
-		rng := e.RNG()
-		score = func(a, b int) float64 { return 1 + 0.01*rng.Float64() }
+		score = e.JitteredScore()
 	}
 	pairs := e.CandidatePairs(score)
 	for _, p := range e.GreedyMatch(pairs) {
@@ -320,13 +318,12 @@ func (l *LbChat) chat(e *Engine, a, b int) {
 	if l.Variant == EqualCompression {
 		// Ablation: fixed equal ratios sized so both directions fill the
 		// remaining window.
-		psi := remaining * minBW / 8 / float64(2*modelBytes)
-		psiA = math.Min(1, psi)
+		psiA = FitWindowPsi(remaining, minBW, modelBytes)
 		psiB = psiA
 	} else {
 		// Line 13: optimize compression ratios with Eq. (7).
-		phiA := l.fitPhi(e, va, planA, evalA)
-		phiB := l.fitPhi(e, vb, planB, evalB)
+		phiA, psisA, lossesA := l.fitPhi(e, va, planA, evalA)
+		phiB, psisB, lossesB := l.fitPhi(e, vb, planB, evalB)
 		sol := optimize.Solve(optimize.Problem{
 			PhiSelf:         phiA,
 			PhiPeer:         phiB,
@@ -339,16 +336,14 @@ func (l *LbChat) chat(e *Engine, a, b int) {
 			LambdaC:         e.Cfg.LambdaC,
 		})
 		psiA, psiB = sol.PsiSelf, sol.PsiPeer
-		if e.Cfg.LogChats {
-			phiDump := func(c *optimize.PhiCurve) string {
-				if c == nil {
-					return "nil"
-				}
-				return fmt.Sprintf("φ(.2)=%.4f φ(.5)=%.4f φ(.9)=%.4f φ(1)=%.4f",
-					c.Predict(0.2), c.Predict(0.5), c.Predict(0.9), c.Predict(1))
-			}
-			log.Printf("chat %d<->%d t=%.0f contact=%.1f win=%.1f lossAonB=%.4f lossBonA=%.4f | A:%s | B:%s | ψA=%.2f ψB=%.2f obj=%.5f",
-				a, b, e.Now(), contact, remaining, lossAonB, lossBonA, phiDump(phiA), phiDump(phiB), psiA, psiB, sol.Objective)
+		if e.TelemetryEnabled() {
+			e.Emit(telemetry.ChatDecision{
+				Time: e.Now(), A: a, B: b, Contact: contact, Window: remaining,
+				LossAonB: lossAonB, LossBonA: lossBonA,
+				PhiPsiA: psisA, PhiLossA: lossesA, PhiPsiB: psisB, PhiLossB: lossesB,
+				PsiA: psiA, PsiB: psiB,
+				Objective: sol.Objective, GainA: sol.GainSelf, GainB: sol.GainPeer,
+			})
 		}
 	}
 
@@ -441,13 +436,13 @@ func (l *LbChat) adaptCoresetSize(e *Engine, v *Vehicle, contact float64) {
 
 // fitPhi samples the vehicle's own model, planned in plan, at the configured
 // ψ levels, evaluates each compressed variant on the vehicle's coreset
-// subset, and fits the Akima φ curve (§III-C). Every sub-unit level is cut
-// from the one plan into its reused buffer, so the fit allocates nothing per
-// sample.
-func (l *LbChat) fitPhi(e *Engine, v *Vehicle, plan *compress.DeltaPlan, evalItems []dataset.Weighted) *optimize.PhiCurve {
+// subset, and fits the Akima φ curve (§III-C); it also returns the (ψ, loss)
+// samples the fit was fed. Every sub-unit level is cut from the one plan
+// into its reused buffer, so the fit allocates nothing per sample.
+func (l *LbChat) fitPhi(e *Engine, v *Vehicle, plan *compress.DeltaPlan, evalItems []dataset.Weighted) (curve *optimize.PhiCurve, psis, losses []float64) {
 	samples := e.Cfg.PsiSamples
-	psis := make([]float64, 0, len(samples))
-	losses := make([]float64, 0, len(samples))
+	psis = make([]float64, 0, len(samples))
+	losses = make([]float64, 0, len(samples))
 	for _, psi := range samples {
 		var loss float64
 		if psi >= 1 {
@@ -463,9 +458,9 @@ func (l *LbChat) fitPhi(e *Engine, v *Vehicle, plan *compress.DeltaPlan, evalIte
 	}
 	curve, err := optimize.FitPhi(psis, losses)
 	if err != nil {
-		return nil
+		curve = nil
 	}
-	return curve
+	return curve, psis, losses
 }
 
 // sendModel compresses the sender's model, planned in plan, at ψ and

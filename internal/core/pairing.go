@@ -51,6 +51,15 @@ func (e *Engine) CandidatePairs(score func(a, b int) float64) []CandidatePair {
 	return out
 }
 
+// JitteredScore is the CandidatePairs score of a protocol without value or
+// route awareness: every in-range pair is equally good, and a jitter drawn
+// from the engine's stream, one draw per scored pair, keeps the matching
+// unbiased across IDs.
+func (e *Engine) JitteredScore() func(a, b int) float64 {
+	rng := e.rng
+	return func(int, int) float64 { return 1 + 0.01*rng.Float64() }
+}
+
 // GreedyMatch selects a maximal set of disjoint pairs in descending score
 // order — each vehicle chats with at most one peer at a time, and every
 // vehicle prefers its highest-scoring available neighbor, which realizes the

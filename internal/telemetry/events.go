@@ -27,6 +27,7 @@ const (
 	KindFaultInjected     = "fault_injected"
 	KindChatResumed       = "chat_resumed"
 	KindPartialSalvage    = "partial_salvage"
+	KindChatDecision      = "chat_decision"
 )
 
 // Payload labels for Transfer events.
@@ -93,8 +94,10 @@ const (
 	AbortCoresetExchange = "coreset_exchange"
 )
 
-// CompressionChosen records one direction's Eq. (7) decision: the chosen
-// compression level ψ and the resulting over-the-air payload size.
+// CompressionChosen records one direction's model push: the compression
+// level ψ it was sent at and the resulting over-the-air payload size. For
+// LbChat ψ is Eq. (7)'s choice; for EqualCompression and the gossip
+// baselines it is the equal level that fits the window (core.FitWindowPsi).
 type CompressionChosen struct {
 	Time  float64 `json:"time"`
 	From  int     `json:"from"`
@@ -255,6 +258,40 @@ type PartialSalvage struct {
 	Discount float64 `json:"discount"`
 }
 
+// ChatDecision records what one LbChat chat decided before its model
+// exchange (Algorithm 2 lines 10–13): the value assessment, the (ψ, loss)
+// samples each side's φ fit was fed, and the compression levels Eq. (7)
+// chose. It is emitted once per Eq. (7) solve, before the model pushes its
+// ψ > 0 directions emit as CompressionChosen.
+type ChatDecision struct {
+	Time float64 `json:"time"`
+	A    int     `json:"a"`
+	B    int     `json:"b"`
+	// Contact is the estimated remaining contact duration (s) and Window
+	// the exchange window left after the coreset legs (s).
+	Contact float64 `json:"contact"`
+	Window  float64 `json:"window"`
+	// LossAonB is A's model on B's held coreset subset; LossBonA the
+	// reverse.
+	LossAonB float64 `json:"loss_a_on_b"`
+	LossBonA float64 `json:"loss_b_on_a"`
+	// PhiPsiA and PhiLossA are A's φ samples: A's model compressed at
+	// PhiPsiA[i] scored PhiLossA[i] on A's held coreset subset. PhiPsiB and
+	// PhiLossB are B's.
+	PhiPsiA  []float64 `json:"phi_psi_a"`
+	PhiLossA []float64 `json:"phi_loss_a"`
+	PhiPsiB  []float64 `json:"phi_psi_b"`
+	PhiLossB []float64 `json:"phi_loss_b"`
+	// PsiA is the level A's model is sent at, PsiB B's; 0 sends nothing.
+	PsiA float64 `json:"psi_a"`
+	PsiB float64 `json:"psi_b"`
+	// Objective is the achieved Eq. (7) value; GainA is A's expected gain
+	// from receiving B's model and GainB B's from receiving A's.
+	Objective float64 `json:"objective"`
+	GainA     float64 `json:"gain_a"`
+	GainB     float64 `json:"gain_b"`
+}
+
 // Kind implementations.
 func (RunStarted) Kind() string        { return KindRunStarted }
 func (RunFinished) Kind() string       { return KindRunFinished }
@@ -274,3 +311,4 @@ func (LossRecorded) Kind() string      { return KindLossRecorded }
 func (FaultInjected) Kind() string     { return KindFaultInjected }
 func (ChatResumed) Kind() string       { return KindChatResumed }
 func (PartialSalvage) Kind() string    { return KindPartialSalvage }
+func (ChatDecision) Kind() string      { return KindChatDecision }

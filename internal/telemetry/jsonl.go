@@ -53,6 +53,7 @@ var decoders = map[string]func(json.RawMessage) (Event, error){
 	KindFaultInjected:     decode[FaultInjected],
 	KindChatResumed:       decode[ChatResumed],
 	KindPartialSalvage:    decode[PartialSalvage],
+	KindChatDecision:      decode[ChatDecision],
 }
 
 // Decode parses one JSONL line back into its typed event.

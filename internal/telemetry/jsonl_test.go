@@ -29,6 +29,13 @@ var allEventKinds = []Event{
 	FaultInjected{Time: 15, Fault: FaultBurstLoss, A: 1, B: 2, Value: 0.4},
 	ChatResumed{Time: 70, A: 1, B: 2, SavedBytes: 120_000, Age: 33},
 	PartialSalvage{Time: 70, Vehicle: 1, From: 2, Frames: 3, Total: 30, Discount: 0.1},
+	ChatDecision{
+		Time: 10, A: 1, B: 2, Contact: 44.5, Window: 13.2,
+		LossAonB: 0.52, LossBonA: 0.61,
+		PhiPsiA: []float64{0.2, 0.5, 1}, PhiLossA: []float64{0.71, 0.55, 0.5},
+		PhiPsiB: []float64{0.2, 0.5, 1}, PhiLossB: []float64{0.8, 0.6, 0.58},
+		PsiA: 0.36, PsiB: 0, Objective: 0.0125, GainA: 0.01, GainB: 0.04,
+	},
 }
 
 func TestJSONLRoundTripEveryKind(t *testing.T) {

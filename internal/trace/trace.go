@@ -162,7 +162,8 @@ func (tr *Trace) NumVehicles() int { return tr.vehicles }
 // Duration returns the trace's covered time span in seconds.
 func (tr *Trace) Duration() float64 { return float64(tr.ticks) * tr.dt }
 
-// tickFor clamps a time to the trace extent and snaps it to a tick.
+// tickFor clamps a time to the trace extent and truncates it to the tick at
+// or before it.
 func (tr *Trace) tickFor(t float64) int {
 	tick := int(t / tr.dt)
 	if tick < 0 {
@@ -199,8 +200,8 @@ func (tr *Trace) badRow(tick int) {
 	panic(&WindowViolation{Tick: tick, Lo: tr.lo * tr.chunkTicks, Hi: hi, Cursor: tr.cursor})
 }
 
-// RowAt is Row addressed by time (clamped to the trace extent, snapped to
-// the nearest tick), mirroring At.
+// RowAt is Row addressed by time (clamped to the trace extent, at the tick
+// at or before t), mirroring At.
 func (tr *Trace) RowAt(t float64) []geom.Point {
 	if tr.ticks == 0 {
 		return nil
@@ -209,7 +210,7 @@ func (tr *Trace) RowAt(t float64) []geom.Point {
 }
 
 // At returns the position of vehicle v at time t (clamped to the trace
-// extent, snapped to the nearest tick).
+// extent, at the tick at or before t).
 func (tr *Trace) At(v int, t float64) geom.Point {
 	if tr.ticks == 0 {
 		return geom.Point{}
