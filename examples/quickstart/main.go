@@ -1,11 +1,12 @@
-// Quickstart: one complete LbChat "chat" between two vehicles, step by step.
+// Quickstart: one LbChat chat between two vehicles, narrated from the
+// engine's own events.
 //
-// Two vehicles collect driving data in different parts of the map, train
-// local models, and then meet. The example walks through Algorithm 2's
-// pairwise exchange explicitly: coreset construction (Algorithm 1), value
-// assessment on the exchanged coresets, φ-curve fitting, the Eq. (7)
-// compression optimization, the transfer, and the Eq. (8) aggregation —
-// printing every intermediate quantity.
+// Two vehicles collect driving data in different parts of the map and train
+// locally while out of radio range; then they meet. The engine runs
+// Algorithm 2's pairwise exchange — coreset refresh (Algorithm 1), value
+// assessment, the φ fit, the Eq. (7) compression choice, the transfers,
+// Eq. (8) aggregation and dataset expansion — and the example prints each
+// step from the telemetry events the engine emitted, in their order.
 //
 //	go run ./examples/quickstart
 package main
@@ -15,11 +16,12 @@ import (
 	"os"
 
 	"lbchat/internal/bev"
-	"lbchat/internal/compress"
-	"lbchat/internal/coreset"
-	"lbchat/internal/model"
-	"lbchat/internal/optimize"
+	"lbchat/internal/core"
+	"lbchat/internal/geom"
+	"lbchat/internal/radio"
 	"lbchat/internal/simrand"
+	"lbchat/internal/telemetry"
+	"lbchat/internal/trace"
 	"lbchat/internal/world"
 )
 
@@ -30,165 +32,77 @@ func main() {
 	}
 }
 
+// The scripted encounter: apart (out of radio range) for apartSeconds, which
+// is 400 local training steps each, then 100 m apart for meetSeconds. seed
+// drives the world and the engine.
+const (
+	seed         = 42
+	apartSeconds = 800
+	meetSeconds  = 60
+)
+
 func run() error {
-	// --- Set the stage: a driving world and two vehicles with data. -----
 	m, err := world.NewMap(world.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	rng := simrand.New(42)
-	w, err := world.New(m, world.SpawnConfig{Experts: 2, BackgroundCars: 20, Pedestrians: 80}, rng)
+	w, err := world.New(m, world.SpawnConfig{Experts: 2, BackgroundCars: 20, Pedestrians: 80}, simrand.New(seed))
 	if err != nil {
 		return err
 	}
-	mcfg := model.DefaultConfig()
-	ras := bev.NewRasterizer(bev.DefaultConfig(), m)
+	cfg := core.DefaultConfig()
+	cfg.Seed = seed
 	fmt.Println("Collecting driving data for two vehicles (2 fps)...")
-	datasets := world.CollectDataset(w, ras, mcfg.NumWaypoints, 600, 0.5)
-	dataA, dataB := datasets[0], datasets[1]
-
-	polA, err := model.New(mcfg, 1) // identical initialization, as the paper assumes
+	datasets := world.CollectDataset(w, bev.NewRasterizer(bev.DefaultConfig(), m), cfg.Model.NumWaypoints, 600, 0.5)
+	tr := trace.New(1, 2) // A stays at the origin; B is 2 km away, then 100 m
+	for t := 0; t < apartSeconds+meetSeconds; t++ {
+		gap := 100.0
+		if t < apartSeconds {
+			gap = 2000
+		}
+		tr.AppendRow()[1] = geom.Pt(gap, 0)
+	}
+	sink := telemetry.NewMemorySink()
+	cfg.Telemetry = sink
+	eng, err := core.NewEngine(cfg, tr, datasets, radio.NewModel(true), nil)
 	if err != nil {
 		return err
 	}
-	polB := polA.Clone()
-	initFlat := polA.Flat()
-
-	fmt.Println("Local training: 400 steps each on their own data...")
-	rngA, rngB := rng.Derive("trainA"), rng.Derive("trainB")
-	for step := 0; step < 400; step++ {
-		polA.TrainStep(dataA.SampleBatch(16, rngA))
-		polB.TrainStep(dataB.SampleBatch(16, rngB))
-	}
-
-	// --- Line 8: construct coresets with Algorithm 1. --------------------
-	const coresetSize = 100
-	lossesA := polA.PerSampleLosses(dataA.Items())
-	csA, err := coreset.Build(dataA, lossesA, coresetSize, rng.Derive("csA"))
-	if err != nil {
+	fmt.Printf("Local training apart for %d s, then the vehicles meet:\n", apartSeconds)
+	if err := eng.Run(core.NewLbChat(), apartSeconds+meetSeconds); err != nil {
 		return err
 	}
-	lossesB := polB.PerSampleLosses(dataB.Items())
-	csB, err := coreset.Build(dataB, lossesB, coresetSize, rng.Derive("csB"))
-	if err != nil {
-		return err
+	for _, ev := range sink.Events() {
+		narrate(ev)
 	}
-	fmt.Printf("Coresets built: |C_A| = %d (%0.f kB on the wire), |C_B| = %d\n",
-		csA.Len(), float64(csA.Len()*4000)/1000, csB.Len())
-
-	// --- Lines 9–12: exchange coresets and assess model value. ----------
-	lossAonA := polA.Loss(csA.Items())
-	lossAonB := polA.Loss(csB.Items())
-	lossBonB := polB.Loss(csB.Items())
-	lossBonA := polB.Loss(csA.Items())
-	fmt.Printf("\nValue assessment (weighted losses):\n")
-	fmt.Printf("  f(x_A; C_A) = %.4f   f(x_A; C_B) = %.4f\n", lossAonA, lossAonB)
-	fmt.Printf("  f(x_B; C_B) = %.4f   f(x_B; C_A) = %.4f\n", lossBonB, lossBonA)
-	fmt.Printf("  → B's model is %s to A (gap %.4f)\n",
-		valueWord(lossAonB-lossBonB), lossAonB-lossBonB)
-	fmt.Printf("  → A's model is %s to B (gap %.4f)\n",
-		valueWord(lossBonA-lossAonA), lossBonA-lossAonA)
-
-	// --- Fit φ curves: compressed-model loss vs ψ. -----------------------
-	psis := []float64{0.05, 0.2, 0.5, 1.0}
-	scratch := polA.Clone()
-	fitFor := func(pol *model.Policy, cs *coreset.Coreset) (*optimize.PhiCurve, []float64, error) {
-		flat := pol.Flat()
-		losses := make([]float64, len(psis))
-		for i, psi := range psis {
-			delta := make([]float64, len(flat))
-			for j := range flat {
-				delta[j] = flat[j] - initFlat[j]
-			}
-			sp := compress.TopK(delta, int(psi*float64(len(delta))))
-			rec := append([]float64(nil), initFlat...)
-			for k, idx := range sp.Indices {
-				rec[idx] += sp.Values[k]
-			}
-			if err := scratch.SetFlat(rec); err != nil {
-				return nil, nil, err
-			}
-			losses[i] = scratch.Loss(cs.Items())
-		}
-		curve, err := optimize.FitPhi(psis, losses)
-		return curve, losses, err
-	}
-	phiA, lossesPhiA, err := fitFor(polA, csA)
-	if err != nil {
-		return err
-	}
-	phiB, _, err := fitFor(polB, csB)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nφ_A samples (ψ → loss on C_A):")
-	for i, psi := range psis {
-		fmt.Printf(" (%.2f, %.4f)", psi, lossesPhiA[i])
-	}
-	fmt.Println()
-
-	// --- Line 13: optimize compression ratios with Eq. (7). -------------
-	sol := optimize.Solve(optimize.Problem{
-		PhiSelf:         phiA,
-		PhiPeer:         phiB,
-		LossSelfOnPeer:  lossAonB,
-		LossPeerOnSelf:  lossBonA,
-		ModelBytes:      52_000_000, // the paper's model size over the air
-		MinBandwidthBps: 31e6,
-		TimeBudget:      15,
-		ContactTime:     40,
-		LambdaC:         0.0008,
-	})
-	fmt.Printf("\nEq. (7) solution: ψ_A = %.2f (A sends), ψ_B = %.2f (A receives)\n",
-		sol.PsiSelf, sol.PsiPeer)
-	fmt.Printf("  expected gains: A ← %.4f, B ← %.4f; transfer time %.1fs of the 15s budget\n",
-		sol.GainSelf, sol.GainPeer, sol.TransferTime)
-
-	// --- Lines 14–15: transfer and aggregate with Eq. (8). --------------
-	if sol.PsiPeer > 0 {
-		flatB := polB.Flat()
-		delta := make([]float64, len(flatB))
-		for j := range flatB {
-			delta[j] = flatB[j] - initFlat[j]
-		}
-		sp := compress.TopK(delta, int(sol.PsiPeer*float64(len(delta))))
-		rec := append([]float64(nil), initFlat...)
-		for k, idx := range sp.Indices {
-			rec[idx] += sp.Values[k]
-		}
-		if err := scratch.SetFlat(rec); err != nil {
-			return err
-		}
-		// Joint evaluation set: A's coreset ∪ B's coreset (fast path of §III-D).
-		union := coreset.Merge(csA, csB)
-		lossSelf := polA.Loss(union.Items())
-		lossPeer := scratch.Loss(union.Items())
-		wSelf := lossPeer / (lossSelf + lossPeer)
-		wPeer := 1 - wSelf
-		fmt.Printf("\nEq. (8) aggregation on C_A ∪ C_B: w_self = %.2f, w_peer = %.2f\n", wSelf, wPeer)
-		selfFlat := polA.Flat()
-		for i := range selfFlat {
-			selfFlat[i] = wSelf*selfFlat[i] + wPeer*rec[i]
-		}
-		if err := polA.SetFlat(selfFlat); err != nil {
-			return err
-		}
-	}
-
-	// --- Line 16: expand A's dataset with B's coreset. -------------------
-	before := dataA.Len()
-	dataA.Absorb(csB.Data(), 1)
-	fmt.Printf("\nDataset expansion: |D_A| %d → %d (absorbed %d coreset frames)\n",
-		before, dataA.Len(), csB.Len())
-
-	fmt.Printf("\nAfter the chat, A's loss on B's coreset: %.4f (was %.4f)\n",
-		polA.Loss(csB.Items()), lossAonB)
+	fmt.Printf("\nAfter the run, A's loss on B's coreset: %.4f\n",
+		eng.Vehicles[0].Policy.Loss(eng.Vehicles[1].Core.Items()))
 	return nil
 }
 
-func valueWord(gap float64) string {
-	if gap > 0.005 {
-		return "VALUABLE"
+// name is vehicle i's letter.
+func name(i int) string { return "AB"[i : i+1] }
+
+// narrate prints one event of the chat, in the order the engine emitted it;
+// the training and contact events around the chat print nothing.
+func narrate(ev telemetry.Event) {
+	switch ev := ev.(type) {
+	case telemetry.CoresetRebuilt:
+		fmt.Printf("\nt=%.0fs %s refreshes its coreset (Algorithm 1): |C| = %d\n", ev.Time, name(ev.Vehicle), ev.Size)
+	case telemetry.ChatDecision:
+		fmt.Printf("\nValue assessment: f(x_A; C_B) = %.4f, f(x_B; C_A) = %.4f\n", ev.LossAonB, ev.LossBonA)
+		fmt.Printf("φ_A samples: ψ %.2f → loss on A's coreset %.4f\n", ev.PhiPsiA, ev.PhiLossA)
+		fmt.Printf("φ_B samples: ψ %.2f → loss on B's coreset %.4f\n", ev.PhiPsiB, ev.PhiLossB)
+		fmt.Printf("Eq. (7) in the %.1f s left: ψ_A = %.2f, ψ_B = %.2f; objective %.4f, gains A ← %.4f, B ← %.4f\n\n",
+			ev.Window, ev.PsiA, ev.PsiB, ev.Objective, ev.GainA, ev.GainB)
+	case telemetry.CompressionChosen:
+		fmt.Printf("%s sends its model at ψ = %.2f (%.1f MB)\n", name(ev.From), ev.Psi, float64(ev.Bytes)/1e6)
+	case telemetry.Transfer:
+		fmt.Printf("  %s %s → %s: %d of %d bytes in %.2f s\n", ev.Payload, name(ev.From), name(ev.To),
+			ev.BytesDelivered, ev.BytesRequested, ev.Elapsed)
+	case telemetry.Aggregation:
+		fmt.Printf("t=%.0fs Eq. (8) on %s: w_self = %.2f, w_peer = %.2f\n", ev.Time, name(ev.Vehicle), ev.WSelf, ev.WPeer)
+	case telemetry.CoresetAbsorbed:
+		fmt.Printf("t=%.0fs %s absorbs %d coreset frames into its dataset\n", ev.Time, name(ev.Vehicle), ev.Frames)
 	}
-	return "of little value"
 }

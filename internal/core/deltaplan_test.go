@@ -148,3 +148,46 @@ func TestChatPathAllocations(t *testing.T) {
 		t.Errorf("sendModel made %v allocations, want the reconstruction and O(1) small ones", n)
 	}
 }
+
+// TestFitPhiScoresTheShippedPayload holds the φ fit to the payload sendModel
+// ships. Under top-k its samples are exactly the plan's cut at keepCount(ψ),
+// and the policy itself at ψ = 1, bit for bit; under quantization every
+// sub-unit sample scores the quantized payload, so it differs from top-k's.
+func TestFitPhiScoresTheShippedPayload(t *testing.T) {
+	eng, va, _ := trainedPair(t)
+	l := NewLbChat()
+	if err := l.Setup(eng); err != nil {
+		t.Fatal(err)
+	}
+	eval := va.Data.Items()[:32]
+	plan := eng.fillPlan(0, va.Policy.Flat())
+	ref := va.Policy.Clone()
+
+	_, psis, topk := l.fitPhi(eng, va, plan, eval)
+	if len(psis) != len(eng.Cfg.PsiSamples) {
+		t.Fatalf("top-k fit kept %d of %d samples", len(psis), len(eng.Cfg.PsiSamples))
+	}
+	for i, psi := range psis {
+		want := va.Policy.Loss(eval)
+		if psi < 1 {
+			if err := ref.SetFlat(plan.Reconstruct(eng.keepCount(psi))); err != nil {
+				t.Fatal(err)
+			}
+			want = ref.Loss(eval)
+		}
+		if math.Float64bits(topk[i]) != math.Float64bits(want) {
+			t.Errorf("top-k ψ=%v: fitPhi scored %v, the plan's cut scores %v", psi, topk[i], want)
+		}
+	}
+
+	eng.Cfg.CompressionScheme = SchemeQuantize
+	_, qpsis, quant := l.fitPhi(eng, va, plan, eval)
+	if len(qpsis) != len(psis) {
+		t.Fatalf("quantized fit kept %d of %d samples", len(qpsis), len(psis))
+	}
+	for i, psi := range qpsis {
+		if psi < 1 && quant[i] == topk[i] {
+			t.Errorf("quantized ψ=%v scored %v, the top-k payload's loss", psi, quant[i])
+		}
+	}
+}

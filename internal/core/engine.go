@@ -983,7 +983,7 @@ func (e *Engine) CompressReconstruct(flat []float64, psi float64) []float64 {
 	if psi <= 0 {
 		return nil
 	}
-	return e.reconstructPlan(e.fillPlan(0, flat), psi)
+	return e.reconstructPlan(make([]float64, len(e.initFlat)), e.fillPlan(0, flat), psi)
 }
 
 // CompressDelta top-k sparsifies a model's DELTA from the fleet's shared
@@ -1015,13 +1015,18 @@ func (e *Engine) keepCount(psi float64) int {
 	return int(keep * float64(len(e.initFlat)))
 }
 
-// reconstructPlan returns, in a vector the caller owns, what a receiver
-// materializes from the planned model compressed to ψ > 0 under the
-// configured scheme.
-func (e *Engine) reconstructPlan(p *compress.DeltaPlan, psi float64) []float64 {
-	out := make([]float64, len(e.initFlat))
+// reconstructPlan writes into dst what a receiver materializes from the
+// planned model compressed to ψ > 0 under the configured scheme, and returns
+// it. It is the one definition of a payload at ψ: the φ fit scores what the
+// transfer ships. A nil dst is scratch, valid until the plan's next use:
+// top-k cuts into the plan's own buffer, quantization into the vector it
+// decodes. Quantization rounds with the engine's stream.
+func (e *Engine) reconstructPlan(dst []float64, p *compress.DeltaPlan, psi float64) []float64 {
 	if e.Cfg.CompressionScheme != SchemeQuantize {
-		return p.ReconstructInto(out, e.keepCount(psi))
+		if dst == nil {
+			return p.Reconstruct(e.keepCount(psi))
+		}
+		return p.ReconstructInto(dst, e.keepCount(psi))
 	}
 	bits := int(psi*32 + 0.5)
 	if bits < 1 {
@@ -1034,8 +1039,12 @@ func (e *Engine) reconstructPlan(p *compress.DeltaPlan, psi float64) []float64 {
 	if err != nil {
 		return nil
 	}
-	for i, dv := range q.Dense() {
-		out[i] = e.initFlat[i] + dv
+	delta := q.Dense()
+	if dst == nil {
+		dst = delta
 	}
-	return out
+	for i, dv := range delta {
+		dst[i] = e.initFlat[i] + dv
+	}
+	return dst
 }

@@ -435,20 +435,22 @@ func (l *LbChat) adaptCoresetSize(e *Engine, v *Vehicle, contact float64) {
 }
 
 // fitPhi samples the vehicle's own model, planned in plan, at the configured
-// ψ levels, evaluates each compressed variant on the vehicle's coreset
-// subset, and fits the Akima φ curve (§III-C); it also returns the (ψ, loss)
-// samples the fit was fed. Every sub-unit level is cut from the one plan
-// into its reused buffer, so the fit allocates nothing per sample.
+// ψ levels, evaluates the payload sendModel would ship at each on the
+// vehicle's coreset subset, and fits the Akima φ curve (§III-C); it also
+// returns the (ψ, loss) samples the fit was fed. Top-k cuts every sub-unit
+// level from the one plan into its reused buffer, so the fit allocates
+// nothing per sample; its uncut ψ ≥ 1 payload is the model itself, which is
+// scored directly.
 func (l *LbChat) fitPhi(e *Engine, v *Vehicle, plan *compress.DeltaPlan, evalItems []dataset.Weighted) (curve *optimize.PhiCurve, psis, losses []float64) {
 	samples := e.Cfg.PsiSamples
 	psis = make([]float64, 0, len(samples))
 	losses = make([]float64, 0, len(samples))
 	for _, psi := range samples {
 		var loss float64
-		if psi >= 1 {
+		if psi >= 1 && e.Cfg.CompressionScheme != SchemeQuantize {
 			loss = v.Policy.Loss(evalItems)
 		} else {
-			if err := l.scratch.SetFlat(plan.Reconstruct(e.keepCount(psi))); err != nil {
+			if err := l.scratch.SetFlat(e.reconstructPlan(nil, plan, psi)); err != nil {
 				continue
 			}
 			loss = l.scratch.Loss(evalItems)
@@ -471,7 +473,7 @@ func (l *LbChat) sendModel(e *Engine, plan *compress.DeltaPlan, from, to *Vehicl
 	if psi <= 0 {
 		return nil, false, 0
 	}
-	rec := e.reconstructPlan(plan, psi)
+	rec := e.reconstructPlan(make([]float64, len(e.initFlat)), plan, psi)
 	bytes := e.CompressedModelBytes(psi)
 	e.Emit(telemetry.CompressionChosen{Time: e.Now(), From: from.ID, To: to.ID, Psi: psi, Bytes: bytes})
 	res := e.SimulateTransfer(bytes, from.ID, to.ID, deadline)

@@ -31,7 +31,6 @@ var productionCallerReasons = map[string]string{
 	"metrics.Table.Rows":          "test observation point: the root benchmarks and the catalogue tests read tables",
 	"metrics.Table.Value":         "test observation point: the root benchmarks and the harness tests read table cells",
 	"trace.FromRows":              "test fixture: core's oracle tests and benchmarks build traces from literal rows",
-	"telemetry.MemorySink.Events": "test observation point: core's and experiments' tests read the event stream",
 	"trace.ChunkError.Unwrap":     "errors.Is and errors.As reach it through an interface the standard library declares inside a function body, which the source importer does not type-check",
 	"coreset.Tree.Invalidate":     "ROADMAP item 4's divergence trigger is its caller",
 	"shard.Scanner.Grid":          "the shard package waits for ROADMAP item 13(b)",

@@ -11,13 +11,14 @@
 // into an add, and every amd64 kernel has its generic Go loop beside it —
 // DESIGN.md §15). Only this package's tests call them, so none is exported.
 //
-// Two more live in the tests alone. Every backticked <pkg>.<Name> in
+// Three more live in the tests alone. Every backticked <pkg>.<Name> in
 // DESIGN.md, README.md and EXPERIMENTS.md must name something internal/<pkg>
-// still declares. And TestProductionCallers type-checks every package of
-// `go list ./...` with go/types (the standard library from go/importer) and
-// fails on an exported function or method that no non-test file uses,
-// unless it implements an interface the module or the standard library
-// declares or productionCallerReasons lists it with its reason; an entry
-// that names nothing, or something that has gained a caller, fails too
-// (DESIGN.md §10).
+// still declares. The Makefile's ci prerequisites must be exactly the make
+// steps of the workflow's blocking jobs (TestCIStagesMatchMakefile). And
+// TestProductionCallers type-checks every package of `go list ./...` with
+// go/types (the standard library from go/importer) and fails on an exported
+// function or method that no non-test file uses, unless it implements an
+// interface the module or the standard library declares or
+// productionCallerReasons lists it with its reason; an entry that names
+// nothing, or something that has gained a caller, fails too (DESIGN.md §10).
 package repolint
