@@ -109,7 +109,10 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 }
 
 // mapAdam is Adam as the seed wrote it — moments looked up per parameter in
-// two maps — kept as the oracle for the positional Step.
+// two maps — kept as the oracle for the positional Step. Its update is Step's
+// form, with the bias corrections folded into two scalars per step: the
+// test pins bookkeeping, not the association, which tensor's
+// TestAdamUpdateCloseToTextbook bounds against the textbook form.
 type mapAdam struct {
 	LR, Beta1, Beta2, Eps, WeightDecay float64
 
@@ -123,8 +126,8 @@ func (o *mapAdam) Step(params ParamSet) {
 		o.v = make(map[*Param][]float64, len(params))
 	}
 	o.t++
-	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
-	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	stepSize := o.LR / (1 - math.Pow(o.Beta1, float64(o.t)))
+	invBiasCorr2 := 1 / (1 - math.Pow(o.Beta2, float64(o.t)))
 	for _, p := range params {
 		vd := p.Value.Data()
 		gd := p.Grad.Data()
@@ -140,9 +143,7 @@ func (o *mapAdam) Step(params ParamSet) {
 			g := gd[i] + o.WeightDecay*vd[i]
 			m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
 			v[i] = o.Beta2*v[i] + (1-o.Beta2)*g*g
-			mHat := m[i] / bc1
-			vHat := v[i] / bc2
-			vd[i] -= o.LR * mHat / (math.Sqrt(vHat) + o.Eps)
+			vd[i] -= stepSize * m[i] / (math.Sqrt(v[i]*invBiasCorr2) + o.Eps)
 		}
 	}
 }

@@ -47,9 +47,9 @@ func (o *Adam) Step(params ParamSet) float64 {
 		Decay: o.WeightDecay,
 		Beta1: o.Beta1, OneMinusBeta1: 1 - o.Beta1,
 		Beta2: o.Beta2, OneMinusBeta2: 1 - o.Beta2,
-		BiasCorr1: 1 - math.Pow(o.Beta1, float64(o.t)),
-		BiasCorr2: 1 - math.Pow(o.Beta2, float64(o.t)),
-		LR:        o.LR, Eps: o.Eps,
+		StepSize:     o.LR / (1 - math.Pow(o.Beta1, float64(o.t))),
+		InvBiasCorr2: 1 / (1 - math.Pow(o.Beta2, float64(o.t))),
+		Eps:          o.Eps,
 	}
 	var sumSq float64
 	for pi, p := range params {

@@ -415,9 +415,11 @@ done:
 //	g     = grad + decay·value
 //	m     = β1·m + (1−β1)·g
 //	v     = β2·v + ((1−β2)·g)·g
-//	value = value − (η·(m/bc1)) / (√(v/bc2) + ε)
-// and then, one lane at a time from lane 0 to lane 3, sumSq += value²: the
-// ordered sum rides the loop, its adds waiting on the divides in X6.
+//	value = value − (s·m) / (√(v·c) + ε)
+// with s = η/(1−β1ᵗ) and c = 1/(1−β2ᵗ) from the caller: one VDIVPD and one
+// VSQRTPD per four parameters. Then, one lane at a time from lane 0 to lane
+// 3, sumSq += value²: the ordered sum rides the loop, its adds waiting on the
+// divide in X6.
 TEXT ·adamUpdateAVX2(SB), NOSPLIT, $0-64
 	MOVQ         value+0(FP), DI
 	MOVQ         grad+8(FP), SI
@@ -431,10 +433,9 @@ TEXT ·adamUpdateAVX2(SB), NOSPLIT, $0-64
 	VBROADCASTSD 16(R8), Y13 // OneMinusBeta1
 	VBROADCASTSD 24(R8), Y12 // Beta2
 	VBROADCASTSD 32(R8), Y11 // OneMinusBeta2
-	VBROADCASTSD 40(R8), Y10 // BiasCorr1
-	VBROADCASTSD 48(R8), Y9  // BiasCorr2
-	VBROADCASTSD 56(R8), Y8  // LR
-	VBROADCASTSD 64(R8), Y7  // Eps
+	VBROADCASTSD 40(R8), Y10 // StepSize
+	VBROADCASTSD 48(R8), Y9  // InvBiasCorr2
+	VBROADCASTSD 56(R8), Y8  // Eps
 	VECTORS(R9)
 	JZ           tail
 
@@ -452,11 +453,10 @@ loop:
 	VMULPD  Y1, Y5, Y5
 	VADDPD  Y5, Y4, Y4         // v
 	VMOVUPD Y4, (CX)(AX*8)
-	VDIVPD  Y10, Y2, Y2        // mHat
-	VDIVPD  Y9, Y4, Y4         // vHat
+	VMULPD  Y2, Y10, Y2        // s·m
+	VMULPD  Y9, Y4, Y4         // v·c
 	VSQRTPD Y4, Y4
-	VADDPD  Y7, Y4, Y4
-	VMULPD  Y2, Y8, Y2
+	VADDPD  Y8, Y4, Y4
 	VDIVPD  Y4, Y2, Y2
 	VSUBPD  Y2, Y0, Y0
 	VMOVUPD Y0, (DI)(AX*8)
@@ -489,11 +489,10 @@ tail1:
 	VMULSD  X1, X5, X5
 	VADDSD  X5, X4, X4
 	VMOVSD  X4, (CX)(AX*8)
-	VDIVSD  X10, X2, X2
-	VDIVSD  X9, X4, X4
+	VMULSD  X2, X10, X2
+	VMULSD  X9, X4, X4
 	VSQRTSD X4, X4, X4
-	VADDSD  X7, X4, X4
-	VMULSD  X2, X8, X2
+	VADDSD  X8, X4, X4
 	VDIVSD  X4, X2, X2
 	VSUBSD  X2, X0, X0
 	VMOVSD  X0, (DI)(AX*8)

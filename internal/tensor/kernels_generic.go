@@ -96,27 +96,28 @@ func scaleGeneric(x []float64, s float64) {
 }
 
 // AdamCoef holds the scalars of one AdamUpdate call. kernels_amd64.s reads
-// the fields by offset: keep their order.
+// the fields by offset (TestAdamCoefOffsets pins them): keep their order.
 type AdamCoef struct {
 	Decay                float64 // λ: g = grad + λ·value
 	Beta1, OneMinusBeta1 float64
 	Beta2, OneMinusBeta2 float64
-	BiasCorr1, BiasCorr2 float64 // 1 − β1ᵗ, 1 − β2ᵗ
-	LR, Eps              float64
+	StepSize             float64 // η / (1 − β1ᵗ)
+	InvBiasCorr2         float64 // 1 / (1 − β2ᵗ)
+	Eps                  float64
 }
 
-// adamUpdateGeneric is one Adam step over one parameter: three divides and a
-// square root per element, no dependence between elements but the returned
-// sumSq plus the squares of the updated values, added in index order.
+// adamUpdateGeneric is one Adam step over one parameter with the bias
+// corrections folded into the step's two scalars: value − (s·m) / (√(v·c) + ε),
+// one divide and one square root per element, no dependence between elements
+// but the returned sumSq plus the squares of the updated values, added in
+// index order.
 func adamUpdateGeneric(value, grad, m, v []float64, k *AdamCoef, sumSq float64) float64 {
 	grad, m, v = grad[:len(value)], m[:len(value)], v[:len(value)]
 	for i := range value {
 		g := grad[i] + k.Decay*value[i]
 		m[i] = k.Beta1*m[i] + k.OneMinusBeta1*g
 		v[i] = k.Beta2*v[i] + k.OneMinusBeta2*g*g
-		mHat := m[i] / k.BiasCorr1
-		vHat := v[i] / k.BiasCorr2
-		x := value[i] - k.LR*mHat/(math.Sqrt(vHat)+k.Eps)
+		x := value[i] - k.StepSize*m[i]/(math.Sqrt(v[i]*k.InvBiasCorr2)+k.Eps)
 		value[i] = x
 		sumSq += x * x
 	}

@@ -105,13 +105,13 @@ func TestPackedKernelsMatchGenericBits(t *testing.T) {
 
 				// Adam: hostile values everywhere on odd reps; on even ones
 				// moments a real run can hold (v ≥ 0, down to denormal) under
-				// the default coefficients.
+				// the coefficients nn.Adam.Step builds at one of adamSteps.
 				k := AdamCoef{Decay: a0, Beta1: a1, OneMinusBeta1: 1 - a1, Beta2: a2, OneMinusBeta2: 1 - a2,
-					BiasCorr1: a3, BiasCorr2: draw(), LR: draw(), Eps: draw()}
+					StepSize: a3, InvBiasCorr2: draw(), Eps: draw()}
 				o = newOperands(4, n, off, draw)
 				if rep%2 == 0 {
-					k = AdamCoef{Decay: 0.01 * float64(rep%4), Beta1: 0.9, OneMinusBeta1: 1 - 0.9, Beta2: 0.999, OneMinusBeta2: 1 - 0.999,
-						BiasCorr1: 1 - math.Pow(0.9, float64(rep+1)), BiasCorr2: 1 - math.Pow(0.999, float64(rep+1)), LR: 1e-3, Eps: 1e-8}
+					step := adamSteps[(rep/2+off)%len(adamSteps)]
+					k, _ = adamCoefsAt(step, 1e-3, 0.01*float64(rep%4))
 					for i, v := range o.got[3] {
 						if v = math.Abs(v); math.IsNaN(v) {
 							v = denormal
@@ -222,7 +222,7 @@ func TestShortOperandPanicsInGo(t *testing.T) {
 		}
 		return s
 	}
-	k := AdamCoef{Beta1: 0.9, OneMinusBeta1: 0.1, Beta2: 0.999, OneMinusBeta2: 0.001, BiasCorr1: 0.1, BiasCorr2: 0.001, LR: 1e-3, Eps: 1e-8}
+	k, _ := adamCoefsAt(1, 1e-3, 0)
 	// Operand 0 sets the length; each of the others in turn is one element
 	// short of it.
 	cases := []struct {
