@@ -151,6 +151,8 @@ telemetry-smoke:
 		-summary-out $(TMPDIR_SMOKE)/summary.csv > /dev/null
 	$(GO) run ./cmd/telemetry-lint -summary $(TMPDIR_SMOKE)/summary.csv \
 		$(TMPDIR_SMOKE)/events.jsonl
+	$(GO) run ./cmd/telemetry-lint -diff $(TMPDIR_SMOKE)/events.jsonl \
+		$(TMPDIR_SMOKE)/events.jsonl
 	$(GO) run ./cmd/lbchat-bench -scale test -exp fig2a,fig3 \
 		-telemetry-out $(TMPDIR_SMOKE)/bench.jsonl > /dev/null
 	$(GO) run ./cmd/telemetry-lint $(TMPDIR_SMOKE)/bench.jsonl > $(TMPDIR_SMOKE)/bench.lint

@@ -283,6 +283,34 @@ func TestPayloadSizes(t *testing.T) {
 	}
 }
 
+// TestQuantizedBytesFollowTheWidth: under quantization the bytes billed are
+// the code width's, and the width is what reconstructPlan ships. ψ = 0.5,
+// 0.75 and 1 all ship the 16-bit ceiling and so cost the same; 0.2 ships 6
+// bits (rounded down, never over the ψ·bytes a plan budgets); and the 1-bit
+// floor is billed at 1 bit.
+func TestQuantizedBytesFollowTheWidth(t *testing.T) {
+	eng, _ := tinyEnv(t, 2, true)
+	eng.Cfg.CompressionScheme = SchemeQuantize
+	perBit := paperModelBytes / 32
+	for _, c := range []struct {
+		psi  float64
+		bits int
+	}{{0.5, 16}, {0.75, 16}, {1, 16}, {2, 16}, {0.2, 6}, {0.56, 16}, {0.01, 1}} {
+		if got := quantBits(c.psi); got != c.bits {
+			t.Errorf("ψ=%v ships %d bits, want %d", c.psi, got, c.bits)
+		}
+		if got := eng.CompressedModelBytes(c.psi); got != c.bits*perBit {
+			t.Errorf("ψ=%v billed %d bytes, want %d bits' %d", c.psi, got, c.bits, c.bits*perBit)
+		}
+		if c.psi <= 1 && c.psi >= 1.0/32 && eng.CompressedModelBytes(c.psi) > int(c.psi*paperModelBytes) {
+			t.Errorf("ψ=%v billed more than the ψ·bytes a plan budgets", c.psi)
+		}
+	}
+	if a, b := eng.CompressedModelBytes(0.5), eng.CompressedModelBytes(1); a != b {
+		t.Errorf("ψ 0.5 and 1 ship the same width but are billed %d and %d bytes", a, b)
+	}
+}
+
 func TestFitWindowPsi(t *testing.T) {
 	// 15 s × 31 Mbps / 8 bits ≈ 58 MB of air time; two 52 MB models need
 	// ψ ≈ 0.56.

@@ -945,7 +945,9 @@ func FitWindowPsi(windowSeconds, minBWBps float64, modelBytes int) float64 {
 }
 
 // CompressedModelBytes returns the over-the-air size of a model compressed
-// to level ψ.
+// to level ψ: ψ of the full model under top-k, and under quantization the
+// bytes of the code width reconstructPlan ships at ψ (quantBits of the
+// paper's 32 a parameter), so two levels that ship one width cost the same.
 func (e *Engine) CompressedModelBytes(psi float64) int {
 	if psi <= 0 {
 		return 0
@@ -953,7 +955,17 @@ func (e *Engine) CompressedModelBytes(psi float64) int {
 	if psi > 1 {
 		psi = 1
 	}
+	if e.Cfg.CompressionScheme == SchemeQuantize {
+		return quantBits(psi) * (paperModelBytes / 32)
+	}
 	return int(psi * paperModelBytes)
+}
+
+// quantBits is the code width quantization ships at level ψ: ψ of the
+// paper's 32-bit parameters, rounded down so the payload never outgrows the
+// ψ·bytes Eq. (7) planned for, within [1, compress.MaxQuantBits].
+func quantBits(psi float64) int {
+	return min(max(int(psi*32), 1), compress.MaxQuantBits)
 }
 
 // CoresetWireBytes returns the over-the-air size of a coreset: frames × the
@@ -1028,14 +1040,7 @@ func (e *Engine) reconstructPlan(dst []float64, p *compress.DeltaPlan, psi float
 		}
 		return p.ReconstructInto(dst, e.keepCount(psi))
 	}
-	bits := int(psi*32 + 0.5)
-	if bits < 1 {
-		bits = 1
-	}
-	if bits > compress.MaxQuantBits {
-		bits = compress.MaxQuantBits
-	}
-	q, err := compress.Quantize(p.Delta(), bits, e.rng)
+	q, err := compress.Quantize(p.Delta(), quantBits(psi), e.rng)
 	if err != nil {
 		return nil
 	}

@@ -313,9 +313,8 @@ func (p *Policy) meanSquaredErrors(out []float64) {
 }
 
 // TrainStep performs one optimizer step on the weighted batch and returns
-// the Eq. (6) training loss: the risk and σ terms are those of the forward
-// pass, i.e. before the update, but the λ1·‖x‖ term is read after it (moving
-// it would move every train_step event's loss; ROADMAP item 2(b)).
+// the Eq. (6) training loss of the parameters the step started from: the
+// risk and σ terms of the forward pass, and λ1·‖x‖ read before the update.
 func (p *Policy) TrainStep(items []dataset.Weighted) float64 {
 	if len(items) == 0 {
 		return 0
@@ -361,11 +360,14 @@ func (p *Policy) step(preds *tensor.Dense) float64 {
 		}
 	}
 
-	p.params.ZeroGrad()
-	// As for preds: every row of hiddenGrad is overwritten.
+	// Gradients are written, not accumulated, so nothing is cleared first
+	// but the gradients of a head no sample reached. As for preds: every row
+	// of hiddenGrad is overwritten.
 	p.hiddenGrad = tensor.Reuse2D(p.hiddenGrad, batch, p.cfg.Hidden)
 	for h, idxs := range p.byCmd {
 		if len(idxs) == 0 {
+			p.heads[h].W.ZeroGrad()
+			p.heads[h].B.ZeroGrad()
 			continue
 		}
 		p.headGrad = gatherRows(p.headGrad, p.grad, idxs)
@@ -374,11 +376,14 @@ func (p *Policy) step(preds *tensor.Dense) float64 {
 	// Back through the trunk. Nothing is upstream of fc1: its input
 	// gradient — by far the widest product of the step — has no reader.
 	p.fc1.BackwardParams(p.relu1.Backward(p.fc2.Backward(p.relu2.Backward(p.hiddenGrad))))
-	// λ1 term: L2 structural risk enters as weight decay on the gradient.
-	nn.DecayClipGradNorm(p.params, 2*l2Penalty, gradClip)
-	sumSq := p.opt.Step(p.params)
+	// λ1 term: L2 structural risk enters as weight decay on the gradient,
+	// which the clip bounds and Adam adds as it reads the gradient; ‖x‖ is
+	// the norm before the update.
+	norm, decay := nn.DecayClipGradNorm(p.params, 2*l2Penalty, gradClip)
+	p.opt.WeightDecay = decay
+	p.opt.Step(p.params)
 
-	return lossFromPerSample(perSample, weights, cmds, math.Sqrt(sumSq))
+	return lossFromPerSample(perSample, weights, cmds, norm)
 }
 
 // PerSampleLosses evaluates the unpenalized per-sample losses f(x; d) for

@@ -339,3 +339,40 @@ func TestEmptyInputs(t *testing.T) {
 		t.Error("empty PerSampleLosses should return nil")
 	}
 }
+
+// TestTrainStepReadsNormBeforeUpdate: the loss TrainStep returns is Eq. (6)
+// on the parameters the step started from — its risk and σ from the batch's
+// per-sample losses, and its λ1 term λ1·L2Norm() of the pre-update
+// parameters — bit for bit, over 30 steps (one head idle in every third).
+func TestTrainStepReadsNormBeforeUpdate(t *testing.T) {
+	cfg, data := benchSet(96)
+	pol, err := New(cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var noRight []dataset.Weighted
+	for _, it := range data {
+		if it.Sample.Command != dataset.CmdRight {
+			noRight = append(noRight, it)
+		}
+	}
+	for step := 0; step < 30; step++ {
+		batch := data[(step*16)%80:][:16]
+		if step%3 == 2 {
+			batch = noRight[:16]
+		}
+		weights := make([]float64, len(batch))
+		cmds := make([]dataset.Command, len(batch))
+		for i, it := range batch {
+			weights[i], cmds[i] = it.Weight, it.Sample.Command
+		}
+		want := lossFromPerSample(pol.PerSampleLosses(batch), weights, cmds, pol.Params().L2Norm())
+		before := pol.Params().L2Norm()
+		if got := pol.TrainStep(batch); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: TrainStep returned %v, Eq. (6) on the pre-update parameters %v", step, got, want)
+		}
+		if after := pol.Params().L2Norm(); after == before {
+			t.Fatalf("step %d: the norm did not move (%v), so the test cannot tell before from after", step, after)
+		}
+	}
+}

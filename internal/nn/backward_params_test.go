@@ -45,9 +45,9 @@ func (c *chain) backward(grad *tensor.Dense, paramsOnly bool) {
 }
 
 // gradBits runs one forward pass and then the backward pass on a freshly
-// built chain, twice — gradients accumulate — and returns the bit patterns
-// of every parameter gradient and whether the first layer's input-gradient
-// scratch was written.
+// built chain, twice — the second pass writing over gradients the first left
+// poisoned with NaN — and returns the bit patterns of every parameter
+// gradient and whether the first layer's input-gradient scratch was written.
 func gradBits(build func() *chain, in int, paramsOnly bool) (bits []uint64, firstDx bool) {
 	c := build()
 	rng := simrand.New(77)
@@ -59,6 +59,13 @@ func gradBits(build func() *chain, in int, paramsOnly bool) (bits []uint64, firs
 	}
 	for pass := 0; pass < 2; pass++ {
 		c.backward(clone(c.forward(x)), paramsOnly)
+		if pass == 0 {
+			for _, p := range c.params {
+				for i := range p.Grad.Data() {
+					p.Grad.Data()[i] = math.NaN()
+				}
+			}
+		}
 	}
 	for _, p := range c.params {
 		for _, g := range p.Grad.Data() {
@@ -70,7 +77,8 @@ func gradBits(build func() *chain, in int, paramsOnly bool) (bits []uint64, firs
 
 // TestBackwardParamsMatchesBackward: BackwardParams on a network's first
 // layer leaves the same parameter-gradient bits as Backward, alone and
-// under a Dense → ReLU → Dense → ReLU → Dense chain, and the first layer's
+// under a Dense → ReLU → Dense → ReLU → Dense chain, both write every
+// gradient element (none of the poison survives), and the first layer's
 // input-gradient scratch is never touched.
 func TestBackwardParamsMatchesBackward(t *testing.T) {
 	cases := []struct {
@@ -98,6 +106,9 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 			t.Fatalf("%s: %d gradient values, Backward gave %d", c.name, len(got), len(want))
 		}
 		for i := range want {
+			if math.IsNaN(math.Float64frombits(want[i])) {
+				t.Fatalf("%s: gradient %d still holds the poison after Backward", c.name, i)
+			}
 			if got[i] != want[i] {
 				t.Fatalf("%s: gradient %d = %#x after BackwardParams, %#x after Backward", c.name, i, got[i], want[i])
 			}

@@ -25,6 +25,10 @@ type Dense struct {
 	// input is screened once per forward/backward pair.
 	in *tensor.Rows
 	xs tensor.Rows
+	// tb is Backward's scratch for the input gradient, allocated on the
+	// first Backward: a layer that never trains, or is the first of its
+	// network, holds none.
+	tb *transBScratch
 	// Scratch tensors reused across steps to keep the training hot path
 	// allocation-free: the forward output and the input gradient. Reuse is
 	// safe because each is fully overwritten per call and consumed before
@@ -70,24 +74,47 @@ func (d *Dense) ForwardRows(x *tensor.Rows) *tensor.Dense {
 	return d.out
 }
 
-// BackwardParams receives dLoss/dOutput and accumulates (+=, never
-// overwriting) dW and db into the parameters' Grad. It is Backward for the
-// layer nothing feeds: the input gradient — for a network's first layer the
-// widest product of the backward pass — is neither computed nor touched.
+// BackwardParams receives dLoss/dOutput and writes dW and db into the
+// parameters' Grad, all of both (a column of the input that no row lists
+// writes a row of zeros). It is Backward for the layer nothing feeds: the
+// input gradient — for a network's first layer the widest product of the
+// backward pass — is neither computed nor touched.
 func (d *Dense) BackwardParams(grad *tensor.Dense) {
-	// dW += xᵀ·grad
-	tensor.AddMatMulTransARows(d.W.Grad, d.in, grad)
-	// db += column sums of grad
+	// dW = xᵀ·grad
+	tensor.MatMulTransARowsInto(d.W.Grad, d.in, grad)
+	// db = column sums of grad
+	d.B.ZeroGrad()
 	grad.SumRowsInto(d.B.Grad.Data())
 }
 
 // Backward is BackwardParams that also returns dLoss/dInput.
 func (d *Dense) Backward(grad *tensor.Dense) *tensor.Dense {
 	d.BackwardParams(grad)
-	// dx = grad·Wᵀ
-	d.dx = tensor.Reuse2D(d.dx, grad.Shape()[0], d.In)
-	tensor.MatMulTransBInto(d.dx, grad, d.W.Value)
+	// dx = grad·Wᵀ, with MatMulTransBInto's bits: grad's survivors (the
+	// ReLU-masked zeros skipped) gathered from the rows of Wᵀ, in scratch
+	// the layer holds rather than the kernel's pool.
+	if d.tb == nil {
+		d.tb = new(transBScratch)
+	}
+	tb := d.tb
+	tb.wt = tensor.Reuse2D(tb.wt, d.Out, d.In)
+	wd, td := d.W.Value.Data(), tb.wt.Data()
+	for c := 0; c < d.In; c++ {
+		for o, v := range wd[c*d.Out : (c+1)*d.Out] {
+			td[o*d.In+c] = v
+		}
+	}
+	tb.gs.SetDense(grad)
+	d.dx = tensor.Reuse2D(d.dx, tb.gs.NumRows(), d.In)
+	tensor.MatMulRowsInto(d.dx, &tb.gs, tb.wt)
 	return d.dx
+}
+
+// transBScratch holds what grad·Wᵀ is gathered from: grad screened, and W
+// transposed this step.
+type transBScratch struct {
+	gs tensor.Rows
+	wt *tensor.Dense
 }
 
 // Params returns the layer's weights and bias.
@@ -95,50 +122,28 @@ func (d *Dense) Params() ParamSet { return ParamSet{d.W, d.B} }
 
 // ReLU is the rectified-linear activation.
 type ReLU struct {
-	mask []bool
 	// out and gout are scratch tensors reused across steps (fully
-	// overwritten per call).
+	// overwritten per call); out, the forward output, is also what Backward
+	// reads which entries passed from (out > 0 exactly where the input was).
 	out, gout *tensor.Dense
 }
 
 // NewReLU creates a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward computes max(x, 0) elementwise and caches which entries passed.
+// Forward computes max(x, 0) elementwise: x where it is positive, +0
+// elsewhere (NaN included).
 func (r *ReLU) Forward(x *tensor.Dense) *tensor.Dense {
 	r.out = tensor.ReuseLike(r.out, x)
-	out := r.out
-	od := out.Data()
-	xd := x.Data()
-	if cap(r.mask) < len(od) {
-		r.mask = make([]bool, len(od))
-	}
-	r.mask = r.mask[:len(od)]
-	for i, v := range xd {
-		if v > 0 {
-			r.mask[i] = true
-			od[i] = v
-		} else {
-			r.mask[i] = false
-			od[i] = 0
-		}
-	}
-	return out
+	tensor.KeepPositive(r.out.Data(), x.Data(), x.Data())
+	return r.out
 }
 
 // Backward receives dLoss/dOutput and returns dLoss/dInput: the gradient
-// where Forward's input was positive, 0 elsewhere.
+// where Forward's input was positive, +0 elsewhere. Forward's output must be
+// unchanged since.
 func (r *ReLU) Backward(grad *tensor.Dense) *tensor.Dense {
 	r.gout = tensor.ReuseLike(r.gout, grad)
-	out := r.gout
-	od := out.Data()
-	gd := grad.Data()
-	for i, g := range gd {
-		if r.mask[i] {
-			od[i] = g
-		} else {
-			od[i] = 0
-		}
-	}
-	return out
+	tensor.KeepPositive(r.gout.Data(), grad.Data(), r.out.Data())
+	return r.gout
 }

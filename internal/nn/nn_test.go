@@ -17,8 +17,8 @@ func clone(t *tensor.Dense) *tensor.Dense {
 
 // numericalGradCheck verifies the analytic parameter gradients of a network
 // against central finite differences on a scalar loss L = 0.5·‖y‖²: forward
-// runs the network, backward its backward pass from dL/dy, accumulating
-// into the gradients of params.
+// runs the network, backward its backward pass from dL/dy, writing the
+// gradients of params.
 func numericalGradCheck(t *testing.T, forward func(*tensor.Dense) *tensor.Dense, backward func(*tensor.Dense), params ParamSet, batch, in int, seed uint64) {
 	t.Helper()
 	rng := simrand.New(seed)
@@ -35,7 +35,6 @@ func numericalGradCheck(t *testing.T, forward func(*tensor.Dense) *tensor.Dense,
 		return acc
 	}
 	// Analytic gradients.
-	params.ZeroGrad()
 	backward(clone(forward(x))) // dL/dy = y
 	const eps = 1e-6
 	for _, p := range params {
@@ -188,9 +187,34 @@ func TestClipGradNorm(t *testing.T) {
 	}
 }
 
-// TestDecayClipGradNormMatchesSeparatePasses: the fused pass leaves the bits
-// of a separate axpy, then an ordered sum of squares deciding a ScaleInPlace;
-// decay 0 leaves a −0 gradient alone and maxNorm 0 never rescales.
+// decayClip is DecayClipGradNorm followed by the decay it leaves pending,
+// added to the gradients the way Adam reads them (nothing at all for 0): the
+// gradients the optimizer steps on. It also requires the norm returned to be
+// L2Norm's.
+func decayClip(t *testing.T, params ParamSet, decay, maxNorm float64) {
+	t.Helper()
+	want := params.L2Norm()
+	norm, pending := DecayClipGradNorm(params, decay, maxNorm)
+	if math.Float64bits(norm) != math.Float64bits(want) {
+		t.Fatalf("DecayClipGradNorm's norm %v, L2Norm %v", norm, want)
+	}
+	if pending != 0 && pending != decay {
+		t.Fatalf("pending decay %v, want 0 or %v", pending, decay)
+	}
+	if pending == 0 {
+		return
+	}
+	for _, p := range params {
+		for i, v := range p.Value.Data() {
+			p.Grad.Data()[i] += pending * v
+		}
+	}
+}
+
+// TestDecayClipGradNormMatchesSeparatePasses: the read-only pass, with the
+// decay it leaves pending, steps on the bits of a separate axpy, then an
+// ordered sum of squares deciding a rescale; decay 0 leaves a −0
+// gradient alone and maxNorm 0 never rescales.
 func TestDecayClipGradNormMatchesSeparatePasses(t *testing.T) {
 	build := func() ParamSet {
 		rng := simrand.New(12)
@@ -206,7 +230,7 @@ func TestDecayClipGradNormMatchesSeparatePasses(t *testing.T) {
 	}
 	for _, c := range []struct{ decay, maxNorm float64 }{{2e-4, 5}, {2e-4, 0.5}, {2e-4, 0}, {0, 0.5}, {0, 0}} {
 		got, want := build(), build()
-		DecayClipGradNorm(got, c.decay, c.maxNorm)
+		decayClip(t, got, c.decay, c.maxNorm)
 		var acc float64
 		for _, p := range want {
 			if c.decay != 0 {
@@ -220,7 +244,7 @@ func TestDecayClipGradNormMatchesSeparatePasses(t *testing.T) {
 		}
 		if norm := math.Sqrt(acc); c.maxNorm > 0 && norm > c.maxNorm {
 			for _, p := range want {
-				p.Grad.ScaleInPlace(c.maxNorm / norm)
+				scaleAll(p, c.maxNorm/norm)
 			}
 		}
 		for pi := range want {
@@ -313,7 +337,7 @@ func parentDecayClipGradNorm(params ParamSet, decay, maxNorm float64) float64 {
 	if maxNorm > 0 && norm > maxNorm {
 		scale := maxNorm / norm
 		for _, p := range params {
-			p.Grad.ScaleInPlace(scale)
+			scaleAll(p, scale)
 		}
 	}
 	return norm
@@ -322,7 +346,8 @@ func parentDecayClipGradNorm(params ParamSet, decay, maxNorm float64) float64 {
 // TestDecayClipMatchesOrderedOracle plants the ordered sum of squares of the
 // decayed gradients at maxNorm²·(1 ± 2⁻⁵⁰), at exactly maxNorm², inside and
 // below the screen's band and far above it (a forced clip), and holds every
-// gradient bit to the parent's pass.
+// gradient bit the optimizer steps on — the read-only screen's, with its
+// pending decay added — to the parent's pass.
 func TestDecayClipMatchesOrderedOracle(t *testing.T) {
 	rng := simrand.New(14)
 	clone := func(ps ParamSet) ParamSet {
@@ -387,7 +412,7 @@ func TestDecayClipMatchesOrderedOracle(t *testing.T) {
 					got, hit := build(decay, maxNorm, target)
 					want := clone(got)
 					norm := parentDecayClipGradNorm(want, decay, maxNorm)
-					DecayClipGradNorm(got, decay, maxNorm)
+					decayClip(t, got, decay, maxNorm)
 					if hit && target == sq {
 						exact++
 					}
@@ -413,34 +438,9 @@ func TestDecayClipMatchesOrderedOracle(t *testing.T) {
 	}
 }
 
-// TestAdamStepReturnsSquaredNorm: Step returns the ordered sum of the squares
-// of the updated values — its square root is L2Norm bit for bit — over every
-// tail length of the packed update, with and without decay.
-func TestAdamStepReturnsSquaredNorm(t *testing.T) {
-	for _, decay := range []float64{0, 0.01} {
-		ps := adamTestParams()
-		adam := NewAdam(1e-2)
-		adam.WeightDecay = decay
-		rng := simrand.New(10)
-		for step := 0; step < 20; step++ {
-			for _, p := range ps {
-				for i := range p.Grad.Data() {
-					p.Grad.Data()[i] = rng.Normal(0, 1)
-				}
-			}
-			got := adam.Step(ps)
-			var want float64
-			for _, p := range ps {
-				for _, v := range p.Value.Data() {
-					want += v * v
-				}
-			}
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("decay %v step %d: Step returned %v, ordered sum of squares %v", decay, step, got, want)
-			}
-			if math.Sqrt(got) != ps.L2Norm() {
-				t.Fatalf("decay %v step %d: √Step %v, L2Norm %v", decay, step, math.Sqrt(got), ps.L2Norm())
-			}
-		}
+// scaleAll multiplies every gradient element of p by s.
+func scaleAll(p *Param, s float64) {
+	for i := range p.Grad.Data() {
+		p.Grad.Data()[i] *= s
 	}
 }

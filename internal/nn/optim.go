@@ -10,7 +10,9 @@ import (
 // Adam implements the Adam optimizer (Kingma & Ba, 2015).
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
-	WeightDecay           float64
+	// WeightDecay is added to each gradient times its value (L2 decay
+	// through the gradient) as the step reads it.
+	WeightDecay float64
 
 	t int
 	// m and v hold the first and second moments of parameter i of the
@@ -24,13 +26,11 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step applies one update using the parameters' current gradients and
-// returns the sum of the squares of the updated values, added in parameter
-// and index order: params.L2Norm() squared, bit for bit, without a pass of
-// its own. The first call binds the optimizer to params: its moments are
-// kept by position, so every later call must pass a set of the same shape in
-// the same order (the same set, in practice) and panics otherwise.
-func (o *Adam) Step(params ParamSet) float64 {
+// Step applies one update using the parameters' current gradients. The
+// first call binds the optimizer to params: its moments are kept by
+// position, so every later call must pass a set of the same shape in the
+// same order (the same set, in practice) and panics otherwise.
+func (o *Adam) Step(params ParamSet) {
 	if o.m == nil {
 		o.m = make([][]float64, len(params))
 		o.v = make([][]float64, len(params))
@@ -51,51 +51,74 @@ func (o *Adam) Step(params ParamSet) float64 {
 		InvBiasCorr2: 1 / (1 - math.Pow(o.Beta2, float64(o.t))),
 		Eps:          o.Eps,
 	}
-	var sumSq float64
 	for pi, p := range params {
 		vd := p.Value.Data()
 		if len(vd) != len(o.m[pi]) {
 			panic(fmt.Sprintf("nn: Adam is bound to %d elements at parameter %d (%s), Step got %d",
 				len(o.m[pi]), pi, p.Name, len(vd)))
 		}
-		sumSq = tensor.AdamUpdate(vd, p.Grad.Data(), o.m[pi], o.v[pi], &coef, sumSq)
+		tensor.AdamUpdate(vd, p.Grad.Data(), o.m[pi], o.v[pi], &coef)
 	}
-	return sumSq
 }
 
-// DecayClipGradNorm adds decay·value to every gradient (decay == 0 adds
-// nothing, not even a signed zero) and then rescales all gradients so their
+// DecayClipGradNorm readies the gradients for an optimizer step under L2
+// decay: each gradient as the step must read it is grad + decay·value
+// (decay == 0 adds nothing, not even a signed zero), rescaled so that their
 // joint L2 norm is at most maxNorm (maxNorm <= 0 never rescales). The norm
 // that decides is the square root of one ordered sum of squares — parameter
-// then index order, one accumulator, over the decayed gradients — but the
-// decay pass returns a packed sum of the same squares, and the ordered sum is
-// taken only when that screen does not rule a clip out.
-func DecayClipGradNorm(params ParamSet, decay, maxNorm float64) {
-	var screen float64
+// then index order, one accumulator, over the decayed gradients — but one
+// read-only pass over every gradient and value first takes a packed sum of
+// the same squares, and the ordered sum is taken only when that screen does
+// not rule a clip out.
+//
+// It returns the parameters' L2 norm, read in the same pass (L2Norm, bit
+// for bit), and the decay the step still has to add (Adam.WeightDecay):
+// decay when no clip was needed, which leaves every gradient as it was, and
+// 0 when the clip wrote (grad + decay·value)·maxNorm/norm into them.
+func DecayClipGradNorm(params ParamSet, decay, maxNorm float64) (norm, pending float64) {
+	var screen, sq float64
 	for _, p := range params {
-		screen += tensor.DecaySumSquares(p.Grad.Data(), p.Value.Data(), decay)
+		d, v := tensor.DecaySumSquares(p.Grad.Data(), p.Value.Data(), decay)
+		screen += d
+		sq += v
 	}
-	if maxNorm > 0 && !(screen < clipScreenLimit(maxNorm, params.NumElements())) {
-		clipOrdered(params, maxNorm)
+	norm, pending = math.Sqrt(sq), decay
+	if maxNorm > 0 && !(screen < clipScreenLimit(maxNorm, params.NumElements())) && clipOrdered(params, decay, maxNorm) {
+		pending = 0
 	}
+	return norm, pending
 }
 
-// clipOrdered rescales the gradients when the square root of their ordered
-// sum of squares — parameter then index order, one accumulator — exceeds
-// maxNorm.
-func clipOrdered(params ParamSet, maxNorm float64) {
+// clipOrdered rescales the decayed gradients when the square root of their
+// ordered sum of squares — parameter then index order, one accumulator —
+// exceeds maxNorm, writing (grad + decay·value)·maxNorm/norm into every
+// gradient, and reports whether it did. Otherwise it writes nothing.
+func clipOrdered(params ParamSet, decay, maxNorm float64) bool {
 	var acc float64
 	for _, p := range params {
-		for _, g := range p.Grad.Data() {
+		vd := p.Value.Data()
+		for i, g := range p.Grad.Data() {
+			if decay != 0 {
+				g += decay * vd[i]
+			}
 			acc += g * g
 		}
 	}
-	if norm := math.Sqrt(acc); norm > maxNorm {
-		scale := maxNorm / norm
-		for _, p := range params {
-			p.Grad.ScaleInPlace(scale)
+	norm := math.Sqrt(acc)
+	if !(norm > maxNorm) {
+		return false
+	}
+	scale := maxNorm / norm
+	for _, p := range params {
+		gd, vd := p.Grad.Data(), p.Value.Data()
+		for i, g := range gd {
+			if decay != 0 {
+				g += decay * vd[i]
+			}
+			gd[i] = g * scale
 		}
 	}
+	return true
 }
 
 // clipScreenLimit is the screen sum below which n squares cannot clip at

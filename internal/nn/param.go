@@ -7,7 +7,8 @@ import (
 	"lbchat/internal/tensor"
 )
 
-// Param is a trainable parameter with its accumulated gradient.
+// Param is a trainable parameter with its gradient. A backward pass writes
+// the gradient whole rather than adding to it, so nothing clears it first.
 type Param struct {
 	Name  string
 	Value *tensor.Dense
@@ -23,7 +24,8 @@ func NewParam(name string, shape ...int) *Param {
 	}
 }
 
-// ZeroGrad clears the accumulated gradient.
+// ZeroGrad clears the gradient: what a layer no sample reached this step
+// contributes.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
 // ParamSet is an ordered collection of parameters, typically all parameters
@@ -64,20 +66,13 @@ func (ps ParamSet) LoadFlat(flat []float64) error {
 	return nil
 }
 
-// ZeroGrad clears every gradient in the set.
-func (ps ParamSet) ZeroGrad() {
-	for _, p := range ps {
-		p.ZeroGrad()
-	}
-}
-
-// L2Norm returns the Euclidean norm of the whole parameter vector.
+// L2Norm returns the Euclidean norm of the whole parameter vector: the
+// square root of the parameters' packed sums of squares (tensor.SumSquares),
+// added in parameter order.
 func (ps ParamSet) L2Norm() float64 {
 	var acc float64
 	for _, p := range ps {
-		for _, v := range p.Value.Data() {
-			acc += v * v
-		}
+		acc += tensor.SumSquares(p.Value.Data())
 	}
 	return math.Sqrt(acc)
 }

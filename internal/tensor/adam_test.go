@@ -129,7 +129,7 @@ func TestAdamUpdateCloseToTextbook(t *testing.T) {
 			v[i] = (1 - math.Pow(k.Beta2, float64(step-1))) * g * g
 		}
 		tValue, tm, tv := append([]float64(nil), value...), append([]float64(nil), m...), append([]float64(nil), v...)
-		AdamUpdate(value, grad, m, v, &k, 0)
+		AdamUpdate(value, grad, m, v, &k)
 		adamUpdateTextbook(tValue, grad, tm, tv, &tk)
 		sameBits(t, "first moment", m, tm)
 		sameBits(t, "second moment", v, tv)

@@ -11,7 +11,8 @@
 // The matmuls that skip zeros list a row's nonzero coefficients once and
 // gather the output from them; Rows holds such lists for an input that is
 // sparse to begin with (the policy's BEV). The screens, the gather, the
-// add-row pass and the Adam update have two bit-identical forms: AVX2
+// add-row pass, the ReLU's choice, the sums of squares and the Adam update
+// have two bit-identical forms: AVX2
 // assembly (kernels_amd64.s), used on an amd64 CPU that has it, and the
 // plain Go loops of kernels_generic.go, used everywhere else and under the
 // purego build tag. The CPU chooses; no option does.

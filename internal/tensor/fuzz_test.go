@@ -5,14 +5,13 @@ import "testing"
 // FuzzGatherRows drives the gather and the screens with fuzzer-chosen
 // widths (1–70 columns), survivor lists (0 to k of B's k rows) and values
 // — ±0, ±Inf, NaN and denormals among them, picked byte by byte from
-// specials — in the store and the += form. The packed gather must leave
-// the generic loop's bits, and the screens must list what a plain loop
-// lists.
+// specials. The packed gather must leave the generic loop's bits, and the
+// screens must list what a plain loop lists.
 func FuzzGatherRows(f *testing.F) {
-	f.Add(uint8(63), uint8(5), []byte{1, 2, 3, 250, 0, 9, 7, 0, 0, 4}, false)
-	f.Add(uint8(9), uint8(15), []byte{6, 6, 6, 0, 1, 0, 1, 2, 2, 200, 201, 202}, true)
-	f.Add(uint8(31), uint8(0), []byte{}, true)
-	f.Fuzz(func(t *testing.T, width, rows uint8, pick []byte, add bool) {
+	f.Add(uint8(63), uint8(5), []byte{1, 2, 3, 250, 0, 9, 7, 0, 0, 4})
+	f.Add(uint8(9), uint8(15), []byte{6, 6, 6, 0, 1, 0, 1, 2, 2, 200, 201, 202})
+	f.Add(uint8(31), uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, width, rows uint8, pick []byte) {
 		n, k := 1+int(width)%70, 1+int(rows)%16
 		at := 0
 		next := func() byte {
@@ -60,8 +59,8 @@ func FuzzGatherRows(f *testing.F) {
 			c[j] = value()
 		}
 		want := append([]float64(nil), c...)
-		gather(c, bd, wantIdx, wantVal, add)
-		gatherGeneric(want, bd, wantIdx, wantVal, add)
+		gather(c, bd, wantIdx, wantVal)
+		gatherGeneric(want, bd, wantIdx, wantVal)
 		sameBits(t, "gather", c, want)
 
 		// The bytes themselves, as a BEV row.

@@ -41,7 +41,7 @@ func xgetbv() (eax, edx uint32)
 // (the screens).
 
 //go:noescape
-func gatherAVX2(c *float64, n int, b *float64, idx *int32, val *float64, cnt int, add bool)
+func gatherAVX2(c *float64, n int, b *float64, idx *int32, val *float64, cnt int)
 
 //go:noescape
 func screenAVX2(idx *int32, val *float64, a *float64, n int, tab *[16][16]int32) int
@@ -56,10 +56,10 @@ func countBytesAVX2(b *uint8, n int) int
 func addRowAVX2(dst, src *float64, n int)
 
 //go:noescape
-func scaleAVX2(x *float64, n int, s float64)
+func keepPositiveAVX2(dst, val, ref *float64, n int)
 
 //go:noescape
-func adamUpdateAVX2(value, grad, m, v *float64, n int, k *AdamCoef, sumSq float64) float64
+func adamUpdateAVX2(value, grad, m, v *float64, n int, k *AdamCoef)
 
 // addKeptAVX2 runs whole vectors only (n is a multiple of 4) and returns how
 // many elements it wrote: all n, or fewer when it met a vector holding a
@@ -69,7 +69,10 @@ func adamUpdateAVX2(value, grad, m, v *float64, n int, k *AdamCoef, sumSq float6
 func addKeptAVX2(dst, base, delta *float64, n int, thr float64, ties int) int
 
 //go:noescape
-func decaySumSquaresAVX2(grad, value *float64, n int, decay float64) float64
+func sumSquaresAVX2(x *float64, n int) float64
+
+//go:noescape
+func decaySumSquaresAVX2(grad, value *float64, n int, decay float64) (decayed, values float64)
 
 // screenTable has one entry per 4-bit mask of listed lanes: the VPERMD
 // control that packs those lanes' doubles (dword pairs) to the front, then
@@ -90,16 +93,16 @@ var screenTable = func() (t [16][16]int32) {
 }()
 
 // gather sets c[j], for every column j, to Σ val[q]·B[idx[q], j] over q
-// ascending from +0 — or adds that sum to c[j] when add — where B is bd
-// read as a row-major matrix with len(c) columns. The indices are trusted:
-// every caller lists only rows of B (the exported kernels check them).
-func gather(c, bd []float64, idx []int32, val []float64, add bool) {
+// ascending from +0, where B is bd read as a row-major matrix with len(c)
+// columns. The indices are trusted: every caller lists only rows of B (the
+// exported kernels check them).
+func gather(c, bd []float64, idx []int32, val []float64) {
 	if !useAVX2 || len(c) == 0 {
-		gatherGeneric(c, bd, idx, val, add)
+		gatherGeneric(c, bd, idx, val)
 		return
 	}
 	val = val[:len(idx)]
-	gatherAVX2(&c[0], len(c), unsafe.SliceData(bd), unsafe.SliceData(idx), unsafe.SliceData(val), len(idx), add)
+	gatherAVX2(&c[0], len(c), unsafe.SliceData(bd), unsafe.SliceData(idx), unsafe.SliceData(val), len(idx))
 }
 
 // screen lists a's nonzero entries (a NaN is listed, −0 is not) in idx and
@@ -158,25 +161,30 @@ func addRow(dst, src []float64) {
 	addRowAVX2(&dst[0], &src[0], len(src))
 }
 
-func scale(x []float64, s float64) {
-	if !useAVX2 || len(x) == 0 {
-		scaleGeneric(x, s)
+// KeepPositive writes val[i] into dst[i] where ref[i] > 0 and +0 elsewhere
+// (a NaN ref is not positive): a ReLU, and its backward pass. val and ref
+// are read to dst's length (a shorter one panics before anything is
+// written); dst overlaps neither.
+func KeepPositive(dst, val, ref []float64) {
+	if !useAVX2 || len(dst) == 0 {
+		keepPositiveGeneric(dst, val, ref)
 		return
 	}
-	scaleAVX2(&x[0], len(x), s)
+	val, ref = val[:len(dst)], ref[:len(dst)]
+	keepPositiveAVX2(&dst[0], &val[0], &ref[0], len(dst))
 }
 
 // AdamUpdate applies one Adam step to one parameter: value, its gradient and
 // its two moments, all of value's length (longer ones are read to that
 // length, a shorter one panics before anything is written), which must not
-// overlap. It returns sumSq plus the square of every updated value, added
-// one at a time in index order.
-func AdamUpdate(value, grad, m, v []float64, k *AdamCoef, sumSq float64) float64 {
+// overlap.
+func AdamUpdate(value, grad, m, v []float64, k *AdamCoef) {
 	if !useAVX2 || len(value) == 0 {
-		return adamUpdateGeneric(value, grad, m, v, k, sumSq)
+		adamUpdateGeneric(value, grad, m, v, k)
+		return
 	}
 	grad, m, v = grad[:len(value)], m[:len(value)], v[:len(value)]
-	return adamUpdateAVX2(&value[0], &grad[0], &m[0], &v[0], len(value), k, sumSq)
+	adamUpdateAVX2(&value[0], &grad[0], &m[0], &v[0], len(value), k)
 }
 
 // AddKept writes into dst, at every index of delta, base + delta where the
@@ -201,12 +209,21 @@ func AddKept(dst, base, delta []float64, thr float64, ties int) {
 	}
 }
 
-// DecaySumSquares adds decay·value to grad (decay == 0 adds nothing, not even
-// a signed zero) and returns the sum of the squares of the result, four
-// lanes at a time: a screen for a norm, not the norm's ordered sum. value is
-// read to grad's length; a shorter one panics before anything is written.
-func DecaySumSquares(grad, value []float64, decay float64) float64 {
-	if !useAVX2 || len(grad) == 0 || decay == 0 {
+// SumSquares returns the sum of the squares of x, added in sixteen lanes
+// (sumSquaresGeneric gives the order): a norm's square, not its ordered sum.
+func SumSquares(x []float64) float64 {
+	if !useAVX2 || len(x) == 0 {
+		return sumSquaresGeneric(x)
+	}
+	return sumSquaresAVX2(&x[0], len(x))
+}
+
+// DecaySumSquares returns the sum of the squares of grad + decay·value and
+// the sum of the squares of value, each added in SumSquares' lanes and
+// order, from one read of both; it writes nothing. value is read to grad's
+// length; a shorter one panics before anything is read.
+func DecaySumSquares(grad, value []float64, decay float64) (decayed, values float64) {
+	if !useAVX2 || len(grad) == 0 {
 		return decaySumSquaresGeneric(grad, value, decay)
 	}
 	value = value[:len(grad)]

@@ -9,7 +9,8 @@
 // square root round identically, and nothing here fuses a multiply into an
 // add (repolint.FusedMultiplyAdd). The elementwise routines take pointers
 // their Go wrapper has bounds-checked against n, run whole 4-lane vectors to
-// n&^3, finish the last 1–3 elements with the scalar forms of the same
+// n&^3 (the sums of squares: whole blocks of 16 to n&^15, in four
+// accumulators), finish the rest with the scalar forms of the same
 // instructions (but addKeptAVX2, whose caller finishes them), and return
 // through VZEROUPPER; the screens run whole vectors or blocks and leave the
 // rest to their wrapper, and the gather trusts the row indices its callers
@@ -23,14 +24,13 @@
 	MOVQ n, R10; \
 	ANDQ $-4, R10
 
-// func gatherAVX2(c *float64, n int, b *float64, idx *int32, val *float64, cnt int, add bool)
+// func gatherAVX2(c *float64, n int, b *float64, idx *int32, val *float64, cnt int)
 //
-// gatherGeneric's sum for every column j of c: acc = ((+0 + val[0]·B[idx[0], j])
+// gatherGeneric's sum for every column j of c: c[j] = ((+0 + val[0]·B[idx[0], j])
 // + val[1]·B[idx[1], j]) + … over the cnt survivors in list order, B being
-// row-major with n columns; c[j] = acc, or c[j] + acc when add. The columns
-// go 32 at a time, eight accumulators Y0–Y7 held in registers across the
-// whole list and stored once; then 4-lane strips in Y0; then one column at a
-// time in X0. Each step of the wide loop prefetches the strip of the row
+// row-major with n columns. The columns go 32 at a time, eight accumulators
+// Y0–Y7 held in registers across the whole list and stored once; then
+// 4-lane strips in Y0; then one column at a time in X0. Each step of the wide loop prefetches the strip of the row
 // GATHER_AHEAD survivors on (the last survivor's near the end of the list).
 #define GATHER_AHEAD 6
 
@@ -39,14 +39,13 @@
 	VMULPD off(AX), Y8, tmp; \
 	VADDPD tmp, acc, acc
 
-TEXT ·gatherAVX2(SB), NOSPLIT, $0-49
+TEXT ·gatherAVX2(SB), NOSPLIT, $0-48
 	MOVQ    c+0(FP), DI
 	MOVQ    n+8(FP), R9
 	MOVQ    b+16(FP), SI
 	MOVQ    idx+24(FP), DX
 	MOVQ    val+32(FP), CX
 	MOVQ    cnt+40(FP), R8
-	MOVBQZX add+48(FP), R12
 	MOVQ    R9, R13
 	SHLQ    $3, R13         // bytes per row of B
 	LEAQ    -1(R8), R11     // the last survivor, where prefetches stop
@@ -67,7 +66,7 @@ wide:
 	LEAQ   (SI)(R10*8), R14 // the strip's column in row 0 of B
 	XORQ   BX, BX
 	TESTQ  R8, R8
-	JZ     widestore
+	JZ     wideput
 
 	PCALIGN $64
 wideloop:
@@ -94,26 +93,6 @@ wideloop:
 	CMPQ         BX, R8
 	JLT          wideloop
 
-widestore:
-	TESTQ   R12, R12
-	JZ      wideput
-	VMOVUPD 0(DI)(R10*8), Y9
-	VADDPD  Y0, Y9, Y0
-	VMOVUPD 32(DI)(R10*8), Y10
-	VADDPD  Y1, Y10, Y1
-	VMOVUPD 64(DI)(R10*8), Y11
-	VADDPD  Y2, Y11, Y2
-	VMOVUPD 96(DI)(R10*8), Y12
-	VADDPD  Y3, Y12, Y3
-	VMOVUPD 128(DI)(R10*8), Y9
-	VADDPD  Y4, Y9, Y4
-	VMOVUPD 160(DI)(R10*8), Y10
-	VADDPD  Y5, Y10, Y5
-	VMOVUPD 192(DI)(R10*8), Y11
-	VADDPD  Y6, Y11, Y6
-	VMOVUPD 224(DI)(R10*8), Y12
-	VADDPD  Y7, Y12, Y7
-
 wideput:
 	VMOVUPD Y0, 0(DI)(R10*8)
 	VMOVUPD Y1, 32(DI)(R10*8)
@@ -134,7 +113,7 @@ narrow:
 	LEAQ   (SI)(R10*8), R14
 	XORQ   BX, BX
 	TESTQ  R8, R8
-	JZ     narrowstore
+	JZ     narrowput
 
 narrowloop:
 	MOVLQSX      (DX)(BX*4), AX
@@ -145,12 +124,6 @@ narrowloop:
 	INCQ         BX
 	CMPQ         BX, R8
 	JLT          narrowloop
-
-narrowstore:
-	TESTQ   R12, R12
-	JZ      narrowput
-	VMOVUPD (DI)(R10*8), Y9
-	VADDPD  Y0, Y9, Y0
 
 narrowput:
 	VMOVUPD Y0, (DI)(R10*8)
@@ -164,7 +137,7 @@ scalar:
 	LEAQ   (SI)(R10*8), R14
 	XORQ   BX, BX
 	TESTQ  R8, R8
-	JZ     scalarstore
+	JZ     scalarput
 
 scalarloop:
 	MOVLQSX (DX)(BX*4), AX
@@ -175,12 +148,6 @@ scalarloop:
 	INCQ    BX
 	CMPQ    BX, R8
 	JLT     scalarloop
-
-scalarstore:
-	TESTQ  R12, R12
-	JZ     scalarput
-	VMOVSD (DI)(R10*8), X9
-	VADDSD X0, X9, X0
 
 scalarput:
 	VMOVSD X0, (DI)(R10*8)
@@ -378,18 +345,26 @@ done:
 	VZEROUPPER
 	RET
 
-// func scaleAVX2(x *float64, n int, s float64)
-TEXT ·scaleAVX2(SB), NOSPLIT, $0-24
-	MOVQ         x+0(FP), DI
-	MOVQ         n+8(FP), R9
-	VBROADCASTSD s+16(FP), Y0
+// func keepPositiveAVX2(dst, val, ref *float64, n int)
+//
+// Per lane, keepPositiveGeneric's choice with no branch: the ordered
+// compare ref > 0 (false for NaN) is a mask of all ones or all zeros, and
+// val AND mask is val's bits or +0.
+TEXT ·keepPositiveAVX2(SB), NOSPLIT, $0-32
+	MOVQ   dst+0(FP), DI
+	MOVQ   val+8(FP), SI
+	MOVQ   ref+16(FP), DX
+	MOVQ   n+24(FP), R9
+	VXORPD Y15, Y15, Y15
 	VECTORS(R9)
-	JZ           tail
+	JZ     tail
 
 	PCALIGN $64
 loop:
-	VMULPD  (DI)(AX*8), Y0, Y4
-	VMOVUPD Y4, (DI)(AX*8)
+	VMOVUPD (DX)(AX*8), Y1
+	VCMPPD  $0x1e, Y15, Y1, Y1 // ref > 0, ordered
+	VANDPD  (SI)(AX*8), Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
 	ADDQ    $4, AX
 	CMPQ    AX, R10
 	JLT     loop
@@ -399,8 +374,11 @@ tail:
 	JGE  done
 
 tail1:
-	VMULSD (DI)(AX*8), X0, X4
-	VMOVSD X4, (DI)(AX*8)
+	VMOVSD (DX)(AX*8), X1
+	VCMPSD $0x1e, X15, X1, X1
+	VMOVSD (SI)(AX*8), X2
+	VANDPD X2, X1, X1
+	VMOVSD X1, (DI)(AX*8)
 	INCQ   AX
 	CMPQ   AX, R9
 	JLT    tail1
@@ -409,7 +387,7 @@ done:
 	VZEROUPPER
 	RET
 
-// func adamUpdateAVX2(value, grad, m, v *float64, n int, k *AdamCoef, sumSq float64) float64
+// func adamUpdateAVX2(value, grad, m, v *float64, n int, k *AdamCoef)
 //
 // Per lane, adamUpdateGeneric's body:
 //	g     = grad + decay·value
@@ -417,17 +395,14 @@ done:
 //	v     = β2·v + ((1−β2)·g)·g
 //	value = value − (s·m) / (√(v·c) + ε)
 // with s = η/(1−β1ᵗ) and c = 1/(1−β2ᵗ) from the caller: one VDIVPD and one
-// VSQRTPD per four parameters. Then, one lane at a time from lane 0 to lane
-// 3, sumSq += value²: the ordered sum rides the loop, its adds waiting on the
-// divide in X6.
-TEXT ·adamUpdateAVX2(SB), NOSPLIT, $0-64
+// VSQRTPD per four parameters, and no dependence between vectors.
+TEXT ·adamUpdateAVX2(SB), NOSPLIT, $0-48
 	MOVQ         value+0(FP), DI
 	MOVQ         grad+8(FP), SI
 	MOVQ         m+16(FP), DX
 	MOVQ         v+24(FP), CX
 	MOVQ         n+32(FP), R9
 	MOVQ         k+40(FP), R8
-	VMOVSD       sumSq+48(FP), X6
 	VBROADCASTSD 0(R8), Y15  // Decay
 	VBROADCASTSD 8(R8), Y14  // Beta1
 	VBROADCASTSD 16(R8), Y13 // OneMinusBeta1
@@ -460,14 +435,6 @@ loop:
 	VDIVPD  Y4, Y2, Y2
 	VSUBPD  Y2, Y0, Y0
 	VMOVUPD Y0, (DI)(AX*8)
-	VMULPD  Y0, Y0, Y3         // value²
-	VADDSD  X3, X6, X6         // + lane 0
-	VUNPCKHPD X3, X3, X5
-	VADDSD  X5, X6, X6         // + lane 1
-	VEXTRACTF128 $1, Y3, X3
-	VADDSD  X3, X6, X6         // + lane 2
-	VUNPCKHPD X3, X3, X5
-	VADDSD  X5, X6, X6         // + lane 3
 	ADDQ    $4, AX
 	CMPQ    AX, R10
 	JLT     loop
@@ -496,14 +463,11 @@ tail1:
 	VDIVSD  X4, X2, X2
 	VSUBSD  X2, X0, X0
 	VMOVSD  X0, (DI)(AX*8)
-	VMULSD  X0, X0, X3
-	VADDSD  X3, X6, X6
 	INCQ    AX
 	CMPQ    AX, R9
 	JLT     tail1
 
 done:
-	VMOVSD     X6, ret+56(FP)
 	VZEROUPPER
 	RET
 
@@ -554,52 +518,138 @@ done:
 	VZEROUPPER
 	RET
 
-// func decaySumSquaresAVX2(grad, value *float64, n int, decay float64) float64
+// JOIN(a0, a1, a2, a3) leaves in the low lane of X-form a0 the sixteen
+// lanes of four accumulators joined as joinLanes does: (a0 + a2) + (a1 + a3)
+// lane by lane, then lanes (0+2) + (1+3). It overwrites a1 and a2.
+#define JOIN(a0, a1, a2, a3, x0, x1) \
+	VADDPD       a2, a0, a0; \
+	VADDPD       a3, a1, a1; \
+	VADDPD       a1, a0, a0; \
+	VEXTRACTF128 $1, a0, x1; \
+	VADDPD       x1, x0, x0; \
+	VUNPCKHPD    x0, x0, x1; \
+	VADDSD       x1, x0, x0
+
+// func sumSquaresAVX2(x *float64, n int) float64
 //
-// Per lane, decaySumSquaresGeneric's body: grad = grad + decay·value, then
-// the lane's sum += grad². The lanes join as (0+2) + (1+3) before the last
-// 1–3 elements add in one at a time.
-TEXT ·decaySumSquaresAVX2(SB), NOSPLIT, $0-40
-	MOVQ         grad+0(FP), DI
-	MOVQ         value+8(FP), SI
-	MOVQ         n+16(FP), R9
-	VBROADCASTSD decay+24(FP), Y0
-	VXORPD       Y6, Y6, Y6
-	VECTORS(R9)
-	JZ           join
+// sumSquaresGeneric's sum: four accumulators Y6–Y9 of four lanes, lane j of
+// accumulator a summing x[16i+4a+j]² over the whole blocks of 16. They join
+// as (Y6 + Y8) + (Y7 + Y9), its lanes as (0+2) + (1+3), and the last 0–15
+// elements add in one at a time.
+TEXT ·sumSquaresAVX2(SB), NOSPLIT, $0-24
+	MOVQ   x+0(FP), DI
+	MOVQ   n+8(FP), R9
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	XORQ   AX, AX
+	MOVQ   R9, R10
+	ANDQ   $-16, R10
+	JZ     join
 
 	PCALIGN $64
 loop:
-	VMULPD  (SI)(AX*8), Y0, Y1
-	VADDPD  (DI)(AX*8), Y1, Y1 // g
-	VMOVUPD Y1, (DI)(AX*8)
-	VMULPD  Y1, Y1, Y2
-	VADDPD  Y2, Y6, Y6
-	ADDQ    $4, AX
+	VMOVUPD (DI)(AX*8), Y0
+	VMOVUPD 32(DI)(AX*8), Y1
+	VMOVUPD 64(DI)(AX*8), Y2
+	VMOVUPD 96(DI)(AX*8), Y3
+	VMULPD  Y0, Y0, Y0
+	VMULPD  Y1, Y1, Y1
+	VMULPD  Y2, Y2, Y2
+	VMULPD  Y3, Y3, Y3
+	VADDPD  Y0, Y6, Y6
+	VADDPD  Y1, Y7, Y7
+	VADDPD  Y2, Y8, Y8
+	VADDPD  Y3, Y9, Y9
+	ADDQ    $16, AX
 	CMPQ    AX, R10
 	JLT     loop
 
 join:
-	VEXTRACTF128 $1, Y6, X7
-	VADDPD       X7, X6, X6 // lanes 0+2, 1+3
-	VUNPCKHPD    X6, X6, X7
-	VADDSD       X7, X6, X6
-	CMPQ         AX, R9
-	JGE          done
+	JOIN(Y6, Y7, Y8, Y9, X6, X7)
+	CMPQ AX, R9
+	JGE  done
 
 tail1:
-	VMOVSD (SI)(AX*8), X1
-	VMULSD X1, X0, X1
-	VADDSD (DI)(AX*8), X1, X1
-	VMOVSD X1, (DI)(AX*8)
-	VMULSD X1, X1, X2
-	VADDSD X2, X6, X6
+	VMOVSD (DI)(AX*8), X1
+	VMULSD X1, X1, X1
+	VADDSD X1, X6, X6
 	INCQ   AX
 	CMPQ   AX, R9
 	JLT    tail1
 
 done:
-	VMOVSD     X6, ret+32(FP)
+	VMOVSD     X6, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// func decaySumSquaresAVX2(grad, value *float64, n int, decay float64) (decayed, values float64)
+//
+// decaySumSquaresGeneric's two sums from one read of grad and value, writing
+// nothing: per lane, g = grad + decay·value, then the lane's decayed sum +=
+// g² and its value sum += value². Each sum keeps sumSquaresAVX2's four
+// accumulators — Y6–Y9 for the decayed, Y10–Y13 for the values — joins as
+// it does, and takes the last 0–15 elements one at a time.
+TEXT ·decaySumSquaresAVX2(SB), NOSPLIT, $0-48
+	MOVQ         grad+0(FP), DI
+	MOVQ         value+8(FP), SI
+	MOVQ         n+16(FP), R9
+	VBROADCASTSD decay+24(FP), Y15
+	VXORPD       Y6, Y6, Y6
+	VXORPD       Y7, Y7, Y7
+	VXORPD       Y8, Y8, Y8
+	VXORPD       Y9, Y9, Y9
+	VXORPD       Y10, Y10, Y10
+	VXORPD       Y11, Y11, Y11
+	VXORPD       Y12, Y12, Y12
+	VXORPD       Y13, Y13, Y13
+	XORQ         AX, AX
+	MOVQ         R9, R10
+	ANDQ         $-16, R10
+	JZ           join
+
+// DTERM(off, gacc, vacc): the vector at element AX + off/8.
+#define DTERM(off, gacc, vacc) \
+	VMOVUPD off(SI)(AX*8), Y0; \
+	VMULPD  Y0, Y15, Y1; \
+	VADDPD  off(DI)(AX*8), Y1, Y1; \
+	VMULPD  Y1, Y1, Y1; \
+	VADDPD  Y1, gacc, gacc; \
+	VMULPD  Y0, Y0, Y0; \
+	VADDPD  Y0, vacc, vacc
+
+	PCALIGN $64
+loop:
+	DTERM(0, Y6, Y10)
+	DTERM(32, Y7, Y11)
+	DTERM(64, Y8, Y12)
+	DTERM(96, Y9, Y13)
+	ADDQ $16, AX
+	CMPQ AX, R10
+	JLT  loop
+
+join:
+	JOIN(Y6, Y7, Y8, Y9, X6, X7)
+	JOIN(Y10, Y11, Y12, Y13, X10, X11)
+	CMPQ AX, R9
+	JGE  done
+
+tail1:
+	VMOVSD (SI)(AX*8), X0
+	VMULSD X0, X15, X1
+	VADDSD (DI)(AX*8), X1, X1
+	VMULSD X1, X1, X1
+	VADDSD X1, X6, X6
+	VMULSD X0, X0, X0
+	VADDSD X0, X10, X10
+	INCQ   AX
+	CMPQ   AX, R9
+	JLT    tail1
+
+done:
+	VMOVSD     X6, decayed+32(FP)
+	VMOVSD     X10, values+40(FP)
 	VZEROUPPER
 	RET
 

@@ -14,11 +14,10 @@ import "math"
 const gatherStrip = 32
 
 // gatherGeneric sets c[j], for every column j, to ((+0 + val[0]·B[idx[0], j])
-// + val[1]·B[idx[1], j]) + … over the listed survivors in order — or to c[j]
-// plus that sum when add — where B is bd read as a row-major matrix with
-// len(c) columns. Each column has its one accumulator, so how the columns
-// are grouped moves no bit.
-func gatherGeneric(c, bd []float64, idx []int32, val []float64, add bool) {
+// + val[1]·B[idx[1], j]) + … over the listed survivors in order, where B is
+// bd read as a row-major matrix with len(c) columns. Each column has its one
+// accumulator, so how the columns are grouped moves no bit.
+func gatherGeneric(c, bd []float64, idx []int32, val []float64) {
 	n := len(c)
 	val = val[:len(idx)]
 	var buf [gatherStrip]float64
@@ -31,14 +30,7 @@ func gatherGeneric(c, bd []float64, idx []int32, val []float64, add bool) {
 				acc[j] += a * brow[j]
 			}
 		}
-		out := c[j0:][:len(acc)]
-		if add {
-			for j := range out {
-				out[j] += acc[j]
-			}
-		} else {
-			copy(out, acc)
-		}
+		copy(c[j0:][:len(acc)], acc)
 	}
 }
 
@@ -88,10 +80,16 @@ func addRowGeneric(dst, src []float64) {
 	}
 }
 
-// scaleGeneric multiplies every element of x by s.
-func scaleGeneric(x []float64, s float64) {
-	for i := range x {
-		x[i] *= s
+// keepPositiveGeneric writes val[i] into dst[i] where ref[i] > 0 and +0
+// elsewhere (a NaN ref is not positive).
+func keepPositiveGeneric(dst, val, ref []float64) {
+	val, ref = val[:len(dst)], ref[:len(dst)]
+	for i := range dst {
+		if ref[i] > 0 {
+			dst[i] = val[i]
+		} else {
+			dst[i] = 0
+		}
 	}
 }
 
@@ -108,20 +106,16 @@ type AdamCoef struct {
 
 // adamUpdateGeneric is one Adam step over one parameter with the bias
 // corrections folded into the step's two scalars: value − (s·m) / (√(v·c) + ε),
-// one divide and one square root per element, no dependence between elements
-// but the returned sumSq plus the squares of the updated values, added in
-// index order.
-func adamUpdateGeneric(value, grad, m, v []float64, k *AdamCoef, sumSq float64) float64 {
+// one divide and one square root per element and no dependence between
+// elements.
+func adamUpdateGeneric(value, grad, m, v []float64, k *AdamCoef) {
 	grad, m, v = grad[:len(value)], m[:len(value)], v[:len(value)]
 	for i := range value {
 		g := grad[i] + k.Decay*value[i]
 		m[i] = k.Beta1*m[i] + k.OneMinusBeta1*g
 		v[i] = k.Beta2*v[i] + k.OneMinusBeta2*g*g
-		x := value[i] - k.StepSize*m[i]/(math.Sqrt(v[i]*k.InvBiasCorr2)+k.Eps)
-		value[i] = x
-		sumSq += x * x
+		value[i] -= k.StepSize * m[i] / (math.Sqrt(v[i]*k.InvBiasCorr2) + k.Eps)
 	}
-	return sumSq
 }
 
 // addKeptGeneric writes base + delta into dst where the top-k cut keeps the
@@ -142,33 +136,60 @@ func addKeptGeneric(dst, base, delta []float64, thr float64, ties int) int {
 	return ties
 }
 
-// decaySumSquaresGeneric adds decay·value to grad (decay == 0 adds nothing,
-// not even a signed zero) and returns the sum of the squares of the result
-// in the packed kernel's order: lane j sums elements 4i+j of the whole
-// vectors, the lanes join as (0+2) + (1+3), and the last 1–3 elements follow
-// one at a time.
-func decaySumSquaresGeneric(grad, value []float64, decay float64) float64 {
-	value = value[:len(grad)]
-	var lane [4]float64
-	whole := len(grad) &^ 3
-	for i := 0; i < whole; i += 4 {
+// sumLanes is how many running sums the sums of squares keep: the packed
+// kernels' four accumulators of four lanes each.
+const sumLanes = 16
+
+// sumSquaresGeneric returns the sum of the squares of x in the packed
+// kernel's order: lane j sums elements 16i+j of the whole blocks of 16, the
+// four accumulators (lanes 0–3, 4–7, 8–11, 12–15) join lane by lane as
+// (acc0 + acc2) + (acc1 + acc3), those four lanes as (0+2) + (1+3), and the
+// last 0–15 elements follow one at a time.
+func sumSquaresGeneric(x []float64) float64 {
+	var lane [sumLanes]float64
+	whole := len(x) &^ (sumLanes - 1)
+	for i := 0; i < whole; i += sumLanes {
 		for j := range lane {
-			g := grad[i+j]
-			if decay != 0 {
-				g += decay * value[i+j]
-				grad[i+j] = g
-			}
-			lane[j] += g * g
+			lane[j] += x[i+j] * x[i+j]
 		}
 	}
-	sum := (lane[0] + lane[2]) + (lane[1] + lane[3])
-	for i := whole; i < len(grad); i++ {
-		g := grad[i]
-		if decay != 0 {
-			g += decay * value[i]
-			grad[i] = g
-		}
-		sum += g * g
+	sum := joinLanes(&lane)
+	for _, v := range x[whole:] {
+		sum += v * v
 	}
 	return sum
+}
+
+// joinLanes adds sixteen running sums in the packed kernels' order.
+func joinLanes(lane *[sumLanes]float64) float64 {
+	var acc [4]float64
+	for j := range acc {
+		acc[j] = (lane[j] + lane[8+j]) + (lane[4+j] + lane[12+j])
+	}
+	return (acc[0] + acc[2]) + (acc[1] + acc[3])
+}
+
+// decaySumSquaresGeneric returns, in sumSquaresGeneric's order, the sum of
+// the squares of grad + decay·value and the sum of the squares of value,
+// and writes nothing. value is read to grad's length.
+func decaySumSquaresGeneric(grad, value []float64, decay float64) (decayed, values float64) {
+	value = value[:len(grad)]
+	var gl, vl [sumLanes]float64
+	whole := len(grad) &^ (sumLanes - 1)
+	for i := 0; i < whole; i += sumLanes {
+		for j := range gl {
+			w := value[i+j]
+			g := grad[i+j] + decay*w
+			gl[j] += g * g
+			vl[j] += w * w
+		}
+	}
+	decayed, values = joinLanes(&gl), joinLanes(&vl)
+	for i := whole; i < len(grad); i++ {
+		w := value[i]
+		g := grad[i] + decay*w
+		decayed += g * g
+		values += w * w
+	}
+	return decayed, values
 }

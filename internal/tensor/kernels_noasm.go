@@ -4,9 +4,7 @@ package tensor
 
 // Without the assembly of kernels_amd64.s every kernel is its generic loop.
 
-func gather(c, bd []float64, idx []int32, val []float64, add bool) {
-	gatherGeneric(c, bd, idx, val, add)
-}
+func gather(c, bd []float64, idx []int32, val []float64) { gatherGeneric(c, bd, idx, val) }
 
 func screen(idx []int32, val []float64, a []float64) int { return screenGeneric(idx, val, a, 0) }
 
@@ -18,16 +16,17 @@ func countBytes(b []uint8) int { return countBytesGeneric(b) }
 
 func addRow(dst, src []float64) { addRowGeneric(dst, src) }
 
-func scale(x []float64, s float64) { scaleGeneric(x, s) }
+// KeepPositive writes val[i] into dst[i] where ref[i] > 0 and +0 elsewhere
+// (a NaN ref is not positive): a ReLU, and its backward pass. val and ref
+// are read to dst's length (a shorter one panics before anything is
+// written); dst overlaps neither.
+func KeepPositive(dst, val, ref []float64) { keepPositiveGeneric(dst, val, ref) }
 
 // AdamUpdate applies one Adam step to one parameter: value, its gradient and
 // its two moments, all of value's length (longer ones are read to that
 // length, a shorter one panics before anything is written), which must not
-// overlap. It returns sumSq plus the square of every updated value, added
-// one at a time in index order.
-func AdamUpdate(value, grad, m, v []float64, k *AdamCoef, sumSq float64) float64 {
-	return adamUpdateGeneric(value, grad, m, v, k, sumSq)
-}
+// overlap.
+func AdamUpdate(value, grad, m, v []float64, k *AdamCoef) { adamUpdateGeneric(value, grad, m, v, k) }
 
 // AddKept writes into dst, at every index of delta, base + delta where the
 // top-k cut (thr, ties) keeps the delta and base where it does not: it keeps
@@ -39,10 +38,14 @@ func AddKept(dst, base, delta []float64, thr float64, ties int) {
 	addKeptGeneric(dst, base, delta, thr, ties)
 }
 
-// DecaySumSquares adds decay·value to grad (decay == 0 adds nothing, not even
-// a signed zero) and returns the sum of the squares of the result, four
-// lanes at a time: a screen for a norm, not the norm's ordered sum. value is
-// read to grad's length; a shorter one panics before anything is written.
-func DecaySumSquares(grad, value []float64, decay float64) float64 {
+// SumSquares returns the sum of the squares of x, added in sixteen lanes
+// (sumSquaresGeneric gives the order): a norm's square, not its ordered sum.
+func SumSquares(x []float64) float64 { return sumSquaresGeneric(x) }
+
+// DecaySumSquares returns the sum of the squares of grad + decay·value and
+// the sum of the squares of value, each added in SumSquares' lanes and
+// order, from one read of both; it writes nothing. value is read to grad's
+// length; a shorter one panics before anything is read.
+func DecaySumSquares(grad, value []float64, decay float64) (decayed, values float64) {
 	return decaySumSquaresGeneric(grad, value, decay)
 }

@@ -98,10 +98,16 @@ func TestPackedKernelsMatchGenericBits(t *testing.T) {
 				addRowGeneric(o.want[0], o.want[1])
 				o.compare(t, "addRow "+what)
 
-				o = newOperands(1, n, off, draw)
-				scale(o.got[0], a0)
-				scaleGeneric(o.want[0], a0)
-				o.compare(t, "scale "+what)
+				// The ReLU's choice: refs drawn from the values themselves
+				// half the time, as Forward passes them.
+				o = newOperands(3, n, off, draw)
+				if rep%2 == 0 {
+					copy(o.got[2], o.got[1])
+					copy(o.want[2], o.want[1])
+				}
+				KeepPositive(o.got[0], o.got[1], o.got[2])
+				keepPositiveGeneric(o.want[0], o.want[1], o.want[2])
+				o.compare(t, "KeepPositive "+what)
 
 				// Adam: hostile values everywhere on odd reps; on even ones
 				// moments a real run can hold (v ≥ 0, down to denormal) under
@@ -119,14 +125,9 @@ func TestPackedKernelsMatchGenericBits(t *testing.T) {
 						o.got[3][i], o.want[3][i] = v, v
 					}
 				}
-				sumSq := draw()
-				if rep%2 == 0 {
-					sumSq = math.Abs(a1)
-				}
-				gotSum := AdamUpdate(o.got[0], o.got[1], o.got[2], o.got[3], &k, sumSq)
-				wantSum := adamUpdateGeneric(o.want[0], o.want[1], o.want[2], o.want[3], &k, sumSq)
+				AdamUpdate(o.got[0], o.got[1], o.got[2], o.got[3], &k)
+				adamUpdateGeneric(o.want[0], o.want[1], o.want[2], o.want[3], &k)
 				o.compare(t, "AdamUpdate "+what)
-				sameBits(t, "AdamUpdate sum "+what, []float64{gotSum}, []float64{wantSum})
 
 				// The blend: thresholds drawn from the deltas themselves make
 				// ties, which the packed path hands to the scalar rule.
@@ -140,15 +141,27 @@ func TestPackedKernelsMatchGenericBits(t *testing.T) {
 				addKeptGeneric(o.want[0], o.want[1], o.want[2], thr, ties)
 				o.compare(t, fmt.Sprintf("AddKept thr=%v ties=%d %s", thr, ties, what))
 
+				// The sums of squares, on lengths past n that reach up to
+				// three blocks of sixteen: their lane order is the generic
+				// loops', and the decayed pass writes nothing. Its value sum
+				// is SumSquares', bit for bit.
 				decay := a0
 				if rep%4 == 0 {
 					decay = 0
 				}
-				o = newOperands(2, n, off, draw)
-				gotSum = DecaySumSquares(o.got[0], o.got[1], decay)
-				wantSum = decaySumSquaresGeneric(o.want[0], o.want[1], decay)
-				o.compare(t, "DecaySumSquares "+what)
-				sameBits(t, "DecaySumSquares sum "+what, []float64{gotSum}, []float64{wantSum})
+				for _, m := range []int{n, n + 16 + rep, n + 43 - rep} {
+					o = newOperands(1, m, off, draw)
+					got, want := SumSquares(o.got[0]), sumSquaresGeneric(o.want[0])
+					o.compare(t, "SumSquares operand "+what)
+					sameBits(t, fmt.Sprintf("SumSquares n=%d %s", m, what), []float64{got}, []float64{want})
+
+					o = newOperands(2, m, off, draw)
+					gd, gv := DecaySumSquares(o.got[0], o.got[1], decay)
+					wd, wv := decaySumSquaresGeneric(o.want[0], o.want[1], decay)
+					o.compare(t, "DecaySumSquares operand "+what)
+					sameBits(t, fmt.Sprintf("DecaySumSquares n=%d %s", m, what), []float64{gd, gv}, []float64{wd, wv})
+					sameBits(t, fmt.Sprintf("DecaySumSquares values n=%d %s", m, what), []float64{gv}, []float64{SumSquares(o.got[1])})
+				}
 			}
 		}
 	}
@@ -192,9 +205,8 @@ func TestAddKeptTies(t *testing.T) {
 
 // TestAddRowSignedZero pins the row rule of a bias add on the kernel itself,
 // in every lane and in the scalar tail: −0 + +0 = +0, −0 + −0 = −0; and the
-// same rule on the gather's += form, whose sum starts at +0: a row no
-// survivor reaches turns −0 into +0 in the wide strip, the 4-lane strips
-// and the scalar tail alike.
+// gather's sum, which starts at +0: a row no survivor reaches is written +0
+// over a −0 in the wide strip, the 4-lane strips and the scalar tail alike.
 func TestAddRowSignedZero(t *testing.T) {
 	dst := []float64{negZero, negZero, negZero, negZero, negZero, negZero, negZero}
 	src := []float64{0, negZero, 0, negZero, 0, negZero, 0}
@@ -206,8 +218,8 @@ func TestAddRowSignedZero(t *testing.T) {
 	for j := range c {
 		c[j] = negZero
 	}
-	gather(c, make([]float64, n), nil, nil, true)
-	sameBits(t, "gather +=", c, make([]float64, n))
+	gather(c, make([]float64, n), nil, nil)
+	sameBits(t, "gather", c, make([]float64, n))
 }
 
 // TestShortOperandPanicsInGo: the assembly trusts its count, so a short
@@ -231,9 +243,10 @@ func TestShortOperandPanicsInGo(t *testing.T) {
 		call  func(o [][]float64)
 	}{
 		{"addRow", 2, func(o [][]float64) { addRow(o[1], o[0]) }}, // src sets the length
-		{"AdamUpdate", 4, func(o [][]float64) { AdamUpdate(o[0], o[1], o[2], o[3], &k, 0) }},
+		{"AdamUpdate", 4, func(o [][]float64) { AdamUpdate(o[0], o[1], o[2], o[3], &k) }},
 		{"AddKept", 3, func(o [][]float64) { AddKept(o[1], o[2], o[0], 0.5, 1) }}, // delta sets the length
 		{"DecaySumSquares", 2, func(o [][]float64) { DecaySumSquares(o[0], o[1], 0.5) }},
+		{"KeepPositive", 3, func(o [][]float64) { KeepPositive(o[0], o[1], o[2]) }},
 	}
 	for _, c := range cases {
 		for short := 1; short < c.count; short++ {
@@ -277,17 +290,17 @@ func gatherCase(rng *simrand.Rand, n, off int, draw func() float64) (c, bd []flo
 	return offsetSlice(n, off, draw), bd, idx, val
 }
 
-// checkGather runs the gather and its generic loop on the same operands, in
-// the store and the += form.
+// checkGather runs the gather and its generic loop on the same operands,
+// twice.
 func checkGather(t *testing.T, rng *simrand.Rand, n, off int, what string) {
 	t.Helper()
 	draw := func() float64 { return specialOrUniform(rng) }
-	for _, add := range []bool{false, true} {
+	for rep := 0; rep < 2; rep++ {
 		c, bd, idx, val := gatherCase(rng, n, off, draw)
 		want := append([]float64(nil), c...)
-		gather(c, bd, idx, val, add)
-		gatherGeneric(want, bd, idx, val, add)
-		sameBits(t, fmt.Sprintf("gather add=%v %s", add, what), c, want)
+		gather(c, bd, idx, val)
+		gatherGeneric(want, bd, idx, val)
+		sameBits(t, fmt.Sprintf("gather rep=%d %s", rep, what), c, want)
 	}
 }
 

@@ -69,16 +69,18 @@ func MatMulInto(dst, a, b *Dense) {
 // while it runs (DESIGN.md §15). Splitting the reduction index across
 // accumulators would be faster still and is NOT order-preserving.
 
-// gemmScratch holds the survivor lists of one dense product: one row's, or
-// all of A's as Rows. It is pooled, so the dense kernels allocate nothing in
-// steady state (outside the race detector, which drops pooled items on
-// purpose) and stay safe to call from many goroutines at once. The layers
+// gemmScratch holds the survivor lists of one dense product — one row's, or
+// all of A's as Rows — and, for MatMulTransBInto, B transposed. It is
+// pooled, so the dense kernels allocate nothing in steady state (outside the
+// race detector, which drops pooled items on purpose) and stay safe to call
+// from many goroutines at once. The layers
 // keep their own Rows instead (nn.Dense); the pool's only non-test callers
-// are MatMulInto and MatMulTransAInto, on benchmarks/perf's kernel rows
-// (ROADMAP item 13(c)).
+// are MatMulInto, MatMulTransAInto and MatMulTransBInto, on benchmarks/perf's
+// kernel rows (ROADMAP item 13(c)).
 type gemmScratch struct {
 	idx  []int32
 	val  []float64
+	bt   []float64
 	rows Rows
 }
 
@@ -98,7 +100,7 @@ func matMulRows(cd, ad, bd []float64, lo, hi, k, n int) {
 	s.idx, s.val = grown(s.idx, k), grown(s.val, k)
 	for i := lo; i < hi; i++ {
 		cnt := screen(s.idx, s.val, ad[i*k:(i+1)*k])
-		gather(cd[i*n:(i+1)*n], bd, s.idx[:cnt], s.val[:cnt], false)
+		gather(cd[i*n:(i+1)*n], bd, s.idx[:cnt], s.val[:cnt])
 	}
 	gemmPool.Put(s)
 }
@@ -122,7 +124,7 @@ func MatMulRowsInto(dst *Dense, a *Rows, b *Dense) {
 	}
 	for i := 0; i < m; i++ {
 		idx, val := a.row(i)
-		gather(dst.data[i*n:(i+1)*n], b.data, idx, val, false)
+		gather(dst.data[i*n:(i+1)*n], b.data, idx, val)
 	}
 }
 
@@ -131,34 +133,31 @@ func MatMulRowsInto(dst *Dense, a *Rows, b *Dense) {
 // once, one counting scatter turns the survivors into a list per column of
 // A, and each row of dst gathers its column's list from B. The kernel stays
 // serial only because no caller's product reaches matMulParallelFlops. No
-// layer calls it (weight gradients accumulate through AddMatMulTransARows):
-// it stays for benchmarks/perf/kernels.go's tensor.matmul_transa_us row,
-// and for the tests, until ROADMAP item 13(c) retargets that row.
+// layer calls it (weight gradients are written by MatMulTransARowsInto): it
+// stays for benchmarks/perf/kernels.go's tensor.matmul_transa_us row, and
+// for the tests, until ROADMAP item 13(c) retargets that row.
 func MatMulTransAInto(dst, a, b *Dense) {
 	_, m, n := mustTransA(a, b)
 	mustShape(dst, m, n)
 	s := gemmPool.Get().(*gemmScratch)
 	s.rows.SetDense(a)
-	s.rows.transA(dst.data, b.data, n, false)
+	s.rows.transA(dst.data, b.data, n)
 	gemmPool.Put(s)
 }
 
-// AddMatMulTransARows computes dst += Aᵀ·B for A given as rows (k×m: k =
-// a.NumRows(), m = a.Cols) and B k×n; dst must be m×n. This is how layers
-// accumulate weight gradients. Each row of the product is finished in
-// registers and then added, so dst holds exactly the bits MatMulTransAInto
-// on A's dense form into scratch followed by an elementwise add would leave
-// — including −0 + +0 = +0 where a product row is all zeros — without the
-// screen, the scratch matrix or the second pass over it. The column lists
-// are built in storage a holds, so a Rows must not be used by two calls at
-// once.
-func AddMatMulTransARows(dst *Dense, a *Rows, b *Dense) {
+// MatMulTransARowsInto computes dst = Aᵀ·B for A given as rows (k×m: k =
+// a.NumRows(), m = a.Cols) and B k×n; dst must be m×n. It leaves the bits
+// MatMulTransAInto leaves on A's dense form, with no screen to run, and it is
+// how layers write their weight gradients: every row, +0 throughout for a
+// column no row lists, so nothing needs clearing first. The column lists are
+// built in storage a holds, so a Rows must not be used by two calls at once.
+func MatMulTransARowsInto(dst *Dense, a *Rows, b *Dense) {
 	k, n := mustMatrix(b)
 	if a.NumRows() != k {
 		panic(fmt.Sprintf("tensor: matmulTransA inner dimension mismatch %d rows x %v", a.NumRows(), b.shape))
 	}
 	mustShape(dst, a.Cols, n)
-	a.transA(dst.data, b.data, n, true)
+	a.transA(dst.data, b.data, n)
 }
 
 func mustTransA(a, b *Dense) (k, m, n int) {
@@ -171,56 +170,38 @@ func mustTransA(a, b *Dense) (k, m, n int) {
 }
 
 // MatMulTransBInto computes dst = A·Bᵀ where A is m×k and B is n×k;
-// dst must be m×n. Used for input gradients. Rows of dst are independent, so
-// large shapes take the same chunked-parallel path as MatMulInto.
+// dst must be m×n. B is transposed into pooled scratch once, and the product
+// is then MatMulInto's on (A, Bᵀ): each row of A screened, its survivors
+// gathered from the rows of Bᵀ. That skips A's zeros and, as the
+// zero-skipping kernels do, keeps a NaN or ±Inf of B that meets only zeros
+// of A out of the sum. Large shapes take MatMulInto's chunked-parallel path.
+// nn.Dense.Backward computes its input gradient with these bits in scratch
+// of its own (Rows, a transposed W); this pooled form stays for
+// benchmarks/perf/kernels.go's tensor.matmul_transb_us row and the tests.
 func MatMulTransBInto(dst, a, b *Dense) {
 	m, k := mustMatrix(a)
 	n, k2 := mustMatrix(b)
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: matmulTransB inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
-	ad, bd, cd := a.data, b.data, dst.data
+	mustShape(dst, m, n)
+	s := gemmPool.Get().(*gemmScratch)
+	s.bt = grown(s.bt, k*n)
+	bt, bd := s.bt, b.data
+	for j := 0; j < n; j++ {
+		for p, v := range bd[j*k : (j+1)*k] {
+			bt[p*n+j] = v
+		}
+	}
+	ad, cd := a.data, dst.data
 	if w := Workers(); w > 1 && m > 1 && m*k*n >= matMulParallelFlops {
 		parallel.Chunks(w, m, func(lo, hi int) {
-			matMulTransBRows(cd, ad, bd, lo, hi, k, n)
+			matMulRows(cd, ad, bt, lo, hi, k, n)
 		})
-		return
+	} else {
+		matMulRows(cd, ad, bt, 0, m, k, n)
 	}
-	matMulTransBRows(cd, ad, bd, 0, m, k, n)
-}
-
-// matMulTransBRows computes rows [lo, hi) of C = A·Bᵀ, four output columns
-// at a time: each column keeps its own single accumulator over ascending p,
-// so the four dot products are the ones the one-column loop computes, run as
-// four independent dependency chains.
-func matMulTransBRows(cd, ad, bd []float64, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
-		arow := ad[i*k : (i+1)*k]
-		crow := cd[i*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			b0 := bd[j*k : (j+1)*k][:len(arow)]
-			b1 := bd[(j+1)*k : (j+2)*k][:len(arow)]
-			b2 := bd[(j+2)*k : (j+3)*k][:len(arow)]
-			b3 := bd[(j+3)*k : (j+4)*k][:len(arow)]
-			var s0, s1, s2, s3 float64
-			for p, av := range arow {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
-			}
-			crow[j], crow[j+1], crow[j+2], crow[j+3] = s0, s1, s2, s3
-		}
-		for ; j < n; j++ {
-			brow := bd[j*k : (j+1)*k][:len(arow)]
-			var acc float64
-			for p, av := range arow {
-				acc += av * brow[p]
-			}
-			crow[j] = acc
-		}
-	}
+	gemmPool.Put(s)
 }
 
 func mustShape(t *Dense, rows, cols int) {

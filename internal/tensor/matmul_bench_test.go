@@ -127,7 +127,7 @@ func BenchmarkGatherRows(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("%dx%dx%d/dW", m, k, n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				AddMatMulTransARows(dW, rows, g)
+				MatMulTransARowsInto(dW, rows, g)
 			}
 		})
 	}

@@ -8,9 +8,9 @@ import (
 	"lbchat/internal/simrand"
 )
 
-// The four loop nests the seed shipped, kept verbatim as bit-level oracles
-// for the blocked kernels in matmul.go: one accumulator per output element,
-// products added in ascending reduction index, zeros of A skipped.
+// The loop nests the seed shipped, kept as bit-level oracles for the blocked
+// kernels in matmul.go: one accumulator per output element, products added
+// in ascending reduction index, zeros of A skipped.
 
 func oracleMatMulRows(cd, ad, bd []float64, lo, hi, k, n int) {
 	for i := lo * n; i < hi*n; i++ {
@@ -63,6 +63,9 @@ func oracleTransB(cd, ad, bd []float64, lo, hi, k, n int) {
 			brow := bd[j*k : (j+1)*k]
 			var acc float64
 			for p, av := range arow {
+				if av == 0 {
+					continue
+				}
 				acc += av * brow[p]
 			}
 			crow[j] = acc
@@ -70,13 +73,39 @@ func oracleTransB(cd, ad, bd []float64, lo, hi, k, n int) {
 	}
 }
 
-// oracleTransAThenAdd is how the layers accumulated weight gradients before
-// the += gather: the product into scratch, then an elementwise add.
-func oracleTransAThenAdd(dst, a, b *Dense) {
-	scratch := New(dst.shape...)
-	oracleTransA(scratch, a, b)
-	for i, v := range scratch.data {
-		dst.data[i] += v
+// matMulTransBRows is MatMulTransBInto as it ran before it joined the
+// gather path: rows [lo, hi) of C = A·Bᵀ, four output columns at a time, each
+// column's single accumulator over every p ascending, zeros of A included.
+// On finite operands it agrees with the zero-skipping kernel bit for bit (a
+// zero of A times a finite B adds ±0 to a sum that is never −0); a NaN or
+// ±Inf of B that meets only zeros of A reaches its sum and not the gather's.
+func matMulTransBRows(cd, ad, bd []float64, lo, hi, k, n int) {
+	for i := lo; i < hi; i++ {
+		arow := ad[i*k : (i+1)*k]
+		crow := cd[i*n : (i+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := bd[j*k : (j+1)*k][:len(arow)]
+			b1 := bd[(j+1)*k : (j+2)*k][:len(arow)]
+			b2 := bd[(j+2)*k : (j+3)*k][:len(arow)]
+			b3 := bd[(j+3)*k : (j+4)*k][:len(arow)]
+			var s0, s1, s2, s3 float64
+			for p, av := range arow {
+				s0 += av * b0[p]
+				s1 += av * b1[p]
+				s2 += av * b2[p]
+				s3 += av * b3[p]
+			}
+			crow[j], crow[j+1], crow[j+2], crow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			brow := bd[j*k : (j+1)*k][:len(arow)]
+			var acc float64
+			for p, av := range arow {
+				acc += av * brow[p]
+			}
+			crow[j] = acc
+		}
 	}
 }
 
@@ -84,6 +113,7 @@ func oracleTransAThenAdd(dst, a, b *Dense) {
 type kernelCase struct {
 	name    string
 	m, k, n int
+	hostile bool
 	a, b    *Dense // A is m×k, B is k×n
 	at, bt  *Dense // Aᵀ (k×m) and Bᵀ (n×k)
 }
@@ -95,7 +125,7 @@ type kernelCase struct {
 func newKernelCase(m, k, n int, zeroShare float64, hostile bool, rng *simrand.Rand) kernelCase {
 	c := kernelCase{
 		name: fmt.Sprintf("%dx%dx%d/zeros=%v/hostile=%v", m, k, n, zeroShare, hostile),
-		m:    m, k: k, n: n,
+		m:    m, k: k, n: n, hostile: hostile,
 		a: New(m, k), b: New(k, n), at: New(k, m), bt: New(n, k),
 	}
 	ad, bd := c.a.data, c.b.data
@@ -199,13 +229,13 @@ func TestKernelsMatchOracleBits(t *testing.T) {
 	}
 }
 
-// addMatMulTransA is dst += Aᵀ·B as a layer takes its weight gradient: A
+// writeMatMulTransA is dst = Aᵀ·B as a layer writes its weight gradient: A
 // screened into Rows (nn.Dense.Forward's Rows.SetDense), then
-// AddMatMulTransARows.
-func addMatMulTransA(dst, a, b *Dense) {
+// MatMulTransARowsInto.
+func writeMatMulTransA(dst, a, b *Dense) {
 	var r Rows
 	r.SetDense(a)
-	AddMatMulTransARows(dst, &r, b)
+	MatMulTransARowsInto(dst, &r, b)
 }
 
 // setAll sets every element of t to v.
@@ -235,10 +265,14 @@ func checkKernels(t *testing.T, c kernelCase, rng *simrand.Rand) {
 	MatMulTransBInto(got, c.a, c.bt)
 	oracleTransB(want.data, c.a.data, c.bt.data, 0, m, k, n)
 	sameBits(t, c.name+" MatMulTransBInto", got.data, want.data)
+	if !c.hostile {
+		matMulTransBRows(want.data, c.a.data, c.bt.data, 0, m, k, n)
+		sameBits(t, c.name+" MatMulTransBInto against the non-skipping kernel", got.data, want.data)
+	}
 
-	// dst += Aᵀ·B onto a dst holding −0, +0 and non-zero values: an all-zero
-	// product row must still turn −0 into +0, exactly as adding a zeroed
-	// scratch row did.
+	// Aᵀ·B written over a dst holding −0, +0 and non-zero values: every
+	// element is overwritten, and an all-zero product row reads +0, which is
+	// what clearing a gradient and adding the product into it left.
 	for i := range got.data {
 		v := rng.Uniform(-1, 1)
 		switch i % 3 {
@@ -247,27 +281,27 @@ func checkKernels(t *testing.T, c kernelCase, rng *simrand.Rand) {
 		case 1:
 			v = 0
 		}
-		got.data[i], want.data[i] = v, v
+		got.data[i] = v
 	}
-	addMatMulTransA(got, c.at, c.b)
-	oracleTransAThenAdd(want, c.at, c.b)
-	sameBits(t, c.name+" AddMatMulTransARows", got.data, want.data)
+	writeMatMulTransA(got, c.at, c.b)
+	oracleTransA(want, c.at, c.b)
+	sameBits(t, c.name+" MatMulTransARowsInto", got.data, want.data)
 }
 
-// TestAddMatMulTransAZeroProductRow pins AddMatMulTransARows' −0 rule by
-// itself: column 1 of A is all zeros, so row 1 of Aᵀ·B is +0 everywhere and
-// −0 + +0 must read +0.
+// TestAddMatMulTransAZeroProductRow pins MatMulTransARowsInto's rule for a
+// row the product leaves all zeros (the name is from when the kernel added
+// the product into the gradient): column 1 of A is all zeros, so row 1 of
+// dst is written +0 over its −0s, as a cleared row plus a zero product read.
 func TestAddMatMulTransAZeroProductRow(t *testing.T) {
 	a := mat(2, 2, 1, 0, 2, 0) // k=2, m=2
 	b := mat(2, 2, 3, 4, 5, 6)
 	negZero := math.Copysign(0, -1)
 	dst := mat(2, 2, negZero, 1, negZero, negZero)
-	addMatMulTransA(dst, a, b)
-	want := []float64{13, 17, 0, 0}
-	sameBits(t, "dst", dst.data, want)
+	writeMatMulTransA(dst, a, b)
+	sameBits(t, "dst", dst.data, []float64{13, 16, 0, 0})
 }
 
-// TestAddMatMulTransAWideRows runs AddMatMulTransARows' product rows, wider
+// TestAddMatMulTransAWideRows runs MatMulTransARowsInto's product rows, wider
 // than any layer's, through several 32-column strips, a 4-lane strip and the
 // scalar tail.
 func TestAddMatMulTransAWideRows(t *testing.T) {
@@ -275,8 +309,7 @@ func TestAddMatMulTransAWideRows(t *testing.T) {
 	c := newKernelCase(3, 5, 8*gatherStrip+7, 0.5, false, rng)
 	got, want := New(c.m, c.n), New(c.m, c.n)
 	setAll(got, 0.25)
-	setAll(want, 0.25)
-	addMatMulTransA(got, c.at, c.b)
-	oracleTransAThenAdd(want, c.at, c.b)
+	writeMatMulTransA(got, c.at, c.b)
+	oracleTransA(want, c.at, c.b)
 	sameBits(t, "wide", got.data, want.data)
 }

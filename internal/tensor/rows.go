@@ -6,7 +6,7 @@ import "fmt"
 // entries, column indices ascending, in Idx[lo:hi] and their values in
 // Val[lo:hi], where hi is End[i] and lo is End[i-1] (0 for row 0). A NaN is
 // nonzero; −0 is not listed. It is the matrix the gathered-rows kernels
-// (MatMulRowsInto, AddMatMulTransARows) read the same bits from as the dense
+// (MatMulRowsInto, MatMulTransARowsInto) read the same bits from as the dense
 // kernels read from its dense form: they skip exactly the zeros those skip.
 //
 // A Rows is built row by row (Reset, then the Append methods and EndRow for
@@ -18,7 +18,7 @@ type Rows struct {
 	Val  []float64
 	End  []int32
 
-	// The column lists of AddMatMulTransARows' counting scatter, kept for
+	// The column lists of MatMulTransARowsInto's counting scatter, kept for
 	// reuse: the rows listing an entry in each column, ascending, and the
 	// entries; column c's list ends at pos[c].
 	pos, cidx []int32
@@ -127,13 +127,14 @@ func (r *Rows) SetDense(a *Dense) {
 	}
 }
 
-// transA sets (or, when add, adds to) each row c of the Cols×n product in
-// cd the gather of column c's entries of r from the rows of B (n columns).
-func (r *Rows) transA(cd, bd []float64, n int, add bool) {
+// transA sets each row c of the Cols×n product in cd to the gather of column
+// c's entries of r from the rows of B (n columns): +0 throughout for a column
+// with no entry.
+func (r *Rows) transA(cd, bd []float64, n int) {
 	r.columns()
 	lo := int32(0)
 	for c, hi := range r.pos {
-		gather(cd[c*n:(c+1)*n], bd, r.cidx[lo:hi], r.cval[lo:hi], add)
+		gather(cd[c*n:(c+1)*n], bd, r.cidx[lo:hi], r.cval[lo:hi])
 		lo = hi
 	}
 }

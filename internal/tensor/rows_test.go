@@ -70,7 +70,7 @@ func TestRowsRejectMalformed(t *testing.T) {
 	mustPanic("negative column", func() {
 		r := bad()
 		r.Idx[0] = -1
-		AddMatMulTransARows(New(4, 3), r, New(1, 3))
+		MatMulTransARowsInto(New(4, 3), r, New(1, 3))
 	})
 	mustPanic("end past the entries", func() {
 		r := bad()

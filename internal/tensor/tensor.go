@@ -78,9 +78,6 @@ func (t *Dense) Zero() {
 	}
 }
 
-// ScaleInPlace multiplies every element by s.
-func (t *Dense) ScaleInPlace(s float64) { scale(t.data, s) }
-
 // AddToRows adds v to every row of the matrix t (a layer's bias).
 func (t *Dense) AddToRows(v []float64) {
 	rows, cols := mustMatrix(t)

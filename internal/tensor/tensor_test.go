@@ -29,11 +29,15 @@ func TestNewPanicsOnBadShape(t *testing.T) {
 }
 
 func TestElementwiseOps(t *testing.T) {
-	x := mat(1, 2, 1, 2)
-	x.ScaleInPlace(3)
-	if x.Data()[0] != 3 || x.Data()[1] != 6 {
-		t.Errorf("ScaleInPlace: %v", x.Data())
-	}
+	x := mat(2, 2, 1, 2, 3, 4)
+	x.AddToRows([]float64{10, 20})
+	sameBits(t, "AddToRows", x.Data(), []float64{11, 22, 13, 24})
+	sums := []float64{1, 1}
+	x.SumRowsInto(sums)
+	sameBits(t, "SumRowsInto", sums, []float64{25, 47})
+	out := make([]float64, 4)
+	KeepPositive(out, []float64{-1, 5, math.NaN(), 7}, []float64{1, 0, 2, math.NaN()})
+	sameBits(t, "KeepPositive", out, []float64{-1, 0, math.NaN(), 0})
 }
 
 // mat returns a rows×cols matrix holding data, row-major.
